@@ -1,6 +1,71 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"netarch/internal/kb"
+)
+
+// section51Scenarios returns §5.1 query shapes over the caseStudyQueries
+// KB: Q1's baseline (inference_app alone) and its grown fleet on the
+// frozen baseline server, and Q3's memory-bound mix with CXL pooling off
+// and on.
+func section51Scenarios() map[string]Scenario {
+	all := []string{"inference_app", "batch_analytics", "storage_backend"}
+	return map[string]Scenario{
+		"inference_app": {Workloads: []string{"inference_app"}},
+		"q1-grown": {
+			Workloads:      all,
+			NumServers:     112,
+			PinnedHardware: map[kb.HardwareKind]string{kb.KindServer: "Suprima CXL-64c"},
+			Context:        map[string]bool{"pfc_enabled": true},
+		},
+		"q3-no-pooling": {
+			Workloads:  all,
+			NumServers: 64,
+			Context:    map[string]bool{"pfc_enabled": true, "cxl_pooling": false},
+		},
+		"q3-pooling": {
+			Workloads:  all,
+			NumServers: 64,
+			Context:    map[string]bool{"pfc_enabled": true, "cxl_pooling": true},
+		},
+	}
+}
+
+// TestBaseSizeBudget pins the variable and clause counts of three §5.1
+// compiled bases. Every compile, clone, Simplify, propagation, snapshot
+// and reload pays for what a base holds, so a base that grows is a
+// warm-path regression even before any timing shows it — a base that
+// gained the power and port objective circuits nearly doubled (49,575
+// vars / 82,216 clauses for inference_app). The budgets allow 2% above
+// the counts measured when they were set.
+func TestBaseSizeBudget(t *testing.T) {
+	budgets := []struct {
+		name          string
+		vars, clauses int
+	}{
+		{"inference_app", 26097, 51177},
+		{"q1-grown", 23029, 45731},
+		{"q3-no-pooling", 26373, 47765},
+	}
+	k, _ := caseStudyQueries()
+	e := mustEngine(t, k)
+	scs := section51Scenarios()
+	for _, b := range budgets {
+		sc := scs[b.name]
+		shape := baseShape(&sc)
+		c, err := e.compileBase(&shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars, clauses := c.solver.NumVars(), c.solver.NumClauses()
+		if vars > b.vars*102/100 || clauses > b.clauses*102/100 {
+			t.Errorf("%s base: %d vars / %d clauses; budget is %d / %d + 2%%",
+				b.name, vars, clauses, b.vars, b.clauses)
+		}
+	}
+}
 
 // TestWarmQueryAllocBudget pins the allocation budget of a warm
 // cache-hit query. A warm Synthesize clones the compiled base (the

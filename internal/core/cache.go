@@ -386,8 +386,6 @@ func (e *Engine) specialize(base *compiled, sc *Scenario, solver *sat.Solver) *c
 		coresUsed:   base.coresUsed,
 		coresTotal:  base.coresTotal,
 		costTotal:   base.costTotal,
-		powerTotal:  base.powerTotal,
-		portTotal:   base.portTotal,
 		warm:        base.warm,
 		totalKFlows: base.totalKFlows,
 		maxPeakBW:   base.maxPeakBW,

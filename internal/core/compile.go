@@ -117,8 +117,6 @@ type compiled struct {
 	coresUsed  intlin.Int
 	coresTotal intlin.Int
 	costTotal  intlin.Int
-	powerTotal intlin.Int
-	portTotal  intlin.Int
 
 	// witness is the most recent Sat model read back as a design; the
 	// optimizer snapshots it so a budget trip mid-optimization can still
@@ -252,8 +250,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	c.arith = intlin.New(c.solver)
 	c.resourceConstraints()
 	c.costModel()
-	c.powerModel()
-	c.portModel()
 	// One inprocessing pass pays off across every clone of this base (and
 	// runs on the cache-off path too, so both paths stay byte-identical).
 	c.solver.Simplify()
@@ -988,17 +984,6 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
 }
 
-// kindTotal builds a muxed per-kind contribution: one bounded integer,
-// forced to val(h) exactly while SKU h is selected. The previous
-// encoding summed one ScaledBool per SKU, which grows an adder chain
-// linear in the catalog — ruinous at scaled-catalog sizes, where one
-// kind can hold tens of thousands of candidates. The mux follows the
-// coresTotal/memTotal precedent: at most one SKU per kind is selected,
-// so exactly one EqConst fires and the variable is pinned to the
-// selected SKU's value. When no SKU of the kind is selected (possible
-// only in MUS deletion trials that drop the selection selector) the
-// variable floats; such trials only ask satisfiability, which a
-// floating total never changes.
 // muxTotals reports whether the cost/power/port circuits should use the
 // muxed per-kind encoding. Gated on the same threshold as the AMO
 // ladder: below it the ScaledBool adder chains are small and the seed
@@ -1013,6 +998,17 @@ func (c *compiled) muxTotals() bool {
 	return false
 }
 
+// kindTotal builds a muxed per-kind contribution: one bounded integer,
+// forced to val(h) exactly while SKU h is selected. The previous
+// encoding summed one ScaledBool per SKU, which grows an adder chain
+// linear in the catalog — ruinous at scaled-catalog sizes, where one
+// kind can hold tens of thousands of candidates. The mux follows the
+// coresTotal/memTotal precedent: at most one SKU per kind is selected,
+// so exactly one EqConst fires and the variable is pinned to the
+// selected SKU's value. When no SKU of the kind is selected (possible
+// only in MUS deletion trials that drop the selection selector) the
+// variable floats; such trials only ask satisfiability, which a
+// floating total never changes.
 func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64) intlin.Int {
 	hws := c.allowedHardware(kind)
 	var maxV int64
@@ -1031,30 +1027,42 @@ func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64)
 	return t
 }
 
-// costModel builds the total hardware cost and the optional budget cap.
-func (c *compiled) costModel() {
-	ns := int64(c.sc.numServers())
-	nsw := int64(c.sc.numSwitches())
-	if c.muxTotals() {
-		c.costTotal = c.arith.Sum(
-			c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.CostUSD * ns }),
-			c.kindTotal(kb.KindNIC, func(h *kb.Hardware) int64 { return h.CostUSD * ns }),
-			c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.CostUSD * nsw }),
-		)
-	} else {
-		var terms []intlin.Int
-		add := func(kind kb.HardwareKind, count int64) {
-			for _, h := range c.allowedHardware(kind) {
-				if cost := h.CostUSD * count; cost > 0 {
-					terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], cost))
-				}
+// fleetCount is how many units of a kind's selected SKU the fleet
+// deploys: one server and one NIC per server, and numSwitches switches.
+func (c *compiled) fleetCount(kind kb.HardwareKind) int64 {
+	if kind == kb.KindSwitch {
+		return int64(c.sc.numSwitches())
+	}
+	return int64(c.sc.numServers())
+}
+
+// hardwareTotal builds the circuit Σ per(h) × fleetCount(kind) over the
+// selected SKU of each listed kind: one ScaledBool per SKU below the
+// muxTotals threshold, one kindTotal mux per kind above it.
+func (c *compiled) hardwareTotal(per func(*kb.Hardware) int64, kinds ...kb.HardwareKind) intlin.Int {
+	var terms []intlin.Int
+	mux := c.muxTotals()
+	for _, kind := range kinds {
+		n := c.fleetCount(kind)
+		if mux {
+			terms = append(terms, c.kindTotal(kind, func(h *kb.Hardware) int64 { return per(h) * n }))
+			continue
+		}
+		for _, h := range c.allowedHardware(kind) {
+			if v := per(h) * n; v > 0 {
+				terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], v))
 			}
 		}
-		add(kb.KindServer, ns)
-		add(kb.KindNIC, ns)
-		add(kb.KindSwitch, nsw)
-		c.costTotal = c.arith.Sum(terms...)
 	}
+	return c.arith.Sum(terms...)
+}
+
+// costModel builds the total hardware cost and the optional budget cap.
+// Unlike power and ports, cost lives on the base: the MaxCostUSD budget
+// selector constrains it on every query.
+func (c *compiled) costModel() {
+	c.costTotal = c.hardwareTotal(func(h *kb.Hardware) int64 { return h.CostUSD },
+		kb.KindServer, kb.KindNIC, kb.KindSwitch)
 	if c.sc.MaxCostUSD > 0 {
 		sel := c.addSelector("budget:cost",
 			fmt.Sprintf("total hardware cost must not exceed $%d", c.sc.MaxCostUSD))
@@ -1064,52 +1072,19 @@ func (c *compiled) costModel() {
 
 // powerModel builds the fleet's total power draw in watts: each SKU's
 // power_w rule of thumb (Listing 1 quantities) times its deployment
-// count, summed over servers, NICs, and switches. The circuit exists on
-// every base so MinimizePower and the power_w design metric work for
-// any scenario shape.
-func (c *compiled) powerModel() {
-	ns := int64(c.sc.numServers())
-	nsw := int64(c.sc.numSwitches())
-	if c.muxTotals() {
-		c.powerTotal = c.arith.Sum(
-			c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * ns }),
-			c.kindTotal(kb.KindNIC, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * ns }),
-			c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) * nsw }),
-		)
-		return
-	}
-	var terms []intlin.Int
-	add := func(kind kb.HardwareKind, count int64) {
-		for _, h := range c.allowedHardware(kind) {
-			if w := h.Q(kb.ResPowerW) * count; w > 0 {
-				terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], w))
-			}
-		}
-	}
-	add(kb.KindServer, ns)
-	add(kb.KindNIC, ns)
-	add(kb.KindSwitch, nsw)
-	c.powerTotal = c.arith.Sum(terms...)
+// count, summed over servers, NICs, and switches. Only MinimizePower
+// reads the circuit, so objectiveSpecs builds it on the query instance
+// when an objective needs it, never on a base.
+func (c *compiled) powerModel() intlin.Int {
+	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) },
+		kb.KindServer, kb.KindNIC, kb.KindSwitch)
 }
 
 // portModel builds the fabric's total switch port count (selected
-// switch's ports times the switch count) — the MinimizePorts objective
-// and the switch_ports design metric.
-func (c *compiled) portModel() {
-	nsw := int64(c.sc.numSwitches())
-	if c.muxTotals() {
-		c.portTotal = c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 {
-			return h.Q(kb.ResPortCount) * nsw
-		})
-		return
-	}
-	var terms []intlin.Int
-	for _, h := range c.allowedHardware(kb.KindSwitch) {
-		if p := h.Q(kb.ResPortCount) * nsw; p > 0 {
-			terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], p))
-		}
-	}
-	c.portTotal = c.arith.Sum(terms...)
+// switch's ports times the switch count) for the MinimizePorts
+// objective, on the query instance like powerModel.
+func (c *compiled) portModel() intlin.Int {
+	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPortCount) }, kb.KindSwitch)
 }
 
 // selectorLit returns the literal of the selector registered under name.
@@ -1154,9 +1129,18 @@ func (c *compiled) designFrom(model []bool) *Design {
 		}
 	}
 	sort.Strings(d.Systems)
+	// power_w and switch_ports are catalog arithmetic over the selected
+	// SKUs, not circuit read-outs: their circuits exist only on instances
+	// that optimize them.
+	var powerW, ports int64
 	for _, h := range c.allowedHardwareAll() {
 		if lit(c.hwLit[h.Name]) {
 			d.Hardware[h.Kind] = h.Name
+			n := c.fleetCount(h.Kind)
+			powerW += h.Q(kb.ResPowerW) * n
+			if h.Kind == kb.KindSwitch {
+				ports += h.Q(kb.ResPortCount) * n
+			}
 		}
 	}
 	// Context atoms: every vocab name with the ctx: prefix, plus any
@@ -1173,7 +1157,7 @@ func (c *compiled) designFrom(model []bool) *Design {
 	d.Metrics["cores_used"] = intlin.ValueOf(c.coresUsed, model)
 	d.Metrics["cores_total"] = intlin.ValueOf(c.coresTotal, model)
 	d.Metrics["cost_usd"] = intlin.ValueOf(c.costTotal, model)
-	d.Metrics["power_w"] = intlin.ValueOf(c.powerTotal, model)
-	d.Metrics["switch_ports"] = intlin.ValueOf(c.portTotal, model)
+	d.Metrics["power_w"] = powerW
+	d.Metrics["switch_ports"] = ports
 	return d
 }

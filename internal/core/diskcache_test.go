@@ -149,6 +149,10 @@ var corruptions = []struct {
 		binary.LittleEndian.PutUint32(d[8:], baseSnapshotVersion+7)
 		return reseal(d)
 	}, ErrSnapshotVersion},
+	{"previous-version", func(d []byte) []byte {
+		binary.LittleEndian.PutUint32(d[8:], baseSnapshotVersion-1)
+		return reseal(d)
+	}, ErrSnapshotVersion},
 	{"stale-kb-hash", func(d []byte) []byte {
 		d[12] ^= 0xff // first byte of the KB content hash
 		return reseal(d)

@@ -156,12 +156,12 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 }
 
 // objectiveSpec is one optimization level lowered onto a compiled
-// instance: either an arithmetic term that already lives in the base
-// circuits (cost, cores, power, ports) or a freshly built counting
-// network (systems, order penalties). Count circuits are emitted into
-// the instance the spec was built on; their bound literals are pure
-// lookups afterwards, so a spec is safe to instantiate on any fork of
-// that instance (the Pareto cube workers rely on this).
+// instance: either an arithmetic term (cost and cores live in the base
+// circuits; power and ports are summed on the instance on first use) or
+// a freshly built counting network (systems, order penalties). Circuits
+// are emitted into the instance the spec was built on; their bound
+// literals are pure lookups afterwards, so a spec is safe to instantiate
+// on any fork of that instance (the Pareto cube workers rely on this).
 type objectiveSpec struct {
 	term  intlin.Int             // int-backed objectives
 	isInt bool                   // term valid
@@ -179,10 +179,13 @@ func (sp objectiveSpec) instantiate(f *compiled) maxsat.Objective {
 }
 
 // objectiveSpecs lowers the objective list onto c, building whatever
-// circuits the levels need (totalizers, order-penalty literals). Call it
-// on the instance whose clones will be searched — before cloning.
+// circuits the levels need (power/port sums, totalizers, order-penalty
+// literals). Call it on the instance whose clones will be searched —
+// before cloning. The power and port sums are built at most once per
+// call, so a repeated level reuses its circuit.
 func (c *compiled) objectiveSpecs(objectives []Objective) ([]objectiveSpec, error) {
 	specs := make([]objectiveSpec, len(objectives))
+	var power, ports *intlin.Int
 	for i, obj := range objectives {
 		switch obj.Kind {
 		case MinimizeCost:
@@ -190,9 +193,17 @@ func (c *compiled) objectiveSpecs(objectives []Objective) ([]objectiveSpec, erro
 		case MinimizeCores:
 			specs[i] = objectiveSpec{term: c.coresUsed, isInt: true}
 		case MinimizePower:
-			specs[i] = objectiveSpec{term: c.powerTotal, isInt: true}
+			if power == nil {
+				t := c.powerModel()
+				power = &t
+			}
+			specs[i] = objectiveSpec{term: *power, isInt: true}
 		case MinimizePorts:
-			specs[i] = objectiveSpec{term: c.portTotal, isInt: true}
+			if ports == nil {
+				t := c.portModel()
+				ports = &t
+			}
+			specs[i] = objectiveSpec{term: *ports, isInt: true}
 		case MinimizeSystems:
 			lits := make([]sat.Lit, 0, len(c.sysLit))
 			for j := range c.kb.Systems {

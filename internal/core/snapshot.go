@@ -20,10 +20,10 @@ import (
 // snapshot:
 //
 //	magic (8B) | envelope version (u32) | KB content hash (32B) |
-//	scenario fingerprint | vocabulary names | arith true literal |
-//	selectors (name, note, lit) | coresUsed/coresTotal/costTotal bit
-//	vectors | warm-start profile | solver snapshot | CRC32-IEEE over
-//	everything above
+//	scenario fingerprint | slice identity | vocabulary names | arith
+//	true literal | selectors (name, note, lit) | coresUsed/coresTotal/
+//	costTotal bit vectors | warm-start profile | solver snapshot |
+//	CRC32-IEEE over everything above
 //
 // The warm-start section (v3) is a presence flag byte; when 1, the
 // scenario family's last search profile follows — saved phases as a
@@ -64,7 +64,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // for full-KB bases). A sliced base's derived state must be rebuilt
 // from the recomputed sub-KB, so the slice a file was compiled under
 // has to be named — and verified — before restore trusts it.
-const baseSnapshotVersion = 5
+// v6: the powerTotal/portTotal bit vectors are gone. Bases no longer
+// carry those circuits (queries that minimize power or ports build them
+// on their own instance), so the solver state differs from v5 bases too.
+const baseSnapshotVersion = 6
 
 // Snapshot decode failure classes.
 var (
@@ -142,8 +145,6 @@ func snapshotBase(c *compiled, kbHash [32]byte) []byte {
 	buf = appendInt(buf, c.coresUsed)
 	buf = appendInt(buf, c.coresTotal)
 	buf = appendInt(buf, c.costTotal)
-	buf = appendInt(buf, c.powerTotal)
-	buf = appendInt(buf, c.portTotal)
 
 	var warm *sat.WarmProfile
 	if c.warm != nil {
@@ -391,14 +392,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 	if err != nil {
 		return nil, err
 	}
-	powerTotal, err := r.intlinInt("powerTotal", 1<<30)
-	if err != nil {
-		return nil, err
-	}
-	portTotal, err := r.intlinInt("portTotal", 1<<30)
-	if err != nil {
-		return nil, err
-	}
 
 	warmFlag, err := r.take(1, "warm-start flag")
 	if err != nil {
@@ -476,7 +469,7 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 			return nil, err
 		}
 	}
-	for _, a := range []intlin.Int{coresUsed, coresTotal, costTotal, powerTotal, portTotal} {
+	for _, a := range []intlin.Int{coresUsed, coresTotal, costTotal} {
 		for _, l := range a.Bits() {
 			if err := checkLit("arith", l); err != nil {
 				return nil, err
@@ -511,8 +504,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 		coresUsed:  coresUsed,
 		coresTotal: coresTotal,
 		costTotal:  costTotal,
-		powerTotal: powerTotal,
-		portTotal:  portTotal,
 	}
 	c.selectors = make([]selector, nSel)
 	for i, s := range rawSels {
