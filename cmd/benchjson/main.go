@@ -36,7 +36,7 @@ import (
 
 // result holds one benchmark line's measurements. B/op and allocs/op are
 // -1 when the run lacked -benchmem. Extra collects custom b.ReportMetric
-// units (qps, p99_ms, shed_rate, ...) keyed by unit name.
+// units (models, core-items, coldimports, ...) keyed by unit name.
 type result struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -80,7 +80,7 @@ func parseLine(line string) (string, result, bool) {
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
 		default:
-			// A custom b.ReportMetric unit (qps, p99_ms, shed_rate, ...).
+			// A custom b.ReportMetric unit (models, core-items, coldimports, ...).
 			if r.Extra == nil {
 				r.Extra = make(map[string]float64)
 			}
@@ -201,7 +201,7 @@ func printDiff(basePath string, new map[string]result) error {
 }
 
 // printExtraDiff renders one indented sub-row per custom metric unit
-// present on either side (qps, p99_ms, shed_rate, ...).
+// present on either side (models, core-items, coldimports, ...).
 func printExtraDiff(out *bufio.Writer, old, new map[string]float64) {
 	units := make([]string, 0, len(old)+len(new))
 	for u := range old {

@@ -45,9 +45,9 @@ func TestBaseSizeBudget(t *testing.T) {
 		name          string
 		vars, clauses int
 	}{
-		{"inference_app", 26097, 51177},
-		{"q1-grown", 23029, 45731},
-		{"q3-no-pooling", 26373, 47765},
+		{"inference_app", 3404, 11544},
+		{"q1-grown", 3464, 10638},
+		{"q3-no-pooling", 3495, 11005},
 	}
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)

@@ -75,7 +75,7 @@ func renderReport(rep *Report) string {
 	if rep.Explanation != nil {
 		fmt.Fprintf(&b, "explanation=%v approx=%v\n", rep.Explanation.Conflicts, rep.Explanation.Approximate)
 	}
-	fmt.Fprintf(&b, "conflicts=%d decisions=%d\n", rep.SolverConflicts, rep.SolverDecisions)
+	fmt.Fprintf(&b, "conflicts=%d decisions=%d\n", rep.Spent.Conflicts, rep.Spent.Decisions)
 	return b.String()
 }
 

@@ -395,12 +395,6 @@ func (c *compiled) allowedHardwareAll() []*kb.Hardware {
 	return out
 }
 
-// amoPairwiseMax is the largest per-kind candidate count still encoded
-// with pairwise at-most-one clauses. Seed-scale catalogs (≈200 SKUs,
-// ≤105 per kind) stay below it, keeping their compiled bases — and every
-// snapshot built from them — byte-identical to the pre-slicing encoding.
-const amoPairwiseMax = 128
-
 // hardwareSelection asserts exactly-one SKU per hardware kind.
 func (c *compiled) hardwareSelection() {
 	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
@@ -416,33 +410,22 @@ func (c *compiled) hardwareSelection() {
 			atoms[i] = logic.V(c.hwVar(h.Name))
 		}
 		c.assertGuarded(name, note, logic.Or(atoms...))
-		// At-most-one (unguarded: definitional structure). Pairwise is
-		// smallest for the seed-scale catalogs every pre-slicing test and
-		// snapshot was built from; above amoPairwiseMax candidates the
-		// O(n²) clause count turns into the compile cliff the scale-out
-		// chases, so large kinds switch to a sequential ladder (3n clauses,
-		// n-1 aux commander atoms named amo:<kind>:<i>).
-		if len(atoms) <= amoPairwiseMax {
-			for i := 0; i < len(atoms); i++ {
-				for j := i + 1; j < len(atoms); j++ {
-					c.assert(logic.Or(logic.Not(atoms[i]), logic.Not(atoms[j])))
-				}
-			}
-		} else {
-			ladder := make([]logic.Formula, len(atoms))
-			for i := range atoms {
-				ladder[i] = logic.V(c.vocab.Get(fmt.Sprintf("amo:%s:%d", kind, i)))
-			}
-			conj := make([]logic.Formula, 0, 3*len(atoms))
-			for i, a := range atoms {
-				conj = append(conj, logic.Implies(a, ladder[i]))
-				if i > 0 {
-					conj = append(conj, logic.Implies(ladder[i-1], ladder[i]))
-					conj = append(conj, logic.Implies(a, logic.Not(ladder[i-1])))
-				}
-			}
-			c.assert(logic.And(conj...))
+		// At-most-one (unguarded: definitional structure) as a sequential
+		// ladder: 3n clauses and n-1 aux commander atoms named
+		// amo:<kind>:<i>, where pairwise clauses would grow as n².
+		ladder := make([]logic.Formula, len(atoms))
+		for i := range atoms {
+			ladder[i] = logic.V(c.vocab.Get(fmt.Sprintf("amo:%s:%d", kind, i)))
 		}
+		conj := make([]logic.Formula, 0, 3*len(atoms))
+		for i, a := range atoms {
+			conj = append(conj, logic.Implies(a, ladder[i]))
+			if i > 0 {
+				conj = append(conj, logic.Implies(ladder[i-1], ladder[i]))
+				conj = append(conj, logic.Implies(a, logic.Not(ladder[i-1])))
+			}
+		}
+		c.assert(logic.And(conj...))
 		// SKUs outside the allowed set are off.
 		allowedSet := map[string]bool{}
 		for _, h := range hws {
@@ -984,25 +967,8 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
 }
 
-// muxTotals reports whether the cost/power/port circuits should use the
-// muxed per-kind encoding. Gated on the same threshold as the AMO
-// ladder: below it the ScaledBool adder chains are small and the seed
-// encoding (and every snapshot and model trajectory built on it) stays
-// byte-identical; above it the chains dominate compile time and memory.
-func (c *compiled) muxTotals() bool {
-	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
-		if len(c.allowedHardware(kind)) > amoPairwiseMax {
-			return true
-		}
-	}
-	return false
-}
-
 // kindTotal builds a muxed per-kind contribution: one bounded integer,
-// forced to val(h) exactly while SKU h is selected. The previous
-// encoding summed one ScaledBool per SKU, which grows an adder chain
-// linear in the catalog — ruinous at scaled-catalog sizes, where one
-// kind can hold tens of thousands of candidates. The mux follows the
+// forced to val(h) exactly while SKU h is selected. It follows the
 // coresTotal/memTotal precedent: at most one SKU per kind is selected,
 // so exactly one EqConst fires and the variable is pinned to the
 // selected SKU's value. When no SKU of the kind is selected (possible
@@ -1037,22 +1003,12 @@ func (c *compiled) fleetCount(kind kb.HardwareKind) int64 {
 }
 
 // hardwareTotal builds the circuit Σ per(h) × fleetCount(kind) over the
-// selected SKU of each listed kind: one ScaledBool per SKU below the
-// muxTotals threshold, one kindTotal mux per kind above it.
+// selected SKU of each listed kind: one kindTotal mux per kind.
 func (c *compiled) hardwareTotal(per func(*kb.Hardware) int64, kinds ...kb.HardwareKind) intlin.Int {
-	var terms []intlin.Int
-	mux := c.muxTotals()
-	for _, kind := range kinds {
+	terms := make([]intlin.Int, len(kinds))
+	for i, kind := range kinds {
 		n := c.fleetCount(kind)
-		if mux {
-			terms = append(terms, c.kindTotal(kind, func(h *kb.Hardware) int64 { return per(h) * n }))
-			continue
-		}
-		for _, h := range c.allowedHardware(kind) {
-			if v := per(h) * n; v > 0 {
-				terms = append(terms, c.arith.ScaledBool(c.hwLit[h.Name], v))
-			}
-		}
+		terms[i] = c.kindTotal(kind, func(h *kb.Hardware) int64 { return per(h) * n })
 	}
 	return c.arith.Sum(terms...)
 }

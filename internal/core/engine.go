@@ -263,7 +263,7 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 	if e.warmStart.Load() {
 		c.storeWarmProfile()
 	}
-	rep.setSpent(g.spent())
+	rep.Spent = g.spent()
 	return rep, nil
 }
 

@@ -198,9 +198,6 @@ func TestReportBudgetAccounting(t *testing.T) {
 	if sat1.Spent.Wall <= 0 || sat1.Spent.Decisions <= 0 {
 		t.Errorf("feasible path spent not accounted: %+v", sat1.Spent)
 	}
-	if sat1.SolverConflicts != sat1.Spent.Conflicts || sat1.SolverDecisions != sat1.Spent.Decisions {
-		t.Errorf("legacy stats diverge from Spent: %+v", sat1)
-	}
 
 	unsat, err := e.Synthesize(unsatScenario())
 	if err != nil {

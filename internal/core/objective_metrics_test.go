@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"netarch/internal/catalog"
-)
+import "testing"
 
 // objectiveMetrics pairs each lazily built objective circuit with the
 // design metric that reports the same quantity by catalog arithmetic.
@@ -45,8 +41,7 @@ func checkObjectiveMetrics(t *testing.T, e *Engine, name string, sc Scenario, wa
 // paths for power and ports: MinimizePower/MinimizePorts descend over
 // sum circuits built on the query instance, while the power_w and
 // switch_ports design metrics are plain catalog arithmetic. At every
-// certified optimum the two must agree — sliced and unsliced, and on a
-// scaled catalog large enough for the muxed per-kind circuits. The
+// certified optimum the two must agree, sliced and unsliced. The
 // optima themselves are pinned to the values certified when both
 // circuits still lived on every base.
 func TestObjectiveMetricsMatchCircuits(t *testing.T) {
@@ -64,22 +59,6 @@ func TestObjectiveMetricsMatchCircuits(t *testing.T) {
 			checkObjectiveMetrics(t, e, mode.String()+"/"+n, scs[n], optima[n])
 		}
 	}
-
-	t.Run("muxed", func(t *testing.T) {
-		e := mustEngine(t, catalog.ScaledCatalog(400))
-		e.SetSliceMode(SliceOff)
-		sc := scs["inference_app"]
-		c, err := e.instance(&sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.muxTotals() {
-			t.Fatal("scaled catalog too small to take the muxed circuit path")
-		}
-		// Firmware revisions never lower a SKU's power or port count, so
-		// the optima are the seed catalog's.
-		checkObjectiveMetrics(t, e, "scaled", sc, optima["inference_app"])
-	})
 }
 
 // TestObjectiveCircuitsBuiltOncePerInstance pins the lazy lowering: the

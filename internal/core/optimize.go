@@ -112,7 +112,7 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 			Verdict:     Infeasible,
 			Explanation: e.minimizeCore(c, nil, g, false),
 		}}
-		res.setSpent(g.spent())
+		res.Spent = g.spent()
 		return res, nil
 	default:
 		return nil, g.exhausted()
@@ -151,7 +151,7 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 	if e.warmStart.Load() {
 		c.storeWarmProfile()
 	}
-	res.setSpent(g.spent())
+	res.Spent = g.spent()
 	return res, nil
 }
 

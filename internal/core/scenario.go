@@ -245,17 +245,6 @@ type Report struct {
 	// decisions, wall time). Populated on feasible, infeasible, and
 	// degraded paths alike.
 	Spent BudgetSpent
-	// Stats from the underlying solver. Retained for compatibility;
-	// they mirror Spent.Conflicts / Spent.Decisions.
-	SolverConflicts int64
-	SolverDecisions int64
-}
-
-// setSpent records the budget accounting on every report path.
-func (r *Report) setSpent(sp BudgetSpent) {
-	r.Spent = sp
-	r.SolverConflicts = sp.Conflicts
-	r.SolverDecisions = sp.Decisions
 }
 
 // Explanation is a minimal set of constraint groups that cannot hold

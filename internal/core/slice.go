@@ -61,8 +61,7 @@ type SliceMode int32
 
 const (
 	// SliceAuto slices only when the catalog is large enough for slicing
-	// to pay for itself (> sliceAutoThreshold SKUs). The default: small
-	// catalogs compile byte-identically to the pre-slicing engine.
+	// to pay for itself (> sliceAutoThreshold SKUs). The default.
 	SliceAuto SliceMode = iota
 	// SliceOff never slices.
 	SliceOff
@@ -71,8 +70,11 @@ const (
 )
 
 // sliceAutoThreshold is the catalog size (total SKUs) above which
-// SliceAuto starts slicing. Chosen above the ~200-SKU seed catalog so
-// every pre-existing differential keeps exercising the unsliced path.
+// SliceAuto starts slicing. Chosen above the ~200-SKU seed catalog
+// because sliced enumeration has no projection contract yet: a slice
+// omits the design classes that unobserved out-of-cone systems add, so
+// seed-scale Enumerate and Disambiguate answers (and their budget-trip
+// behaviour) would differ from the unsliced engine's.
 const sliceAutoThreshold = 512
 
 // sliceMemoCap bounds the per-engine request→slice memo; the map is

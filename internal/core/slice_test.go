@@ -234,8 +234,8 @@ func TestSliceIdentityInCacheKey(t *testing.T) {
 }
 
 // TestSliceAutoThreshold: auto mode must leave seed-scale catalogs
-// unsliced (byte-compatible with the pre-slicing engine) and slice
-// scaled ones.
+// unsliced (sliced enumeration has no projection contract yet; see
+// sliceAutoThreshold) and slice scaled ones.
 func TestSliceAutoThreshold(t *testing.T) {
 	sc := sliceTestScenario()
 

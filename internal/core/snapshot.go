@@ -67,7 +67,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v6: the powerTotal/portTotal bit vectors are gone. Bases no longer
 // carry those circuits (queries that minimize power or ports build them
 // on their own instance), so the solver state differs from v5 bases too.
-const baseSnapshotVersion = 6
+// v7: every catalog compiles with the ladder at-most-one and per-kind
+// muxed cost totals. Seed-scale v6 bases hold pairwise at-most-one
+// clauses and a per-SKU adder chain the compiler no longer produces.
+const baseSnapshotVersion = 7
 
 // Snapshot decode failure classes.
 var (

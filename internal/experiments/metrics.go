@@ -266,7 +266,7 @@ func RunS1() (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprint(len(sub.Systems)), fmt.Sprint(len(sub.Hardware)),
-			dur.Round(time.Millisecond).String(), fmt.Sprint(rep.SolverConflicts),
+			dur.Round(time.Millisecond).String(), fmt.Sprint(rep.Spent.Conflicts),
 		})
 	}
 	if fullDur > 5*time.Second {
