@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: build test vet race verify parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
+.PHONY: build test vet race verify parallel-diff snapshot-diff delta-diff optimize-diff scale-diff fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR17.json
+BENCH ?= BENCH_PR18.json
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,7 @@ bench-diff:
 # (variable and clause counts) so allocation and base-growth regressions
 # fail the gate even though `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestWarmQueryAllocBudget|TestBaseSizeBudget' -count=1 ./internal/sat ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestWarmQueryAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/core
 
 # parallel-diff pins the parallel-vs-sequential differentials (the
 # DESIGN.md §8 enumeration determinism contract and the §11 sharded
@@ -57,20 +57,12 @@ parallel-diff:
 
 # snapshot-diff pins the disk-cache round-trip differential (the
 # DESIGN.md §9 restore-equivalence contract): a solver revived from
-# bytes answers identically to its in-process Clone, and an engine
-# revived from a cache directory answers the §5.1 queries identically
-# to the warm in-process path.
+# bytes answers identically to its in-process Clone, an engine revived
+# from a cache directory answers the §5.1 queries identically to the
+# warm in-process path, and a warm-start profile survives the disk
+# round trip into a fresh engine (DESIGN.md §13).
 snapshot-diff:
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestDiskCacheDifferential|TestDiskWarmSkipsCompile' -count=1 ./internal/sat ./internal/core
-
-# portfolio-diff pins the portfolio determinism contract under the race
-# detector: sat-layer worker invariance (Status/Winner/Model identical at
-# 1/2/4/8 workers), the facade-level §5.1 differential (verdicts, designs
-# and explanations independent of SetPortfolio width), and the clause
-# ring's concurrent-safety hammer.
-portfolio-diff:
-	$(GO) test -race -run='TestRacePortfolioWorkerInvariance|TestShareConcurrentHammer|TestPortfolioSharesClauses' -count=1 ./internal/sat
-	$(GO) test -race -run='TestPortfolioWorkerInvariance|TestWarmStartRoundTrip' -count=1 .
+	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestWarmStartRoundTrip' -count=1 . ./internal/sat ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the
@@ -123,7 +115,7 @@ fuzz-smoke:
 # snapshot, optimality and relevance-slicing differentials, the hot-path
 # allocation budgets, the serve lifecycle smoke, a fuzz smoke over the
 # snapshot decoders and the MaxSAT bounds, and a benchmark smoke run.
-verify: build vet test race parallel-diff snapshot-diff portfolio-diff delta-diff optimize-diff scale-diff alloc-budget serve-smoke fuzz-smoke bench-smoke
+verify: build vet test race parallel-diff snapshot-diff delta-diff optimize-diff scale-diff alloc-budget serve-smoke fuzz-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -865,20 +865,15 @@ func stressCatalog() *netarch.KB {
 	return k
 }
 
-// BenchmarkPortfolioWhatIf measures the hardest UNSAT what-if (the Q3
+// BenchmarkWarmStartWhatIf measures the hardest UNSAT what-if (the Q3
 // CXL query against stressCatalog) in a long-lived engine answering a
-// scenario family, PR 7's target workload. workers=1 is the baseline
-// single-solver engine. workers=8 is the full portfolio stack as it
-// ships: SetPortfolio(8) + SetWarmStart(true), so each query races a
-// diversified team seeded from the family's previous solve. Both engines
-// answer the feasible cxl_pooling=true member and one cold what-if off
-// the clock (the service steady state the amortization story targets);
-// iterations then measure the repeated what-if. The imports/op metric
-// (benchjson Extra) reports shared-clause traffic per query. On a
-// single-CPU host the win is entirely profile seeding — the race itself
-// costs a slice of every worker — while multi-core hosts add the
-// diversified-race win on the cold path.
-func BenchmarkPortfolioWhatIf(b *testing.B) {
+// scenario family, on the single-solver path. warm=off is the default
+// engine; warm=on adds SetWarmStart(true), so each query starts from the
+// phases and activities the family's previous solve left behind. Both
+// engines answer the feasible cxl_pooling=true member and one cold
+// what-if off the clock (the service steady state the amortization story
+// targets); iterations then measure the repeated what-if.
+func BenchmarkWarmStartWhatIf(b *testing.B) {
 	on := netarch.Scenario{
 		Workloads:  []string{"inference_app", "batch_analytics", "storage_backend"},
 		NumServers: 64,
@@ -887,16 +882,17 @@ func BenchmarkPortfolioWhatIf(b *testing.B) {
 	off := on
 	off.Context = map[string]bool{"pfc_enabled": true, "cxl_pooling": false}
 
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, warm := range []bool{false, true} {
+		name := "warm=off"
+		if warm {
+			name = "warm=on"
+		}
+		b.Run(name, func(b *testing.B) {
 			eng, err := netarch.NewEngine(stressCatalog())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if workers > 1 {
-				eng.SetPortfolio(workers)
-				eng.SetWarmStart(true)
-			}
+			eng.SetWarmStart(warm)
 			// Prime off the clock: the feasible family member, then one
 			// cold what-if (first-query compile + first UNSAT proof).
 			rep, err := eng.Synthesize(on)
@@ -909,7 +905,6 @@ func BenchmarkPortfolioWhatIf(b *testing.B) {
 			if _, err := eng.Synthesize(off); err != nil {
 				b.Fatal(err)
 			}
-			_, imported0 := eng.PortfolioStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -921,14 +916,6 @@ func BenchmarkPortfolioWhatIf(b *testing.B) {
 					b.Fatalf("what-if must be infeasible, got %v", rep.Verdict)
 				}
 			}
-			b.StopTimer()
-			// Clause traffic concentrates in the cold priming race (warm
-			// queries end before helpers hit a restart boundary), so
-			// report it as an absolute metric next to the steady-state
-			// rate. Metrics land after ResetTimer, which clears them.
-			_, imported := eng.PortfolioStats()
-			b.ReportMetric(float64(imported0), "coldimports")
-			b.ReportMetric(float64(imported-imported0)/float64(b.N), "imports/op")
 		})
 	}
 }

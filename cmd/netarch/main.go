@@ -77,9 +77,6 @@ Resource-governance flags (synth/check/optimize/explain/suggest/disambiguate):
   -workers N          solver clones enumerating design classes in parallel
                       (disambiguate/multi; 0 = one per CPU; results are
                       identical whatever the worker count)
-  -portfolio N        race N diversified solvers per decision query
-                      (synth/check/explain/multi; <=1 = off; verdicts are
-                      identical whatever the width)
   -slice MODE         relevance-sliced compilation: on, off, or auto
                       (default auto: slice only when the catalog is large;
                       answers are identical whatever the mode)
@@ -100,7 +97,6 @@ flags set the server-side policy ceiling clients may only tighten):
                       it requests shed with 429 + Retry-After
   -drain-timeout D    graceful-drain deadline on SIGINT/SIGTERM
   -clone-pool N       pre-cloned solvers per base (0 = max-inflight)
-  -portfolio N        diversified solver race width per decision query
   -slice MODE         relevance-sliced compilation: on, off, or auto
   -chaos SPEC         fault injection: seed=N,rate=F[,event=solve|conflict|both]
   -kb FILE            serve this knowledge base instead of the case study
@@ -335,19 +331,9 @@ func workersFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine)) {
 	return func(eng *netarch.Engine) { eng.SetWorkers(*workers) }
 }
 
-// portfolioFlag registers -portfolio and returns an applier that sets
-// the engine's diversified solver-race width for decision queries (see
-// Engine.SetPortfolio). Like -workers it is a pure latency knob:
-// verdicts, designs, and explanations do not depend on it for any
-// value > 1 (DESIGN.md §13).
-func portfolioFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine)) {
-	n := fs.Int("portfolio", 0, "diversified solver race width for decision queries (<=1 = off)")
-	return func(eng *netarch.Engine) { eng.SetPortfolio(*n) }
-}
-
 // sliceFlag registers -slice and returns an applier that sets the
 // engine's relevance-slicing policy (see Engine.SetSliceMode). Like
-// -workers and -portfolio it is a pure latency knob: verdicts, optima,
+// -workers it is a pure latency knob: verdicts, optima,
 // explanations, and Pareto frontiers do not depend on it (DESIGN.md
 // §16); "auto" slices only when the catalog is large enough to pay.
 func sliceFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine) error) {
@@ -401,7 +387,6 @@ func cmdSolve(args []string, mode string) error {
 	getScenario, objectives := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
 	setWorkers := workersFlag(fs)
-	setPortfolio := portfolioFlag(fs)
 	setSlice := sliceFlag(fs)
 	setCacheDir := cacheDirFlag(fs)
 	cacheStats := fs.Bool("cache-stats", false, "print compiled-base cache stats after the query")
@@ -429,7 +414,6 @@ func cmdSolve(args []string, mode string) error {
 		return err
 	}
 	setWorkers(eng)
-	setPortfolio(eng)
 	if err := setSlice(eng); err != nil {
 		return err
 	}
@@ -538,7 +522,6 @@ func cmdMulti(args []string) error {
 	getScenario, objectives := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
 	setWorkers := workersFlag(fs)
-	setPortfolio := portfolioFlag(fs)
 	setSlice := sliceFlag(fs)
 	setCacheDir := cacheDirFlag(fs)
 	rounds := fs.Int("rounds", 3, "rounds of synth+explain+optimize to run")
@@ -562,7 +545,6 @@ func cmdMulti(args []string) error {
 		return err
 	}
 	setWorkers(eng)
-	setPortfolio(eng)
 	if err := setSlice(eng); err != nil {
 		return err
 	}
@@ -676,7 +658,6 @@ func cmdCheck(args []string) error {
 	srvName := fs.String("server", "", "selected server SKU")
 	getScenario, _ := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
-	setPortfolio := portfolioFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -701,7 +682,6 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	setPortfolio(eng)
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
 	rep, err := eng.CheckCtx(ctx, d, sc, getBudget())

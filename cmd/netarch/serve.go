@@ -30,7 +30,6 @@ func cmdServe(args []string) error {
 	queueDepth := fs.Int("queue-depth", 0, "admission queue length (0 = 2x max-inflight)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on shutdown")
 	clonePool := fs.Int("clone-pool", 0, "pre-cloned solvers per base (0 = max-inflight, <0 = off)")
-	portfolio := fs.Int("portfolio", 0, "diversified solver race width for decision queries (<=1 = off)")
 	sliceMode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	maxEnum := fs.Int("max-enumerate", 64, "ceiling on per-request enumeration limits")
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: seed=N,rate=F[,event=solve|conflict|both]")
@@ -92,7 +91,6 @@ func cmdServe(args []string) error {
 		RetryAfter:   *retryAfter,
 		Prewarm:      []netarch.Scenario{sc},
 		ClonePool:    *clonePool,
-		Portfolio:    *portfolio,
 		Slice:        slice,
 		Chaos:        chaos,
 		Logf: func(format string, a ...any) {

@@ -67,6 +67,39 @@ func TestBaseSizeBudget(t *testing.T) {
 	}
 }
 
+// TestSearchEffortBudget pins the search effort of the §5.1 queries: the
+// conflicts and decisions a fresh engine spends answering each one
+// (Report.Spent, so the main decision and any explanation minimization).
+// The search is deterministic, so these counts repeat exactly run to run;
+// a heuristic, restart or encoding change that makes the solver work
+// harder shows here before any timing does. The budgets allow 2% above
+// the counts measured when they were set.
+func TestSearchEffortBudget(t *testing.T) {
+	budgets := []struct {
+		name                 string
+		conflicts, decisions int64
+	}{
+		{"inference_app", 86, 940},
+		{"q1-grown", 96, 1332},
+		{"q3-no-pooling", 74, 632},
+		{"q3-pooling", 78, 674},
+	}
+	k, _ := caseStudyQueries()
+	scs := section51Scenarios()
+	for _, b := range budgets {
+		e := mustEngine(t, k)
+		rep, err := e.Synthesize(scs[b.name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Spent
+		if got.Conflicts > b.conflicts*102/100 || got.Decisions > b.decisions*102/100 {
+			t.Errorf("%s: %d conflicts / %d decisions; budget is %d / %d + 2%%",
+				b.name, got.Conflicts, got.Decisions, b.conflicts, b.decisions)
+		}
+	}
+}
+
 // TestWarmQueryAllocBudget pins the allocation budget of a warm
 // cache-hit query. A warm Synthesize clones the compiled base (the
 // arena makes that a handful of slab copies, not one allocation per

@@ -351,11 +351,9 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	}
 	c := e.specialize(base, sc, s)
 	if shared {
-		// Remember the frozen base so the portfolio can mint helper
-		// clones from it (clone + re-specialize reproduces this instance
-		// exactly — specialize is deterministic). On the cache-off path
-		// c.solver IS the base's solver, already specialized, so helpers
-		// must clone c.solver instead; c.base stays nil to signal that.
+		// Remember the frozen base so warm start can truncate profiles
+		// to its vocabulary. On the cache-off path c.solver IS the
+		// base's solver, so c.base stays nil and no truncation applies.
 		c.base = base
 	}
 	return c, nil

@@ -71,9 +71,8 @@ type compiled struct {
 
 	// base points back at the shared compiled base a specialized query
 	// instance was cloned from, or is nil when the instance owns its
-	// solver outright (cache disabled). The portfolio uses it to mint
-	// helper clones from the frozen base + re-specialization instead of
-	// deep-copying the query solver.
+	// solver outright (cache disabled). Warm start uses it to truncate a
+	// stored profile to the base vocabulary.
 	base *compiled
 
 	// warm holds the scenario family's warm-start profile (see
@@ -1070,7 +1069,7 @@ func (c *compiled) designFromModel() *Design {
 }
 
 // designFrom reads a Design off the given model (the solver's own, or
-// one returned by a portfolio race whose winning solver is elsewhere).
+// one a MaxSAT descent or Pareto probe kept from an earlier solve).
 func (c *compiled) designFrom(model []bool) *Design {
 	lit := func(l sat.Lit) bool { return model[l.Var()-1] != l.Neg() }
 	d := &Design{

@@ -73,19 +73,9 @@ type Engine struct {
 	poolHits   atomic.Int64
 	poolMisses atomic.Int64
 
-	// portfolio is the diversified race width for decision queries
-	// (see SetPortfolio); <= 1 keeps the single-solver path. warmStart
-	// toggles cross-query phase/activity profile reuse (SetWarmStart).
-	portfolio atomic.Int32
+	// warmStart toggles cross-query phase/activity profile reuse
+	// (SetWarmStart).
 	warmStart atomic.Bool
-	// optStrategy is the engine-wide default MaxSAT descent strategy
-	// for Optimize/Pareto queries (see SetOptimizeStrategy); the zero
-	// value is StrategyBinary.
-	optStrategy atomic.Int32
-	// Lifetime clause-exchange totals across portfolio queries
-	// (PortfolioStats).
-	portExported atomic.Int64
-	portImported atomic.Int64
 
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
@@ -223,42 +213,15 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 	}
 	assumps := append(c.assumptions(), extra...)
 	rep := &Report{}
-	if n := int(e.portfolio.Load()); n > 1 {
-		// Diversified race: the query solver as deterministic reference
-		// plus n-1 perturbed helpers sharing learnt clauses, minted once
-		// and reused across the main race and every minimization trial.
-		// The verdict is worker-count independent (see sat.RacePortfolio);
-		// Unsat explanations are re-minimized from all selectors so they
-		// do not depend on which worker's conflict ended the race.
-		team := e.portfolioTeam(b, c, n)
-		switch res := e.racePortfolio(g, team, assumps); res.Status {
-		case sat.Sat:
-			rep.Verdict = Feasible
-			rep.Design = c.designFrom(res.Model)
-		case sat.Unsat:
-			rep.Verdict = Infeasible
-			rep.Explanation = e.minimizeCore(c, extra, g, true)
-		default:
-			return nil, g.exhausted()
-		}
-		// Team solvers are minted per query, so their counters are this
-		// query's clause-exchange volume.
-		for _, s := range team {
-			st := s.Stats()
-			e.portExported.Add(st.Exported)
-			e.portImported.Add(st.Imported)
-		}
-	} else {
-		switch status := c.solver.SolveAssuming(assumps); status {
-		case sat.Sat:
-			rep.Verdict = Feasible
-			rep.Design = c.designFromModel()
-		case sat.Unsat:
-			rep.Verdict = Infeasible
-			rep.Explanation = e.minimizeCore(c, extra, g, false)
-		default:
-			return nil, g.exhausted()
-		}
+	switch status := c.solver.SolveAssuming(assumps); status {
+	case sat.Sat:
+		rep.Verdict = Feasible
+		rep.Design = c.designFromModel()
+	case sat.Unsat:
+		rep.Verdict = Infeasible
+		rep.Explanation = e.minimizeCore(c, extra, g)
+	default:
+		return nil, g.exhausted()
 	}
 	if e.warmStart.Load() {
 		c.storeWarmProfile()
@@ -274,34 +237,19 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 // current — correct but possibly unminimized — conflict is returned with
 // Approximate set instead of spinning through O(n²) solver calls.
 //
-// Two modes, keyed on team. With team == nil (single-solver path) the
-// candidate set is seeded from the solver's FinalConflict and keeps
-// intersecting with each trial's new core — the fast path when one
-// deterministic solver produced the conflict. The normalized mode
-// (team != nil, portfolio races) starts from ALL selectors and runs a
-// plain deletion scan: which worker's conflict ended a race is a
-// scheduling accident, and the interrupted reference's conflict-clause
-// state varies with timing, but trial *verdicts* are properties of the
-// formula alone — so a verdict-driven scan yields one explanation for
-// every worker count and schedule. The two modes can legitimately land
-// on different (equally minimal) cores. Normalized trials run on the
-// reference solver alone: after the main race its phases and activities
-// already point at the conflict, so trials are short re-solves, and
-// racing them would cost a team fan-out per trial for no verdict change.
-func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor, normalized bool) *Explanation {
-	var candidates []selector
-	if normalized {
-		candidates = append(candidates, c.selectors...)
-	} else {
-		inCore := map[sat.Lit]bool{}
-		for _, l := range c.solver.FinalConflict() {
-			inCore[l] = true
-		}
-		// Candidate selectors (extras are always kept: they are the query).
-		for _, s := range c.selectors {
-			if inCore[s.lit] {
-				candidates = append(candidates, s)
-			}
+// The candidate set is seeded from the solver's FinalConflict and keeps
+// intersecting with each trial's new core, so every Unsat trial can
+// shrink the set by more than the one selector it dropped.
+func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor) *Explanation {
+	inCore := map[sat.Lit]bool{}
+	for _, l := range c.solver.FinalConflict() {
+		inCore[l] = true
+	}
+	// Candidate selectors (extras are always kept: they are the query).
+	var kept []selector
+	for _, s := range c.selectors {
+		if inCore[s.lit] {
+			kept = append(kept, s)
 		}
 	}
 	// Minimization is its own phase: a fresh work allowance, so the main
@@ -310,7 +258,6 @@ func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor, normali
 	ex := &Explanation{}
 	// Deletion loop: try dropping each candidate; keep dropped if still
 	// unsat without it.
-	kept := append([]selector(nil), candidates...)
 loop:
 	for i := 0; i < len(kept); i++ {
 		trial := make([]sat.Lit, 0, len(kept)-1+len(extra))
@@ -322,13 +269,6 @@ loop:
 		trial = append(trial, extra...)
 		switch c.solver.SolveAssuming(trial) {
 		case sat.Unsat:
-			if normalized {
-				// Verdict-driven removal only: core intersection would
-				// reintroduce the solver's timing-dependent state.
-				kept = append(kept[:i:i], kept[i+1:]...)
-				i--
-				continue
-			}
 			// Still unsat without kept[i]: remove it. Additionally
 			// intersect with the new (possibly smaller) core.
 			newCore := map[sat.Lit]bool{}

@@ -112,7 +112,7 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		}
 		g := govern(context.Background(), "test", Budget{}, c.solver)
 		defer g.done()
-		ex := e.minimizeCore(c, nil, g, seed%2 == 0)
+		ex := e.minimizeCore(c, nil, g)
 		if len(ex.Conflicts) == 0 {
 			return false
 		}

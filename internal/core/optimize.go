@@ -23,19 +23,6 @@ const (
 	StrategyLinear = maxsat.LinearSatUnsat
 )
 
-// SetOptimizeStrategy sets the engine-wide default MaxSAT strategy used
-// by Optimize/OptimizeCtx and Pareto/ParetoCtx. Safe to call
-// concurrently; queries in flight keep the strategy they started with.
-// Per-query overrides go through OptimizeWithStrategyCtx.
-func (e *Engine) SetOptimizeStrategy(s OptimizeStrategy) {
-	e.optStrategy.Store(int32(s))
-}
-
-// OptimizeStrategy reports the engine-wide default MaxSAT strategy.
-func (e *Engine) OptimizeStrategy() OptimizeStrategy {
-	return OptimizeStrategy(e.optStrategy.Load())
-}
-
 // ParseOptimizeStrategy parses the CLI/serve strategy spelling: "binary"
 // (or empty, the default) and "linear".
 func ParseOptimizeStrategy(s string) (OptimizeStrategy, error) {
@@ -79,19 +66,18 @@ func (e *Engine) Optimize(sc Scenario, objectives []Objective) (*OptimizeResult,
 }
 
 // OptimizeCtx is Optimize under a context and resource budget, using the
-// engine's default strategy (SetOptimizeStrategy). Each objective level
-// runs as its own budget phase. If a budget trips after feasibility is
-// established, the best design and bounds proven so far are returned
-// with Approximate set — the optimizer degrades, it does not discard
-// work. Only an exhaustion before any verdict yields
+// default strategy (StrategyBinary). Each objective level runs as its
+// own budget phase. If a budget trips after feasibility is established,
+// the best design and bounds proven so far are returned with
+// Approximate set — the optimizer degrades, it does not discard work.
+// Only an exhaustion before any verdict yields
 // *ErrResourceExhausted.
 func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*OptimizeResult, error) {
-	return e.OptimizeWithStrategyCtx(ctx, sc, objectives, b, e.OptimizeStrategy())
+	return e.OptimizeWithStrategyCtx(ctx, sc, objectives, b, StrategyBinary)
 }
 
 // OptimizeWithStrategyCtx is OptimizeCtx with an explicit per-query
-// strategy (the serve layer threads the request's strategy here so
-// concurrent requests cannot race an engine-wide knob).
+// strategy (the CLI -strategy flag and the serve request's strategy).
 func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*OptimizeResult, error) {
 	c, err := e.instance(&sc)
 	if err != nil {
@@ -110,7 +96,7 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 	case sat.Unsat:
 		res := &OptimizeResult{Report: Report{
 			Verdict:     Infeasible,
-			Explanation: e.minimizeCore(c, nil, g, false),
+			Explanation: e.minimizeCore(c, nil, g),
 		}}
 		res.Spent = g.spent()
 		return res, nil

@@ -60,11 +60,11 @@ func (e *Engine) Pareto(sc Scenario, objectives []Objective) (*ParetoResult, err
 }
 
 // ParetoCtx is Pareto under a context and resource budget, using the
-// engine's default strategy. Resource exhaustion is not an error: the
-// partial frontier is returned with Complete false and Exhausted set,
-// mirroring EnumerateCtx.
+// default strategy (StrategyBinary). Resource exhaustion is not an
+// error: the partial frontier is returned with Complete false and
+// Exhausted set, mirroring EnumerateCtx.
 func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*ParetoResult, error) {
-	return e.ParetoWithStrategyCtx(ctx, sc, objectives, b, e.OptimizeStrategy())
+	return e.ParetoWithStrategyCtx(ctx, sc, objectives, b, StrategyBinary)
 }
 
 // ParetoWithStrategyCtx is ParetoCtx with an explicit per-query MaxSAT

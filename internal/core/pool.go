@@ -42,32 +42,6 @@ func (p *clonePool) take() *sat.Solver {
 	return s
 }
 
-// takeN pops up to k pristine clones in a single lock round-trip (the
-// portfolio wants K clones per query; K lock acquisitions would invite
-// contention exactly when the pool is busiest). Returns fewer than k —
-// possibly none — when the pool runs dry.
-func (p *clonePool) takeN(k int) []*sat.Solver {
-	if k <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	out := make([]*sat.Solver, k)
-	copy(out, p.free[n-k:])
-	for i := n - k; i < n; i++ {
-		p.free[i] = nil
-	}
-	p.free = p.free[:n-k]
-	return out
-}
-
 // refill tops the pool up to target clones of src. At most one refiller
 // runs per pool at a time; extra callers return immediately, so a burst
 // of queries costs one background cloning loop, not one goroutine each.
@@ -133,28 +107,6 @@ func (e *Engine) takeClone(base *compiled) *sat.Solver {
 	e.poolMisses.Add(1)
 	go base.pool.refill(base.solver, n)
 	return base.solver.Clone()
-}
-
-// takeCloneN produces k private solvers for one query's portfolio
-// helpers: pooled pristine clones while they last, inline clones for the
-// rest, with one batch pool acquisition and one background refill kick
-// regardless of k.
-func (e *Engine) takeCloneN(base *compiled, k int) []*sat.Solver {
-	if k <= 0 {
-		return nil
-	}
-	out := make([]*sat.Solver, 0, k)
-	if n := int(e.poolSize.Load()); n > 0 {
-		pooled := base.pool.takeN(k)
-		e.poolHits.Add(int64(len(pooled)))
-		e.poolMisses.Add(int64(k - len(pooled)))
-		go base.pool.refill(base.solver, n)
-		out = append(out, pooled...)
-	}
-	for len(out) < k {
-		out = append(out, base.solver.Clone())
-	}
-	return out
 }
 
 // Prewarm compiles (or revives from the disk tier) the base for the

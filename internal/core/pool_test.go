@@ -59,7 +59,9 @@ func TestClonePoolServesQueries(t *testing.T) {
 }
 
 // TestClonePoolTakeNeverReadmits pins the structural quarantine: take
-// hands out each pooled clone exactly once, and nothing ever flows back.
+// hands out each pooled clone exactly once, and nothing ever flows back —
+// a clone that was handed out and mutated by a query stays out of the
+// pool even after refills.
 func TestClonePoolTakeNeverReadmits(t *testing.T) {
 	k := catalog.CaseStudy()
 	eng, err := New(k)
@@ -75,7 +77,7 @@ func TestClonePoolTakeNeverReadmits(t *testing.T) {
 	if err != nil || !shared {
 		t.Fatalf("baseFor: shared=%v err=%v", shared, err)
 	}
-	got := map[interface{}]bool{}
+	got := map[*sat.Solver]bool{}
 	for i := 0; i < 3; i++ {
 		s := base.pool.take()
 		if s == nil {
@@ -85,77 +87,17 @@ func TestClonePoolTakeNeverReadmits(t *testing.T) {
 			t.Fatalf("take %d: clone handed out twice", i)
 		}
 		got[s] = true
+		s.NewVar() // dirty it, as a real query would
 	}
 	if s := base.pool.take(); s != nil {
 		t.Fatalf("pool produced a 4th clone from a pool of 3 with no refill")
 	}
-}
-
-// TestClonePoolTakeNBatch pins the batch acquire: takeN hands out up to
-// k distinct clones in one lock round-trip, returns short (or nothing)
-// when the pool runs dry, and a poisoned clone — one that was handed out
-// and mutated by a query — is never re-admitted, even after refills.
-func TestClonePoolTakeNBatch(t *testing.T) {
-	eng, err := New(catalog.CaseStudy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetClonePool(4)
-	sc := Scenario{Workloads: []string{"inference_app"}}
-	if err := eng.Prewarm(sc); err != nil {
-		t.Fatal(err)
-	}
-	base, shared, err := eng.baseFor(&sc)
-	if err != nil || !shared {
-		t.Fatalf("baseFor: shared=%v err=%v", shared, err)
-	}
-	poisoned := map[*sat.Solver]bool{}
-	first := base.pool.takeN(3)
-	if len(first) != 3 {
-		t.Fatalf("takeN(3) from a pool of 4 returned %d", len(first))
-	}
-	for _, s := range first {
-		if s == nil || poisoned[s] {
-			t.Fatal("takeN returned nil or a duplicate clone")
+	// Refill synchronously: every new clone must be fresh.
+	base.pool.refill(base.solver, 3)
+	for i := 0; i < 3; i++ {
+		if s := base.pool.take(); s == nil || got[s] {
+			t.Fatalf("take %d after refill: empty pool or a re-admitted clone", i)
 		}
-		poisoned[s] = true
-		s.NewVar() // dirty it, as a real query would
-	}
-	rest := base.pool.takeN(10)
-	if len(rest) != 1 {
-		t.Fatalf("takeN(10) from 1 remaining returned %d", len(rest))
-	}
-	if poisoned[rest[0]] {
-		t.Fatal("takeN re-issued a handed-out clone")
-	}
-	poisoned[rest[0]] = true
-	if got := base.pool.takeN(5); got != nil {
-		t.Fatalf("takeN on an empty pool returned %d clones", len(got))
-	}
-	if got := base.pool.takeN(0); got != nil {
-		t.Fatalf("takeN(0) returned %d clones", len(got))
-	}
-	// Refill synchronously: every new clone must be fresh — poisoned
-	// clones have no path back in (structural quarantine).
-	base.pool.refill(base.solver, 4)
-	for _, s := range base.pool.takeN(4) {
-		if poisoned[s] {
-			t.Fatal("refill re-admitted a poisoned clone")
-		}
-	}
-
-	// takeCloneN: pooled while they last, inline clones for the rest.
-	base.pool.refill(base.solver, 4)
-	clones := eng.takeCloneN(base, 7)
-	if len(clones) != 7 {
-		t.Fatalf("takeCloneN(7) returned %d", len(clones))
-	}
-	seen := map[*sat.Solver]bool{}
-	for _, s := range clones {
-		if s == nil || seen[s] || s == base.solver {
-			t.Fatal("takeCloneN returned nil, a duplicate, or the base solver itself")
-		}
-		seen[s] = true
 	}
 }
 

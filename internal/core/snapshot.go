@@ -70,7 +70,9 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v7: every catalog compiles with the ladder at-most-one and per-kind
 // muxed cost totals. Seed-scale v6 bases hold pairwise at-most-one
 // clauses and a per-SKU adder chain the compiler no longer produces.
-const baseSnapshotVersion = 7
+// v8: the embedded solver section is sat snapshot v3, which no longer
+// carries a restart unit.
+const baseSnapshotVersion = 8
 
 // Snapshot decode failure classes.
 var (

@@ -34,10 +34,6 @@ func (s *Solver) Clone() *Solver {
 	if s.decisionLevel() != 0 {
 		panic("sat: Clone called above decision level 0")
 	}
-	// A clause-sharing attachment (SetShare) is NOT inherited: the ring
-	// pairs a solver with a portfolio race, and a clone belongs to none
-	// until its own race attaches it. The seeded flag IS copied — the
-	// clone's activities already carry any applied perturbation.
 	n := &Solver{
 		opts:         s.opts,
 		nVars:        s.nVars,
@@ -47,8 +43,6 @@ func (s *Solver) Clone() *Solver {
 		okay:         s.okay,
 		maxLearnts:   s.maxLearnts,
 		learntGrowth: s.learntGrowth,
-		restartBase:  s.restartBase,
-		seeded:       s.seeded,
 	}
 	n.ca = s.ca.clone()
 	n.clauses = append([]cref(nil), s.clauses...)

@@ -18,7 +18,7 @@ import (
 // of the persistent compiled-base cache: a frozen post-Simplify base can
 // be written to disk and revived in another process without recompiling.
 //
-// Format version 2 serializes the clause arena verbatim — one length
+// The format (since version 2) serializes the clause arena verbatim — one length
 // prefix and the raw slab words — so clause references (crefs) in the
 // clause lists, reasons, and watch lists round-trip unchanged and encode
 // cost is a single pass over flat memory. Like Snapshot's other callers
@@ -40,9 +40,10 @@ var ErrBadSnapshot = errors.New("sat: malformed solver snapshot")
 
 // snapshotVersion is the solver-section format version. Version 2
 // introduced the arena clause database (serialized as the raw slab);
-// version-1 snapshots (per-clause records) are rejected. Bump it on any
-// incompatible layout change; RestoreSnapshot rejects other versions.
-const snapshotVersion = 2
+// version 3 dropped the per-solver restart unit, now a constant. Bump it
+// on any incompatible layout change; RestoreSnapshot rejects other
+// versions.
+const snapshotVersion = 3
 
 // maxSnapshotVars bounds the variable count a snapshot may declare; it
 // exists purely to keep arithmetic on 2*nVars comfortably inside int32
@@ -85,7 +86,6 @@ func (s *Solver) Snapshot() []byte {
 		buf = append(buf, 0)
 	}
 	uv(uint64(s.qhead))
-	uv(uint64(s.restartBase))
 	f64(s.varInc)
 	f64(s.claInc)
 	f64(s.maxLearnts)
@@ -280,13 +280,6 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	qh64, err := r.uvarint("qhead")
 	if err != nil {
 		return nil, err
-	}
-	rb64, err := r.uvarint("restart base")
-	if err != nil {
-		return nil, err
-	}
-	if rb64 < 1 || rb64 > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: restart base %d out of range", ErrBadSnapshot, rb64)
 	}
 	varInc, err := r.f64("varInc")
 	if err != nil {
@@ -577,7 +570,6 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		okay:         okayByte != 0,
 		maxLearnts:   maxLearnts,
 		learntGrowth: learntGrowth,
-		restartBase:  int64(rb64),
 	}
 	n.order = &varHeap{activity: &n.activity, heap: heap, indices: indices}
 	return n, nil

@@ -177,7 +177,6 @@ func TestRestoreSnapshotOOMGuard(t *testing.T) {
 	r.uvarint("nVars")
 	r.byte("okay")
 	r.uvarint("qhead")
-	r.uvarint("restartBase")
 	for i := 0; i < 4; i++ {
 		r.f64("scalar")
 	}
@@ -193,10 +192,11 @@ func TestRestoreSnapshotRejectsWrongVersion(t *testing.T) {
 	satInstance(s)
 	snap := s.Snapshot()
 	// Both directions of skew must be rejected up front: a future format
-	// this decoder has never seen, and the v1 per-clause layout that the
-	// arena rewrite (v2) replaced — a v1 body read as an arena slab would
-	// be garbage, so the version gate is the only line of defense.
-	for _, v := range []uint32{snapshotVersion + 1, 1} {
+	// this decoder has never seen, the v2 layout that still carried a
+	// restart unit, and the v1 per-clause layout that the arena rewrite
+	// (v2) replaced — an older body read as the current layout would be
+	// garbage, so the version gate is the only line of defense.
+	for _, v := range []uint32{snapshotVersion + 1, snapshotVersion - 1, 1} {
 		binary.LittleEndian.PutUint32(snap, v)
 		if _, err := RestoreSnapshot(snap); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("version %d: got err %v, want ErrBadSnapshot", v, err)

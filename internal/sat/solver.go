@@ -65,29 +65,9 @@ func (s Status) String() string {
 	}
 }
 
-// PhasePolicy selects the polarity a decision assigns to its variable.
-// Different polarities steer the search into different regions of the
-// space, which makes the policy a cheap diversification axis for
-// portfolio solving (see PortfolioOptions).
-type PhasePolicy uint8
-
-// Phase policies.
-const (
-	// PhaseSaved assigns the variable's last assigned polarity
-	// (MiniSat-style phase saving; false before the first assignment).
-	PhaseSaved PhasePolicy = iota
-	// PhaseFalse always decides false first (what NoPhaseSaving does).
-	PhaseFalse
-	// PhaseTrue always decides true first.
-	PhaseTrue
-	// PhaseRandom derives a fixed pseudo-random polarity per variable
-	// from Options.Seed. Deterministic for a given seed.
-	PhaseRandom
-)
-
 // Options configures solver heuristics. The zero value enables the full
-// CDCL feature set; fields exist chiefly for the ablation benchmarks and
-// for portfolio diversification.
+// CDCL feature set; the heuristic switches exist for the ablation
+// benchmarks.
 type Options struct {
 	// NoLearning disables clause learning and non-chronological
 	// backjumping; the solver degrades to DPLL with chronological
@@ -99,22 +79,8 @@ type Options struct {
 	// NoRestarts disables Luby restarts.
 	NoRestarts bool
 	// NoPhaseSaving makes every decision assign false first instead of
-	// the saved phase. Legacy spelling of PhasePolicy: PhaseFalse; it
-	// wins over a zero (PhaseSaved) PhasePolicy.
+	// the saved phase.
 	NoPhaseSaving bool
-	// Seed, when nonzero, diversifies the search deterministically: the
-	// next Solve adds a tiny seeded perturbation to every VSIDS
-	// activity (breaking ties differently per seed), and PhaseRandom
-	// polarities derive from it. Two solvers in equal state with equal
-	// Seed search identically; different seeds explore differently.
-	Seed uint64
-	// RestartBase, when > 0, overrides the Luby restart unit (default
-	// 100 conflicts). Smaller bases restart aggressively, larger ones
-	// commit to deeper searches.
-	RestartBase int64
-	// PhasePolicy selects the polarity assigned by decisions; see the
-	// PhasePolicy constants.
-	PhasePolicy PhasePolicy
 	// MaxConflicts, when > 0, bounds the total number of conflicts
 	// before Solve returns Unknown.
 	MaxConflicts int64
@@ -137,8 +103,6 @@ type Stats struct {
 	Restarts     int64
 	Learnts      int64 // clauses learnt (including later deleted)
 	Deleted      int64 // learnt clauses deleted by DB reduction
-	Exported     int64 // learnt clauses published to a ClauseRing (share.go)
-	Imported     int64 // clauses adopted from a ClauseRing
 	MaxTrail     int   // deepest trail seen
 }
 
@@ -253,21 +217,8 @@ type Solver struct {
 
 	maxLearnts   float64
 	learntGrowth float64
-	restartBase  int64
 
 	proof *Proof // non-nil when DRAT logging is attached
-
-	// seeded records that the Options.Seed activity perturbation has been
-	// applied, so repeated Solve calls don't keep re-perturbing.
-	seeded bool
-
-	// Clause-sharing attachment (see share.go); shareRing nil when
-	// detached. shareSeen tracks the last ring ticket consumed per slot.
-	shareRing *ClauseRing
-	shareID   int32
-	shareLBD  int
-	shareIn   bool
-	shareSeen []uint64
 
 	stop stopFlag // set by Interrupt; polled at conflict boundaries
 
@@ -290,55 +241,9 @@ func NewSolverOpts(opts Options) *Solver {
 		okay:         true,
 		maxLearnts:   0, // set on first Solve relative to clause count
 		learntGrowth: 1.1,
-		restartBase:  100,
-	}
-	if opts.RestartBase > 0 {
-		s.restartBase = opts.RestartBase
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
-}
-
-// Options returns a copy of the solver's current options.
-func (s *Solver) Options() Options { return s.opts }
-
-// SetOptions replaces the solver's options in place — the portfolio's
-// way to diversify a cloned worker without rebuilding it. May only be
-// called at decision level 0. A positive RestartBase takes effect
-// immediately; a nonzero Seed re-arms the activity perturbation for the
-// next Solve. The whole Options value is replaced, FaultHook included.
-func (s *Solver) SetOptions(opts Options) {
-	if s.decisionLevel() != 0 {
-		panic("sat: SetOptions called above decision level 0")
-	}
-	s.opts = opts
-	if opts.RestartBase > 0 {
-		s.restartBase = opts.RestartBase
-	}
-	s.seeded = false
-}
-
-// splitmix64 is the SplitMix64 finalizer — an allocation-free way to
-// derive per-variable pseudo-random bits from a seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// perturbActivities applies the Options.Seed diversification: tiny
-// positive noise — at most varInc·2⁻¹⁰ — on every VSIDS activity, enough
-// to break ties differently per seed yet small enough to defer to real
-// activity once conflict bumps accumulate. Noise only increases
-// activities, so restoring heap order is an up-walk per variable.
-func (s *Solver) perturbActivities() {
-	s.seeded = true
-	scale := s.varInc / 1024
-	for v := 0; v < s.nVars; v++ {
-		s.activity[v] += float64(splitmix64(s.opts.Seed^uint64(v))>>11) / (1 << 53) * scale
-		s.order.update(v)
-	}
 }
 
 // NumVars returns the number of allocated variables.
@@ -588,50 +493,6 @@ func (s *Solver) Value(v int) bool {
 // the solver and valid until the next Solve.
 func (s *Solver) Model() []bool { return s.model }
 
-// VerifyModel reports whether model (index v-1 holds variable v's value)
-// satisfies every live problem clause, every level-0 fact on the trail,
-// and every given assumption — the portfolio's re-check before adopting
-// a verdict from a racing worker. It reads the solver but never mutates
-// it; the caller must own the solver (not safe concurrently with Solve).
-func (s *Solver) VerifyModel(model []bool, assumps []Lit) bool {
-	if len(model) < s.nVars {
-		return false
-	}
-	holds := func(l lit) bool { return model[l.v()] != l.sign() }
-	for _, a := range assumps {
-		if a == 0 || a.Var() > s.nVars || !holds(toInternal(a)) {
-			return false
-		}
-	}
-	// Level-0 trail facts: units are absorbed into the trail by AddClause
-	// and never reach the clause list, so the model must agree with them.
-	bound := len(s.trail)
-	if len(s.trailLim) > 0 {
-		bound = s.trailLim[0]
-	}
-	for _, l := range s.trail[:bound] {
-		if !holds(l) {
-			return false
-		}
-	}
-	for _, c := range s.clauses {
-		if s.ca.deleted(c) {
-			continue
-		}
-		ok := false
-		for _, l := range s.ca.lits(c) {
-			if holds(l) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // FinalConflict returns, after an Unsat result from SolveAssuming, a subset
 // of the assumptions whose conjunction is already unsatisfiable (the
 // "final conflict" or assumption core), as the literals that were assumed.
@@ -675,9 +536,6 @@ func (s *Solver) solveAssuming(assumps []Lit) Status {
 	if !s.okay {
 		return Unsat
 	}
-	if s.opts.Seed != 0 && !s.seeded {
-		s.perturbActivities()
-	}
 	if s.opts.NoLearning {
 		if len(assumps) > 0 {
 			panic("sat: assumptions unsupported with NoLearning")
@@ -702,15 +560,7 @@ func (s *Solver) solveAssuming(assumps []Lit) Status {
 
 	var curRestarts int64
 	for {
-		// Restart boundaries double as clause-import points: the solver
-		// is at level 0, so adopting a shared clause is a plain AddClause.
-		// An import can expose top-level unsatisfiability (every shared
-		// clause is implied by the common formula, so the verdict is
-		// sound); FinalConflict stays nil, as on any top-level Unsat.
-		if !s.importShared() {
-			return Unsat
-		}
-		budget := s.restartBase * luby(2, curRestarts)
+		budget := restartBase * luby(2, curRestarts)
 		if s.opts.NoRestarts {
 			budget = -1
 		}
@@ -757,7 +607,6 @@ func (s *Solver) search(conflictBudget int64) Status {
 			s.cancelUntil(backLevel)
 			s.logLearnt(learnt)
 			s.recordLearnt(learnt, lbd)
-			s.exportLearnt(learnt, lbd)
 			s.decayActivities()
 			continue
 		}
@@ -808,22 +657,11 @@ func (s *Solver) search(conflictBudget int64) Status {
 	}
 }
 
-// decisionLit chooses the phase for a decision on variable v per the
-// configured PhasePolicy (with NoPhaseSaving as the legacy spelling of
-// PhaseFalse).
+// decisionLit chooses the phase for a decision on variable v: the saved
+// phase (false before the first assignment), or always false under
+// NoPhaseSaving.
 func (s *Solver) decisionLit(v int) lit {
-	neg := true // negative literal = assign false
-	switch {
-	case s.opts.PhasePolicy == PhaseTrue:
-		neg = false
-	case s.opts.PhasePolicy == PhaseRandom:
-		neg = splitmix64(s.opts.Seed^(uint64(v)<<1|1))&1 == 1
-	case s.opts.PhasePolicy == PhaseFalse || s.opts.NoPhaseSaving:
-		neg = true
-	default: // PhaseSaved
-		neg = s.polarity[v]
-	}
-	if neg {
+	if s.opts.NoPhaseSaving || s.polarity[v] {
 		return lit(2*uint32(v) + 1)
 	}
 	return lit(2 * uint32(v))
@@ -891,6 +729,9 @@ func (s *Solver) recordLearnt(learnt []lit, lbd int) {
 	s.attach(c)
 	s.uncheckedEnqueue(learnt[0], c)
 }
+
+// restartBase is the Luby restart unit in conflicts.
+const restartBase = 100
 
 // luby computes the Luby restart sequence value for index i with base y.
 func luby(y, i int64) int64 {

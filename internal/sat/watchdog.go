@@ -3,6 +3,7 @@ package sat
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the solver's resource-governance surface: per-call work
@@ -10,6 +11,26 @@ import (
 // (StopCause), a context watchdog that converts cancellation into
 // Interrupt (Watch), and a deterministic fault-injection seam
 // (SetFaultHook) so callers can exercise every degraded path in tests.
+
+// Interrupt asks the solver to stop: a running Solve returns Unknown at
+// the next conflict boundary, and any Solve started while the interrupt
+// is pending returns Unknown immediately. The flag is sticky — call
+// ClearInterrupt to make the solver runnable again. Interrupt is safe to
+// call from other goroutines and is idempotent.
+func (s *Solver) Interrupt() { s.stop.Store(true) }
+
+// ClearInterrupt re-arms a solver that was stopped with Interrupt.
+func (s *Solver) ClearInterrupt() { s.stop.Store(false) }
+
+// interrupted polls and clears nothing — the flag is reset at the start
+// of each Solve.
+func (s *Solver) interrupted() bool { return s.stop.Load() }
+
+// stopFlag is a tiny wrapper so the Solver zero-value works.
+type stopFlag struct{ v atomic.Bool }
+
+func (f *stopFlag) Store(b bool) { f.v.Store(b) }
+func (f *stopFlag) Load() bool   { return f.v.Load() }
 
 // StopCause explains why the last Solve call returned Unknown.
 type StopCause int

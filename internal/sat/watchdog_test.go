@@ -6,27 +6,6 @@ import (
 	"time"
 )
 
-// phpClauses builds the PHP(n+1, n) clause list (unsatisfiable) without
-// touching a solver, for portfolio and fresh-solver tests.
-func phpClauses(n int) (clauses [][]Lit, nVars int) {
-	v := func(p, h int) Lit { return Lit(p*n + h + 1) }
-	for p := 0; p < n+1; p++ {
-		var c []Lit
-		for h := 0; h < n; h++ {
-			c = append(c, v(p, h))
-		}
-		clauses = append(clauses, c)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 < n+1; p1++ {
-			for p2 := p1 + 1; p2 < n+1; p2++ {
-				clauses = append(clauses, []Lit{-v(p1, h), -v(p2, h)})
-			}
-		}
-	}
-	return clauses, (n + 1) * n
-}
-
 func TestSetBudgetConflicts(t *testing.T) {
 	s := NewSolver()
 	pigeonhole(s, 8, 7) // needs far more than 5 conflicts
@@ -300,43 +279,38 @@ func TestStopCauseStrings(t *testing.T) {
 	}
 }
 
-// TestPortfolioDrainsDeliveredVerdict is the regression test for the
-// cancellation race: a worker that reaches its verdict at the same
-// instant the context is cancelled must win, not be thrown away. The
-// fault hook cancels the context deterministically at the solver's final
-// conflict (learned from a probe run), so every iteration exercises the
-// exact race window.
-func TestPortfolioDrainsDeliveredVerdict(t *testing.T) {
-	clauses, nVars := phpClauses(6)
-
-	// Probe: how many conflicts does the default configuration need?
-	probe := NewSolver()
-	probe.EnsureVars(nVars)
-	for _, c := range clauses {
-		probe.AddClause(c...)
-	}
-	if st := probe.Solve(); st != Unsat {
-		t.Fatalf("probe returned %v, want Unsat", st)
-	}
-	final := probe.Stats().Conflicts
-	if final == 0 {
-		t.Fatal("probe finished without conflicts; instance too easy for the race")
-	}
-
-	for i := 0; i < 25; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		hook := func(ev FaultEvent, st Stats) bool {
-			if ev == EventConflict && st.Conflicts == final {
-				// Cancel at the exact conflict that completes the proof:
-				// the verdict lands together with ctx.Done.
-				cancel()
-			}
-			return false
+func TestInterruptStopsSolve(t *testing.T) {
+	s := NewSolver()
+	pigeonhole(s, 12, 11) // far beyond quick solving
+	done := make(chan Status, 1)
+	go func() { done <- s.Solve() }()
+	time.Sleep(20 * time.Millisecond)
+	s.Interrupt()
+	select {
+	case st := <-done:
+		if st != Unknown && st != Unsat {
+			t.Fatalf("interrupted solve returned %v", st)
 		}
-		res := SolvePortfolio(ctx, clauses, nVars, []Options{{FaultHook: hook}})
-		cancel()
-		if res.Status != Unsat || res.Winner != 0 {
-			t.Fatalf("iteration %d: got %+v, want the delivered Unsat verdict", i, res)
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Interrupt did not stop the solve")
+	}
+	// The solver must remain usable afterwards.
+	s2 := NewSolver()
+	s2.AddClause(1)
+	if s2.Solve() != Sat {
+		t.Fatal("fresh solve after interrupt broken")
+	}
+}
+
+func TestInterruptIsSticky(t *testing.T) {
+	s := NewSolver()
+	s.AddClause(1, 2)
+	s.Interrupt()
+	if s.Solve() != Unknown {
+		t.Fatal("a pending interrupt must stop Solve before it starts")
+	}
+	s.ClearInterrupt()
+	if s.Solve() != Sat {
+		t.Fatal("ClearInterrupt must re-arm the solver")
 	}
 }

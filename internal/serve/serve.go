@@ -65,12 +65,6 @@ type Config struct {
 	// MaxInFlight; negative disables pooling.
 	ClonePool int
 
-	// Portfolio sets the diversified solver-race width for decision
-	// queries (core.Engine.SetPortfolio): <= 1 runs the single-solver
-	// path (the default). Worth enabling when hard what-if/UNSAT tails
-	// dominate and cores outnumber the in-flight query load.
-	Portfolio int
-
 	// Slice sets the relevance-slicing policy (core.Engine.SetSliceMode).
 	// The zero value is SliceAuto: slice only when the catalog is large
 	// enough to pay for itself. Answers are mode-independent.
@@ -156,9 +150,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ClonePool > 0 {
 		s.eng.SetClonePool(cfg.ClonePool)
-	}
-	if cfg.Portfolio > 1 {
-		s.eng.SetPortfolio(cfg.Portfolio)
 	}
 	s.eng.SetSliceMode(cfg.Slice)
 	if cfg.Chaos != nil {

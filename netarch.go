@@ -185,7 +185,9 @@ const (
 // empty, the default), "on", and "off".
 func ParseSliceMode(s string) (SliceMode, error) { return core.ParseSliceMode(s) }
 
-// MaxSAT descent strategies for Engine.SetOptimizeStrategy.
+// MaxSAT descent strategies for Engine.OptimizeWithStrategyCtx and
+// Engine.ParetoWithStrategyCtx (the CLI -strategy flag and the serve
+// request's "strategy" field).
 const (
 	// StrategyBinary bisects the objective range (the default): budget
 	// trips leave tight two-sided bounds.
