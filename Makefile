@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR18.json
+BENCH ?= BENCH_PR19.json
 
 build:
 	$(GO) build ./...

@@ -242,49 +242,6 @@ func BenchmarkAblationRestarts(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSimplify measures solving with and without top-level
-// inprocessing (subsumption + self-subsuming resolution) on redundant
-// instances of the kind the compiler emits (many overlapping clauses).
-func BenchmarkAblationSimplify(b *testing.B) {
-	build := func() *sat.Solver {
-		r := rand.New(rand.NewSource(3))
-		s := sat.NewSolver()
-		nVars := 60
-		s.EnsureVars(nVars)
-		// Base instance plus redundant supersets of many clauses.
-		for i := 0; i < 200; i++ {
-			c := make([]sat.Lit, 3)
-			for j := range c {
-				v := r.Intn(nVars) + 1
-				if r.Intn(2) == 0 {
-					c[j] = sat.Lit(v)
-				} else {
-					c[j] = sat.Lit(-v)
-				}
-			}
-			s.AddClause(c...)
-			if r.Intn(2) == 0 {
-				widened := append(append([]sat.Lit(nil), c...), sat.Lit(r.Intn(nVars)+1))
-				s.AddClause(widened...)
-			}
-		}
-		return s
-	}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := build()
-			s.Solve()
-		}
-	})
-	b.Run("simplify", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := build()
-			s.Simplify()
-			s.Solve()
-		}
-	})
-}
-
 // BenchmarkAblationCardinality compares the sequential counter and the
 // totalizer as at-most-k encodings under the optimizer's workload shape.
 func BenchmarkAblationCardinality(b *testing.B) {
@@ -709,7 +666,7 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 
 // BenchmarkColdStart measures a fresh process's first query at full
 // catalog scale. "compile" is what every cold process paid before the
-// disk tier existed: build the formula, CNF it, Simplify. "disk-warm"
+// disk tier existed: build the formula and CNF it. "disk-warm"
 // revives the same base from a persisted snapshot (the cache directory
 // is primed once, off the clock) — each iteration asserts through the
 // cache counters that no compile ran. The compile/disk-warm ratio is
@@ -927,7 +884,7 @@ func BenchmarkWarmStartWhatIf(b *testing.B) {
 // Tseitin conversion dominates compile time — the converter keys its
 // subformula cache on String(), which re-serializes the whole suffix at
 // every level, so conversion is quadratic in chain depth while the CNF
-// it emits (what Simplify and the solver build pay) stays linear —
+// it emits (what the solver build pays) stays linear —
 // exactly the regime where an operator's one-rule edit should not pay
 // for the other 99. rev selects the content of rule 0: two revs differ
 // in exactly one assertion, so UpdateKB(deltaStressCatalog(rev')) is a
@@ -989,23 +946,33 @@ func deltaStressCatalog(rev int) *netarch.KB {
 
 // BenchmarkDeltaRecompile is the PR 8 acceptance benchmark: against the
 // deep-rule catalog, a one-assertion edit applied through UpdateKB
-// (shard diff + arena splice, DESIGN.md §14) vs recompiling the same
-// base from scratch. Both paths end in a base that is byte-identical to
-// a cold compile (delta-diff pins that); this measures what the identity
-// costs. The acceptance bar is delta >= 5x faster than full.
+// (shard diff + arena splice, DESIGN.md §14) vs compiling the same base
+// from scratch. Both arms alternate the same two revisions and produce
+// one base per iteration, byte-identical between the arms (delta-diff
+// pins that); this measures what the identity costs. The acceptance bar
+// is delta >= 5x faster than full.
 func BenchmarkDeltaRecompile(b *testing.B) {
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
+	// Pre-build the two alternating revisions: constructing the catalog
+	// is the operator's editor, not the compile or reload path.
+	revs := [2]*netarch.KB{deltaStressCatalog(1), deltaStressCatalog(2)}
 
 	b.Run("full", func(b *testing.B) {
-		eng, err := netarch.NewEngine(deltaStressCatalog(0))
-		if err != nil {
-			b.Fatal(err)
+		var engs [2]*netarch.Engine
+		for i, k := range revs {
+			eng, err := netarch.NewEngine(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			engs[i] = eng
 		}
-		eng.SetCacheCapacity(0) // every iteration compiles from scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Enumerate(sc, 0); err != nil {
+			// Drop the cached base so Prewarm compiles it cold.
+			eng := engs[i%2]
+			eng.InvalidateCache()
+			if err := eng.Prewarm(sc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1016,12 +983,9 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.Enumerate(sc, 0); err != nil { // warm the base
+		if err := eng.Prewarm(sc); err != nil { // warm the base
 			b.Fatal(err)
 		}
-		// Pre-build the two alternating revisions: constructing the
-		// catalog is the operator's editor, not the reload path.
-		revs := [2]*netarch.KB{deltaStressCatalog(1), deltaStressCatalog(2)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -34,8 +34,8 @@ func section51Scenarios() map[string]Scenario {
 }
 
 // TestBaseSizeBudget pins the variable and clause counts of three §5.1
-// compiled bases. Every compile, clone, Simplify, propagation, snapshot
-// and reload pays for what a base holds, so a base that grows is a
+// compiled bases. Every compile, clone, propagation, snapshot and reload
+// pays for what a base holds, so a base that grows is a
 // warm-path regression even before any timing shows it — a base that
 // gained the power and port objective circuits nearly doubled (49,575
 // vars / 82,216 clauses for inference_app). The budgets allow 2% above
@@ -69,30 +69,52 @@ func TestBaseSizeBudget(t *testing.T) {
 
 // TestSearchEffortBudget pins the search effort of the §5.1 queries: the
 // conflicts and decisions a fresh engine spends answering each one
-// (Report.Spent, so the main decision and any explanation minimization).
-// The search is deterministic, so these counts repeat exactly run to run;
-// a heuristic, restart or encoding change that makes the solver work
-// harder shows here before any timing does. The budgets allow 2% above
-// the counts measured when they were set.
+// (Report.Spent, so the main decision and any explanation minimization,
+// or every MaxSAT descent of a cost optimization). The search is
+// deterministic, so these counts repeat exactly run to run; a heuristic,
+// restart or encoding change that makes the solver work harder shows
+// here before any timing does. The budgets allow 2% above the counts
+// measured when they were set.
 func TestSearchEffortBudget(t *testing.T) {
+	k, cases := caseStudyQueries()
+	scs := section51Scenarios()
+	for _, c := range cases {
+		switch c.name {
+		case "q1-baseline", "q3-without-cxl", "q3-with-cxl", "overconstrained-explain":
+			scs[c.name] = c.sc
+		}
+	}
 	budgets := []struct {
 		name                 string
+		optimize             bool // cost optimization instead of Synthesize
 		conflicts, decisions int64
 	}{
-		{"inference_app", 86, 940},
-		{"q1-grown", 96, 1332},
-		{"q3-no-pooling", 74, 632},
-		{"q3-pooling", 78, 674},
+		{"inference_app", false, 86, 940},
+		{"q1-grown", false, 96, 1332},
+		{"q3-no-pooling", false, 74, 632},
+		{"q3-pooling", false, 78, 674},
+		{"q1-baseline", true, 239, 1945},
+		{"q3-without-cxl", true, 140, 1455},
+		{"q3-with-cxl", true, 156, 1805},
+		// Infeasible: the decision plus minimizing its explanation.
+		{"overconstrained-explain", false, 136, 1899},
 	}
-	k, _ := caseStudyQueries()
-	scs := section51Scenarios()
 	for _, b := range budgets {
 		e := mustEngine(t, k)
-		rep, err := e.Synthesize(scs[b.name])
-		if err != nil {
-			t.Fatal(err)
+		var got BudgetSpent
+		if b.optimize {
+			res, err := e.Optimize(scs[b.name], []Objective{{Kind: MinimizeCost}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = res.Spent
+		} else {
+			rep, err := e.Synthesize(scs[b.name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = rep.Spent
 		}
-		got := rep.Spent
 		if got.Conflicts > b.conflicts*102/100 || got.Decisions > b.decisions*102/100 {
 			t.Errorf("%s: %d conflicts / %d decisions; budget is %d / %d + 2%%",
 				b.name, got.Conflicts, got.Decisions, b.conflicts, b.decisions)

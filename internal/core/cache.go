@@ -15,7 +15,7 @@ import (
 // restrictions, bounds, cost cap — everything that changes the CNF) and
 // its query-side requirements (context pins, Require, pinned/forbidden
 // systems — everything expressible as assumption-guarded selector
-// clauses). Shapes compile to frozen, Simplify()-ed bases keyed by
+// clauses). Shapes compile to frozen bases keyed by
 // Scenario.fingerprint(); each query clones the base solver and layers
 // its own selectors on the private clone. Different contexts and
 // requirements over the same workload set therefore share one base.

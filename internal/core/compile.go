@@ -138,8 +138,9 @@ var exclusiveRoles = map[kb.Role]bool{
 
 // compileBase lowers the current KB + scenario into a solver instance.
 // With the compiled-base cache this runs on a stripped "shape" scenario
-// (see baseShape) and the result is frozen: the instance is simplified
-// once and thereafter only cloned, never solved or mutated.
+// (see baseShape) and the result is frozen: the instance holds exactly
+// the clauses the compiler emitted and is thereafter only cloned, never
+// solved or mutated.
 // Query-specific requirements are layered on by specialize().
 func (e *Engine) compileBase(sc *Scenario) (*compiled, error) {
 	return e.compileBaseWith(e.kbSnapshot(), sc, nil)
@@ -249,9 +250,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	c.arith = intlin.New(c.solver)
 	c.resourceConstraints()
 	c.costModel()
-	// One inprocessing pass pays off across every clone of this base (and
-	// runs on the cache-off path too, so both paths stay byte-identical).
-	c.solver.Simplify()
 	return c, nil
 }
 

@@ -16,7 +16,7 @@ import (
 // The disk tier of the compiled-base cache: frozen bases are persisted as
 // base-snapshot files (snapshot.go) named by the SHA-256 of their shape
 // fingerprint, so the CLI and other short-lived processes skip the first
-// compile+Simplify too. Lookup order is memory → disk → compile
+// compile too. Lookup order is memory → disk → compile
 // (cache.go:baseFor).
 //
 // Safety model: a cache file can change how fast an answer arrives, never

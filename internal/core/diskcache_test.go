@@ -78,7 +78,7 @@ func TestDiskCacheDifferential(t *testing.T) {
 // TestDiskWarmSkipsCompile is the acceptance assertion: with a primed
 // cache dir, the first query of a fresh engine performs zero base
 // compiles (Misses == 0) and exactly as many solver invocations as an
-// in-memory warm query — i.e. revival skips compile+Simplify entirely,
+// in-memory warm query — i.e. revival skips compile entirely,
 // not just partially.
 func TestDiskWarmSkipsCompile(t *testing.T) {
 	dir := t.TempDir()

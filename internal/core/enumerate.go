@@ -108,21 +108,13 @@ func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
 // other cube (or worker) did. See EnumerateResult for the determinism
 // contract.
 func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
-	base, shared, err := e.baseFor(&sc)
+	tpl, err := e.instance(&sc)
 	if err != nil {
 		return nil, err
 	}
-	solver := base.solver
-	if shared {
-		solver = e.takeClone(base)
-	}
 	g := newEnumGov(ctx, b)
 	defer g.done()
-	r := &enumRun{
-		g:   g,
-		tpl: e.specialize(base, &sc, solver),
-		co:  &enumCoord{max: max},
-	}
+	r := &enumRun{g: g, tpl: tpl, co: &enumCoord{max: max}}
 	return r.run(e.enumWorkers()), nil
 }
 
@@ -273,7 +265,7 @@ type enumClass struct {
 
 // enumCoord collects per-cube results under one lock. Every cube's class
 // sequence is a pure function of the compiled instance (fresh clone, own
-// blocking clauses only — see drain), so the merged, capped class list
+// blocking clauses only — see drainCubes), so the merged, capped class list
 // is deterministic for any worker count: capped runs no longer need a
 // sequential replay.
 type enumCoord struct {
@@ -423,47 +415,52 @@ func (r *enumRun) run(workers int) *EnumerateResult {
 	}
 	cubes := cubeAssumptions(r.tpl)
 	r.co.cubes = make([]cubeResult, len(cubes))
+	drainCubes(r.g, r.tpl, cubes, workers, r.solveCube)
+	return r.finish(res)
+}
+
+// drainCubes solves every cube on up to workers goroutines pulling cube
+// indices from one channel, each cube on a FRESH fork of the pristine
+// template — which worker solves which cube, and in what order, cannot
+// leak into any cube's result. The template itself is never solved, so
+// concurrent clones straight off it are safe. solve returns false when
+// the whole query must stop (budget trip, context fired, solver
+// failure); that worker then takes no further cube, and the others stop
+// at their next g.stopped check.
+func drainCubes(g *enumGov, tpl *compiled, cubes [][]sat.Lit, workers int, solve func(c *compiled, idx int, cube []sat.Lit) bool) {
 	ch := make(chan int, len(cubes))
 	for i := range cubes {
 		ch <- i
 	}
 	close(ch)
-	if workers > len(cubes) {
-		workers = len(cubes)
+	drain := func() {
+		for i := range ch {
+			if g.stopped() {
+				return
+			}
+			c := tpl.fork(tpl.solver.Clone())
+			release := g.adopt(c.solver)
+			ok := solve(c, i, cubes[i])
+			release()
+			if !ok {
+				return
+			}
+		}
 	}
+	workers = min(workers, len(cubes))
 	if workers <= 1 {
-		r.drain(ch, cubes)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				r.drain(ch, cubes)
-			}()
-		}
-		wg.Wait()
+		drain()
+		return
 	}
-	return r.finish(res)
-}
-
-// drain is one worker: it pulls cube indices until they run out or
-// discovery stops, solving every cube on a FRESH clone of the pristine
-// template — which worker drains which cube, and in what order, cannot
-// leak into any cube's result. The template itself is never solved, so
-// concurrent clones straight off it are safe; the worker carries one
-// reusable blocking-clause buffer across its cubes.
-func (r *enumRun) drain(cubes <-chan int, cubeAssumps [][]sat.Lit) {
-	var blockBuf []sat.Lit
-	for i := range cubes {
-		c := r.tpl.fork(r.tpl.solver.Clone())
-		release := r.g.adopt(c.solver)
-		ok := r.solveCube(c, i, cubeAssumps[i], &blockBuf)
-		release()
-		if !ok {
-			return
-		}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
 	}
+	wg.Wait()
 }
 
 // solveCube enumerates the classes inside one cube, delivering each to
@@ -477,9 +474,10 @@ func (r *enumRun) drain(cubes <-chan int, cubeAssumps [][]sat.Lit) {
 // max classes: the merge never takes more than max classes from any
 // cube prefix, so draining further is wasted work. Returns false when
 // the whole discovery must stop: budget tripped or context fired.
-func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit, blockBuf *[]sat.Lit) bool {
+func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 	assumps := c.assumptions()
 	assumps = append(assumps, cube...)
+	var blockBuf []sat.Lit // reused across the cube's blocking clauses
 	found := 0
 	for {
 		if r.g.stopped() {
@@ -494,8 +492,8 @@ func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit, blockBuf *[]sa
 			if found >= r.co.max {
 				return true // per-cube cap; cube stays inexhausted
 			}
-			*blockBuf = c.blockingClause(d.Systems, *blockBuf)
-			c.solver.AddClause(*blockBuf...)
+			blockBuf = c.blockingClause(d.Systems, blockBuf)
+			c.solver.AddClause(blockBuf...)
 		case sat.Unsat:
 			r.co.markExhausted(idx)
 			return true // cube provably drained; on to the next

@@ -10,7 +10,7 @@ import (
 // serialized through snapshotBase must be byte-identical whether the
 // assertion shards were converted by 1, 2, or 8 workers. Everything
 // downstream — clause order, auxiliary variable numbering, the solver's
-// watch setup, Simplify's outcome — hangs off this, so one byte of
+// watch setup — hangs off this, so one byte of
 // divergence here would surface as worker-count-dependent answers.
 func TestParallelCompileByteIdentity(t *testing.T) {
 	k, cases := caseStudyQueries()

@@ -73,18 +73,13 @@ func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objecti
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("core: pareto requires at least one objective")
 	}
-	base, shared, err := e.baseFor(&sc)
+	tpl, err := e.instance(&sc)
 	if err != nil {
 		return nil, err
-	}
-	solver := base.solver
-	if shared {
-		solver = e.takeClone(base)
 	}
 	g := newEnumGov(ctx, b)
 	g.query = "pareto"
 	defer g.done()
-	tpl := e.specialize(base, &sc, solver)
 	// Lower the objective circuits onto the template BEFORE any clone is
 	// taken: every cube worker inherits the same totalizers and penalty
 	// literals, which is what makes cube results fork-independent.
@@ -92,8 +87,10 @@ func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objecti
 	if err != nil {
 		return nil, err
 	}
-	r := &paretoRun{g: g, tpl: tpl, specs: specs, strat: strat}
-	return r.run(e.enumWorkers()), nil
+	cubes := cubeAssumptions(tpl)
+	r := &paretoRun{g: g, specs: specs, strat: strat, cubes: make([]paretoCube, len(cubes))}
+	drainCubes(g, tpl, cubes, e.enumWorkers(), r.solveCube)
+	return r.finish()
 }
 
 // paretoCube is one cube's outcome: its local frontier in discovery
@@ -103,60 +100,16 @@ type paretoCube struct {
 	exact  bool
 }
 
-// paretoRun is one Pareto query: governor, pristine template (cloned
-// per cube, never solved), lowered objective specs, and per-cube
-// results.
+// paretoRun is one Pareto query: governor, lowered objective specs, and
+// per-cube results.
 type paretoRun struct {
 	g     *enumGov
-	tpl   *compiled
 	specs []objectiveSpec
 	strat OptimizeStrategy
 
 	mu    sync.Mutex
 	cubes []paretoCube
 	fail  error // first non-budget solver error, surfaced to the caller
-}
-
-func (r *paretoRun) run(workers int) *ParetoResult {
-	cubes := cubeAssumptions(r.tpl)
-	r.cubes = make([]paretoCube, len(cubes))
-	ch := make(chan int, len(cubes))
-	for i := range cubes {
-		ch <- i
-	}
-	close(ch)
-	if workers > len(cubes) {
-		workers = len(cubes)
-	}
-	if workers <= 1 {
-		r.drain(ch, cubes)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				r.drain(ch, cubes)
-			}()
-		}
-		wg.Wait()
-	}
-	return r.finish()
-}
-
-func (r *paretoRun) drain(cubes <-chan int, cubeAssumps [][]sat.Lit) {
-	for i := range cubes {
-		if r.g.stopped() {
-			return
-		}
-		c := r.tpl.fork(r.tpl.solver.Clone())
-		release := r.g.adopt(c.solver)
-		ok := r.solveCube(c, i, cubeAssumps[i])
-		release()
-		if !ok {
-			return
-		}
-	}
 }
 
 // solveCube computes one cube's local frontier on a fresh clone. The
@@ -207,13 +160,18 @@ func (r *paretoRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 
 // finish merges the cube frontiers deterministically: union, drop
 // points dominated by any other cube's point, dedupe equal vectors in
-// cube order, sort by objective vector.
-func (r *paretoRun) finish() *ParetoResult {
+// cube order, sort by objective vector. A solver failure in any cube
+// fails the whole query.
+func (r *paretoRun) finish() (*ParetoResult, error) {
 	r.mu.Lock()
 	cubes := r.cubes
 	fail := r.fail
 	r.mu.Unlock()
-	_ = fail // surfaced via Exhausted below; kept for diagnostics
+	if fail != nil {
+		// maxsat.Pareto minimizes only inside boxes that hold a model it
+		// just found, so an error there is solver inconsistency.
+		return nil, fmt.Errorf("core: pareto lost feasibility mid-search: %w", fail)
+	}
 
 	res := &ParetoResult{Complete: true}
 	var all []ParetoPoint
@@ -252,10 +210,10 @@ func (r *paretoRun) finish() *ParetoResult {
 		res.Complete = false
 		res.Exhausted = r.g.exhausted()
 		res.Spent = res.Exhausted.Spent
-		return res
+		return res, nil
 	}
 	res.Spent = r.g.spent()
-	return res
+	return res, nil
 }
 
 // dominance compares objective vectors: -1 when a dominates b (a ≤ b

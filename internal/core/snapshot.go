@@ -72,7 +72,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // clauses and a per-SKU adder chain the compiler no longer produces.
 // v8: the embedded solver section is sat snapshot v3, which no longer
 // carries a restart unit.
-const baseSnapshotVersion = 8
+// v9: bases are no longer simplified after compile. A v8 base had
+// satisfied and subsumed clauses removed and strengthened clauses
+// re-added, so its solver state differs from what the compiler emits.
+const baseSnapshotVersion = 9
 
 // Snapshot decode failure classes.
 var (

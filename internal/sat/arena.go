@@ -126,7 +126,7 @@ func (a *arena) clone() arena {
 // maybeCompact reclaims garbage once deleted clauses hold more than a
 // quarter of a non-trivial slab. Callers must hold no crefs across the
 // call (compaction relocates clauses); the solver invokes it only from
-// reduceDB and Simplify, where none are held.
+// reduceDB, where none are held.
 func (s *Solver) maybeCompact() {
 	if s.ca.wasted*4 > len(s.ca.data) && s.ca.wasted > 1<<12 {
 		s.compactArena()
@@ -177,10 +177,12 @@ func (s *Solver) compactArena() {
 	}
 
 	// Pass 2: rewrite the reference holders. Deleted clauses are gone:
-	// their watchers are dropped and their reasons cleared (a deleted
-	// clause can only be the reason of a level-0 assignment — reduceDB
-	// never deletes locked clauses and Simplify runs at level 0 — and
-	// level-0 reasons are never walked by analyze or analyzeFinal).
+	// their watchers are dropped and their reasons cleared. reduceDB never
+	// deletes a locked clause, so a solver that built its own arena has
+	// no deleted reason; a restored snapshot's reasons are untrusted
+	// input, and clearing is safe there too because only a level-0
+	// assignment can keep a deleted reason and level-0 reasons are never
+	// walked by analyze or analyzeFinal.
 	for i, c := range s.clauses {
 		s.clauses[i] = reloc(c)
 	}

@@ -6,8 +6,8 @@ package sat
 // saved phases, clause activities) are all copied verbatim, so a clone
 // continues exactly where the original stands and two clones of the same
 // solver run identical searches. Cloning is the mechanism behind compiled-
-// base caching: compile (and Simplify) once, then hand every query its
-// own private snapshot.
+// base caching: compile once, then hand every query its own private
+// snapshot.
 //
 // With the arena clause database, Clone is a near-memcpy: the whole
 // clause DB is one slab copy, and clause references (crefs) mean the same

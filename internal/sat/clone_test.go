@@ -6,16 +6,18 @@ import (
 )
 
 // php builds the pigeonhole principle PHP(n+1, n): unsatisfiable, with a
-// non-trivial search, so clones exercise learning and restarts.
-func php(s *Solver, holes int) {
+// non-trivial search, so clones exercise learning and restarts. Literals
+// in guard are added to every pigeon's row clause, so PHP holds only
+// under assumptions that falsify them.
+func php(s *Solver, holes int, guard ...Lit) {
 	pigeons := holes + 1
 	v := func(p, h int) Lit { return Lit(p*holes + h + 1) }
 	for p := 0; p < pigeons; p++ {
-		row := make([]Lit, holes)
+		row := make([]Lit, holes, holes+len(guard))
 		for h := 0; h < holes; h++ {
 			row[h] = v(p, h)
 		}
-		s.AddClause(row...)
+		s.AddClause(append(row, guard...)...)
 	}
 	for h := 0; h < holes; h++ {
 		for p1 := 0; p1 < pigeons; p1++ {
@@ -39,6 +41,22 @@ func satInstance(s *Solver) {
 	s.AddClause(-9, -10)
 	s.AddClause(11, -12)
 	s.AddClause(-11, 12, 1)
+}
+
+// deletedLearnts leaves s alive at decision level 0 with learnt clauses
+// that reduceDB deleted still lingering in its arena and watch lists: a
+// pigeonhole instance guarded by variable 31 is refuted under the guard,
+// with the learnt limit lowered so reduceDB runs during the search while
+// the garbage stays far below the compaction threshold. It reports
+// whether reduceDB deleted clauses that are still in the arena.
+func deletedLearnts(s *Solver) bool {
+	const guard = Lit(31)
+	php(s, 5, -guard)
+	s.maxLearnts = 20
+	if s.SolveAssuming([]Lit{guard}) != Unsat {
+		return false
+	}
+	return s.Stats().Deleted > 0 && s.ca.wasted > 0
 }
 
 func TestCloneSolvesIdentically(t *testing.T) {
@@ -153,18 +171,18 @@ func TestCloneResetsRunState(t *testing.T) {
 	}
 }
 
-func TestCloneAfterSimplify(t *testing.T) {
+func TestCloneWithDeletedClauses(t *testing.T) {
 	a := NewSolver()
-	satInstance(a)
-	a.AddClause(1) // a root unit to strengthen against
-	a.Simplify()   // leaves deleted clauses lingering in watch lists
+	if !deletedLearnts(a) {
+		t.Fatalf("setup left no deleted clauses in the arena (deleted %d)", a.Stats().Deleted)
+	}
 	b := a.Clone()
 	stA, stB := a.Solve(), b.Solve()
 	if stA != Sat || stB != Sat {
-		t.Fatalf("after simplify: original %v, clone %v; want Sat, Sat", stA, stB)
+		t.Fatalf("with deleted clauses: original %v, clone %v; want Sat, Sat", stA, stB)
 	}
 	if !reflect.DeepEqual(a.Model(), b.Model()) {
-		t.Fatalf("models differ after Simplify+Clone")
+		t.Fatalf("models differ after Clone with deleted clauses")
 	}
 }
 

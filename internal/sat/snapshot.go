@@ -15,8 +15,8 @@ import (
 // clause database, watch-list order, trail, saved phases, VSIDS
 // activities, and order heap are preserved verbatim, so a restored solver
 // runs the same search, conflict for conflict. Snapshot is the substrate
-// of the persistent compiled-base cache: a frozen post-Simplify base can
-// be written to disk and revived in another process without recompiling.
+// of the persistent compiled-base cache: a frozen compiled base can be
+// written to disk and revived in another process without recompiling.
 //
 // The format (since version 2) serializes the clause arena verbatim — one length
 // prefix and the raw slab words — so clause references (crefs) in the

@@ -9,8 +9,9 @@ import (
 )
 
 // snapshotStates enumerates solver states worth snapshotting: pristine,
-// post-Simplify (deleted stragglers in watch lists), post-Solve (learnts,
-// activities, saved phases), and top-level-contradictory.
+// reduced (learnts reduceDB deleted still in the arena and watch lists),
+// post-Solve (learnts, activities, saved phases), and
+// top-level-contradictory.
 func snapshotStates(t *testing.T) map[string]*Solver {
 	t.Helper()
 	states := make(map[string]*Solver)
@@ -19,11 +20,11 @@ func snapshotStates(t *testing.T) map[string]*Solver {
 	satInstance(fresh)
 	states["fresh"] = fresh
 
-	simplified := NewSolver()
-	satInstance(simplified)
-	simplified.AddClause(1)
-	simplified.Simplify()
-	states["simplified"] = simplified
+	reduced := NewSolver()
+	if !deletedLearnts(reduced) {
+		t.Fatalf("reduced: setup left no deleted clauses in the arena (deleted %d)", reduced.Stats().Deleted)
+	}
+	states["reduced"] = reduced
 
 	solved := NewSolver()
 	php(solved, 5)
@@ -227,9 +228,9 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	seed(func(s *Solver) { satInstance(s) })
 	seed(func(s *Solver) {
-		satInstance(s)
-		s.AddClause(1)
-		s.Simplify()
+		if !deletedLearnts(s) {
+			f.Fatalf("seed setup left no deleted clauses in the arena (deleted %d)", s.Stats().Deleted)
+		}
 	})
 	seed(func(s *Solver) {
 		php(s, 4)

@@ -196,10 +196,6 @@ type Solver struct {
 	lbdStamp  []uint64
 	lbdGen    uint64
 	addBuf    []lit
-	// Simplify pass-2 scratch: a generation-stamped literal-membership
-	// mark array replacing per-clause hash sets (see Simplify).
-	simpMark []uint64
-	simpGen  uint64
 	// Arena-compaction scratch: the old→new offset tables (see
 	// compactArena), recycled across compactions.
 	gcOld []cref
