@@ -16,10 +16,9 @@ func (s *Solver) propagate() cref {
 		n := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.ca.deleted(w.c) {
-				continue // lazily drop deleted clauses
-			}
-			// Fast path: blocker already true.
+			// Fast path: blocker already true. A deleted clause's watcher
+			// is kept here and dropped on a later slow-path visit (or by
+			// compaction): the blocker test needs no clause read.
 			if s.value(w.blocker) == lTrue {
 				if n != i {
 					ws[n] = w
@@ -28,6 +27,9 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := w.c
+			if s.ca.deleted(c) {
+				continue // lazily drop deleted clauses
+			}
 			cl := s.ca.lits(c)
 			// Ensure the false literal (¬p) is at position 1.
 			falseLit := p.flip()
@@ -65,7 +67,12 @@ func (s *Solver) propagate() cref {
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p] = ws[:n]
+		// Store the shortened list back only when a watcher left it: the
+		// slice-header store (and its GC write barrier) is otherwise a
+		// no-op on the hottest loop.
+		if n != len(ws) {
+			s.watches[p] = ws[:n]
+		}
 	}
 	return crefUndef
 }
