@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR19.json
+BENCH ?= BENCH_PR20.json
 
 build:
 	$(GO) build ./...
@@ -59,10 +59,10 @@ parallel-diff:
 # DESIGN.md §9 restore-equivalence contract): a solver revived from
 # bytes answers identically to its in-process Clone, an engine revived
 # from a cache directory answers the §5.1 queries identically to the
-# warm in-process path, and a warm-start profile survives the disk
-# round trip into a fresh engine (DESIGN.md §13).
+# warm in-process path, and a probed base revived from disk answers
+# byte-identically, search effort included (DESIGN.md §13).
 snapshot-diff:
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestWarmStartRoundTrip' -count=1 . ./internal/sat ./internal/core
+	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip' -count=1 . ./internal/sat ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the

@@ -824,10 +824,10 @@ func stressCatalog() *netarch.KB {
 
 // BenchmarkWarmStartWhatIf measures the hardest UNSAT what-if (the Q3
 // CXL query against stressCatalog) in a long-lived engine answering a
-// scenario family, on the single-solver path. warm=off is the default
-// engine; warm=on adds SetWarmStart(true), so each query starts from the
-// phases and activities the family's previous solve left behind. Both
-// engines answer the feasible cxl_pooling=true member and one cold
+// scenario family. Every query starts from the search prior its base's
+// compile-time probe left (saved phases, activities and learnt clauses),
+// so B/op includes copying the probe's learnt clauses into each clone.
+// The engine answers the feasible cxl_pooling=true member and one
 // what-if off the clock (the service steady state the amortization story
 // targets); iterations then measure the repeated what-if.
 func BenchmarkWarmStartWhatIf(b *testing.B) {
@@ -839,41 +839,32 @@ func BenchmarkWarmStartWhatIf(b *testing.B) {
 	off := on
 	off.Context = map[string]bool{"pfc_enabled": true, "cxl_pooling": false}
 
-	for _, warm := range []bool{false, true} {
-		name := "warm=off"
-		if warm {
-			name = "warm=on"
+	eng, err := netarch.NewEngine(stressCatalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Prime off the clock: the feasible family member, then one what-if
+	// (the first-query compile and probe).
+	rep, err := eng.Synthesize(on)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if rep.Verdict != netarch.Feasible {
+		b.Fatalf("cxl_pooling=true member must be feasible, got %v", rep.Verdict)
+	}
+	if _, err := eng.Synthesize(off); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := eng.Synthesize(off)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			eng, err := netarch.NewEngine(stressCatalog())
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng.SetWarmStart(warm)
-			// Prime off the clock: the feasible family member, then one
-			// cold what-if (first-query compile + first UNSAT proof).
-			rep, err := eng.Synthesize(on)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Verdict != netarch.Feasible {
-				b.Fatalf("cxl_pooling=true member must be feasible, got %v", rep.Verdict)
-			}
-			if _, err := eng.Synthesize(off); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := eng.Synthesize(off)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Verdict != netarch.Infeasible {
-					b.Fatalf("what-if must be infeasible, got %v", rep.Verdict)
-				}
-			}
-		})
+		if rep.Verdict != netarch.Infeasible {
+			b.Fatalf("what-if must be infeasible, got %v", rep.Verdict)
+		}
 	}
 }
 

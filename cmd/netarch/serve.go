@@ -171,8 +171,8 @@ func cmdReload(args []string) error {
 	if err := json.Unmarshal(raw, &rr); err != nil {
 		return fmt.Errorf("reload: malformed response: %w", err)
 	}
-	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %d shards reused / %d converted, %d profiles carried, %d snapshots rewritten, %dms\n",
+	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %d shards reused / %d converted, %d snapshots rewritten, %dms\n",
 		rr.Changes, rr.BasesUpdated, rr.BasesDropped, rr.ShardsReused, rr.ShardsConverted,
-		rr.ProfilesCarried, rr.SnapshotsRewritten, rr.ElapsedMS)
+		rr.SnapshotsRewritten, rr.ElapsedMS)
 	return nil
 }

@@ -349,14 +349,7 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	if shared {
 		s = e.takeClone(base)
 	}
-	c := e.specialize(base, sc, s)
-	if shared {
-		// Remember the frozen base so warm start can truncate profiles
-		// to its vocabulary. On the cache-off path c.solver IS the
-		// base's solver, so c.base stays nil and no truncation applies.
-		c.base = base
-	}
-	return c, nil
+	return e.specialize(base, sc, s), nil
 }
 
 // specialize layers one query's requirements onto a compiled base:
@@ -384,7 +377,6 @@ func (e *Engine) specialize(base *compiled, sc *Scenario, solver *sat.Solver) *c
 		coresUsed:   base.coresUsed,
 		coresTotal:  base.coresTotal,
 		costTotal:   base.costTotal,
-		warm:        base.warm,
 		totalKFlows: base.totalKFlows,
 		maxPeakBW:   base.maxPeakBW,
 	}

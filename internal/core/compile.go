@@ -69,19 +69,6 @@ type compiled struct {
 	// live KB updates.
 	shards *logic.ShardSet
 
-	// base points back at the shared compiled base a specialized query
-	// instance was cloned from, or is nil when the instance owns its
-	// solver outright (cache disabled). Warm start uses it to truncate a
-	// stored profile to the base vocabulary.
-	base *compiled
-
-	// warm holds the scenario family's warm-start profile (see
-	// warmstart.go in internal/sat): the phases and quantized activities
-	// of the last solve over this base, persisted in the snapshot
-	// envelope. It is a shared pointer — specialized instances alias the
-	// base's slot — so profiles survive across queries and flow to disk.
-	warm *warmSlot
-
 	// sliceID / sliceReq identify the relevance slice this base was
 	// compiled against (slice.go): empty/nil for full-KB bases. The ID
 	// extends the cache key and the snapshot envelope; the request lets
@@ -138,9 +125,9 @@ var exclusiveRoles = map[kb.Role]bool{
 
 // compileBase lowers the current KB + scenario into a solver instance.
 // With the compiled-base cache this runs on a stripped "shape" scenario
-// (see baseShape) and the result is frozen: the instance holds exactly
-// the clauses the compiler emitted and is thereafter only cloned, never
-// solved or mutated.
+// (see baseShape) and the result is frozen: the instance holds the
+// clauses the compiler emitted plus what its compile-time probe learnt
+// (see probe), and is thereafter only cloned, never solved or mutated.
 // Query-specific requirements are layered on by specialize().
 func (e *Engine) compileBase(sc *Scenario) (*compiled, error) {
 	return e.compileBaseWith(e.kbSnapshot(), sc, nil)
@@ -182,7 +169,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 		pinnedCtx:  make(map[string]bool),
 		derivedCtx: make(map[string]bool),
 		pool:       &clonePool{},
-		warm:       &warmSlot{},
 	}
 	if err := c.pickWorkloads(); err != nil {
 		return nil, err
@@ -226,9 +212,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	// Materialize the CNF into a solver, then bolt the arithmetic
 	// circuits on top of the same variable space.
 	c.solver = sat.NewSolver()
-	if e.fault != nil {
-		c.solver.SetFaultHook(e.fault)
-	}
 	c.solver.EnsureVars(c.vocab.Len())
 	nLits := 0
 	for _, cl := range cnf.Clauses {
@@ -250,7 +233,23 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	c.arith = intlin.New(c.solver)
 	c.resourceConstraints()
 	c.costModel()
+	c.probe()
 	return c, nil
+}
+
+// probe solves the freshly compiled base once under its own selectors
+// and keeps what that search learnt on the base solver: saved phases,
+// VSIDS activities and learnt clauses. Learnt clauses are implied by the
+// CNF alone, so they are sound for every query. Every clone, snapshot
+// and cache-off instance starts from this prior, so a query's search
+// depends on its base only, never on which queries ran before it. The
+// probe's verdict, model and counters are dropped (sat.Solver.ResetRun),
+// so no query is charged for it. The base solver carries no fault hook
+// (specialize installs it on each query's solver), so injected faults
+// never fire in the probe.
+func (c *compiled) probe() {
+	c.solver.SolveAssuming(c.assumptions())
+	c.solver.ResetRun()
 }
 
 // pickWorkloads resolves the scenario's workload names.

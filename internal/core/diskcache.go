@@ -199,10 +199,7 @@ func (e *Engine) writeDiskBase(base *compiled, fingerprint string) bool {
 // this is usually a no-op; it matters when the cache directory was
 // configured (or the disk tier recovered) after bases were compiled, and
 // it gives a draining server a cheap "everything warm is persisted"
-// guarantee before exit. Bases carrying a warm-start profile are always
-// rewritten: the compile-time snapshot predates the profile (profiles
-// are recorded after solves), so flushing is what puts the latest
-// profile on disk. No-op without a cache directory.
+// guarantee before exit. No-op without a cache directory.
 func (e *Engine) FlushDiskCache() int {
 	dir, _, _, _, _ := e.diskConfig()
 	if dir == "" {
@@ -220,7 +217,7 @@ func (e *Engine) FlushDiskCache() int {
 	e.mu.RUnlock()
 	written := 0
 	for _, ent := range entries {
-		if _, err := os.Stat(snapshotPath(dir, ent.key)); err == nil && ent.base.warm.p.Load() == nil {
+		if _, err := os.Stat(snapshotPath(dir, ent.key)); err == nil {
 			continue
 		}
 		if e.writeDiskBase(ent.base, ent.key) {

@@ -73,10 +73,6 @@ type Engine struct {
 	poolHits   atomic.Int64
 	poolMisses atomic.Int64
 
-	// warmStart toggles cross-query phase/activity profile reuse
-	// (SetWarmStart).
-	warmStart atomic.Bool
-
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
 	// (generation, request) under its own lock so the warm path never
@@ -206,11 +202,6 @@ func (e *Engine) CheckCtx(ctx context.Context, design Design, sc Scenario, b Bud
 func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled, extra []sat.Lit) (*Report, error) {
 	g := govern(ctx, query, b, c.solver)
 	defer g.done()
-	if e.warmStart.Load() {
-		if p := c.warmProfile(); p != nil {
-			c.solver.ApplyProfile(p)
-		}
-	}
 	assumps := append(c.assumptions(), extra...)
 	rep := &Report{}
 	switch status := c.solver.SolveAssuming(assumps); status {
@@ -222,9 +213,6 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 		rep.Explanation = e.minimizeCore(c, extra, g)
 	default:
 		return nil, g.exhausted()
-	}
-	if e.warmStart.Load() {
-		c.storeWarmProfile()
 	}
 	rep.Spent = g.spent()
 	return rep, nil

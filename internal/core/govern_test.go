@@ -106,9 +106,18 @@ func TestOneConflictBudgetYieldsApproximateExplanation(t *testing.T) {
 	// a report with Explanation.Approximate — a degraded answer, not a
 	// hang and not a bare error. The main decision reaches Unsat at its
 	// first conflict (verdicts at a boundary win over the budget), and
-	// the minimization phase then trips its own 1-conflict allowance.
-	e := mustEngine(t, miniKB())
-	rep, err := e.SynthesizeCtx(context.Background(), unsatScenario(), Budget{MaxConflicts: 1})
+	// the minimization phase then trips its own 1-conflict allowance. The
+	// §5.1 over-constrained scenario is used because minimizing its
+	// explanation needs more than one conflict even from the probed base.
+	k, cases := caseStudyQueries()
+	var sc Scenario
+	for _, c := range cases {
+		if c.name == "overconstrained-explain" {
+			sc = c.sc
+		}
+	}
+	e := mustEngine(t, k)
+	rep, err := e.SynthesizeCtx(context.Background(), sc, Budget{MaxConflicts: 1})
 	if err != nil {
 		t.Fatalf("degraded query must not error: %v", err)
 	}

@@ -1,0 +1,83 @@
+package core
+
+import (
+	"testing"
+)
+
+// TestAnswersIndependentOfQueryHistory: every base is probed once at
+// compile time and never updated by queries, so an answer depends on the
+// query and the knowledge base only. On one cached engine with the clone
+// pool on, the §5.1 synthesis, explanation, cost-optimization and
+// what-if queries run forward, reversed and interleaved; every report
+// must equal a fresh engine's answer to the same query byte for byte,
+// search effort (Spent conflicts and decisions) included.
+func TestAnswersIndependentOfQueryHistory(t *testing.T) {
+	k, cases := caseStudyQueries()
+	type query struct {
+		name string
+		sc   Scenario
+		cost bool // cost optimization instead of Synthesize
+	}
+	var queries []query
+	for _, c := range cases {
+		// Explain runs as Synthesize so the report keeps its Spent.
+		queries = append(queries, query{c.name, c.sc, c.kind == "optimize"})
+	}
+	inference := Scenario{Workloads: []string{"inference_app"}}
+	whatIf := inference
+	whatIf.Context = map[string]bool{"lossless_fabric": false}
+	queries = append(queries,
+		query{"inference_app", inference, false},
+		query{"whatif-lossy-fabric", whatIf, false})
+
+	answer := func(e *Engine, q query) string {
+		if q.cost {
+			res, err := e.Optimize(q.sc, []Objective{{Kind: MinimizeCost}})
+			if err != nil {
+				t.Fatalf("%s: %v", q.name, err)
+			}
+			return renderOptimize(res)
+		}
+		rep, err := e.Synthesize(q.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		return renderReport(rep)
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = answer(mustEngine(t, k), q)
+	}
+
+	n := len(queries)
+	forward := make([]int, n)
+	reversed := make([]int, n)
+	interleaved := make([]int, 0, n)
+	for i := range forward {
+		forward[i] = i
+		reversed[i] = n - 1 - i
+	}
+	for lo, hi := 0, n-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		interleaved = append(interleaved, hi)
+		if lo != hi {
+			interleaved = append(interleaved, lo)
+		}
+	}
+
+	e := mustEngine(t, k)
+	e.SetClonePool(2)
+	for _, order := range []struct {
+		name string
+		idx  []int
+	}{{"forward", forward}, {"reversed", reversed}, {"interleaved", interleaved}} {
+		for _, i := range order.idx {
+			if got := answer(e, queries[i]); got != want[i] {
+				t.Errorf("%s/%s: answer depends on query history:\ngot:\n%s\nfresh engine:\n%s",
+					order.name, queries[i].name, got, want[i])
+			}
+		}
+	}
+	if st := e.CacheStats(); st.PoolHits == 0 {
+		t.Errorf("no query was served from the clone pool: %+v", st)
+	}
+}

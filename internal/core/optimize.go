@@ -85,11 +85,6 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 	}
 	g := govern(ctx, "optimize", b, c.solver)
 	defer g.done()
-	if e.warmStart.Load() {
-		if p := c.warmProfile(); p != nil {
-			c.solver.ApplyProfile(p)
-		}
-	}
 	assumps := c.assumptions()
 	switch status := c.solver.SolveAssuming(assumps); status {
 	case sat.Sat:
@@ -134,9 +129,6 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 		witness = c.designFrom(lex.Model)
 	}
 	res.Design = witness
-	if e.warmStart.Load() {
-		c.storeWarmProfile()
-	}
 	res.Spent = g.spent()
 	return res, nil
 }

@@ -15,9 +15,9 @@ import (
 // arithmetic — two independent search algorithms AND two independent
 // evaluation paths. The sweep covers both descent strategies, worker
 // counts 1/2/8 (the Pareto cube merge must be schedule-independent),
-// and cold vs warm-started solvers. Metamorphic properties follow:
-// objective scaling/translation invariance, dominated-SKU frontier
-// no-ops, and bound-tightening monotonicity.
+// and fresh engines vs engines with a query history. Metamorphic
+// properties follow: objective scaling/translation invariance,
+// dominated-SKU frontier no-ops, and bound-tightening monotonicity.
 
 const oracleLimit = 200000
 
@@ -71,16 +71,18 @@ func diffCases() []diffCase {
 	}
 }
 
-// TestOptimizeDifferential sweeps strategy × workers × cold/warm and
-// demands the MaxSAT optimum equal the brute-force argmin exactly, with
-// every level certified (LowerBounds == ObjectiveValues).
+// TestOptimizeDifferential sweeps strategy × workers × fresh/with-history
+// and demands the MaxSAT optimum equal the brute-force argmin exactly,
+// with every level certified (LowerBounds == ObjectiveValues). The fresh
+// arm answers each checked run on a new engine; the with-history arm
+// keeps one engine and answers every other case before each checked
+// run. The two arms must return the same result, search effort
+// included: a query's search depends on its base, not on history.
 func TestOptimizeDifferential(t *testing.T) {
 	oracleEng := mustEngine(t, diffKB())
-	cold := mustEngine(t, diffKB())
-	cold.SetWarmStart(false)
-	warm := mustEngine(t, diffKB())
-	warm.SetWarmStart(true)
-	for _, tc := range diffCases() {
+	history := mustEngine(t, diffKB())
+	cases := diffCases()
+	for _, tc := range cases {
 		want, err := oracleEng.BruteOptimize(tc.sc, tc.objs, oracleLimit)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tc.name, err)
@@ -90,22 +92,29 @@ func TestOptimizeDifferential(t *testing.T) {
 		}
 		for _, strat := range []OptimizeStrategy{StrategyLinear, StrategyBinary} {
 			for _, workers := range []int{1, 2, 8} {
-				for _, eng := range []struct {
-					temp string
-					e    *Engine
-				}{{"cold", cold}, {"warm", warm}} {
-					name := fmt.Sprintf("%s/%s/w%d/%s", tc.name, strat, workers, eng.temp)
-					eng.e.SetWorkers(workers)
-					if eng.temp == "warm" {
-						// Prime the warm-start profile; the checked run rides it.
-						if _, err := eng.e.OptimizeWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat); err != nil {
-							t.Fatalf("%s: priming: %v", name, err)
-						}
-					}
-					res, err := eng.e.OptimizeWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat)
+				optimize := func(e *Engine, sc Scenario, objs []Objective) *OptimizeResult {
+					e.SetWorkers(workers)
+					res, err := e.OptimizeWithStrategyCtx(context.Background(), sc, objs, Budget{}, strat)
 					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+						t.Fatalf("%s/%s/w%d: %v", tc.name, strat, workers, err)
 					}
+					return res
+				}
+				fresh := mustEngine(t, diffKB())
+				freshRes := optimize(fresh, tc.sc, tc.objs)
+				for _, other := range cases {
+					if other.name != tc.name {
+						optimize(history, other.sc, other.objs)
+					}
+				}
+				histRes := optimize(history, tc.sc, tc.objs)
+				for _, arm := range []struct {
+					name string
+					e    *Engine
+					res  *OptimizeResult
+				}{{"fresh", fresh, freshRes}, {"with-history", history, histRes}} {
+					name := fmt.Sprintf("%s/%s/w%d/%s", tc.name, strat, workers, arm.name)
+					res := arm.res
 					if res.Verdict != Feasible || res.Approximate {
 						t.Fatalf("%s: want certified feasible, got verdict=%v approx=%v",
 							name, res.Verdict, res.Approximate)
@@ -119,9 +128,13 @@ func TestOptimizeDifferential(t *testing.T) {
 					}
 					// The witness must actually achieve the claimed vector:
 					// re-check it through the independent evaluators.
-					if chk, err := eng.e.Check(*res.Design, tc.sc); err != nil || chk.Verdict != Feasible {
+					if chk, err := arm.e.Check(*res.Design, tc.sc); err != nil || chk.Verdict != Feasible {
 						t.Errorf("%s: optimal witness fails Check: %v %v", name, err, chk)
 					}
+				}
+				if got, want := renderOptimize(histRes), renderOptimize(freshRes); got != want {
+					t.Errorf("%s/%s/w%d: with-history answer differs from fresh:\n got %s\nwant %s",
+						tc.name, strat, workers, got, want)
 				}
 			}
 		}

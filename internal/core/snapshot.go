@@ -22,17 +22,13 @@ import (
 //	magic (8B) | envelope version (u32) | KB content hash (32B) |
 //	scenario fingerprint | slice identity | vocabulary names | arith
 //	true literal | selectors (name, note, lit) | coresUsed/coresTotal/
-//	costTotal bit vectors | warm-start profile | solver snapshot |
-//	CRC32-IEEE over everything above
+//	costTotal bit vectors | solver snapshot | CRC32-IEEE over everything
+//	above
 //
-// The warm-start section (v3) is a presence flag byte; when 1, the
-// scenario family's last search profile follows — saved phases as a
-// bitset and VSIDS activities quantized to uint16 (see internal/sat
-// warmstart.go) — so a restarted process seeds its first solve from the
-// previous process's last one. Both arrays are bounded by the solver's
-// variable count; a profile is advisory (it biases search, never
-// correctness), but a malformed one still fails decode like any other
-// section.
+// The solver snapshot is taken after the compile-time probe (see
+// compiled.probe), so it carries the probe's saved phases, VSIDS
+// activities and learnt clauses: a revived base starts every query from
+// the same search prior as the process that compiled it.
 //
 // Everything else a compiled base carries (workloads, derived context,
 // system/hardware literal maps, provides, sysNames, flow totals) is a
@@ -75,7 +71,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v9: bases are no longer simplified after compile. A v8 base had
 // satisfied and subsumed clauses removed and strengthened clauses
 // re-added, so its solver state differs from what the compiler emits.
-const baseSnapshotVersion = 9
+// v10: the warm-start profile section is gone, and the solver section
+// holds the base after its compile-time probe. A v9 file holds an
+// unprobed base, whose queries would search differently.
+const baseSnapshotVersion = 10
 
 // Snapshot decode failure classes.
 var (
@@ -153,34 +152,6 @@ func snapshotBase(c *compiled, kbHash [32]byte) []byte {
 	buf = appendInt(buf, c.coresUsed)
 	buf = appendInt(buf, c.coresTotal)
 	buf = appendInt(buf, c.costTotal)
-
-	var warm *sat.WarmProfile
-	if c.warm != nil {
-		warm = c.warm.p.Load()
-	}
-	if warm == nil {
-		buf = append(buf, 0)
-	} else {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(warm.Phases)))
-		var acc byte
-		for i, ph := range warm.Phases {
-			if ph {
-				acc |= 1 << (i % 8)
-			}
-			if i%8 == 7 {
-				buf = append(buf, acc)
-				acc = 0
-			}
-		}
-		if len(warm.Phases)%8 != 0 {
-			buf = append(buf, acc)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(warm.Activity)))
-		for _, q := range warm.Activity {
-			buf = binary.LittleEndian.AppendUint16(buf, q)
-		}
-	}
 
 	buf = binary.AppendUvarint(buf, uint64(len(solverSnap)))
 	buf = append(buf, solverSnap...)
@@ -401,49 +372,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 		return nil, err
 	}
 
-	warmFlag, err := r.take(1, "warm-start flag")
-	if err != nil {
-		return nil, err
-	}
-	var warmProf *sat.WarmProfile
-	switch warmFlag[0] {
-	case 0:
-	case 1:
-		nPh, err := r.uvarint("warm-start phase count")
-		if err != nil {
-			return nil, err
-		}
-		if nPh > 1<<24 {
-			return nil, fmt.Errorf("%w: warm-start phase count %d out of range", ErrSnapshotCorrupt, nPh)
-		}
-		bits, err := r.take((int(nPh)+7)/8, "warm-start phases")
-		if err != nil {
-			return nil, err
-		}
-		phases := make([]bool, nPh)
-		for i := range phases {
-			phases[i] = bits[i/8]&(1<<(i%8)) != 0
-		}
-		nAct, err := r.uvarint("warm-start activity count")
-		if err != nil {
-			return nil, err
-		}
-		if nAct > 1<<24 {
-			return nil, fmt.Errorf("%w: warm-start activity count %d out of range", ErrSnapshotCorrupt, nAct)
-		}
-		raw, err := r.take(2*int(nAct), "warm-start activities")
-		if err != nil {
-			return nil, err
-		}
-		activity := make([]uint16, nAct)
-		for i := range activity {
-			activity[i] = binary.LittleEndian.Uint16(raw[2*i:])
-		}
-		warmProf = &sat.WarmProfile{Phases: phases, Activity: activity}
-	default:
-		return nil, fmt.Errorf("%w: warm-start flag %d", ErrSnapshotCorrupt, warmFlag[0])
-	}
-
 	nSolver, err := r.count("solver section")
 	if err != nil {
 		return nil, err
@@ -487,11 +415,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 	if nNames > nVars {
 		return nil, fmt.Errorf("%w: vocabulary (%d) larger than solver variables (%d)", ErrSnapshotCorrupt, nNames, nVars)
 	}
-	if warmProf != nil && (len(warmProf.Phases) > nVars || len(warmProf.Activity) > nVars) {
-		return nil, fmt.Errorf("%w: warm-start profile (%d phases, %d activities) beyond solver variables (%d)",
-			ErrSnapshotCorrupt, len(warmProf.Phases), len(warmProf.Activity), nVars)
-	}
-
 	// Reassemble the compiled base: serialized solver + envelope state,
 	// everything else recomputed from the KB and the shape exactly as
 	// compileBase derives it.
@@ -505,7 +428,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 		hwLit:      make(map[string]sat.Lit),
 		selByName:  make(map[string]int, nSel),
 		pool:       &clonePool{},
-		warm:       &warmSlot{},
 		pinnedCtx:  make(map[string]bool),
 		derivedCtx: make(map[string]bool),
 		frozen:     true,
@@ -545,9 +467,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 			return nil, fmt.Errorf("%w: hardware %q missing from vocabulary", ErrSnapshotCorrupt, h.Name)
 		}
 		c.hwLit[h.Name] = sat.Lit(v)
-	}
-	if warmProf != nil {
-		c.warm.p.Store(warmProf)
 	}
 	c.sysNames = make([]string, 0, len(c.sysLit))
 	for name := range c.sysLit {

@@ -14,8 +14,8 @@ import (
 // place: each cached base is delta-recompiled against the incoming KB,
 // reusing the per-assertion CNF shards the edit did not touch (see
 // logic.ConvertShardsDelta — the result is byte-identical to a cold
-// compile of the new KB), warm-start profiles are carried over, and the
-// base's disk snapshot is rewritten under the new KB hash so the disk
+// compile of the new KB, compile-time probe included), and the base's
+// disk snapshot is rewritten under the new KB hash so the disk
 // tier stays warm too. In-flight queries are never disturbed: they solve
 // on private clones of the old bases, which stay frozen and valid until
 // the last query referencing them finishes.
@@ -35,9 +35,6 @@ type KBUpdate struct {
 	// compile vs reconverted. A one-assertion edit shows almost all reuse.
 	ShardsReused    int
 	ShardsConverted int
-	// ProfilesCarried counts warm-start profiles transplanted onto
-	// updated bases (truncated to the new variable space when it shrank).
-	ProfilesCarried int
 	// SnapshotsRewritten counts disk snapshots rewritten under the new KB
 	// hash (zero without a cache directory).
 	SnapshotsRewritten int
@@ -45,8 +42,8 @@ type KBUpdate struct {
 
 // String renders the update summary.
 func (u *KBUpdate) String() string {
-	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped), %d shards reused / %d converted, %d profiles carried, %d snapshots rewritten",
-		len(u.Diff), u.BasesUpdated, u.BasesDropped, u.ShardsReused, u.ShardsConverted, u.ProfilesCarried, u.SnapshotsRewritten)
+	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped), %d shards reused / %d converted, %d snapshots rewritten",
+		len(u.Diff), u.BasesUpdated, u.BasesDropped, u.ShardsReused, u.ShardsConverted, u.SnapshotsRewritten)
 }
 
 // UpdateKB swaps the engine's knowledge base for newKB, delta-recompiling
@@ -133,18 +130,6 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		if set := nb.shards; set != nil {
 			up.ShardsReused += set.Reused
 			up.ShardsConverted += set.Converted
-		}
-		if p := ob.warm.p.Load(); p != nil {
-			// Carry the scenario family's search prior across the update.
-			// Clone before truncating — the old profile is still shared
-			// with clones of the outgoing base. Variable indices survive
-			// small edits (atoms allocate before Tseitin variables in a
-			// fixed order), and a profile is advisory: at worst a stale
-			// prior biases the first search, never an answer.
-			q := p.Clone()
-			q.Truncate(nb.solver.NumVars())
-			nb.warm.p.Store(q)
-			up.ProfilesCarried++
 		}
 		if newSlice != nil {
 			nb.sliceID = newSlice.id

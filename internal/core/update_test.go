@@ -39,8 +39,8 @@ var kbMutations = []struct {
 // TestUpdateKBByteIdentity is the tentpole contract: after UpdateKB, every
 // cached base must be byte-identical (snapshot encoding, which covers the
 // full solver state) to what a cold engine over the new KB compiles — for
-// add, remove, and edit deltas, at 1, 2, and 8 workers. Warm start stays
-// off: profiles are solve-history, deliberately outside the identity.
+// add, remove, and edit deltas, at 1, 2, and 8 workers. Both sides hold
+// the base after its compile-time probe.
 func TestUpdateKBByteIdentity(t *testing.T) {
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	shape := baseShape(&sc)
@@ -199,50 +199,42 @@ func TestUpdateKBDropsUncompilableBases(t *testing.T) {
 	}
 }
 
-// TestUpdateKBCarriesWarmProfile: a warm-start profile recorded before the
-// update must survive it — cloned (not shared with the outgoing base) and
-// truncated to the new variable space.
-func TestUpdateKBCarriesWarmProfile(t *testing.T) {
+// TestUpdateKBProbedBaseMatchesColdCompile: a delta-recompiled base is
+// probed like a cold compile, so its post-probe solver state (phases,
+// activities, learnt clauses) equals the cold compile's, the probe's work
+// is not on its counters, and a query over it answers exactly like a
+// fresh engine over the new KB, search effort included.
+func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	e.SetWarmStart(true)
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	shape := baseShape(&sc)
 	key := shape.fingerprint()
 	if _, err := e.Synthesize(sc); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.RLock()
-	old := e.bases[key]
-	e.mu.RUnlock()
-	before := old.warm.p.Load()
-	if before == nil {
-		t.Fatal("warm-start solve recorded no profile")
-	}
-
 	next := miniKB()
 	next.Rules = next.Rules[:0]
-	up, err := e.UpdateKB(next)
-	if err != nil {
+	if _, err := e.UpdateKB(next); err != nil {
 		t.Fatal(err)
-	}
-	if up.ProfilesCarried != 1 {
-		t.Fatalf("ProfilesCarried = %d, want 1", up.ProfilesCarried)
 	}
 	e.mu.RLock()
 	nb := e.bases[key]
 	e.mu.RUnlock()
-	after := nb.warm.p.Load()
-	if after == nil {
-		t.Fatal("profile lost across UpdateKB")
+
+	cold := mustEngine(t, next)
+	want, err := cold.compileBase(&shape)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after == before {
-		t.Error("profile must be cloned, not shared with the outgoing base")
+	if !bytes.Equal(nb.solver.Snapshot(), want.solver.Snapshot()) {
+		t.Error("delta-recompiled base's post-probe solver state diverges from a cold compile's")
 	}
-	if n := nb.solver.NumVars(); len(after.Phases) > n || len(after.Activity) > n {
-		t.Errorf("carried profile wider than the new base: %d phases for %d vars", len(after.Phases), n)
+	if st := nb.solver.Stats(); st != (sat.Stats{}) {
+		t.Errorf("probe work left on the updated base's counters: %+v", st)
 	}
-	if _, err := e.Synthesize(sc); err != nil {
-		t.Fatalf("warm-start query on the carried profile: %v", err)
+	got := runQuery(t, e, "synthesize", sc)
+	if fresh := runQuery(t, mustEngine(t, next), "synthesize", sc); got != fresh {
+		t.Errorf("query on the updated base diverges from a fresh engine:\n got %s\nwant %s", got, fresh)
 	}
 }
 

@@ -69,16 +69,6 @@ func (h *varHeap) update(v int) {
 	}
 }
 
-// rebuild re-establishes heap order after activities were rewritten
-// wholesale (warm-start profiles may lower them; update only handles
-// increases). Membership is unchanged — only order is restored, by the
-// classic bottom-up heapify.
-func (h *varHeap) rebuild() {
-	for i := len(h.heap)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 // removeMax pops the highest-activity variable.
 func (h *varHeap) removeMax() int {
 	top := h.heap[0]

@@ -54,20 +54,3 @@ func TestReserveClausesByteIdentity(t *testing.T) {
 		t.Fatal("no-op reserve changed capacity")
 	}
 }
-
-// TestWarmProfileClone checks the deep copy: mutating the clone must not
-// write through to the original (profiles are shared with live solvers).
-func TestWarmProfileClone(t *testing.T) {
-	var nilP *WarmProfile
-	if nilP.Clone() != nil {
-		t.Fatal("nil profile should clone to nil")
-	}
-	p := &WarmProfile{Phases: []bool{true, false, true}, Activity: []uint16{9, 8, 7}}
-	q := p.Clone()
-	q.Phases[0] = false
-	q.Activity[0] = 0
-	q.Truncate(1)
-	if !p.Phases[0] || p.Activity[0] != 9 || len(p.Phases) != 3 || len(p.Activity) != 3 {
-		t.Fatalf("clone mutation leaked into original: %+v", p)
-	}
-}

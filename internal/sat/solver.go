@@ -254,6 +254,27 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // Stats returns a copy of the cumulative solver statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 
+// ResetRun drops what earlier solves left on the solver besides its
+// search state: the cumulative Stats, the last model, final conflict and
+// stop cause, and the conflict-analysis scratch buffers. Saved phases,
+// VSIDS activities and learnt clauses stay. After ResetRun the solver
+// itself runs the same search its Clone would, and reports only its own
+// later work. Must be called at decision level 0.
+func (s *Solver) ResetRun() {
+	if s.decisionLevel() != 0 {
+		panic("sat: ResetRun called above decision level 0")
+	}
+	s.stats = Stats{}
+	s.model = nil
+	s.conflict = nil
+	s.stopCause = StopNone
+	s.assumptions = nil
+	s.learntBuf = nil
+	s.lbdStamp = nil
+	s.lbdGen = 0
+	s.transient = nil
+}
+
 // NewVar allocates a fresh variable and returns its index (≥ 1).
 func (s *Solver) NewVar() int {
 	if len(s.assigns) == cap(s.assigns) {

@@ -582,8 +582,6 @@ type ReloadResponse struct {
 	// from the previous compiles vs reconverted.
 	ShardsReused    int `json:"shards_reused"`
 	ShardsConverted int `json:"shards_converted"`
-	// ProfilesCarried: warm-start profiles that survived the update.
-	ProfilesCarried int `json:"profiles_carried"`
 	// SnapshotsRewritten: disk snapshots re-persisted under the new KB.
 	SnapshotsRewritten int `json:"snapshots_rewritten"`
 	// ElapsedMS is the wall time of the whole reload.
@@ -637,7 +635,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		Changes:      len(up.Diff),
 		BasesUpdated: up.BasesUpdated, BasesDropped: up.BasesDropped,
 		ShardsReused: up.ShardsReused, ShardsConverted: up.ShardsConverted,
-		ProfilesCarried:    up.ProfilesCarried,
 		SnapshotsRewritten: up.SnapshotsRewritten,
 		ElapsedMS:          time.Since(start).Milliseconds(),
 	})
