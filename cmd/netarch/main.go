@@ -96,7 +96,6 @@ flags set the server-side policy ceiling clients may only tighten):
   -queue-depth N      admission queue length (0 = 2x max-inflight); beyond
                       it requests shed with 429 + Retry-After
   -drain-timeout D    graceful-drain deadline on SIGINT/SIGTERM
-  -clone-pool N       pre-cloned solvers per base (0 = max-inflight)
   -slice MODE         relevance-sliced compilation: on, off, or auto
   -chaos SPEC         fault injection: seed=N,rate=F[,event=solve|conflict|both]
   -kb FILE            serve this knowledge base instead of the case study

@@ -21,7 +21,7 @@ import (
 // cmdServe runs the long-lived HTTP/JSON query service (DESIGN.md §12).
 // The scenario flags define the prewarm shape: the server compiles (or
 // revives from -cache-dir) that base before reporting ready, so the
-// first real query already hits a warm pool. SIGINT/SIGTERM trigger a
+// first real query already hits a warm base. SIGINT/SIGTERM trigger a
 // graceful drain; a clean drain exits 0.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -29,7 +29,6 @@ func cmdServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "concurrently executing queries (0 = one per CPU)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue length (0 = 2x max-inflight)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on shutdown")
-	clonePool := fs.Int("clone-pool", 0, "pre-cloned solvers per base (0 = max-inflight, <0 = off)")
 	sliceMode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	maxEnum := fs.Int("max-enumerate", 64, "ceiling on per-request enumeration limits")
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: seed=N,rate=F[,event=solve|conflict|both]")
@@ -90,7 +89,6 @@ func cmdServe(args []string) error {
 		DrainTimeout: *drainTimeout,
 		RetryAfter:   *retryAfter,
 		Prewarm:      []netarch.Scenario{sc},
-		ClonePool:    *clonePool,
 		Slice:        slice,
 		Chaos:        chaos,
 		Logf: func(format string, a ...any) {

@@ -52,11 +52,9 @@ type CacheStats struct {
 	DiskEvictions int64
 	DiskCorrupt   int64
 	DiskStale     int64
-	// Clone-pool counters (all zero unless SetClonePool is active).
-	// PoolHits: queries served from a pre-made pristine clone.
-	// PoolMisses: queries that cloned inline because the pool was empty.
-	PoolHits   int64
-	PoolMisses int64
+	// Deprecated: PoolHits and PoolMisses always read 0. The engine
+	// keeps no clone pool; every query clones its base inline.
+	PoolHits, PoolMisses int64
 	// Relevance-slicing counters (all zero unless slicing engaged — see
 	// Engine.SetSliceMode). SliceComputed: cone-of-influence slices
 	// computed; SliceHits: slices served from the request memo.
@@ -81,9 +79,6 @@ func (cs CacheStats) String() string {
 	if cs.DiskHits+cs.DiskMisses+cs.DiskWrites+cs.DiskEvictions+cs.DiskCorrupt+cs.DiskStale > 0 {
 		s += fmt.Sprintf("; disk: %d hits / %d misses, %d writes, %d evicted, %d corrupt, %d stale",
 			cs.DiskHits, cs.DiskMisses, cs.DiskWrites, cs.DiskEvictions, cs.DiskCorrupt, cs.DiskStale)
-	}
-	if cs.PoolHits+cs.PoolMisses > 0 {
-		s += fmt.Sprintf("; pool: %d hits / %d misses", cs.PoolHits, cs.PoolMisses)
 	}
 	if cs.SliceComputed+cs.SliceHits > 0 {
 		s += fmt.Sprintf("; slice: %d computed / %d memo hits, avg %d→%d SKUs",
@@ -131,7 +126,6 @@ func (e *Engine) CacheStats() CacheStats {
 			DiskHits: e.diskHits.Load(), DiskMisses: e.diskMisses.Load(),
 			DiskWrites: e.diskWrites.Load(), DiskEvictions: e.diskEvictions.Load(),
 			DiskCorrupt: e.diskCorrupt.Load(), DiskStale: e.diskStale.Load(),
-			PoolHits: e.poolHits.Load(), PoolMisses: e.poolMisses.Load(),
 			SliceComputed: e.sliceComputed.Load(), SliceHits: e.sliceHits.Load(),
 			SliceSKUsIn: e.sliceSKUsIn.Load(), SliceSKUsKept: e.sliceSKUsKept.Load(),
 		}
@@ -340,6 +334,9 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 // the query gets a private clone of the base solver; with it disabled the
 // freshly compiled base is used directly. Both paths flow through
 // compileBase + specialize, so cached and cold queries are byte-identical.
+// The engine keeps no clones: one that a query panics on, trips a budget
+// in or abandons is left to the GC, so quarantine is structural — a
+// dirtied solver has no path back to a later query.
 func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	base, shared, err := e.baseFor(sc)
 	if err != nil {
@@ -347,10 +344,27 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	}
 	s := base.solver
 	if shared {
-		s = e.takeClone(base)
+		s = base.solver.Clone()
 	}
 	return e.specialize(base, sc, s), nil
 }
+
+// Prewarm compiles (or revives from the disk tier) the base for the
+// scenario's shape, so the first real query over that shape pays only
+// its clone, not the compile. It counts as one query in the cache
+// counters (a miss on a cold engine, a hit on a warm one). Serving
+// processes call this per expected scenario shape before reporting
+// ready.
+func (e *Engine) Prewarm(sc Scenario) error {
+	_, _, err := e.baseFor(&sc)
+	return err
+}
+
+// SetClonePool does nothing.
+//
+// Deprecated: the engine keeps no clone pool; every query over a cached
+// base clones it inline, and CacheStats.PoolHits/PoolMisses read 0.
+func (e *Engine) SetClonePool(n int) {}
 
 // specialize layers one query's requirements onto a compiled base:
 // context overrides and additions, Require groups, and pinned/forbidden

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netarch/internal/catalog"
@@ -378,5 +379,97 @@ func TestCacheHitCountingConcurrent(t *testing.T) {
 	}
 	if want := int64(goroutines * perG); st.Hits != want {
 		t.Errorf("Hits = %d, want %d (no lost updates)", st.Hits, want)
+	}
+}
+
+// TestCacheStatsSnapshotHammer hammers CacheStats from a reader while
+// concurrent queries bump the counters, pinning the documented snapshot
+// semantics (cache.go:CacheStats): the Hits+DiskHits+Misses sum is
+// monotone across reads, bounded by started-queries from above and
+// completed-queries from below, and reconciles exactly once the engine
+// quiesces. Run it under -race to also catch torn counter access.
+func TestCacheStatsSnapshotHammer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hammer test")
+	}
+	eng, err := New(catalog.CaseStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two scenario shapes so hits and misses both move.
+	scs := []Scenario{
+		{Workloads: []string{"inference_app"}},
+		{Workloads: []string{"inference_app"}, NumServers: 24},
+	}
+
+	var started, completed atomic.Int64
+	const goroutines, rounds = 8, 6
+	var workers, reader sync.WaitGroup
+	stop := make(chan struct{})
+
+	// Reader: continuously snapshot and check the envelope invariants.
+	readerErr := make(chan error, 1)
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var lastSum int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			before := completed.Load()
+			st := eng.CacheStats()
+			after := started.Load()
+			sum := st.Hits + st.DiskHits + st.Misses
+			if sum < lastSum {
+				select {
+				case readerErr <- fmt.Errorf("sum went backwards: %d -> %d", lastSum, sum):
+				default:
+				}
+				return
+			}
+			lastSum = sum
+			if sum < before || sum > after {
+				select {
+				case readerErr <- fmt.Errorf("sum %d outside [completed=%d, started=%d]", sum, before, after):
+				default:
+				}
+				return
+			}
+		}
+	}()
+
+	for g := 0; g < goroutines; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			for r := 0; r < rounds; r++ {
+				sc := scs[(g+r)%len(scs)]
+				started.Add(1)
+				if _, err := eng.Synthesize(sc); err != nil {
+					t.Error(err)
+				}
+				completed.Add(1)
+			}
+		}(g)
+	}
+	// Stop the reader only after the workers are done.
+	workers.Wait()
+	close(stop)
+	reader.Wait()
+	select {
+	case err := <-readerErr:
+		t.Fatal(err)
+	default:
+	}
+
+	st := eng.CacheStats()
+	total := int64(goroutines * rounds)
+	if st.Hits+st.DiskHits+st.Misses != total {
+		t.Fatalf("quiesced counters do not reconcile: hits=%d diskHits=%d misses=%d, want sum %d",
+			st.Hits, st.DiskHits, st.Misses, total)
 	}
 }

@@ -54,11 +54,6 @@ type compiled struct {
 	selectors []selector
 	selByName map[string]int // name -> index in selectors
 
-	// pool holds pristine pre-made clones of solver for cached bases
-	// (see pool.go). Set by compileBase/restoreBase; per-query compiled
-	// values returned by specialize leave it nil.
-	pool *clonePool
-
 	// shards retains the per-assertion CNF conversion results this base
 	// was compiled from, so Engine.UpdateKB can delta-recompile it —
 	// reconverting only the assertions the KB edit actually changed (see
@@ -168,7 +163,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 		selByName:  make(map[string]int),
 		pinnedCtx:  make(map[string]bool),
 		derivedCtx: make(map[string]bool),
-		pool:       &clonePool{},
 	}
 	if err := c.pickWorkloads(); err != nil {
 		return nil, err

@@ -66,13 +66,6 @@ type Engine struct {
 	// runtime.GOMAXPROCS(0) at query time. See SetWorkers.
 	workers atomic.Int32
 
-	// poolSize is the per-base pre-clone pool target (see SetClonePool);
-	// 0 disables pooling. poolHits/poolMisses count queries served from a
-	// pooled clone vs queries that cloned inline.
-	poolSize   atomic.Int32
-	poolHits   atomic.Int64
-	poolMisses atomic.Int64
-
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
 	// (generation, request) under its own lock so the warm path never

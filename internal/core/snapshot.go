@@ -427,7 +427,6 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 		sysLit:     make(map[string]sat.Lit),
 		hwLit:      make(map[string]sat.Lit),
 		selByName:  make(map[string]int, nSel),
-		pool:       &clonePool{},
 		pinnedCtx:  make(map[string]bool),
 		derivedCtx: make(map[string]bool),
 		frozen:     true,

@@ -160,17 +160,13 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	e.mu.Unlock()
 	e.invalidateSliceMemo()
 
-	// Rewrite the disk tier and refill clone pools off the lock. The
-	// rewrite reuses each shape's snapshot path, so the files that just
-	// went stale are replaced in place — the disk tier is warm for the
-	// new KB the moment this returns.
-	poolN := int(e.poolSize.Load())
+	// Rewrite the disk tier off the lock. The rewrite reuses each
+	// shape's snapshot path, so the files that just went stale are
+	// replaced in place — the disk tier is warm for the new KB the
+	// moment this returns.
 	for _, rb := range fresh {
 		if e.writeDiskBase(rb.base, rb.key) {
 			up.SnapshotsRewritten++
-		}
-		if poolN > 0 {
-			rb.base.pool.refill(rb.base.solver, poolN)
 		}
 	}
 	return up, nil

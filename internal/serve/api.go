@@ -1,8 +1,8 @@
 // Package serve is the long-lived query service over the reasoning
 // engine: an HTTP/JSON front end that holds warm compiled bases (memory
 // plus the persistent disk tier) and answers concurrent check / synth /
-// whatif / enumerate / explain requests from a bounded pool of
-// pre-cloned arena solvers.
+// whatif / enumerate / explain requests, each on its own clone of a
+// warm base.
 //
 // Robustness is the core of the design (DESIGN.md §12): per-request
 // admission control (in-flight and queue caps), graceful load-shedding

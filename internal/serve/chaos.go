@@ -17,9 +17,9 @@ import (
 // interrupt it, so chaos exercises the same degraded paths production
 // overload does — typed resource_exhausted errors and degraded-but-
 // witnessed responses, never malformed bodies or crashes. The solver
-// clone a fault hits is discarded with its request (pool quarantine is
-// structural, see core/pool.go), so one injected fault can never poison
-// a later request.
+// clone a fault hits is discarded with its request (every request clones
+// the base afresh, see core.Engine.instance), so one injected fault can
+// never poison a later request.
 
 // Chaos is a concurrency-safe fault-injection profile. The zero value
 // (or a nil *Chaos) injects nothing.

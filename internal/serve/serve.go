@@ -21,15 +21,15 @@ import (
 // serving-grade default.
 type Config struct {
 	// Engine answers the queries. The server takes ownership of its
-	// fault hook (when Chaos is set) and clone-pool sizing.
+	// fault hook (when Chaos is set).
 	Engine *core.Engine
 
 	// Addr is the listen address; ":0" or "127.0.0.1:0" picks a random
 	// port (see Server.Addr). Default "127.0.0.1:8080".
 	Addr string
 
-	// MaxInFlight caps concurrently executing queries (the pre-cloned
-	// solver pool is sized to match). Default: runtime.GOMAXPROCS(0).
+	// MaxInFlight caps concurrently executing queries. Default:
+	// runtime.GOMAXPROCS(0).
 	MaxInFlight int
 	// QueueDepth caps requests waiting for an in-flight slot; arrivals
 	// beyond MaxInFlight+QueueDepth are shed with 429 + Retry-After.
@@ -60,10 +60,6 @@ type Config struct {
 	// tier) before the server reports ready. Default: the zero scenario
 	// (every workload in the KB, default fleet).
 	Prewarm []core.Scenario
-
-	// ClonePool sizes the per-base pristine-clone pool. Default
-	// MaxInFlight; negative disables pooling.
-	ClonePool int
 
 	// Slice sets the relevance-slicing policy (core.Engine.SetSliceMode).
 	// The zero value is SliceAuto: slice only when the catalog is large
@@ -133,9 +129,6 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Prewarm) == 0 {
 		cfg.Prewarm = []core.Scenario{{}}
 	}
-	if cfg.ClonePool == 0 {
-		cfg.ClonePool = cfg.MaxInFlight
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -147,9 +140,6 @@ func New(cfg Config) (*Server, error) {
 		sem:     make(chan struct{}, cfg.MaxInFlight),
 		readyCh: make(chan struct{}),
 		drainCh: make(chan struct{}),
-	}
-	if cfg.ClonePool > 0 {
-		s.eng.SetClonePool(cfg.ClonePool)
 	}
 	s.eng.SetSliceMode(cfg.Slice)
 	if cfg.Chaos != nil {
@@ -191,8 +181,8 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// warmup compiles (or disk-revives) every prewarm shape and fills the
-// clone pools, then flips readiness.
+// warmup compiles (or disk-revives) every prewarm shape, then flips
+// readiness.
 func (s *Server) warmup() {
 	for _, sc := range s.cfg.Prewarm {
 		if err := s.eng.Prewarm(sc); err != nil {
@@ -325,8 +315,8 @@ func (s *Server) queryHandler(mode string) http.HandlerFunc {
 
 		// Panic isolation: a panicking query must not take down the
 		// server. The request's solver clone is abandoned where it
-		// stands — the pool never re-admits handed-out clones, so the
-		// next request gets a pristine one.
+		// stands — each request clones the base afresh, so the next
+		// one gets a pristine solver.
 		defer func() {
 			if p := recover(); p != nil {
 				buf := make([]byte, 4096)
@@ -672,8 +662,6 @@ type CacheStatsJSON struct {
 	DiskEvictions int64 `json:"disk_evictions"`
 	DiskCorrupt   int64 `json:"disk_corrupt"`
 	DiskStale     int64 `json:"disk_stale"`
-	PoolHits      int64 `json:"pool_hits"`
-	PoolMisses    int64 `json:"pool_misses"`
 	SliceComputed int64 `json:"slice_computed"`
 	SliceHits     int64 `json:"slice_hits"`
 	SliceSKUsIn   int64 `json:"slice_skus_in"`
@@ -711,7 +699,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 			DiskHits: cs.DiskHits, DiskMisses: cs.DiskMisses,
 			DiskWrites: cs.DiskWrites, DiskEvictions: cs.DiskEvictions,
 			DiskCorrupt: cs.DiskCorrupt, DiskStale: cs.DiskStale,
-			PoolHits: cs.PoolHits, PoolMisses: cs.PoolMisses,
 			SliceComputed: cs.SliceComputed, SliceHits: cs.SliceHits,
 			SliceSKUsIn: cs.SliceSKUsIn, SliceSKUsKept: cs.SliceSKUsKept,
 		},

@@ -200,8 +200,8 @@ func TestServeModes(t *testing.T) {
 	if total != 5 {
 		t.Fatalf("statsz saw %d requests, want 5: %+v", total, sz.Modes)
 	}
-	if sz.Cache.PoolHits == 0 {
-		t.Errorf("prewarmed server answered without pool hits: %+v", sz.Cache)
+	if sz.Cache.Hits == 0 {
+		t.Errorf("prewarmed server answered without cache hits: %+v", sz.Cache)
 	}
 }
 
@@ -326,8 +326,8 @@ func TestServeFaultMatrix(t *testing.T) {
 			}
 
 			// Disarm; the very next request must succeed from a pristine
-			// clone (structural quarantine: faulted clones never return
-			// to the pool).
+			// clone (structural quarantine: each request clones the base
+			// afresh, so a faulted clone is never reused).
 			chaos.SetRate(0)
 			var qr QueryResponse
 			status, raw = post(t, base+"/v1/synth", QueryRequest{Scenario: scInference}, &qr)
