@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR20.json
+BENCH ?= BENCH_PR22.json
 
 build:
 	$(GO) build ./...
@@ -42,11 +42,12 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -diff "$$(ls BENCH_PR*.json | sort -V | tail -1)" < /tmp/netarch-bench.txt
 
 # alloc-budget pins the hot-path allocation budgets (zero-alloc
-# propagate, bounded warm cache-hit queries) and the §5.1 base sizes
+# propagate, zero-alloc Simplify of a simplified formula, bounded warm
+# cache-hit queries, bounded cold compiles) and the §5.1 base sizes
 # (variable and clause counts) so allocation and base-growth regressions
 # fail the gate even though `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestWarmQueryAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
 
 # parallel-diff pins the parallel-vs-sequential differentials (the
 # DESIGN.md §8 enumeration determinism contract and the §11 sharded
@@ -104,8 +105,10 @@ scale-diff:
 # untrusted-bytes contract (typed errors, no panics, no OOM) is
 # exercised on every gate, not only in dedicated fuzz sessions, plus the
 # MaxSAT bounds fuzzer (random weighted objectives must yield exact,
-# witnessed, unbeatable optima).
+# witnessed, unbeatable optima) and the Simplify fuzzer (idempotent,
+# equivalent under every assignment, equal to the String()-keyed oracle).
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
 	$(GO) test -run=NONE -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/sat
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core

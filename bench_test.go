@@ -871,15 +871,12 @@ func BenchmarkWarmStartWhatIf(b *testing.B) {
 // deltaStressCatalog is the live-update benchmark catalog: the case study
 // plus 100 "policy" rules, each a deep nested condition chain (depth 500)
 // over free policy atoms, guarded so it can never make the KB infeasible
-// (setting its guard atom false satisfies the rule). Chains are where
-// Tseitin conversion dominates compile time — the converter keys its
-// subformula cache on String(), which re-serializes the whole suffix at
-// every level, so conversion is quadratic in chain depth while the CNF
-// it emits (what the solver build pays) stays linear —
-// exactly the regime where an operator's one-rule edit should not pay
-// for the other 99. rev selects the content of rule 0: two revs differ
-// in exactly one assertion, so UpdateKB(deltaStressCatalog(rev')) is a
-// one-assertion edit.
+// (setting its guard atom false satisfies the rule). The 50k nested
+// connectives make Tseitin conversion the bulk of the compile, which is
+// the work an operator's one-rule edit should not redo for the other
+// 99. rev selects the content of rule 0: two revs differ in exactly one
+// assertion, so UpdateKB(deltaStressCatalog(rev')) is a one-assertion
+// edit.
 func deltaStressCatalog(rev int) *netarch.KB {
 	k := catalog.CaseStudy()
 	const rules, depth = 100, 500

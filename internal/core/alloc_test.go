@@ -157,3 +157,28 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 		t.Fatalf("warm cache-hit Synthesize allocated %.0f allocs/run; budget is %d", allocs, budget)
 	}
 }
+
+// TestCompileAllocBudget pins the allocations of one cold compile of the
+// §5.1 inference_app base (formula build, simplification, sharded CNF
+// conversion, arithmetic circuits and the compile-time probe). Keying
+// Simplify's dedup and the Tseitin cache by rendered strings cost ~86k
+// allocations per compile; with structural hashes it measured 37,341.
+// The budget has ~7% headroom, so string keys or a per-node allocation
+// creeping back into the compile path fails the gate.
+func TestCompileAllocBudget(t *testing.T) {
+	const budget = 40000
+
+	k, _ := caseStudyQueries()
+	e := mustEngine(t, k)
+	e.SetWorkers(1)
+	sc := section51Scenarios()["inference_app"]
+	shape := baseShape(&sc)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.compileBase(&shape); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("inference_app base compile: %.0f allocs/run; budget is %d", allocs, budget)
+	}
+}

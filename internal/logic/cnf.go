@@ -105,12 +105,11 @@ type Converter struct {
 	Vocab *Vocabulary
 	CNF   *CNF
 
-	// cache maps structurally-identified subformulas to their definition
-	// literal, keyed by a canonical string. Caching is best-effort: it
-	// trades a little hashing for avoiding duplicate aux variables when
-	// the same rule body is asserted repeatedly (common for generated
-	// knowledge bases).
-	cache map[string]Lit
+	// cache maps And/Or subformulas to their definition literal by
+	// structural equality (hash, then Equal); nil until the first
+	// definition. It avoids duplicate aux variables when the same rule
+	// body is asserted repeatedly (common for generated knowledge bases).
+	cache formulaMap
 
 	// fresh, when non-nil, replaces Vocab.Fresh("") as the auxiliary-
 	// variable allocator. Shard converters (ConvertShards) use it to
@@ -132,14 +131,16 @@ func NewConverter(vocab *Vocabulary) *Converter {
 	return &Converter{
 		Vocab: vocab,
 		CNF:   &CNF{NumVars: vocab.Len()},
-		cache: make(map[string]Lit),
 	}
 }
 
 // Assert adds clauses equivalent (equisatisfiable) to f to the CNF.
 // Asserting False adds the empty clause.
-func (cv *Converter) Assert(f Formula) {
-	f = Simplify(f)
+func (cv *Converter) Assert(f Formula) { cv.assert(Simplify(f)) }
+
+// assert adds the clauses of a simplified formula. The conjuncts of a
+// simplified And are themselves simplified, so they recurse as they are.
+func (cv *Converter) assert(f Formula) {
 	switch f.kind {
 	case KindTrue:
 		return
@@ -148,7 +149,7 @@ func (cv *Converter) Assert(f Formula) {
 		return
 	case KindAnd:
 		for _, a := range f.args {
-			cv.Assert(a)
+			cv.assert(a)
 		}
 		return
 	}
@@ -188,9 +189,8 @@ func (cv *Converter) lit(f Formula) Lit {
 		}
 		return Lit(v)
 	}
-	key := f.String()
-	if l, ok := cv.cache[key]; ok {
-		return l
+	if l, ok := cv.cache.get(f); ok {
+		return Lit(l)
 	}
 	v := cv.freshAux()
 	cv.growTo(v)
@@ -210,7 +210,10 @@ func (cv *Converter) lit(f Formula) Lit {
 		}
 		cv.CNF.AddClause(clause...)
 	}
-	cv.cache[key] = d
+	if cv.cache == nil {
+		cv.cache = formulaMap{}
+	}
+	cv.cache.put(f, int32(d))
 	return d
 }
 

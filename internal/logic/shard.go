@@ -144,7 +144,6 @@ func ConvertShardsDelta(base int, fs []Formula, prev *ShardSet, workers int) (*C
 		next := Var(base)
 		cv := &Converter{
 			CNF:   &CNF{NumVars: base},
-			cache: make(map[string]Lit),
 			fresh: func() Var { next++; return next },
 		}
 		cv.Assert(fs[i])
