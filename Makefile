@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR22.json
+BENCH ?= BENCH_PR23.json
 
 build:
 	$(GO) build ./...
@@ -43,11 +43,12 @@ bench-diff:
 
 # alloc-budget pins the hot-path allocation budgets (zero-alloc
 # propagate, zero-alloc Simplify of a simplified formula, bounded warm
-# cache-hit queries, bounded cold compiles) and the §5.1 base sizes
+# cache-hit queries and warm cost optimizations, bounded cold compiles)
+# and the §5.1 base sizes
 # (variable and clause counts) so allocation and base-growth regressions
 # fail the gate even though `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
 
 # parallel-diff pins the parallel-vs-sequential differentials (the
 # DESIGN.md §8 enumeration determinism contract and the §11 sharded
@@ -86,10 +87,12 @@ delta-diff:
 # lexicographic optima and Pareto frontiers must equal the brute-force
 # enumeration oracle's, for both descent strategies, at 1/2/8 workers,
 # warm and cold — plus the metamorphic invariants (cost scaling and
-# translation, dominated-SKU insertion, bound tightening) and the
-# agreement of the power/port circuits with the design metrics.
+# translation, dominated-SKU insertion, bound tightening), the
+# agreement of the power/port circuits with the design metrics, and the
+# maxsat package's brute-force, budget-trip and bit-descent tests.
 optimize-diff:
 	$(GO) test -run='TestOptimizeDifferential|TestParetoDifferential|TestMetamorphic|TestObjective' -count=1 ./internal/core
+	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat
 
 # scale-diff pins the relevance-slicing soundness gate (DESIGN.md §16):
 # on a 5k-SKU scaled catalog, every verdict, lexicographic optimum,

@@ -94,9 +94,9 @@ func TestSearchEffortBudget(t *testing.T) {
 		{"q1-grown", false, 0, 198},
 		{"q3-no-pooling", false, 0, 72},
 		{"q3-pooling", false, 0, 79},
-		{"q1-baseline", true, 150, 1040},
-		{"q3-without-cxl", true, 95, 1111},
-		{"q3-with-cxl", true, 94, 1535},
+		{"q1-baseline", true, 177, 1825},
+		{"q3-without-cxl", true, 69, 1293},
+		{"q3-with-cxl", true, 91, 1565},
 		// Infeasible: the decision plus minimizing its explanation.
 		{"overconstrained-explain", false, 8, 774},
 	}
@@ -180,5 +180,48 @@ func TestCompileAllocBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("inference_app base compile: %.0f allocs/run; budget is %d", allocs, budget)
+	}
+}
+
+// TestOptimizeAllocBudget pins the allocations of a warm §5.1 cost
+// optimization: the clone of the cached base, the feasibility solve and
+// the whole MaxSAT descent. The descent fixes the cost sum's own output
+// bits, so it builds no comparator; building one per probe cost 4,659
+// (q3-without-cxl) and 4,829 (q1-baseline) allocs per query, against
+// 974 and 1,661 measured without. The budgets have ~20% headroom, so
+// per-probe circuit building coming back fails the gate.
+func TestOptimizeAllocBudget(t *testing.T) {
+	budgets := []struct {
+		name   string
+		budget float64
+	}{
+		{"q3-without-cxl", 1170},
+		{"q1-baseline", 2000},
+	}
+	k, cases := caseStudyQueries()
+	scs := map[string]Scenario{}
+	for _, c := range cases {
+		scs[c.name] = c.sc
+	}
+	e := mustEngine(t, k)
+	cost := []Objective{{Kind: MinimizeCost}}
+	for _, b := range budgets {
+		sc := scs[b.name]
+		if _, err := e.Optimize(sc, cost); err != nil { // warm the base
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			res, err := e.Optimize(sc, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Approximate {
+				t.Fatal("warm optimize must certify its optimum")
+			}
+		})
+		t.Logf("%s: %.0f allocs/run", b.name, allocs)
+		if allocs > b.budget {
+			t.Errorf("%s: warm cost optimize allocated %.0f allocs/run; budget is %.0f", b.name, allocs, b.budget)
+		}
 	}
 }

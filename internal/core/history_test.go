@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -79,5 +80,74 @@ func TestAnswersIndependentOfQueryHistory(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.Hits == 0 {
 		t.Errorf("no query ran on a clone of a cached base: %+v", st)
+	}
+}
+
+// TestOptimizeSolverIsPrivate pins what lets Optimize assert the query's
+// selectors as level-0 units: the solver it descends on belongs to that
+// query alone. A warm query descends on a clone, so the cached base's
+// solver is byte-identical before and after it. With caching off every
+// query compiles its own base and the engine keeps none of them.
+func TestOptimizeSolverIsPrivate(t *testing.T) {
+	k, cases := caseStudyQueries()
+	var sc Scenario
+	for _, c := range cases {
+		if c.name == "q3-without-cxl" {
+			sc = c.sc
+		}
+	}
+	levels := [][]Objective{
+		{{Kind: MinimizeCost}},
+		{{Kind: PreferOrder, Dimension: "tail_latency"}, {Kind: MinimizeCost}, {Kind: MinimizeSystems}},
+	}
+
+	e := mustEngine(t, k)
+	if err := e.Prewarm(sc); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.bases) != 1 {
+		t.Fatalf("want one cached base, have %d", len(e.bases))
+	}
+	var base *compiled
+	for _, b := range e.bases {
+		base = b
+	}
+	before := base.solver.Snapshot()
+	want := make([]string, len(levels))
+	for i, objs := range levels {
+		res, err := e.Optimize(sc, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = renderOptimize(res)
+	}
+	if !bytes.Equal(base.solver.Snapshot(), before) {
+		t.Fatal("a warm Optimize wrote to the cached base's solver")
+	}
+
+	cold := mustEngine(t, k)
+	cold.SetCacheCapacity(0)
+	a, err := cold.instance(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cold.instance(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.solver == b.solver {
+		t.Fatal("two cache-off queries share one solver")
+	}
+	for i, objs := range levels {
+		res, err := cold.Optimize(sc, objs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderOptimize(res); got != want[i] {
+			t.Errorf("cache-off answer differs from the warm one:\ngot:\n%s\nwarm:\n%s", got, want[i])
+		}
+	}
+	if len(cold.bases) != 0 {
+		t.Fatalf("cache-off engine kept %d bases", len(cold.bases))
 	}
 }

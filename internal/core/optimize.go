@@ -15,8 +15,9 @@ type OptimizeStrategy = maxsat.Strategy
 
 // Optimization strategies.
 const (
-	// StrategyBinary bisects the objective range (the default): budget
-	// trips leave tight two-sided bounds.
+	// StrategyBinary halves the open objective range with every probe
+	// (the default): a weighted sum fixes its output bits MSB first, a
+	// count bisects. Budget trips leave tight two-sided bounds.
 	StrategyBinary = maxsat.BinarySearch
 	// StrategyLinear descends SAT-UNSAT: every step improves the
 	// witness, but the lower bound stays trivial until the final Unsat.
@@ -108,9 +109,16 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 	for i := range specs {
 		objs[i] = specs[i].instantiate(c)
 	}
+	// The query's solver is private on every path (a clone of a cached
+	// base, or a fresh compile with caching off), so its selectors can
+	// become level-0 units: every descent probe then starts from their
+	// propagated consequences instead of replaying them as assumptions.
+	// Only the objective bounds stay assumptions.
+	for _, l := range assumps {
+		c.solver.AddClause(l)
+	}
 	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{
 		Strategy: strat,
-		Hard:     assumps,
 		Phase:    g.phase,
 	})
 	if err != nil {

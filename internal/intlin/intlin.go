@@ -40,6 +40,9 @@ func (a Int) Max() int64 { return a.max }
 // Width returns the number of bits.
 func (a Int) Width() int { return len(a.bits) }
 
+// Bit returns the literal of bit i (bit 0 is least significant).
+func (a Int) Bit(i int) sat.Lit { return a.bits[i] }
+
 // Bits returns a copy of the integer's literals, LSB first. Together with
 // Max it captures an Int exactly, so an integer circuit already present in
 // a serialized solver can be re-described via RestoreInt.

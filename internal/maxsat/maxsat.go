@@ -1,13 +1,15 @@
 // Package maxsat implements assumption-based MaxSAT optimization over
-// the arena SAT solver: soft constraints are lowered into reusable bound
-// circuits — cardinality totalizers for unit-weight counts, bit-blasted
-// comparators for weighted sums — whose bound literals are passed as
-// per-solve assumptions, so tightening an objective never re-encodes the
-// formula. On top of single-objective minimization (linear SAT-UNSAT and
-// binary-search strategies, both with unsat-core-guided bound
-// tightening) it provides stratified lexicographic solving for
-// multi-objective queries and Pareto-front enumeration via
-// dominance-blocking clauses.
+// the arena SAT solver. Soft constraints are lowered into circuits once —
+// cardinality totalizers for unit-weight counts, bit-blasted sums for
+// weighted ones — and every bound travels as a per-solve assumption, so
+// tightening an objective never re-encodes the formula. Single-objective
+// minimization has two strategies. The binary one descends a weighted
+// sum's own output bits from the most significant down, assuming a
+// prefix of them per solve, so it builds no comparator; on a count it
+// bisects over the totalizer outputs. The linear one asks for strictly
+// better models until Unsat. On top of these the package provides
+// stratified lexicographic solving for multi-objective queries and
+// Pareto-front enumeration via dominance-blocking clauses.
 //
 // Every search tracks a *proven lower bound* alongside the best
 // witnessed value: when a resource budget interrupts the solver
@@ -50,9 +52,12 @@ type ClauseSolver interface {
 type Strategy int
 
 const (
-	// BinarySearch bisects [0, witnessed] — O(log range) solves, and
-	// every Unsat raises the proven lower bound, so budget-tripped
-	// searches return tight two-sided bounds. The default.
+	// BinarySearch halves the open range with every solve: an integer
+	// objective fixes its output bits from the most significant down (at
+	// most one solve per bit), a count bisects [LowerBound, Value] over its
+	// totalizer outputs. Every Unsat raises the proven lower bound, so
+	// budget-tripped searches return tight two-sided bounds. The
+	// default.
 	BinarySearch Strategy = iota
 	// LinearSatUnsat repeatedly asks for strictly-better models
 	// (bound ← value − 1) until Unsat. Each step improves the witness,
@@ -194,9 +199,7 @@ func minimizeLinear(s Solver, obj Objective, opts *Options, r *Result) {
 			r.Value = obj.Eval(s.Model())
 			r.Model = append(r.Model[:0], s.Model()...)
 		case sat.Unsat:
-			// Optimum certified. When the core omits the bound literal
-			// the hard side alone is now conflicting — equally final.
-			_ = coreContains(s.FinalConflict(), bound)
+			// Optimum certified, whether or not the core used the bound.
 			r.LowerBound = r.Value
 			r.Exact = true
 			return
@@ -208,11 +211,58 @@ func minimizeLinear(s Solver, obj Objective, opts *Options, r *Result) {
 	r.Exact = true
 }
 
-// minimizeBinary bisects [LowerBound, Value]. Sat shrinks the upper
-// bound to the model's value; Unsat raises the proven lower bound — to
-// mid+1 normally, or all the way to the witnessed value when the core
-// shows the hard assumptions conflict without the trial bound.
+// minimizeBinary runs the binary strategy: a bit descent on an integer
+// objective, bisection on a count.
 func minimizeBinary(s Solver, obj Objective, opts *Options, r *Result) {
+	if o, ok := obj.(*IntObjective); ok {
+		descendBits(s, o, opts, r)
+		return
+	}
+	bisect(s, obj, opts, r)
+}
+
+// descendBits fixes the term's output bits from the most significant down
+// (Nadel & Ryvchin, TACAS 2016). fixed holds, for every bit above i, the
+// literal the optimum sets that bit to, and the best model agrees with
+// it. If the best model's bit i is 0 no model agreeing with fixed can
+// beat it with bit i set, so ¬b_i is fixed without a solve. Otherwise
+// one solve under fixed ∪ {¬b_i} decides the bit: Sat brings a better
+// model and fixes ¬b_i; Unsat proves the optimum sets b_i, which fixes
+// b_i and raises LowerBound — always the value of the fixed prefix — by
+// 2^i. After bit 0 the prefix is the whole optimum and the best model
+// achieves it. The descent adds no clause, variable or comparator.
+func descendBits(s Solver, obj *IntObjective, opts *Options, r *Result) {
+	w := obj.Width()
+	fixed := make([]sat.Lit, len(opts.Hard), len(opts.Hard)+w+1)
+	copy(fixed, opts.Hard)
+	for i := w - 1; i >= 0; i-- {
+		b := obj.term.Bit(i)
+		if r.Model[b.Var()-1] == b.Neg() { // bit i is 0 in the best model
+			fixed = append(fixed, b.Flip())
+			continue
+		}
+		opts.phase()
+		switch s.SolveAssuming(append(fixed, b.Flip())) {
+		case sat.Sat:
+			r.Value = obj.Eval(s.Model())
+			r.Model = append(r.Model[:0], s.Model()...)
+			fixed = append(fixed, b.Flip())
+		case sat.Unsat:
+			r.LowerBound += 1 << i
+			fixed = append(fixed, b)
+		default:
+			return // budget tripped: the optimum lies in [LowerBound, Value]
+		}
+	}
+	r.Exact = true
+}
+
+// bisect halves [LowerBound, Value] over the objective's bound literals.
+// Sat shrinks the upper bound to the model's value; Unsat raises the
+// proven lower bound — to mid+1 normally, or all the way to the
+// witnessed value when the core shows the hard assumptions conflict
+// without the trial bound.
+func bisect(s Solver, obj Objective, opts *Options, r *Result) {
 	var buf []sat.Lit
 	for r.LowerBound < r.Value {
 		mid := r.LowerBound + (r.Value-r.LowerBound)/2
@@ -262,9 +312,10 @@ type LexResult struct {
 
 // Lexicographic minimizes the objectives in priority order: each level
 // is minimized subject to every earlier level held at its optimum
-// (carried as bound-literal assumptions, never permanent clauses). A
-// budget trip finishes the run with the levels proven so far and Exact
-// false — stratified degradation, not an error.
+// (carried as bound-literal assumptions, never permanent clauses; the
+// last level needs no hold, so none is built). A budget trip finishes
+// the run with the levels proven so far and Exact false — stratified
+// degradation, not an error.
 func Lexicographic(s Solver, objs []Objective, opts Options) (*LexResult, error) {
 	res := &LexResult{Exact: true}
 	hard := append([]sat.Lit(nil), opts.Hard...)
@@ -281,7 +332,7 @@ func Lexicographic(s Solver, objs []Objective, opts Options) (*LexResult, error)
 			return res, nil
 		}
 	}
-	for _, obj := range objs {
+	for i, obj := range objs {
 		lvl := opts
 		lvl.Hard = hard
 		r, err := Minimize(s, obj, lvl)
@@ -297,6 +348,9 @@ func Lexicographic(s Solver, objs []Objective, opts Options) (*LexResult, error)
 		res.Model = r.Model
 		if !r.Exact {
 			res.Exact = false
+			break
+		}
+		if i == len(objs)-1 {
 			break
 		}
 		if bl := obj.BoundLit(r.Value); bl != 0 {

@@ -179,39 +179,148 @@ func TestMinimizeInfeasibleHard(t *testing.T) {
 	}
 }
 
+// TestMinimizeBudgetTripKeepsBounds interrupts the descent at every
+// probe in turn — the first trip right after the initial model, the
+// last one after the final probe — on a count and a weighted objective
+// under both strategies. Every tripped result must bracket the
+// brute-force optimum with a real witness, and the proven lower bound
+// must not fall as the trip point moves later.
 func TestMinimizeBudgetTripKeepsBounds(t *testing.T) {
+	clauses := [][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {-1, -3}}
+	weights := []int64{13, 7, 22, 9, 5, 31, 17, 17}
+	objectives := []struct {
+		name string
+		make func(f *fixture) Objective
+		eval func(bits []bool) int64
+	}{
+		{"count", func(f *fixture) Objective { return NewCount(f.s, f.decided) }, countTrue},
+		{"weighted", func(f *fixture) Objective {
+			obj, err := NewWeighted(intlin.New(f.s), f.decided, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return obj
+		}, func(bits []bool) int64 {
+			var v int64
+			for i, b := range bits {
+				if b {
+					v += weights[i]
+				}
+			}
+			return v
+		}},
+	}
 	for _, strat := range strategies() {
 		t.Run(strat.String(), func(t *testing.T) {
-			f := newFixture(t, 8, [][]int{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
-			obj := NewCount(f.s, f.decided)
-			// Let the initial model through, then interrupt every
-			// subsequent solve: the descent can never finish.
-			solves := 0
-			f.s.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
-				if ev != sat.EventSolve {
-					return false
+			for _, o := range objectives {
+				opt := int64(1 << 40)
+				newFixture(t, 8, clauses).assignments(func(bits []bool) {
+					if v := o.eval(bits); v < opt {
+						opt = v
+					}
+				})
+				var prevLB int64
+				tripped := 0
+				for allowed := 1; ; allowed++ {
+					f := newFixture(t, 8, clauses)
+					obj := o.make(f)
+					// Let the first allowed solves through, then interrupt
+					// (the interrupt is sticky: every later solve refuses).
+					solves := 0
+					f.s.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
+						if ev != sat.EventSolve {
+							return false
+						}
+						solves++
+						return solves > allowed
+					})
+					res, err := Minimize(f.s, obj, Options{Strategy: strat})
+					if err != nil {
+						t.Fatalf("Minimize: %v", err)
+					}
+					if !res.Witnessed {
+						t.Fatalf("%s: trip after %d solves: no witness survived", o.name, allowed)
+					}
+					if got := obj.Eval(res.Model); got != res.Value {
+						t.Fatalf("%s: trip after %d solves: witness achieves %d, claimed %d", o.name, allowed, got, res.Value)
+					}
+					if res.LowerBound > opt || res.Value < opt {
+						t.Fatalf("%s: trip after %d solves: bounds [%d, %d] exclude the optimum %d",
+							o.name, allowed, res.LowerBound, res.Value, opt)
+					}
+					if res.LowerBound < prevLB {
+						t.Fatalf("%s: trip after %d solves: lower bound fell from %d to %d", o.name, allowed, prevLB, res.LowerBound)
+					}
+					prevLB = res.LowerBound
+					if res.Exact {
+						if res.Value != opt || res.LowerBound != opt {
+							t.Fatalf("%s: exact result [%d, %d], brute force %d", o.name, res.LowerBound, res.Value, opt)
+						}
+						break
+					}
+					tripped++
 				}
-				solves++
-				return solves > 1
-			})
-			res, err := Minimize(f.s, obj, Options{Strategy: strat})
-			if err != nil {
-				t.Fatalf("Minimize: %v", err)
-			}
-			if res.Exact {
-				t.Fatalf("result exact despite interrupts (solves=%d)", solves)
-			}
-			if !res.Witnessed {
-				t.Fatalf("no witness survived the trip")
-			}
-			const opt = 4 // one literal per clause
-			if res.LowerBound > opt || res.Value < opt {
-				t.Fatalf("bounds [%d, %d] exclude the true optimum %d", res.LowerBound, res.Value, opt)
-			}
-			if got := obj.Eval(res.Model); got != res.Value {
-				t.Fatalf("witness achieves %d, claimed %d", got, res.Value)
+				if tripped == 0 {
+					t.Fatalf("%s: no trip point left the descent unfinished", o.name)
+				}
 			}
 		})
+	}
+}
+
+// TestBitDescentAddsNoClauses: the binary descent of a weighted sum
+// assumes the sum's own output bits, so minimizing it leaves the
+// solver's variable and clause counts untouched, solves at most once
+// per bit after the initial model, and still certifies the brute-force
+// optimum.
+func TestBitDescentAddsNoClauses(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	clauses := [][]int{{1, 2, 3}, {-1, 4}, {2, 5}, {-3, -5, 1}, {5, 6}, {-4, -6}}
+	for trial := 0; trial < 20; trial++ {
+		weights := make([]int64, 6)
+		for i := range weights {
+			weights[i] = rng.Int63n(1000)
+		}
+		f := newFixture(t, 6, clauses)
+		want := int64(1 << 40)
+		f.assignments(func(bits []bool) {
+			var v int64
+			for i, b := range bits {
+				if b {
+					v += weights[i]
+				}
+			}
+			if v < want {
+				want = v
+			}
+		})
+		obj, err := NewWeighted(intlin.New(f.s), f.decided, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars, cls := f.s.NumVars(), f.s.NumClauses()
+		solves := 0
+		f.s.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
+			if ev == sat.EventSolve {
+				solves++
+			}
+			return false
+		})
+		res, err := Minimize(f.s, obj, Options{Strategy: BinarySearch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exact || res.Value != want || res.LowerBound != want {
+			t.Fatalf("trial %d: [%d, %d] exact=%v, brute force %d, weights %v",
+				trial, res.LowerBound, res.Value, res.Exact, want, weights)
+		}
+		if v, c := f.s.NumVars(), f.s.NumClauses(); v != vars || c != cls {
+			t.Fatalf("trial %d: descent grew the solver from %d vars / %d clauses to %d / %d",
+				trial, vars, cls, v, c)
+		}
+		if solves > obj.Width()+1 {
+			t.Fatalf("trial %d: %d solves for a %d-bit sum", trial, solves, obj.Width())
+		}
 	}
 }
 

@@ -11,9 +11,12 @@ import (
 // Objective is one minimization target: a non-negative integer function
 // of the solver's variables whose upper bounds can be imposed per-solve
 // through assumption literals. Implementations lower the function into
-// the solver once, at construction; BoundLit afterwards only looks
-// literals up (totalizer outputs) or emits comparator gates against the
-// already-built circuit — never a re-encoding of the function itself.
+// the solver once, at construction. BoundLit afterwards looks a literal
+// up (totalizer outputs) or builds one comparator against the already-
+// built sum, memoized per bound — never a re-encoding of the function
+// itself. The binary descent of an IntObjective assumes the sum's own
+// bits and calls no BoundLit; the linear descent, lexicographic holds
+// and Pareto boxes do.
 type Objective interface {
 	// BoundLit returns an assumption literal imposing value ≤ k, or 0
 	// when the bound is vacuous (k at or above Max). k must be ≥ 0.
@@ -61,21 +64,26 @@ func (o *CountObjective) Eval(model []bool) int64 { return int64(o.tot.CountTrue
 func (o *CountObjective) Max() int64 { return int64(o.tot.N()) }
 
 // IntObjective minimizes a bit-blasted arithmetic term (hardware cost,
-// cores, watts, ports) through reified ≤-comparators. Comparator gates
-// are memoized per bound, so revisiting a bound — binary search
-// oscillation, Pareto boxes — costs nothing after the first emission.
+// cores, watts, ports). The binary descent fixes the term's own output
+// bits and builds nothing. BoundLit emits a reified ≤-comparator,
+// memoized per bound, so a bound revisited by a Pareto box or a
+// lexicographic hold costs nothing after the first emission.
 type IntObjective struct {
 	b      *intlin.Builder
 	term   intlin.Int
-	bounds map[int64]sat.Lit
+	bounds map[int64]sat.Lit // nil until the first comparator
 }
 
 // NewInt wraps an already-built arithmetic term as an objective. b must
 // be the builder attached to the solver being searched (for cloned
 // solvers, the WithAdder fork).
 func NewInt(b *intlin.Builder, term intlin.Int) *IntObjective {
-	return &IntObjective{b: b, term: term, bounds: make(map[int64]sat.Lit)}
+	return &IntObjective{b: b, term: term}
 }
+
+// Width returns the number of output bits of the term: the binary
+// descent solves at most once per bit.
+func (o *IntObjective) Width() int { return o.term.Width() }
 
 // BoundLit implements Objective with a memoized reified comparator.
 func (o *IntObjective) BoundLit(k int64) sat.Lit {
@@ -89,6 +97,9 @@ func (o *IntObjective) BoundLit(k int64) sat.Lit {
 		return l
 	}
 	l := o.b.LeqConst(o.term, k)
+	if o.bounds == nil {
+		o.bounds = make(map[int64]sat.Lit)
+	}
 	o.bounds[k] = l
 	return l
 }

@@ -248,7 +248,7 @@ func (s *Solver) reduceDB() {
 	keep := s.learnts[:0]
 	locked := func(c cref) bool {
 		v := s.ca.lits(c)[0].v()
-		return s.assigns[v] != lUndef && s.reason[v] == c
+		return s.assigned(v) && s.reason[v] == c
 	}
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {

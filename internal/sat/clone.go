@@ -75,8 +75,8 @@ func (s *Solver) Clone() *Solver {
 	// per-variable array at full size.
 	const slack = 32
 	nv := s.nVars + slack
-	n.assigns = make([]lbool, len(s.assigns), nv)
-	copy(n.assigns, s.assigns)
+	n.vals = make([]lbool, len(s.vals), 2*nv)
+	copy(n.vals, s.vals)
 	n.level = make([]int32, len(s.level), nv)
 	copy(n.level, s.level)
 	n.polarity = make([]bool, len(s.polarity), nv)

@@ -2,11 +2,14 @@ package sat
 
 // varHeap is a binary max-heap of variable indices ordered by activity,
 // with an index table supporting in-place priority updates (the classic
-// MiniSat order heap).
+// MiniSat order heap). Entries are int32: half the bytes of int on the
+// arrays every decision and backtrack walks.
 type varHeap struct {
+	// activity points at the solver's activity slice, which growVarCaps
+	// may reallocate; up and down dereference it once per call.
 	activity *[]float64
-	heap     []int
-	indices  []int // indices[v] is v's position in heap, or -1
+	heap     []int32
+	indices  []int32 // indices[v] is v's position in heap, or -1
 }
 
 func newVarHeap(activity *[]float64) *varHeap {
@@ -18,8 +21,8 @@ func newVarHeap(activity *[]float64) *varHeap {
 func (h *varHeap) clone(activity *[]float64) *varHeap {
 	return &varHeap{
 		activity: activity,
-		heap:     append([]int(nil), h.heap...),
-		indices:  append([]int(nil), h.indices...),
+		heap:     append([]int32(nil), h.heap...),
+		indices:  append([]int32(nil), h.indices...),
 	}
 }
 
@@ -27,20 +30,15 @@ func (h *varHeap) clone(activity *[]float64) *varHeap {
 // Solver.EnsureVars).
 func (h *varHeap) grow(n int) {
 	if cap(h.heap) < n {
-		heap := make([]int, len(h.heap), n)
+		heap := make([]int32, len(h.heap), n)
 		copy(heap, h.heap)
 		h.heap = heap
 	}
 	if cap(h.indices) < n {
-		indices := make([]int, len(h.indices), n)
+		indices := make([]int32, len(h.indices), n)
 		copy(indices, h.indices)
 		h.indices = indices
 	}
-}
-
-func (h *varHeap) less(a, b int) bool {
-	act := *h.activity
-	return act[a] > act[b]
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
@@ -57,15 +55,15 @@ func (h *varHeap) insert(v int) {
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.indices[v] = len(h.heap)
-	h.heap = append(h.heap, v)
-	h.up(h.indices[v])
+	i := len(h.heap)
+	h.heap = append(h.heap, int32(v))
+	h.up(i)
 }
 
 // update restores heap order after v's activity increased.
 func (h *varHeap) update(v int) {
 	if h.contains(v) {
-		h.up(h.indices[v])
+		h.up(int(h.indices[v]))
 	}
 }
 
@@ -80,42 +78,51 @@ func (h *varHeap) removeMax() int {
 	if len(h.heap) > 1 {
 		h.down(0)
 	}
-	return top
+	return int(top)
 }
 
 func (h *varHeap) up(i int) {
-	v := h.heap[i]
+	act := *h.activity
+	heap, indices := h.heap, h.indices
+	v := heap[i]
+	av := act[v]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(v, h.heap[parent]) {
+		p := heap[parent]
+		if av <= act[p] {
 			break
 		}
-		h.heap[i] = h.heap[parent]
-		h.indices[h.heap[i]] = i
+		heap[i] = p
+		indices[p] = int32(i)
 		i = parent
 	}
-	h.heap[i] = v
-	h.indices[v] = i
+	heap[i] = v
+	indices[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
-	v := h.heap[i]
+	act := *h.activity
+	heap, indices := h.heap, h.indices
+	n := len(heap)
+	v := heap[i]
+	av := act[v]
 	for {
 		left := 2*i + 1
-		if left >= len(h.heap) {
+		if left >= n {
 			break
 		}
 		child := left
-		if right := left + 1; right < len(h.heap) && h.less(h.heap[right], h.heap[left]) {
+		if right := left + 1; right < n && act[heap[right]] > act[heap[left]] {
 			child = right
 		}
-		if !h.less(h.heap[child], v) {
+		c := heap[child]
+		if act[c] <= av {
 			break
 		}
-		h.heap[i] = h.heap[child]
-		h.indices[h.heap[i]] = i
+		heap[i] = c
+		indices[c] = int32(i)
 		i = child
 	}
-	h.heap[i] = v
-	h.indices[v] = i
+	heap[i] = v
+	indices[v] = int32(i)
 }

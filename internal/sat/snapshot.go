@@ -399,7 +399,7 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		return nil, fmt.Errorf("%w: trail length %d / qhead %d out of range", ErrBadSnapshot, nTrail, qh64)
 	}
 	trail := make([]lit, nTrail)
-	assigns := make([]lbool, nVars)
+	vals := make([]lbool, 2*nVars)
 	for i := range trail {
 		lv, err := r.uvarint("trail literal")
 		if err != nil {
@@ -409,10 +409,11 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 			return nil, fmt.Errorf("%w: trail literal %d out of range", ErrBadSnapshot, lv)
 		}
 		l := lit(lv)
-		if assigns[l.v()] != lUndef {
+		if vals[l] != lUndef {
 			return nil, fmt.Errorf("%w: variable %d assigned twice on trail", ErrBadSnapshot, l.v()+1)
 		}
-		assigns[l.v()] = boolToLbool(!l.sign())
+		vals[l] = lTrue
+		vals[l.flip()] = lFalse
 		trail[i] = l
 	}
 
@@ -453,8 +454,8 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	if nHeap > nVars {
 		return nil, fmt.Errorf("%w: order heap longer than variable count", ErrBadSnapshot)
 	}
-	heap := make([]int, nHeap)
-	indices := make([]int, nVars)
+	heap := make([]int32, nHeap)
+	indices := make([]int32, nVars)
 	for i := range indices {
 		indices[i] = -1
 	}
@@ -466,11 +467,11 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		if v64 >= uint64(nVars) {
 			return nil, fmt.Errorf("%w: order heap variable %d out of range", ErrBadSnapshot, v64)
 		}
-		v := int(v64)
+		v := int32(v64)
 		if indices[v] != -1 {
 			return nil, fmt.Errorf("%w: variable %d twice in order heap", ErrBadSnapshot, v+1)
 		}
-		indices[v] = i
+		indices[v] = int32(i)
 		heap[i] = v
 	}
 
@@ -488,7 +489,7 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		if c64 >= uint64(nWords) || crefIndex(starts, cref(c64)) < 0 {
 			return nil, fmt.Errorf("%w: reason clause %d out of range", ErrBadSnapshot, c64)
 		}
-		if assigns[v] == lUndef {
+		if vals[2*v] == lUndef {
 			return nil, fmt.Errorf("%w: reason on unassigned variable %d", ErrBadSnapshot, v+1)
 		}
 		reason[v] = cref(c64)
@@ -557,7 +558,7 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		clauses:      clauses,
 		learnts:      learnts,
 		watches:      watches,
-		assigns:      assigns,
+		vals:         vals,
 		level:        make([]int32, nVars), // level-0 snapshot: all zero
 		reason:       reason,
 		polarity:     polarity,

@@ -139,13 +139,6 @@ const (
 	lFalse lbool = 2
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
 // watcher pairs a watching clause with a "blocker" literal whose
 // satisfaction lets propagation skip visiting the clause. It is a flat
 // 8-byte pair — pointer-free, so watch lists cost the garbage collector
@@ -170,11 +163,14 @@ type Solver struct {
 	clauses []cref
 	learnts []cref
 
-	watches  [][]watcher // indexed by internal lit
-	assigns  []lbool     // indexed by var
-	level    []int32     // decision level per var
-	reason   []cref      // implying clause per var (crefUndef for decisions)
-	polarity []bool      // saved phase: last assigned sign (true = negative)
+	watches [][]watcher // indexed by internal lit
+	// vals holds the current value of every internal literal: an
+	// assignment writes both polarities, so value(l) is one load with no
+	// sign fix-up. A variable v is unassigned iff vals[2v] is lUndef.
+	vals     []lbool
+	level    []int32 // decision level per var
+	reason   []cref  // implying clause per var (crefUndef for decisions)
+	polarity []bool  // saved phase: last assigned sign (true = negative)
 	trail    []lit
 	trailLim []int // trail index at each decision level
 	qhead    int
@@ -277,12 +273,12 @@ func (s *Solver) ResetRun() {
 
 // NewVar allocates a fresh variable and returns its index (≥ 1).
 func (s *Solver) NewVar() int {
-	if len(s.assigns) == cap(s.assigns) {
+	if len(s.level) == cap(s.level) {
 		// Grow all per-variable slices together, doubling: one-at-a-time
 		// variable creation (the arithmetic encoder, query selectors)
 		// otherwise reallocates eight slices each on append's less
 		// aggressive large-slice growth policy.
-		n := 2 * len(s.assigns)
+		n := 2 * len(s.level)
 		if n < 64 {
 			n = 64
 		}
@@ -290,7 +286,7 @@ func (s *Solver) NewVar() int {
 	}
 	s.nVars++
 	s.watches = append(s.watches, nil, nil)
-	s.assigns = append(s.assigns, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.polarity = append(s.polarity, true) // default phase: false
@@ -305,7 +301,7 @@ func (s *Solver) NewVar() int {
 // per-variable slice once instead of doubling each through thousands of
 // appends.
 func (s *Solver) EnsureVars(n int) {
-	if n > s.nVars && n > cap(s.assigns) {
+	if n > s.nVars && n > cap(s.level) {
 		s.growVarCaps(n)
 	}
 	for s.nVars < n {
@@ -319,9 +315,9 @@ func (s *Solver) growVarCaps(n int) {
 	watches := make([][]watcher, len(s.watches), 2*n)
 	copy(watches, s.watches)
 	s.watches = watches
-	assigns := make([]lbool, len(s.assigns), n)
-	copy(assigns, s.assigns)
-	s.assigns = assigns
+	vals := make([]lbool, len(s.vals), 2*n)
+	copy(vals, s.vals)
+	s.vals = vals
 	level := make([]int32, len(s.level), n)
 	copy(level, s.level)
 	s.level = level
@@ -466,16 +462,10 @@ func (s *Solver) attach(c cref) {
 func (s *Solver) detachAll(c cref) { s.ca.setDeleted(c) }
 
 // value returns the current assignment of an internal literal.
-func (s *Solver) value(l lit) lbool {
-	a := s.assigns[l.v()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.sign() {
-		return a ^ 3 // swaps lTrue and lFalse
-	}
-	return a
-}
+func (s *Solver) value(l lit) lbool { return s.vals[l] }
+
+// assigned reports whether variable v has a value.
+func (s *Solver) assigned(v uint32) bool { return s.vals[2*v] != lUndef }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -483,7 +473,8 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // decision or top-level fact).
 func (s *Solver) uncheckedEnqueue(l lit, from cref) {
 	v := l.v()
-	s.assigns[v] = boolToLbool(!l.sign())
+	s.vals[l] = lTrue
+	s.vals[l.flip()] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.polarity[v] = l.sign()
@@ -689,7 +680,7 @@ func (s *Solver) decisionLit(v int) lit {
 func (s *Solver) pickBranchVar() int {
 	if s.opts.StaticOrder {
 		for v := 0; v < s.nVars; v++ {
-			if s.assigns[v] == lUndef {
+			if !s.assigned(uint32(v)) {
 				return v
 			}
 		}
@@ -697,7 +688,7 @@ func (s *Solver) pickBranchVar() int {
 	}
 	for !s.order.empty() {
 		v := s.order.removeMax()
-		if s.assigns[v] == lUndef {
+		if !s.assigned(uint32(v)) {
 			return v
 		}
 	}
@@ -708,7 +699,7 @@ func (s *Solver) pickBranchVar() int {
 func (s *Solver) extractModel() {
 	s.model = make([]bool, s.nVars)
 	for v := 0; v < s.nVars; v++ {
-		s.model[v] = s.assigns[v] == lTrue
+		s.model[v] = s.vals[2*v] == lTrue
 	}
 }
 
@@ -719,8 +710,10 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].v()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.v()
+		s.vals[l] = lUndef
+		s.vals[l.flip()] = lUndef
 		s.reason[v] = crefUndef
 		if !s.opts.StaticOrder {
 			s.order.insert(int(v))

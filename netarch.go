@@ -189,8 +189,9 @@ func ParseSliceMode(s string) (SliceMode, error) { return core.ParseSliceMode(s)
 // Engine.ParetoWithStrategyCtx (the CLI -strategy flag and the serve
 // request's "strategy" field).
 const (
-	// StrategyBinary bisects the objective range (the default): budget
-	// trips leave tight two-sided bounds.
+	// StrategyBinary halves the open objective range with every probe
+	// (the default): a weighted sum fixes its output bits MSB first, a
+	// count bisects. Budget trips leave tight two-sided bounds.
 	StrategyBinary = core.StrategyBinary
 	// StrategyLinear descends SAT-UNSAT: every step improves the witness,
 	// but the lower bound stays trivial until the final Unsat.
