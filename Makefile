@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR23.json
+BENCH ?= BENCH_PR24.json
 
 build:
 	$(GO) build ./...
@@ -43,12 +43,12 @@ bench-diff:
 
 # alloc-budget pins the hot-path allocation budgets (zero-alloc
 # propagate, zero-alloc Simplify of a simplified formula, bounded warm
-# cache-hit queries and warm cost optimizations, bounded cold compiles)
-# and the §5.1 base sizes
-# (variable and clause counts) so allocation and base-growth regressions
-# fail the gate even though `test` also covers them.
+# cache-hit queries, serve_warm-shaped queries and cost optimizations,
+# bounded cold compiles) and the §5.1 base sizes (variable and clause
+# counts) so allocation and base-growth regressions fail the gate even
+# though `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
 
 # parallel-diff pins the parallel-vs-sequential differentials (the
 # DESIGN.md §8 enumeration determinism contract and the §11 sharded
@@ -59,12 +59,13 @@ parallel-diff:
 
 # snapshot-diff pins the disk-cache round-trip differential (the
 # DESIGN.md §9 restore-equivalence contract): a solver revived from
-# bytes answers identically to its in-process Clone, an engine revived
+# bytes answers identically to its in-process Clone (also after the
+# clone's slabs outgrow the headroom Clone gives them), an engine revived
 # from a cache directory answers the §5.1 queries identically to the
 # warm in-process path, and a probed base revived from disk answers
 # byte-identically, search effort included (DESIGN.md §13).
 snapshot-diff:
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip' -count=1 . ./internal/sat ./internal/core
+	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip' -count=1 . ./internal/sat ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the

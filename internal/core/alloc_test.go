@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"netarch/internal/kb"
@@ -125,17 +126,18 @@ func TestSearchEffortBudget(t *testing.T) {
 }
 
 // TestWarmQueryAllocBudget pins the allocation budget of a warm
-// cache-hit query. A warm Synthesize clones the compiled base (the
-// arena makes that a handful of slab copies, not one allocation per
-// clause) and re-solves under assumptions, so its allocation count is
-// small and stable — measured ~340 allocs/run on the mini KB. The
-// budget below has ~1.5x headroom for incidental churn; blowing past
-// it means a structural regression (per-clause heap objects creeping
-// back, clone losing its slab packing, per-query encode work on the
-// warm path) that BenchmarkQuery1 would only surface at the next
+// cache-hit query. A warm Synthesize clones the compiled base (a
+// handful of flat slab copies, not one allocation per clause or per
+// watch list) and re-solves under assumptions, so its allocation count
+// is small and stable: 65 allocs/run on the mini KB, down from 132 when
+// every watch list was its own slice and the first watch move onto each
+// list reallocated it. The budget has ~1.2x headroom; blowing past it
+// means a structural regression (per-clause or per-list heap objects
+// creeping back, clone losing its slab packing, per-query encode work
+// on the warm path) that BenchmarkQuery1 would only surface at the next
 // manual bench run.
 func TestWarmQueryAllocBudget(t *testing.T) {
-	const budget = 500
+	const budget = 78
 
 	e := mustEngine(t, miniKB())
 	sc := Scenario{}
@@ -153,6 +155,7 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 			t.Fatal("warm query must stay feasible")
 		}
 	})
+	t.Logf("warm cache-hit Synthesize: %.0f allocs/run", allocs)
 	if allocs > budget {
 		t.Fatalf("warm cache-hit Synthesize allocated %.0f allocs/run; budget is %d", allocs, budget)
 	}
@@ -162,11 +165,13 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 // §5.1 inference_app base (formula build, simplification, sharded CNF
 // conversion, arithmetic circuits and the compile-time probe). Keying
 // Simplify's dedup and the Tseitin cache by rendered strings cost ~86k
-// allocations per compile; with structural hashes it measured 37,341.
-// The budget has ~7% headroom, so string keys or a per-node allocation
-// creeping back into the compile path fails the gate.
+// allocations per compile; with structural hashes it measured 37,341,
+// and with the watch lists in one watcher slab instead of a slice per
+// literal, 24,496. The budget has ~8% headroom, so string keys or a
+// per-node or per-list allocation creeping back into the compile path
+// fails the gate.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 40000
+	const budget = 26500
 
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)
@@ -178,6 +183,7 @@ func TestCompileAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("inference_app base compile: %.0f allocs/run", allocs)
 	if allocs > budget {
 		t.Fatalf("inference_app base compile: %.0f allocs/run; budget is %d", allocs, budget)
 	}
@@ -188,15 +194,18 @@ func TestCompileAllocBudget(t *testing.T) {
 // the whole MaxSAT descent. The descent fixes the cost sum's own output
 // bits, so it builds no comparator; building one per probe cost 4,659
 // (q3-without-cxl) and 4,829 (q1-baseline) allocs per query, against
-// 974 and 1,661 measured without. The budgets have ~20% headroom, so
-// per-probe circuit building coming back fails the gate.
+// 974 and 1,661 measured without. Most of those were watch lists
+// reallocated as watchers moved onto them; with every list in one
+// watcher slab both queries measured 199. The budgets have ~20%
+// headroom, so per-probe circuit building or per-list allocations
+// coming back fail the gate.
 func TestOptimizeAllocBudget(t *testing.T) {
 	budgets := []struct {
 		name   string
 		budget float64
 	}{
-		{"q3-without-cxl", 1170},
-		{"q1-baseline", 2000},
+		{"q3-without-cxl", 240},
+		{"q1-baseline", 240},
 	}
 	k, cases := caseStudyQueries()
 	scs := map[string]Scenario{}
@@ -222,6 +231,69 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		t.Logf("%s: %.0f allocs/run", b.name, allocs)
 		if allocs > b.budget {
 			t.Errorf("%s: warm cost optimize allocated %.0f allocs/run; budget is %.0f", b.name, allocs, b.budget)
+		}
+	}
+}
+
+// TestCloneAllocBudget pins the bytes a warm query allocates on each
+// query shape the serve_warm benchmark sends: the inference_app and
+// q1-grown syntheses, the Q3 synthesis without pooling and the PFC +
+// flooding explanation. The inline Clone of the cached base is most of
+// those bytes. Before Clone gave the arena and the watcher slab headroom,
+// specialize's first AddClause copied the whole arena again and the
+// explanation's searches regrew the watch lists, so these queries
+// allocated 1.24–1.34 MB (910 KB for inference_app); with the headroom
+// they measured 868, 843, 840 and 874 KB. The budgets have ~15%
+// headroom. The test also checks that specialize adds its selector
+// clauses inside the arena headroom Clone leaves.
+func TestCloneAllocBudget(t *testing.T) {
+	scs := section51Scenarios()
+	pfc := Scenario{
+		Workloads: []string{"inference_app"},
+		Context:   map[string]bool{"pfc_enabled": true, "flooding_enabled": true, "deadline_tight": true},
+	}
+	budgets := []struct {
+		name   string
+		sc     Scenario
+		budget uint64 // bytes per query
+	}{
+		{"inference_app", scs["inference_app"], 1_000_000},
+		{"q1-grown", scs["q1-grown"], 970_000},
+		{"q3-no-pooling", scs["q3-no-pooling"], 965_000},
+		{"pfc-explain", pfc, 1_005_000},
+	}
+	k, _ := caseStudyQueries()
+	e := mustEngine(t, k)
+	for _, b := range budgets {
+		sc := b.sc
+		if _, err := e.Synthesize(sc); err != nil { // warm the base
+			t.Fatal(err)
+		}
+		base, shared, err := e.baseFor(&sc)
+		if err != nil || !shared {
+			t.Fatalf("%s: base not cached (shared %v, err %v)", b.name, shared, err)
+		}
+		s := base.solver.Clone()
+		_, before := s.ArenaWords()
+		e.specialize(base, &sc, s)
+		if used, after := s.ArenaWords(); after != before {
+			t.Errorf("%s: specialize regrew the clone's arena from %d to %d words (%d used)",
+				b.name, before, after, used)
+		}
+
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			if _, err := e.Synthesize(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		t.Logf("%s: %d B/query (%d allocs)", b.name, perOp, (m1.Mallocs-m0.Mallocs)/runs)
+		if perOp > b.budget {
+			t.Errorf("%s: warm query allocated %d B; budget is %d", b.name, perOp, b.budget)
 		}
 	}
 }

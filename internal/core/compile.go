@@ -204,29 +204,26 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	}
 
 	// Materialize the CNF into a solver, then bolt the arithmetic
-	// circuits on top of the same variable space.
+	// circuits on top of the same variable space. Both go through one
+	// Bulk load, so the clause arena and the watch lists are allocated
+	// once for the whole base instead of being copied each time they
+	// fill; the solver state is the same as adding the clauses one by one.
 	c.solver = sat.NewSolver()
 	c.solver.EnsureVars(c.vocab.Len())
-	nLits := 0
-	for _, cl := range cnf.Clauses {
-		nLits += len(cl)
-	}
-	// Pre-size the arena for the whole CNF (capacity-only — snapshot
-	// bytes are unchanged): the exact clause and literal counts are known
-	// here, so the bulk load appends into one slab allocation.
-	c.solver.ReserveClauses(len(cnf.Clauses), nLits)
-	var lits []sat.Lit
-	for _, cl := range cnf.Clauses {
-		lits = lits[:0]
-		for _, l := range cl {
-			lits = append(lits, sat.Lit(l))
+	c.solver.Bulk(func() {
+		var lits []sat.Lit
+		for _, cl := range cnf.Clauses {
+			lits = lits[:0]
+			for _, l := range cl {
+				lits = append(lits, sat.Lit(l))
+			}
+			c.solver.AddClause(lits...)
 		}
-		c.solver.AddClause(lits...)
-	}
-	c.frozen = true
-	c.arith = intlin.New(c.solver)
-	c.resourceConstraints()
-	c.costModel()
+		c.frozen = true
+		c.arith = intlin.New(c.solver)
+		c.resourceConstraints()
+		c.costModel()
+	})
 	c.probe()
 	return c, nil
 }

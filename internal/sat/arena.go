@@ -2,7 +2,8 @@ package sat
 
 import "math"
 
-// This file implements the clause arena: the clause database as one flat
+// This file implements the solver's two flat slabs: the clause arena and
+// the watch table. The clause arena holds the clause database as one flat
 // slab of uint32 words (MiniSat's RegionAllocator design — Eén &
 // Sörensson), replacing the per-clause heap objects the solver used
 // before. A clause is addressed by a cref, its word offset into the slab,
@@ -25,12 +26,24 @@ import "math"
 //   - Clone: a deep copy of the clause database is one slab copy, and
 //     clause identity survives for free — a cref means the same clause in
 //     every copy, so watch lists and reason references copy verbatim with
-//     no forwarding marks, translation maps, or clone locks.
+//     no forwarding marks, translation maps, or clone locks. The copy
+//     carries headroom, so the clauses a query adds append in place.
 //   - Snapshot: the slab serializes (and validates) directly.
 //
-// Deleted clauses leave garbage words behind; compact() reclaims them
+// Deleted clauses leave garbage words behind; compactArena reclaims them
 // in place once they exceed a fraction of the slab (see maybeCompact),
 // preserving arena order — and hence watch-order determinism — exactly.
+//
+// The watch table applies the same idea to the watch lists: every list
+// lives in one pointer-free watcher slab, located by an {off, n, cap}
+// span per literal (see watchTable). A list that fills moves to the
+// slab's tail with twice the room (or grows in place when it already
+// ends there), leaving a garbage run behind. Garbage is reclaimed only
+// at safe points, where no list is being walked: reduceDB (through
+// maybeCompact) and ResetRun, a compiled base's freeze point, which
+// lays the lists out back to back so the base and its clones hold no
+// garbage. Moving a list never reorders it, so searches do not depend
+// on where lists sit.
 
 // cref addresses a clause: the word offset of its header in the arena.
 type cref uint32
@@ -73,13 +86,9 @@ func (a *arena) alloc(lits []lit, learnt bool) cref {
 // every cref are unchanged, so snapshots and clones are byte-identical
 // with or without the call.
 func (a *arena) reserve(extra int) {
-	need := len(a.data) + extra
-	if need <= cap(a.data) {
-		return
+	if len(a.data)+extra > cap(a.data) {
+		a.data = grown(a.data, extra)
 	}
-	grown := make([]lit, len(a.data), need)
-	copy(grown, a.data)
-	a.data = grown
 }
 
 func (a *arena) size(c cref) int     { return int(a.data[c] >> 2) }
@@ -117,19 +126,18 @@ func (a *arena) lits(c cref) []lit {
 	return a.data[off : off+cref(a.size(c)) : off+cref(a.size(c))]
 }
 
-// clone returns a deep copy of the arena — the near-memcpy at the heart
-// of Solver.Clone.
-func (a *arena) clone() arena {
-	return arena{data: append(make([]lit, 0, len(a.data)), a.data...), wasted: a.wasted}
-}
-
 // maybeCompact reclaims garbage once deleted clauses hold more than a
-// quarter of a non-trivial slab. Callers must hold no crefs across the
-// call (compaction relocates clauses); the solver invokes it only from
+// quarter of a non-trivial arena, and lays the watch lists out afresh
+// once abandoned watcher runs hold more than half of a non-trivial
+// watcher slab. Callers must hold no crefs or watch lists across the
+// call (compaction relocates both); the solver invokes it only from
 // reduceDB, where none are held.
 func (s *Solver) maybeCompact() {
 	if s.ca.wasted*4 > len(s.ca.data) && s.ca.wasted > 1<<12 {
 		s.compactArena()
+	}
+	if t := &s.watches; t.wasted*2 > len(t.slab) && t.wasted > 1<<12 {
+		t.compact(headroom(2 * (len(t.slab) - t.wasted)))
 	}
 }
 
@@ -199,8 +207,9 @@ func (s *Solver) compactArena() {
 			s.reason[v] = reloc(c)
 		}
 	}
-	for li := range s.watches {
-		ws := s.watches[li]
+	for li := range s.watches.spans {
+		sp := &s.watches.spans[li]
+		ws := s.watches.slab[sp.off : sp.off+sp.n]
 		n := 0
 		for _, wt := range ws {
 			if wasDeleted(wt.c, oldOffs) {
@@ -209,7 +218,7 @@ func (s *Solver) compactArena() {
 			ws[n] = watcher{c: reloc(wt.c), blocker: wt.blocker}
 			n++
 		}
-		s.watches[li] = ws[:n]
+		sp.n = uint32(n)
 	}
 }
 
@@ -226,4 +235,112 @@ func wasDeleted(c cref, live []cref) bool {
 		}
 	}
 	return lo == len(live) || live[lo] != c
+}
+
+// span locates one literal's watch list in the watcher slab: n watchers
+// at slab[off:off+n], with room for cap before the list must move.
+type span struct{ off, n, cap uint32 }
+
+// watchTable holds every watch list in one flat watcher slab, indexed by
+// internal literal through a span per literal. Slab and spans are
+// pointer-free, so the garbage collector never scans them, and a copy of
+// the whole table is two slice copies. A push onto a full list grows it
+// in place when it ends at the slab's tail and otherwise moves it to the
+// tail with twice the room; the run it leaves behind is garbage (counted
+// in wasted) until compact lays every list out back to back again.
+// Moving a list never reorders it, so propagation order, and hence the
+// search, does not depend on where a list sits.
+type watchTable struct {
+	spans  []span
+	slab   []watcher
+	wasted int
+}
+
+// minWatchRoom is the room a list gets on its first push.
+const minWatchRoom = 2
+
+// push appends w to literal l's list. It may move the slab, so callers
+// holding a slice of the slab re-slice after the call; the other lists'
+// spans are unchanged.
+func (t *watchTable) push(l lit, w watcher) {
+	sp := &t.spans[l]
+	if sp.n == sp.cap {
+		t.grow(sp)
+	}
+	t.slab[sp.off+sp.n] = w
+	sp.n++
+}
+
+// grow doubles the room of sp's full list: in place when the list ends
+// at the slab's tail, otherwise by moving it to the tail. When the slab
+// itself is full it doubles too, so a search that moves many lists
+// copies the slab once or twice rather than at every quarter of growth.
+// A list's room is never read before it is written, so extending into
+// the slab's spare capacity needs no zero-fill.
+func (t *watchTable) grow(sp *span) {
+	room := sp.cap + max(sp.cap, minWatchRoom)
+	off := sp.off
+	if int(sp.off+sp.cap) != len(t.slab) {
+		off = uint32(len(t.slab))
+		t.wasted += int(sp.cap)
+	}
+	end := int(off + room)
+	if end > cap(t.slab) {
+		t.slab = grown(t.slab, max(len(t.slab), end-len(t.slab)))
+	}
+	t.slab = t.slab[:end]
+	if off != sp.off {
+		copy(t.slab[off:], t.slab[sp.off:sp.off+sp.n])
+	}
+	sp.off, sp.cap = off, room
+}
+
+// bulkWatchers is the watcher-slab room Bulk reserves for n clauses: two
+// watchers per clause, and as much again for the runs that lists moving
+// to the tail leave behind while the load grows them.
+func bulkWatchers(n int) int { return 4 * n }
+
+// reserve grows the slab's capacity to hold at least extra more watchers
+// without reallocating. Capacity-only, like arena.reserve.
+func (t *watchTable) reserve(extra int) {
+	if len(t.slab)+extra > cap(t.slab) {
+		t.slab = grown(t.slab, extra)
+	}
+}
+
+// compact lays every list out back to back in literal order, each with
+// room for exactly its watchers, in a fresh slab with capacity for extra
+// more. Lists keep their order.
+func (t *watchTable) compact(extra int) {
+	live := t.live()
+	slab := make([]watcher, live, live+extra)
+	off := uint32(0)
+	for i := range t.spans {
+		sp := &t.spans[i]
+		copy(slab[off:], t.slab[sp.off:sp.off+sp.n])
+		sp.off, sp.cap = off, sp.n
+		off += sp.n
+	}
+	t.slab, t.wasted = slab, 0
+}
+
+// live counts the watchers in all lists.
+func (t *watchTable) live() int {
+	n := 0
+	for _, sp := range t.spans {
+		n += int(sp.n)
+	}
+	return n
+}
+
+// clone copies spans and slab verbatim, with room for extraSpans more
+// literals. The slab gets the headroom of a slab twice its length: a
+// list that moves takes twice its room at the tail. It is read-only on
+// t.
+func (t *watchTable) clone(extraSpans int) watchTable {
+	return watchTable{
+		spans:  grown(t.spans, extraSpans),
+		slab:   grown(t.slab, headroom(2*len(t.slab))),
+		wasted: t.wasted,
+	}
 }

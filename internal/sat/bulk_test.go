@@ -1,0 +1,81 @@
+package sat
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// TestBulkByteIdentity pins Bulk's contract: a solver that adds a load
+// through Bulk snapshots byte-identically to one that adds the same
+// clauses one by one, with units (and so level-0 propagation) and new
+// variables interleaved, and the load lands in the clause arena and the
+// watcher slab without either being copied to grow.
+func TestBulkByteIdentity(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	const nVars = 40
+	clauses := randomInstance(r, nVars, 160, 3)
+	for i := 0; i < len(clauses); i += 23 {
+		clauses[i] = clauses[i][:1] // a unit every 23 clauses
+	}
+	load := func(s *Solver) {
+		for i, cl := range clauses {
+			if i%40 == 0 {
+				s.NewVar() // a variable no clause mentions
+			}
+			s.AddClause(cl...)
+		}
+	}
+	eager := NewSolver()
+	eager.EnsureVars(nVars)
+	load(eager)
+
+	bulk := NewSolver()
+	bulk.EnsureVars(nVars)
+	bulk.Bulk(func() { load(bulk) })
+	if !bytes.Equal(eager.Snapshot(), bulk.Snapshot()) {
+		t.Fatal("Bulk changed the solver state")
+	}
+	if eager.Okay() != bulk.Okay() || eager.Solve() != bulk.Solve() || eager.Stats() != bulk.Stats() {
+		t.Fatal("Bulk changed the search")
+	}
+
+	reserved := NewSolver()
+	reserved.EnsureVars(nVars)
+	var arenaCap, slabCap int
+	reserved.Bulk(func() {
+		load(reserved)
+		arenaCap, slabCap = cap(reserved.ca.data), cap(reserved.watches.slab)
+	})
+	if arenaCap != 0 || slabCap != 0 {
+		t.Fatalf("Bulk added clauses before its load returned (arena cap %d, slab cap %d)", arenaCap, slabCap)
+	}
+	nClauses, nLits := 0, 0
+	for _, cl := range clauses {
+		nClauses++
+		nLits += len(cl)
+	}
+	if got, want := cap(reserved.ca.data), nClauses*clsHeaderWords+nLits; got != want {
+		t.Fatalf("arena capacity %d after Bulk, want the one reservation of %d words", got, want)
+	}
+	if got, want := cap(reserved.watches.slab), bulkWatchers(nClauses); got != want {
+		t.Fatalf("watcher slab capacity %d after Bulk, want the one reservation of %d", got, want)
+	}
+}
+
+// TestBulkUnsatisfiableLoad: AddClause inside Bulk cannot know the
+// verdict and returns true; the contradiction shows once Bulk returns.
+func TestBulkUnsatisfiableLoad(t *testing.T) {
+	s := NewSolver()
+	s.Bulk(func() {
+		if !s.AddClause(1) || !s.AddClause(-1) {
+			t.Fatal("AddClause inside Bulk returned false")
+		}
+	})
+	if s.Okay() {
+		t.Fatal("contradictory load left the solver okay")
+	}
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("contradictory load: got %v, want Unsat", st)
+	}
+}

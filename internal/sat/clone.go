@@ -9,12 +9,17 @@ package sat
 // base caching: compile once, then hand every query its own private
 // snapshot.
 //
-// With the arena clause database, Clone is a near-memcpy: the whole
-// clause DB is one slab copy, and clause references (crefs) mean the same
-// clause in source and copy, so the clause lists, watch lists, and reason
-// array copy verbatim with no per-clause work. Clone is read-only on the
-// source; any number of goroutines may clone one frozen solver
-// concurrently (the compiled-base cache does exactly that).
+// Clone is a near-memcpy: the clause arena and the watcher slab are
+// each one flat, pointer-free copy, and clause references (crefs) mean
+// the same clause in source and copy, so the clause lists, the watch
+// table's spans and the reason array copy verbatim with no per-clause or
+// per-list work. Each slice is copied once, at its final capacity: the
+// arena, the clause lists and the watcher slab get headroom (a sixteenth
+// of their length plus 1024 elements) for what a query adds — selector
+// clauses, learnt clauses, watch lists moving to the slab's tail — and
+// the bytes a copy overwrites are not zero-filled first. Clone is
+// read-only on the source; any number of goroutines may clone one
+// frozen solver concurrently (the compiled-base cache does exactly that).
 //
 // Clone may only be called at decision level 0 (i.e. not from inside a
 // Solve callback); it panics otherwise. The copy deliberately resets
@@ -44,51 +49,41 @@ func (s *Solver) Clone() *Solver {
 		maxLearnts:   s.maxLearnts,
 		learntGrowth: s.learntGrowth,
 	}
-	n.ca = s.ca.clone()
-	n.clauses = append([]cref(nil), s.clauses...)
-	n.learnts = append([]cref(nil), s.learnts...)
-	n.reason = make([]cref, len(s.reason), s.nVars+32)
-	copy(n.reason, s.reason)
+	// Per-variable slices carry slack for a query's selector variables,
+	// so its first NewVar does not copy them all again.
+	const slack = 32
+	n.ca = arena{data: grown(s.ca.data, headroom(len(s.ca.data))), wasted: s.ca.wasted}
+	n.clauses = grown(s.clauses, headroom(len(s.clauses)))
+	n.learnts = grown(s.learnts, headroom(len(s.learnts)))
 
 	// Watch lists are copied verbatim rather than re-attached: their order
 	// determines propagation order, and a clone must search identically.
-	// One watcher slab backs every list; full-slice caps keep runtime
-	// appends (watch moves) from bleeding across lists.
-	nWatchers := 0
-	for _, ws := range s.watches {
-		nWatchers += len(ws)
-	}
-	watcherSlab := make([]watcher, 0, nWatchers)
-	n.watches = make([][]watcher, len(s.watches), 2*(s.nVars+32))
-	for i, ws := range s.watches {
-		if len(ws) == 0 {
-			continue
-		}
-		off := len(watcherSlab)
-		watcherSlab = append(watcherSlab, ws...)
-		n.watches[i] = watcherSlab[off:len(watcherSlab):len(watcherSlab)]
-	}
+	n.watches = s.watches.clone(2 * slack)
 
-	// Per-variable slices carry a little slack capacity: queries layer a
-	// handful of selector variables onto each clone (NewVar), and exact-
-	// capacity slices would make the first of those reallocate every
-	// per-variable array at full size.
-	const slack = 32
-	nv := s.nVars + slack
-	n.vals = make([]lbool, len(s.vals), 2*nv)
-	copy(n.vals, s.vals)
-	n.level = make([]int32, len(s.level), nv)
-	copy(n.level, s.level)
-	n.polarity = make([]bool, len(s.polarity), nv)
-	copy(n.polarity, s.polarity)
+	n.vals = grown(s.vals, 2*slack)
+	n.level = grown(s.level, slack)
+	n.reason = grown(s.reason, slack)
+	n.polarity = grown(s.polarity, slack)
 	// The trail grows toward nVars during search; size it once.
-	n.trail = make([]lit, len(s.trail), nv)
-	copy(n.trail, s.trail)
-	n.trailLim = append([]int(nil), s.trailLim...)
-	n.activity = make([]float64, len(s.activity), nv)
-	copy(n.activity, s.activity)
-	n.order = s.order.clone(&n.activity)
-	n.order.grow(nv)
-	n.seen = make([]byte, len(s.seen), nv)
+	n.trail = grown(s.trail, s.nVars+slack-len(s.trail))
+	n.activity = grown(s.activity, slack)
+	n.order = s.order.clone(&n.activity, s.nVars+slack)
+	n.seen = make([]byte, len(s.seen), s.nVars+slack)
 	return n
+}
+
+// headroom is the spare capacity Clone gives a slab of n elements: a
+// sixteenth of it plus 1024, enough for what one query adds to a cached
+// base without the slab being copied again.
+func headroom(n int) int { return n/16 + 1024 }
+
+// grown returns a copy of src with capacity for extra more elements. The
+// make and copy are separate statements on purpose: the compiler fuses
+// them into one allocation that zero-fills only the extra tail
+// (runtime.makeslicecopy), so the bytes about to be overwritten are not
+// cleared first.
+func grown[T any](src []T, extra int) []T {
+	out := make([]T, len(src)+extra)
+	copy(out, src)
+	return out[:len(src)]
 }

@@ -1,7 +1,11 @@
 package sat
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -209,5 +213,122 @@ func TestCloneUnsatisfiableInstance(t *testing.T) {
 	b := a.Clone()
 	if st := b.Solve(); st != Unsat {
 		t.Fatalf("clone of contradictory instance: got %v, want Unsat", st)
+	}
+}
+
+// TestCloneSearchesIdenticallyUnderRelocation runs one search three ways
+// — on a Clone, on its source, and on a RestoreSnapshot of the source —
+// over random instances hard enough that the learnt clauses outgrow the
+// arena headroom Clone leaves, watch lists move past the watcher slab's
+// headroom so the slab grows, and reduceDB deletes clauses. Where a
+// slab or a list sits in memory must not steer the search: the three
+// runs must report equal Stats and models and end in byte-equal level-0
+// snapshots.
+func TestCloneSearchesIdenticallyUnderRelocation(t *testing.T) {
+	grew, reduced := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		const nVars = 200
+		src := NewSolver()
+		src.EnsureVars(nVars)
+		loadClauses(src, randomInstance(r, nVars, nVars*426/100, 3))
+		// A short first search leaves learnt clauses, phases and
+		// activities on the source, as a compiled base's probe does.
+		src.SetBudget(50, 0)
+		src.Solve()
+		src.SetBudget(0, 0)
+		src.ResetRun()
+
+		clone := src.Clone()
+		restored, err := RestoreSnapshot(src.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, arenaRoom := clone.ArenaWords()
+		slabRoom := cap(clone.watches.slab)
+		runs := []struct {
+			name string
+			s    *Solver
+		}{{"clone", clone}, {"source", src}, {"restored", restored}}
+		var stats []Stats
+		var models [][]bool
+		var snaps [][]byte
+		var statuses []Status
+		for _, run := range runs {
+			statuses = append(statuses, run.s.Solve())
+			stats = append(stats, run.s.Stats())
+			models = append(models, run.s.Model())
+			snaps = append(snaps, run.s.Snapshot())
+		}
+		if _, c := clone.ArenaWords(); c > arenaRoom && cap(clone.watches.slab) > slabRoom {
+			grew++
+		}
+		if stats[0].Deleted > 0 {
+			reduced++
+		}
+		for i := 1; i < len(runs); i++ {
+			if statuses[i] != statuses[0] || stats[i] != stats[0] {
+				t.Errorf("seed %d: %s %v %+v, clone %v %+v", seed, runs[i].name, statuses[i], stats[i], statuses[0], stats[0])
+			}
+			if !reflect.DeepEqual(models[i], models[0]) {
+				t.Errorf("seed %d: %s model differs from the clone's", seed, runs[i].name)
+			}
+			if !bytes.Equal(snaps[i], snaps[0]) {
+				t.Errorf("seed %d: %s level-0 snapshot differs from the clone's", seed, runs[i].name)
+			}
+		}
+	}
+	if grew == 0 || reduced == 0 {
+		t.Fatalf("%d clones outgrew their arena and watcher-slab headroom and %d searches reduced the clause database; want at least one of each", grew, reduced)
+	}
+}
+
+// TestConcurrentClonesOfFrozenSolver clones one frozen solver from many
+// goroutines at once and solves every clone, as concurrent queries over
+// one cached base do. Every clone must run the same search, and the
+// source's snapshot must not change. Under the race detector (make
+// race) this also pins that Clone only reads its source.
+func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const nVars = 150
+	base := NewSolver()
+	base.EnsureVars(nVars)
+	loadClauses(base, randomInstance(r, nVars, nVars*426/100, 3))
+	base.SetBudget(50, 0) // a cut-short probe: a prior, but no verdict
+	base.Solve()
+	base.SetBudget(0, 0)
+	base.ResetRun()
+	frozen := base.Snapshot()
+
+	assumps := []Lit{-1, 2}
+	ref := base.Clone()
+	refStatus := ref.SolveAssuming(assumps)
+	refStats := ref.Stats()
+	if refStats.Conflicts == 0 {
+		t.Fatal("the clones' search needs no conflict; the test exercises too little")
+	}
+
+	const workers, rounds = 8, 4
+	errs := make(chan error, workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c := base.Clone()
+				if st := c.SolveAssuming(assumps); st != refStatus || c.Stats() != refStats {
+					errs <- fmt.Errorf("clone answered %v %+v, want %v %+v", st, c.Stats(), refStatus, refStats)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !bytes.Equal(base.Snapshot(), frozen) {
+		t.Fatal("cloning changed the source solver")
 	}
 }

@@ -86,7 +86,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 
 func TestHeapOrdering(t *testing.T) {
 	act := []float64{5, 1, 9, 3, 7}
-	h := newVarHeap(&act)
+	h := &varHeap{activity: &act}
 	for v := range act {
 		h.insert(v)
 	}
@@ -106,7 +106,7 @@ func TestHeapOrdering(t *testing.T) {
 
 func TestHeapUpdateAndReinsert(t *testing.T) {
 	act := []float64{1, 2, 3}
-	h := newVarHeap(&act)
+	h := &varHeap{activity: &act}
 	for v := range act {
 		h.insert(v)
 	}

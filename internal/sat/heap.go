@@ -12,17 +12,14 @@ type varHeap struct {
 	indices  []int32 // indices[v] is v's position in heap, or -1
 }
 
-func newVarHeap(activity *[]float64) *varHeap {
-	return &varHeap{activity: activity}
-}
-
-// clone deep-copies the heap, rebinding it to the given activity slice
-// (the clone's own, so later bumps don't couple the two solvers).
-func (h *varHeap) clone(activity *[]float64) *varHeap {
-	return &varHeap{
+// clone deep-copies the heap with capacity for n variables, rebinding it
+// to the given activity slice (the clone's own, so later bumps don't
+// couple the two solvers).
+func (h *varHeap) clone(activity *[]float64, n int) varHeap {
+	return varHeap{
 		activity: activity,
-		heap:     append([]int32(nil), h.heap...),
-		indices:  append([]int32(nil), h.indices...),
+		heap:     grown(h.heap, n-len(h.heap)),
+		indices:  grown(h.indices, n-len(h.indices)),
 	}
 }
 
@@ -30,14 +27,10 @@ func (h *varHeap) clone(activity *[]float64) *varHeap {
 // Solver.EnsureVars).
 func (h *varHeap) grow(n int) {
 	if cap(h.heap) < n {
-		heap := make([]int32, len(h.heap), n)
-		copy(heap, h.heap)
-		h.heap = heap
+		h.heap = grown(h.heap, n-len(h.heap))
 	}
 	if cap(h.indices) < n {
-		indices := make([]int32, len(h.indices), n)
-		copy(indices, h.indices)
-		h.indices = indices
+		h.indices = grown(h.indices, n-len(h.indices))
 	}
 }
 

@@ -12,7 +12,8 @@ func (s *Solver) propagate() cref {
 		// The watch list is compacted in place with a lagging write index;
 		// while no watcher has been dropped or rewritten (n == i, the
 		// common case: blockers true), entries are not rewritten at all.
-		ws := s.watches[p]
+		sp := s.watches.spans[p]
+		ws := s.watches.slab[sp.off : sp.off+sp.n]
 		n := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
@@ -47,7 +48,10 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(cl); k++ {
 				if s.value(cl[k]) != lFalse {
 					cl[1], cl[k] = cl[k], cl[1]
-					s.watches[cl[1].flip()] = append(s.watches[cl[1].flip()], watcher{c, first})
+					s.watches.push(cl[1].flip(), watcher{c, first})
+					// The push may have moved the slab; p's list
+					// itself stays where sp says.
+					ws = s.watches.slab[sp.off : sp.off+sp.n]
 					found = true
 					break
 				}
@@ -61,17 +65,14 @@ func (s *Solver) propagate() cref {
 			if s.value(first) == lFalse {
 				// Conflict: keep remaining watchers, restore list.
 				n += copy(ws[n:], ws[i+1:])
-				s.watches[p] = ws[:n]
+				s.watches.spans[p].n = uint32(n)
 				s.qhead = len(s.trail)
 				return c
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		// Store the shortened list back only when a watcher left it: the
-		// slice-header store (and its GC write barrier) is otherwise a
-		// no-op on the hottest loop.
 		if n != len(ws) {
-			s.watches[p] = ws[:n]
+			s.watches.spans[p].n = uint32(n)
 		}
 	}
 	return crefUndef

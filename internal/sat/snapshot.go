@@ -62,10 +62,7 @@ func (s *Solver) Snapshot() []byte {
 	if s.decisionLevel() != 0 {
 		panic("sat: Snapshot called above decision level 0")
 	}
-	nWatchers := 0
-	for _, ws := range s.watches {
-		nWatchers += len(ws)
-	}
+	nWatchers := s.watches.live()
 	buf := make([]byte, 0, 80+4*len(s.ca.data)+5*(len(s.clauses)+len(s.learnts))+10*nWatchers+10*s.nVars)
 
 	u32 := func(v uint32) {
@@ -156,9 +153,9 @@ func (s *Solver) Snapshot() []byte {
 		}
 	}
 
-	for _, ws := range s.watches {
-		uv(uint64(len(ws)))
-		for _, w := range ws {
+	for _, sp := range s.watches.spans {
+		uv(uint64(sp.n))
+		for _, w := range s.watches.slab[sp.off : sp.off+sp.n] {
 			uv(uint64(w.c))
 			uv(uint64(w.blocker))
 		}
@@ -495,17 +492,20 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		reason[v] = cref(c64)
 	}
 
-	watches := make([][]watcher, 2*nVars)
+	// The lists are read in literal order into one slab, back to back,
+	// each with room for exactly its watchers. Every live clause has two
+	// watchers, which sizes the slab for a well-formed input.
+	watches := watchTable{
+		spans: make([]span, 2*nVars),
+		slab:  make([]watcher, 0, 2*(len(clauses)+len(learnts))),
+	}
 	watchCount := make([]int32, len(starts))
 	for li := 0; li < 2*nVars; li++ {
 		n, err := r.count("watch list length")
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			continue
-		}
-		ws := make([]watcher, n)
+		off := len(watches.slab)
 		for j := 0; j < n; j++ {
 			c64, err := r.uvarint("watcher clause")
 			if err != nil {
@@ -538,9 +538,9 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 				}
 				watchCount[ci]++
 			}
-			ws[j] = watcher{c: c, blocker: lit(bl)}
+			watches.slab = append(watches.slab, watcher{c: c, blocker: lit(bl)})
 		}
-		watches[li] = ws
+		watches.spans[li] = span{off: uint32(off), n: uint32(n), cap: uint32(n)}
 	}
 	for i, c := range starts {
 		if !ca.deleted(c) && watchCount[i] != 2 {
@@ -572,6 +572,6 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		maxLearnts:   maxLearnts,
 		learntGrowth: learntGrowth,
 	}
-	n.order = &varHeap{activity: &n.activity, heap: heap, indices: indices}
+	n.order = varHeap{activity: &n.activity, heap: heap, indices: indices}
 	return n, nil
 }

@@ -163,7 +163,7 @@ type Solver struct {
 	clauses []cref
 	learnts []cref
 
-	watches [][]watcher // indexed by internal lit
+	watches watchTable // watch lists, indexed by internal lit
 	// vals holds the current value of every internal literal: an
 	// assignment writes both polarities, so value(l) is one load with no
 	// sign fix-up. A variable v is unassigned iff vals[2v] is lUndef.
@@ -177,7 +177,7 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	order    *varHeap
+	order    varHeap
 
 	claInc float64
 
@@ -192,6 +192,10 @@ type Solver struct {
 	lbdStamp  []uint64
 	lbdGen    uint64
 	addBuf    []lit
+	// Inside Bulk, AddClause records each clause in the bulk chunks,
+	// terminated by a 0, instead of adding it.
+	bulking bool
+	bulk    [][]Lit
 	// Arena-compaction scratch: the old→new offset tables (see
 	// compactArena), recycled across compactions.
 	gcOld []cref
@@ -234,7 +238,7 @@ func NewSolverOpts(opts Options) *Solver {
 		maxLearnts:   0, // set on first Solve relative to clause count
 		learntGrowth: 1.1,
 	}
-	s.order = newVarHeap(&s.activity)
+	s.order.activity = &s.activity
 	return s
 }
 
@@ -247,15 +251,25 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // NumLearnts returns the number of live learnt clauses.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
+// ArenaWords reports the clause arena's length and capacity in 32-bit
+// words. A query's clauses fit without copying the arena again while
+// used stays within capacity; the allocation-budget tests check that the
+// headroom Clone leaves covers what a query adds.
+func (s *Solver) ArenaWords() (used, capacity int) { return len(s.ca.data), cap(s.ca.data) }
+
 // Stats returns a copy of the cumulative solver statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 
 // ResetRun drops what earlier solves left on the solver besides its
 // search state: the cumulative Stats, the last model, final conflict and
 // stop cause, and the conflict-analysis scratch buffers. Saved phases,
-// VSIDS activities and learnt clauses stay. After ResetRun the solver
-// itself runs the same search its Clone would, and reports only its own
-// later work. Must be called at decision level 0.
+// VSIDS activities and learnt clauses stay. It also clips the clause
+// arena to its length and lays the watch lists out back to back in a
+// slab of exactly their size, so a solver frozen after ResetRun (a
+// compiled base) keeps no spare room or garbage for a Clone to copy;
+// each clone gets its own headroom. After ResetRun the solver itself
+// runs the same search its Clone would, and reports only its own later
+// work. Must be called at decision level 0.
 func (s *Solver) ResetRun() {
 	if s.decisionLevel() != 0 {
 		panic("sat: ResetRun called above decision level 0")
@@ -269,6 +283,10 @@ func (s *Solver) ResetRun() {
 	s.lbdStamp = nil
 	s.lbdGen = 0
 	s.transient = nil
+	if cap(s.ca.data) > len(s.ca.data) {
+		s.ca.data = grown(s.ca.data, 0)
+	}
+	s.watches.compact(0)
 }
 
 // NewVar allocates a fresh variable and returns its index (≥ 1).
@@ -285,7 +303,7 @@ func (s *Solver) NewVar() int {
 		s.growVarCaps(n)
 	}
 	s.nVars++
-	s.watches = append(s.watches, nil, nil)
+	s.watches.spans = append(s.watches.spans, span{}, span{})
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
@@ -312,41 +330,76 @@ func (s *Solver) EnsureVars(n int) {
 // growVarCaps reallocates every per-variable slice with capacity for n
 // variables, preserving contents.
 func (s *Solver) growVarCaps(n int) {
-	watches := make([][]watcher, len(s.watches), 2*n)
-	copy(watches, s.watches)
-	s.watches = watches
-	vals := make([]lbool, len(s.vals), 2*n)
-	copy(vals, s.vals)
-	s.vals = vals
-	level := make([]int32, len(s.level), n)
-	copy(level, s.level)
-	s.level = level
-	reason := make([]cref, len(s.reason), n)
-	copy(reason, s.reason)
-	s.reason = reason
-	polarity := make([]bool, len(s.polarity), n)
-	copy(polarity, s.polarity)
-	s.polarity = polarity
-	activity := make([]float64, len(s.activity), n)
-	copy(activity, s.activity)
-	s.activity = activity
-	seen := make([]byte, len(s.seen), n)
-	copy(seen, s.seen)
-	s.seen = seen
+	s.watches.spans = grown(s.watches.spans, 2*n-len(s.watches.spans))
+	s.vals = grown(s.vals, 2*n-len(s.vals))
+	s.level = grown(s.level, n-len(s.level))
+	s.reason = grown(s.reason, n-len(s.reason))
+	s.polarity = grown(s.polarity, n-len(s.polarity))
+	s.activity = grown(s.activity, n-len(s.activity))
+	s.seen = grown(s.seen, n-len(s.seen))
 	s.order.grow(n)
 }
 
-// ReserveClauses pre-sizes the clause arena for a bulk load of nClauses
-// clauses totalling nLits literals, so a compiler splicing a known CNF
-// (the delta-merge path hands the exact clause and literal counts over)
-// appends into one allocation instead of doubling the slab repeatedly.
-// Capacity-only: solver state, clause references, clones, and snapshot
-// bytes are identical with or without the call.
-func (s *Solver) ReserveClauses(nClauses, nLits int) {
-	if nClauses <= 0 && nLits <= 0 {
-		return
+// Bulk runs load with clause addition deferred, then adds every clause
+// load passed to AddClause, in order, into storage sized once for all of
+// them: the clause arena, the clause list and the watcher slab are
+// allocated up front instead of being copied each time they fill. A
+// compiler that emits a whole base clause by clause (CNF shards, then
+// arithmetic circuits) wraps the emission in one Bulk call.
+//
+// The solver ends in exactly the state the same AddClause calls made
+// one by one would leave: clauses are added in the same order, units
+// propagate at the same points, so clause references, watch order and
+// snapshot bytes are identical. Inside load, AddClause records its
+// clause and returns true (the top-level verdict is known once Bulk
+// returns; see Okay), and NewVar and EnsureVars work as usual. load must
+// not solve, clone or snapshot the solver.
+func (s *Solver) Bulk(load func()) {
+	s.bulking = true
+	defer func() { s.bulking, s.bulk = false, nil }()
+	load()
+	s.bulking = false
+
+	nClauses, nLits := 0, 0
+	for _, chunk := range s.bulk {
+		for _, l := range chunk {
+			if l == 0 {
+				nClauses++
+			} else {
+				nLits++
+			}
+		}
 	}
 	s.ca.reserve(nClauses*clsHeaderWords + nLits)
+	if cap(s.clauses)-len(s.clauses) < nClauses {
+		s.clauses = grown(s.clauses, nClauses)
+	}
+	s.watches.reserve(bulkWatchers(nClauses))
+	for _, chunk := range s.bulk {
+		for i := 0; i < len(chunk); {
+			j := i
+			for chunk[j] != 0 {
+				j++
+			}
+			s.AddClause(chunk[i:j]...)
+			i = j + 1
+		}
+	}
+}
+
+// bulkChunk is the size, in literals, of the buffers Bulk records
+// deferred clauses in. Fixed-size chunks hold the whole load without
+// ever being copied to grow.
+const bulkChunk = 4096
+
+// deferClause records a clause for Bulk to add, followed by a 0.
+func (s *Solver) deferClause(lits []Lit) {
+	n := len(s.bulk)
+	if n == 0 || len(s.bulk[n-1])+len(lits)+1 > cap(s.bulk[n-1]) {
+		s.bulk = append(s.bulk, make([]Lit, 0, max(bulkChunk, len(lits)+1)))
+		n++
+	}
+	s.bulk[n-1] = append(append(s.bulk[n-1], lits...), 0)
 }
 
 // ErrVarRange is returned by AddClause when a literal references variable 0
@@ -378,6 +431,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 	}
 	s.EnsureVars(maxVar)
+	if s.bulking {
+		s.deferClause(lits)
+		return true
+	}
 
 	// Normalize: drop false/duplicate literals, detect satisfied or
 	// tautological clauses. Duplicate detection marks s.seen with a bit
@@ -452,8 +509,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // attach registers the first two literals of c as watched.
 func (s *Solver) attach(c cref) {
 	cl := s.ca.lits(c)
-	s.watches[cl[0].flip()] = append(s.watches[cl[0].flip()], watcher{c, cl[1]})
-	s.watches[cl[1].flip()] = append(s.watches[cl[1].flip()], watcher{c, cl[0]})
+	s.watches.push(cl[0].flip(), watcher{c, cl[1]})
+	s.watches.push(cl[1].flip(), watcher{c, cl[0]})
 }
 
 // detachAll lazily detaches a clause by marking it deleted; propagate
