@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR24.json
+BENCH ?= BENCH_PR25.json
 
 build:
 	$(GO) build ./...
@@ -109,10 +109,13 @@ scale-diff:
 # untrusted-bytes contract (typed errors, no panics, no OOM) is
 # exercised on every gate, not only in dedicated fuzz sessions, plus the
 # MaxSAT bounds fuzzer (random weighted objectives must yield exact,
-# witnessed, unbeatable optima) and the Simplify fuzzer (idempotent,
-# equivalent under every assignment, equal to the String()-keyed oracle).
+# witnessed, unbeatable optima), the Simplify fuzzer (idempotent,
+# equivalent under every assignment, equal to the String()-keyed oracle)
+# and the arithmetic fuzzer (random sums and products over constant and
+# free operands must evaluate to the integer result).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
+	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/intlin
 	$(GO) test -run=NONE -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/sat
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core

@@ -39,16 +39,18 @@ func section51Scenarios() map[string]Scenario {
 // pays for what a base holds, so a base that grows is a
 // warm-path regression even before any timing shows it — a base that
 // gained the power and port objective circuits nearly doubled (49,575
-// vars / 82,216 clauses for inference_app). The budgets allow 2% above
-// the counts measured when they were set.
+// vars / 82,216 clauses for inference_app), and gates over constant
+// inputs plus reified SKU-guarded equalities took inference_app from
+// 1,443 vars / 10,034 clauses to 3,404 / 11,694. The budgets allow 2%
+// above the counts measured when they were set.
 func TestBaseSizeBudget(t *testing.T) {
 	budgets := []struct {
 		name          string
 		vars, clauses int
 	}{
-		{"inference_app", 3404, 11544},
-		{"q1-grown", 3464, 10638},
-		{"q3-no-pooling", 3495, 11005},
+		{"inference_app", 1443, 10034},
+		{"q1-grown", 1567, 9262},
+		{"q3-no-pooling", 1296, 9575},
 	}
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)
@@ -91,15 +93,15 @@ func TestSearchEffortBudget(t *testing.T) {
 		optimize             bool // cost optimization instead of Synthesize
 		conflicts, decisions int64
 	}{
-		{"inference_app", false, 0, 96},
-		{"q1-grown", false, 0, 198},
-		{"q3-no-pooling", false, 0, 72},
-		{"q3-pooling", false, 0, 79},
-		{"q1-baseline", true, 177, 1825},
-		{"q3-without-cxl", true, 69, 1293},
-		{"q3-with-cxl", true, 91, 1565},
+		{"inference_app", false, 0, 173},
+		{"q1-grown", false, 0, 86},
+		{"q3-no-pooling", false, 0, 66},
+		{"q3-pooling", false, 0, 67},
+		{"q1-baseline", true, 101, 1525},
+		{"q3-without-cxl", true, 74, 1412},
+		{"q3-with-cxl", true, 92, 1338},
 		// Infeasible: the decision plus minimizing its explanation.
-		{"overconstrained-explain", false, 8, 774},
+		{"overconstrained-explain", false, 0, 894},
 	}
 	for _, b := range budgets {
 		e := mustEngine(t, k)
@@ -166,12 +168,14 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 // conversion, arithmetic circuits and the compile-time probe). Keying
 // Simplify's dedup and the Tseitin cache by rendered strings cost ~86k
 // allocations per compile; with structural hashes it measured 37,341,
-// and with the watch lists in one watcher slab instead of a slice per
-// literal, 24,496. The budget has ~8% headroom, so string keys or a
-// per-node or per-list allocation creeping back into the compile path
-// fails the gate.
+// with the watch lists in one watcher slab instead of a slice per
+// literal 24,496, and with the arithmetic gates folding constant inputs
+// and emitting their clauses through the builder's scratch buffer,
+// 9,313. The budget has ~8% headroom, so string keys, a per-node,
+// per-list or per-gate allocation, or the constant-input gates creeping
+// back into the compile path fails the gate.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 26500
+	const budget = 10050
 
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)
@@ -243,8 +247,9 @@ func TestOptimizeAllocBudget(t *testing.T) {
 // specialize's first AddClause copied the whole arena again and the
 // explanation's searches regrew the watch lists, so these queries
 // allocated 1.24–1.34 MB (910 KB for inference_app); with the headroom
-// they measured 868, 843, 840 and 874 KB. The budgets have ~15%
-// headroom. The test also checks that specialize adds its selector
+// they measured 868, 843, 840 and 874 KB, and on bases whose arithmetic
+// gates fold constant inputs 649, 617, 608 and 645 KB. The budgets have
+// ~15% headroom. The test also checks that specialize adds its selector
 // clauses inside the arena headroom Clone leaves.
 func TestCloneAllocBudget(t *testing.T) {
 	scs := section51Scenarios()
@@ -257,10 +262,10 @@ func TestCloneAllocBudget(t *testing.T) {
 		sc     Scenario
 		budget uint64 // bytes per query
 	}{
-		{"inference_app", scs["inference_app"], 1_000_000},
-		{"q1-grown", scs["q1-grown"], 970_000},
-		{"q3-no-pooling", scs["q3-no-pooling"], 965_000},
-		{"pfc-explain", pfc, 1_005_000},
+		{"inference_app", scs["inference_app"], 747_000},
+		{"q1-grown", scs["q1-grown"], 710_000},
+		{"q3-no-pooling", scs["q3-no-pooling"], 700_000},
+		{"pfc-explain", pfc, 742_000},
 	}
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)

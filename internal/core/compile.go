@@ -800,8 +800,7 @@ func (c *compiled) resourceConstraints() {
 	}
 	c.coresTotal = c.arith.Var(maxCores)
 	for _, h := range c.allowedHardware(kb.KindServer) {
-		c.arith.AssertImplies(c.hwLit[h.Name],
-			c.arith.EqConst(c.coresTotal, h.Q(kb.ResCores)*ns))
+		c.arith.AssertImpliesEq(c.hwLit[h.Name], c.coresTotal, h.Q(kb.ResCores)*ns)
 	}
 
 	// Cores consumed: workload peaks + per-system overheads.
@@ -848,7 +847,7 @@ func (c *compiled) resourceConstraints() {
 		}
 		memTotal := c.arith.Var(maxMem)
 		for _, h := range c.allowedHardware(kb.KindServer) {
-			c.arith.AssertImplies(c.hwLit[h.Name], c.arith.EqConst(memTotal, memOf(h)))
+			c.arith.AssertImpliesEq(c.hwLit[h.Name], memTotal, memOf(h))
 		}
 		selMem := c.addSelector("resources:memory",
 			fmt.Sprintf("workloads need %d GB of aggregate server memory", wlMem))
@@ -948,7 +947,7 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 	}
 	budget := c.arith.Var(maxBudget)
 	for _, h := range c.allowedHardware(kb.KindSwitch) {
-		c.arith.AssertImplies(c.hwLit[h.Name], c.arith.EqConst(budget, h.Q(res)))
+		c.arith.AssertImpliesEq(c.hwLit[h.Name], budget, h.Q(res))
 	}
 	sel := c.addSelector(selName, note)
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
@@ -957,8 +956,8 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 // kindTotal builds a muxed per-kind contribution: one bounded integer,
 // forced to val(h) exactly while SKU h is selected. It follows the
 // coresTotal/memTotal precedent: at most one SKU per kind is selected,
-// so exactly one EqConst fires and the variable is pinned to the
-// selected SKU's value. When no SKU of the kind is selected (possible
+// so exactly one AssertImpliesEq guard holds and the variable is pinned
+// to the selected SKU's value. When no SKU of the kind is selected (possible
 // only in MUS deletion trials that drop the selection selector) the
 // variable floats; such trials only ask satisfiability, which a
 // floating total never changes.
@@ -975,7 +974,7 @@ func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64)
 	}
 	t := c.arith.Var(maxV)
 	for _, h := range hws {
-		c.arith.AssertImplies(c.hwLit[h.Name], c.arith.EqConst(t, val(h)))
+		c.arith.AssertImpliesEq(c.hwLit[h.Name], t, val(h))
 	}
 	return t
 }

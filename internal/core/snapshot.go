@@ -74,7 +74,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v10: the warm-start profile section is gone, and the solver section
 // holds the base after its compile-time probe. A v9 file holds an
 // unprobed base, whose queries would search differently.
-const baseSnapshotVersion = 10
+// v11: the arithmetic circuits fold constant gate inputs and encode each
+// SKU-guarded total as direct guard → bit clauses. A v10 file holds the
+// larger circuits the compiler no longer emits.
+const baseSnapshotVersion = 11
 
 // Snapshot decode failure classes.
 var (

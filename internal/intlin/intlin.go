@@ -16,11 +16,13 @@ package intlin
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"netarch/internal/sat"
 )
 
-// Adder is the clause sink; *sat.Solver satisfies it.
+// Adder is the clause sink; *sat.Solver satisfies it. AddClause must not
+// retain lits: the Builder passes its scratch buffers.
 type Adder interface {
 	NewVar() int
 	AddClause(lits ...sat.Lit) bool
@@ -60,10 +62,13 @@ func RestoreInt(bits []sat.Lit, max int64) Int {
 	return Int{bits: append([]sat.Lit(nil), bits...), max: max}
 }
 
-// Builder allocates integer circuits over an Adder.
+// Builder allocates integer circuits over an Adder. It reuses scratch
+// buffers across gates, so one Builder must not be used from two
+// goroutines at once.
 type Builder struct {
 	s       Adder
-	trueLit sat.Lit // a literal constrained to be true
+	trueLit sat.Lit   // a literal constrained to be true
+	in, cls []sat.Lit // scratch: a gate's folded inputs, the clause emit adds
 }
 
 // New returns a Builder emitting into s. It allocates one variable pinned
@@ -134,7 +139,7 @@ func (b *Builder) Var(max int64) Int {
 	}
 	// If max is not 2^w - 1, forbid values above max.
 	if max != (1<<w)-1 {
-		b.s.AddClause(b.LeqConst(out, max))
+		b.emit(b.LeqConst(out, max))
 	}
 	return out
 }
@@ -174,52 +179,87 @@ func (b *Builder) ScaledBool(l sat.Lit, c int64) Int {
 }
 
 // gate helpers -------------------------------------------------------------
+//
+// Every gate folds its inputs before it allocates anything: a constant
+// input that cannot change the result drops out, one that decides the
+// result is returned as that constant, duplicates merge, and a gate left
+// with a single input returns that input. A circuit over constant operands
+// (an adder's initial carry, ScaledBool's zero bits, bits past an
+// operand's width) therefore costs no variable and no clause.
+
+// emit adds one clause through the builder's scratch buffer, so the
+// variadic call does not allocate.
+func (b *Builder) emit(ls ...sat.Lit) {
+	b.cls = append(b.cls[:0], ls...)
+	b.s.AddClause(b.cls...)
+}
 
 // andGate returns a literal g with g ↔ (l1 ∧ … ∧ ln).
-func (b *Builder) andGate(ls ...sat.Lit) sat.Lit {
-	switch len(ls) {
-	case 0:
-		return b.trueLit
-	case 1:
-		return ls[0]
-	}
-	g := sat.Lit(b.s.NewVar())
-	long := make([]sat.Lit, 0, len(ls)+1)
-	long = append(long, g)
-	for _, l := range ls {
-		b.s.AddClause(g.Flip(), l) // g -> l
-		long = append(long, l.Flip())
-	}
-	b.s.AddClause(long...) // all l -> g
-	return g
-}
+func (b *Builder) andGate(ls ...sat.Lit) sat.Lit { return b.gate(ls, false) }
 
 // orGate returns a literal g with g ↔ (l1 ∨ … ∨ ln).
-func (b *Builder) orGate(ls ...sat.Lit) sat.Lit {
-	switch len(ls) {
-	case 0:
-		return b.False()
+func (b *Builder) orGate(ls ...sat.Lit) sat.Lit { return b.gate(ls, true) }
+
+// gate returns a literal g with g ↔ (l1 ∧ … ∧ ln), or g ↔ (l1 ∨ … ∨ ln)
+// when or is set. An or-gate is built as the and-gate of the complemented
+// inputs with its output complemented (De Morgan), so the fresh variable
+// is still the or-gate's positive output.
+func (b *Builder) gate(ls []sat.Lit, or bool) sat.Lit {
+	neg := func(l sat.Lit) sat.Lit {
+		if or {
+			return l.Flip()
+		}
+		return l
+	}
+	// b.in[0] is left for the output literal of the long clause.
+	b.in = append(b.in[:0], 0)
+	for _, l := range ls {
+		x := neg(l) // the and-gate's input
+		if x == b.trueLit || slices.Contains(b.in[1:], x) {
+			continue
+		}
+		if x == b.False() || slices.Contains(b.in[1:], x.Flip()) {
+			return neg(b.False())
+		}
+		b.in = append(b.in, x)
+	}
+	switch len(b.in) {
 	case 1:
-		return ls[0]
+		return neg(b.trueLit)
+	case 2:
+		return neg(b.in[1])
 	}
 	g := sat.Lit(b.s.NewVar())
-	long := make([]sat.Lit, 0, len(ls)+1)
-	long = append(long, g.Flip())
-	for _, l := range ls {
-		b.s.AddClause(g, l.Flip()) // l -> g
-		long = append(long, l)
+	out := neg(g) // out ↔ ∧ x
+	for i, x := range b.in[1:] {
+		b.emit(out.Flip(), x) // out -> x
+		b.in[i+1] = x.Flip()
 	}
-	b.s.AddClause(long...) // g -> some l
+	b.in[0] = out
+	b.s.AddClause(b.in...) // all x -> out
 	return g
 }
 
-// iffGate returns a literal g with g ↔ (a ↔ b).
+// iffGate returns a literal g with g ↔ (a ↔ c).
 func (b *Builder) iffGate(a, c sat.Lit) sat.Lit {
+	if c.Var() == b.trueLit.Var() {
+		a, c = c, a
+	}
+	switch a {
+	case c:
+		return b.trueLit
+	case c.Flip():
+		return b.False()
+	case b.trueLit:
+		return c
+	case b.False():
+		return c.Flip()
+	}
 	g := sat.Lit(b.s.NewVar())
-	b.s.AddClause(g.Flip(), a.Flip(), c)
-	b.s.AddClause(g.Flip(), a, c.Flip())
-	b.s.AddClause(g, a, c)
-	b.s.AddClause(g, a.Flip(), c.Flip())
+	b.emit(g.Flip(), a.Flip(), c)
+	b.emit(g.Flip(), a, c.Flip())
+	b.emit(g, a, c)
+	b.emit(g, a.Flip(), c.Flip())
 	return g
 }
 
@@ -329,22 +369,6 @@ func (b *Builder) GeqConst(a Int, k int64) sat.Lit {
 	return b.LeqConst(a, k-1).Flip()
 }
 
-// EqConst returns a reified literal g with g ↔ (a = k).
-func (b *Builder) EqConst(a Int, k int64) sat.Lit {
-	if k < 0 || k > a.max {
-		return b.False()
-	}
-	ls := make([]sat.Lit, len(a.bits))
-	for i, bi := range a.bits {
-		if k&(1<<i) != 0 {
-			ls[i] = bi
-		} else {
-			ls[i] = bi.Flip()
-		}
-	}
-	return b.andGate(ls...)
-}
-
 // Leq returns a reified literal g with g ↔ (a ≤ c).
 func (b *Builder) Leq(a, c Int) sat.Lit {
 	w := len(a.bits)
@@ -381,10 +405,27 @@ func (b *Builder) Eq(a, c Int) sat.Lit {
 }
 
 // Assert adds the literal as a unit clause (convenience).
-func (b *Builder) Assert(l sat.Lit) { b.s.AddClause(l) }
+func (b *Builder) Assert(l sat.Lit) { b.emit(l) }
 
 // AssertImplies adds guard → l.
-func (b *Builder) AssertImplies(guard, l sat.Lit) { b.s.AddClause(guard.Flip(), l) }
+func (b *Builder) AssertImplies(guard, l sat.Lit) { b.emit(guard.Flip(), l) }
+
+// AssertImpliesEq adds guard → (a = k) as one binary clause ¬guard ∨ ±bit
+// per bit of a, with no auxiliary variable: nothing reads the reverse
+// direction of a guarded equality. A k outside [0, a.Max()] adds the unit
+// ¬guard.
+func (b *Builder) AssertImpliesEq(guard sat.Lit, a Int, k int64) {
+	if k < 0 || k > a.max {
+		b.emit(guard.Flip())
+		return
+	}
+	for i, l := range a.bits {
+		if k&(1<<i) == 0 {
+			l = l.Flip()
+		}
+		b.emit(guard.Flip(), l)
+	}
+}
 
 // ValueOf reads the integer's value from a model (model[i] is the value of
 // variable i+1).

@@ -7,6 +7,24 @@ import (
 	"netarch/internal/sat"
 )
 
+// EqConst returns a reified literal g with g ↔ (a = k). The package emits
+// guarded equalities one way only (AssertImpliesEq); the tests pin values
+// through assumptions, which need the reified form.
+func (b *Builder) EqConst(a Int, k int64) sat.Lit {
+	if k < 0 || k > a.max {
+		return b.False()
+	}
+	ls := make([]sat.Lit, len(a.bits))
+	for i, bi := range a.bits {
+		if k&(1<<i) != 0 {
+			ls[i] = bi
+		} else {
+			ls[i] = bi.Flip()
+		}
+	}
+	return b.andGate(ls...)
+}
+
 // pin asserts a = v and returns whether the solver stayed consistent.
 func pin(b *Builder, a Int, v int64) {
 	b.Assert(b.EqConst(a, v))
@@ -357,5 +375,96 @@ func TestBitsIsACopy(t *testing.T) {
 	}
 	if got := ValueOf(x, s.Model()); got != 5 {
 		t.Fatalf("after mutating Bits copy: got %d, want 5", got)
+	}
+}
+
+// TestAssertImpliesEq checks the guarded equality by brute force: with
+// the guard on, a takes exactly the value k (no value when k is outside
+// [0, Max]); with it off, a ranges freely. The guard is one binary clause
+// per bit, so no variable is allocated.
+func TestAssertImpliesEq(t *testing.T) {
+	for _, max := range []int64{0, 1, 5, 8, 13} {
+		for k := int64(-1); k <= max+2; k++ {
+			s := sat.NewSolver()
+			b := New(s)
+			a := b.Var(max)
+			guard := sat.Lit(s.NewVar())
+			vars := s.NumVars()
+			b.AssertImpliesEq(guard, a, k)
+			if s.NumVars() != vars {
+				t.Fatalf("max=%d k=%d: allocated %d variables", max, k, s.NumVars()-vars)
+			}
+			inRange := k >= 0 && k <= max
+			if !inRange && s.SolveAssuming([]sat.Lit{guard}) != sat.Unsat {
+				t.Fatalf("max=%d k=%d: guard must be unsatisfiable", max, k)
+			}
+			for v := int64(0); v <= max; v++ {
+				if s.SolveAssuming([]sat.Lit{guard.Flip(), b.EqConst(a, v)}) != sat.Sat {
+					t.Fatalf("max=%d k=%d: without the guard a=%d must be allowed", max, k, v)
+				}
+				want := sat.Unsat
+				if v == k {
+					want = sat.Sat
+				}
+				if got := s.SolveAssuming([]sat.Lit{guard, b.EqConst(a, v)}); got != want {
+					t.Fatalf("max=%d k=%d: guard with a=%d: got %v, want %v", max, k, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestConstantOperandsAllocateNothing checks that gates over constant
+// inputs fold away: adding zero, summing scaled Booleans whose set bits
+// never meet, and multiplying a 0/1 integer by a constant allocate no
+// variable, and a sum of two free bits costs only its half adder's two
+// gates. The values must still come out right.
+func TestConstantOperandsAllocateNothing(t *testing.T) {
+	s := sat.NewSolver()
+	b := New(s)
+	x := b.Var(13)
+	l1, l2 := sat.Lit(s.NewVar()), sat.Lit(s.NewVar())
+	vars := s.NumVars()
+
+	x0 := b.Add(x, b.Const(0))
+	disjoint := b.Sum(b.ScaledBool(l1, 5), b.ScaledBool(l2, 10), b.Const(16))
+	twice := b.Sum(b.ScaledBool(l1, 3), b.ScaledBool(l1, 3))
+	mul := b.MulConst(b.BoolAsInt(l2), 6)
+	consts := b.Add(b.Const(3), b.Const(5))
+	if n := s.NumVars() - vars; n != 0 {
+		t.Fatalf("circuits over constant operands allocated %d variables", n)
+	}
+	for i := 0; i < x.Width(); i++ {
+		if x0.Bit(i) != x.Bit(i) {
+			t.Fatalf("x+0 bit %d is a new literal", i)
+		}
+	}
+	half := b.Add(b.BoolAsInt(l1), b.BoolAsInt(l2))
+	if n := s.NumVars() - vars; n != 2 {
+		t.Fatalf("half adder allocated %d variables, want 2", n)
+	}
+
+	b.Assert(b.EqConst(x, 11))
+	b.Assert(l1)
+	b.Assert(l2.Flip())
+	if s.Solve() != sat.Sat {
+		t.Fatal("want SAT")
+	}
+	m := s.Model()
+	for _, c := range []struct {
+		name string
+		a    Int
+		want int64
+	}{
+		{"x+0", x0, 11},
+		{"5·l1+10·l2+16", disjoint, 21},
+		{"3·l1+3·l1", twice, 6},
+		{"6·l2", mul, 0},
+		{"3+5", consts, 8},
+		{"l1+l2", half, 1},
+	} {
+		if got := ValueOf(c.a, m); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
