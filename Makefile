@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR25.json
+BENCH ?= BENCH_PR27.json
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,15 @@ parallel-diff:
 # snapshot-diff pins the disk-cache round-trip differential (the
 # DESIGN.md §9 restore-equivalence contract): a solver revived from
 # bytes answers identically to its in-process Clone (also after the
-# clone's slabs outgrow the headroom Clone gives them), an engine revived
-# from a cache directory answers the §5.1 queries identically to the
-# warm in-process path, and a probed base revived from disk answers
-# byte-identically, search effort included (DESIGN.md §13).
+# clone's slabs outgrow the headroom Clone gives them, and on
+# binary-heavy instances whose binary clauses live only in the watch
+# lists, where proofs, assumption cores and DIMACS round trips are
+# checked too), an engine revived from a cache directory answers the
+# §5.1 queries identically to the warm in-process path, and a probed
+# base revived from disk answers byte-identically, search effort
+# included (DESIGN.md §13).
 snapshot-diff:
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip' -count=1 . ./internal/sat ./internal/core
+	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestDiskCacheDifferential|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip' -count=1 . ./internal/sat ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the
@@ -110,15 +113,18 @@ scale-diff:
 # exercised on every gate, not only in dedicated fuzz sessions, plus the
 # MaxSAT bounds fuzzer (random weighted objectives must yield exact,
 # witnessed, unbeatable optima), the Simplify fuzzer (idempotent,
-# equivalent under every assignment, equal to the String()-keyed oracle)
-# and the arithmetic fuzzer (random sums and products over constant and
-# free operands must evaluate to the integer result).
+# equivalent under every assignment, equal to the String()-keyed oracle),
+# the arithmetic fuzzer (random sums and products over constant and
+# free operands must evaluate to the integer result) and the KB JSON
+# fuzzer (kb.Load must decode and validate arbitrary bytes or return an
+# error, never panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/intlin
 	$(GO) test -run=NONE -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/sat
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzLoadKB -fuzztime=10s ./internal/kb
 
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, the race detector over every package, the enumeration,

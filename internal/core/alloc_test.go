@@ -247,9 +247,11 @@ func TestOptimizeAllocBudget(t *testing.T) {
 // specialize's first AddClause copied the whole arena again and the
 // explanation's searches regrew the watch lists, so these queries
 // allocated 1.24–1.34 MB (910 KB for inference_app); with the headroom
-// they measured 868, 843, 840 and 874 KB, and on bases whose arithmetic
-// gates fold constant inputs 649, 617, 608 and 645 KB. The budgets have
-// ~15% headroom. The test also checks that specialize adds its selector
+// they measured 868, 843, 840 and 874 KB, on bases whose arithmetic
+// gates fold constant inputs 649, 617, 608 and 645 KB, and with binary
+// clauses kept only in the watch lists and one-word headers on original
+// clauses (an inference_app arena of 8,195 words instead of 63,188) 399,
+// 393, 364 and 395 KB. The budgets have ~15% headroom. The test also checks that specialize adds its selector
 // clauses inside the arena headroom Clone leaves.
 func TestCloneAllocBudget(t *testing.T) {
 	scs := section51Scenarios()
@@ -262,10 +264,10 @@ func TestCloneAllocBudget(t *testing.T) {
 		sc     Scenario
 		budget uint64 // bytes per query
 	}{
-		{"inference_app", scs["inference_app"], 747_000},
-		{"q1-grown", scs["q1-grown"], 710_000},
-		{"q3-no-pooling", scs["q3-no-pooling"], 700_000},
-		{"pfc-explain", pfc, 742_000},
+		{"inference_app", scs["inference_app"], 459_000},
+		{"q1-grown", scs["q1-grown"], 452_000},
+		{"q3-no-pooling", scs["q3-no-pooling"], 419_000},
+		{"pfc-explain", pfc, 454_000},
 	}
 	k, _ := caseStudyQueries()
 	e := mustEngine(t, k)

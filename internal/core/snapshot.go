@@ -77,7 +77,10 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v11: the arithmetic circuits fold constant gate inputs and encode each
 // SKU-guarded total as direct guard → bit clauses. A v10 file holds the
 // larger circuits the compiler no longer emits.
-const baseSnapshotVersion = 11
+// v12: the embedded solver section is sat snapshot v4, which keeps
+// binary clauses in the watch lists only and gives original clauses a
+// one-word header.
+const baseSnapshotVersion = 12
 
 // Snapshot decode failure classes.
 var (

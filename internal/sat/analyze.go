@@ -5,6 +5,11 @@ import "sort"
 // analyze derives a first-UIP learnt clause from a conflict, minimizes it,
 // and returns the clause (asserting literal first), the backjump level, and
 // the clause's LBD (number of distinct decision levels).
+//
+// A binary conflict or reason is visited in the order an arena clause
+// would give its literals: [other, ¬p] for a conflict (binConfl) and
+// [implied, other] for a reason, so the learnt clause and the activity
+// bumps do not depend on where a binary clause is stored.
 func (s *Solver) analyze(confl cref) (learnt []lit, backLevel, lbd int) {
 	// learnt grows in the recycled learntBuf; callers (recordLearnt,
 	// logLearnt) copy before storing, so the buffer is free again by the
@@ -14,17 +19,27 @@ func (s *Solver) analyze(confl cref) (learnt []lit, backLevel, lbd int) {
 	var p lit
 	havePath := false
 	idx := len(s.trail) - 1
-
+	var pair [2]lit
 	for {
 		// Bump and scan the conflict/reason clause.
-		if s.ca.learnt(confl) {
-			s.bumpClause(confl)
+		var cl []lit
+		switch {
+		case !confl.binary():
+			if s.ca.learnt(confl) {
+				s.bumpClause(confl)
+			}
+			cl = s.ca.lits(confl)
+		case havePath:
+			pair = [2]lit{p, confl.other()}
+			cl = pair[:]
+		default:
+			cl = s.binConfl[:]
 		}
 		start := 0
 		if havePath {
 			start = 1 // lits[0] is the literal we just resolved on
 		}
-		for _, q := range s.ca.lits(confl)[start:] {
+		for _, q := range cl[start:] {
 			v := q.v()
 			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
@@ -53,7 +68,7 @@ func (s *Solver) analyze(confl cref) (learnt []lit, backLevel, lbd int) {
 		// Invariant: a reason clause has its implied literal first. While
 		// a clause is locked as a reason its first literal stays true, so
 		// propagation never reorders it.
-		if s.ca.lits(confl)[0] != p {
+		if !confl.binary() && s.ca.lits(confl)[0] != p {
 			panic("sat: reason clause invariant violated")
 		}
 	}
@@ -130,24 +145,35 @@ func (s *Solver) redundant(q lit, depth int) bool {
 	if r == crefUndef {
 		return false
 	}
+	if r.binary() {
+		// [q, other]: other is the one literal to check.
+		return s.impliedBySeen(r.other(), depth)
+	}
 	for _, p := range s.ca.lits(r) {
-		if p.v() == q.v() {
-			continue
-		}
-		if s.level[p.v()] == 0 || s.seen[p.v()] != 0 {
-			continue
-		}
-		if s.reason[p.v()] == crefUndef || !s.redundant(p, depth+1) {
+		if p.v() != q.v() && !s.impliedBySeen(p, depth) {
 			return false
 		}
-		// p proved redundant: mark so repeated walks shortcut. We must
-		// remember to clear it, but since it is genuinely implied by
-		// seen literals, leaving the mark only over-approximates the
-		// clause's implied set during this single analyze call, and all
-		// marks are cleared below via clearTransient.
-		s.transient = append(s.transient, p.v())
-		s.seen[p.v()] = 1
 	}
+	return true
+}
+
+// impliedBySeen reports whether p, a literal of a reason redundant is
+// walking at depth, is fixed at level 0, already marked, or redundant
+// itself.
+func (s *Solver) impliedBySeen(p lit, depth int) bool {
+	if s.level[p.v()] == 0 || s.seen[p.v()] != 0 {
+		return true
+	}
+	if s.reason[p.v()] == crefUndef || !s.redundant(p, depth+1) {
+		return false
+	}
+	// p proved redundant: mark so repeated walks shortcut. We must
+	// remember to clear it, but since it is genuinely implied by seen
+	// literals, leaving the mark only over-approximates the clause's
+	// implied set during this single analyze call, and clearTransient
+	// clears all such marks once the conflict is handled.
+	s.transient = append(s.transient, p.v())
+	s.seen[p.v()] = 1
 	return true
 }
 
@@ -165,12 +191,17 @@ func (s *Solver) analyzeFinal(p lit) {
 		if s.seen[v] == 0 {
 			continue
 		}
-		if s.reason[v] == crefUndef {
+		switch r := s.reason[v]; {
+		case r == crefUndef:
 			// A decision above level 0 while assumptions are pending is
 			// itself an assumption; report it as assumed.
 			s.conflict = append(s.conflict, toExternal(s.trail[i]))
-		} else {
-			for _, q := range s.ca.lits(s.reason[v]) {
+		case r.binary():
+			if q := r.other(); s.level[q.v()] > 0 {
+				s.seen[q.v()] = 1
+			}
+		default:
+			for _, q := range s.ca.lits(r) {
 				if q.v() != v && s.level[q.v()] > 0 {
 					s.seen[q.v()] = 1
 				}
@@ -236,6 +267,9 @@ func (s *Solver) clearTransient() {
 
 // reduceDB deletes roughly half the learnt clauses, keeping glue clauses
 // (LBD ≤ 2), reasons of current assignments, and the most active rest.
+// Learnt binaries are always kept and are not in s.learnts; they count
+// as glue clauses sorted ahead of the rest, so the cut falls nLearntBin
+// places earlier in the list that holds only arena clauses.
 func (s *Solver) reduceDB() {
 	sort.Slice(s.learnts, func(i, j int) bool {
 		a, b := s.learnts[i], s.learnts[j]
@@ -250,9 +284,9 @@ func (s *Solver) reduceDB() {
 		v := s.ca.lits(c)[0].v()
 		return s.assigned(v) && s.reason[v] == c
 	}
-	limit := len(s.learnts) / 2
+	limit := s.NumLearnts()/2 - s.nLearntBin
 	for i, c := range s.learnts {
-		if i < limit || s.ca.lbd(c) <= 2 || locked(c) || s.ca.size(c) == 2 {
+		if i < limit || s.ca.lbd(c) <= 2 || locked(c) {
 			keep = append(keep, c)
 		} else {
 			s.detachAll(c)

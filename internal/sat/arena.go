@@ -7,12 +7,25 @@ import "math"
 // slab of uint32 words (MiniSat's RegionAllocator design — Eén &
 // Sörensson), replacing the per-clause heap objects the solver used
 // before. A clause is addressed by a cref, its word offset into the slab,
-// and stores its metadata inline:
+// and stores its metadata inline. An original (problem) clause has a
+// one-word header; only a learnt clause carries the LBD and activity
+// words, because only DB reduction reads them:
 //
-//	word 0:      size<<2 | learnt<<1 | deleted
-//	word 1:      LBD
-//	words 2–3:   activity (float64 bits, little-halves order)
-//	words 4…:    the literals
+//	original:  word 0: size<<2 | learnt<<1 | deleted; words 1…: literals
+//	learnt:    word 0: the same header word
+//	           word 1: LBD
+//	           words 2–3: activity (float64 bits, little-halves order)
+//	           words 4…: literals
+//
+// A 3-literal original clause takes 4 words, a learnt one 7.
+//
+// Binary clauses are not in the arena at all (Chu, Harwood & Stuckey,
+// "Cache conscious data structures for Boolean satisfiability solvers",
+// JSAT 2009): a binary clause (a ∨ b) is exactly its two watchers, one
+// in ¬a's list with blocker b and one in ¬b's list with blocker a, each
+// tagged crefBinary (see watcher). Propagation decides a binary watcher
+// from its blocker alone, and a literal a binary clause implies records
+// the clause's other literal as its reason (see reasonBinary).
 //
 // The payoffs over heap clauses:
 //
@@ -22,7 +35,7 @@ import "math"
 //     clause count.
 //   - Locality: propagation walks literals that sit next to their
 //     metadata in one contiguous region instead of chasing a pointer per
-//     clause.
+//     clause, and never leaves the watch list for a binary clause.
 //   - Clone: a deep copy of the clause database is one slab copy, and
 //     clause identity survives for free — a cref means the same clause in
 //     every copy, so watch lists and reason references copy verbatim with
@@ -51,13 +64,42 @@ type cref uint32
 // crefUndef is the nil clause reference.
 const crefUndef cref = ^cref(0)
 
-// clsHeaderWords is the per-clause metadata size in words.
-const clsHeaderWords = 4
+// crefBinary tags a reference that stands for a binary clause rather
+// than an arena clause; arena offsets stay below it. A binary watcher's
+// cref is crefBinary, or crefBinary|binLearnt for a learnt binary. A
+// binary reason or conflict carries a literal in the low bits instead
+// (see reasonBinary). crefUndef, all ones, is never a binary reason:
+// literals stay far below 2^31-1.
+const crefBinary cref = 1 << 31
 
+// binLearnt marks a binary watcher as belonging to a learnt clause.
+const binLearnt cref = 1
+
+// binary reports whether c is a binary tag rather than an arena offset.
+// crefUndef counts as binary; callers test for it first.
+func (c cref) binary() bool { return c&crefBinary != 0 }
+
+// reasonBinary is the reason recorded for a literal a binary clause
+// implies: the tag plus the clause's other literal, which is false.
+func reasonBinary(other lit) cref { return crefBinary | cref(other) }
+
+// other returns the literal a binary reason or conflict carries.
+func (c cref) other() lit { return lit(c &^ crefBinary) }
+
+// Header word 0 flags, and the header sizes: one word for an original
+// clause, four for a learnt one.
 const (
 	clsLearnt  = 1 << 1
 	clsDeleted = 1 << 0
+
+	origHeaderWords   = 1
+	learntHeaderWords = 4
 )
+
+// headerWords is the header size of the clause whose word 0 is hdr.
+func headerWords(hdr lit) int {
+	return origHeaderWords + (learntHeaderWords-origHeaderWords)*int(hdr>>1&1)
+}
 
 // arena is the flat clause slab. data is declared []lit (lit is a
 // uint32) so literal access needs no casts; header words are stored as
@@ -74,9 +116,10 @@ func (a *arena) alloc(lits []lit, learnt bool) cref {
 	c := cref(len(a.data))
 	hdr := lit(len(lits)) << 2
 	if learnt {
-		hdr |= clsLearnt
+		a.data = append(a.data, hdr|clsLearnt, 0, 0, 0)
+	} else {
+		a.data = append(a.data, hdr)
 	}
-	a.data = append(a.data, hdr, 0, 0, 0)
 	a.data = append(a.data, lits...)
 	return c
 }
@@ -101,9 +144,13 @@ func (a *arena) setDeleted(c cref) {
 		return
 	}
 	a.data[c] |= clsDeleted
-	a.wasted += clsHeaderWords + a.size(c)
+	a.wasted += a.words(c)
 }
 
+// words is the clause's footprint in the slab: header plus literals.
+func (a *arena) words(c cref) int { return headerWords(a.data[c]) + a.size(c) }
+
+// The LBD and activity accessors read words only a learnt clause has.
 func (a *arena) lbd(c cref) int       { return int(a.data[c+1]) }
 func (a *arena) setLBD(c cref, v int) { a.data[c+1] = lit(v) }
 
@@ -122,8 +169,10 @@ func (a *arena) setActivity(c cref, v float64) {
 // is invalidated by alloc (append may move the slab) and by compact;
 // callers must not hold it across either.
 func (a *arena) lits(c cref) []lit {
-	off := c + clsHeaderWords
-	return a.data[off : off+cref(a.size(c)) : off+cref(a.size(c))]
+	hdr := a.data[c]
+	off := c + cref(headerWords(hdr))
+	end := off + cref(hdr>>2)
+	return a.data[off:end:end]
 }
 
 // maybeCompact reclaims garbage once deleted clauses hold more than a
@@ -137,7 +186,7 @@ func (s *Solver) maybeCompact() {
 		s.compactArena()
 	}
 	if t := &s.watches; t.wasted*2 > len(t.slab) && t.wasted > 1<<12 {
-		t.compact(headroom(2 * (len(t.slab) - t.wasted)))
+		t.compact(nil, headroom(2*(len(t.slab)-t.wasted)))
 	}
 }
 
@@ -156,7 +205,7 @@ func (s *Solver) compactArena() {
 	newOffs := s.gcNew[:0]
 	w := 0
 	for r := 0; r < len(a.data); {
-		n := clsHeaderWords + int(a.data[r]>>2)
+		n := headerWords(a.data[r]) + int(a.data[r]>>2)
 		if a.data[r]&clsDeleted == 0 {
 			oldOffs = append(oldOffs, cref(r))
 			newOffs = append(newOffs, cref(w))
@@ -184,13 +233,14 @@ func (s *Solver) compactArena() {
 		return newOffs[lo]
 	}
 
-	// Pass 2: rewrite the reference holders. Deleted clauses are gone:
-	// their watchers are dropped and their reasons cleared. reduceDB never
-	// deletes a locked clause, so a solver that built its own arena has
-	// no deleted reason; a restored snapshot's reasons are untrusted
-	// input, and clearing is safe there too because only a level-0
-	// assignment can keep a deleted reason and level-0 reasons are never
-	// walked by analyze or analyzeFinal.
+	// Pass 2: rewrite the reference holders. Binary watchers and reasons
+	// name no arena clause and pass through unchanged. Deleted clauses
+	// are gone: their watchers are dropped and their reasons cleared.
+	// reduceDB never deletes a locked clause, so a solver that built its
+	// own arena has no deleted reason; a restored snapshot's reasons are
+	// untrusted input, and clearing is safe there too because only a
+	// level-0 assignment can keep a deleted reason and level-0 reasons
+	// are never walked by analyze or analyzeFinal.
 	for i, c := range s.clauses {
 		s.clauses[i] = reloc(c)
 	}
@@ -198,8 +248,8 @@ func (s *Solver) compactArena() {
 		s.learnts[i] = reloc(c)
 	}
 	for v, c := range s.reason {
-		if c == crefUndef {
-			continue
+		if c.binary() {
+			continue // crefUndef or a binary reason
 		}
 		if wasDeleted(c, oldOffs) {
 			s.reason[v] = crefUndef
@@ -212,10 +262,13 @@ func (s *Solver) compactArena() {
 		ws := s.watches.slab[sp.off : sp.off+sp.n]
 		n := 0
 		for _, wt := range ws {
-			if wasDeleted(wt.c, oldOffs) {
-				continue
+			if !wt.c.binary() {
+				if wasDeleted(wt.c, oldOffs) {
+					continue
+				}
+				wt.c = reloc(wt.c)
 			}
-			ws[n] = watcher{c: reloc(wt.c), blocker: wt.blocker}
+			ws[n] = wt
 			n++
 		}
 		sp.n = uint32(n)
@@ -295,31 +348,25 @@ func (t *watchTable) grow(sp *span) {
 	sp.off, sp.cap = off, room
 }
 
-// bulkWatchers is the watcher-slab room Bulk reserves for n clauses: two
-// watchers per clause, and as much again for the runs that lists moving
-// to the tail leave behind while the load grows them.
-func bulkWatchers(n int) int { return 4 * n }
-
-// reserve grows the slab's capacity to hold at least extra more watchers
-// without reallocating. Capacity-only, like arena.reserve.
-func (t *watchTable) reserve(extra int) {
-	if len(t.slab)+extra > cap(t.slab) {
-		t.slab = grown(t.slab, extra)
+// compact lays every list out back to back in literal order, in a fresh
+// slab with capacity for extra more watchers. Each list gets room for
+// exactly its watchers plus room[l] more (room may be nil). Lists keep
+// their order.
+func (t *watchTable) compact(room []uint32, extra int) {
+	total := t.live()
+	for _, r := range room {
+		total += int(r)
 	}
-}
-
-// compact lays every list out back to back in literal order, each with
-// room for exactly its watchers, in a fresh slab with capacity for extra
-// more. Lists keep their order.
-func (t *watchTable) compact(extra int) {
-	live := t.live()
-	slab := make([]watcher, live, live+extra)
+	slab := make([]watcher, total, total+extra)
 	off := uint32(0)
 	for i := range t.spans {
 		sp := &t.spans[i]
 		copy(slab[off:], t.slab[sp.off:sp.off+sp.n])
 		sp.off, sp.cap = off, sp.n
-		off += sp.n
+		if room != nil {
+			sp.cap += room[i]
+		}
+		off += sp.cap
 	}
 	t.slab, t.wasted = slab, 0
 }

@@ -1,0 +1,147 @@
+package sat
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// binaryHeavyInstance builds a random 3-SAT core over core variables in
+// which every variable has copies chained to it by equivalences, so most
+// clauses are binary, as in a compiled base: a core literal in a 3-clause
+// is replaced by one of its copies at random. It also returns a literal
+// picker over the core variables and their copies, for assumptions.
+func binaryHeavyInstance(r *rand.Rand, core, copies int, ratio float64) (nVars int, clauses [][]Lit, pick func() Lit) {
+	copyOf := func(v, c int) Lit { return Lit(core + (v-1)*copies + c) }
+	for v := 1; v <= core; v++ {
+		prev := Lit(v)
+		for c := 1; c <= copies; c++ {
+			a := copyOf(v, c)
+			clauses = append(clauses, []Lit{-a, prev}, []Lit{a, -prev})
+			prev = a
+		}
+	}
+	pick = func() Lit {
+		v, c := r.Intn(core)+1, r.Intn(copies+1)
+		l := Lit(v)
+		if c > 0 {
+			l = copyOf(v, c)
+		}
+		if r.Intn(2) == 0 {
+			l = -l
+		}
+		return l
+	}
+	for i := 0; i < int(float64(core)*ratio); i++ {
+		clauses = append(clauses, []Lit{pick(), pick(), pick()})
+	}
+	r.Shuffle(len(clauses), func(i, j int) { clauses[i], clauses[j] = clauses[j], clauses[i] })
+	return core * (1 + copies), clauses, pick
+}
+
+// TestBinaryHeavyDifferential checks the solver on instances where at
+// least 70% of the clauses are binary, so most clauses live only in the
+// watch lists. A fresh solver, its Clone and its RestoreSnapshot must
+// run the same searches — equal statuses, Stats, models and final
+// conflicts — over a sequence of assumption queries that learns binary
+// clauses; Unsat runs must leave DRAT proofs that CheckRUP accepts;
+// assumption cores must be Unsat subsets of the assumptions; and a
+// WriteDIMACS/ParseDIMACS round trip must keep the clause count and the
+// verdict.
+func TestBinaryHeavyDifferential(t *testing.T) {
+	learntBinaries, unsatProofs, cores := 0, 0, 0
+	for seed := int64(1); seed <= 24; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		core := 30 + r.Intn(50)
+		nVars, clauses, pick := binaryHeavyInstance(r, core, 6+int(seed%3), 3.8+0.8*r.Float64())
+		load := func() *Solver {
+			s := NewSolver()
+			s.EnsureVars(nVars)
+			loadClauses(s, clauses)
+			return s
+		}
+
+		src := load()
+		if src.nBinary*10 < 7*src.NumClauses() {
+			t.Fatalf("seed %d: %d of %d clauses binary, want at least 70%%", seed, src.nBinary, src.NumClauses())
+		}
+
+		// A DIMACS round trip keeps the clause count and the verdict.
+		var buf bytes.Buffer
+		if err := WriteDIMACS(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ParseDIMACS(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed.NumClauses() != src.NumClauses() {
+			t.Fatalf("seed %d: DIMACS round trip has %d clauses, want %d", seed, parsed.NumClauses(), src.NumClauses())
+		}
+		verdict := load().Solve()
+		if st := parsed.Solve(); st != verdict {
+			t.Fatalf("seed %d: DIMACS round trip answers %v, want %v", seed, st, verdict)
+		}
+
+		// An Unsat run's proof checks.
+		if proof, st, _ := solveWithProof(clauses, nVars); st == Unsat {
+			if err := CheckRUP(clauses, proof); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			unsatProofs++
+		}
+
+		// A short first search leaves learnt clauses, binary ones among
+		// them, on the source before it is cloned and snapshotted.
+		src.SetBudget(30, 0)
+		src.Solve()
+		src.SetBudget(0, 0)
+		src.ResetRun()
+		clone := src.Clone()
+		restored, err := RestoreSnapshot(src.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := []*Solver{src, clone, restored}
+		for q := 0; q < 8; q++ {
+			assumps := make([]Lit, 1+r.Intn(4))
+			for i := range assumps {
+				assumps[i] = pick()
+			}
+			var want Status
+			for i, s := range runs {
+				st := s.SolveAssuming(assumps)
+				if i == 0 {
+					want = st
+					continue
+				}
+				if st != want || s.Stats() != src.Stats() ||
+					!reflect.DeepEqual(s.Model(), src.Model()) ||
+					!reflect.DeepEqual(s.FinalConflict(), src.FinalConflict()) {
+					t.Fatalf("seed %d query %d: solver %d answered %v %+v, the source %v %+v",
+						seed, q, i, st, s.Stats(), want, src.Stats())
+				}
+			}
+			if want != Unsat {
+				continue
+			}
+			// The core is a subset of the assumptions and Unsat alone.
+			fc := src.FinalConflict()
+			for _, l := range fc {
+				if !slices.Contains(assumps, l) {
+					t.Fatalf("seed %d query %d: core literal %d is not an assumption %v", seed, q, l, assumps)
+				}
+			}
+			if st := load().SolveAssuming(fc); st != Unsat {
+				t.Fatalf("seed %d query %d: core %v alone answers %v", seed, q, fc, st)
+			}
+			cores++
+		}
+		learntBinaries += src.nLearntBin
+	}
+	if learntBinaries == 0 || unsatProofs == 0 || cores == 0 {
+		t.Fatalf("%d learnt binaries, %d checked proofs and %d checked cores; want some of each", learntBinaries, unsatProofs, cores)
+	}
+}

@@ -50,16 +50,24 @@ func TestBulkByteIdentity(t *testing.T) {
 	if arenaCap != 0 || slabCap != 0 {
 		t.Fatalf("Bulk added clauses before its load returned (arena cap %d, slab cap %d)", arenaCap, slabCap)
 	}
-	nClauses, nLits := 0, 0
+	// The arena holds the clauses of three or more literals, each behind
+	// a one-word header; each list gets one slot per clause of two or
+	// more literals holding its literal's negation.
+	nWords, nSlots := 0, 0
 	for _, cl := range clauses {
-		nClauses++
-		nLits += len(cl)
+		if len(cl) >= 3 {
+			nWords += origHeaderWords + len(cl)
+		}
+		if len(cl) >= 2 {
+			nSlots += len(cl)
+		}
 	}
-	if got, want := cap(reserved.ca.data), nClauses*clsHeaderWords+nLits; got != want {
-		t.Fatalf("arena capacity %d after Bulk, want the one reservation of %d words", got, want)
+	if got := cap(reserved.ca.data); got != nWords {
+		t.Fatalf("arena capacity %d after Bulk, want the one reservation of %d words", got, nWords)
 	}
-	if got, want := cap(reserved.watches.slab), bulkWatchers(nClauses); got != want {
-		t.Fatalf("watcher slab capacity %d after Bulk, want the one reservation of %d", got, want)
+	if got := cap(reserved.watches.slab); got != nSlots || reserved.watches.wasted != 0 {
+		t.Fatalf("watcher slab capacity %d (%d wasted) after Bulk, want the one layout of %d and no list moved",
+			got, reserved.watches.wasted, nSlots)
 	}
 }
 

@@ -13,13 +13,17 @@ package sat
 // each one flat, pointer-free copy, and clause references (crefs) mean
 // the same clause in source and copy, so the clause lists, the watch
 // table's spans and the reason array copy verbatim with no per-clause or
-// per-list work. Each slice is copied once, at its final capacity: the
-// arena, the clause lists and the watcher slab get headroom (a sixteenth
-// of their length plus 1024 elements) for what a query adds — selector
-// clauses, learnt clauses, watch lists moving to the slab's tail — and
-// the bytes a copy overwrites are not zero-filled first. Clone is
-// read-only on the source; any number of goroutines may clone one
-// frozen solver concurrently (the compiled-base cache does exactly that).
+// per-list work. Binary clauses, most of a compiled base, are only
+// watchers, so they cost a clone their two 8-byte watchers and no arena
+// words, and an original clause carries a one-word header. Each slice
+// is copied once, at its final capacity, with headroom for what a query
+// adds: the arena gets queryArenaWords for selector and learnt clauses,
+// and the clause lists and the watcher slab a sixteenth of their length
+// plus 1024 elements for new clauses and watch lists moving to the
+// slab's tail. The bytes a copy overwrites are not zero-filled first.
+// Clone is read-only on the source; any number of goroutines may clone
+// one frozen solver concurrently (the compiled-base cache does exactly
+// that).
 //
 // Clone may only be called at decision level 0 (i.e. not from inside a
 // Solve callback); it panics otherwise. The copy deliberately resets
@@ -42,6 +46,8 @@ func (s *Solver) Clone() *Solver {
 	n := &Solver{
 		opts:         s.opts,
 		nVars:        s.nVars,
+		nBinary:      s.nBinary,
+		nLearntBin:   s.nLearntBin,
 		qhead:        s.qhead,
 		varInc:       s.varInc,
 		claInc:       s.claInc,
@@ -52,7 +58,7 @@ func (s *Solver) Clone() *Solver {
 	// Per-variable slices carry slack for a query's selector variables,
 	// so its first NewVar does not copy them all again.
 	const slack = 32
-	n.ca = arena{data: grown(s.ca.data, headroom(len(s.ca.data))), wasted: s.ca.wasted}
+	n.ca = arena{data: grown(s.ca.data, queryArenaWords), wasted: s.ca.wasted}
 	n.clauses = grown(s.clauses, headroom(len(s.clauses)))
 	n.learnts = grown(s.learnts, headroom(len(s.learnts)))
 
@@ -71,6 +77,13 @@ func (s *Solver) Clone() *Solver {
 	n.seen = make([]byte, len(s.seen), s.nVars+slack)
 	return n
 }
+
+// queryArenaWords is the arena headroom Clone gives: room for what one
+// query adds to a cached base, sized by that and not by the base. A
+// synthesis adds almost nothing, since its selector clauses are mostly
+// binary; the learnt clauses of the §5.1 cost and lexicographic
+// optimizations take up to ~5.6k words.
+const queryArenaWords = 6 << 10
 
 // headroom is the spare capacity Clone gives a slab of n elements: a
 // sixteenth of it plus 1024, enough for what one query adds to a cached

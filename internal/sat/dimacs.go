@@ -76,7 +76,9 @@ func LoadDIMACS(r io.Reader, s *Solver) error {
 // Root-level unit facts (which the solver stores on the trail rather than
 // in the clause database) are emitted as unit clauses, and a solver that
 // has derived a top-level contradiction emits the empty clause, so the
-// output is equisatisfiable with the loaded instance.
+// output is equisatisfiable with the loaded instance. Clauses of three
+// or more literals follow in the order they were added, then the binary
+// clauses in the order of their watch lists.
 func WriteDIMACS(w io.Writer, s *Solver) error {
 	bw := bufio.NewWriter(w)
 	live := 0
@@ -91,7 +93,7 @@ func WriteDIMACS(w io.Writer, s *Solver) error {
 	} else {
 		rootUnits = s.trailLim[0]
 	}
-	total := live + rootUnits
+	total := live + s.nBinary + rootUnits
 	if !s.okay {
 		total++
 	}
@@ -107,6 +109,16 @@ func WriteDIMACS(w io.Writer, s *Solver) error {
 			fmt.Fprintf(bw, "%d ", int32(toExternal(l)))
 		}
 		fmt.Fprintln(bw, 0)
+	}
+	// A problem binary (a ∨ b) is watched in ¬a's list with blocker b and
+	// in ¬b's with blocker a; write it from the list of its lower literal.
+	for li, sp := range s.watches.spans {
+		a := lit(li).flip()
+		for _, w := range s.watches.slab[sp.off : sp.off+sp.n] {
+			if w.c == crefBinary && a < w.blocker {
+				fmt.Fprintf(bw, "%d %d 0\n", int32(toExternal(a)), int32(toExternal(w.blocker)))
+			}
+		}
 	}
 	if !s.okay {
 		fmt.Fprintln(bw, 0) // empty clause: recorded contradiction

@@ -1,8 +1,9 @@
 package sat
 
 // propagate performs unit propagation over all enqueued literals using
-// two-watched literals. It returns the conflicting clause, or crefUndef if
-// the queue drained without conflict.
+// two-watched literals. It returns the conflicting clause — an arena
+// cref, or crefBinary with the clause's literals in binConfl — or
+// crefUndef if the queue drained without conflict.
 func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is now true; visit watchers of p (stored under p)
@@ -20,7 +21,8 @@ func (s *Solver) propagate() cref {
 			// Fast path: blocker already true. A deleted clause's watcher
 			// is kept here and dropped on a later slow-path visit (or by
 			// compaction): the blocker test needs no clause read.
-			if s.value(w.blocker) == lTrue {
+			bv := s.value(w.blocker)
+			if bv == lTrue {
 				if n != i {
 					ws[n] = w
 				}
@@ -28,6 +30,25 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			c := w.c
+			if c.binary() {
+				// A binary clause (¬p ∨ blocker) is decided by its
+				// blocker alone, with no arena read. It keeps its
+				// watcher, and its literals are [blocker, ¬p], the order
+				// an arena clause has after the swap below.
+				if n != i {
+					ws[n] = w
+				}
+				n++
+				if bv == lFalse {
+					s.binConfl = [2]lit{w.blocker, p.flip()}
+					n += copy(ws[n:], ws[i+1:])
+					s.watches.spans[p].n = uint32(n)
+					s.qhead = len(s.trail)
+					return crefBinary
+				}
+				s.uncheckedEnqueue(w.blocker, reasonBinary(p.flip()))
+				continue
+			}
 			if s.ca.deleted(c) {
 				continue // lazily drop deleted clauses
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -21,9 +22,11 @@ import (
 // The format (since version 2) serializes the clause arena verbatim — one length
 // prefix and the raw slab words — so clause references (crefs) in the
 // clause lists, reasons, and watch lists round-trip unchanged and encode
-// cost is a single pass over flat memory. Like Snapshot's other callers
-// of the arena, encoding is read-only on the solver, so concurrent
-// Snapshot/Clone calls on one frozen solver need no locking.
+// cost is a single pass over flat memory. Binary clauses exist only as
+// watchers (version 4), so a watcher and a reason say whether they name
+// an arena clause or stand for a binary clause. Like Snapshot's other
+// callers of the arena, encoding is read-only on the solver, so
+// concurrent Snapshot/Clone calls on one frozen solver need no locking.
 //
 // The decoder treats its input as untrusted. Every count is bounded by
 // the remaining input length before any allocation (memory stays O(input
@@ -40,10 +43,12 @@ var ErrBadSnapshot = errors.New("sat: malformed solver snapshot")
 
 // snapshotVersion is the solver-section format version. Version 2
 // introduced the arena clause database (serialized as the raw slab);
-// version 3 dropped the per-solver restart unit, now a constant. Bump it
-// on any incompatible layout change; RestoreSnapshot rejects other
+// version 3 dropped the per-solver restart unit, now a constant; version
+// 4 keeps binary clauses out of the arena (watchers and reasons carry a
+// binary tag) and gives original clauses a one-word header. Bump it on
+// any incompatible layout change; RestoreSnapshot rejects other
 // versions.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // maxSnapshotVars bounds the variable count a snapshot may declare; it
 // exists purely to keep arithmetic on 2*nVars comfortably inside int32
@@ -145,18 +150,31 @@ func (s *Solver) Snapshot() []byte {
 		uv(uint64(v))
 	}
 
+	// Reasons: 0 for none, 2c+1 for arena clause c, 2o+2 for a binary
+	// clause whose other literal is o.
 	for _, c := range s.reason {
-		if c == crefUndef {
+		switch {
+		case c == crefUndef:
 			uv(0)
-		} else {
-			uv(uint64(c) + 1)
+		case c.binary():
+			uv(2*uint64(c.other()) + 2)
+		default:
+			uv(2*uint64(c) + 1)
 		}
 	}
 
+	// Watchers: the total, then per literal the list length and each
+	// watcher's kind (0 a problem binary, 1 a learnt binary, c+2 arena
+	// clause c) and blocker.
+	uv(uint64(nWatchers))
 	for _, sp := range s.watches.spans {
 		uv(uint64(sp.n))
 		for _, w := range s.watches.slab[sp.off : sp.off+sp.n] {
-			uv(uint64(w.c))
+			if w.c.binary() {
+				uv(uint64(w.c & binLearnt))
+			} else {
+				uv(uint64(w.c) + 2)
+			}
 			uv(uint64(w.blocker))
 		}
 	}
@@ -305,7 +323,7 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nWords64 > uint64(r.rem())/4 {
+	if nWords64 > uint64(r.rem())/4 || nWords64 > uint64(crefBinary) {
 		return nil, r.fail("arena length")
 	}
 	nWords := int(nWords64)
@@ -325,30 +343,33 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	for off := 0; off < nWords; {
 		hdr := slab[off]
 		size := int(hdr >> 2)
-		if size < 2 {
-			// Units live on the trail and empty clauses flip okay; a
-			// stored clause below two literals breaks watch invariants.
+		if size < 3 {
+			// Units live on the trail, empty clauses flip okay and binary
+			// clauses live in the watch lists; a shorter arena clause
+			// breaks watch invariants.
 			return nil, fmt.Errorf("%w: arena clause of length %d at word %d", ErrBadSnapshot, size, off)
 		}
-		end := off + clsHeaderWords + size
+		end := off + headerWords(hdr) + size
 		if end > nWords {
 			return nil, fmt.Errorf("%w: arena clause overruns slab at word %d", ErrBadSnapshot, off)
 		}
-		lbd := uint64(slab[off+1])
-		if lbd > uint64(nVars)+1 {
-			return nil, fmt.Errorf("%w: clause lbd %d out of range", ErrBadSnapshot, lbd)
+		if hdr&clsLearnt != 0 {
+			lbd := uint64(slab[off+1])
+			if lbd > uint64(nVars)+1 {
+				return nil, fmt.Errorf("%w: clause lbd %d out of range", ErrBadSnapshot, lbd)
+			}
+			act := math.Float64frombits(uint64(slab[off+2]) | uint64(slab[off+3])<<32)
+			if !finiteNonNeg(act) {
+				return nil, fmt.Errorf("%w: non-finite clause activity", ErrBadSnapshot)
+			}
 		}
-		act := math.Float64frombits(uint64(slab[off+2]) | uint64(slab[off+3])<<32)
-		if !finiteNonNeg(act) {
-			return nil, fmt.Errorf("%w: non-finite clause activity", ErrBadSnapshot)
-		}
-		for _, l := range slab[off+clsHeaderWords : end] {
+		for _, l := range slab[end-size : end] {
 			if uint64(l) >= maxLit {
 				return nil, fmt.Errorf("%w: literal %d out of range", ErrBadSnapshot, uint64(l))
 			}
 		}
 		if hdr&clsDeleted != 0 {
-			wasted += clsHeaderWords + size
+			wasted += end - off
 		}
 		starts = append(starts, cref(off))
 		off = end
@@ -371,9 +392,14 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 			}
 			c := cref(c64)
 			// Section membership must agree with the learnt flag so the
-			// two clause lists stay coherent with DB-reduction bookkeeping.
+			// two clause lists stay coherent with DB-reduction bookkeeping,
+			// and a listed clause is live: DB reduction unlists what it
+			// deletes, and compaction relocates only live clauses.
 			if ca.learnt(c) != wantLearnt {
 				return nil, fmt.Errorf("%w: clause at %d in wrong section", ErrBadSnapshot, c64)
+			}
+			if ca.deleted(c) {
+				return nil, fmt.Errorf("%w: deleted clause at %d listed", ErrBadSnapshot, c64)
 			}
 			out[i] = c
 		}
@@ -482,43 +508,54 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 			reason[v] = crefUndef
 			continue
 		}
-		c64 := id - 1
-		if c64 >= uint64(nWords) || crefIndex(starts, cref(c64)) < 0 {
-			return nil, fmt.Errorf("%w: reason clause %d out of range", ErrBadSnapshot, c64)
-		}
 		if vals[2*v] == lUndef {
 			return nil, fmt.Errorf("%w: reason on unassigned variable %d", ErrBadSnapshot, v+1)
+		}
+		if id%2 == 0 {
+			// A binary reason: the clause's other literal must be a false
+			// literal of another variable.
+			o := id/2 - 1
+			if o >= maxLit || lit(o).v() == uint32(v) || vals[o] != lFalse {
+				return nil, fmt.Errorf("%w: binary reason literal %d for variable %d", ErrBadSnapshot, o, v+1)
+			}
+			reason[v] = reasonBinary(lit(o))
+			continue
+		}
+		c64 := id / 2
+		if c64 >= uint64(nWords) || crefIndex(starts, cref(c64)) < 0 {
+			return nil, fmt.Errorf("%w: reason clause %d out of range", ErrBadSnapshot, c64)
 		}
 		reason[v] = cref(c64)
 	}
 
 	// The lists are read in literal order into one slab, back to back,
-	// each with room for exactly its watchers. Every live clause has two
-	// watchers, which sizes the slab for a well-formed input.
+	// each with room for exactly its watchers; the declared total sizes
+	// the slab and must match.
+	nWatchers, err := r.count("watcher count")
+	if err != nil {
+		return nil, err
+	}
 	watches := watchTable{
 		spans: make([]span, 2*nVars),
-		slab:  make([]watcher, 0, 2*(len(clauses)+len(learnts))),
+		slab:  make([]watcher, 0, nWatchers),
 	}
 	watchCount := make([]int32, len(starts))
+	// Each binary watcher records its clause as a sortable key, so the
+	// two watchers of every binary clause can be matched up below.
+	var binKeys []uint64
 	for li := 0; li < 2*nVars; li++ {
 		n, err := r.count("watch list length")
 		if err != nil {
 			return nil, err
 		}
+		if n > nWatchers-len(watches.slab) {
+			return nil, fmt.Errorf("%w: more watchers than the declared %d", ErrBadSnapshot, nWatchers)
+		}
 		off := len(watches.slab)
 		for j := 0; j < n; j++ {
-			c64, err := r.uvarint("watcher clause")
+			kind, err := r.uvarint("watcher clause")
 			if err != nil {
 				return nil, err
-			}
-			var ci int
-			if c64 >= uint64(nWords) {
-				ci = -1
-			} else {
-				ci = crefIndex(starts, cref(c64))
-			}
-			if ci < 0 {
-				return nil, fmt.Errorf("%w: watcher clause %d out of range", ErrBadSnapshot, c64)
 			}
 			bl, err := r.uvarint("watcher blocker")
 			if err != nil {
@@ -526,6 +563,25 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 			}
 			if bl >= maxLit {
 				return nil, fmt.Errorf("%w: watcher blocker %d out of range", ErrBadSnapshot, bl)
+			}
+			if kind < 2 {
+				// A binary watcher in ¬a's list with blocker b stands for
+				// (a ∨ b): two literals of distinct variables.
+				a, b := lit(li).flip(), lit(bl)
+				if a.v() == b.v() {
+					return nil, fmt.Errorf("%w: binary watcher for literal %d in its own variable's list", ErrBadSnapshot, bl)
+				}
+				binKeys = append(binKeys, binaryKey(a, b, kind == 1))
+				watches.slab = append(watches.slab, watcher{c: crefBinary | cref(kind), blocker: b})
+				continue
+			}
+			c64 := kind - 2
+			ci := -1
+			if c64 < uint64(nWords) {
+				ci = crefIndex(starts, cref(c64))
+			}
+			if ci < 0 {
+				return nil, fmt.Errorf("%w: watcher clause %d out of range", ErrBadSnapshot, c64)
 			}
 			c := cref(c64)
 			if !ca.deleted(c) {
@@ -542,10 +598,17 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		}
 		watches.spans[li] = span{off: uint32(off), n: uint32(n), cap: uint32(n)}
 	}
+	if len(watches.slab) != nWatchers {
+		return nil, fmt.Errorf("%w: %d watchers, declared %d", ErrBadSnapshot, len(watches.slab), nWatchers)
+	}
 	for i, c := range starts {
 		if !ca.deleted(c) && watchCount[i] != 2 {
 			return nil, fmt.Errorf("%w: live clause at %d has %d watchers (want 2)", ErrBadSnapshot, c, watchCount[i])
 		}
+	}
+	nBinary, nLearntBin, err := pairBinaryWatchers(binKeys)
+	if err != nil {
+		return nil, err
 	}
 	if r.rem() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rem())
@@ -557,6 +620,8 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		ca:           ca,
 		clauses:      clauses,
 		learnts:      learnts,
+		nBinary:      nBinary,
+		nLearntBin:   nLearntBin,
 		watches:      watches,
 		vals:         vals,
 		level:        make([]int32, nVars), // level-0 snapshot: all zero
@@ -574,4 +639,46 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	}
 	n.order = varHeap{activity: &n.activity, heap: heap, indices: indices}
 	return n, nil
+}
+
+// binaryKey orders the binary watchers of a snapshot by clause: the
+// clause's two literals low first, its learnt flag, and in the lowest bit
+// which of its two watchers this is (1 for the one in the low literal's
+// negation's list, where the watched literal a is the low one).
+// Literals stay below 2^29, so the key fits in 63 bits.
+func binaryKey(a, b lit, learnt bool) uint64 {
+	side := uint64(1)
+	if a > b {
+		a, b, side = b, a, 0
+	}
+	k := uint64(a)<<33 | uint64(b)<<2 | side
+	if learnt {
+		k |= 2
+	}
+	return k
+}
+
+// pairBinaryWatchers checks that the binary watchers, given as
+// binaryKeys, come in mirrored pairs — every clause (a ∨ b) watched in
+// ¬a's list is watched in ¬b's list as often — and returns the number of
+// problem and learnt binary clauses.
+func pairBinaryWatchers(keys []uint64) (problem, learnt int, err error) {
+	slices.Sort(keys)
+	for i := 0; i < len(keys); {
+		j, sides := i, 0
+		for ; j < len(keys) && keys[j]>>1 == keys[i]>>1; j++ {
+			sides += int(keys[j] & 1)
+		}
+		if n := j - i; 2*sides != n {
+			return 0, 0, fmt.Errorf("%w: binary clause watched %d times in one list and %d in the other",
+				ErrBadSnapshot, sides, n-sides)
+		}
+		if keys[i]&2 != 0 {
+			learnt += (j - i) / 2
+		} else {
+			problem += (j - i) / 2
+		}
+		i = j
+	}
+	return problem, learnt, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -193,15 +194,82 @@ func TestRestoreSnapshotRejectsWrongVersion(t *testing.T) {
 	satInstance(s)
 	snap := s.Snapshot()
 	// Both directions of skew must be rejected up front: a future format
-	// this decoder has never seen, the v2 layout that still carried a
-	// restart unit, and the v1 per-clause layout that the arena rewrite
-	// (v2) replaced — an older body read as the current layout would be
-	// garbage, so the version gate is the only line of defense.
+	// this decoder has never seen, the v3 layout that kept binary
+	// clauses in the arena behind four-word headers, and the v1
+	// per-clause layout that the arena rewrite (v2) replaced — an older
+	// body read as the current layout would be garbage, so the version
+	// gate is the only line of defense.
 	for _, v := range []uint32{snapshotVersion + 1, snapshotVersion - 1, 1} {
 		binary.LittleEndian.PutUint32(snap, v)
 		if _, err := RestoreSnapshot(snap); !errors.Is(err, ErrBadSnapshot) {
 			t.Fatalf("version %d: got err %v, want ErrBadSnapshot", v, err)
 		}
+	}
+}
+
+// binaryReasons builds a solver whose level-0 trail holds literals
+// implied by binary clauses: the unit 1 implies 2 through (¬1 ∨ 2), and
+// 2 implies 3 through (¬2 ∨ 3). Variable 4 stays unassigned.
+func binaryReasons() *Solver {
+	s := NewSolver()
+	s.EnsureVars(5)
+	s.AddClause(-1, 2)
+	s.AddClause(-2, 3)
+	s.AddClause(4, 5, -3)
+	s.AddClause(1)
+	return s
+}
+
+// malformedBinarySnapshots returns snapshots that break the binary-clause
+// invariants RestoreSnapshot checks, each written by the encoder from a
+// solver whose state was damaged by hand.
+func malformedBinarySnapshots() map[string][]byte {
+	out := map[string][]byte{}
+	damage := func(name string, f func(s *Solver)) {
+		s := NewSolver()
+		satInstance(s)
+		f(s)
+		out[name] = s.Snapshot()
+	}
+	// (¬1 ∨ 2) watched in ¬¬1 = 1's list only.
+	damage("unmirrored", func(s *Solver) {
+		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(2)})
+	})
+	damage("learnt-mirror-of-problem", func(s *Solver) {
+		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(2)})
+		s.watches.push(toInternal(-2), watcher{crefBinary | binLearnt, toInternal(-1)})
+	})
+	damage("blocker-out-of-range", func(s *Solver) {
+		b := lit(2*s.nVars + 3)
+		s.watches.push(toInternal(1), watcher{crefBinary, b})
+	})
+	damage("own-variable-list", func(s *Solver) {
+		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(-1)})
+		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(-1)})
+	})
+	s := binaryReasons()
+	s.reason[2] = reasonBinary(toInternal(4)) // variable 3's reason names unassigned 4
+	out["reason-unassigned"] = s.Snapshot()
+	s = binaryReasons()
+	s.reason[2] = reasonBinary(toInternal(2)) // a true literal cannot be a reason's other literal
+	out["reason-true"] = s.Snapshot()
+	return out
+}
+
+// TestRestoreSnapshotRejectsMalformedBinaries: every broken binary-clause
+// invariant is a typed error, and the undamaged states restore.
+func TestRestoreSnapshotRejectsMalformedBinaries(t *testing.T) {
+	for name, snap := range malformedBinarySnapshots() {
+		if _, err := RestoreSnapshot(snap); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: got err %v, want ErrBadSnapshot", name, err)
+		}
+	}
+	s := binaryReasons()
+	if len(s.trail) != 3 || s.reason[2] != reasonBinary(toInternal(-2)) {
+		t.Fatalf("setup: trail %v, reason of 3 %x; want 1, 2, 3 implied through binaries", s.trail, s.reason[2])
+	}
+	if _, err := RestoreSnapshot(s.Snapshot()); err != nil {
+		t.Fatalf("intact binary reasons: %v", err)
 	}
 }
 
@@ -241,6 +309,23 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		s.AddClause(-1)
 	})
 	seed(func(s *Solver) {}) // empty solver
+	// Binary reasons on the level-0 trail, and learnt binaries beside
+	// problem ones.
+	f.Add(binaryReasons().Snapshot())
+	seed(func(s *Solver) {
+		r := rand.New(rand.NewSource(5))
+		nVars, clauses, _ := binaryHeavyInstance(r, 16, 2, 4.4)
+		s.EnsureVars(nVars)
+		loadClauses(s, clauses)
+		s.SetBudget(40, 0)
+		s.Solve()
+		if s.nLearntBin == 0 {
+			f.Fatal("seed setup learnt no binary clause")
+		}
+	})
+	for _, snap := range malformedBinarySnapshots() {
+		f.Add(snap)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 

@@ -142,7 +142,9 @@ const (
 // watcher pairs a watching clause with a "blocker" literal whose
 // satisfaction lets propagation skip visiting the clause. It is a flat
 // 8-byte pair — pointer-free, so watch lists cost the garbage collector
-// nothing to scan.
+// nothing to scan. A binary clause is nothing but its two watchers: c is
+// the crefBinary tag (with binLearnt for a learnt one) and the blocker
+// is the clause's other literal, which never changes.
 type watcher struct {
 	c       cref
 	blocker lit
@@ -157,11 +159,15 @@ type Solver struct {
 	stats Stats
 
 	nVars int
-	// ca is the clause arena: every problem and learnt clause lives in
-	// one flat slab (see arena.go), addressed by cref offsets.
-	ca      arena
-	clauses []cref
-	learnts []cref
+	// ca is the clause arena: every problem and learnt clause of three
+	// or more literals lives in one flat slab (see arena.go), addressed
+	// by cref offsets. Binary clauses live only in the watch table;
+	// nBinary and nLearntBin count the problem and learnt ones.
+	ca         arena
+	clauses    []cref
+	learnts    []cref
+	nBinary    int
+	nLearntBin int
 
 	watches watchTable // watch lists, indexed by internal lit
 	// vals holds the current value of every internal literal: an
@@ -169,7 +175,7 @@ type Solver struct {
 	// sign fix-up. A variable v is unassigned iff vals[2v] is lUndef.
 	vals     []lbool
 	level    []int32 // decision level per var
-	reason   []cref  // implying clause per var (crefUndef for decisions)
+	reason   []cref  // implying clause per var: a cref, reasonBinary, or crefUndef
 	polarity []bool  // saved phase: last assigned sign (true = negative)
 	trail    []lit
 	trailLim []int // trail index at each decision level
@@ -202,6 +208,10 @@ type Solver struct {
 	gcNew []cref
 	okay  bool // false once a top-level contradiction is recorded
 	model []bool
+	// binConfl holds the literals of the binary clause propagate last
+	// returned as a conflict (crefBinary): [other, ¬p], the order an
+	// arena clause would give them.
+	binConfl [2]lit
 
 	conflict []Lit // final conflict clause (negated assumptions subset)
 
@@ -246,10 +256,10 @@ func NewSolverOpts(opts Options) *Solver {
 func (s *Solver) NumVars() int { return s.nVars }
 
 // NumClauses returns the number of problem clauses currently held.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return len(s.clauses) + s.nBinary }
 
 // NumLearnts returns the number of live learnt clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
+func (s *Solver) NumLearnts() int { return len(s.learnts) + s.nLearntBin }
 
 // ArenaWords reports the clause arena's length and capacity in 32-bit
 // words. A query's clauses fit without copying the arena again while
@@ -286,7 +296,7 @@ func (s *Solver) ResetRun() {
 	if cap(s.ca.data) > len(s.ca.data) {
 		s.ca.data = grown(s.ca.data, 0)
 	}
-	s.watches.compact(0)
+	s.watches.compact(nil, 0)
 }
 
 // NewVar allocates a fresh variable and returns its index (≥ 1).
@@ -342,10 +352,13 @@ func (s *Solver) growVarCaps(n int) {
 
 // Bulk runs load with clause addition deferred, then adds every clause
 // load passed to AddClause, in order, into storage sized once for all of
-// them: the clause arena, the clause list and the watcher slab are
+// them: the clause arena, the clause list and every watch list are
 // allocated up front instead of being copied each time they fill. A
-// compiler that emits a whole base clause by clause (CNF shards, then
-// arithmetic circuits) wraps the emission in one Bulk call.
+// literal's list gets room for one watcher per recorded clause holding
+// the literal's negation, a bound no list can pass, so no list moves
+// during the load. A compiler that emits a whole base clause by clause
+// (CNF shards, then arithmetic circuits) wraps the emission in one Bulk
+// call.
 //
 // The solver ends in exactly the state the same AddClause calls made
 // one by one would leave: clauses are added in the same order, units
@@ -360,21 +373,36 @@ func (s *Solver) Bulk(load func()) {
 	load()
 	s.bulking = false
 
-	nClauses, nLits := 0, 0
+	// Size storage by the clauses as recorded. Normalization only
+	// shortens or drops a clause, so the counts are upper bounds: an
+	// arena clause has three or more literals, and a clause's watchers
+	// sit in the lists of its literals' negations, at most one each.
+	nClauses, nWords := 0, 0
+	room := make([]uint32, len(s.watches.spans))
 	for _, chunk := range s.bulk {
-		for _, l := range chunk {
-			if l == 0 {
-				nClauses++
-			} else {
-				nLits++
+		for i := 0; i < len(chunk); {
+			j := i
+			for chunk[j] != 0 {
+				j++
 			}
+			n := j - i
+			if n >= 3 {
+				nClauses++
+				nWords += origHeaderWords + n
+			}
+			if n >= 2 {
+				for _, l := range chunk[i:j] {
+					room[toInternal(l).flip()]++
+				}
+			}
+			i = j + 1
 		}
 	}
-	s.ca.reserve(nClauses*clsHeaderWords + nLits)
+	s.ca.reserve(nWords)
 	if cap(s.clauses)-len(s.clauses) < nClauses {
 		s.clauses = grown(s.clauses, nClauses)
 	}
-	s.watches.reserve(bulkWatchers(nClauses))
+	s.watches.compact(room, 0)
 	for _, chunk := range s.bulk {
 		for i := 0; i < len(chunk); {
 			j := i
@@ -497,6 +525,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			return false
 		}
 		return true
+	case 2:
+		s.nBinary++
+		s.attachBinary(norm[0], norm[1], crefBinary)
+		return true
 	}
 	// The arena copies the scratch buffer into the slab; no per-clause
 	// allocation.
@@ -513,6 +545,14 @@ func (s *Solver) attach(c cref) {
 	s.watches.push(cl[1].flip(), watcher{c, cl[0]})
 }
 
+// attachBinary stores the binary clause (a ∨ b) as its two watchers,
+// tagged tag (crefBinary, or crefBinary|binLearnt), in the lists and the
+// order attach gives an arena clause [a, b].
+func (s *Solver) attachBinary(a, b lit, tag cref) {
+	s.watches.push(a.flip(), watcher{tag, b})
+	s.watches.push(b.flip(), watcher{tag, a})
+}
+
 // detachAll lazily detaches a clause by marking it deleted; propagate
 // skips and removes deleted watchers as it encounters them, and arena
 // compaction reclaims the slab words.
@@ -526,8 +566,8 @@ func (s *Solver) assigned(v uint32) bool { return s.vals[2*v] != lUndef }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// uncheckedEnqueue records an assignment implied by from (crefUndef =
-// decision or top-level fact).
+// uncheckedEnqueue records an assignment implied by from (a clause, a
+// reasonBinary, or crefUndef for a decision or top-level fact).
 func (s *Solver) uncheckedEnqueue(l lit, from cref) {
 	v := l.v()
 	s.vals[l] = lTrue
@@ -616,7 +656,7 @@ func (s *Solver) solveAssuming(assumps []Lit) Status {
 		s.assumptions = append(s.assumptions, toInternal(a))
 	}
 	if s.maxLearnts == 0 {
-		s.maxLearnts = float64(len(s.clauses)) / 3
+		s.maxLearnts = float64(s.NumClauses()) / 3
 		if s.maxLearnts < 1000 {
 			s.maxLearnts = 1000
 		}
@@ -683,7 +723,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 			s.cancelUntil(0)
 			return Unknown
 		}
-		if float64(len(s.learnts)) >= s.maxLearnts {
+		if float64(s.NumLearnts()) >= s.maxLearnts {
 			s.reduceDB()
 			s.maxLearnts *= s.learntGrowth
 		}
@@ -782,11 +822,19 @@ func (s *Solver) cancelUntil(level int) {
 }
 
 // recordLearnt installs a learnt clause and asserts its first literal.
-// learnt may alias the analyze scratch buffer; the arena copies it.
+// learnt may alias the analyze scratch buffer; the arena copies it. A
+// learnt binary goes to the watch table only: DB reduction keeps every
+// binary, so it needs no LBD or activity.
 func (s *Solver) recordLearnt(learnt []lit, lbd int) {
 	s.stats.Learnts++
-	if len(learnt) == 1 {
+	switch len(learnt) {
+	case 1:
 		s.uncheckedEnqueue(learnt[0], crefUndef)
+		return
+	case 2:
+		s.nLearntBin++
+		s.attachBinary(learnt[0], learnt[1], crefBinary|binLearnt)
+		s.uncheckedEnqueue(learnt[0], reasonBinary(learnt[1]))
 		return
 	}
 	c := s.ca.alloc(learnt, true)
