@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR27.json
+BENCH ?= BENCH_PR28.json
 
 build:
 	$(GO) build ./...
@@ -89,11 +89,11 @@ delta-diff:
 
 # optimize-diff pins the MaxSAT optimality differential (DESIGN.md §15):
 # lexicographic optima and Pareto frontiers must equal the brute-force
-# enumeration oracle's, for both descent strategies, at 1/2/8 workers,
-# warm and cold — plus the metamorphic invariants (cost scaling and
-# translation, dominated-SKU insertion, bound tightening), the
-# agreement of the power/port circuits with the design metrics, and the
-# maxsat package's brute-force, budget-trip and bit-descent tests.
+# enumeration oracle's at 1/2/8 workers, warm and cold — plus the
+# metamorphic invariants (cost scaling and translation, dominated-SKU
+# insertion, bound tightening), the agreement of the power/port
+# circuits with the design metrics, and the maxsat package's
+# brute-force, budget-trip and bit-descent tests.
 optimize-diff:
 	$(GO) test -run='TestOptimizeDifferential|TestParetoDifferential|TestMetamorphic|TestObjective' -count=1 ./internal/core
 	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat

@@ -501,10 +501,9 @@ func BenchmarkRepeatedQueries(b *testing.B) {
 }
 
 // BenchmarkOptimize measures the assumption-based MaxSAT optimizer. The
-// "full" rows run a certified lexicographic cost-then-power minimization
-// over the whole case-study catalog under both descent strategies (the
-// cache is primed off the clock, so the rows measure the descent, not
-// compilation). The "trimmed" rows compare the MaxSAT descent against
+// "full" row runs a certified lexicographic cost-then-power minimization
+// over the whole case-study catalog (the cache is primed off the clock,
+// so the row measures the descent, not compilation). The "trimmed" rows compare the MaxSAT descent against
 // the exhaustive enumeration oracle (BruteOptimize — the independent arm
 // of the optimize-diff differential) on a design space small enough for
 // the oracle to finish: the asymmetry is why the oracle is a test
@@ -513,32 +512,26 @@ func BenchmarkOptimize(b *testing.B) {
 	k := catalog.CaseStudy()
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
 	objs := []netarch.Objective{{Kind: netarch.MinimizeCost}, {Kind: netarch.MinimizePower}}
-	strategies := []struct {
-		name string
-		s    netarch.OptimizeStrategy
-	}{{"binary", netarch.StrategyBinary}, {"linear", netarch.StrategyLinear}}
-	for _, strat := range strategies {
-		b.Run("full/"+strat.name, func(b *testing.B) {
-			eng, err := netarch.NewEngine(k)
+	b.Run("full", func(b *testing.B) {
+		eng, err := netarch.NewEngine(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Optimize(sc, objs); err != nil { // prime the cache
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.OptimizeCtx(context.Background(), sc, objs, netarch.Budget{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Optimize(sc, objs); err != nil { // prime the cache
-				b.Fatal(err)
+			if res.Verdict != netarch.Feasible || res.Approximate {
+				b.Fatal("want a certified optimum")
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := eng.OptimizeWithStrategyCtx(context.Background(), sc, objs, netarch.Budget{}, strat.s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Verdict != netarch.Feasible || res.Approximate {
-					b.Fatal("want a certified optimum")
-				}
-			}
-		})
-	}
+		}
+	})
 
 	// Trim the space to the systems and SKUs of three witness classes so
 	// the exhaustive oracle terminates (the same seeding trick as

@@ -213,6 +213,17 @@ func TestCmdSolveModes(t *testing.T) {
 	}
 }
 
+// TestCmdOptimizeRejectsStrategy: optimize has one MaxSAT descent, so
+// -strategy is not a flag and fails at parsing, before any query runs.
+func TestCmdOptimizeRejectsStrategy(t *testing.T) {
+	for _, name := range []string{"linear", "binary"} {
+		err := cmdSolve([]string{"-objectives", "cost", "-strategy", name}, "optimize")
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -strategy") {
+			t.Errorf("-strategy %s: err = %v, want a flag-parsing error", name, err)
+		}
+	}
+}
+
 func TestCmdCheckFlow(t *testing.T) {
 	out := capture(t, func() error {
 		return cmdCheck([]string{

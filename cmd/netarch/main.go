@@ -64,8 +64,6 @@ Common synth/optimize/explain flags:
   -maxcost N          hardware budget in USD
   -objectives list    (optimize) comma list: cost,cores,systems,power,
                       ports,latency,order:<dim> — earlier entries dominate
-  -strategy S         (optimize) MaxSAT descent: binary (default, tight
-                      bounds under budget trips) or linear (SAT-UNSAT)
   -pareto             (optimize) enumerate the full non-dominated frontier
                       over the objectives instead of one lexicographic
                       optimum
@@ -389,7 +387,6 @@ func cmdSolve(args []string, mode string) error {
 	setSlice := sliceFlag(fs)
 	setCacheDir := cacheDirFlag(fs)
 	cacheStats := fs.Bool("cache-stats", false, "print compiled-base cache stats after the query")
-	strategy := fs.String("strategy", "", "MaxSAT descent strategy: binary (default) or linear")
 	pareto := fs.Bool("pareto", false, "enumerate the Pareto frontier instead of one lexicographic optimum")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -475,18 +472,14 @@ func cmdSolve(args []string, mode string) error {
 		if err != nil {
 			return err
 		}
-		strat, err := netarch.ParseOptimizeStrategy(*strategy)
-		if err != nil {
-			return err
-		}
 		if *pareto {
-			res, err := eng.ParetoWithStrategyCtx(ctx, sc, objs, budget, strat)
+			res, err := eng.ParetoCtx(ctx, sc, objs, budget)
 			if err != nil {
 				return err
 			}
 			printPareto(res, objs)
 		} else {
-			res, err := eng.OptimizeWithStrategyCtx(ctx, sc, objs, budget, strat)
+			res, err := eng.OptimizeCtx(ctx, sc, objs, budget)
 			if err != nil {
 				return err
 			}

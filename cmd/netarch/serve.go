@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -29,7 +28,6 @@ func cmdServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "concurrently executing queries (0 = one per CPU)")
 	queueDepth := fs.Int("queue-depth", 0, "admission queue length (0 = 2x max-inflight)")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on shutdown")
-	sliceMode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	maxEnum := fs.Int("max-enumerate", 64, "ceiling on per-request enumeration limits")
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: seed=N,rate=F[,event=solve|conflict|both]")
 	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
@@ -37,6 +35,7 @@ func cmdServe(args []string) error {
 	getScenario, _ := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
 	setWorkers := workersFlag(fs)
+	setSlice := sliceFlag(fs)
 	setCacheDir := cacheDirFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,10 +49,6 @@ func cmdServe(args []string) error {
 		if chaos, err = serve.ParseChaos(*chaosSpec); err != nil {
 			return err
 		}
-	}
-	slice, err := netarch.ParseSliceMode(*sliceMode)
-	if err != nil {
-		return err
 	}
 
 	k := netarch.CaseStudy()
@@ -71,25 +66,23 @@ func cmdServe(args []string) error {
 		return err
 	}
 	setWorkers(eng)
+	if err := setSlice(eng); err != nil {
+		return err
+	}
 	if err := setCacheDir(eng); err != nil {
 		return err
 	}
 
-	inFlight := *maxInFlight
-	if inFlight <= 0 {
-		inFlight = runtime.GOMAXPROCS(0)
-	}
 	srv, err := serve.New(serve.Config{
 		Engine:       eng,
 		Addr:         *addr,
-		MaxInFlight:  inFlight,
+		MaxInFlight:  *maxInFlight,
 		QueueDepth:   *queueDepth,
 		Policy:       getBudget(),
 		MaxEnumerate: *maxEnum,
 		DrainTimeout: *drainTimeout,
 		RetryAfter:   *retryAfter,
 		Prewarm:      []netarch.Scenario{sc},
-		Slice:        slice,
 		Chaos:        chaos,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)

@@ -42,10 +42,10 @@ const (
 	baseSnapshotExt = ".nabase"
 	quarantineExt   = ".bad"
 
-	// DefaultDiskCacheFiles and DefaultDiskCacheBytes bound the disk tier
-	// until SetDiskCacheLimit overrides them.
-	DefaultDiskCacheFiles = 256
-	DefaultDiskCacheBytes = 1 << 30
+	// diskCacheFiles and diskCacheBytes bound the disk tier: eviction
+	// runs after each write, oldest mtime first, until both hold.
+	diskCacheFiles = 256
+	diskCacheBytes = 1 << 30
 
 	// maxSnapshotFileSize rejects absurd files before reading them into
 	// memory; no legitimate base snapshot gets anywhere near it.
@@ -71,27 +71,7 @@ func (e *Engine) SetCacheDir(dir string) error {
 	} else {
 		e.kbHash = [32]byte{}
 	}
-	if e.diskMaxFiles == 0 {
-		e.diskMaxFiles = DefaultDiskCacheFiles
-	}
-	if e.diskMaxBytes == 0 {
-		e.diskMaxBytes = DefaultDiskCacheBytes
-	}
 	return nil
-}
-
-// SetDiskCacheLimit bounds the disk tier to at most maxFiles snapshot
-// files and maxBytes total (whichever trips first); values <= 0 keep the
-// current bound. Eviction runs after each write, oldest mtime first.
-func (e *Engine) SetDiskCacheLimit(maxFiles int, maxBytes int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if maxFiles > 0 {
-		e.diskMaxFiles = maxFiles
-	}
-	if maxBytes > 0 {
-		e.diskMaxBytes = maxBytes
-	}
 }
 
 // diskConfig snapshots the disk-tier configuration under the read lock.

@@ -331,7 +331,7 @@ func TestDiskCacheFingerprintMismatch(t *testing.T) {
 func TestDiskCacheEviction(t *testing.T) {
 	dir := t.TempDir()
 	e := mustDiskEngine(t, miniKB(), dir)
-	e.SetDiskCacheLimit(2, 0)
+	e.diskMaxFiles = 2
 	for _, n := range []int{0, 8, 16} {
 		if _, err := e.Synthesize(Scenario{NumServers: n}); err != nil {
 			t.Fatal(err)

@@ -47,9 +47,10 @@ type Engine struct {
 
 	// Disk tier (see diskcache.go): cacheDir enables persistence of
 	// frozen bases across processes; kbHash keys the snapshots to the
-	// exact knowledge-base content. diskMu serializes writes+eviction
-	// (loads are lock-free). The disk counters are atomic for the same
-	// reason hits/misses are.
+	// exact knowledge-base content; diskMaxFiles/diskMaxBytes bound it
+	// (diskCacheFiles/diskCacheBytes, smaller only in tests). diskMu
+	// serializes writes+eviction (loads are lock-free). The disk
+	// counters are atomic for the same reason hits/misses are.
 	cacheDir      string
 	kbHash        [32]byte
 	diskMu        sync.Mutex
@@ -91,9 +92,11 @@ func New(k *kb.KB) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		kbCur:    k,
-		bases:    make(map[string]*compiled),
-		cacheCap: DefaultCacheCapacity,
+		kbCur:        k,
+		bases:        make(map[string]*compiled),
+		cacheCap:     DefaultCacheCapacity,
+		diskMaxFiles: diskCacheFiles,
+		diskMaxBytes: diskCacheBytes,
 	}, nil
 }
 

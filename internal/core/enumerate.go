@@ -63,10 +63,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers.Store(int32(n))
 }
 
-// Workers reports the configured enumeration worker count; 0 means the
-// default (runtime.GOMAXPROCS(0) at query time).
-func (e *Engine) Workers() int { return int(e.workers.Load()) }
-
 func (e *Engine) enumWorkers() int {
 	if n := int(e.workers.Load()); n > 0 {
 		return n

@@ -411,8 +411,8 @@ func TestOptimizeBinarySearchExhaustion(t *testing.T) {
 		}
 		return false
 	})
-	res, err := e.OptimizeWithStrategyCtx(context.Background(), Scenario{},
-		[]Objective{{Kind: MinimizeCost}}, Budget{}, StrategyBinary)
+	res, err := e.OptimizeCtx(context.Background(), Scenario{},
+		[]Objective{{Kind: MinimizeCost}}, Budget{})
 	if err != nil {
 		t.Fatalf("mid-bisection trip must degrade, not error: %v", err)
 	}

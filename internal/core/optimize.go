@@ -9,27 +9,6 @@ import (
 	"netarch/internal/sat"
 )
 
-// OptimizeStrategy selects the MaxSAT descent strategy for Optimize and
-// Pareto queries; see the maxsat package for the trade-off.
-type OptimizeStrategy = maxsat.Strategy
-
-// Optimization strategies.
-const (
-	// StrategyBinary halves the open objective range with every probe
-	// (the default): a weighted sum fixes its output bits MSB first, a
-	// count bisects. Budget trips leave tight two-sided bounds.
-	StrategyBinary = maxsat.BinarySearch
-	// StrategyLinear descends SAT-UNSAT: every step improves the
-	// witness, but the lower bound stays trivial until the final Unsat.
-	StrategyLinear = maxsat.LinearSatUnsat
-)
-
-// ParseOptimizeStrategy parses the CLI/serve strategy spelling: "binary"
-// (or empty, the default) and "linear".
-func ParseOptimizeStrategy(s string) (OptimizeStrategy, error) {
-	return maxsat.ParseStrategy(s)
-}
-
 // OptimizeResult extends a feasible report with the achieved objective
 // values, in priority order.
 type OptimizeResult struct {
@@ -66,20 +45,13 @@ func (e *Engine) Optimize(sc Scenario, objectives []Objective) (*OptimizeResult,
 	return e.OptimizeCtx(context.Background(), sc, objectives, Budget{})
 }
 
-// OptimizeCtx is Optimize under a context and resource budget, using the
-// default strategy (StrategyBinary). Each objective level runs as its
-// own budget phase. If a budget trips after feasibility is established,
-// the best design and bounds proven so far are returned with
-// Approximate set — the optimizer degrades, it does not discard work.
-// Only an exhaustion before any verdict yields
+// OptimizeCtx is Optimize under a context and resource budget. Each
+// objective level runs as its own budget phase. If a budget trips after
+// feasibility is established, the best design and bounds proven so far
+// are returned with Approximate set — the optimizer degrades, it does
+// not discard work. Only an exhaustion before any verdict yields
 // *ErrResourceExhausted.
 func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*OptimizeResult, error) {
-	return e.OptimizeWithStrategyCtx(ctx, sc, objectives, b, StrategyBinary)
-}
-
-// OptimizeWithStrategyCtx is OptimizeCtx with an explicit per-query
-// strategy (the CLI -strategy flag and the serve request's strategy).
-func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*OptimizeResult, error) {
 	c, err := e.instance(&sc)
 	if err != nil {
 		return nil, err
@@ -117,10 +89,7 @@ func (e *Engine) OptimizeWithStrategyCtx(ctx context.Context, sc Scenario, objec
 	for _, l := range assumps {
 		c.solver.AddClause(l)
 	}
-	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{
-		Strategy: strat,
-		Phase:    g.phase,
-	})
+	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{Phase: g.phase})
 	if err != nil {
 		// Feasibility was just established on this solver, so the hard
 		// side cannot be unsatisfiable; surface the inconsistency.

@@ -13,9 +13,9 @@ import (
 // brute-force oracle (oracle.go), which searches by exhaustive
 // projected-model enumeration and evaluates objectives by plain KB
 // arithmetic — two independent search algorithms AND two independent
-// evaluation paths. The sweep covers both descent strategies, worker
-// counts 1/2/8 (the Pareto cube merge must be schedule-independent),
-// and fresh engines vs engines with a query history. Metamorphic
+// evaluation paths. The sweep covers worker counts 1/2/8 (the Pareto
+// cube merge must be schedule-independent) and fresh engines vs engines
+// with a query history. Metamorphic
 // properties follow: objective scaling/translation invariance,
 // dominated-SKU frontier no-ops, and bound-tightening monotonicity.
 
@@ -71,7 +71,7 @@ func diffCases() []diffCase {
 	}
 }
 
-// TestOptimizeDifferential sweeps strategy × workers × fresh/with-history
+// TestOptimizeDifferential sweeps workers × fresh/with-history
 // and demands the MaxSAT optimum equal the brute-force argmin exactly,
 // with every level certified (LowerBounds == ObjectiveValues). The fresh
 // arm answers each checked run on a new engine; the with-history arm
@@ -90,60 +90,57 @@ func TestOptimizeDifferential(t *testing.T) {
 		if !want.Feasible {
 			t.Fatalf("%s: oracle says infeasible; differential rows must be feasible", tc.name)
 		}
-		for _, strat := range []OptimizeStrategy{StrategyLinear, StrategyBinary} {
-			for _, workers := range []int{1, 2, 8} {
-				optimize := func(e *Engine, sc Scenario, objs []Objective) *OptimizeResult {
-					e.SetWorkers(workers)
-					res, err := e.OptimizeWithStrategyCtx(context.Background(), sc, objs, Budget{}, strat)
-					if err != nil {
-						t.Fatalf("%s/%s/w%d: %v", tc.name, strat, workers, err)
-					}
-					return res
+		for _, workers := range []int{1, 2, 8} {
+			optimize := func(e *Engine, sc Scenario, objs []Objective) *OptimizeResult {
+				e.SetWorkers(workers)
+				res, err := e.OptimizeCtx(context.Background(), sc, objs, Budget{})
+				if err != nil {
+					t.Fatalf("%s/w%d: %v", tc.name, workers, err)
 				}
-				fresh := mustEngine(t, diffKB())
-				freshRes := optimize(fresh, tc.sc, tc.objs)
-				for _, other := range cases {
-					if other.name != tc.name {
-						optimize(history, other.sc, other.objs)
-					}
+				return res
+			}
+			fresh := mustEngine(t, diffKB())
+			freshRes := optimize(fresh, tc.sc, tc.objs)
+			for _, other := range cases {
+				if other.name != tc.name {
+					optimize(history, other.sc, other.objs)
 				}
-				histRes := optimize(history, tc.sc, tc.objs)
-				for _, arm := range []struct {
-					name string
-					e    *Engine
-					res  *OptimizeResult
-				}{{"fresh", fresh, freshRes}, {"with-history", history, histRes}} {
-					name := fmt.Sprintf("%s/%s/w%d/%s", tc.name, strat, workers, arm.name)
-					res := arm.res
-					if res.Verdict != Feasible || res.Approximate {
-						t.Fatalf("%s: want certified feasible, got verdict=%v approx=%v",
-							name, res.Verdict, res.Approximate)
-					}
-					if !eqVec(res.ObjectiveValues, want.Values) {
-						t.Errorf("%s: optimum %v, oracle argmin %v", name, res.ObjectiveValues, want.Values)
-					}
-					if !eqVec(res.LowerBounds, res.ObjectiveValues) {
-						t.Errorf("%s: certified run must have tight bounds: lb %v, values %v",
-							name, res.LowerBounds, res.ObjectiveValues)
-					}
-					// The witness must actually achieve the claimed vector:
-					// re-check it through the independent evaluators.
-					if chk, err := arm.e.Check(*res.Design, tc.sc); err != nil || chk.Verdict != Feasible {
-						t.Errorf("%s: optimal witness fails Check: %v %v", name, err, chk)
-					}
+			}
+			histRes := optimize(history, tc.sc, tc.objs)
+			for _, arm := range []struct {
+				name string
+				e    *Engine
+				res  *OptimizeResult
+			}{{"fresh", fresh, freshRes}, {"with-history", history, histRes}} {
+				name := fmt.Sprintf("%s/w%d/%s", tc.name, workers, arm.name)
+				res := arm.res
+				if res.Verdict != Feasible || res.Approximate {
+					t.Fatalf("%s: want certified feasible, got verdict=%v approx=%v",
+						name, res.Verdict, res.Approximate)
 				}
-				if got, want := renderOptimize(histRes), renderOptimize(freshRes); got != want {
-					t.Errorf("%s/%s/w%d: with-history answer differs from fresh:\n got %s\nwant %s",
-						tc.name, strat, workers, got, want)
+				if !eqVec(res.ObjectiveValues, want.Values) {
+					t.Errorf("%s: optimum %v, oracle argmin %v", name, res.ObjectiveValues, want.Values)
 				}
+				if !eqVec(res.LowerBounds, res.ObjectiveValues) {
+					t.Errorf("%s: certified run must have tight bounds: lb %v, values %v",
+						name, res.LowerBounds, res.ObjectiveValues)
+				}
+				// The witness must actually achieve the claimed vector:
+				// re-check it through the independent evaluators.
+				if chk, err := arm.e.Check(*res.Design, tc.sc); err != nil || chk.Verdict != Feasible {
+					t.Errorf("%s: optimal witness fails Check: %v %v", name, err, chk)
+				}
+			}
+			if got, want := renderOptimize(histRes), renderOptimize(freshRes); got != want {
+				t.Errorf("%s/w%d: with-history answer differs from fresh:\n got %s\nwant %s",
+					tc.name, workers, got, want)
 			}
 		}
 	}
 }
 
 // TestParetoDifferential demands the Pareto query return exactly the
-// oracle's non-dominated vector set, for both strategies and worker
-// counts 1/2/8 — the same sorted frontier regardless of scheduling.
+// oracle's non-dominated vector set, for worker counts 1/2/8 — the same sorted frontier regardless of scheduling.
 func TestParetoDifferential(t *testing.T) {
 	oracleEng := mustEngine(t, diffKB())
 	e := mustEngine(t, diffKB())
@@ -166,28 +163,26 @@ func TestParetoDifferential(t *testing.T) {
 			t.Fatalf("%s: degenerate oracle frontier %v — pick a scenario with a real trade-off",
 				tc.name, want.Frontier)
 		}
-		for _, strat := range []OptimizeStrategy{StrategyLinear, StrategyBinary} {
-			for _, workers := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/%s/w%d", tc.name, strat, workers)
-				e.SetWorkers(workers)
-				res, err := e.ParetoWithStrategyCtx(context.Background(), tc.sc, tc.objs, Budget{}, strat)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("%s/w%d", tc.name, workers)
+			e.SetWorkers(workers)
+			res, err := e.ParetoCtx(context.Background(), tc.sc, tc.objs, Budget{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !res.Complete {
+				t.Fatalf("%s: unbudgeted pareto must be complete", name)
+			}
+			got := make([][]int64, len(res.Points))
+			for i, p := range res.Points {
+				got[i] = p.Values
+				// Every frontier witness must be compliant.
+				if chk, err := e.Check(*p.Design, tc.sc); err != nil || chk.Verdict != Feasible {
+					t.Errorf("%s: frontier witness %v fails Check", name, p.Values)
 				}
-				if !res.Complete {
-					t.Fatalf("%s: unbudgeted pareto must be complete", name)
-				}
-				got := make([][]int64, len(res.Points))
-				for i, p := range res.Points {
-					got[i] = p.Values
-					// Every frontier witness must be compliant.
-					if chk, err := e.Check(*p.Design, tc.sc); err != nil || chk.Verdict != Feasible {
-						t.Errorf("%s: frontier witness %v fails Check", name, p.Values)
-					}
-				}
-				if !eqFrontier(got, want.Frontier) {
-					t.Errorf("%s: frontier %v, oracle %v", name, got, want.Frontier)
-				}
+			}
+			if !eqFrontier(got, want.Frontier) {
+				t.Errorf("%s: frontier %v, oracle %v", name, got, want.Frontier)
 			}
 		}
 	}

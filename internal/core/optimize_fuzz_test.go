@@ -18,15 +18,14 @@ import (
 //     the decrement is refuted by the solver itself, a certificate
 //     independent of the descent that produced the value.
 //
-// Both strategies are exercised (the fuzzer flips the boolean freely).
 // Wired into `make fuzz-smoke` so every verify gate shakes it briefly.
 func FuzzMaxSATBounds(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, false)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, true)
-	f.Add([]byte{255, 1, 255, 1, 255, 1, 255, 1}, false)
-	f.Add([]byte{13}, true)
-	f.Add([]byte{7, 7, 7, 200, 200}, true)
-	f.Fuzz(func(t *testing.T, data []byte, linear bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{255, 1, 255, 1, 255, 1, 255, 1})
+	f.Add([]byte{13})
+	f.Add([]byte{7, 7, 7, 200, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
@@ -52,12 +51,8 @@ func FuzzMaxSATBounds(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		strat := maxsat.BinarySearch
-		if linear {
-			strat = maxsat.LinearSatUnsat
-		}
 		hard := c.assumptions()
-		res, err := maxsat.Minimize(c.solver, obj, maxsat.Options{Strategy: strat, Hard: hard})
+		res, err := maxsat.Minimize(c.solver, obj, maxsat.Options{Hard: hard})
 		if errors.Is(err, maxsat.ErrInfeasible) {
 			t.Fatal("empty scenario must be feasible regardless of weights")
 		}

@@ -59,17 +59,10 @@ func (e *Engine) Pareto(sc Scenario, objectives []Objective) (*ParetoResult, err
 	return e.ParetoCtx(context.Background(), sc, objectives, Budget{})
 }
 
-// ParetoCtx is Pareto under a context and resource budget, using the
-// default strategy (StrategyBinary). Resource exhaustion is not an
-// error: the partial frontier is returned with Complete false and
-// Exhausted set, mirroring EnumerateCtx.
+// ParetoCtx is Pareto under a context and resource budget. Resource
+// exhaustion is not an error: the partial frontier is returned with
+// Complete false and Exhausted set, mirroring EnumerateCtx.
 func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*ParetoResult, error) {
-	return e.ParetoWithStrategyCtx(ctx, sc, objectives, b, StrategyBinary)
-}
-
-// ParetoWithStrategyCtx is ParetoCtx with an explicit per-query MaxSAT
-// strategy.
-func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget, strat OptimizeStrategy) (*ParetoResult, error) {
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("core: pareto requires at least one objective")
 	}
@@ -88,7 +81,7 @@ func (e *Engine) ParetoWithStrategyCtx(ctx context.Context, sc Scenario, objecti
 		return nil, err
 	}
 	cubes := cubeAssumptions(tpl)
-	r := &paretoRun{g: g, specs: specs, strat: strat, cubes: make([]paretoCube, len(cubes))}
+	r := &paretoRun{g: g, specs: specs, cubes: make([]paretoCube, len(cubes))}
 	drainCubes(g, tpl, cubes, e.enumWorkers(), r.solveCube)
 	return r.finish()
 }
@@ -105,7 +98,6 @@ type paretoCube struct {
 type paretoRun struct {
 	g     *enumGov
 	specs []objectiveSpec
-	strat OptimizeStrategy
 
 	mu    sync.Mutex
 	cubes []paretoCube
@@ -124,9 +116,8 @@ func (r *paretoRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 	}
 	hard := append(c.assumptions(), cube...)
 	res, err := maxsat.Pareto(c.solver, objs, maxsat.Options{
-		Strategy: r.strat,
-		Hard:     hard,
-		Phase:    func() { r.g.phase(c.solver) },
+		Hard:  hard,
+		Phase: func() { r.g.phase(c.solver) },
 	})
 	if errors.Is(err, maxsat.ErrInfeasible) {
 		// No design in this cube: an empty, certified-complete frontier.

@@ -116,9 +116,6 @@ func (e *Engine) SetSliceMode(m SliceMode) {
 	e.sliceMode.Store(int32(m))
 }
 
-// GetSliceMode reports the current slicing policy.
-func (e *Engine) GetSliceMode() SliceMode { return SliceMode(e.sliceMode.Load()) }
-
 // sliceRequest is the canonical, order-independent summary of every
 // scenario field that can affect slice membership.
 type sliceRequest struct {

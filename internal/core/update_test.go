@@ -411,7 +411,7 @@ func TestDiskCacheQuarantineBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.SetDiskCacheLimit(100, 2*liveSize.Size())
+	e.diskMaxFiles, e.diskMaxBytes = 100, 2*liveSize.Size()
 
 	// The next write triggers eviction; the quarantined bulk must go.
 	if _, err := e.Synthesize(Scenario{NumServers: 8}); err != nil {

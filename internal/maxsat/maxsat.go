@@ -3,13 +3,12 @@
 // cardinality totalizers for unit-weight counts, bit-blasted sums for
 // weighted ones — and every bound travels as a per-solve assumption, so
 // tightening an objective never re-encodes the formula. Single-objective
-// minimization has two strategies. The binary one descends a weighted
-// sum's own output bits from the most significant down, assuming a
-// prefix of them per solve, so it builds no comparator; on a count it
-// bisects over the totalizer outputs. The linear one asks for strictly
-// better models until Unsat. On top of these the package provides
-// stratified lexicographic solving for multi-objective queries and
-// Pareto-front enumeration via dominance-blocking clauses.
+// minimization has one descent. On a weighted sum it fixes the sum's own
+// output bits from the most significant down, assuming a prefix of them
+// per solve, so it builds no comparator; on a count it bisects over the
+// totalizer outputs. On top of it the package provides stratified
+// lexicographic solving for multi-objective queries and Pareto-front
+// enumeration via dominance-blocking clauses.
 //
 // Every search tracks a *proven lower bound* alongside the best
 // witnessed value: when a resource budget interrupts the solver
@@ -20,7 +19,6 @@ package maxsat
 
 import (
 	"errors"
-	"fmt"
 
 	"netarch/internal/sat"
 )
@@ -48,48 +46,6 @@ type ClauseSolver interface {
 	AddClause(lits ...sat.Lit) bool
 }
 
-// Strategy selects how Minimize descends toward the optimum.
-type Strategy int
-
-const (
-	// BinarySearch halves the open range with every solve: an integer
-	// objective fixes its output bits from the most significant down (at
-	// most one solve per bit), a count bisects [LowerBound, Value] over its
-	// totalizer outputs. Every Unsat raises the proven lower bound, so
-	// budget-tripped searches return tight two-sided bounds. The
-	// default.
-	BinarySearch Strategy = iota
-	// LinearSatUnsat repeatedly asks for strictly-better models
-	// (bound ← value − 1) until Unsat. Each step improves the witness,
-	// which suits anytime use, but the lower bound stays trivial until
-	// the final Unsat certifies the optimum.
-	LinearSatUnsat
-)
-
-// String renders the strategy name as the CLI and serve layer spell it.
-func (s Strategy) String() string {
-	switch s {
-	case BinarySearch:
-		return "binary"
-	case LinearSatUnsat:
-		return "linear"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy parses the CLI/serve spelling of a strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "", "binary":
-		return BinarySearch, nil
-	case "linear":
-		return LinearSatUnsat, nil
-	default:
-		return 0, fmt.Errorf("maxsat: unknown strategy %q (want linear or binary)", s)
-	}
-}
-
 // ErrInfeasible reports that the hard assumptions are unsatisfiable:
 // there is nothing to optimize. Callers that established feasibility
 // beforehand treat it as an internal error.
@@ -97,8 +53,6 @@ var ErrInfeasible = errors.New("maxsat: hard assumptions unsatisfiable")
 
 // Options tunes one minimization (or one lexicographic/Pareto run).
 type Options struct {
-	// Strategy selects the descent; zero value is BinarySearch.
-	Strategy Strategy
 	// Hard are assumption literals every solve runs under (query
 	// selectors, earlier lexicographic bounds, cube assumptions).
 	Hard []sat.Lit
@@ -136,9 +90,12 @@ type Result struct {
 // Minimize finds the minimum of obj subject to opts.Hard. It never adds
 // permanent clauses or asserts the optimum — bounds travel as
 // assumptions — so the solver can be reused for further levels, Pareto
-// pushes, or unrelated queries. On a resource trip the result carries
-// the best witness and the proven lower bound (Exact=false); only a
-// trip before any model yields Witnessed=false.
+// pushes, or unrelated queries. An integer objective descends its
+// output bits (descendBits), a count bisects its totalizer outputs
+// (bisect); either way every Unsat raises the proven lower bound. On a
+// resource trip the result carries the best witness and that lower
+// bound (Exact=false); only a trip before any model yields
+// Witnessed=false.
 func Minimize(s Solver, obj Objective, opts Options) (*Result, error) {
 	opts.phase()
 	switch s.SolveAssuming(opts.Hard) {
@@ -153,10 +110,10 @@ func Minimize(s Solver, obj Objective, opts Options) (*Result, error) {
 		Witnessed: true,
 		Model:     append([]bool(nil), s.Model()...),
 	}
-	if opts.Strategy == LinearSatUnsat {
-		minimizeLinear(s, obj, &opts, r)
+	if o, ok := obj.(*IntObjective); ok {
+		descendBits(s, o, &opts, r)
 	} else {
-		minimizeBinary(s, obj, &opts, r)
+		bisect(s, obj, &opts, r)
 	}
 	return r, nil
 }
@@ -184,41 +141,6 @@ func coreContains(core []sat.Lit, bound sat.Lit) bool {
 		}
 	}
 	return false
-}
-
-// minimizeLinear descends SAT-UNSAT: each model's value, minus one,
-// becomes the next trial bound (the model read-back makes the step a
-// jump, not a decrement, for weighted objectives).
-func minimizeLinear(s Solver, obj Objective, opts *Options, r *Result) {
-	var buf []sat.Lit
-	for r.Value > 0 {
-		bound := obj.BoundLit(r.Value - 1)
-		opts.phase()
-		switch s.SolveAssuming(assume(opts.Hard, bound, buf)) {
-		case sat.Sat:
-			r.Value = obj.Eval(s.Model())
-			r.Model = append(r.Model[:0], s.Model()...)
-		case sat.Unsat:
-			// Optimum certified, whether or not the core used the bound.
-			r.LowerBound = r.Value
-			r.Exact = true
-			return
-		default:
-			return // budget tripped: LowerBound stays at its proven floor
-		}
-	}
-	r.LowerBound = r.Value // 0: trivially optimal
-	r.Exact = true
-}
-
-// minimizeBinary runs the binary strategy: a bit descent on an integer
-// objective, bisection on a count.
-func minimizeBinary(s Solver, obj Objective, opts *Options, r *Result) {
-	if o, ok := obj.(*IntObjective); ok {
-		descendBits(s, o, opts, r)
-		return
-	}
-	bisect(s, obj, opts, r)
 }
 
 // descendBits fixes the term's output bits from the most significant down

@@ -74,37 +74,33 @@ func countTrue(bits []bool) int64 {
 	return n
 }
 
-func strategies() []Strategy { return []Strategy{BinarySearch, LinearSatUnsat} }
-
 func TestMinimizeCountMatchesBruteForce(t *testing.T) {
 	// (x1∨x2) ∧ (x2∨x3) ∧ (x4∨x5∨x6) ∧ (¬x2∨x6): brute-force minimum
 	// computed below, engine must certify exactly it.
 	clauses := [][]int{{1, 2}, {2, 3}, {4, 5, 6}, {-2, 6}}
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			f := newFixture(t, 6, clauses)
-			want := int64(1 << 30)
-			f.assignments(func(bits []bool) {
-				if v := countTrue(bits); v < want {
-					want = v
-				}
-			})
-			obj := NewCount(f.s, f.decided)
-			res, err := Minimize(f.s, obj, Options{Strategy: strat})
-			if err != nil {
-				t.Fatalf("Minimize: %v", err)
-			}
-			if !res.Exact || !res.Witnessed {
-				t.Fatalf("expected exact witnessed result, got %+v", res)
-			}
-			if res.Value != want || res.LowerBound != want {
-				t.Fatalf("optimum = %d (lb %d), brute force says %d", res.Value, res.LowerBound, want)
-			}
-			if got := obj.Eval(res.Model); got != want {
-				t.Fatalf("model re-check: achieves %d, claimed %d", got, want)
+	t.Run("binary", func(t *testing.T) {
+		f := newFixture(t, 6, clauses)
+		want := int64(1 << 30)
+		f.assignments(func(bits []bool) {
+			if v := countTrue(bits); v < want {
+				want = v
 			}
 		})
-	}
+		obj := NewCount(f.s, f.decided)
+		res, err := Minimize(f.s, obj, Options{})
+		if err != nil {
+			t.Fatalf("Minimize: %v", err)
+		}
+		if !res.Exact || !res.Witnessed {
+			t.Fatalf("expected exact witnessed result, got %+v", res)
+		}
+		if res.Value != want || res.LowerBound != want {
+			t.Fatalf("optimum = %d (lb %d), brute force says %d", res.Value, res.LowerBound, want)
+		}
+		if got := obj.Eval(res.Model); got != want {
+			t.Fatalf("model re-check: achieves %d, claimed %d", got, want)
+		}
+	})
 }
 
 func TestMinimizeWeightedMatchesBruteForce(t *testing.T) {
@@ -115,39 +111,37 @@ func TestMinimizeWeightedMatchesBruteForce(t *testing.T) {
 		for i := range weights {
 			weights[i] = rng.Int63n(50)
 		}
-		for _, strat := range strategies() {
-			f := newFixture(t, 5, clauses)
-			weigh := func(bits []bool) int64 {
-				var v int64
-				for i, b := range bits {
-					if b && weights[i] > 0 {
-						v += weights[i]
-					}
+		f := newFixture(t, 5, clauses)
+		weigh := func(bits []bool) int64 {
+			var v int64
+			for i, b := range bits {
+				if b && weights[i] > 0 {
+					v += weights[i]
 				}
-				return v
 			}
-			want := int64(1 << 40)
-			f.assignments(func(bits []bool) {
-				if v := weigh(bits); v < want {
-					want = v
-				}
-			})
-			arith := intlin.New(f.s)
-			obj, err := NewWeighted(arith, f.decided, weights)
-			if err != nil {
-				t.Fatalf("NewWeighted: %v", err)
+			return v
+		}
+		want := int64(1 << 40)
+		f.assignments(func(bits []bool) {
+			if v := weigh(bits); v < want {
+				want = v
 			}
-			res, err := Minimize(f.s, obj, Options{Strategy: strat})
-			if err != nil {
-				t.Fatalf("Minimize: %v", err)
-			}
-			if !res.Exact || res.Value != want {
-				t.Fatalf("trial %d %v: optimum %d (exact %v), brute force %d, weights %v",
-					trial, strat, res.Value, res.Exact, want, weights)
-			}
-			if got := obj.Eval(res.Model); got != res.Value {
-				t.Fatalf("model achieves %d, claimed %d", got, res.Value)
-			}
+		})
+		arith := intlin.New(f.s)
+		obj, err := NewWeighted(arith, f.decided, weights)
+		if err != nil {
+			t.Fatalf("NewWeighted: %v", err)
+		}
+		res, err := Minimize(f.s, obj, Options{})
+		if err != nil {
+			t.Fatalf("Minimize: %v", err)
+		}
+		if !res.Exact || res.Value != want {
+			t.Fatalf("trial %d: optimum %d (exact %v), brute force %d, weights %v",
+				trial, res.Value, res.Exact, want, weights)
+		}
+		if got := obj.Eval(res.Model); got != res.Value {
+			t.Fatalf("model achieves %d, claimed %d", got, res.Value)
 		}
 	}
 }
@@ -181,8 +175,7 @@ func TestMinimizeInfeasibleHard(t *testing.T) {
 
 // TestMinimizeBudgetTripKeepsBounds interrupts the descent at every
 // probe in turn — the first trip right after the initial model, the
-// last one after the final probe — on a count and a weighted objective
-// under both strategies. Every tripped result must bracket the
+// last one after the final probe — on a count and a weighted objective. Every tripped result must bracket the
 // brute-force optimum with a real witness, and the proven lower bound
 // must not fall as the trip point moves later.
 func TestMinimizeBudgetTripKeepsBounds(t *testing.T) {
@@ -210,65 +203,63 @@ func TestMinimizeBudgetTripKeepsBounds(t *testing.T) {
 			return v
 		}},
 	}
-	for _, strat := range strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			for _, o := range objectives {
-				opt := int64(1 << 40)
-				newFixture(t, 8, clauses).assignments(func(bits []bool) {
-					if v := o.eval(bits); v < opt {
-						opt = v
+	t.Run("binary", func(t *testing.T) {
+		for _, o := range objectives {
+			opt := int64(1 << 40)
+			newFixture(t, 8, clauses).assignments(func(bits []bool) {
+				if v := o.eval(bits); v < opt {
+					opt = v
+				}
+			})
+			var prevLB int64
+			tripped := 0
+			for allowed := 1; ; allowed++ {
+				f := newFixture(t, 8, clauses)
+				obj := o.make(f)
+				// Let the first allowed solves through, then interrupt
+				// (the interrupt is sticky: every later solve refuses).
+				solves := 0
+				f.s.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
+					if ev != sat.EventSolve {
+						return false
 					}
+					solves++
+					return solves > allowed
 				})
-				var prevLB int64
-				tripped := 0
-				for allowed := 1; ; allowed++ {
-					f := newFixture(t, 8, clauses)
-					obj := o.make(f)
-					// Let the first allowed solves through, then interrupt
-					// (the interrupt is sticky: every later solve refuses).
-					solves := 0
-					f.s.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
-						if ev != sat.EventSolve {
-							return false
-						}
-						solves++
-						return solves > allowed
-					})
-					res, err := Minimize(f.s, obj, Options{Strategy: strat})
-					if err != nil {
-						t.Fatalf("Minimize: %v", err)
-					}
-					if !res.Witnessed {
-						t.Fatalf("%s: trip after %d solves: no witness survived", o.name, allowed)
-					}
-					if got := obj.Eval(res.Model); got != res.Value {
-						t.Fatalf("%s: trip after %d solves: witness achieves %d, claimed %d", o.name, allowed, got, res.Value)
-					}
-					if res.LowerBound > opt || res.Value < opt {
-						t.Fatalf("%s: trip after %d solves: bounds [%d, %d] exclude the optimum %d",
-							o.name, allowed, res.LowerBound, res.Value, opt)
-					}
-					if res.LowerBound < prevLB {
-						t.Fatalf("%s: trip after %d solves: lower bound fell from %d to %d", o.name, allowed, prevLB, res.LowerBound)
-					}
-					prevLB = res.LowerBound
-					if res.Exact {
-						if res.Value != opt || res.LowerBound != opt {
-							t.Fatalf("%s: exact result [%d, %d], brute force %d", o.name, res.LowerBound, res.Value, opt)
-						}
-						break
-					}
-					tripped++
+				res, err := Minimize(f.s, obj, Options{})
+				if err != nil {
+					t.Fatalf("Minimize: %v", err)
 				}
-				if tripped == 0 {
-					t.Fatalf("%s: no trip point left the descent unfinished", o.name)
+				if !res.Witnessed {
+					t.Fatalf("%s: trip after %d solves: no witness survived", o.name, allowed)
 				}
+				if got := obj.Eval(res.Model); got != res.Value {
+					t.Fatalf("%s: trip after %d solves: witness achieves %d, claimed %d", o.name, allowed, got, res.Value)
+				}
+				if res.LowerBound > opt || res.Value < opt {
+					t.Fatalf("%s: trip after %d solves: bounds [%d, %d] exclude the optimum %d",
+						o.name, allowed, res.LowerBound, res.Value, opt)
+				}
+				if res.LowerBound < prevLB {
+					t.Fatalf("%s: trip after %d solves: lower bound fell from %d to %d", o.name, allowed, prevLB, res.LowerBound)
+				}
+				prevLB = res.LowerBound
+				if res.Exact {
+					if res.Value != opt || res.LowerBound != opt {
+						t.Fatalf("%s: exact result [%d, %d], brute force %d", o.name, res.LowerBound, res.Value, opt)
+					}
+					break
+				}
+				tripped++
 			}
-		})
-	}
+			if tripped == 0 {
+				t.Fatalf("%s: no trip point left the descent unfinished", o.name)
+			}
+		}
+	})
 }
 
-// TestBitDescentAddsNoClauses: the binary descent of a weighted sum
+// TestBitDescentAddsNoClauses: the bit descent of a weighted sum
 // assumes the sum's own output bits, so minimizing it leaves the
 // solver's variable and clause counts untouched, solves at most once
 // per bit after the initial model, and still certifies the brute-force
@@ -306,7 +297,7 @@ func TestBitDescentAddsNoClauses(t *testing.T) {
 			}
 			return false
 		})
-		res, err := Minimize(f.s, obj, Options{Strategy: BinarySearch})
+		res, err := Minimize(f.s, obj, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,36 +319,34 @@ func TestLexicographicMatchesBruteForce(t *testing.T) {
 	// Level 1: minimize x1..x3 count; level 2: minimize x4..x6 count
 	// subject to level 1's optimum.
 	clauses := [][]int{{1, 2, 3}, {4, 5, 6}, {-1, 5}, {-2, 6}}
-	for _, strat := range strategies() {
-		f := newFixture(t, 6, clauses)
-		type vec struct{ a, b int64 }
-		best := vec{1 << 30, 1 << 30}
-		f.assignments(func(bits []bool) {
-			v := vec{countTrue(bits[:3]), countTrue(bits[3:])}
-			if v.a < best.a || (v.a == best.a && v.b < best.b) {
-				best = v
-			}
-		})
-		o1 := NewCount(f.s, f.decided[:3])
-		o2 := NewCount(f.s, f.decided[3:])
-		res, err := Lexicographic(f.s, []Objective{o1, o2}, Options{Strategy: strat})
-		if err != nil {
-			t.Fatalf("Lexicographic: %v", err)
+	f := newFixture(t, 6, clauses)
+	type vec struct{ a, b int64 }
+	best := vec{1 << 30, 1 << 30}
+	f.assignments(func(bits []bool) {
+		v := vec{countTrue(bits[:3]), countTrue(bits[3:])}
+		if v.a < best.a || (v.a == best.a && v.b < best.b) {
+			best = v
 		}
-		if !res.Exact {
-			t.Fatalf("expected exact result")
+	})
+	o1 := NewCount(f.s, f.decided[:3])
+	o2 := NewCount(f.s, f.decided[3:])
+	res, err := Lexicographic(f.s, []Objective{o1, o2}, Options{})
+	if err != nil {
+		t.Fatalf("Lexicographic: %v", err)
+	}
+	if !res.Exact {
+		t.Fatalf("expected exact result")
+	}
+	if len(res.Values) != 2 || res.Values[0] != best.a || res.Values[1] != best.b {
+		t.Fatalf("lex optimum %v, brute force (%d, %d)", res.Values, best.a, best.b)
+	}
+	for i, lb := range res.LowerBounds {
+		if lb != res.Values[i] {
+			t.Fatalf("exact level %d has loose lower bound %d != %d", i, lb, res.Values[i])
 		}
-		if len(res.Values) != 2 || res.Values[0] != best.a || res.Values[1] != best.b {
-			t.Fatalf("%v: lex optimum %v, brute force (%d, %d)", strat, res.Values, best.a, best.b)
-		}
-		for i, lb := range res.LowerBounds {
-			if lb != res.Values[i] {
-				t.Fatalf("exact level %d has loose lower bound %d != %d", i, lb, res.Values[i])
-			}
-		}
-		if o1.Eval(res.Model) != best.a || o2.Eval(res.Model) != best.b {
-			t.Fatalf("model does not achieve the lex optimum")
-		}
+	}
+	if o1.Eval(res.Model) != best.a || o2.Eval(res.Model) != best.b {
+		t.Fatalf("model does not achieve the lex optimum")
 	}
 }
 
@@ -401,34 +390,32 @@ func TestParetoMatchesBruteForce(t *testing.T) {
 		{1, 4}, {2, 5}, {3, 6}, // each pair needs one side
 		{1, 2, 3, 4}, {-1, -4}, // a little asymmetry
 	}
-	for _, strat := range strategies() {
-		f := newFixture(t, 6, clauses)
-		want := bruteFrontier(f, 3)
-		o1 := NewCount(f.s, f.decided[:3])
-		o2 := NewCount(f.s, f.decided[3:])
-		res, err := Pareto(f.s, []Objective{o1, o2}, Options{Strategy: strat})
-		if err != nil {
-			t.Fatalf("Pareto: %v", err)
+	f := newFixture(t, 6, clauses)
+	want := bruteFrontier(f, 3)
+	o1 := NewCount(f.s, f.decided[:3])
+	o2 := NewCount(f.s, f.decided[3:])
+	res, err := Pareto(f.s, []Objective{o1, o2}, Options{})
+	if err != nil {
+		t.Fatalf("Pareto: %v", err)
+	}
+	if !res.Exact {
+		t.Fatalf("frontier not certified complete")
+	}
+	got := make([][]int64, 0, len(res.Points))
+	for _, p := range res.Points {
+		got = append(got, p.Values)
+		if o1.Eval(p.Model) != p.Values[0] || o2.Eval(p.Model) != p.Values[1] {
+			t.Fatalf("point %v not achieved by its model", p.Values)
 		}
-		if !res.Exact {
-			t.Fatalf("frontier not certified complete")
+	}
+	sort.Slice(got, func(i, j int) bool {
+		if got[i][0] != got[j][0] {
+			return got[i][0] < got[j][0]
 		}
-		got := make([][]int64, 0, len(res.Points))
-		for _, p := range res.Points {
-			got = append(got, p.Values)
-			if o1.Eval(p.Model) != p.Values[0] || o2.Eval(p.Model) != p.Values[1] {
-				t.Fatalf("point %v not achieved by its model", p.Values)
-			}
-		}
-		sort.Slice(got, func(i, j int) bool {
-			if got[i][0] != got[j][0] {
-				return got[i][0] < got[j][0]
-			}
-			return got[i][1] < got[j][1]
-		})
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%v: frontier %v, brute force %v", strat, got, want)
-		}
+		return got[i][1] < got[j][1]
+	})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("frontier %v, brute force %v", got, want)
 	}
 }
 
@@ -447,20 +434,5 @@ func TestParetoZeroPointTerminates(t *testing.T) {
 	}
 	if res.Points[0].Values[0] != 0 || res.Points[0].Values[1] != 0 {
 		t.Fatalf("frontier %v, want [0 0]", res.Points[0].Values)
-	}
-}
-
-func TestParseStrategyRoundTrip(t *testing.T) {
-	for _, strat := range strategies() {
-		got, err := ParseStrategy(strat.String())
-		if err != nil || got != strat {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", strat.String(), got, err)
-		}
-	}
-	if s, err := ParseStrategy(""); err != nil || s != BinarySearch {
-		t.Fatalf("empty strategy should default to binary, got %v, %v", s, err)
-	}
-	if _, err := ParseStrategy("simulated-annealing"); err == nil {
-		t.Fatalf("bogus strategy accepted")
 	}
 }

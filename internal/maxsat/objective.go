@@ -14,9 +14,8 @@ import (
 // the solver once, at construction. BoundLit afterwards looks a literal
 // up (totalizer outputs) or builds one comparator against the already-
 // built sum, memoized per bound — never a re-encoding of the function
-// itself. The binary descent of an IntObjective assumes the sum's own
-// bits and calls no BoundLit; the linear descent, lexicographic holds
-// and Pareto boxes do.
+// itself. The bit descent of an IntObjective assumes the sum's own
+// bits and calls no BoundLit; lexicographic holds and Pareto boxes do.
 type Objective interface {
 	// BoundLit returns an assumption literal imposing value ≤ k, or 0
 	// when the bound is vacuous (k at or above Max). k must be ≥ 0.
@@ -64,7 +63,7 @@ func (o *CountObjective) Eval(model []bool) int64 { return int64(o.tot.CountTrue
 func (o *CountObjective) Max() int64 { return int64(o.tot.N()) }
 
 // IntObjective minimizes a bit-blasted arithmetic term (hardware cost,
-// cores, watts, ports). The binary descent fixes the term's own output
+// cores, watts, ports). The bit descent fixes the term's own output
 // bits and builds nothing. BoundLit emits a reified ≤-comparator,
 // memoized per bound, so a bound revisited by a Pareto box or a
 // lexicographic hold costs nothing after the first emission.

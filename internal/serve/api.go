@@ -177,8 +177,7 @@ func tighten(policy core.Budget, req *BudgetJSON) core.Budget {
 
 // QueryRequest is the body of every POST /v1/<mode> request. Scenario is
 // required; the other fields are mode-specific (Design for check, Delta
-// for whatif, Max for enumerate, Objectives/Strategy/Pareto for
-// optimize).
+// for whatif, Max for enumerate, Objectives/Pareto for optimize).
 type QueryRequest struct {
 	Scenario ScenarioJSON `json:"scenario"`
 	Design   *DesignJSON  `json:"design,omitempty"`
@@ -188,11 +187,10 @@ type QueryRequest struct {
 
 	// Optimize fields. Objectives are priority-ordered level names
 	// ("cost", "cores", "systems", "power", "ports", "latency",
-	// "order:<dimension>"); Strategy is "binary" (default) or "linear";
-	// Pareto switches from lexicographic optimization to full
-	// Pareto-front enumeration over the same objectives.
+	// "order:<dimension>"); Pareto switches from lexicographic
+	// optimization to full Pareto-front enumeration over the same
+	// objectives.
 	Objectives []string `json:"objectives,omitempty"`
-	Strategy   string   `json:"strategy,omitempty"`
 	Pareto     bool     `json:"pareto,omitempty"`
 }
 

@@ -21,7 +21,8 @@ import (
 // serving-grade default.
 type Config struct {
 	// Engine answers the queries. The server takes ownership of its
-	// fault hook (when Chaos is set).
+	// fault hook (when Chaos is set) and leaves every other engine
+	// setting (workers, slicing, cache tiers) as the caller set it.
 	Engine *core.Engine
 
 	// Addr is the listen address; ":0" or "127.0.0.1:0" picks a random
@@ -60,11 +61,6 @@ type Config struct {
 	// tier) before the server reports ready. Default: the zero scenario
 	// (every workload in the KB, default fleet).
 	Prewarm []core.Scenario
-
-	// Slice sets the relevance-slicing policy (core.Engine.SetSliceMode).
-	// The zero value is SliceAuto: slice only when the catalog is large
-	// enough to pay for itself. Answers are mode-independent.
-	Slice core.SliceMode
 
 	// Chaos, when non-nil, is wired into the engine's fault hook at
 	// startup: a seeded fault-injection profile for chaos testing.
@@ -141,7 +137,6 @@ func New(cfg Config) (*Server, error) {
 		readyCh: make(chan struct{}),
 		drainCh: make(chan struct{}),
 	}
-	s.eng.SetSliceMode(cfg.Slice)
 	if cfg.Chaos != nil {
 		// Installed once, before any query runs; the profile's own
 		// atomics make rate/event changes safe mid-flight.
@@ -477,15 +472,8 @@ func (s *Server) execute(ctx context.Context, mode string, req *QueryRequest, bu
 			}
 			objs[i] = obj
 		}
-		// The strategy is threaded per-request (never an engine-wide
-		// knob): concurrent requests with different strategies must not
-		// race each other.
-		strat, err := core.ParseOptimizeStrategy(req.Strategy)
-		if err != nil {
-			return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
-		}
 		if req.Pareto {
-			res, err := s.eng.ParetoWithStrategyCtx(ctx, sc, objs, budget, strat)
+			res, err := s.eng.ParetoCtx(ctx, sc, objs, budget)
 			if err != nil {
 				return fail(err)
 			}
@@ -503,7 +491,7 @@ func (s *Server) execute(ctx context.Context, mode string, req *QueryRequest, bu
 			}
 			return resp, nil, 0
 		}
-		res, err := s.eng.OptimizeWithStrategyCtx(ctx, sc, objs, budget, strat)
+		res, err := s.eng.OptimizeCtx(ctx, sc, objs, budget)
 		if err != nil {
 			return fail(err)
 		}
@@ -704,10 +692,4 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		},
 		Modes: s.stats.snapshot(),
 	})
-}
-
-// Gauges reports the instantaneous in-flight and queued request counts
-// (also exposed on /statsz).
-func (s *Server) Gauges() (inFlight, queued int64) {
-	return s.inFlight.Load(), s.queued.Load()
 }

@@ -236,6 +236,20 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeKeepsEngineSliceMode: the server answers with the slicing
+// policy set on the engine it was handed. The case-study catalog is
+// below the auto threshold, so only a forced SliceOn computes a slice.
+func TestServeKeepsEngineSliceMode(t *testing.T) {
+	s, base := testServer(t, func(c *Config) { c.Engine.SetSliceMode(core.SliceOn) })
+	var qr QueryResponse
+	if status, raw := post(t, base+"/v1/synth", QueryRequest{Scenario: scInference}, &qr); status != http.StatusOK {
+		t.Fatalf("synth: status %d\n%s", status, raw)
+	}
+	if st := s.eng.CacheStats(); st.SliceComputed == 0 {
+		t.Fatalf("server dropped the engine's SliceOn: %+v", st)
+	}
+}
+
 // TestServeBudgetDegraded: a starvation budget produces either a typed
 // resource_exhausted error (504, with cause and spent) or a degraded 200
 // — never a malformed body — and the outcome lands in the right statsz

@@ -79,8 +79,8 @@ type (
 	// Engine.SetCacheDir adds a persistent disk tier: frozen bases are
 	// snapshotted to versioned, checksummed files and revived on startup,
 	// so even a fresh process skips the first compile (corrupt or stale
-	// files downgrade to a silent recompile, never a wrong answer);
-	// Engine.SetDiskCacheLimit bounds the directory.
+	// files downgrade to a silent recompile, never a wrong answer), and
+	// mtime-ordered eviction bounds the directory.
 	// Enumeration (EnumerateCtx, Enumerate, DisambiguateCtx) itself runs
 	// on a pool of cloned solvers — Engine.SetWorkers sizes it (default
 	// runtime.GOMAXPROCS(0)) — with results guaranteed independent of the
@@ -106,9 +106,6 @@ type (
 	// values, and the proven lower bounds (the bounded-suboptimality
 	// bracket when a budget trips mid-search).
 	OptimizeResult = core.OptimizeResult
-	// OptimizeStrategy selects the MaxSAT descent used by Optimize and
-	// Pareto queries (StrategyBinary or StrategyLinear).
-	OptimizeStrategy = core.OptimizeStrategy
 	// ParetoResult is the non-dominated frontier over several objectives.
 	ParetoResult = core.ParetoResult
 	// ParetoPoint is one frontier point: objective vector plus witness.
@@ -185,29 +182,10 @@ const (
 // empty, the default), "on", and "off".
 func ParseSliceMode(s string) (SliceMode, error) { return core.ParseSliceMode(s) }
 
-// MaxSAT descent strategies for Engine.OptimizeWithStrategyCtx and
-// Engine.ParetoWithStrategyCtx (the CLI -strategy flag and the serve
-// request's "strategy" field).
-const (
-	// StrategyBinary halves the open objective range with every probe
-	// (the default): a weighted sum fixes its output bits MSB first, a
-	// count bisects. Budget trips leave tight two-sided bounds.
-	StrategyBinary = core.StrategyBinary
-	// StrategyLinear descends SAT-UNSAT: every step improves the witness,
-	// but the lower bound stays trivial until the final Unsat.
-	StrategyLinear = core.StrategyLinear
-)
-
 // ParseObjective parses the CLI/serve spelling of one objective level:
 // "cost", "cores", "systems", "power", "ports", "latency", or
 // "order:<dimension>".
 func ParseObjective(name string) (Objective, error) { return core.ParseObjective(name) }
-
-// ParseOptimizeStrategy parses the CLI/serve strategy spelling: "binary"
-// (or empty, the default) and "linear".
-func ParseOptimizeStrategy(s string) (OptimizeStrategy, error) {
-	return core.ParseOptimizeStrategy(s)
-}
 
 // Hardware kinds.
 const (
