@@ -117,7 +117,8 @@ scale-diff:
 # the arithmetic fuzzer (random sums and products over constant and
 # free operands must evaluate to the integer result) and the KB JSON
 # fuzzer (kb.Load must decode and validate arbitrary bytes or return an
-# error, never panic).
+# error, never panic) and the chaos-spec fuzzer (serve.ParseChaos must
+# return an error or a profile whose rate lies in [0,1], never panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/intlin
@@ -125,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzLoadKB -fuzztime=10s ./internal/kb
+	$(GO) test -run=NONE -fuzz=FuzzParseChaos -fuzztime=10s ./internal/serve
 
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, the race detector over every package, the enumeration,

@@ -1,8 +1,10 @@
 // Package cardinality provides CNF encodings of cardinality constraints
-// ("at most k of these literals are true") over a SAT solver: pairwise and
-// commander at-most-one, the sequential (Sinz) counter, and the totalizer,
+// ("at most k of these literals are true") over a SAT solver: the
+// sequential (Sinz) counter with its at-least dual, and the totalizer,
 // whose unary outputs support incrementally tightening bounds — the
 // mechanism behind the lexicographic optimizer in the reasoning engine.
+// The compiler's per-kind at-most-one is a ladder it emits itself
+// (internal/core/compile.go).
 package cardinality
 
 import (
@@ -17,55 +19,6 @@ type Adder interface {
 	NewVar() int
 	// AddClause adds a clause; the return mirrors sat.Solver.AddClause.
 	AddClause(lits ...sat.Lit) bool
-}
-
-// AtMostOnePairwise encodes AMO(lits) with the quadratic pairwise encoding:
-// no auxiliary variables, n(n-1)/2 binary clauses. Best for small n.
-func AtMostOnePairwise(s Adder, lits []sat.Lit) {
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			s.AddClause(lits[i].Flip(), lits[j].Flip())
-		}
-	}
-}
-
-// AtMostOneCommander encodes AMO(lits) with the commander encoding using
-// groups of size g (g ≥ 2): O(n) clauses and O(n/g) auxiliary variables.
-// Falls back to pairwise for len(lits) ≤ g+1.
-func AtMostOneCommander(s Adder, lits []sat.Lit, g int) {
-	if g < 2 {
-		g = 3
-	}
-	if len(lits) <= g+1 {
-		AtMostOnePairwise(s, lits)
-		return
-	}
-	var commanders []sat.Lit
-	for start := 0; start < len(lits); start += g {
-		end := start + g
-		if end > len(lits) {
-			end = len(lits)
-		}
-		group := lits[start:end]
-		c := sat.Lit(s.NewVar())
-		commanders = append(commanders, c)
-		// Commander true if any group member true: ¬li ∨ c.
-		for _, l := range group {
-			s.AddClause(l.Flip(), c)
-		}
-		AtMostOnePairwise(s, group)
-	}
-	AtMostOneCommander(s, commanders, g)
-}
-
-// ExactlyOne encodes "exactly one of lits is true" (pairwise AMO + ALO).
-func ExactlyOne(s Adder, lits []sat.Lit) {
-	if len(lits) == 0 {
-		s.AddClause() // exactly one of zero literals: unsatisfiable
-		return
-	}
-	s.AddClause(lits...)
-	AtMostOnePairwise(s, lits)
 }
 
 // AtMostKSeq encodes sum(lits) ≤ k with the sequential (Sinz) counter:

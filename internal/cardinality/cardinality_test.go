@@ -61,49 +61,6 @@ func freshLits(s *sat.Solver, n int) []sat.Lit {
 	return lits
 }
 
-func TestAtMostOnePairwise(t *testing.T) {
-	for n := 1; n <= 6; n++ {
-		s := sat.NewSolver()
-		lits := freshLits(s, n)
-		AtMostOnePairwise(s, lits)
-		want := n + 1 // all-zero plus n one-hot vectors
-		if got := countModels(t, s, n); got != want {
-			t.Errorf("n=%d: got %d models, want %d", n, got, want)
-		}
-	}
-}
-
-func TestAtMostOneCommander(t *testing.T) {
-	for n := 1; n <= 9; n++ {
-		s := sat.NewSolver()
-		lits := freshLits(s, n)
-		AtMostOneCommander(s, lits, 3)
-		want := n + 1
-		if got := countModels(t, s, n); got != want {
-			t.Errorf("n=%d: got %d models, want %d", n, got, want)
-		}
-	}
-}
-
-func TestExactlyOne(t *testing.T) {
-	for n := 1; n <= 6; n++ {
-		s := sat.NewSolver()
-		lits := freshLits(s, n)
-		ExactlyOne(s, lits)
-		if got := countModels(t, s, n); got != n {
-			t.Errorf("n=%d: got %d models, want %d", n, got, n)
-		}
-	}
-}
-
-func TestExactlyOneEmpty(t *testing.T) {
-	s := sat.NewSolver()
-	ExactlyOne(s, nil)
-	if s.Solve() != sat.Unsat {
-		t.Error("ExactlyOne over zero literals must be UNSAT")
-	}
-}
-
 func TestAtMostKSeq(t *testing.T) {
 	for n := 1; n <= 7; n++ {
 		for k := 0; k <= n; k++ {

@@ -28,15 +28,15 @@ const DefaultCacheCapacity = 32
 type CacheStats struct {
 	// Size is the number of compiled bases currently cached; Capacity is
 	// the retention limit (0 means caching is disabled).
-	Size     int
-	Capacity int
+	Size     int `json:"size"`
+	Capacity int `json:"capacity"`
 	// Hits and Misses count queries served from an in-memory base vs
 	// queries that had to compile one, over the engine's lifetime
 	// (InvalidateCache does not reset them). A query revived from disk
 	// counts as a DiskHit, not a Hit or a Miss, so Misses is exactly the
 	// number of base compiles: Hits + DiskHits + Misses = queries.
-	Hits   int64
-	Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Disk-tier counters (all zero unless SetCacheDir is active).
 	// DiskHits: bases revived from a snapshot file. DiskMisses: lookups
 	// with no usable file. DiskWrites: snapshot files persisted.
@@ -46,25 +46,26 @@ type CacheStats struct {
 	// they were written from a different KB revision — left on disk
 	// untouched (the revision that wrote them may still be using them,
 	// and a live UpdateKB rewrites them in place), not quarantined.
-	DiskHits      int64
-	DiskMisses    int64
-	DiskWrites    int64
-	DiskEvictions int64
-	DiskCorrupt   int64
-	DiskStale     int64
+	DiskHits      int64 `json:"disk_hits"`
+	DiskMisses    int64 `json:"disk_misses"`
+	DiskWrites    int64 `json:"disk_writes"`
+	DiskEvictions int64 `json:"disk_evictions"`
+	DiskCorrupt   int64 `json:"disk_corrupt"`
+	DiskStale     int64 `json:"disk_stale"`
 	// Deprecated: PoolHits and PoolMisses always read 0. The engine
 	// keeps no clone pool; every query clones its base inline.
-	PoolHits, PoolMisses int64
+	PoolHits   int64 `json:"-"`
+	PoolMisses int64 `json:"-"`
 	// Relevance-slicing counters (all zero unless slicing engaged — see
 	// Engine.SetSliceMode). SliceComputed: cone-of-influence slices
 	// computed; SliceHits: slices served from the request memo.
 	// SliceSKUsIn/SliceSKUsKept: cumulative catalog sizes entering and
 	// surviving slicing, so SliceSKUsKept/SliceSKUsIn is the average
 	// retention ratio.
-	SliceComputed int64
-	SliceHits     int64
-	SliceSKUsIn   int64
-	SliceSKUsKept int64
+	SliceComputed int64 `json:"slice_computed"`
+	SliceHits     int64 `json:"slice_hits"`
+	SliceSKUsIn   int64 `json:"slice_skus_in"`
+	SliceSKUsKept int64 `json:"slice_skus_kept"`
 }
 
 // String renders the cache stats.

@@ -196,8 +196,9 @@ func (e *Engine) CheckCtx(ctx context.Context, design Design, sc Scenario, b Bud
 // verdict on the main decision maps to *ErrResourceExhausted; Unknown
 // during minimization degrades to an approximate explanation.
 func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled, extra []sat.Lit) (*Report, error) {
-	g := govern(ctx, query, b, c.solver)
+	g := govern(ctx, query, b)
 	defer g.done()
+	g.adopt(c.solver)
 	assumps := append(c.assumptions(), extra...)
 	rep := &Report{}
 	switch status := c.solver.SolveAssuming(assumps); status {
@@ -208,6 +209,7 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 		rep.Verdict = Infeasible
 		rep.Explanation = e.minimizeCore(c, extra, g)
 	default:
+		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
 	}
 	rep.Spent = g.spent()
@@ -238,7 +240,7 @@ func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor) *Explan
 	}
 	// Minimization is its own phase: a fresh work allowance, so the main
 	// decision cannot starve it, and it cannot spin unboundedly.
-	g.phase()
+	g.phase(c.solver)
 	ex := &Explanation{}
 	// Deletion loop: try dropping each candidate; keep dropped if still
 	// unsat without it.
@@ -273,7 +275,7 @@ loop:
 			// Budget exhausted or interrupted mid-minimization: degrade
 			// to the unminimized set rather than hang.
 			ex.Approximate = true
-			ex.ApproxCause, _ = g.cause()
+			ex.ApproxCause = g.trip(c.solver.StopCause())
 			break loop
 		}
 	}

@@ -110,8 +110,9 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		if c.solver.SolveAssuming(c.assumptions()) != sat.Unsat {
 			return true // feasible draw: nothing to verify
 		}
-		g := govern(context.Background(), "test", Budget{}, c.solver)
+		g := govern(context.Background(), "test", Budget{})
 		defer g.done()
+		g.adopt(c.solver)
 		ex := e.minimizeCore(c, nil, g)
 		if len(ex.Conflicts) == 0 {
 			return false

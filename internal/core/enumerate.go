@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"netarch/internal/sat"
 )
@@ -108,146 +107,10 @@ func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budge
 	if err != nil {
 		return nil, err
 	}
-	g := newEnumGov(ctx, b)
+	g := govern(ctx, "enumerate", b)
 	defer g.done()
 	r := &enumRun{g: g, tpl: tpl, co: &enumCoord{max: max}}
 	return r.run(e.enumWorkers()), nil
-}
-
-// enumGov is the multi-solver analogue of governor: one query-global
-// watchdog (context deadline/cancel → interrupt on every registered
-// solver), per-phase budgets armed on whichever solver runs the phase,
-// spent accounting summed across all solvers, and first-trip-wins cause
-// recording. A budget trip cancels the shared context, which drains the
-// whole pool through the watchdog.
-type enumGov struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	budget Budget
-	query  string // entry-point name for exhaustion errors
-	start  time.Time
-	watch  *sat.WatchGroup
-
-	mu        sync.Mutex
-	conflicts int64
-	decisions int64
-	tripped   bool
-	cause     string
-	ctxErr    error
-}
-
-func newEnumGov(ctx context.Context, b Budget) *enumGov {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	g := &enumGov{budget: b, query: "enumerate", start: time.Now()}
-	if b.Timeout > 0 {
-		g.ctx, g.cancel = context.WithTimeout(ctx, b.Timeout)
-	} else {
-		g.ctx, g.cancel = context.WithCancel(ctx)
-	}
-	g.watch = sat.WatchAll(g.ctx)
-	return g
-}
-
-// adopt places a solver under governance: registered with the shared
-// watchdog, to be interrupted when the context fires or another solver
-// trips. The returned release detaches it and folds its counters into
-// the aggregate spent; call it exactly once, after the solver's last
-// solve.
-func (g *enumGov) adopt(s *sat.Solver) (release func()) {
-	detach := g.watch.Add(s)
-	return func() {
-		detach()
-		st := s.Stats()
-		g.mu.Lock()
-		g.conflicts += st.Conflicts
-		g.decisions += st.Decisions
-		g.mu.Unlock()
-	}
-}
-
-// phase arms a fresh per-phase allowance on s. One discovery solve or
-// one canonicalization solve is one phase, matching the sequential
-// governor's per-class budget semantics; the wall-clock deadline is
-// query-global and never re-armed.
-func (g *enumGov) phase(s *sat.Solver) {
-	s.SetBudget(g.budget.MaxConflicts, g.budget.MaxDecisions)
-}
-
-// trip records the first budget trip and cancels the shared context so
-// the watchdog drains every other in-flight solver. Later trips are
-// echoes of that drain and keep the first cause.
-func (g *enumGov) trip(cause string, ctxErr error) {
-	g.mu.Lock()
-	if !g.tripped {
-		g.tripped = true
-		g.cause = cause
-		g.ctxErr = ctxErr
-	}
-	g.mu.Unlock()
-	g.cancel()
-}
-
-// tripFrom classifies solver s's Unknown verdict and records the trip.
-func (g *enumGov) tripFrom(s *sat.Solver) {
-	cause, ctxErr := stopCause(s, g.ctx)
-	g.trip(cause, ctxErr)
-}
-
-// stopped reports whether discovery must halt because a budget tripped
-// or the shared context fired. A fired context is recorded as a trip
-// here too, so the result is labeled even when no solver happened to be
-// mid-solve at the time.
-func (g *enumGov) stopped() bool {
-	g.mu.Lock()
-	t := g.tripped
-	g.mu.Unlock()
-	if t {
-		return true
-	}
-	if err := g.ctx.Err(); err != nil {
-		cause := "canceled"
-		if err == context.DeadlineExceeded {
-			cause = "deadline"
-		}
-		g.trip(cause, err)
-		return true
-	}
-	return false
-}
-
-func (g *enumGov) hasTripped() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.tripped
-}
-
-// spent reports the aggregate consumption: every released solver's
-// counters plus wall time. The final accounting runs after all solvers
-// are released, so nothing is lost.
-func (g *enumGov) spent() BudgetSpent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return BudgetSpent{
-		Conflicts: g.conflicts,
-		Decisions: g.decisions,
-		Wall:      time.Since(g.start),
-	}
-}
-
-// exhausted builds the typed error for the recorded trip.
-func (g *enumGov) exhausted() *ErrResourceExhausted {
-	g.mu.Lock()
-	cause, ctxErr := g.cause, g.ctxErr
-	g.mu.Unlock()
-	return &ErrResourceExhausted{Query: g.query, Cause: cause, Spent: g.spent(), ctxErr: ctxErr}
-}
-
-// done releases the watchdog. Call exactly once, when the query ends.
-func (g *enumGov) done() {
-	g.watch.Release()
-	g.cancel()
 }
 
 // enumClass is one admitted equivalence class: its (sorted) system set
@@ -389,7 +252,7 @@ func cubeAssumptions(tpl *compiled) [][]sat.Lit {
 // (never solved — every solve happens on a clone of it, which is what
 // makes results worker-count-independent), and the coordinator.
 type enumRun struct {
-	g   *enumGov
+	g   *governor
 	tpl *compiled
 	co  *enumCoord
 }
@@ -406,9 +269,6 @@ func (r *enumRun) run(workers int) *EnumerateResult {
 		res.Spent = r.g.spent()
 		return res
 	}
-	if len(r.tpl.sysNames) == 0 {
-		return r.emptyProjection(res)
-	}
 	cubes := cubeAssumptions(r.tpl)
 	r.co.cubes = make([]cubeResult, len(cubes))
 	drainCubes(r.g, r.tpl, cubes, workers, r.solveCube)
@@ -423,7 +283,7 @@ func (r *enumRun) run(workers int) *EnumerateResult {
 // the whole query must stop (budget trip, context fired, solver
 // failure); that worker then takes no further cube, and the others stop
 // at their next g.stopped check.
-func drainCubes(g *enumGov, tpl *compiled, cubes [][]sat.Lit, workers int, solve func(c *compiled, idx int, cube []sat.Lit) bool) {
+func drainCubes(g *governor, tpl *compiled, cubes [][]sat.Lit, workers int, solve func(c *compiled, idx int, cube []sat.Lit) bool) {
 	ch := make(chan int, len(cubes))
 	for i := range cubes {
 		ch <- i
@@ -435,9 +295,9 @@ func drainCubes(g *enumGov, tpl *compiled, cubes [][]sat.Lit, workers int, solve
 				return
 			}
 			c := tpl.fork(tpl.solver.Clone())
-			release := g.adopt(c.solver)
+			g.adopt(c.solver)
 			ok := solve(c, i, cubes[i])
-			release()
+			g.release(c.solver)
 			if !ok {
 				return
 			}
@@ -485,6 +345,13 @@ func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 			d := c.designFromModel()
 			r.co.append(idx, &enumClass{systems: d.Systems, design: d})
 			found++
+			if len(c.sysNames) == 0 {
+				// No system vocabulary: the one (empty) class is the whole
+				// space, and its blocking clause would be the empty clause,
+				// which poisons the solver.
+				r.co.markExhausted(idx)
+				return true
+			}
 			if found >= r.co.max {
 				return true // per-cube cap; cube stays inexhausted
 			}
@@ -494,7 +361,7 @@ func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 			r.co.markExhausted(idx)
 			return true // cube provably drained; on to the next
 		default:
-			r.g.tripFrom(c.solver)
+			r.g.trip(c.solver.StopCause())
 			return false
 		}
 	}
@@ -511,10 +378,10 @@ func (r *enumRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 func (r *enumRun) finish(res *EnumerateResult) *EnumerateResult {
 	classes, complete := r.co.merge()
 	res.Designs = sortDesigns(classes)
-	if r.g.hasTripped() {
+	if ex := r.g.exhausted(); ex != nil {
 		res.Truncated = true
-		res.Exhausted = r.g.exhausted()
-		res.Reason = res.Exhausted.Cause
+		res.Exhausted = ex
+		res.Reason = ex.Cause
 		res.Spent = res.Exhausted.Spent
 		return res
 	}
@@ -522,32 +389,6 @@ func (r *enumRun) finish(res *EnumerateResult) *EnumerateResult {
 		// Stopped at the class cap: more classes may exist.
 		res.Truncated = true
 		res.Reason = "limit"
-	}
-	res.Spent = r.g.spent()
-	return res
-}
-
-// emptyProjection handles an instance with no system vocabulary: every
-// model projects onto the single empty class, so one solve on a pristine
-// clone decides the whole enumeration (and is already canonical).
-// Without this guard the blocking clause would be empty, and asserting
-// it would poison the solver (okay=false) and — with proof logging
-// armed — record a bogus empty-clause derivation.
-func (r *enumRun) emptyProjection(res *EnumerateResult) *EnumerateResult {
-	c := r.tpl.fork(r.tpl.solver.Clone())
-	release := r.g.adopt(c.solver)
-	defer release()
-	r.g.phase(c.solver)
-	switch c.solver.SolveAssuming(c.assumptions()) {
-	case sat.Sat:
-		res.Designs = []*Design{c.designFromModel()}
-	case sat.Unsat:
-		// No compliant design at all: complete and empty.
-	default:
-		r.g.tripFrom(c.solver)
-		res.Truncated = true
-		res.Exhausted = r.g.exhausted()
-		res.Reason = res.Exhausted.Cause
 	}
 	res.Spent = r.g.spent()
 	return res

@@ -56,8 +56,9 @@ func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Obje
 	if err != nil {
 		return nil, err
 	}
-	g := govern(ctx, "optimize", b, c.solver)
+	g := govern(ctx, "optimize", b)
 	defer g.done()
+	g.adopt(c.solver)
 	assumps := c.assumptions()
 	switch status := c.solver.SolveAssuming(assumps); status {
 	case sat.Sat:
@@ -69,6 +70,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Obje
 		res.Spent = g.spent()
 		return res, nil
 	default:
+		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
 	}
 	witness := c.designFromModel()
@@ -89,7 +91,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Obje
 	for _, l := range assumps {
 		c.solver.AddClause(l)
 	}
-	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{Phase: g.phase})
+	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{Phase: func() { g.phase(c.solver) }})
 	if err != nil {
 		// Feasibility was just established on this solver, so the hard
 		// side cannot be unsatisfiable; surface the inconsistency.
@@ -100,7 +102,7 @@ func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Obje
 	res.LowerBounds = lex.LowerBounds
 	if !lex.Exact {
 		res.Approximate = true
-		res.ApproxCause, _ = g.cause()
+		res.ApproxCause = g.trip(c.solver.StopCause())
 	}
 	if lex.Model != nil {
 		witness = c.designFrom(lex.Model)

@@ -70,8 +70,7 @@ func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Object
 	if err != nil {
 		return nil, err
 	}
-	g := newEnumGov(ctx, b)
-	g.query = "pareto"
+	g := govern(ctx, "pareto", b)
 	defer g.done()
 	// Lower the objective circuits onto the template BEFORE any clone is
 	// taken: every cube worker inherits the same totalizers and penalty
@@ -96,7 +95,7 @@ type paretoCube struct {
 // paretoRun is one Pareto query: governor, lowered objective specs, and
 // per-cube results.
 type paretoRun struct {
-	g     *enumGov
+	g     *governor
 	specs []objectiveSpec
 
 	mu    sync.Mutex
@@ -132,7 +131,7 @@ func (r *paretoRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 			r.fail = err
 		}
 		r.mu.Unlock()
-		r.g.trip("interrupt", nil)
+		r.g.trip(c.solver.StopCause())
 		return false
 	}
 	pts := make([]ParetoPoint, len(res.Points))
@@ -143,7 +142,7 @@ func (r *paretoRun) solveCube(c *compiled, idx int, cube []sat.Lit) bool {
 	r.cubes[idx] = paretoCube{points: pts, exact: res.Exact}
 	r.mu.Unlock()
 	if !res.Exact {
-		r.g.tripFrom(c.solver)
+		r.g.trip(c.solver.StopCause())
 		return false
 	}
 	return true
@@ -197,10 +196,10 @@ func (r *paretoRun) finish() (*ParetoResult, error) {
 	sort.Slice(res.Points, func(i, j int) bool {
 		return lessValues(res.Points[i].Values, res.Points[j].Values)
 	})
-	if r.g.hasTripped() {
+	if ex := r.g.exhausted(); ex != nil {
 		res.Complete = false
-		res.Exhausted = r.g.exhausted()
-		res.Spent = res.Exhausted.Spent
+		res.Exhausted = ex
+		res.Spent = ex.Spent
 		return res, nil
 	}
 	res.Spent = r.g.spent()

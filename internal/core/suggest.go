@@ -74,13 +74,15 @@ func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget)
 	if err != nil {
 		return nil, err
 	}
-	g := govern(ctx, "suggest", b, c.solver)
+	g := govern(ctx, "suggest", b)
 	defer g.done()
+	g.adopt(c.solver)
 	switch c.solver.SolveAssuming(c.assumptions()) {
 	case sat.Sat:
 		return nil, nil
 	case sat.Unsat:
 	default:
+		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
 	}
 
@@ -96,12 +98,13 @@ func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget)
 	for i, s := range hard {
 		hardLits[i] = s.lit
 	}
-	g.phase()
+	g.phase(c.solver)
 	switch c.solver.SolveAssuming(hardLits) {
 	case sat.Sat:
 	case sat.Unsat:
 		return nil, fmt.Errorf("core: the knowledge base is infeasible even without architect requirements")
 	default:
+		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
 	}
 
@@ -110,11 +113,12 @@ func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget)
 	// Enumerate correction sets by rotating which soft selector the grow
 	// phase tries first; dedupe by the dropped-set key.
 	for start := 0; start < len(soft) && len(out) < max; start++ {
-		g.phase() // fresh allowance per grow pass
+		g.phase(c.solver) // fresh allowance per grow pass
 		mcs, witness, ok := c.growMSS(hardLits, soft, start)
 		if !ok {
 			// Budget tripped mid-grow: hand back what we have, typed.
 			sortSuggestions(out)
+			g.trip(c.solver.StopCause())
 			return out, g.exhausted()
 		}
 		if len(mcs) == 0 {

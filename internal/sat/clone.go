@@ -32,8 +32,8 @@ package sat
 //   - Stats are zeroed: a clone accounts for its own work only.
 //   - Work budgets (SetBudget) and the last StopCause are cleared.
 //   - A pending Interrupt is NOT inherited — the clone is runnable even
-//     if the original was stopped; likewise any Watch watchdog keeps
-//     targeting the original only.
+//     if the original was stopped, and an interrupt delivered to the
+//     original later (say, by its governing context) does not reach it.
 //   - An attached DRAT proof is NOT cloned: proofs record one solver's
 //     derivation history and would be unsound spliced onto another.
 //     Call AttachProof on the clone before its first Solve if needed.

@@ -16,6 +16,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Lit is a DIMACS-style literal: +v or -v for variable v ≥ 1.
@@ -226,7 +227,7 @@ type Solver struct {
 
 	proof *Proof // non-nil when DRAT logging is attached
 
-	stop stopFlag // set by Interrupt; polled at conflict boundaries
+	stop atomic.Bool // set by Interrupt; polled at conflict boundaries
 
 	// Per-call work budgets (absolute caps against stats; 0 = none) and
 	// the reason the last Solve returned Unknown. See SetBudget/StopCause.

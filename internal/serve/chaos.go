@@ -76,7 +76,8 @@ func ParseChaos(spec string) (*Chaos, error) {
 			seed = n
 		case "rate":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
+			// Written so NaN fails too: every comparison with NaN is false.
+			if err != nil || !(f >= 0 && f <= 1) {
 				return nil, fmt.Errorf("serve: bad chaos rate %q (want 0..1)", v)
 			}
 			rate = f

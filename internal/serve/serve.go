@@ -638,24 +638,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// CacheStatsJSON is the /statsz wire form of core.CacheStats.
-type CacheStatsJSON struct {
-	Size          int   `json:"size"`
-	Capacity      int   `json:"capacity"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	DiskHits      int64 `json:"disk_hits"`
-	DiskMisses    int64 `json:"disk_misses"`
-	DiskWrites    int64 `json:"disk_writes"`
-	DiskEvictions int64 `json:"disk_evictions"`
-	DiskCorrupt   int64 `json:"disk_corrupt"`
-	DiskStale     int64 `json:"disk_stale"`
-	SliceComputed int64 `json:"slice_computed"`
-	SliceHits     int64 `json:"slice_hits"`
-	SliceSKUsIn   int64 `json:"slice_skus_in"`
-	SliceSKUsKept int64 `json:"slice_skus_kept"`
-}
-
 // StatsResponse is the /statsz body.
 type StatsResponse struct {
 	UptimeMS     int64                    `json:"uptime_ms"`
@@ -665,14 +647,13 @@ type StatsResponse struct {
 	Queued       int64                    `json:"queued"`
 	Reloads      int64                    `json:"reloads"`
 	ReloadErrors int64                    `json:"reload_errors"`
-	Cache        CacheStatsJSON           `json:"cache"`
+	Cache        core.CacheStats          `json:"cache"`
 	Modes        map[string]ModeStatsJSON `json:"modes"`
 }
 
 // handleStatsz reports the full counter set: engine cache stats plus
 // per-mode request/outcome/latency counters.
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	cs := s.eng.CacheStats()
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeMS:     time.Since(s.start).Milliseconds(),
 		Ready:        s.ready.Load(),
@@ -681,15 +662,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		Queued:       s.queued.Load(),
 		Reloads:      s.reloads.Load(),
 		ReloadErrors: s.reloadErrors.Load(),
-		Cache: CacheStatsJSON{
-			Size: cs.Size, Capacity: cs.Capacity,
-			Hits: cs.Hits, Misses: cs.Misses,
-			DiskHits: cs.DiskHits, DiskMisses: cs.DiskMisses,
-			DiskWrites: cs.DiskWrites, DiskEvictions: cs.DiskEvictions,
-			DiskCorrupt: cs.DiskCorrupt, DiskStale: cs.DiskStale,
-			SliceComputed: cs.SliceComputed, SliceHits: cs.SliceHits,
-			SliceSKUsIn: cs.SliceSKUsIn, SliceSKUsKept: cs.SliceSKUsKept,
-		},
-		Modes: s.stats.snapshot(),
+		Cache:        s.eng.CacheStats(),
+		Modes:        s.stats.snapshot(),
 	})
 }

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -202,6 +204,27 @@ func TestServeModes(t *testing.T) {
 	}
 	if sz.Cache.Hits == 0 {
 		t.Errorf("prewarmed server answered without cache hits: %+v", sz.Cache)
+	}
+	// The cache object's wire keys are core.CacheStats' JSON tags: the
+	// deprecated pool counters stay off the wire.
+	var wire struct {
+		Cache map[string]json.RawMessage `json:"cache"`
+	}
+	if st := get(t, base+"/statsz", &wire); st != http.StatusOK {
+		t.Fatalf("statsz: %d", st)
+	}
+	var keys []string
+	for k := range wire.Cache {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{
+		"capacity", "disk_corrupt", "disk_evictions", "disk_hits", "disk_misses",
+		"disk_stale", "disk_writes", "hits", "misses", "size",
+		"slice_computed", "slice_hits", "slice_skus_in", "slice_skus_kept",
+	}
+	if !slices.Equal(keys, want) {
+		t.Errorf("statsz cache keys = %v, want %v", keys, want)
 	}
 }
 
