@@ -505,7 +505,7 @@ func BenchmarkRepeatedQueries(b *testing.B) {
 // over the whole case-study catalog (the cache is primed off the clock,
 // so the row measures the descent, not compilation). The "trimmed" rows compare the MaxSAT descent against
 // the exhaustive enumeration oracle (BruteOptimize — the independent arm
-// of the optimize-diff differential) on a design space small enough for
+// of the optimizer's differential rows) on a design space small enough for
 // the oracle to finish: the asymmetry is why the oracle is a test
 // fixture and the descent is the product.
 func BenchmarkOptimize(b *testing.B) {
@@ -929,8 +929,8 @@ func deltaStressCatalog(rev int) *netarch.KB {
 // deep-rule catalog, a one-assertion edit applied through UpdateKB
 // (shard diff + arena splice, DESIGN.md §14) vs compiling the same base
 // from scratch. Both arms alternate the same two revisions and produce
-// one base per iteration, byte-identical between the arms (delta-diff
-// pins that); this measures what the identity costs. The acceptance bar
+// one base per iteration, byte-identical between the arms (make
+// differential pins that); this measures what the identity costs. The acceptance bar
 // is delta >= 5x faster than full.
 func BenchmarkDeltaRecompile(b *testing.B) {
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"netarch"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -210,6 +213,15 @@ func TestCmdSolveModes(t *testing.T) {
 	})
 	if !strings.Contains(out, "design classes") {
 		t.Errorf("disambiguate output wrong:\n%s", out)
+	}
+}
+
+// TestCmdDisambiguateRefusesSlicing: a forced slice makes disambiguate
+// refuse, and the error names the flag that lifts the refusal.
+func TestCmdDisambiguateRefusesSlicing(t *testing.T) {
+	err := cmdSolve([]string{"-slice", "on", "-require", "congestion_control"}, "disambiguate")
+	if !errors.Is(err, netarch.ErrSlicedEnumeration) || !strings.Contains(err.Error(), "-slice off") {
+		t.Fatalf("sliced disambiguate: err %v, want the refusal naming -slice off", err)
 	}
 }
 

@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -463,6 +464,9 @@ func cmdSolve(args []string, mode string) error {
 		}
 	case "disambiguate":
 		d, err := eng.DisambiguateCtx(ctx, sc, 16, budget)
+		if errors.Is(err, netarch.ErrSlicedEnumeration) {
+			return fmt.Errorf("%w; rerun with -slice off", err)
+		}
 		if err != nil {
 			return err
 		}

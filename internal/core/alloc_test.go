@@ -7,8 +7,7 @@ import (
 	"netarch/internal/kb"
 )
 
-// section51Scenarios returns §5.1 query shapes over the caseStudyQueries
-// KB: Q1's baseline (inference_app alone) and its grown fleet on the
+// section51Scenarios returns §5.1 query shapes over caseStudyKB: Q1's baseline (inference_app alone) and its grown fleet on the
 // frozen baseline server, and Q3's memory-bound mix with CXL pooling off
 // and on.
 func section51Scenarios() map[string]Scenario {
@@ -52,8 +51,7 @@ func TestBaseSizeBudget(t *testing.T) {
 		{"q1-grown", 1567, 9262},
 		{"q3-no-pooling", 1296, 9575},
 	}
-	k, _ := caseStudyQueries()
-	e := mustEngine(t, k)
+	e := mustEngine(t, caseStudyKB())
 	scs := section51Scenarios()
 	for _, b := range budgets {
 		sc := scs[b.name]
@@ -80,12 +78,12 @@ func TestBaseSizeBudget(t *testing.T) {
 // here before any timing does. The budgets allow 2% above the counts
 // measured when they were set.
 func TestSearchEffortBudget(t *testing.T) {
-	k, cases := caseStudyQueries()
+	k := caseStudyKB()
 	scs := section51Scenarios()
-	for _, c := range cases {
-		switch c.name {
-		case "q1-baseline", "q3-without-cxl", "q3-with-cxl", "overconstrained-explain":
-			scs[c.name] = c.sc
+	for _, s := range sec51Scenarios(t, mustEngine(t, k)) {
+		switch s.name {
+		case "q1-baseline", "q3-cxl-off", "q3-cxl-on", "overconstrained-explain":
+			scs[s.name] = s.sc
 		}
 	}
 	budgets := []struct {
@@ -98,8 +96,8 @@ func TestSearchEffortBudget(t *testing.T) {
 		{"q3-no-pooling", false, 0, 66},
 		{"q3-pooling", false, 0, 67},
 		{"q1-baseline", true, 101, 1525},
-		{"q3-without-cxl", true, 74, 1412},
-		{"q3-with-cxl", true, 92, 1338},
+		{"q3-cxl-off", true, 74, 1412},
+		{"q3-cxl-on", true, 92, 1338},
 		// Infeasible: the decision plus minimizing its explanation.
 		{"overconstrained-explain", false, 0, 894},
 	}
@@ -177,8 +175,7 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 func TestCompileAllocBudget(t *testing.T) {
 	const budget = 10050
 
-	k, _ := caseStudyQueries()
-	e := mustEngine(t, k)
+	e := mustEngine(t, caseStudyKB())
 	e.SetWorkers(1)
 	sc := section51Scenarios()["inference_app"]
 	shape := baseShape(&sc)
@@ -197,7 +194,7 @@ func TestCompileAllocBudget(t *testing.T) {
 // optimization: the clone of the cached base, the feasibility solve and
 // the whole MaxSAT descent. The descent fixes the cost sum's own output
 // bits, so it builds no comparator; building one per probe cost 4,659
-// (q3-without-cxl) and 4,829 (q1-baseline) allocs per query, against
+// (q3-cxl-off) and 4,829 (q1-baseline) allocs per query, against
 // 974 and 1,661 measured without. Most of those were watch lists
 // reallocated as watchers moved onto them; with every list in one
 // watcher slab both queries measured 199. The budgets have ~20%
@@ -208,15 +205,14 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		name   string
 		budget float64
 	}{
-		{"q3-without-cxl", 240},
+		{"q3-cxl-off", 240},
 		{"q1-baseline", 240},
 	}
-	k, cases := caseStudyQueries()
+	e := mustEngine(t, caseStudyKB())
 	scs := map[string]Scenario{}
-	for _, c := range cases {
-		scs[c.name] = c.sc
+	for _, s := range sec51Scenarios(t, e) {
+		scs[s.name] = s.sc
 	}
-	e := mustEngine(t, k)
 	cost := []Objective{{Kind: MinimizeCost}}
 	for _, b := range budgets {
 		sc := scs[b.name]
@@ -269,8 +265,7 @@ func TestCloneAllocBudget(t *testing.T) {
 		{"q3-no-pooling", scs["q3-no-pooling"], 419_000},
 		{"pfc-explain", pfc, 454_000},
 	}
-	k, _ := caseStudyQueries()
-	e := mustEngine(t, k)
+	e := mustEngine(t, caseStudyKB())
 	for _, b := range budgets {
 		sc := b.sc
 		if _, err := e.Synthesize(sc); err != nil { // warm the base

@@ -389,6 +389,7 @@ func (e *Engine) specialize(base *compiled, sc *Scenario, solver *sat.Solver) *c
 		derivedCtx:  base.derivedCtx,
 		provides:    base.provides,
 		frozen:      true,
+		sliceID:     base.sliceID,
 		coresUsed:   base.coresUsed,
 		coresTotal:  base.coresTotal,
 		costTotal:   base.costTotal,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,160 +9,6 @@ import (
 	"netarch/internal/catalog"
 	"netarch/internal/kb"
 )
-
-// caseStudyQueries returns the §5.1 query scenarios (plus the over-
-// constrained Explain scenario) used by the differential tests. The KB is
-// the case-study catalog extended with the two extra §5.1 workloads.
-func caseStudyQueries() (*kb.KB, []struct {
-	name string
-	sc   Scenario
-	kind string // "synthesize", "optimize", "explain"
-}) {
-	k := catalog.CaseStudy()
-	k.Workloads = append(k.Workloads, catalog.BatchAnalyticsWorkload(), catalog.StorageWorkload())
-	cases := []struct {
-		name string
-		sc   Scenario
-		kind string
-	}{
-		{"q1-baseline", Scenario{Workloads: []string{"inference_app"}}, "optimize"},
-		{"q1-grown-frozen", Scenario{
-			Workloads: []string{"inference_app", "batch_analytics", "storage_backend"},
-			Context:   map[string]bool{"pfc_enabled": true},
-		}, "synthesize"},
-		{"q2-keep-sonata", Scenario{
-			Workloads:     []string{"inference_app"},
-			Require:       []kb.Property{"flow_telemetry", "detect_queue_length"},
-			PinnedSystems: []string{"sonata"},
-		}, "optimize"},
-		{"q2-replan-free", Scenario{
-			Workloads: []string{"inference_app"},
-			Require:   []kb.Property{"flow_telemetry", "detect_queue_length"},
-		}, "optimize"},
-		{"q3-without-cxl", Scenario{
-			Workloads:  []string{"inference_app", "batch_analytics", "storage_backend"},
-			NumServers: 64,
-			Context:    map[string]bool{"pfc_enabled": true, "cxl_pooling": false},
-		}, "optimize"},
-		{"q3-with-cxl", Scenario{
-			Workloads:  []string{"inference_app", "batch_analytics", "storage_backend"},
-			NumServers: 64,
-			Context:    map[string]bool{"pfc_enabled": true, "cxl_pooling": true},
-		}, "optimize"},
-		{"overconstrained-explain", Scenario{
-			Workloads: []string{"inference_app"},
-			Context: map[string]bool{
-				"pfc_enabled":      true,
-				"flooding_enabled": true,
-				"deadline_tight":   true,
-			},
-			Require: []kb.Property{"low_latency_stack"},
-		}, "explain"},
-	}
-	return k, cases
-}
-
-// renderReport serializes everything semantically meaningful in a report
-// — verdict, witness design, minimized explanation, deterministic solver
-// work counters — while dropping wall-clock time.
-func renderReport(rep *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "verdict=%s\n", rep.Verdict)
-	if rep.Design != nil {
-		fmt.Fprintf(&b, "systems=%v\nhardware=%v\ncontext=%v\nmetrics=%v\n",
-			rep.Design.Systems, rep.Design.Hardware, rep.Design.Context, rep.Design.Metrics)
-	}
-	if rep.Explanation != nil {
-		fmt.Fprintf(&b, "explanation=%v approx=%v\n", rep.Explanation.Conflicts, rep.Explanation.Approximate)
-	}
-	fmt.Fprintf(&b, "conflicts=%d decisions=%d\n", rep.Spent.Conflicts, rep.Spent.Decisions)
-	return b.String()
-}
-
-func renderOptimize(res *OptimizeResult) string {
-	return fmt.Sprintf("%sobjectives=%v approx=%v\n",
-		renderReport(&res.Report), res.ObjectiveValues, res.Approximate)
-}
-
-// execQuery executes one differential query against an engine and
-// renders the outcome. Safe to call from any goroutine.
-func execQuery(e *Engine, kind string, sc Scenario) (string, error) {
-	switch kind {
-	case "synthesize":
-		rep, err := e.Synthesize(sc)
-		if err != nil {
-			return "", fmt.Errorf("synthesize: %w", err)
-		}
-		return renderReport(rep), nil
-	case "optimize":
-		res, err := e.Optimize(sc, []Objective{{Kind: MinimizeCost}})
-		if err != nil {
-			return "", fmt.Errorf("optimize: %w", err)
-		}
-		return renderOptimize(res), nil
-	case "explain":
-		ex, err := e.Explain(sc)
-		if err != nil {
-			return "", fmt.Errorf("explain: %w", err)
-		}
-		if ex == nil {
-			return "feasible\n", nil
-		}
-		return fmt.Sprintf("explanation=%v approx=%v\n", ex.Conflicts, ex.Approximate), nil
-	default:
-		return "", fmt.Errorf("unknown kind %q", kind)
-	}
-}
-
-// runQuery is execQuery for test main goroutines: errors are fatal.
-func runQuery(t *testing.T, e *Engine, kind string, sc Scenario) string {
-	t.Helper()
-	out, err := execQuery(e, kind, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestCacheDifferential is the tentpole correctness gate: for every §5.1
-// query (and the over-constrained Explain scenario), a cache-disabled
-// engine, a cold cache miss, and a warm cache hit must produce byte-
-// identical verdicts, designs, objective values, and minimized cores.
-// The warm run repeats to confirm clones never leak query state (an
-// Optimize asserts bounds on its instance; a later identical query must
-// not see them).
-func TestCacheDifferential(t *testing.T) {
-	k, cases := caseStudyQueries()
-	cold, err := New(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.SetCacheCapacity(0) // every query compiles from scratch
-	warm, err := New(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := runQuery(t, cold, tc.kind, tc.sc)
-			miss := runQuery(t, warm, tc.kind, tc.sc)
-			hit := runQuery(t, warm, tc.kind, tc.sc)
-			if miss != want {
-				t.Errorf("cold-cache miss diverges from uncached:\nuncached:\n%s\nmiss:\n%s", want, miss)
-			}
-			if hit != want {
-				t.Errorf("warm-cache hit diverges from uncached:\nuncached:\n%s\nhit:\n%s", want, hit)
-			}
-		})
-	}
-	st := warm.CacheStats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("expected both hits and misses, got %+v", st)
-	}
-	if st.Size == 0 || st.Size > st.Capacity {
-		t.Errorf("cache size out of range: %+v", st)
-	}
-}
 
 // TestCacheSharedBaseAcrossQueries verifies the amortization claim at the
 // cache level: queries differing only in Context/Require/pins share one
@@ -307,12 +152,12 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 // cache invalidation racing the queries. Run under -race this is the
 // regression test for the clone-per-query isolation contract.
 func TestCacheConcurrentQueries(t *testing.T) {
-	k, cases := caseStudyQueries()
-	e := mustEngine(t, k)
+	e := mustEngine(t, caseStudyKB())
+	cases := queryRows(t, e, sec51Scenarios(t, e), "synthesize", "optimize")
 	// Sequential reference results.
 	want := make([]string, len(cases))
 	for i, tc := range cases {
-		want[i] = runQuery(t, e, tc.kind, tc.sc)
+		want[i] = answer(e, tc).text
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -322,12 +167,7 @@ func TestCacheConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				tc := cases[(g+i)%len(cases)]
-				got, err := execQuery(e, tc.kind, tc.sc)
-				if err != nil {
-					errs <- fmt.Sprintf("goroutine %d query %s: %v", g, tc.name, err)
-					continue
-				}
-				if got != want[(g+i)%len(cases)] {
+				if got := answer(e, tc).text; got != want[(g+i)%len(cases)] {
 					errs <- fmt.Sprintf("goroutine %d query %s diverged:\n%s", g, tc.name, got)
 				}
 			}

@@ -66,8 +66,10 @@ type compiled struct {
 
 	// sliceID / sliceReq identify the relevance slice this base was
 	// compiled against (slice.go): empty/nil for full-KB bases. The ID
-	// extends the cache key and the snapshot envelope; the request lets
-	// UpdateKB recompute the slice under the incoming KB revision.
+	// extends the cache key and the snapshot envelope, and specialize
+	// copies it onto each query instance so EnumerateCtx can refuse a
+	// sliced one; the request lets UpdateKB recompute the slice under
+	// the incoming KB revision.
 	sliceID  string
 	sliceReq *sliceRequest
 

@@ -33,48 +33,6 @@ func cacheFiles(t *testing.T, dir string) []string {
 	return matches
 }
 
-// TestDiskCacheDifferential is the golden round-trip gate: a fresh engine
-// reviving every §5.1 base from disk must answer byte-identically to the
-// in-process warm path AND to a cache-disabled engine — a cache file can
-// change how fast an answer arrives, never what it is.
-func TestDiskCacheDifferential(t *testing.T) {
-	k, cases := caseStudyQueries()
-	dir := t.TempDir()
-
-	uncached := mustEngine(t, k)
-	uncached.SetCacheCapacity(0)
-
-	writer := mustDiskEngine(t, k, dir)
-	for _, tc := range cases {
-		runQuery(t, writer, tc.kind, tc.sc) // compiles + persists
-	}
-	if st := writer.CacheStats(); st.DiskWrites == 0 {
-		t.Fatalf("priming engine wrote no snapshots: %+v", st)
-	}
-
-	reader := mustDiskEngine(t, k, dir)
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := runQuery(t, uncached, tc.kind, tc.sc)
-			warm := runQuery(t, writer, tc.kind, tc.sc) // in-memory warm path
-			disk := runQuery(t, reader, tc.kind, tc.sc) // disk-revived path
-			if warm != want {
-				t.Errorf("in-memory warm diverges from uncached:\nuncached:\n%s\nwarm:\n%s", want, warm)
-			}
-			if disk != want {
-				t.Errorf("disk-revived diverges from uncached:\nuncached:\n%s\ndisk:\n%s", want, disk)
-			}
-		})
-	}
-	st := reader.CacheStats()
-	if st.Misses != 0 {
-		t.Errorf("disk-warm engine compiled %d bases; every shape should revive from disk: %+v", st.Misses, st)
-	}
-	if st.DiskHits == 0 || st.DiskCorrupt != 0 {
-		t.Errorf("unexpected disk counters: %+v", st)
-	}
-}
-
 // TestDiskWarmSkipsCompile is the acceptance assertion: with a primed
 // cache dir, the first query of a fresh engine performs zero base
 // compiles (Misses == 0) and exactly as many solver invocations as an

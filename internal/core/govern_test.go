@@ -112,7 +112,7 @@ func TestOneConflictBudgetYieldsApproximateExplanation(t *testing.T) {
 	// three workloads on 64 servers): minimizing its explanation takes 2
 	// conflicts from the probed base. The inference_app-only
 	// over-constrained scenario minimizes in none, so it cannot trip it.
-	k, _ := caseStudyQueries()
+	k := caseStudyKB()
 	sc := Scenario{
 		Workloads:  []string{"inference_app", "batch_analytics", "storage_backend"},
 		NumServers: 64,

@@ -14,41 +14,25 @@ import (
 // answer to the same query byte for byte, search effort (Spent
 // conflicts and decisions) included.
 func TestAnswersIndependentOfQueryHistory(t *testing.T) {
-	k, cases := caseStudyQueries()
-	type query struct {
-		name string
-		sc   Scenario
-		cost bool // cost optimization instead of Synthesize
-	}
-	var queries []query
-	for _, c := range cases {
-		// Explain runs as Synthesize so the report keeps its Spent.
-		queries = append(queries, query{c.name, c.sc, c.kind == "optimize"})
-	}
+	k := caseStudyKB()
+	scs := sec51Scenarios(t, mustEngine(t, k))
 	inference := Scenario{Workloads: []string{"inference_app"}}
 	whatIf := inference
 	whatIf.Context = map[string]bool{"lossless_fabric": false}
-	queries = append(queries,
-		query{"inference_app", inference, false},
-		query{"whatif-lossy-fabric", whatIf, false})
+	scs = append(scs, namedScenario{"whatif-lossy-fabric", whatIf})
+	// Explain runs as Synthesize so the report keeps its Spent.
+	queries := queryRows(t, nil, scs, "synthesize", "optimize")
 
-	answer := func(e *Engine, q query) string {
-		if q.cost {
-			res, err := e.Optimize(q.sc, []Objective{{Kind: MinimizeCost}})
-			if err != nil {
-				t.Fatalf("%s: %v", q.name, err)
-			}
-			return renderOptimize(res)
+	run := func(e *Engine, q diffRow) string {
+		a := answer(e, q)
+		if a.err != nil {
+			t.Fatalf("%s: %v", q.name, a.err)
 		}
-		rep, err := e.Synthesize(q.sc)
-		if err != nil {
-			t.Fatalf("%s: %v", q.name, err)
-		}
-		return renderReport(rep)
+		return a.text
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		want[i] = answer(mustEngine(t, k), q)
+		want[i] = run(mustEngine(t, k), q)
 	}
 
 	n := len(queries)
@@ -72,7 +56,7 @@ func TestAnswersIndependentOfQueryHistory(t *testing.T) {
 		idx  []int
 	}{{"forward", forward}, {"reversed", reversed}, {"interleaved", interleaved}} {
 		for _, i := range order.idx {
-			if got := answer(e, queries[i]); got != want[i] {
+			if got := run(e, queries[i]); got != want[i] {
 				t.Errorf("%s/%s: answer depends on query history:\ngot:\n%s\nfresh engine:\n%s",
 					order.name, queries[i].name, got, want[i])
 			}
@@ -89,13 +73,8 @@ func TestAnswersIndependentOfQueryHistory(t *testing.T) {
 // solver is byte-identical before and after it. With caching off every
 // query compiles its own base and the engine keeps none of them.
 func TestOptimizeSolverIsPrivate(t *testing.T) {
-	k, cases := caseStudyQueries()
-	var sc Scenario
-	for _, c := range cases {
-		if c.name == "q3-without-cxl" {
-			sc = c.sc
-		}
-	}
+	k := caseStudyKB()
+	sc := section51Scenarios()["q3-no-pooling"]
 	levels := [][]Objective{
 		{{Kind: MinimizeCost}},
 		{{Kind: PreferOrder, Dimension: "tail_latency"}, {Kind: MinimizeCost}, {Kind: MinimizeSystems}},
@@ -119,7 +98,7 @@ func TestOptimizeSolverIsPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = renderOptimize(res)
+		want[i] = renderAnswer(res)
 	}
 	if !bytes.Equal(base.solver.Snapshot(), before) {
 		t.Fatal("a warm Optimize wrote to the cached base's solver")
@@ -143,7 +122,7 @@ func TestOptimizeSolverIsPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := renderOptimize(res); got != want[i] {
+		if got := renderAnswer(res); got != want[i] {
 			t.Errorf("cache-off answer differs from the warm one:\ngot:\n%s\nwarm:\n%s", got, want[i])
 		}
 	}

@@ -45,7 +45,7 @@ func checkObjectiveMetrics(t *testing.T, e *Engine, name string, sc Scenario, wa
 // optima themselves are pinned to the values certified when both
 // circuits still lived on every base.
 func TestObjectiveMetricsMatchCircuits(t *testing.T) {
-	k, _ := caseStudyQueries()
+	k := caseStudyKB()
 	scs := section51Scenarios()
 	optima := map[string][2]int64{ // {power_w, switch_ports}
 		"inference_app": {29512, 96},
@@ -66,7 +66,7 @@ func TestObjectiveMetricsMatchCircuits(t *testing.T) {
 // query instance, and a repeated level reuses it. The cost level adds
 // nothing at all — its circuit lives on the base.
 func TestObjectiveCircuitsBuiltOncePerInstance(t *testing.T) {
-	k, _ := caseStudyQueries()
+	k := caseStudyKB()
 	e := mustEngine(t, k)
 	sc := section51Scenarios()["inference_app"]
 	size := func(objs ...Objective) [2]int {

@@ -13,7 +13,8 @@ import (
 // watch setup — hangs off this, so one byte of
 // divergence here would surface as worker-count-dependent answers.
 func TestParallelCompileByteIdentity(t *testing.T) {
-	k, cases := caseStudyQueries()
+	k := caseStudyKB()
+	cases := sec51Scenarios(t, mustEngine(t, k))
 	hash := kbContentHash(k)
 	for _, tc := range cases {
 		shape := baseShape(&tc.sc)

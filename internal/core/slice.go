@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,7 +18,7 @@ import (
 // full encoding spends almost all of its time on hardware candidates
 // and rule shards no query answer ever depends on; the slice shrinks
 // the encoding back to case-study size while staying provably
-// answer-equivalent (make scale-diff).
+// answer-equivalent (make differential).
 //
 // The slice is computed from a *slice request*: the scenario's shape
 // plus every query-side field that can pull knowledge into relevance —
@@ -71,10 +72,11 @@ const (
 
 // sliceAutoThreshold is the catalog size (total SKUs) above which
 // SliceAuto starts slicing. Chosen above the ~200-SKU seed catalog
-// because sliced enumeration has no projection contract yet: a slice
-// omits the design classes that unobserved out-of-cone systems add, so
-// seed-scale Enumerate and Disambiguate answers (and their budget-trip
-// behaviour) would differ from the unsliced engine's.
+// because sliced enumeration has no projection contract: a slice omits
+// the design classes that unobserved out-of-cone systems add, so
+// EnumerateCtx refuses a sliced base (ErrSlicedEnumeration), and
+// slicing seed-scale catalogs would turn their Enumerate and
+// Disambiguate answers into refusals.
 const sliceAutoThreshold = 512
 
 // sliceMemoCap bounds the per-engine request→slice memo; the map is
@@ -117,12 +119,17 @@ func (e *Engine) SetSliceMode(m SliceMode) {
 }
 
 // sliceRequest is the canonical, order-independent summary of every
-// scenario field that can affect slice membership.
+// scenario field that can affect slice membership. It holds only what
+// the scenario says: workloads are kept by name and expanded into their
+// needs and properties by computeSlice against the KB it slices, so
+// UpdateKB recomputes a sliced base's cone under the incoming KB's
+// workloads, not the outgoing ones.
 type sliceRequest struct {
 	shapeFP   string   // structural shape (workloads, fleet, hw restrictions, bounds)
-	props     []string // sorted: workload needs ∪ sc.Require
+	workloads []string // sorted: scenario workloads (empty: every KB workload)
+	props     []string // sorted: sc.Require
 	pins      []string // sorted: pinned systems
-	ctxKeys   []string // sorted: names of pinned context atoms (derived ∪ scenario)
+	ctxKeys   []string // sorted: names of scenario-pinned context atoms
 	boundRefs []string // sorted: bound reference systems
 	// mandatoryHW names SKUs that must survive dominance pruning
 	// (scenario pins/allow-lists); restrictedKinds skips pruning for
@@ -135,6 +142,8 @@ type sliceRequest struct {
 func (r *sliceRequest) key() string {
 	var b strings.Builder
 	b.WriteString(r.shapeFP)
+	b.WriteString("|w=")
+	b.WriteString(strings.Join(r.workloads, ","))
 	b.WriteString("|p=")
 	b.WriteString(strings.Join(r.props, ","))
 	b.WriteString("|s=")
@@ -163,30 +172,11 @@ func sortedUnique(ss []string) []string {
 // compile then reports the proper error).
 func deriveSliceRequest(k *kb.KB, sc *Scenario, shape *Scenario) *sliceRequest {
 	req := &sliceRequest{shapeFP: shape.fingerprint()}
-
-	// Workload resolution mirrors compiled.pickWorkloads: empty means
-	// every KB workload.
-	var wls []*kb.Workload
-	if len(sc.Workloads) == 0 {
-		for i := range k.Workloads {
-			wls = append(wls, &k.Workloads[i])
+	for _, name := range sc.Workloads {
+		if k.WorkloadByName(name) == nil {
+			return nil
 		}
-	} else {
-		for _, name := range sc.Workloads {
-			w := k.WorkloadByName(name)
-			if w == nil {
-				return nil
-			}
-			wls = append(wls, w)
-		}
-	}
-	for _, w := range wls {
-		for _, p := range w.Needs {
-			req.props = append(req.props, string(p))
-		}
-		for _, p := range w.Properties {
-			req.ctxKeys = append(req.ctxKeys, p)
-		}
+		req.workloads = append(req.workloads, name)
 	}
 	for _, p := range sc.Require {
 		req.props = append(req.props, string(p))
@@ -209,6 +199,7 @@ func deriveSliceRequest(k *kb.KB, sc *Scenario, shape *Scenario) *sliceRequest {
 		req.restrictedKinds[kind] = true
 		req.mandatoryHW = append(req.mandatoryHW, names...)
 	}
+	req.workloads = sortedUnique(req.workloads)
 	req.props = sortedUnique(req.props)
 	req.pins = sortedUnique(req.pins)
 	req.ctxKeys = sortedUnique(req.ctxKeys)
@@ -339,13 +330,29 @@ func computeSlice(k *kb.KB, req *sliceRequest) *kbSlice {
 		}
 	}
 
-	// Seeds: providers of every needed property; pinned systems; every
+	// Seeds: providers of every needed property (the scenario's
+	// requirements and its workloads' needs); pinned systems; every
 	// network-stack system (the structural at-least-one disjunction is
 	// always asserted); every order-mentioned system plus bound
 	// references (performance bounds quantify over them); and the
-	// request's context atoms.
+	// context atoms the scenario and its workloads pin.
 	for _, p := range req.props {
 		pullProp(p)
+	}
+	// Workloads resolve against k, as compiled.pickWorkloads does: no
+	// names means every KB workload, and a name k lacks contributes
+	// nothing (compiling the sliced base reports it).
+	for i := range k.Workloads {
+		w := &k.Workloads[i]
+		if len(req.workloads) > 0 && !slices.Contains(req.workloads, w.Name) {
+			continue
+		}
+		for _, p := range w.Needs {
+			pullProp(string(p))
+		}
+		for _, a := range w.Properties {
+			activeCtx[a] = true
+		}
 	}
 	for _, name := range req.pins {
 		addSysName(name)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 	"netarch/internal/kb"
 )
 
-// Slicer soundness edge cases (ISSUE 10 satellite): the corners where a
-// relevance slice could plausibly diverge from the full encoding. The
-// broad equivalence sweep lives in scale_diff_test.go (make scale-diff);
+// Slicer soundness edge cases: the corners where a relevance slice
+// could plausibly diverge from the full encoding. The broad equivalence
+// sweep is the sliced family of TestDifferential (make differential);
 // these tests pin the specific traps.
 
 // sliceTestScenario is the canonical scaled-catalog query shape.
@@ -264,5 +265,45 @@ func TestSliceAutoThreshold(t *testing.T) {
 	if st.SliceSKUsKept >= st.SliceSKUsIn {
 		t.Fatalf("slice kept every SKU (%d of %d); pruning is inert",
 			st.SliceSKUsKept, st.SliceSKUsIn)
+	}
+}
+
+// TestUpdateKBReslicesUnderNewWorkloads: a workload edit moves the
+// cone of every sliced base over that workload. UpdateKB must rebuild
+// the base under the incoming KB's workload needs, so the next query
+// hits it; a base rebuilt from the outgoing needs would sit in the
+// cache under a slice no query derives, and the query would compile a
+// second one.
+func TestUpdateKBReslicesUnderNewWorkloads(t *testing.T) {
+	k := catalog.ScaledCatalog(1000)
+	sc := sliceTestScenario()
+	e := mustEngine(t, k)
+	e.SetSliceMode(SliceOn)
+	if _, err := e.Synthesize(sc); err != nil {
+		t.Fatal(err)
+	}
+	next := catalog.ScaledCatalog(1000)
+	w := next.WorkloadByName("inference_app")
+	w.Needs = append(w.Needs, "flow_telemetry")
+	up, err := e.UpdateKB(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.BasesUpdated != 1 {
+		t.Fatalf("want the sliced base updated: %v", up)
+	}
+	if _, err := e.Synthesize(sc); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
+		t.Errorf("the query after UpdateKB must hit the updated base: %+v", st)
+	}
+	fresh := mustEngine(t, next)
+	fresh.SetSliceMode(SliceOn)
+	if err := fresh.Prewarm(sc); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.baseOrder, fresh.baseOrder; !slices.Equal(got, want) {
+		t.Errorf("updated engine caches %v, a fresh engine over the new KB %v", got, want)
 	}
 }

@@ -102,13 +102,15 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	fresh := make([]rebuilt, 0, len(keys))
 	for _, key := range keys {
 		ob := outgoing[key]
-		// Sliced bases recompute their cone under the incoming KB: the
-		// request is re-derived from the stored slice request, so a SKU or
-		// rule edit that changes slice membership changes the sub-KB (and
-		// the cache key — slice identity is part of it). When the slice is
-		// unchanged, ConvertShardsDelta reuses every untouched shard; when
-		// it changed, exactly the shards whose assertions differ under the
-		// new sub-KB are reconverted.
+		// Sliced bases recompute their cone under the incoming KB:
+		// computeSlice expands the stored request's workloads against
+		// newKB, so a SKU, rule or workload edit that changes slice
+		// membership changes the sub-KB (and the cache key — slice
+		// identity is part of it) exactly as it does for a fresh query
+		// over newKB. When the slice is unchanged, ConvertShardsDelta
+		// reuses every untouched shard; when it changed, exactly the
+		// shards whose assertions differ under the new sub-KB are
+		// reconverted.
 		var newSlice *kbSlice
 		compileKB := newKB
 		newKey := ob.sc.fingerprint()

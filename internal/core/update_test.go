@@ -232,8 +232,9 @@ func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	if st := nb.solver.Stats(); st != (sat.Stats{}) {
 		t.Errorf("probe work left on the updated base's counters: %+v", st)
 	}
-	got := runQuery(t, e, "synthesize", sc)
-	if fresh := runQuery(t, mustEngine(t, next), "synthesize", sc); got != fresh {
+	row := diffRow{kind: "synthesize", sc: sc}
+	got := answer(e, row).text
+	if fresh := answer(mustEngine(t, next), row).text; got != fresh {
 		t.Errorf("query on the updated base diverges from a fresh engine:\n got %s\nwant %s", got, fresh)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestCatalogScale is the large-catalog smoke for the 50k-SKU scale-out
-// (make scale-diff): the generated corpus must validate as a knowledge
+// (make differential): the generated corpus must validate as a knowledge
 // base, hit the advertised sizes, keep the seed catalog as an exact
 // prefix, and round-trip through the §4.1 ingestion pipeline — rendered
 // spec sheets re-extracted by the simulated LLM and scored at 100%

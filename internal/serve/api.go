@@ -319,6 +319,7 @@ type ParetoPointOut struct {
 //
 //	kind                HTTP  meaning
 //	bad_request         400   malformed body / unknown names
+//	sliced_enumeration  422   enumerate over a relevance-sliced base
 //	shed                429   admission queue full (Retry-After set)
 //	draining            503   server shutting down (Retry-After set)
 //	client_gone         499*  request context canceled by the client

@@ -123,10 +123,26 @@ func checkStatsReconcile(t *testing.T, st *StatsResponse) {
 var scInference = ScenarioJSON{Workloads: []string{"inference_app"}}
 
 // TestServeModes drives one request through every query mode and the
-// three observability endpoints, asserting well-formed responses and
+// three observability endpoints, asserting well-formed responses that
+// carry what the library engine answers on the same KB, and
 // reconciling statsz.
 func TestServeModes(t *testing.T) {
 	_, base := testServer(t, nil)
+	lib, err := core.New(catalog.CaseStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// same compares a wire field with the library's answer rendered
+	// through the same wire conversion.
+	same := func(what string, got, want any) {
+		t.Helper()
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s differs from the library engine:\n serve %s\n   lib %s", what, g, w)
+		}
+	}
+	inference := scInference.toScenario()
 
 	// synth: a feasible scenario yields a design.
 	var qr QueryResponse
@@ -134,31 +150,44 @@ func TestServeModes(t *testing.T) {
 	if status != http.StatusOK || qr.Verdict != "FEASIBLE" || qr.Design == nil {
 		t.Fatalf("synth: status %d, verdict %q, design %v\n%s", status, qr.Verdict, qr.Design, raw)
 	}
+	rep, err := lib.Synthesize(inference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("synth", []any{qr.Verdict, qr.Design}, []any{rep.Verdict.String(), designOut(rep.Design)})
 
 	// check: the synthesized design must check out against its scenario.
 	var cr QueryResponse
-	status, raw = post(t, base+"/v1/check", QueryRequest{
-		Scenario: scInference,
-		Design:   &DesignJSON{Systems: qr.Design.Systems, Hardware: qr.Design.Hardware},
-	}, &cr)
+	witness := &DesignJSON{Systems: qr.Design.Systems, Hardware: qr.Design.Hardware}
+	status, raw = post(t, base+"/v1/check", QueryRequest{Scenario: scInference, Design: witness}, &cr)
 	if status != http.StatusOK || cr.Verdict != "FEASIBLE" {
 		t.Fatalf("check: status %d verdict %q\n%s", status, cr.Verdict, raw)
+	}
+	if rep, err := lib.Check(witness.toDesign(), inference); err != nil {
+		t.Fatal(err)
+	} else {
+		same("check", cr.Verdict, rep.Verdict.String())
 	}
 
 	// explain: an infeasible scenario yields a conflict explanation.
 	var er QueryResponse
-	status, raw = post(t, base+"/v1/explain", QueryRequest{
-		Scenario: ScenarioJSON{
-			Workloads:     []string{"inference_app"},
-			PinnedSystems: []string{"simon"},
-			Context:       map[string]bool{"lossless_fabric": false},
-		},
-	}, &er)
+	explain := ScenarioJSON{
+		Workloads:     []string{"inference_app"},
+		PinnedSystems: []string{"simon"},
+		Context:       map[string]bool{"lossless_fabric": false},
+	}
+	status, raw = post(t, base+"/v1/explain", QueryRequest{Scenario: explain}, &er)
 	if status != http.StatusOK {
 		t.Fatalf("explain: status %d\n%s", status, raw)
 	}
 	if er.Verdict == "INFEASIBLE" && (er.Explanation == nil || len(er.Explanation.Conflicts) == 0) {
 		t.Fatalf("explain: infeasible with no conflicts\n%s", raw)
+	}
+	if rep, err := lib.Synthesize(explain.toScenario()); err != nil {
+		t.Fatal(err)
+	} else {
+		same("explain", &Outcome{Verdict: er.Verdict, Explanation: er.Explanation},
+			&Outcome{Verdict: rep.Verdict.String(), Explanation: explanationOut(rep.Explanation)})
 	}
 
 	// whatif: base vs delta, two outcomes.
@@ -170,6 +199,20 @@ func TestServeModes(t *testing.T) {
 	if status != http.StatusOK || wr.Before == nil || wr.After == nil {
 		t.Fatalf("whatif: status %d before=%v after=%v\n%s", status, wr.Before, wr.After, raw)
 	}
+	for _, o := range []struct {
+		what string
+		got  *Outcome
+		sc   core.Scenario
+	}{
+		{"whatif before", wr.Before, inference},
+		{"whatif after", wr.After, (&DeltaJSON{Context: map[string]bool{"lossless_fabric": false}}).apply(inference)},
+	} {
+		rep, err := lib.Synthesize(o.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(o.what, o.got, outcomeOf(rep))
+	}
 
 	// enumerate: bounded class enumeration.
 	var nr QueryResponse
@@ -179,6 +222,28 @@ func TestServeModes(t *testing.T) {
 	}
 	if len(nr.Designs) == 0 {
 		t.Fatalf("enumerate returned no designs\n%s", raw)
+	}
+	if res, err := lib.EnumerateCtx(context.Background(), inference, 4, core.Budget{}); err != nil {
+		t.Fatal(err)
+	} else {
+		var designs []*DesignOut
+		for _, d := range res.Designs {
+			designs = append(designs, designOut(d))
+		}
+		same("enumerate", nr.Designs, designs)
+	}
+
+	// optimize: a certified cost optimum.
+	var or QueryResponse
+	status, raw = post(t, base+"/v1/optimize", QueryRequest{Scenario: scInference, Objectives: []string{"cost"}}, &or)
+	if status != http.StatusOK {
+		t.Fatalf("optimize: status %d\n%s", status, raw)
+	}
+	if res, err := lib.Optimize(inference, []core.Objective{{Kind: core.MinimizeCost}}); err != nil {
+		t.Fatal(err)
+	} else {
+		same("optimize", []any{or.Verdict, or.Design, or.ObjectiveValues},
+			[]any{res.Verdict.String(), designOut(res.Design), res.ObjectiveValues})
 	}
 
 	// Observability endpoints.
@@ -199,8 +264,8 @@ func TestServeModes(t *testing.T) {
 	for _, m := range sz.Modes {
 		total += m.Requests
 	}
-	if total != 5 {
-		t.Fatalf("statsz saw %d requests, want 5: %+v", total, sz.Modes)
+	if total != 6 {
+		t.Fatalf("statsz saw %d requests, want 6: %+v", total, sz.Modes)
 	}
 	if sz.Cache.Hits == 0 {
 		t.Errorf("prewarmed server answered without cache hits: %+v", sz.Cache)
@@ -261,7 +326,8 @@ func TestServeBadRequests(t *testing.T) {
 
 // TestServeKeepsEngineSliceMode: the server answers with the slicing
 // policy set on the engine it was handed. The case-study catalog is
-// below the auto threshold, so only a forced SliceOn computes a slice.
+// below the auto threshold, so only a forced SliceOn computes a slice,
+// and enumeration over the sliced base is refused with a typed 422.
 func TestServeKeepsEngineSliceMode(t *testing.T) {
 	s, base := testServer(t, func(c *Config) { c.Engine.SetSliceMode(core.SliceOn) })
 	var qr QueryResponse
@@ -270,6 +336,11 @@ func TestServeKeepsEngineSliceMode(t *testing.T) {
 	}
 	if st := s.eng.CacheStats(); st.SliceComputed == 0 {
 		t.Fatalf("server dropped the engine's SliceOn: %+v", st)
+	}
+	var eb ErrorBody
+	status, raw := post(t, base+"/v1/enumerate", QueryRequest{Scenario: scInference, Max: 3}, &eb)
+	if status != http.StatusUnprocessableEntity || eb.Error.Kind != "sliced_enumeration" {
+		t.Fatalf("sliced enumerate: status %d, want 422 sliced_enumeration\n%s", status, raw)
 	}
 }
 

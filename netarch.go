@@ -140,6 +140,12 @@ type (
 	EnumerateResult = core.EnumerateResult
 )
 
+// ErrSlicedEnumeration is returned by EnumerateCtx and DisambiguateCtx
+// when the scenario resolves to a relevance-sliced base: a slice omits
+// the design classes of out-of-cone systems, so enumeration over it is
+// refused. Set SliceOff to enumerate.
+var ErrSlicedEnumeration = core.ErrSlicedEnumeration
+
 // IsResourceExhausted reports whether err is (or wraps) a resource-
 // exhaustion error from a governed query.
 func IsResourceExhausted(err error) bool { return core.IsResourceExhausted(err) }
