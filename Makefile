@@ -59,18 +59,22 @@ serve-smoke:
 	$(GO) test -race -run='TestServeSmoke' -count=1 ./internal/serve
 
 # differential is the answer-invariance gate (DESIGN.md §8, §9, §11,
-# §14, §15, §16). TestDifferential answers the §5.1, brute-force-oracle
-# and enumeration tables on a sequential, unsliced, uncached reference
-# engine and under every configuration: worker counts, cache miss and
-# hit, query history, disk revival, delta update (byte-identical) and
-# relevance slicing (equivalent), plus the 5k-SKU sliced sweep. Beside
-# it run the tests the harness does not replace: compile and delta
+# §14, §15, §16). The differential harness answers the §5.1,
+# brute-force-oracle and enumeration tables on a sequential, unsliced,
+# uncached reference engine and under every configuration: worker
+# counts, cache miss and hit, query history, disk revival, delta update
+# (byte-identical) and relevance slicing (equivalent), plus the 5k-SKU
+# sliced sweep. Its gates are TestDifferential and the six focused
+# tests that each run one catalog under a subset of its configurations;
+# the root TestEnumerateParallel* pair repeats the §5.1 worker-count
+# check at the facade. Beside them run the tests the harness does not
+# replace: compile and delta
 # byte identity, the solver snapshot/clone and disk round trips, the
 # optimizer's metamorphic, objective-circuit and maxsat brute-force
 # tests, the slicer edge cases and refusals, the 50k catalog smoke,
 # and the reload-under-load pair under the race detector.
 differential:
-	$(GO) test -run='TestDifferential|TestParallelCompileByteIdentity|TestUpdateKBByteIdentity|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase' -count=1 . ./internal/core
+	$(GO) test -run='TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateWorkerCountInvariance|TestEnumerateCacheOffMatchesCacheOn|TestEnumerateParallel|TestParallelCompileByteIdentity|TestUpdateKBByteIdentity|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase' -count=1 . ./internal/core
 	$(GO) test -run='TestConvertShardsDelta' -count=1 ./internal/logic
 	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential' -count=1 ./internal/sat
 	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat

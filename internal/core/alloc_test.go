@@ -7,9 +7,10 @@ import (
 	"netarch/internal/kb"
 )
 
-// section51Scenarios returns §5.1 query shapes over caseStudyKB: Q1's baseline (inference_app alone) and its grown fleet on the
-// frozen baseline server, and Q3's memory-bound mix with CXL pooling off
-// and on.
+// section51Scenarios returns §5.1 query shapes over caseStudyKB: Q1's
+// baseline (inference_app alone) and its grown fleet on the frozen
+// baseline server, and Q3's memory-bound mix with CXL pooling off and
+// on.
 func section51Scenarios() map[string]Scenario {
 	all := []string{"inference_app", "batch_analytics", "storage_backend"}
 	return map[string]Scenario{
@@ -82,7 +83,7 @@ func TestSearchEffortBudget(t *testing.T) {
 	scs := section51Scenarios()
 	for _, s := range sec51Scenarios(t, mustEngine(t, k)) {
 		switch s.name {
-		case "q1-baseline", "q3-cxl-off", "q3-cxl-on", "overconstrained-explain":
+		case "q1-baseline", "q3-without-cxl", "q3-with-cxl", "overconstrained-explain":
 			scs[s.name] = s.sc
 		}
 	}
@@ -96,8 +97,8 @@ func TestSearchEffortBudget(t *testing.T) {
 		{"q3-no-pooling", false, 0, 66},
 		{"q3-pooling", false, 0, 67},
 		{"q1-baseline", true, 101, 1525},
-		{"q3-cxl-off", true, 74, 1412},
-		{"q3-cxl-on", true, 92, 1338},
+		{"q3-without-cxl", true, 74, 1412},
+		{"q3-with-cxl", true, 92, 1338},
 		// Infeasible: the decision plus minimizing its explanation.
 		{"overconstrained-explain", false, 0, 894},
 	}
@@ -194,7 +195,7 @@ func TestCompileAllocBudget(t *testing.T) {
 // optimization: the clone of the cached base, the feasibility solve and
 // the whole MaxSAT descent. The descent fixes the cost sum's own output
 // bits, so it builds no comparator; building one per probe cost 4,659
-// (q3-cxl-off) and 4,829 (q1-baseline) allocs per query, against
+// (q3-without-cxl) and 4,829 (q1-baseline) allocs per query, against
 // 974 and 1,661 measured without. Most of those were watch lists
 // reallocated as watchers moved onto them; with every list in one
 // watcher slab both queries measured 199. The budgets have ~20%
@@ -205,7 +206,7 @@ func TestOptimizeAllocBudget(t *testing.T) {
 		name   string
 		budget float64
 	}{
-		{"q3-cxl-off", 240},
+		{"q3-without-cxl", 240},
 		{"q1-baseline", 240},
 	}
 	e := mustEngine(t, caseStudyKB())

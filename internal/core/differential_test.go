@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"netarch/internal/catalog"
@@ -26,26 +27,76 @@ import (
 // equivalent under the slicing contracts of DESIGN.md §16 (see
 // compareSliced). Every configuration also asserts it engaged, so
 // agreement is never trivial.
+//
+// The seed tier is split into gates, one concern each, so no row is
+// answered twice under one configuration: TestDifferential/seed runs
+// the case study under worker counts, history, delta update and the
+// sliced family; the gates below it run the rest.
 func TestDifferential(t *testing.T) {
 	// The tiers run side by side: the scale tier's unsliced reference
 	// Pareto query is one long single-threaded solve.
 	t.Run("seed", func(t *testing.T) {
 		t.Parallel()
-		for _, c := range []diffCatalog{
-			{name: "case-study", kb: caseStudyKB, rows: caseStudyRows, sliced: true},
-			{name: "diffKB", kb: diffKB, rows: diffKBRows, oracle: true},
-			{name: "miniKB", kb: miniKB, rows: miniKBRows},
-		} {
-			t.Run(c.name, func(t *testing.T) { runDifferential(t, c, seedConfigs(c.sliced)) })
-		}
+		runDifferential(t, caseStudyCatalog, seedConfigs("workers-2", "workers-8", "history", "delta", "sliced", "sliced-delta"))
 	})
 	// The 5k-SKU sweep: too slow under the race detector, which make
 	// race skips it for.
 	t.Run("scale", func(t *testing.T) {
 		t.Parallel()
-		c := diffCatalog{name: "scale", kb: func() *kb.KB { return catalog.ScaledCatalog(5000) }, rows: scaleRows}
+		c := diffCatalog{kb: func() *kb.KB { return catalog.ScaledCatalog(5000) }, rows: scaleRows}
 		runDifferential(t, c, scaleConfigs())
 	})
+}
+
+// TestCacheDifferential: a cold cache miss and a warm cache hit answer
+// every §5.1 row as the uncached reference does.
+func TestCacheDifferential(t *testing.T) {
+	runDifferential(t, caseStudyCatalog, seedConfigs("cache-miss", "cache-hit"))
+}
+
+// TestDiskCacheDifferential: an engine reviving every §5.1 base from a
+// cache directory answers as the uncached reference does.
+func TestDiskCacheDifferential(t *testing.T) {
+	runDifferential(t, caseStudyCatalog, seedConfigs("disk"))
+}
+
+// TestOptimizeDifferential: diffKB's lexicographic optima equal the
+// brute-force oracle's, certified, under every identical configuration.
+func TestOptimizeDifferential(t *testing.T) {
+	runDifferential(t, diffKBCatalog("optimize"), seedConfigs(identical...))
+}
+
+// TestParetoDifferential: diffKB's Pareto frontiers equal the
+// brute-force oracle's under every identical configuration.
+func TestParetoDifferential(t *testing.T) {
+	runDifferential(t, diffKBCatalog("pareto"), seedConfigs(identical...))
+}
+
+// TestEnumerateWorkerCountInvariance: miniKB's enumeration below, at and
+// above its class count does not depend on the worker count.
+func TestEnumerateWorkerCountInvariance(t *testing.T) {
+	runDifferential(t, miniKBCatalog, seedConfigs("workers-2", "workers-8"))
+}
+
+// TestEnumerateCacheOffMatchesCacheOn: miniKB's enumeration answers on
+// every cache path as the uncached reference does.
+func TestEnumerateCacheOffMatchesCacheOn(t *testing.T) {
+	runDifferential(t, miniKBCatalog, seedConfigs("cache-miss", "cache-hit", "history", "disk", "delta"))
+}
+
+// identical is the identical family of the seed tier.
+var identical = []string{"workers-2", "workers-8", "cache-miss", "cache-hit", "history", "disk", "delta"}
+
+var (
+	caseStudyCatalog = diffCatalog{kb: caseStudyKB, rows: caseStudyRows}
+	miniKBCatalog    = diffCatalog{kb: miniKB, rows: miniKBRows}
+)
+
+// diffKBCatalog is diffKB's oracle rows of one kind.
+func diffKBCatalog(kind string) diffCatalog {
+	return diffCatalog{kb: diffKB, oracle: true, rows: func(t *testing.T, tab *Engine) []diffRow {
+		return slices.DeleteFunc(diffKBRows(t, tab), func(r diffRow) bool { return r.kind != kind })
+	}}
 }
 
 // diffRow is one query of a differential table.
@@ -70,11 +121,9 @@ type diffAnswer struct {
 // tab, a sequential unsliced engine, for the witnesses and optima the
 // table builds on.
 type diffCatalog struct {
-	name   string
 	kb     func() *kb.KB
 	rows   func(t *testing.T, tab *Engine) []diffRow
 	oracle bool // optimize and pareto rows must equal the brute-force oracle
-	sliced bool // run the sliced family
 }
 
 // diffConfig is one way of computing the answers. It is compared with
@@ -179,22 +228,38 @@ func runDifferential(t *testing.T, c diffCatalog, configs []diffConfig) {
 	if c.oracle {
 		checkOracle(t, ref, rows, answers[""])
 	}
-	chk := &refChecker{t: t, ref: ref, memo: map[string]bool{}}
-	for _, cfg := range configs {
-		for i, r := range rows {
-			want, got := answers[cfg.against][i], answers[cfg.name][i]
-			if cfg.equiv {
-				chk.compareSliced(cfg.name+"/"+r.name, r, want, got)
-			} else if got.text != want.text {
-				t.Errorf("%s/%s diverges from %q:\n got %s\nwant %s",
-					cfg.name, r.name, cfg.against, got.text, want.text)
-			}
+	// Each scenario's rows are compared in a subtest of its own.
+	var scenarios []string
+	group := map[string][]int{}
+	for i, r := range rows {
+		s, _, _ := strings.Cut(r.name, "/")
+		if group[s] == nil {
+			scenarios = append(scenarios, s)
 		}
+		group[s] = append(group[s], i)
+	}
+	chk := &refChecker{ref: ref, memo: map[string]bool{}}
+	for _, s := range scenarios {
+		t.Run(s, func(t *testing.T) {
+			for _, cfg := range configs {
+				for _, i := range group[s] {
+					r, want, got := rows[i], answers[cfg.against][i], answers[cfg.name][i]
+					if cfg.equiv {
+						chk.compareSliced(t, cfg.name+"/"+r.name, r, want, got)
+					} else if got.text != want.text {
+						t.Errorf("%s/%s diverges from %q:\n got %s\nwant %s",
+							cfg.name, r.name, cfg.against, got.text, want.text)
+					}
+				}
+			}
+		})
 	}
 }
 
-// seedConfigs is the configuration list of the seed tier.
-func seedConfigs(sliced bool) []diffConfig {
+// seedConfigs returns the named configurations of the seed tier in list
+// order: cache-hit reuses cache-miss's engines, and sliced-delta is
+// compared with sliced.
+func seedConfigs(names ...string) []diffConfig {
 	workers := func(n int) func(*testing.T, diffCatalog, []diffRow) []diffAnswer {
 		return func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
 			return answerAll(diffEngine(t, c.kb(), n, SliceOff), rows)
@@ -244,20 +309,21 @@ func seedConfigs(sliced bool) []diffConfig {
 		{name: "delta", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
 			return deltaUpdated(t, c, rows, SliceOff)
 		}},
+		{name: "sliced", equiv: true, run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
+			e := diffEngine(t, c.kb(), 1, SliceOn)
+			got := answerAll(e, rows)
+			if st := e.CacheStats(); st.SliceComputed == 0 {
+				t.Errorf("sliced: no slice computed: %+v", st)
+			}
+			return got
+		}},
+		{name: "sliced-delta", against: "sliced", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
+			return deltaUpdated(t, c, rows, SliceOn)
+		}},
 	}
-	if sliced {
-		configs = append(configs,
-			diffConfig{name: "sliced", equiv: true, run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-				e := diffEngine(t, c.kb(), 1, SliceOn)
-				got := answerAll(e, rows)
-				if st := e.CacheStats(); st.SliceComputed == 0 {
-					t.Errorf("sliced: no slice computed: %+v", st)
-				}
-				return got
-			}},
-			diffConfig{name: "sliced-delta", against: "sliced", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-				return deltaUpdated(t, c, rows, SliceOn)
-			}})
+	configs = slices.DeleteFunc(configs, func(c diffConfig) bool { return !slices.Contains(names, c.name) })
+	if len(configs) != len(names) {
+		panic(fmt.Sprintf("seedConfigs: unknown configuration among %v", names))
 	}
 	return configs
 }
@@ -354,7 +420,6 @@ func checkOracle(t *testing.T, ref *Engine, rows []diffRow, want []diffAnswer) {
 // memoizing its Check and core proofs: repeated configurations ask
 // about the same designs and cores.
 type refChecker struct {
-	t    *testing.T
 	ref  *Engine
 	memo map[string]bool
 }
@@ -363,8 +428,7 @@ type refChecker struct {
 // verdicts and optima are equal; frontiers are equal as value-vector
 // sets; witnesses pass Check on the reference engine; explanations are
 // equal or are re-proven as cores of the full encoding.
-func (c *refChecker) compareSliced(label string, r diffRow, want, got diffAnswer) {
-	t := c.t
+func (c *refChecker) compareSliced(t *testing.T, label string, r diffRow, want, got diffAnswer) {
 	if r.kind == "enumerate" {
 		if !errors.Is(got.err, ErrSlicedEnumeration) {
 			t.Errorf("%s: sliced enumeration answered instead of refusing: %s", label, got.text)
@@ -381,22 +445,22 @@ func (c *refChecker) compareSliced(label string, r diffRow, want, got diffAnswer
 		if g.Verdict != w.Verdict {
 			t.Errorf("%s: verdict %v, reference %v", label, g.Verdict, w.Verdict)
 		} else if g.Verdict == Feasible {
-			c.accepts(label, r, g.Design)
+			c.accepts(t, label, r, g.Design)
 		} else {
-			c.sameCore(label, r, g.Explanation, w.Explanation)
+			c.sameCore(t, label, r, g.Explanation, w.Explanation)
 		}
 	case *Explanation:
 		if g := got.res.(*Explanation); (g == nil) != (w == nil) {
 			t.Errorf("%s: explanation %v, reference %v", label, g, w)
 		} else if g != nil {
-			c.sameCore(label, r, g, w)
+			c.sameCore(t, label, r, g, w)
 		}
 	case *OptimizeResult:
 		g := got.res.(*OptimizeResult)
 		if g.Verdict != w.Verdict || !slices.Equal(g.ObjectiveValues, w.ObjectiveValues) {
 			t.Errorf("%s: optimum %v %v, reference %v %v", label, g.Verdict, g.ObjectiveValues, w.Verdict, w.ObjectiveValues)
 		} else if g.Verdict == Feasible {
-			c.accepts(label, r, g.Design)
+			c.accepts(t, label, r, g.Design)
 		}
 	case *ParetoResult:
 		g := got.res.(*ParetoResult)
@@ -411,31 +475,31 @@ func (c *refChecker) compareSliced(label string, r diffRow, want, got diffAnswer
 			t.Errorf("%s: frontier %s, reference %s", label, vecs(g), vecs(w))
 		}
 		for _, p := range g.Points[:min(3, len(g.Points))] {
-			c.accepts(label, r, p.Design)
+			c.accepts(t, label, r, p.Design)
 		}
 	}
 }
 
 // accepts demands the reference engine Check d as Feasible for r's
 // scenario.
-func (c *refChecker) accepts(label string, r diffRow, d *Design) {
+func (c *refChecker) accepts(t *testing.T, label string, r diffRow, d *Design) {
 	key := r.name + renderAnswer(d)
 	if _, seen := c.memo[key]; !seen {
 		rep, err := c.ref.Check(*d, r.sc)
 		c.memo[key] = err == nil && rep.Verdict == Feasible
 	}
 	if !c.memo[key] {
-		c.t.Errorf("%s: witness %v rejected by the reference engine", label, d)
+		t.Errorf("%s: witness %v rejected by the reference engine", label, d)
 	}
 }
 
 // sameCore accepts an explanation equal to the reference's, or one the
 // full encoding proves is an unsatisfiable core: assume exactly its
 // named selectors and demand Unsat.
-func (c *refChecker) sameCore(label string, r diffRow, got, want *Explanation) {
+func (c *refChecker) sameCore(t *testing.T, label string, r diffRow, got, want *Explanation) {
 	gotN, wantN := conflictNames(got), conflictNames(want)
 	if len(gotN) == 0 || len(wantN) == 0 {
-		c.t.Errorf("%s: infeasible without explanation (%v, reference %v)", label, gotN, wantN)
+		t.Errorf("%s: infeasible without explanation (%v, reference %v)", label, gotN, wantN)
 		return
 	}
 	if slices.Equal(gotN, wantN) {
@@ -456,7 +520,7 @@ func (c *refChecker) sameCore(label string, r diffRow, got, want *Explanation) {
 		}
 	}
 	if !c.memo[key] {
-		c.t.Errorf("%s: core %v (reference %v) is not a core of the full encoding", label, gotN, wantN)
+		t.Errorf("%s: core %v (reference %v) is not a core of the full encoding", label, gotN, wantN)
 	}
 }
 
@@ -499,12 +563,12 @@ func sec51Scenarios(t testing.TB, ref *Engine) []namedScenario {
 	monitoring := []kb.Property{"flow_telemetry", "detect_queue_length"}
 	return []namedScenario{
 		{"q1-baseline", Scenario{Workloads: inference}},
-		{"q1-grown", Scenario{Workloads: all, NumServers: 128, Context: map[string]bool{"pfc_enabled": true},
+		{"q1-grown-frozen", Scenario{Workloads: all, NumServers: 128, Context: map[string]bool{"pfc_enabled": true},
 			PinnedHardware: map[kb.HardwareKind]string{kb.KindServer: base.Design.Hardware[kb.KindServer]}}},
-		{"q2-monitoring", Scenario{Workloads: inference, Require: monitoring}},
-		{"q2-sonata-pinned", Scenario{Workloads: inference, Require: monitoring, PinnedSystems: []string{"sonata"}}},
-		{"q3-cxl-off", Scenario{Workloads: all, NumServers: 64, Context: map[string]bool{"pfc_enabled": true, "cxl_pooling": false}}},
-		{"q3-cxl-on", Scenario{Workloads: all, NumServers: 64, Context: map[string]bool{"pfc_enabled": true, "cxl_pooling": true}}},
+		{"q2-replan-free", Scenario{Workloads: inference, Require: monitoring}},
+		{"q2-keep-sonata", Scenario{Workloads: inference, Require: monitoring, PinnedSystems: []string{"sonata"}}},
+		{"q3-without-cxl", Scenario{Workloads: all, NumServers: 64, Context: map[string]bool{"pfc_enabled": true, "cxl_pooling": false}}},
+		{"q3-with-cxl", Scenario{Workloads: all, NumServers: 64, Context: map[string]bool{"pfc_enabled": true, "cxl_pooling": true}}},
 		{"overconstrained-explain", Scenario{Workloads: inference, Require: []kb.Property{"low_latency_stack"},
 			Context: map[string]bool{"pfc_enabled": true, "flooding_enabled": true, "deadline_tight": true}}},
 		{"overconstrained", Scenario{Workloads: inference, Require: []kb.Property{"flow_telemetry", "perpetual_motion"}}},
@@ -551,7 +615,7 @@ func queryRows(t *testing.T, tab *Engine, scs []namedScenario, kinds ...string) 
 func caseStudyRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
 	rows := queryRows(t, tab, scs, "synthesize", "explain", "check", "optimize", "enumerate-3", "enumerate-12")
-	rows = append(rows, paretoRows(scs, "q3-cxl-on")...)
+	rows = append(rows, paretoRows(scs, "q3-with-cxl")...)
 
 	// The complete-space row: inference_app on 64 servers with every
 	// system outside three witness classes forbidden, so the space
@@ -578,7 +642,7 @@ func caseStudyRows(t *testing.T, tab *Engine) []diffRow {
 func paretoRows(scs []namedScenario, names ...string) []diffRow {
 	objs := map[string][]Objective{
 		"q1-baseline": {{Kind: MinimizeCost}, {Kind: MinimizePower}},
-		"q3-cxl-on":   {{Kind: MinimizeCost}, {Kind: MinimizeSystems}},
+		"q3-with-cxl": {{Kind: MinimizeCost}, {Kind: MinimizeSystems}},
 	}
 	var rows []diffRow
 	for _, s := range scs {
@@ -657,7 +721,7 @@ func scaleRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
 	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.KB())...), "synthesize", "check")
 	for _, s := range scs {
-		if s.name != "q1-baseline" && s.name != "q1-grown" && s.name != "q3-cxl-on" {
+		if s.name != "q1-baseline" && s.name != "q1-grown-frozen" && s.name != "q3-with-cxl" {
 			continue
 		}
 		for suite, objs := range map[string][]Objective{
@@ -668,7 +732,7 @@ func scaleRows(t *testing.T, tab *Engine) []diffRow {
 			rows = append(rows, diffRow{name: s.name + "/optimize-" + suite, kind: "optimize", sc: s.sc, objs: objs})
 		}
 	}
-	return append(rows, paretoRows(scs, "q1-baseline", "q3-cxl-on")...)
+	return append(rows, paretoRows(scs, "q1-baseline", "q3-with-cxl")...)
 }
 
 // randomScenarios draws seeded scenarios: random workload subsets,
