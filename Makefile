@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify differential fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
+.PHONY: build test vet fmt race verify differential fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
@@ -14,6 +14,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # race runs the suite under the race detector, skipping the 5k-SKU
 # scale tier of the differential harness by name (differential runs it
@@ -106,11 +110,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzServeReload -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
-# analysis, the race detector over every package, the differential
+# analysis, a gofmt check, the race detector over every package, the differential
 # harness, the hot-path allocation budgets, the serve lifecycle smoke,
 # a fuzz smoke over the untrusted-input decoders and the MaxSAT bounds,
 # and a benchmark smoke run.
-verify: build vet test race differential alloc-budget serve-smoke fuzz-smoke bench-smoke
+verify: build vet fmt test race differential alloc-budget serve-smoke fuzz-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

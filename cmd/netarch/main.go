@@ -63,6 +63,7 @@ Common synth/optimize/explain flags:
   -forbid s1,s2       systems that must not be deployed
   -servers N          fleet size (default 48)
   -maxcost N          hardware budget in USD
+  -md                 (synth) print a Markdown report instead of plain text
   -objectives list    (optimize) comma list: cost,cores,systems,power,
                       ports,latency,order:<dim> — earlier entries dominate
   -pareto             (optimize) enumerate the full non-dominated frontier
@@ -257,7 +258,6 @@ func scenarioFlags(fs *flag.FlagSet) (get func() (netarch.Scenario, error), obje
 	pinSwitch := fs.String("pin-switch", "", "pin the switch SKU")
 	pinNIC := fs.String("pin-nic", "", "pin the NIC SKU")
 	objectives = fs.String("objectives", "cost", "objectives: cost,cores,systems,order:<dim>")
-	_ = fs.Bool("md", false, "emit a Markdown report instead of plain text")
 
 	get = func() (netarch.Scenario, error) {
 		sc := netarch.Scenario{
@@ -321,40 +321,33 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 	}
 }
 
-// workersFlag registers -workers and returns an applier that sizes the
-// engine's enumeration pool. The determinism contract (DESIGN.md §8)
-// makes the flag a pure latency knob: output never depends on it.
-func workersFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine)) {
+// engineFlags registers the engine flags -workers, -slice and
+// -cache-dir on fs and returns a constructor for an engine over a KB
+// configured by them. -workers sizes the enumeration pool and -slice sets
+// the relevance-slicing policy; both are pure latency knobs, so answers
+// never depend on them (DESIGN.md §8, §16). -cache-dir turns on the
+// persistent compiled-base cache (see Engine.SetCacheDir).
+func engineFlags(fs *flag.FlagSet) (newEngine func(k *netarch.KB) (*netarch.Engine, error)) {
 	workers := fs.Int("workers", 0, "parallel enumeration workers (0 = one per CPU)")
-	return func(eng *netarch.Engine) { eng.SetWorkers(*workers) }
-}
-
-// sliceFlag registers -slice and returns an applier that sets the
-// engine's relevance-slicing policy (see Engine.SetSliceMode). Like
-// -workers it is a pure latency knob: verdicts, optima,
-// explanations, and Pareto frontiers do not depend on it (DESIGN.md
-// §16); "auto" slices only when the catalog is large enough to pay.
-func sliceFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine) error) {
-	mode := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
-	return func(eng *netarch.Engine) error {
-		m, err := netarch.ParseSliceMode(*mode)
-		if err != nil {
-			return err
-		}
-		eng.SetSliceMode(m)
-		return nil
-	}
-}
-
-// cacheDirFlag registers -cache-dir and returns an applier that turns on
-// the engine's persistent compiled-base cache (see Engine.SetCacheDir).
-func cacheDirFlag(fs *flag.FlagSet) (apply func(eng *netarch.Engine) error) {
+	slice := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	dir := fs.String("cache-dir", "", "directory for persistent compiled-base snapshots (empty = off)")
-	return func(eng *netarch.Engine) error {
-		if *dir == "" {
-			return nil
+	return func(k *netarch.KB) (*netarch.Engine, error) {
+		mode, err := netarch.ParseSliceMode(*slice)
+		if err != nil {
+			return nil, err
 		}
-		return eng.SetCacheDir(*dir)
+		eng, err := netarch.NewEngine(k)
+		if err != nil {
+			return nil, err
+		}
+		eng.SetWorkers(*workers)
+		eng.SetSliceMode(mode)
+		if *dir != "" {
+			if err := eng.SetCacheDir(*dir); err != nil {
+				return nil, err
+			}
+		}
+		return eng, nil
 	}
 }
 
@@ -384,20 +377,13 @@ func cmdSolve(args []string, mode string) error {
 	fs := flag.NewFlagSet(mode, flag.ContinueOnError)
 	getScenario, objectives := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
-	setWorkers := workersFlag(fs)
-	setSlice := sliceFlag(fs)
-	setCacheDir := cacheDirFlag(fs)
+	newEngine := engineFlags(fs)
 	cacheStats := fs.Bool("cache-stats", false, "print compiled-base cache stats after the query")
 	pareto := fs.Bool("pareto", false, "enumerate the Pareto frontier instead of one lexicographic optimum")
+	asMarkdown := fs.Bool("md", false, "(synth) emit a Markdown report instead of plain text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	asMarkdown := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "md" && f.Value.String() == "true" {
-			asMarkdown = true
-		}
-	})
 	sc, err := getScenario()
 	if err != nil {
 		return err
@@ -406,15 +392,8 @@ func cmdSolve(args []string, mode string) error {
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
 	k := netarch.CaseStudy()
-	eng, err := netarch.NewEngine(k)
+	eng, err := newEngine(k)
 	if err != nil {
-		return err
-	}
-	setWorkers(eng)
-	if err := setSlice(eng); err != nil {
-		return err
-	}
-	if err := setCacheDir(eng); err != nil {
 		return err
 	}
 	switch mode {
@@ -423,7 +402,7 @@ func cmdSolve(args []string, mode string) error {
 		if err != nil {
 			return err
 		}
-		if asMarkdown {
+		if *asMarkdown {
 			fmt.Print(report.Render(k, sc, rep, report.Options{ShowNotes: true}))
 			if rep.Verdict == netarch.Infeasible {
 				sugs, err := eng.SuggestCtx(ctx, sc, 3, budget)
@@ -517,9 +496,7 @@ func cmdMulti(args []string) error {
 	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
 	getScenario, objectives := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
-	setWorkers := workersFlag(fs)
-	setSlice := sliceFlag(fs)
-	setCacheDir := cacheDirFlag(fs)
+	newEngine := engineFlags(fs)
 	rounds := fs.Int("rounds", 3, "rounds of synth+explain+optimize to run")
 	cacheStats := fs.Bool("cache-stats", true, "print compiled-base cache stats after the queries")
 	if err := fs.Parse(args); err != nil {
@@ -536,15 +513,8 @@ func cmdMulti(args []string) error {
 	budget := getBudget()
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
-	eng, err := netarch.NewEngine(netarch.CaseStudy())
+	eng, err := newEngine(netarch.CaseStudy())
 	if err != nil {
-		return err
-	}
-	setWorkers(eng)
-	if err := setSlice(eng); err != nil {
-		return err
-	}
-	if err := setCacheDir(eng); err != nil {
 		return err
 	}
 	for r := 1; r <= *rounds; r++ {
@@ -654,6 +624,7 @@ func cmdCheck(args []string) error {
 	srvName := fs.String("server", "", "selected server SKU")
 	getScenario, _ := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
+	newEngine := engineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -674,7 +645,7 @@ func cmdCheck(args []string) error {
 	if *srvName != "" {
 		d.Hardware[netarch.KindServer] = *srvName
 	}
-	eng, err := netarch.NewEngine(netarch.CaseStudy())
+	eng, err := newEngine(netarch.CaseStudy())
 	if err != nil {
 		return err
 	}

@@ -34,9 +34,7 @@ func cmdServe(args []string) error {
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 rejections (0 = 1s)")
 	getScenario, _ := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
-	setWorkers := workersFlag(fs)
-	setSlice := sliceFlag(fs)
-	setCacheDir := cacheDirFlag(fs)
+	newEngine := engineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -61,15 +59,8 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	eng, err := netarch.NewEngine(k)
+	eng, err := newEngine(k)
 	if err != nil {
-		return err
-	}
-	setWorkers(eng)
-	if err := setSlice(eng); err != nil {
-		return err
-	}
-	if err := setCacheDir(eng); err != nil {
 		return err
 	}
 

@@ -24,7 +24,9 @@ import (
 // by default. See Engine.SetCacheCapacity.
 const DefaultCacheCapacity = 32
 
-// CacheStats reports the state of an engine's compiled-base cache.
+// CacheStats reports the state of an engine's compiled-base cache. The
+// engine also stores its counters in this struct, under one mutex, and
+// Engine.CacheStats copies it, so every snapshot is consistent.
 type CacheStats struct {
 	// Size is the number of compiled bases currently cached; Capacity is
 	// the retention limit (0 means caching is disabled).
@@ -99,47 +101,28 @@ func max64(a, b int64) int64 {
 
 // CacheStats returns a snapshot of the compiled-base cache counters.
 //
-// Consistency contract: every query bumps exactly one of Hits, DiskHits
-// and Misses, so in an instantaneous view Hits+DiskHits+Misses is the
-// number of queries counted so far. The counters are independent
-// atomics (the warm path must not serialize through a lock just to be
-// counted), so one pass over them could tear: each value individually
-// correct but read at a different instant. To keep the invariant
-// observable mid-flight the snapshot is double-collected — re-read
-// until two consecutive collections are identical. Counters are
-// monotonic, so two identical collections pin every counter to a
-// constant value over the window between the passes: the result is a
-// true instantaneous snapshot. Under sustained concurrent traffic that
-// never quiesces, the bounded retry loop falls back to the last
-// collection; the relaxed guarantee is still that each counter is exact
-// at its own read instant and the Hits+DiskHits+Misses sum lies between
-// the instantaneous sums at the start and end of the call (each query
-// moves the sum by exactly one, so the sum always equals the query
-// count at some instant within the call). TestCacheStatsSnapshotHammer
-// pins both guarantees under the race detector.
+// The engine keeps every counter in one CacheStats value that is bumped
+// and copied under one mutex, so no snapshot is torn: a cached query
+// bumps exactly one of Hits, DiskHits and Misses before it solves, so
+// Hits+DiskHits+Misses is exactly the number of queries counted at the
+// instant of the copy. Size and Capacity are read under the cache lock.
+// TestCacheStatsSnapshotHammer pins the invariants under the race
+// detector.
 func (e *Engine) CacheStats() CacheStats {
-	collect := func() CacheStats {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return CacheStats{
-			Size: len(e.bases), Capacity: e.cacheCap,
-			Hits: e.hits.Load(), Misses: e.misses.Load(),
-			DiskHits: e.diskHits.Load(), DiskMisses: e.diskMisses.Load(),
-			DiskWrites: e.diskWrites.Load(), DiskEvictions: e.diskEvictions.Load(),
-			DiskCorrupt: e.diskCorrupt.Load(), DiskStale: e.diskStale.Load(),
-			SliceComputed: e.sliceComputed.Load(), SliceHits: e.sliceHits.Load(),
-			SliceSKUsIn: e.sliceSKUsIn.Load(), SliceSKUsKept: e.sliceSKUsKept.Load(),
-		}
-	}
-	prev := collect()
-	for i := 0; i < 4; i++ {
-		cur := collect()
-		if cur == prev {
-			return cur
-		}
-		prev = cur
-	}
-	return prev
+	e.statsMu.Lock()
+	cs := e.stats
+	e.statsMu.Unlock()
+	e.mu.RLock()
+	cs.Size, cs.Capacity = len(e.bases), e.cacheCap
+	e.mu.RUnlock()
+	return cs
+}
+
+// bump increments one counter of e.stats.
+func (e *Engine) bump(counter *int64) {
+	e.statsMu.Lock()
+	*counter++
+	e.statsMu.Unlock()
 }
 
 // InvalidateCache drops every cached compiled base. Call it after
@@ -280,9 +263,7 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 		return base, false, nil
 	}
 	if base != nil {
-		// The counters are atomic: warm queries must not serialize
-		// through the write lock just to be counted.
-		e.hits.Add(1)
+		e.bump(&e.stats.Hits)
 		return base, true, nil
 	}
 	// Memory miss: try the disk tier before paying the compile. A revived
@@ -290,14 +271,14 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 	var fresh *compiled
 	fromDisk := false
 	if fresh = e.loadDiskBase(&shape, key, sl); fresh != nil {
-		e.diskHits.Add(1)
+		e.bump(&e.stats.DiskHits)
 		fromDisk = true
 	} else {
 		fresh, err = e.compileSliced(k, &shape, sl)
 		if err != nil {
 			return nil, false, err
 		}
-		e.misses.Add(1)
+		e.bump(&e.stats.Misses)
 	}
 	e.mu.Lock()
 	if e.kbGen != gen {

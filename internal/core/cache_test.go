@@ -313,3 +313,90 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 			st.Hits, st.DiskHits, st.Misses, total)
 	}
 }
+
+// TestCacheStatsSnapshotHammerSliced is the hammer's sliced arm: with
+// slicing forced on, every query also bumps the slice counters, and
+// every snapshot must keep SliceSKUsKept <= SliceSKUsIn, a monotone
+// SliceComputed+SliceHits, and the Hits+DiskHits+Misses sum between the
+// completed and started query counts.
+func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hammer test")
+	}
+	eng, err := New(catalog.CaseStudy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetSliceMode(SliceOn)
+	scs := []Scenario{
+		{Workloads: []string{"inference_app"}},
+		{Workloads: []string{"inference_app"}, NumServers: 24},
+		{Workloads: []string{"inference_app"}, Require: []kb.Property{"congestion_control"}},
+	}
+
+	var started, completed atomic.Int64
+	const goroutines, rounds = 8, 6
+	var workers sync.WaitGroup
+	stop := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		var lastSum, lastSlices int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			before := completed.Load()
+			st := eng.CacheStats()
+			after := started.Load()
+			sum := st.Hits + st.DiskHits + st.Misses
+			slices := st.SliceComputed + st.SliceHits
+			switch {
+			case sum < lastSum:
+				readerErr <- fmt.Errorf("sum went backwards: %d -> %d", lastSum, sum)
+			case sum < before || sum > after:
+				readerErr <- fmt.Errorf("sum %d outside [completed=%d, started=%d]", sum, before, after)
+			case slices < lastSlices:
+				readerErr <- fmt.Errorf("slice lookups went backwards: %d -> %d", lastSlices, slices)
+			case st.SliceSKUsKept > st.SliceSKUsIn:
+				readerErr <- fmt.Errorf("slice kept %d SKUs of %d", st.SliceSKUsKept, st.SliceSKUsIn)
+			default:
+				lastSum, lastSlices = sum, slices
+				continue
+			}
+			return
+		}
+	}()
+
+	for g := 0; g < goroutines; g++ {
+		workers.Add(1)
+		go func(g int) {
+			defer workers.Done()
+			for r := 0; r < rounds; r++ {
+				started.Add(1)
+				if _, err := eng.Synthesize(scs[(g+r)%len(scs)]); err != nil {
+					t.Error(err)
+				}
+				completed.Add(1)
+			}
+		}(g)
+	}
+	workers.Wait()
+	close(stop)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+
+	st := eng.CacheStats()
+	total := int64(goroutines * rounds)
+	if st.Hits+st.DiskHits+st.Misses != total {
+		t.Fatalf("quiesced counters do not reconcile: hits=%d diskHits=%d misses=%d, want sum %d",
+			st.Hits, st.DiskHits, st.Misses, total)
+	}
+	if st.SliceComputed == 0 || st.SliceComputed+st.SliceHits != total {
+		t.Fatalf("slice lookups = %d computed + %d hits, want %d in total with at least one computed",
+			st.SliceComputed, st.SliceHits, total)
+	}
+}

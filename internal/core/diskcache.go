@@ -108,17 +108,17 @@ func (e *Engine) loadDiskBase(shape *Scenario, fingerprint string, sl *kbSlice) 
 	path := snapshotPath(dir, fingerprint)
 	info, err := os.Stat(path)
 	if err != nil {
-		e.diskMisses.Add(1)
+		e.bump(&e.stats.DiskMisses)
 		return nil
 	}
 	if info.Size() > maxSnapshotFileSize {
-		e.diskCorrupt.Add(1)
+		e.bump(&e.stats.DiskCorrupt)
 		e.quarantine(path)
 		return nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		e.diskMisses.Add(1)
+		e.bump(&e.stats.DiskMisses)
 		return nil
 	}
 	base, err := restoreBaseSlice(k, shape, hash, data, sl)
@@ -127,10 +127,10 @@ func (e *Engine) loadDiskBase(shape *Scenario, fingerprint string, sl *kbSlice) 
 			// Written from a different KB revision — not corruption.
 			// Leave the file: the process on that revision may still be
 			// using it, and an UpdateKB for this revision rewrites it.
-			e.diskStale.Add(1)
+			e.bump(&e.stats.DiskStale)
 			return nil
 		}
-		e.diskCorrupt.Add(1)
+		e.bump(&e.stats.DiskCorrupt)
 		e.quarantine(path)
 		return nil
 	}
@@ -168,7 +168,7 @@ func (e *Engine) writeDiskBase(base *compiled, fingerprint string) bool {
 		_ = os.Remove(tmp.Name())
 		return false
 	}
-	e.diskWrites.Add(1)
+	e.bump(&e.stats.DiskWrites)
 	e.evictDisk(dir, maxFiles, maxBytes)
 	return true
 }
@@ -248,7 +248,7 @@ func (e *Engine) evictDisk(dir string, maxFiles int, maxBytes int64) {
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
 	for i := 0; i < len(files) && (len(files)-i > maxFiles || totalBytes > maxBytes); i++ {
 		if os.Remove(files[i].path) == nil {
-			e.diskEvictions.Add(1)
+			e.bump(&e.stats.DiskEvictions)
 		}
 		totalBytes -= files[i].size
 	}

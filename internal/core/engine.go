@@ -16,7 +16,9 @@ import (
 // through a compiled-base cache (see cache.go) guarded by a RWMutex, and
 // every query solves against a private clone of the cached base, so
 // goroutines never share mutable solver state. Use CacheStats,
-// SetCacheCapacity and InvalidateCache to observe and control the cache.
+// SetCacheCapacity and InvalidateCache to observe and control the cache;
+// the cache, disk and slice counters are one CacheStats value under one
+// mutex, so CacheStats never returns a torn snapshot.
 type Engine struct {
 	// kbCur is the engine's current knowledge base, guarded by mu —
 	// UpdateKB swaps it live. Read it once per operation through
@@ -36,32 +38,27 @@ type Engine struct {
 
 	// Compiled-base cache: scenario-shape fingerprint → frozen instance.
 	// baseOrder tracks insertion for FIFO eviction at cacheCap entries.
-	// The hit/miss counters are atomic so the warm path (a read lock and
-	// a counter bump) never serializes concurrent queries.
 	mu        sync.RWMutex
 	bases     map[string]*compiled
 	baseOrder []string
 	cacheCap  int
-	hits      atomic.Int64
-	misses    atomic.Int64
+
+	// stats holds every cache, disk and slice counter; each bump and each
+	// CacheStats snapshot holds statsMu, so a snapshot is never torn.
+	// Size and Capacity stay zero here: CacheStats reads them under mu.
+	statsMu sync.Mutex
+	stats   CacheStats
 
 	// Disk tier (see diskcache.go): cacheDir enables persistence of
 	// frozen bases across processes; kbHash keys the snapshots to the
 	// exact knowledge-base content; diskMaxFiles/diskMaxBytes bound it
 	// (diskCacheFiles/diskCacheBytes, smaller only in tests). diskMu
-	// serializes writes+eviction (loads are lock-free). The disk
-	// counters are atomic for the same reason hits/misses are.
-	cacheDir      string
-	kbHash        [32]byte
-	diskMu        sync.Mutex
-	diskMaxFiles  int
-	diskMaxBytes  int64
-	diskHits      atomic.Int64
-	diskMisses    atomic.Int64
-	diskWrites    atomic.Int64
-	diskEvictions atomic.Int64
-	diskCorrupt   atomic.Int64
-	diskStale     atomic.Int64
+	// serializes writes+eviction (loads are lock-free).
+	cacheDir     string
+	kbHash       [32]byte
+	diskMu       sync.Mutex
+	diskMaxFiles int
+	diskMaxBytes int64
 
 	// workers is the enumeration worker-pool size; 0 means the default,
 	// runtime.GOMAXPROCS(0) at query time. See SetWorkers.
@@ -70,14 +67,10 @@ type Engine struct {
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
 	// (generation, request) under its own lock so the warm path never
-	// recomputes a cone. The counters feed CacheStats.
-	sliceMode     atomic.Int32
-	sliceMu       sync.Mutex
-	sliceMemo     map[string]*kbSlice
-	sliceComputed atomic.Int64
-	sliceHits     atomic.Int64
-	sliceSKUsIn   atomic.Int64
-	sliceSKUsKept atomic.Int64
+	// recomputes a cone.
+	sliceMode atomic.Int32
+	sliceMu   sync.Mutex
+	sliceMemo map[string]*kbSlice
 
 	// names interns namespaced atom strings across compiles (intern.go):
 	// with slicing, one engine runs many small compiles over the same

@@ -250,7 +250,7 @@ func (e *Engine) sliceFor(k *kb.KB, gen uint64, sc *Scenario, shape *Scenario) *
 	e.sliceMu.Lock()
 	if sl, ok := e.sliceMemo[key]; ok {
 		e.sliceMu.Unlock()
-		e.sliceHits.Add(1)
+		e.bump(&e.stats.SliceHits)
 		return sl
 	}
 	e.sliceMu.Unlock()
@@ -262,14 +262,19 @@ func (e *Engine) sliceFor(k *kb.KB, gen uint64, sc *Scenario, shape *Scenario) *
 		e.sliceMemo = make(map[string]*kbSlice, sliceMemoCap)
 	}
 	if prior, ok := e.sliceMemo[key]; ok {
+		// A racing lookup stored it first: this one is served from the
+		// memo, so it counts as a hit and every lookup is counted once.
 		sl = prior
 		e.sliceMu.Unlock()
+		e.bump(&e.stats.SliceHits)
 	} else {
 		e.sliceMemo[key] = sl
 		e.sliceMu.Unlock()
-		e.sliceComputed.Add(1)
-		e.sliceSKUsIn.Add(int64(sl.skusIn))
-		e.sliceSKUsKept.Add(int64(sl.skusKept))
+		e.statsMu.Lock()
+		e.stats.SliceComputed++
+		e.stats.SliceSKUsIn += int64(sl.skusIn)
+		e.stats.SliceSKUsKept += int64(sl.skusKept)
+		e.statsMu.Unlock()
 	}
 	return sl
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Proof records a DRAT-style clausal proof: every clause the solver
@@ -130,18 +131,34 @@ func newRUPChecker(original [][]Lit) *rupChecker {
 	return c
 }
 
+// add stores a copy of cl without duplicate literals: propagation counts
+// unassigned literals, so a repeated literal would keep a unit clause
+// from ever looking unit.
 func (c *rupChecker) add(cl []Lit) {
-	cp := append([]Lit(nil), cl...)
+	cp := dedupLits(cl)
 	c.clauses = append(c.clauses, cp)
-	for _, l := range cl {
+	for _, l := range cp {
 		if l.Var() > c.nVars {
 			c.nVars = l.Var()
 		}
 	}
 }
 
+// dedupLits returns a copy of cl with each literal once, in first-seen
+// order.
+func dedupLits(cl []Lit) []Lit {
+	out := make([]Lit, 0, len(cl))
+	for _, l := range cl {
+		if !slices.Contains(out, l) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // remove deletes one clause equal (as a set) to cl.
 func (c *rupChecker) remove(cl []Lit) {
+	cl = dedupLits(cl)
 	want := litSet(cl)
 	for i, existing := range c.clauses {
 		if len(existing) != len(cl) {

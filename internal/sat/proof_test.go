@@ -99,6 +99,24 @@ func TestProofCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestCheckRUPDuplicateLiterals pins the checker's set semantics: a
+// literal repeated in an input clause counts once, so {1,1} is the unit
+// clause {1}, and a deletion line with a repeated literal removes the
+// stored clause it names.
+func TestCheckRUPDuplicateLiterals(t *testing.T) {
+	original := [][]Lit{{1, 1}, {-1, 2}, {-1, -2}}
+	if err := CheckRUP(original, &Proof{Steps: []ProofStep{{Clause: []Lit{}}}}); err != nil {
+		t.Fatalf("{1,1} should propagate as a unit: %v", err)
+	}
+	deleted := &Proof{Steps: []ProofStep{
+		{Clause: []Lit{-1, 2, 2}, Delete: true},
+		{Clause: []Lit{}},
+	}}
+	if err := CheckRUP(original, deleted); err == nil {
+		t.Fatal("after deleting {-1,2} the empty clause is not RUP, but the proof was accepted")
+	}
+}
+
 func TestProofDeletionsDoNotBreakChecking(t *testing.T) {
 	// Force clause-DB reductions during an UNSAT solve and verify the
 	// proof still checks with its deletion lines.

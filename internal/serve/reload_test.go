@@ -51,7 +51,7 @@ func TestRetryAfterHeaderClamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		s.reject(rec, s.stats.mode("synth"), time.Now(), http.StatusTooManyRequests, "shed", "test")
+		s.reject(rec, s.stats["synth"], time.Now(), http.StatusTooManyRequests, "shed", "test")
 		if got := rec.Header().Get("Retry-After"); got != tc.wantHeader {
 			t.Errorf("hint %v: Retry-After header = %q, want %q", tc.hint, got, tc.wantHeader)
 		}

@@ -79,22 +79,18 @@ type Server struct {
 	mux   *http.ServeMux
 	hs    *http.Server
 	lis   net.Listener
-	stats *serverStats
+	stats serverStats
 
-	sem      chan struct{} // in-flight slots
-	queued   atomic.Int64
-	inFlight atomic.Int64
+	sem    chan struct{} // in-flight slots; len(sem) is the in-flight count
+	queued atomic.Int64
 
 	ready    atomic.Bool
 	readyCh  chan struct{}
 	draining atomic.Bool
 	drainCh  chan struct{}
 
-	// reloadMu serializes /v1/admin/reload; reloads/reloadErrors count
-	// attempts for /statsz.
-	reloadMu     sync.Mutex
-	reloads      atomic.Int64
-	reloadErrors atomic.Int64
+	// reloadMu serializes /v1/admin/reload.
+	reloadMu sync.Mutex
 
 	start time.Time
 }
@@ -144,7 +140,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.mux = http.NewServeMux()
-	for _, mode := range []string{"check", "synth", "whatif", "enumerate", "explain", "optimize"} {
+	for _, mode := range queryModes {
 		s.mux.HandleFunc("POST /v1/"+mode, s.queryHandler(mode))
 	}
 	s.mux.HandleFunc("POST /v1/admin/reload", s.handleReload)
@@ -218,7 +214,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
 	}
-	s.cfg.Logf("serve: draining (%d in flight, %d queued)", s.inFlight.Load(), s.queued.Load())
+	s.cfg.Logf("serve: draining (%d in flight, %d queued)", len(s.sem), s.queued.Load())
 	err := s.hs.Shutdown(ctx)
 	if err != nil {
 		_ = s.hs.Close()
@@ -287,9 +283,9 @@ func (s *Server) release() { <-s.sem }
 // through it records exactly one outcome on the mode's stats, and the
 // response body is always either a QueryResponse or a typed ErrorBody.
 func (s *Server) queryHandler(mode string) http.HandlerFunc {
+	ms := s.stats[mode]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ms := s.stats.mode(mode)
 
 		switch s.admit(r.Context()) {
 		case admitQueueFull:
@@ -305,8 +301,6 @@ func (s *Server) queryHandler(mode string) http.HandlerFunc {
 			return // client already gone; nothing to write
 		}
 		defer s.release()
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
 
 		// Panic isolation: a panicking query must not take down the
 		// server. The request's solver clone is abandoned where it
@@ -582,7 +576,7 @@ const maxReloadBody = 32 << 20
 // revalidated base. Reloads serialize; a reload during drain is refused.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ms := s.stats.mode("reload")
+	ms := s.stats["reload"]
 	if s.draining.Load() {
 		s.reject(w, ms, start, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
@@ -594,7 +588,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var k kb.KB
 	if err := dec.Decode(&k); err != nil {
-		s.reloadErrors.Add(1)
 		s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
 			Kind: "bad_request", Detail: "parsing knowledge base: " + err.Error(),
 		})
@@ -604,13 +597,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	up, err := s.eng.UpdateKB(&k)
 	s.reloadMu.Unlock()
 	if err != nil {
-		s.reloadErrors.Add(1)
 		s.writeError(w, ms, start, http.StatusUnprocessableEntity, ErrorInfo{
 			Kind: "invalid_kb", Detail: err.Error(),
 		})
 		return
 	}
-	s.reloads.Add(1)
 	s.cfg.Logf("serve: reloaded KB: %s", up)
 	s.writeJSON(w, http.StatusOK, ReloadResponse{
 		Changes:      len(up.Diff),
@@ -655,17 +646,19 @@ type StatsResponse struct {
 }
 
 // handleStatsz reports the full counter set: engine cache stats plus
-// per-mode request/outcome/latency counters.
+// per-mode request/outcome/latency counters. Reloads and ReloadErrors
+// are the reload mode's ok and errors counts.
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+	modes := s.stats.snapshot()
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeMS:     time.Since(s.start).Milliseconds(),
 		Ready:        s.ready.Load(),
 		Draining:     s.draining.Load(),
-		InFlight:     s.inFlight.Load(),
+		InFlight:     int64(len(s.sem)),
 		Queued:       s.queued.Load(),
-		Reloads:      s.reloads.Load(),
-		ReloadErrors: s.reloadErrors.Load(),
+		Reloads:      modes["reload"].OK,
+		ReloadErrors: modes["reload"].Errors,
 		Cache:        s.eng.CacheStats(),
-		Modes:        s.stats.snapshot(),
+		Modes:        modes,
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"os/signal"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -19,6 +20,7 @@ import (
 
 	"netarch/internal/catalog"
 	"netarch/internal/core"
+	"netarch/internal/kb"
 	"netarch/internal/sat"
 )
 
@@ -293,6 +295,98 @@ func TestServeModes(t *testing.T) {
 	}
 }
 
+// TestStatszWireForm pins /statsz's wire form: its key set, one entry per
+// mode from startup, reloads/reload_errors as the reload mode's
+// ok/errors after mixed good and bad reloads, and in_flight never above
+// MaxInFlight under load.
+func TestStatszWireForm(t *testing.T) {
+	_, base := testServer(t, func(c *Config) {
+		c.MaxInFlight = 2
+		c.QueueDepth = 2
+	})
+	keysOf := func(m map[string]json.RawMessage) []string {
+		var keys []string
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return keys
+	}
+	var top map[string]json.RawMessage
+	get(t, base+"/statsz", &top)
+	wantTop := []string{"cache", "draining", "in_flight", "modes", "queued",
+		"ready", "reload_errors", "reloads", "uptime_ms"}
+	if got := keysOf(top); !slices.Equal(got, wantTop) {
+		t.Errorf("statsz keys = %v, want %v", got, wantTop)
+	}
+	var modes map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(top["modes"], &modes); err != nil {
+		t.Fatal(err)
+	}
+	wantModes := []string{"check", "enumerate", "explain", "optimize", "reload", "synth", "whatif"}
+	var gotModes []string
+	for name, m := range modes {
+		gotModes = append(gotModes, name)
+		want := []string{"degraded", "errors", "ok", "p50_ms", "p99_ms", "requests", "shed"}
+		if got := keysOf(m); !slices.Equal(got, want) {
+			t.Errorf("mode %s keys = %v, want %v", name, got, want)
+		}
+	}
+	sort.Strings(gotModes)
+	if !slices.Equal(gotModes, wantModes) {
+		t.Errorf("statsz modes at startup = %v, want %v", gotModes, wantModes)
+	}
+
+	// Mixed reloads: two good, one malformed (400), one invalid (422).
+	invalid := catalog.CaseStudy()
+	invalid.Systems = append(invalid.Systems, invalid.Systems[0])
+	for i, k := range []*kb.KB{catalog.CaseStudy(), invalid, catalog.CaseStudy()} {
+		if status, raw := postKB(t, base, k); (status == http.StatusOK) != (i != 1) {
+			t.Fatalf("reload %d: status %d\n%s", i, status, raw)
+		}
+	}
+	resp, err := http.Post(base+"/v1/admin/reload", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var sz StatsResponse
+	get(t, base+"/statsz", &sz)
+	if r := sz.Modes["reload"]; sz.Reloads != r.OK || sz.ReloadErrors != r.Errors || r.OK != 2 || r.Errors != 2 {
+		t.Errorf("reloads/reload_errors = %d/%d, reload mode ok/errors = %d/%d, want 2/2 for both",
+			sz.Reloads, sz.ReloadErrors, r.OK, r.Errors)
+	}
+
+	// Load: 4x capacity of synth queries while a reader polls /statsz.
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(QueryRequest{Scenario: scInference})
+			if resp, err := http.Post(base+"/v1/synth", "application/json", bytes.NewReader(body)); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		var sz StatsResponse
+		get(t, base+"/statsz", &sz)
+		if sz.InFlight < 0 || sz.InFlight > 2 {
+			t.Fatalf("in_flight = %d, want within [0, MaxInFlight=2]", sz.InFlight)
+		}
+		checkStatsReconcile(t, &sz)
+	}
+}
+
 // TestServeBadRequests pins the 400 taxonomy: malformed JSON, missing
 // mode-specific fields, unknown fields. Every body is a typed ErrorBody.
 func TestServeBadRequests(t *testing.T) {
@@ -534,9 +628,9 @@ func TestServeShedUnderOverload(t *testing.T) {
 	// Give the parked requests time to occupy the in-flight slots (they
 	// block at the solve-entry fault point) and the queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.inFlight.Load() < int64(srv.cfg.MaxInFlight) || srv.queued.Load() < int64(srv.cfg.QueueDepth) {
+	for len(srv.sem) < srv.cfg.MaxInFlight || srv.queued.Load() < int64(srv.cfg.QueueDepth) {
 		if time.Now().After(deadline) {
-			t.Fatalf("capacity never filled: in-flight %d queued %d", srv.inFlight.Load(), srv.queued.Load())
+			t.Fatalf("capacity never filled: in-flight %d queued %d", len(srv.sem), srv.queued.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

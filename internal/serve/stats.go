@@ -10,7 +10,9 @@ import (
 // request total under one mutex at response time — so a /statsz
 // snapshot can never observe requests != ok+degraded+shed+errors, even
 // mid-flight (requests still being processed are visible in the
-// in_flight/queued gauges instead, not in the mode counters).
+// in_flight/queued gauges instead, not in the mode counters). The
+// reload endpoint is accounted as one more mode, so /statsz's reloads
+// and reload_errors are its ok and errors counts.
 
 // outcomeKind classifies how a request ended.
 type outcomeKind int
@@ -133,39 +135,29 @@ func (m *modeStats) snapshot() ModeStatsJSON {
 	}
 }
 
-// serverStats is the full per-server stats set, one modeStats per mode.
-type serverStats struct {
-	mu    sync.Mutex
-	modes map[string]*modeStats
-}
+// queryModes are the query endpoints; statsModes adds the reload
+// endpoint, which is accounted like a query mode.
+var (
+	statsModes = [...]string{"check", "synth", "whatif", "enumerate", "explain", "optimize", "reload"}
+	queryModes = statsModes[:6]
+)
 
-func newServerStats() *serverStats {
-	return &serverStats{modes: make(map[string]*modeStats)}
-}
+// serverStats holds one modeStats per entry of statsModes. New builds it
+// once and it is never written after, so lookups take no lock.
+type serverStats map[string]*modeStats
 
-func (s *serverStats) mode(name string) *modeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.modes[name]
-	if m == nil {
-		m = &modeStats{}
-		s.modes[name] = m
+func newServerStats() serverStats {
+	s := make(serverStats, len(statsModes))
+	for _, name := range statsModes {
+		s[name] = &modeStats{}
 	}
-	return m
+	return s
 }
 
-func (s *serverStats) snapshot() map[string]ModeStatsJSON {
-	s.mu.Lock()
-	names := make([]*modeStats, 0, len(s.modes))
-	keys := make([]string, 0, len(s.modes))
-	for k, m := range s.modes {
-		keys = append(keys, k)
-		names = append(names, m)
-	}
-	s.mu.Unlock()
-	out := make(map[string]ModeStatsJSON, len(keys))
-	for i, k := range keys {
-		out[k] = names[i].snapshot()
+func (s serverStats) snapshot() map[string]ModeStatsJSON {
+	out := make(map[string]ModeStatsJSON, len(s))
+	for name, m := range s {
+		out[name] = m.snapshot()
 	}
 	return out
 }
