@@ -73,14 +73,17 @@ serve-smoke:
 # the root TestEnumerateParallel* pair repeats the §5.1 worker-count
 # check at the facade. Beside them run the tests the harness does not
 # replace: compile and delta
-# byte identity, the solver snapshot/clone and disk round trips, the
+# byte identity, the solver snapshot/clone and disk round trips (with
+# the binary-heavy differential's frozen arm: a frozen solver, its clone,
+# its snapshot and its DIMACS round trip agree, and clones of one frozen
+# solver search identically over its shared implication table), the
 # optimizer's metamorphic, objective-circuit and maxsat brute-force
 # tests, the slicer edge cases and refusals, the 50k catalog smoke,
 # and the reload-under-load pair under the race detector.
 differential:
 	$(GO) test -run='TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateWorkerCountInvariance|TestEnumerateCacheOffMatchesCacheOn|TestEnumerateParallel|TestParallelCompileByteIdentity|TestUpdateKBByteIdentity|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase' -count=1 . ./internal/core
 	$(GO) test -run='TestConvertShardsDelta' -count=1 ./internal/logic
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential' -count=1 ./internal/sat
+	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver' -count=1 ./internal/sat
 	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat
 	$(GO) test -run='TestCatalogScale' -count=1 ./internal/extract
 	$(GO) test -race -run='TestUpdateKBConcurrentQueries|TestServeReloadUnderLoad' -count=1 ./internal/core ./internal/serve

@@ -931,7 +931,9 @@ func deltaStressCatalog(rev int) *netarch.KB {
 // from scratch. Both arms alternate the same two revisions and produce
 // one base per iteration, byte-identical between the arms (make
 // differential pins that); this measures what the identity costs. The acceptance bar
-// is delta >= 5x faster than full.
+// is delta >= 5x faster than full. The cold-edit arm runs UpdateKB on a
+// disk-revived base, which has no shards to reuse, so it does full's
+// compile plus the update's own work.
 func BenchmarkDeltaRecompile(b *testing.B) {
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
 	// Pre-build the two alternating revisions: constructing the catalog
@@ -978,6 +980,58 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 			}
 			if up.BasesUpdated != 1 {
 				b.Fatalf("base not revalidated: %+v", up)
+			}
+		}
+	})
+
+	// cold-edit runs the same UpdateKB on a base revived from disk, which
+	// carries no shard set, so the update compiles the new revision cold
+	// as full does and builds its implication table; the two rows differ
+	// by the update's own work. The disk tier is off during the update,
+	// so no snapshot rewrite is timed.
+	b.Run("cold-edit", func(b *testing.B) {
+		var dirs [2]string
+		for r, k := range revs {
+			dirs[r] = b.TempDir()
+			eng, err := netarch.NewEngine(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.SetCacheDir(dirs[r]); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Prewarm(sc); err != nil { // writes the snapshot
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			r := i % 2
+			eng, err := netarch.NewEngine(revs[r])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.SetCacheDir(dirs[r]); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Prewarm(sc); err != nil {
+				b.Fatal(err)
+			}
+			if st := eng.CacheStats(); st.DiskHits != 1 {
+				b.Fatalf("base not revived from disk: %+v", st)
+			}
+			if err := eng.SetCacheDir(""); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			up, err := eng.UpdateKB(revs[1-r])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if up.BasesUpdated != 1 || up.ShardsReused != 0 {
+				b.Fatalf("revived base not recompiled cold: %+v", up)
 			}
 		}
 	})

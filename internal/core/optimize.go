@@ -56,6 +56,12 @@ func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Obje
 	if err != nil {
 		return nil, err
 	}
+	return e.optimize(ctx, c, objectives, b)
+}
+
+// optimize answers an optimization on the query instance c, whose
+// solver it owns.
+func (e *Engine) optimize(ctx context.Context, c *compiled, objectives []Objective, b Budget) (*OptimizeResult, error) {
 	g := govern(ctx, "optimize", b)
 	defer g.done()
 	g.adopt(c.solver)

@@ -80,7 +80,11 @@ var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
 // v12: the embedded solver section is sat snapshot v4, which keeps
 // binary clauses in the watch lists only and gives original clauses a
 // one-word header.
-const baseSnapshotVersion = 12
+// v13: the embedded solver section is sat snapshot v5, which holds the
+// frozen base's problem binaries as a shared implication table. A v12
+// base would search in the old watch order; the version gate rejects it
+// and the base recompiles.
+const baseSnapshotVersion = 13
 
 // Snapshot decode failure classes.
 var (

@@ -9,7 +9,8 @@ import "testing"
 // all. The clause arena is what makes this possible — watchers are
 // pointer-free {cref, blocker} pairs and clause literals live in the
 // flat slab — so any future allocation on this path is a regression
-// against the DESIGN.md §11 layout.
+// against the DESIGN.md §11 layout. The same holds once the solver is
+// frozen and propagation walks the shared implication table.
 func TestPropagateAllocFree(t *testing.T) {
 	s := NewSolver()
 	const n = 256
@@ -34,5 +35,11 @@ func TestPropagateAllocFree(t *testing.T) {
 	run() // warm-up: grow trail/trailLim to steady-state capacity
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("decide+propagate+backtrack allocated %.1f allocs/run; budget is 0", allocs)
+	}
+	// Frozen, the chain lives in the shared implication table.
+	s.ResetRun()
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("frozen decide+propagate+backtrack allocated %.1f allocs/run; budget is 0", allocs)
 	}
 }

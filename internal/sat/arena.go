@@ -1,6 +1,9 @@
 package sat
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file implements the solver's two flat slabs: the clause arena and
 // the watch table. The clause arena holds the clause database as one flat
@@ -27,6 +30,15 @@ import "math"
 // from its blocker alone, and a literal a binary clause implies records
 // the clause's other literal as its reason (see reasonBinary).
 //
+// A frozen solver goes one step further: ResetRun moves its problem
+// binaries out of the watch table into an implTable, a read-only CSR
+// table listing per literal the literals its binaries imply. Nothing
+// writes the table after it is built, so Clone shares it by pointer
+// instead of copying it; on a compiled base the problem binaries are
+// most of the watchers. The arena itself is not shared: propagate swaps
+// the watched literals inside arena clauses, so even an original
+// clause's words are search state, and every clone copies them.
+//
 // The payoffs over heap clauses:
 //
 //   - Allocation: adding a clause is a slab append — no per-clause
@@ -40,7 +52,9 @@ import "math"
 //     clause identity survives for free — a cref means the same clause in
 //     every copy, so watch lists and reason references copy verbatim with
 //     no forwarding marks, translation maps, or clone locks. The copy
-//     carries headroom, so the clauses a query adds append in place.
+//     carries headroom, so the clauses a query adds append in place. A
+//     frozen solver's problem binaries are not copied at all: the
+//     implication table is shared.
 //   - Snapshot: the slab serializes (and validates) directly.
 //
 // Deleted clauses leave garbage words behind; compactArena reclaims them
@@ -51,12 +65,12 @@ import "math"
 // lives in one pointer-free watcher slab, located by an {off, n, cap}
 // span per literal (see watchTable). A list that fills moves to the
 // slab's tail with twice the room (or grows in place when it already
-// ends there), leaving a garbage run behind. Garbage is reclaimed only
-// at safe points, where no list is being walked: reduceDB (through
-// maybeCompact) and ResetRun, a compiled base's freeze point, which
-// lays the lists out back to back so the base and its clones hold no
-// garbage. Moving a list never reorders it, so searches do not depend
-// on where lists sit.
+// ends there), leaving a garbage run behind. When the slab itself is
+// full, reclaim slides the lists down over the garbage inside the same
+// slab before the slab is allowed to grow; ResetRun, a compiled base's
+// freeze point, lays the lists out back to back in a fresh slab so the
+// base and its clones hold no garbage. Moving a list never reorders it,
+// so searches do not depend on where lists sit.
 
 // cref addresses a clause: the word offset of its header in the arena.
 type cref uint32
@@ -176,17 +190,12 @@ func (a *arena) lits(c cref) []lit {
 }
 
 // maybeCompact reclaims garbage once deleted clauses hold more than a
-// quarter of a non-trivial arena, and lays the watch lists out afresh
-// once abandoned watcher runs hold more than half of a non-trivial
-// watcher slab. Callers must hold no crefs or watch lists across the
-// call (compaction relocates both); the solver invokes it only from
-// reduceDB, where none are held.
+// quarter of a non-trivial arena. Callers must hold no crefs or watch
+// lists across the call (compaction relocates both); the solver invokes
+// it only from reduceDB, where none are held.
 func (s *Solver) maybeCompact() {
 	if s.ca.wasted*4 > len(s.ca.data) && s.ca.wasted > 1<<12 {
 		s.compactArena()
-	}
-	if t := &s.watches; t.wasted*2 > len(t.slab) && t.wasted > 1<<12 {
-		t.compact(nil, headroom(2*(len(t.slab)-t.wasted)))
 	}
 }
 
@@ -294,19 +303,95 @@ func wasDeleted(c cref, live []cref) bool {
 // at slab[off:off+n], with room for cap before the list must move.
 type span struct{ off, n, cap uint32 }
 
+// implTable is a frozen solver's problem binaries as an implication
+// table in compressed sparse row form: for a literal p below lits(),
+// imp[off[p]:off[p+1]] lists the literals that p's binary clauses imply,
+// in the order p's watch list held them. A binary clause (a ∨ b) appears
+// twice, as b under ¬a and as a under ¬b, exactly where its two watchers
+// stood. Literals at or beyond lits() (variables created after the
+// freeze, such as a query's selectors) imply nothing here. The table is
+// read-only once built: Clone, Snapshot and any number of concurrent
+// searches share it, and compactArena, reduceDB and watchTable.compact
+// never touch it.
+type implTable struct {
+	off []uint32
+	imp []lit
+}
+
+// lits is the number of literals the table covers.
+func (t *implTable) lits() int { return len(t.off) - 1 }
+
+// of returns the literals p implies: none when t is nil or p is beyond
+// the table.
+func (t *implTable) of(p lit) []lit {
+	if t == nil || int(p) >= t.lits() {
+		return nil
+	}
+	return t.imp[t.off[p]:t.off[p+1]]
+}
+
+// freezeBinaries moves every problem binary out of the watch table into
+// a new implication table. The new table lists, per literal, the old
+// table's implications first and then the problem binaries of its watch
+// list, in list order; the old table is only read, so clones that share
+// it are unaffected. The watch lists keep their other watchers in order
+// and are left with spare room for the caller to compact away. A solver
+// with no problem binary gets no table.
+func (s *Solver) freezeBinaries() {
+	old := s.bins
+	t := &s.watches
+	off := make([]uint32, len(t.spans)+1)
+	n := 0
+	for li, sp := range t.spans {
+		n += len(old.of(lit(li)))
+		for _, w := range t.slab[sp.off : sp.off+sp.n] {
+			if w.c == crefBinary {
+				n++
+			}
+		}
+		off[li+1] = uint32(n)
+	}
+	if n == 0 {
+		s.bins = nil
+		return
+	}
+	imp := make([]lit, 0, n)
+	for li := range t.spans {
+		imp = append(imp, old.of(lit(li))...)
+		sp := &t.spans[li]
+		ws := t.slab[sp.off : sp.off+sp.n]
+		kept := 0
+		for _, w := range ws {
+			if w.c == crefBinary {
+				imp = append(imp, w.blocker)
+				continue
+			}
+			ws[kept] = w
+			kept++
+		}
+		sp.n = uint32(kept)
+	}
+	s.bins = &implTable{off: off, imp: imp}
+}
+
 // watchTable holds every watch list in one flat watcher slab, indexed by
 // internal literal through a span per literal. Slab and spans are
 // pointer-free, so the garbage collector never scans them, and a copy of
 // the whole table is two slice copies. A push onto a full list grows it
 // in place when it ends at the slab's tail and otherwise moves it to the
 // tail with twice the room; the run it leaves behind is garbage (counted
-// in wasted) until compact lays every list out back to back again.
-// Moving a list never reorders it, so propagation order, and hence the
-// search, does not depend on where a list sits.
+// in wasted) until the slab fills and reclaim slides the lists down over
+// it, or compact lays every list out afresh. Moving a list never
+// reorders it, so propagation order, and hence the search, does not
+// depend on where a list sits.
 type watchTable struct {
 	spans  []span
 	slab   []watcher
 	wasted int
+	// reclaims counts the reclaims since the slab last grew; byOff is
+	// reclaim's scratch, the nonempty lists keyed by offset.
+	reclaims int
+	byOff    []uint64
 }
 
 // minWatchRoom is the room a list gets on its first push.
@@ -326,38 +411,100 @@ func (t *watchTable) push(l lit, w watcher) {
 
 // grow doubles the room of sp's full list: in place when the list ends
 // at the slab's tail, otherwise by moving it to the tail. When the slab
-// itself is full it doubles too, so a search that moves many lists
+// itself is full, reclaim first tries to make the room inside it;
+// failing that the slab doubles, so a search that moves many lists
 // copies the slab once or twice rather than at every quarter of growth.
 // A list's room is never read before it is written, so extending into
 // the slab's spare capacity needs no zero-fill.
 func (t *watchTable) grow(sp *span) {
 	room := sp.cap + max(sp.cap, minWatchRoom)
-	off := sp.off
-	if int(sp.off+sp.cap) != len(t.slab) {
-		off = uint32(len(t.slab))
-		t.wasted += int(sp.cap)
+	off := t.growOffset(sp)
+	if int(off+room) > cap(t.slab) && t.reclaim(int(room)) {
+		off = t.growOffset(sp)
 	}
 	end := int(off + room)
 	if end > cap(t.slab) {
 		t.slab = grown(t.slab, max(len(t.slab), end-len(t.slab)))
+		t.reclaims = 0
 	}
 	t.slab = t.slab[:end]
 	if off != sp.off {
+		t.wasted += int(sp.cap)
 		copy(t.slab[off:], t.slab[sp.off:sp.off+sp.n])
 	}
 	sp.off, sp.cap = off, room
 }
 
+// maxReclaims bounds the reclaims per slab capacity: a search whose
+// live watchers keep outgrowing the slab doubles it after that many,
+// so the reclaims' sorts stay a constant number per doubling.
+const maxReclaims = 2
+
+// growOffset is where sp's list sits once grown: where it is when it
+// ends at the slab's tail, otherwise at the tail.
+func (t *watchTable) growOffset(sp *span) uint32 {
+	if int(sp.off+sp.cap) == len(t.slab) {
+		return sp.off
+	}
+	return uint32(len(t.slab))
+}
+
+// reclaim lays the lists out back to back in slab order, each with room
+// for exactly its watchers, inside the slab's own capacity, so garbage
+// runs and spare room become free space at the tail without a new slab.
+// It runs only when the freed space would hold the room watchers a
+// growing list needs, at least a quarter of the capacity would be free,
+// and the slab has not been reclaimed maxReclaims times since it last
+// grew (otherwise the slab had better grow); it reports whether it ran.
+// Lists keep their order and all of their sp.n watchers, including any
+// beyond a walk's write index, so propagate re-reads its own list's
+// span after a push and carries on.
+func (t *watchTable) reclaim(room int) bool {
+	if t.reclaims == maxReclaims {
+		return false
+	}
+	live, lists := 0, 0
+	for _, sp := range t.spans {
+		live += int(sp.n)
+		lists += min(int(sp.n), 1)
+	}
+	if free := cap(t.slab) - live; free < room || 4*free < cap(t.slab) {
+		return false
+	}
+	t.reclaims++
+	keys := t.byOff[:0]
+	if cap(keys) < lists {
+		keys = make([]uint64, 0, lists)
+	}
+	for li := range t.spans {
+		sp := &t.spans[li]
+		if sp.n == 0 {
+			*sp = span{}
+			continue
+		}
+		keys = append(keys, uint64(sp.off)<<32|uint64(li))
+	}
+	slices.Sort(keys)
+	w := uint32(0)
+	for _, k := range keys {
+		sp := &t.spans[uint32(k)]
+		copy(t.slab[w:], t.slab[sp.off:sp.off+sp.n])
+		sp.off, sp.cap = w, sp.n
+		w += sp.n
+	}
+	t.slab, t.wasted, t.byOff = t.slab[:w], 0, keys
+	return true
+}
+
 // compact lays every list out back to back in literal order, in a fresh
-// slab with capacity for extra more watchers. Each list gets room for
-// exactly its watchers plus room[l] more (room may be nil). Lists keep
-// their order.
-func (t *watchTable) compact(room []uint32, extra int) {
+// slab of exactly their size. Each list gets room for exactly its
+// watchers plus room[l] more (room may be nil). Lists keep their order.
+func (t *watchTable) compact(room []uint32) {
 	total := t.live()
 	for _, r := range room {
 		total += int(r)
 	}
-	slab := make([]watcher, total, total+extra)
+	slab := make([]watcher, total)
 	off := uint32(0)
 	for i := range t.spans {
 		sp := &t.spans[i]
@@ -368,7 +515,7 @@ func (t *watchTable) compact(room []uint32, extra int) {
 		}
 		off += sp.cap
 	}
-	t.slab, t.wasted = slab, 0
+	t.slab, t.wasted, t.reclaims = slab, 0, 0
 }
 
 // live counts the watchers in all lists.
@@ -381,13 +528,18 @@ func (t *watchTable) live() int {
 }
 
 // clone copies spans and slab verbatim, with room for extraSpans more
-// literals. The slab gets the headroom of a slab twice its length: a
-// list that moves takes twice its room at the tail. It is read-only on
-// t.
+// literals. The slab gets headroom for what one query adds: half its
+// length plus 1024 watchers. A list the query's search pushes onto moves
+// to the tail with twice its room, and once the headroom is used up
+// reclaim recycles the runs the moves left behind, so the §5.1 cost and
+// lexicographic optimizations run without copying the slab again.
+// Headroom alone would have to be far larger: without reclaim, the
+// busiest of them leaves a 3,522-watcher slab 9,192 watchers long. It is
+// read-only on t.
 func (t *watchTable) clone(extraSpans int) watchTable {
 	return watchTable{
 		spans:  grown(t.spans, extraSpans),
-		slab:   grown(t.slab, headroom(2*len(t.slab))),
+		slab:   grown(t.slab, len(t.slab)/2+1024),
 		wasted: t.wasted,
 	}
 }

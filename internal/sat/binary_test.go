@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -43,13 +44,22 @@ func binaryHeavyInstance(r *rand.Rand, core, copies int, ratio float64) (nVars i
 
 // TestBinaryHeavyDifferential checks the solver on instances where at
 // least 70% of the clauses are binary, so most clauses live only in the
-// watch lists. A fresh solver, its Clone and its RestoreSnapshot must
-// run the same searches — equal statuses, Stats, models and final
-// conflicts — over a sequence of assumption queries that learns binary
-// clauses; Unsat runs must leave DRAT proofs that CheckRUP accepts;
-// assumption cores must be Unsat subsets of the assumptions; and a
-// WriteDIMACS/ParseDIMACS round trip must keep the clause count and the
-// verdict.
+// watch lists or, once frozen, in the shared implication table. A fresh
+// solver's Unsat runs must leave DRAT proofs that CheckRUP accepts, and
+// a WriteDIMACS/ParseDIMACS round trip must keep its clause count and
+// verdict. The frozen arm runs a budgeted probe solve, then ResetRun,
+// which must only move the problem binaries into the table, keeping the
+// rest of the search state and every other watcher in order (see
+// freezeKeepsSearchState); the Clone must share the table by pointer.
+// Over a sequence of assumption queries that learns
+// binary clauses and adds a problem binary after the freeze, the frozen
+// solver, its Clone and its RestoreSnapshot must run the same searches
+// — equal statuses, Stats, models and final conflicts — and a
+// WriteDIMACS/ParseDIMACS round trip of the frozen solver must agree
+// with them on the clause count and every verdict. A second ResetRun
+// halfway through folds the added binary into a new table after the old
+// table's implications, under the same check. Assumption
+// cores must be Unsat subsets of the assumptions.
 func TestBinaryHeavyDifferential(t *testing.T) {
 	learntBinaries, unsatProofs, cores := 0, 0, 0
 	for seed := int64(1); seed <= 24; seed++ {
@@ -93,19 +103,68 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 			unsatProofs++
 		}
 
-		// A short first search leaves learnt clauses, binary ones among
-		// them, on the source before it is cloned and snapshotted.
+		// The frozen arm. A short first search leaves learnt clauses,
+		// binary ones among them, on the source before it is frozen,
+		// cloned and snapshotted.
 		src.SetBudget(30, 0)
 		src.Solve()
 		src.SetBudget(0, 0)
-		src.ResetRun()
+		var probed bytes.Buffer
+		if err := WriteDIMACS(&probed, src); err != nil {
+			t.Fatal(err)
+		}
+		freezeKeepsSearchState(t, src, fmt.Sprintf("seed %d", seed))
+		if src.bins == nil {
+			t.Fatalf("seed %d: ResetRun left no implication table", seed)
+		}
 		clone := src.Clone()
+		if clone.bins != src.bins {
+			t.Fatalf("seed %d: the clone copied the implication table instead of sharing it", seed)
+		}
 		restored, err := RestoreSnapshot(src.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
+		var frozenCNF bytes.Buffer
+		if err := WriteDIMACS(&frozenCNF, src); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frozenCNF.Bytes(), probed.Bytes()) {
+			t.Fatalf("seed %d: ResetRun changed the DIMACS output", seed)
+		}
+		// Every problem clause is written, the shared binaries included,
+		// after one unit clause per root-level fact.
+		if n, want := bytes.Count(frozenCNF.Bytes(), []byte(" 0\n")), src.NumClauses()+len(src.trail); n != want {
+			t.Fatalf("seed %d: the frozen solver's DIMACS has %d clauses, want %d", seed, n, want)
+		}
+		roundTrip, err := ParseDIMACS(&frozenCNF)
+		if err != nil {
+			t.Fatal(err)
+		}
 		runs := []*Solver{src, clone, restored}
+		var added []Lit
 		for q := 0; q < 8; q++ {
+			switch q {
+			case 3:
+				// A query adds a problem binary after the freeze; it
+				// stays in the watch lists.
+				added = []Lit{pick(), pick()}
+				for _, s := range append(runs, roundTrip) {
+					s.AddClause(added...)
+				}
+			case 5:
+				// The re-freeze keeps the old table's order and appends
+				// the added binary after it.
+				freezeKeepsSearchState(t, src, fmt.Sprintf("seed %d query %d", seed, q))
+				for _, s := range runs[1:] {
+					s.ResetRun()
+				}
+			}
+			if q == 0 || q == 5 {
+				if n := len(src.bins.imp); n != 2*src.nBinary {
+					t.Fatalf("seed %d query %d: the frozen table holds %d implications for %d problem binaries", seed, q, n, src.nBinary)
+				}
+			}
 			assumps := make([]Lit, 1+r.Intn(4))
 			for i := range assumps {
 				assumps[i] = pick()
@@ -123,6 +182,13 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 					t.Fatalf("seed %d query %d: solver %d answered %v %+v, the source %v %+v",
 						seed, q, i, st, s.Stats(), want, src.Stats())
 				}
+				if s.NumClauses() != src.NumClauses() {
+					t.Fatalf("seed %d query %d: solver %d has %d clauses, the source %d",
+						seed, q, i, s.NumClauses(), src.NumClauses())
+				}
+			}
+			if st := roundTrip.SolveAssuming(assumps); st != want {
+				t.Fatalf("seed %d query %d: the DIMACS round trip answered %v, the source %v", seed, q, st, want)
 			}
 			if want != Unsat {
 				continue
@@ -134,7 +200,11 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 					t.Fatalf("seed %d query %d: core literal %d is not an assumption %v", seed, q, l, assumps)
 				}
 			}
-			if st := load().SolveAssuming(fc); st != Unsat {
+			alone := load()
+			if added != nil {
+				alone.AddClause(added...)
+			}
+			if st := alone.SolveAssuming(fc); st != Unsat {
 				t.Fatalf("seed %d query %d: core %v alone answers %v", seed, q, fc, st)
 			}
 			cores++

@@ -13,17 +13,23 @@ package sat
 // each one flat, pointer-free copy, and clause references (crefs) mean
 // the same clause in source and copy, so the clause lists, the watch
 // table's spans and the reason array copy verbatim with no per-clause or
-// per-list work. Binary clauses, most of a compiled base, are only
-// watchers, so they cost a clone their two 8-byte watchers and no arena
-// words, and an original clause carries a one-word header. Each slice
+// per-list work. Binary clauses, most of a compiled base, are not copied
+// at all: a frozen solver (see ResetRun) keeps its problem binaries in a
+// read-only implication table that Clone shares by pointer, so a clone
+// copies no memory proportional to them. The watch table Clone copies
+// holds only the long-clause watchers, the learnt binaries and what was
+// added after the freeze. The arena is copied, not shared: propagate
+// swaps the watched literals inside arena clauses, so their words are
+// search state; an original clause carries a one-word header. Each slice
 // is copied once, at its final capacity, with headroom for what a query
 // adds: the arena gets queryArenaWords for selector and learnt clauses,
-// and the clause lists and the watcher slab a sixteenth of their length
-// plus 1024 elements for new clauses and watch lists moving to the
-// slab's tail. The bytes a copy overwrites are not zero-filled first.
-// Clone is read-only on the source; any number of goroutines may clone
-// one frozen solver concurrently (the compiled-base cache does exactly
-// that).
+// the clause lists a sixteenth of their length plus 1024 elements, and
+// the watcher slab half its length plus 1024 watchers for watch lists
+// moving to its tail (see watchTable.clone). The bytes a copy overwrites
+// are not zero-filled first. Clone is read-only on the source; any
+// number of goroutines may clone one frozen solver concurrently and
+// search the clones over the one shared table (the compiled-base cache
+// does exactly that).
 //
 // Clone may only be called at decision level 0 (i.e. not from inside a
 // Solve callback); it panics otherwise. The copy deliberately resets
@@ -54,6 +60,7 @@ func (s *Solver) Clone() *Solver {
 		okay:         s.okay,
 		maxLearnts:   s.maxLearnts,
 		learntGrowth: s.learntGrowth,
+		bins:         s.bins,
 	}
 	// Per-variable slices carry slack for a query's selector variables,
 	// so its first NewVar does not copy them all again.

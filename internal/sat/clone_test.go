@@ -283,17 +283,19 @@ func TestCloneSearchesIdenticallyUnderRelocation(t *testing.T) {
 	}
 }
 
-// TestConcurrentClonesOfFrozenSolver clones one frozen solver from many
-// goroutines at once and solves every clone, as concurrent queries over
-// one cached base do. Every clone must run the same search, and the
-// source's snapshot must not change. Under the race detector (make
-// race) this also pins that Clone only reads its source.
+// TestConcurrentClonesOfFrozenSolver clones one frozen, binary-heavy
+// solver from many goroutines at once and solves every clone, as
+// concurrent queries over one cached base do. Every clone must share the
+// source's implication table and run the same search, and the source's
+// snapshot must not change. Under the race detector (make race) this
+// also pins that Clone only reads its source and that concurrent
+// searches only read the shared table.
 func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	const nVars = 150
+	nVars, clauses, _ := binaryHeavyInstance(r, 100, 6, 4.0)
 	base := NewSolver()
 	base.EnsureVars(nVars)
-	loadClauses(base, randomInstance(r, nVars, nVars*426/100, 3))
+	loadClauses(base, clauses)
 	base.SetBudget(50, 0) // a cut-short probe: a prior, but no verdict
 	base.Solve()
 	base.SetBudget(0, 0)
@@ -302,6 +304,9 @@ func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 
 	assumps := []Lit{-1, 2}
 	ref := base.Clone()
+	if base.bins == nil || ref.bins != base.bins {
+		t.Fatal("the clone does not share the frozen solver's implication table")
+	}
 	refStatus := ref.SolveAssuming(assumps)
 	refStats := ref.Stats()
 	if refStats.Conflicts == 0 {
@@ -317,6 +322,9 @@ func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				c := base.Clone()
+				if c.bins != base.bins {
+					errs <- fmt.Errorf("a concurrent clone does not share the implication table")
+				}
 				if st := c.SolveAssuming(assumps); st != refStatus || c.Stats() != refStats {
 					errs <- fmt.Errorf("clone answered %v %+v, want %v %+v", st, c.Stats(), refStatus, refStats)
 				}
@@ -330,5 +338,73 @@ func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 	}
 	if !bytes.Equal(base.Snapshot(), frozen) {
 		t.Fatal("cloning changed the source solver")
+	}
+}
+
+// BenchmarkClone clones a frozen binary-heavy solver, as a warm query
+// clones its cached base. The implication table is shared, so the bytes
+// per clone are the arena, the private watch lists and the per-variable
+// state, not the problem binaries.
+func BenchmarkClone(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	nVars, clauses, _ := binaryHeavyInstance(r, 300, 6, 4.0)
+	base := NewSolver()
+	base.EnsureVars(nVars)
+	loadClauses(base, clauses)
+	base.SetBudget(50, 0)
+	base.Solve()
+	base.SetBudget(0, 0)
+	base.ResetRun()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base.Clone()
+	}
+}
+
+// TestWatchTableReclaim: once the watcher slab is full, a list that must
+// move is first made room for by reclaim, which slides the lists down
+// over the runs moved lists left behind inside the same slab; every list
+// keeps its watchers in order, and after maxReclaims reclaims the slab
+// grows instead. Each step moves a watcher from one list to another, as
+// propagate does, so the live watchers stay as many as at the start.
+func TestWatchTableReclaim(t *testing.T) {
+	const lits = 64
+	r := rand.New(rand.NewSource(1))
+	tab := watchTable{spans: make([]span, lits)}
+	want := make([][]watcher, lits)
+	push := func(l int) {
+		w := watcher{c: cref(r.Intn(1 << 20)), blocker: lit(r.Intn(2 * lits))}
+		tab.push(lit(l), w)
+		want[l] = append(want[l], w)
+	}
+	for l := 0; l < lits; l++ {
+		push(l)
+	}
+	// A frozen layout with a clone's headroom.
+	tab.compact(nil)
+	tab.slab = grown(tab.slab, len(tab.slab)/2+8)
+	capacity := cap(tab.slab)
+	reclaims := 0
+	for cap(tab.slab) == capacity {
+		from := r.Intn(lits)
+		if n := len(want[from]); n > 0 {
+			tab.spans[from].n--
+			want[from] = want[from][:n-1]
+		}
+		before := tab.reclaims
+		push(r.Intn(lits))
+		if tab.reclaims > before {
+			reclaims++
+		}
+		for l, ws := range want {
+			sp := tab.spans[l]
+			if got := tab.slab[sp.off : sp.off+sp.n]; !reflect.DeepEqual(got, ws) {
+				t.Fatalf("after %d reclaims, list %d holds %v, want %v", reclaims, l, got, ws)
+			}
+		}
+	}
+	if reclaims != maxReclaims {
+		t.Fatalf("the slab grew after %d reclaims, want %d", reclaims, maxReclaims)
 	}
 }

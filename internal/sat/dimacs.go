@@ -78,7 +78,10 @@ func LoadDIMACS(r io.Reader, s *Solver) error {
 // has derived a top-level contradiction emits the empty clause, so the
 // output is equisatisfiable with the loaded instance. Clauses of three
 // or more literals follow in the order they were added, then the binary
-// clauses in the order of their watch lists.
+// clauses literal by literal: a frozen solver's shared implications of
+// the literal first, then the problem binaries of its watch list, each
+// in list order. ResetRun keeps that order, so freezing a solver does
+// not change its output.
 func WriteDIMACS(w io.Writer, s *Solver) error {
 	bw := bufio.NewWriter(w)
 	live := 0
@@ -110,13 +113,22 @@ func WriteDIMACS(w io.Writer, s *Solver) error {
 		}
 		fmt.Fprintln(bw, 0)
 	}
-	// A problem binary (a ∨ b) is watched in ¬a's list with blocker b and
-	// in ¬b's with blocker a; write it from the list of its lower literal.
+	// A problem binary (a ∨ b) is listed under ¬a with b and under ¬b
+	// with a, in the implication table or as watchers; write it from the
+	// list of its lower literal.
+	binary := func(a, b lit) {
+		if a < b {
+			fmt.Fprintf(bw, "%d %d 0\n", int32(toExternal(a)), int32(toExternal(b)))
+		}
+	}
 	for li, sp := range s.watches.spans {
 		a := lit(li).flip()
+		for _, b := range s.bins.of(lit(li)) {
+			binary(a, b)
+		}
 		for _, w := range s.watches.slab[sp.off : sp.off+sp.n] {
-			if w.c == crefBinary && a < w.blocker {
-				fmt.Fprintf(bw, "%d %d 0\n", int32(toExternal(a)), int32(toExternal(w.blocker)))
+			if w.c == crefBinary {
+				binary(a, w.blocker)
 			}
 		}
 	}

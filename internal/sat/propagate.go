@@ -3,12 +3,29 @@ package sat
 // propagate performs unit propagation over all enqueued literals using
 // two-watched literals. It returns the conflicting clause — an arena
 // cref, or crefBinary with the clause's literals in binConfl — or
-// crefUndef if the queue drained without conflict.
+// crefUndef if the queue drained without conflict. A literal's shared
+// implications (see implTable) are visited before its watch list.
 func (s *Solver) propagate() cref {
+	bins := s.bins
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is now true; visit watchers of p (stored under p)
 		s.qhead++
 		s.stats.Propagations++
+
+		// p's shared binaries (¬p ∨ q) behave exactly like binary
+		// watchers: q true is skipped, q false is the conflict [q, ¬p],
+		// and an unassigned q is implied with reason ¬p.
+		for _, q := range bins.of(p) {
+			switch s.value(q) {
+			case lTrue:
+				continue
+			case lFalse:
+				s.binConfl = [2]lit{q, p.flip()}
+				s.qhead = len(s.trail)
+				return crefBinary
+			}
+			s.uncheckedEnqueue(q, reasonBinary(p.flip()))
+		}
 
 		// The watch list is compacted in place with a lagging write index;
 		// while no watcher has been dropped or rewritten (n == i, the
@@ -70,8 +87,10 @@ func (s *Solver) propagate() cref {
 				if s.value(cl[k]) != lFalse {
 					cl[1], cl[k] = cl[k], cl[1]
 					s.watches.push(cl[1].flip(), watcher{c, first})
-					// The push may have moved the slab; p's list
-					// itself stays where sp says.
+					// The push may have moved the slab, or p's list
+					// within it, keeping all of the list's sp.n
+					// watchers; re-slice it.
+					sp = s.watches.spans[p]
 					ws = s.watches.slab[sp.off : sp.off+sp.n]
 					found = true
 					break

@@ -24,9 +24,11 @@ import (
 // clause lists, reasons, and watch lists round-trip unchanged and encode
 // cost is a single pass over flat memory. Binary clauses exist only as
 // watchers (version 4), so a watcher and a reason say whether they name
-// an arena clause or stand for a binary clause. Like Snapshot's other
-// callers of the arena, encoding is read-only on the solver, so
-// concurrent Snapshot/Clone calls on one frozen solver need no locking.
+// an arena clause or stand for a binary clause; a frozen solver's
+// problem binaries follow as its implication table, in table order
+// (version 5). Like Snapshot's other callers of the arena, encoding is
+// read-only on the solver, so concurrent Snapshot/Clone calls on one
+// frozen solver need no locking.
 //
 // The decoder treats its input as untrusted. Every count is bounded by
 // the remaining input length before any allocation (memory stays O(input
@@ -45,10 +47,11 @@ var ErrBadSnapshot = errors.New("sat: malformed solver snapshot")
 // introduced the arena clause database (serialized as the raw slab);
 // version 3 dropped the per-solver restart unit, now a constant; version
 // 4 keeps binary clauses out of the arena (watchers and reasons carry a
-// binary tag) and gives original clauses a one-word header. Bump it on
-// any incompatible layout change; RestoreSnapshot rejects other
+// binary tag) and gives original clauses a one-word header; version 5
+// appends the frozen problem binaries' shared implication table. Bump it
+// on any incompatible layout change; RestoreSnapshot rejects other
 // versions.
-const snapshotVersion = 4
+const snapshotVersion = 5
 
 // maxSnapshotVars bounds the variable count a snapshot may declare; it
 // exists purely to keep arithmetic on 2*nVars comfortably inside int32
@@ -68,7 +71,11 @@ func (s *Solver) Snapshot() []byte {
 		panic("sat: Snapshot called above decision level 0")
 	}
 	nWatchers := s.watches.live()
-	buf := make([]byte, 0, 80+4*len(s.ca.data)+5*(len(s.clauses)+len(s.learnts))+10*nWatchers+10*s.nVars)
+	nImps := 0
+	if s.bins != nil {
+		nImps = len(s.bins.imp)
+	}
+	buf := make([]byte, 0, 80+4*len(s.ca.data)+5*(len(s.clauses)+len(s.learnts))+10*nWatchers+3*nImps+15*s.nVars)
 
 	u32 := func(v uint32) {
 		buf = binary.LittleEndian.AppendUint32(buf, v)
@@ -176,6 +183,23 @@ func (s *Solver) Snapshot() []byte {
 				uv(uint64(w.c) + 2)
 			}
 			uv(uint64(w.blocker))
+		}
+	}
+
+	// The shared implication table (version 5): the number of literals
+	// it covers (0 for no table), the total implication count, then per
+	// literal the count and each implied literal.
+	if s.bins == nil {
+		uv(0)
+		return buf
+	}
+	uv(uint64(s.bins.lits()))
+	uv(uint64(len(s.bins.imp)))
+	for li := 0; li < s.bins.lits(); li++ {
+		imps := s.bins.of(lit(li))
+		uv(uint64(len(imps)))
+		for _, q := range imps {
+			uv(uint64(q))
 		}
 	}
 	return buf
@@ -610,6 +634,11 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
+	bins, nShared, err := readImplTable(r, nVars)
+	if err != nil {
+		return nil, err
+	}
+	nBinary += nShared
 	if r.rem() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rem())
 	}
@@ -623,6 +652,7 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 		nBinary:      nBinary,
 		nLearntBin:   nLearntBin,
 		watches:      watches,
+		bins:         bins,
 		vals:         vals,
 		level:        make([]int32, nVars), // level-0 snapshot: all zero
 		reason:       reason,
@@ -639,6 +669,61 @@ func RestoreSnapshot(data []byte) (*Solver, error) {
 	}
 	n.order = varHeap{activity: &n.activity, heap: heap, indices: indices}
 	return n, nil
+}
+
+// readImplTable decodes the shared implication table and returns it
+// (nil when the snapshot has none) with the number of binary clauses it
+// holds. Every implied literal must be in range and of another variable
+// than the literal implying it, and every binary must appear under both
+// of its literals' negations, as ResetRun lays it out.
+func readImplTable(r *snapReader, nVars int) (*implTable, int, error) {
+	nLits, err := r.count("implication table literals")
+	if err != nil || nLits == 0 {
+		return nil, 0, err
+	}
+	if nLits > 2*nVars {
+		return nil, 0, fmt.Errorf("%w: implication table covers %d literals of %d", ErrBadSnapshot, nLits, 2*nVars)
+	}
+	total, err := r.count("implication count")
+	if err != nil {
+		return nil, 0, err
+	}
+	t := &implTable{off: make([]uint32, nLits+1), imp: make([]lit, 0, total)}
+	keys := make([]uint64, 0, total)
+	for li := 0; li < nLits; li++ {
+		n, err := r.count("implication list length")
+		if err != nil {
+			return nil, 0, err
+		}
+		if n > total-len(t.imp) {
+			return nil, 0, fmt.Errorf("%w: more implications than the declared %d", ErrBadSnapshot, total)
+		}
+		p := lit(li)
+		for j := 0; j < n; j++ {
+			q64, err := r.uvarint("implied literal")
+			if err != nil {
+				return nil, 0, err
+			}
+			if q64 >= uint64(2*nVars) {
+				return nil, 0, fmt.Errorf("%w: implied literal %d out of range", ErrBadSnapshot, q64)
+			}
+			q := lit(q64)
+			if q.v() == p.v() {
+				return nil, 0, fmt.Errorf("%w: literal %d implies its own variable", ErrBadSnapshot, li)
+			}
+			keys = append(keys, binaryKey(p.flip(), q, false))
+			t.imp = append(t.imp, q)
+		}
+		t.off[li+1] = uint32(len(t.imp))
+	}
+	if len(t.imp) != total {
+		return nil, 0, fmt.Errorf("%w: %d implications, declared %d", ErrBadSnapshot, len(t.imp), total)
+	}
+	nShared, _, err := pairBinaryWatchers(keys)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, nShared, nil
 }
 
 // binaryKey orders the binary watchers of a snapshot by clause: the

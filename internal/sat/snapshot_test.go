@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -247,6 +248,17 @@ func malformedBinarySnapshots() map[string][]byte {
 		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(-1)})
 		s.watches.push(toInternal(1), watcher{crefBinary, toInternal(-1)})
 	})
+	// The shared implication table of a frozen solver: satInstance's
+	// binaries, with one implication of 1 appended by hand.
+	damageTable := func(name string, q lit) {
+		s := NewSolver()
+		satInstance(s)
+		s.ResetRun()
+		out[name] = withImplication(s, toInternal(1), q)
+	}
+	damageTable("table-literal-out-of-range", lit(2*12+3))
+	damageTable("table-unmirrored", toInternal(2))        // (¬1 ∨ 2) under 1 only
+	damageTable("table-self-implication", toInternal(-1)) // 1 implies ¬1
 	s := binaryReasons()
 	s.reason[2] = reasonBinary(toInternal(4)) // variable 3's reason names unassigned 4
 	out["reason-unassigned"] = s.Snapshot()
@@ -254,6 +266,20 @@ func malformedBinarySnapshots() map[string][]byte {
 	s.reason[2] = reasonBinary(toInternal(2)) // a true literal cannot be a reason's other literal
 	out["reason-true"] = s.Snapshot()
 	return out
+}
+
+// withImplication returns the snapshot of s with q appended to p's list
+// in a copy of s's implication table; s's own table is not written.
+func withImplication(s *Solver, p, q lit) []byte {
+	t := s.bins
+	off := slices.Clone(t.off)
+	imp := slices.Insert(slices.Clone(t.imp), int(off[p+1]), q)
+	for i := int(p) + 1; i < len(off); i++ {
+		off[i]++
+	}
+	s.bins = &implTable{off: off, imp: imp}
+	defer func() { s.bins = t }()
+	return s.Snapshot()
 }
 
 // TestRestoreSnapshotRejectsMalformedBinaries: every broken binary-clause
@@ -270,6 +296,17 @@ func TestRestoreSnapshotRejectsMalformedBinaries(t *testing.T) {
 	}
 	if _, err := RestoreSnapshot(s.Snapshot()); err != nil {
 		t.Fatalf("intact binary reasons: %v", err)
+	}
+	frozen := NewSolver()
+	satInstance(frozen)
+	frozen.ResetRun()
+	snap := frozen.Snapshot()
+	restored, err := RestoreSnapshot(snap)
+	if err != nil {
+		t.Fatalf("intact implication table: %v", err)
+	}
+	if !bytes.Equal(restored.Snapshot(), snap) || restored.NumClauses() != frozen.NumClauses() {
+		t.Fatal("the implication table does not round-trip")
 	}
 }
 
@@ -321,6 +358,20 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		s.Solve()
 		if s.nLearntBin == 0 {
 			f.Fatal("seed setup learnt no binary clause")
+		}
+	})
+	// A frozen binary-heavy solver: its problem binaries are in the
+	// shared implication table.
+	seed(func(s *Solver) {
+		r := rand.New(rand.NewSource(7))
+		nVars, clauses, _ := binaryHeavyInstance(r, 16, 2, 4.4)
+		s.EnsureVars(nVars)
+		loadClauses(s, clauses)
+		s.SetBudget(40, 0)
+		s.Solve()
+		s.ResetRun()
+		if s.bins == nil {
+			f.Fatal("seed setup froze no implication table")
 		}
 	})
 	for _, snap := range malformedBinarySnapshots() {

@@ -171,6 +171,10 @@ type Solver struct {
 	nLearntBin int
 
 	watches watchTable // watch lists, indexed by internal lit
+	// bins is the read-only implication table ResetRun builds from the
+	// problem binaries (see implTable); nil before the first freeze.
+	// Clones share it.
+	bins *implTable
 	// vals holds the current value of every internal literal: an
 	// assignment writes both polarities, so value(l) is one load with no
 	// sign fix-up. A variable v is unassigned iff vals[2v] is lUndef.
@@ -268,19 +272,33 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) + s.nLearntBin }
 // headroom Clone leaves covers what a query adds.
 func (s *Solver) ArenaWords() (used, capacity int) { return len(s.ca.data), cap(s.ca.data) }
 
+// WatchSlab reports the watcher slab's length and capacity in watchers,
+// garbage runs included; a frozen solver's shared implications are not
+// in it. A query's watch-list moves fit without copying the slab again
+// while used stays within capacity, which the allocation-budget tests
+// check like ArenaWords.
+func (s *Solver) WatchSlab() (used, capacity int) {
+	return len(s.watches.slab), cap(s.watches.slab)
+}
+
 // Stats returns a copy of the cumulative solver statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 
 // ResetRun drops what earlier solves left on the solver besides its
 // search state: the cumulative Stats, the last model, final conflict and
 // stop cause, and the conflict-analysis scratch buffers. Saved phases,
-// VSIDS activities and learnt clauses stay. It also clips the clause
-// arena to its length and lays the watch lists out back to back in a
-// slab of exactly their size, so a solver frozen after ResetRun (a
-// compiled base) keeps no spare room or garbage for a Clone to copy;
-// each clone gets its own headroom. After ResetRun the solver itself
-// runs the same search its Clone would, and reports only its own later
-// work. Must be called at decision level 0.
+// VSIDS activities and learnt clauses stay. ResetRun is the freeze
+// point of a compiled base: it moves every problem binary out of the
+// watch lists into a new read-only implication table (see implTable),
+// which the solver's clones share instead of copying, clips the clause
+// arena to its length and lays the remaining watch lists out back to
+// back in a slab of exactly their size, so a frozen solver keeps no
+// spare room or garbage for a Clone to copy; each clone gets its own
+// headroom. Propagation visits a literal's shared implications before
+// its watch list, so the search after ResetRun differs from the one
+// before it. After ResetRun the solver itself runs the same search its
+// Clone would, and reports only its own later work. Must be called at
+// decision level 0.
 func (s *Solver) ResetRun() {
 	if s.decisionLevel() != 0 {
 		panic("sat: ResetRun called above decision level 0")
@@ -297,7 +315,8 @@ func (s *Solver) ResetRun() {
 	if cap(s.ca.data) > len(s.ca.data) {
 		s.ca.data = grown(s.ca.data, 0)
 	}
-	s.watches.compact(nil, 0)
+	s.freezeBinaries()
+	s.watches.compact(nil)
 }
 
 // NewVar allocates a fresh variable and returns its index (≥ 1).
@@ -403,7 +422,7 @@ func (s *Solver) Bulk(load func()) {
 	if cap(s.clauses)-len(s.clauses) < nClauses {
 		s.clauses = grown(s.clauses, nClauses)
 	}
-	s.watches.compact(room, 0)
+	s.watches.compact(room)
 	for _, chunk := range s.bulk {
 		for i := 0; i < len(chunk); {
 			j := i
