@@ -47,13 +47,14 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -diff "$$(ls BENCH_PR*.json | sort -V | tail -1)" < /tmp/netarch-bench.txt
 
 # alloc-budget pins the hot-path allocation budgets (zero-alloc
-# propagate, zero-alloc Simplify of a simplified formula, bounded warm
-# cache-hit queries, serve_warm-shaped queries and cost optimizations,
-# bounded cold compiles) and the §5.1 base sizes (variable and clause
-# counts) so allocation and base-growth regressions fail the gate even
-# though `test` also covers them.
+# propagate, zero-alloc Simplify of a simplified formula, totalizers
+# built without a heap slice per clause, bounded warm cache-hit queries,
+# serve_warm-shaped queries and cost optimizations, bounded cold
+# compiles) and the §5.1 base sizes (variable and clause counts) so
+# allocation and base-growth regressions fail the gate even though
+# `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the
@@ -95,12 +96,15 @@ differential:
 # witnessed, unbeatable optima), the Simplify fuzzer (idempotent,
 # equivalent under every assignment, equal to the String()-keyed oracle),
 # the arithmetic fuzzer (random sums and products over constant and
-# free operands must evaluate to the integer result) and the KB JSON
+# free operands must evaluate to the integer result), the KB JSON
 # fuzzer (kb.Load must decode and validate arbitrary bytes or return an
 # error, never panic), the chaos-spec fuzzer (serve.ParseChaos must
-# return an error or a profile whose rate lies in [0,1], never panic)
-# and the serve body fuzzers (every query-mode body and reload payload
-# gets a 200 or a typed error body, never a 500 or a panic).
+# return an error or a profile whose rate lies in [0,1], never panic),
+# the serve body fuzzers (every query-mode body and reload payload
+# gets a 200 or a typed error body, never a 500 or a panic) and the DSL
+# fuzzers (dsl.ParseString and dsl.ParseExpr must reject arbitrary text
+# with an error or accept it and survive a Format/Parse round trip,
+# never panic).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
 	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/intlin
@@ -111,6 +115,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseChaos -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzServeQuery -fuzztime=10s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzServeReload -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzParseString -fuzztime=10s ./internal/dsl
+	$(GO) test -run=NONE -fuzz=FuzzParseExpr -fuzztime=10s ./internal/dsl
 
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, a gofmt check, the race detector over every package, the differential

@@ -13,17 +13,9 @@ import (
 	"netarch/internal/sat"
 )
 
-// Adder is the clause sink the encoders emit into. *sat.Solver satisfies it.
-type Adder interface {
-	// NewVar allocates a fresh variable and returns its index (≥ 1).
-	NewVar() int
-	// AddClause adds a clause; the return mirrors sat.Solver.AddClause.
-	AddClause(lits ...sat.Lit) bool
-}
-
 // AtMostKSeq encodes sum(lits) ≤ k with the sequential (Sinz) counter:
 // O(n·k) clauses and auxiliary variables. k ≥ 0.
-func AtMostKSeq(s Adder, lits []sat.Lit, k int) {
+func AtMostKSeq(s *sat.Solver, lits []sat.Lit, k int) {
 	n := len(lits)
 	if k < 0 {
 		s.AddClause()
@@ -68,7 +60,7 @@ func AtMostKSeq(s Adder, lits []sat.Lit, k int) {
 }
 
 // AtLeastK encodes sum(lits) ≥ k by encoding "at most n-k of the negations".
-func AtLeastK(s Adder, lits []sat.Lit, k int) {
+func AtLeastK(s *sat.Solver, lits []sat.Lit, k int) {
 	if k <= 0 {
 		return
 	}
@@ -89,7 +81,7 @@ func AtLeastK(s Adder, lits []sat.Lit, k int) {
 // assumption literals (Bound*), which is what the lexicographic optimizer
 // uses to tighten objectives without rebuilding the formula.
 type Totalizer struct {
-	adder   Adder
+	s       *sat.Solver
 	inputs  []sat.Lit
 	outputs []sat.Lit
 }
@@ -97,8 +89,8 @@ type Totalizer struct {
 // NewTotalizer builds a totalizer tree over lits. It emits O(n log n)
 // auxiliary variables and O(n²) clauses in the worst case, but supports
 // arbitrary bound tightening afterwards.
-func NewTotalizer(s Adder, lits []sat.Lit) *Totalizer {
-	t := &Totalizer{adder: s, inputs: append([]sat.Lit(nil), lits...)}
+func NewTotalizer(s *sat.Solver, lits []sat.Lit) *Totalizer {
+	t := &Totalizer{s: s, inputs: append([]sat.Lit(nil), lits...)}
 	t.outputs = t.build(t.inputs)
 	return t
 }
@@ -114,7 +106,7 @@ func (t *Totalizer) build(lits []sat.Lit) []sat.Lit {
 	right := t.build(lits[mid:])
 	out := make([]sat.Lit, n)
 	for i := range out {
-		out[i] = sat.Lit(t.adder.NewVar())
+		out[i] = sat.Lit(t.s.NewVar())
 	}
 	// Merge: for all a in 0..len(left), b in 0..len(right) with a+b ≥ 1:
 	//   left[a-1] ∧ right[b-1] -> out[a+b-1]   (counts add)
@@ -131,7 +123,7 @@ func (t *Totalizer) build(lits []sat.Lit) []sat.Lit {
 					clause = append(clause, right[b-1].Flip())
 				}
 				clause = append(clause, out[a+b-1])
-				t.adder.AddClause(clause...)
+				t.s.AddClause(clause...)
 			}
 			if a+b < n {
 				clause := make([]sat.Lit, 0, 3)
@@ -142,7 +134,7 @@ func (t *Totalizer) build(lits []sat.Lit) []sat.Lit {
 					clause = append(clause, right[b])
 				}
 				clause = append(clause, out[a+b].Flip())
-				t.adder.AddClause(clause...)
+				t.s.AddClause(clause...)
 			}
 		}
 	}
@@ -183,14 +175,14 @@ func (t *Totalizer) AtLeastLit(k int) sat.Lit {
 // ConstrainAtMost permanently imposes sum ≤ k.
 func (t *Totalizer) ConstrainAtMost(k int) {
 	if l := t.AtMostLit(k); l != 0 {
-		t.adder.AddClause(l)
+		t.s.AddClause(l)
 	}
 }
 
 // ConstrainAtLeast permanently imposes sum ≥ k.
 func (t *Totalizer) ConstrainAtLeast(k int) {
 	if l := t.AtLeastLit(k); l != 0 {
-		t.adder.AddClause(l)
+		t.s.AddClause(l)
 	}
 }
 

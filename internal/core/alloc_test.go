@@ -172,9 +172,11 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 // Simplify's dedup and the Tseitin cache by rendered strings cost ~86k
 // allocations per compile; with structural hashes it measured 37,341,
 // with the watch lists in one watcher slab instead of a slice per
-// literal 24,496, and with the arithmetic gates folding constant inputs
+// literal 24,496, with the arithmetic gates folding constant inputs
 // and emitting their clauses through the builder's scratch buffer,
-// 9,313. The budget has ~8% headroom, so string keys, a per-node,
+// 9,313, and with the gates emitting straight into the solver and each
+// shard converter numbering its auxiliary variables from its CNF
+// instead of a closure, 9,012. The budget has ~11% headroom, so string keys, a per-node,
 // per-list or per-gate allocation, or the constant-input gates creeping
 // back into the compile path fails the gate.
 func TestCompileAllocBudget(t *testing.T) {

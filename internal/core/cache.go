@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"netarch/internal/intlin"
 	"netarch/internal/kb"
 	"netarch/internal/sat"
 )
@@ -86,17 +87,10 @@ func (cs CacheStats) String() string {
 	if cs.SliceComputed+cs.SliceHits > 0 {
 		s += fmt.Sprintf("; slice: %d computed / %d memo hits, avg %d→%d SKUs",
 			cs.SliceComputed, cs.SliceHits,
-			cs.SliceSKUsIn/max64(cs.SliceComputed, 1),
-			cs.SliceSKUsKept/max64(cs.SliceComputed, 1))
+			cs.SliceSKUsIn/max(cs.SliceComputed, 1),
+			cs.SliceSKUsKept/max(cs.SliceComputed, 1))
 	}
 	return s
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CacheStats returns a snapshot of the compiled-base cache counters.
@@ -362,7 +356,7 @@ func (e *Engine) specialize(base *compiled, sc *Scenario, solver *sat.Solver) *c
 		sc:          sc,
 		vocab:       base.vocab, // frozen: query-time access is Lookup-only
 		solver:      solver,
-		arith:       base.arith.WithAdder(solver),
+		arith:       intlin.Attach(solver, base.arith.True()),
 		sysLit:      base.sysLit,
 		hwLit:       base.hwLit,
 		sysNames:    base.sysNames,

@@ -213,13 +213,8 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	c.solver = sat.NewSolver()
 	c.solver.EnsureVars(c.vocab.Len())
 	c.solver.Bulk(func() {
-		var lits []sat.Lit
 		for _, cl := range cnf.Clauses {
-			lits = lits[:0]
-			for _, l := range cl {
-				lits = append(lits, sat.Lit(l))
-			}
-			c.solver.AddClause(lits...)
+			c.solver.AddClause(cl...)
 		}
 		c.frozen = true
 		c.arith = intlin.New(c.solver)
@@ -794,16 +789,7 @@ func (c *compiled) resourceConstraints() {
 	ns := int64(c.sc.numServers())
 
 	// Total cores provided by the selected server SKU.
-	var maxCores int64 = 1
-	for _, h := range c.allowedHardware(kb.KindServer) {
-		if v := h.Q(kb.ResCores) * ns; v > maxCores {
-			maxCores = v
-		}
-	}
-	c.coresTotal = c.arith.Var(maxCores)
-	for _, h := range c.allowedHardware(kb.KindServer) {
-		c.arith.AssertImpliesEq(c.hwLit[h.Name], c.coresTotal, h.Q(kb.ResCores)*ns)
-	}
+	c.coresTotal = c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.Q(kb.ResCores) * ns })
 
 	// Cores consumed: workload peaks + per-system overheads.
 	var wlCores int64
@@ -834,23 +820,13 @@ func (c *compiled) resourceConstraints() {
 	}
 	if wlMem > 0 {
 		cxlOn := c.pinnedCtx["cxl_pooling"]
-		var maxMem int64 = 1
-		memOf := func(h *kb.Hardware) int64 {
+		memTotal := c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 {
 			m := h.Q(kb.ResMemoryGB) * ns
 			if cxlOn && h.HasCap(kb.CapCXL) {
 				m += m / 2
 			}
 			return m
-		}
-		for _, h := range c.allowedHardware(kb.KindServer) {
-			if v := memOf(h); v > maxMem {
-				maxMem = v
-			}
-		}
-		memTotal := c.arith.Var(maxMem)
-		for _, h := range c.allowedHardware(kb.KindServer) {
-			c.arith.AssertImpliesEq(c.hwLit[h.Name], memTotal, memOf(h))
-		}
+		})
 		selMem := c.addSelector("resources:memory",
 			fmt.Sprintf("workloads need %d GB of aggregate server memory", wlMem))
 		c.arith.AssertImplies(selMem, c.arith.GeqConst(memTotal, wlMem))
@@ -941,28 +917,19 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 		return
 	}
 	used := c.arith.Sum(terms...)
-	var maxBudget int64 = 1
-	for _, h := range c.allowedHardware(kb.KindSwitch) {
-		if v := h.Q(res); v > maxBudget {
-			maxBudget = v
-		}
-	}
-	budget := c.arith.Var(maxBudget)
-	for _, h := range c.allowedHardware(kb.KindSwitch) {
-		c.arith.AssertImpliesEq(c.hwLit[h.Name], budget, h.Q(res))
-	}
+	budget := c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.Q(res) })
 	sel := c.addSelector(selName, note)
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
 }
 
-// kindTotal builds a muxed per-kind contribution: one bounded integer,
-// forced to val(h) exactly while SKU h is selected. It follows the
-// coresTotal/memTotal precedent: at most one SKU per kind is selected,
-// so exactly one AssertImpliesEq guard holds and the variable is pinned
-// to the selected SKU's value. When no SKU of the kind is selected (possible
-// only in MUS deletion trials that drop the selection selector) the
-// variable floats; such trials only ask satisfiability, which a
-// floating total never changes.
+// kindTotal builds a muxed per-kind quantity: one bounded integer,
+// forced to val(h) exactly while SKU h is selected. At most one SKU per
+// kind is selected, so exactly one AssertImpliesEq guard holds and the
+// variable is pinned to the selected SKU's value; a kind whose values
+// are all ≤ 0 is the constant 0. When no SKU of the kind is selected
+// (possible only in MUS deletion trials that drop the selection
+// selector) the variable floats; such trials only ask satisfiability,
+// which a floating total never changes.
 func (c *compiled) kindTotal(kind kb.HardwareKind, val func(*kb.Hardware) int64) intlin.Int {
 	hws := c.allowedHardware(kind)
 	var maxV int64

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"netarch/internal/intlin"
 	"netarch/internal/sat"
 )
 
@@ -207,7 +208,7 @@ func (co *enumCoord) merge() (out []*enumClass, complete bool) {
 func (c *compiled) fork(s *sat.Solver) *compiled {
 	n := *c
 	n.solver = s
-	n.arith = c.arith.WithAdder(s)
+	n.arith = intlin.Attach(s, c.arith.True())
 	return &n
 }
 

@@ -21,13 +21,6 @@ import (
 	"netarch/internal/sat"
 )
 
-// Adder is the clause sink; *sat.Solver satisfies it. AddClause must not
-// retain lits: the Builder passes its scratch buffers.
-type Adder interface {
-	NewVar() int
-	AddClause(lits ...sat.Lit) bool
-}
-
 // Int is a bit-blasted non-negative integer. Bit 0 is least significant.
 // Every bit is a solver literal; constants use the builder's fixed
 // true/false literal, so all Ints are handled uniformly.
@@ -62,38 +55,29 @@ func RestoreInt(bits []sat.Lit, max int64) Int {
 	return Int{bits: append([]sat.Lit(nil), bits...), max: max}
 }
 
-// Builder allocates integer circuits over an Adder. It reuses scratch
-// buffers across gates, so one Builder must not be used from two
+// Builder allocates integer circuits in a solver. It reuses a scratch
+// buffer across gates, so one Builder must not be used from two
 // goroutines at once.
 type Builder struct {
-	s       Adder
+	s       *sat.Solver
 	trueLit sat.Lit   // a literal constrained to be true
-	in, cls []sat.Lit // scratch: a gate's folded inputs, the clause emit adds
+	in      []sat.Lit // scratch: a gate's folded inputs
 }
 
 // New returns a Builder emitting into s. It allocates one variable pinned
 // true to represent constant bits.
-func New(s Adder) *Builder {
+func New(s *sat.Solver) *Builder {
 	t := sat.Lit(s.NewVar())
 	s.AddClause(t)
 	return &Builder{s: s, trueLit: t}
 }
 
-// WithAdder returns a Builder emitting into s but reusing b's constant-
-// true literal instead of allocating a new one. It exists for solver
-// cloning: a clone already contains the original's pinned true variable,
-// so circuits built against the clone must reference the same literal.
-// s must contain b's variable space (a clone or the original itself).
-func (b *Builder) WithAdder(s Adder) *Builder {
-	return &Builder{s: s, trueLit: b.trueLit}
-}
-
 // Attach returns a Builder emitting into s that reuses an existing
-// constant-true literal rather than allocating one. It is the
-// deserialization counterpart of WithAdder: when a solver is restored from
-// a snapshot the original Builder is gone, but its pinned true variable
-// (recorded alongside the snapshot) is still constrained inside s.
-func Attach(s Adder, trueLit sat.Lit) *Builder {
+// constant-true literal rather than allocating one: trueLit must already
+// be pinned true inside s. A clone of a solver, or a solver restored from
+// a snapshot, holds the original Builder's pinned variable, so
+// Attach(clone, b.True()) builds circuits over the clone.
+func Attach(s *sat.Solver, trueLit sat.Lit) *Builder {
 	return &Builder{s: s, trueLit: trueLit}
 }
 
@@ -139,7 +123,7 @@ func (b *Builder) Var(max int64) Int {
 	}
 	// If max is not 2^w - 1, forbid values above max.
 	if max != (1<<w)-1 {
-		b.emit(b.LeqConst(out, max))
+		b.s.AddClause(b.LeqConst(out, max))
 	}
 	return out
 }
@@ -187,13 +171,6 @@ func (b *Builder) ScaledBool(l sat.Lit, c int64) Int {
 // (an adder's initial carry, ScaledBool's zero bits, bits past an
 // operand's width) therefore costs no variable and no clause.
 
-// emit adds one clause through the builder's scratch buffer, so the
-// variadic call does not allocate.
-func (b *Builder) emit(ls ...sat.Lit) {
-	b.cls = append(b.cls[:0], ls...)
-	b.s.AddClause(b.cls...)
-}
-
 // andGate returns a literal g with g ↔ (l1 ∧ … ∧ ln).
 func (b *Builder) andGate(ls ...sat.Lit) sat.Lit { return b.gate(ls, false) }
 
@@ -232,7 +209,7 @@ func (b *Builder) gate(ls []sat.Lit, or bool) sat.Lit {
 	g := sat.Lit(b.s.NewVar())
 	out := neg(g) // out ↔ ∧ x
 	for i, x := range b.in[1:] {
-		b.emit(out.Flip(), x) // out -> x
+		b.s.AddClause(out.Flip(), x) // out -> x
 		b.in[i+1] = x.Flip()
 	}
 	b.in[0] = out
@@ -256,10 +233,10 @@ func (b *Builder) iffGate(a, c sat.Lit) sat.Lit {
 		return c.Flip()
 	}
 	g := sat.Lit(b.s.NewVar())
-	b.emit(g.Flip(), a.Flip(), c)
-	b.emit(g.Flip(), a, c.Flip())
-	b.emit(g, a, c)
-	b.emit(g, a.Flip(), c.Flip())
+	b.s.AddClause(g.Flip(), a.Flip(), c)
+	b.s.AddClause(g.Flip(), a, c.Flip())
+	b.s.AddClause(g, a, c)
+	b.s.AddClause(g, a.Flip(), c.Flip())
 	return g
 }
 
@@ -405,10 +382,10 @@ func (b *Builder) Eq(a, c Int) sat.Lit {
 }
 
 // Assert adds the literal as a unit clause (convenience).
-func (b *Builder) Assert(l sat.Lit) { b.emit(l) }
+func (b *Builder) Assert(l sat.Lit) { b.s.AddClause(l) }
 
 // AssertImplies adds guard → l.
-func (b *Builder) AssertImplies(guard, l sat.Lit) { b.emit(guard.Flip(), l) }
+func (b *Builder) AssertImplies(guard, l sat.Lit) { b.s.AddClause(guard.Flip(), l) }
 
 // AssertImpliesEq adds guard → (a = k) as one binary clause ¬guard ∨ ±bit
 // per bit of a, with no auxiliary variable: nothing reads the reverse
@@ -416,14 +393,14 @@ func (b *Builder) AssertImplies(guard, l sat.Lit) { b.emit(guard.Flip(), l) }
 // ¬guard.
 func (b *Builder) AssertImpliesEq(guard sat.Lit, a Int, k int64) {
 	if k < 0 || k > a.max {
-		b.emit(guard.Flip())
+		b.s.AddClause(guard.Flip())
 		return
 	}
 	for i, l := range a.bits {
 		if k&(1<<i) == 0 {
 			l = l.Flip()
 		}
-		b.emit(guard.Flip(), l)
+		b.s.AddClause(guard.Flip(), l)
 	}
 }
 

@@ -2,42 +2,14 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"netarch/internal/sat"
 )
 
-// Lit is a CNF literal: a variable with a sign. Positive literals are the
-// variable itself; negative literals are its negation. The integer value is
-// +int(v) or -int(v); 0 is invalid.
-type Lit int32
-
-// MkLit builds a literal from a variable and a sign (neg == true means ¬v).
-func MkLit(v Var, neg bool) Lit {
-	if neg {
-		return -Lit(v)
-	}
-	return Lit(v)
-}
-
-// Var returns the literal's variable.
-func (l Lit) Var() Var {
-	if l < 0 {
-		return Var(-l)
-	}
-	return Var(l)
-}
-
-// Neg reports whether the literal is negative.
-func (l Lit) Neg() bool { return l < 0 }
-
-// Flip returns the complementary literal.
-func (l Lit) Flip() Lit { return -l }
-
-// Clause is a disjunction of literals.
-type Clause []Lit
-
-// Clone returns a copy of the clause.
-func (c Clause) Clone() Clause { return append(Clause(nil), c...) }
+// Clause is a disjunction of solver literals; literal +v or -v stands
+// for variable v or its negation.
+type Clause []sat.Lit
 
 // String renders the clause as "(l1 | l2 | ...)".
 func (c Clause) String() string {
@@ -59,13 +31,11 @@ type CNF struct {
 }
 
 // AddClause appends a clause (copying the literals).
-func (c *CNF) AddClause(lits ...Lit) {
+func (c *CNF) AddClause(lits ...sat.Lit) {
 	cl := make(Clause, len(lits))
 	copy(cl, lits)
 	for _, l := range lits {
-		if int(l.Var()) > c.NumVars {
-			c.NumVars = int(l.Var())
-		}
+		c.NumVars = max(c.NumVars, l.Var())
 	}
 	c.Clauses = append(c.Clauses, cl)
 }
@@ -73,14 +43,14 @@ func (c *CNF) AddClause(lits ...Lit) {
 // Eval evaluates the CNF under the assignment (vars absent are false).
 func (c *CNF) Eval(assign map[Var]bool) bool {
 	for _, cl := range c.Clauses {
-		sat := false
+		ok := false
 		for _, l := range cl {
-			if assign[l.Var()] != l.Neg() {
-				sat = true
+			if assign[Var(l.Var())] != l.Neg() {
+				ok = true
 				break
 			}
 		}
-		if !sat {
+		if !ok {
 			return false
 		}
 	}
@@ -99,39 +69,23 @@ func (c *CNF) String() string {
 // Converter turns formulas into CNF via the Tseitin transformation with
 // Plaisted–Greenbaum polarity optimization: definitional clauses are only
 // emitted for the polarities in which a subformula actually occurs.
-// Auxiliary variables are allocated from the supplied Vocabulary so that
-// they never collide with knowledge-base atoms.
+// Auxiliary variables are numbered upward from CNF.NumVars, so every
+// variable of an asserted formula must be at most the NumVars the CNF
+// starts with; they then never collide with knowledge-base atoms.
 type Converter struct {
-	Vocab *Vocabulary
-	CNF   *CNF
+	CNF *CNF
 
 	// cache maps And/Or subformulas to their definition literal by
 	// structural equality (hash, then Equal); nil until the first
 	// definition. It avoids duplicate aux variables when the same rule
 	// body is asserted repeatedly (common for generated knowledge bases).
 	cache formulaMap
-
-	// fresh, when non-nil, replaces Vocab.Fresh("") as the auxiliary-
-	// variable allocator. Shard converters (ConvertShards) use it to
-	// number aux variables from a local counter so each assertion can be
-	// converted independently of every other.
-	fresh func() Var
 }
 
 // freshAux allocates one auxiliary variable.
-func (cv *Converter) freshAux() Var {
-	if cv.fresh != nil {
-		return cv.fresh()
-	}
-	return cv.Vocab.Fresh("")
-}
-
-// NewConverter returns a Converter emitting into a fresh CNF.
-func NewConverter(vocab *Vocabulary) *Converter {
-	return &Converter{
-		Vocab: vocab,
-		CNF:   &CNF{NumVars: vocab.Len()},
-	}
+func (cv *Converter) freshAux() sat.Lit {
+	cv.CNF.NumVars++
+	return sat.Lit(cv.CNF.NumVars)
 }
 
 // Assert adds clauses equivalent (equisatisfiable) to f to the CNF.
@@ -166,35 +120,29 @@ func (cv *Converter) assert(f Formula) {
 	cv.CNF.AddClause(cv.lit(f))
 }
 
-// AssertClause adds a raw clause.
-func (cv *Converter) AssertClause(lits ...Lit) { cv.CNF.AddClause(lits...) }
-
 // lit returns a literal l such that l → f holds in every model of the CNF
 // (Plaisted–Greenbaum, positive polarity context, which is sound for
 // assertions).
-func (cv *Converter) lit(f Formula) Lit {
+func (cv *Converter) lit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
-		return Lit(f.v)
+		return sat.Lit(f.v)
 	case KindNot:
 		return cv.negLit(f.args[0])
 	case KindTrue, KindFalse:
 		// Handled by Simplify in Assert; still be defensive.
-		v := cv.freshAux()
-		cv.growTo(v)
+		d := cv.freshAux()
 		if f.kind == KindTrue {
-			cv.CNF.AddClause(Lit(v))
+			cv.CNF.AddClause(d)
 		} else {
-			cv.CNF.AddClause(-Lit(v))
+			cv.CNF.AddClause(-d)
 		}
-		return Lit(v)
+		return d
 	}
 	if l, ok := cv.cache.get(f); ok {
-		return Lit(l)
+		return sat.Lit(l)
 	}
-	v := cv.freshAux()
-	cv.growTo(v)
-	d := Lit(v)
+	d := cv.freshAux()
 	switch f.kind {
 	case KindAnd:
 		// d → (a1 ∧ … ∧ an): clauses (¬d ∨ ai)
@@ -218,10 +166,10 @@ func (cv *Converter) lit(f Formula) Lit {
 }
 
 // negLit returns a literal l such that l → ¬f.
-func (cv *Converter) negLit(f Formula) Lit {
+func (cv *Converter) negLit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
-		return -Lit(f.v)
+		return -sat.Lit(f.v)
 	case KindNot:
 		return cv.lit(f.args[0])
 	}
@@ -229,95 +177,4 @@ func (cv *Converter) negLit(f Formula) Lit {
 	// pushed-in form. NNF push is linear here because Simplify already
 	// flattened the tree.
 	return cv.lit(NNF(Not(f)))
-}
-
-// growTo ensures the CNF var count covers v.
-func (cv *Converter) growTo(v Var) {
-	if int(v) > cv.CNF.NumVars {
-		cv.CNF.NumVars = int(v)
-	}
-}
-
-// DirectCNF converts f to CNF by distribution, without auxiliary variables.
-// The result is logically equivalent to f (not merely equisatisfiable) but
-// can be exponentially large; it is intended for tests and for the tiny
-// guard formulas attached to partial-order edges.
-func DirectCNF(f Formula) []Clause {
-	f = NNF(Simplify(f))
-	return distribute(f)
-}
-
-func distribute(f Formula) []Clause {
-	switch f.kind {
-	case KindTrue:
-		return nil
-	case KindFalse:
-		return []Clause{{}}
-	case KindVar:
-		return []Clause{{Lit(f.v)}}
-	case KindNot:
-		// NNF guarantees the argument is a variable.
-		return []Clause{{-Lit(f.args[0].v)}}
-	case KindAnd:
-		var out []Clause
-		for _, a := range f.args {
-			out = append(out, distribute(a)...)
-		}
-		return out
-	case KindOr:
-		out := []Clause{{}}
-		for _, a := range f.args {
-			sub := distribute(a)
-			next := make([]Clause, 0, len(out)*len(sub))
-			for _, c1 := range out {
-				for _, c2 := range sub {
-					merged := make(Clause, 0, len(c1)+len(c2))
-					merged = append(merged, c1...)
-					merged = append(merged, c2...)
-					next = append(next, normalizeClause(merged))
-				}
-			}
-			out = compactClauses(next)
-		}
-		return out
-	}
-	panic("logic: invalid formula kind " + f.kind.String())
-}
-
-// normalizeClause sorts literals by variable (negative first within a
-// variable) and deduplicates; a tautological clause (containing both l and
-// ¬l) is returned as nil to be dropped by compactClauses.
-func normalizeClause(c Clause) Clause {
-	sort.Slice(c, func(i, j int) bool {
-		vi, vj := c[i].Var(), c[j].Var()
-		if vi != vj {
-			return vi < vj
-		}
-		return c[i] < c[j]
-	})
-	out := c[:0]
-	var prev Lit
-	for i, l := range c {
-		if i > 0 && l == prev {
-			continue
-		}
-		out = append(out, l)
-		prev = l
-	}
-	for i := 0; i+1 < len(out); i++ {
-		if out[i].Var() == out[i+1].Var() {
-			return nil // contains l and ¬l: tautology
-		}
-	}
-	return out
-}
-
-func compactClauses(cs []Clause) []Clause {
-	out := cs[:0]
-	for _, c := range cs {
-		if c != nil {
-			out = append(out, c)
-		}
-	}
-	return out
 }

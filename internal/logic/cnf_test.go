@@ -44,20 +44,6 @@ func formulaSatisfiableBrute(f Formula) bool {
 	return false
 }
 
-func TestLitBasics(t *testing.T) {
-	l := MkLit(5, false)
-	if l.Var() != 5 || l.Neg() {
-		t.Error("positive literal misbehaves")
-	}
-	n := MkLit(5, true)
-	if n.Var() != 5 || !n.Neg() {
-		t.Error("negative literal misbehaves")
-	}
-	if l.Flip() != n || n.Flip() != l {
-		t.Error("Flip must complement")
-	}
-}
-
 func TestClauseString(t *testing.T) {
 	c := Clause{1, -2}
 	if got := c.String(); got != "(x1 | !x2)" {
@@ -73,7 +59,7 @@ func TestTseitinEquisatisfiable(t *testing.T) {
 			vo.Fresh("") // allocate the 5 base variables
 		}
 		f := randFormula(r, 5, 25)
-		cv := NewConverter(vo)
+		cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 		cv.Assert(f)
 		wantSat := formulaSatisfiableBrute(f)
 		gotSat, model := cnfSatisfiableBrute(cv.CNF)
@@ -94,7 +80,7 @@ func TestTseitinEquisatisfiable(t *testing.T) {
 
 func TestAssertTrueFalse(t *testing.T) {
 	vo := NewVocabulary()
-	cv := NewConverter(vo)
+	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(True)
 	if len(cv.CNF.Clauses) != 0 {
 		t.Error("asserting true must add no clauses")
@@ -108,7 +94,7 @@ func TestAssertTrueFalse(t *testing.T) {
 func TestAssertConjunctionSplits(t *testing.T) {
 	vo := NewVocabulary()
 	a, b := vo.Atom("a"), vo.Atom("b")
-	cv := NewConverter(vo)
+	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(And(a, b))
 	// Both conjuncts become unit clauses, no aux variables needed.
 	if len(cv.CNF.Clauses) != 2 {
@@ -122,7 +108,7 @@ func TestAssertConjunctionSplits(t *testing.T) {
 func TestAssertDisjunctionSingleClause(t *testing.T) {
 	vo := NewVocabulary()
 	a, b, c := vo.Atom("a"), vo.Atom("b"), vo.Atom("c")
-	cv := NewConverter(vo)
+	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(Or(a, Not(b), c))
 	if len(cv.CNF.Clauses) != 1 {
 		t.Fatalf("flat disjunction should be one clause, got %d", len(cv.CNF.Clauses))
@@ -133,49 +119,13 @@ func TestConverterCacheReuse(t *testing.T) {
 	vo := NewVocabulary()
 	a, b, c := vo.Atom("a"), vo.Atom("b"), vo.Atom("c")
 	sub := And(a, b)
-	cv := NewConverter(vo)
+	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(Or(sub, c))
 	n1 := cv.CNF.NumVars
 	cv.Assert(Or(sub, Not(c)))
 	n2 := cv.CNF.NumVars
 	if n2 != n1 {
 		t.Errorf("repeated subformula must reuse its aux var: %d -> %d", n1, n2)
-	}
-}
-
-func TestDirectCNFEquivalent(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		f := randFormula(r, 4, 14)
-		clauses := DirectCNF(f)
-		g := clausesToFormula(clauses)
-		if !enumEquivalent(t, f, g) {
-			t.Fatalf("DirectCNF not equivalent for %v: got %v", f, g)
-		}
-	}
-}
-
-func clausesToFormula(cs []Clause) Formula {
-	conj := make([]Formula, 0, len(cs))
-	for _, c := range cs {
-		disj := make([]Formula, 0, len(c))
-		for _, l := range c {
-			a := V(l.Var())
-			if l.Neg() {
-				a = Not(a)
-			}
-			disj = append(disj, a)
-		}
-		conj = append(conj, Or(disj...))
-	}
-	return And(conj...)
-}
-
-func TestDirectCNFTautologyDropped(t *testing.T) {
-	x := V(1)
-	cs := DirectCNF(Or(x, Not(x)))
-	if len(cs) != 0 {
-		t.Errorf("tautology should produce no clauses, got %v", cs)
 	}
 }
 

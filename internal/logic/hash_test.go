@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"netarch/internal/sat"
 )
 
 // The oracle below is the String()-keyed Simplify and Tseitin converter
@@ -60,13 +62,15 @@ func oracleDedupComplement(f Formula) Formula {
 }
 
 type oracleConverter struct {
-	vocab *Vocabulary
+	next  int // the last auxiliary variable allocated
 	cnf   *CNF
-	cache map[string]Lit
+	cache map[string]sat.Lit
 }
 
-func newOracleConverter(vocab *Vocabulary) *oracleConverter {
-	return &oracleConverter{vocab: vocab, cnf: &CNF{NumVars: vocab.Len()}, cache: make(map[string]Lit)}
+// newOracleConverter numbers auxiliary variables from base+1, as a
+// Converter over a CNF of base variables does.
+func newOracleConverter(base int) *oracleConverter {
+	return &oracleConverter{next: base, cnf: &CNF{NumVars: base}, cache: make(map[string]sat.Lit)}
 }
 
 func (cv *oracleConverter) Assert(f Formula) {
@@ -94,18 +98,18 @@ func (cv *oracleConverter) Assert(f Formula) {
 	cv.cnf.AddClause(cv.lit(f))
 }
 
-func (cv *oracleConverter) fresh() Lit {
-	v := cv.vocab.Fresh("")
-	if int(v) > cv.cnf.NumVars {
-		cv.cnf.NumVars = int(v)
+func (cv *oracleConverter) fresh() sat.Lit {
+	cv.next++
+	if cv.next > cv.cnf.NumVars {
+		cv.cnf.NumVars = cv.next
 	}
-	return Lit(v)
+	return sat.Lit(cv.next)
 }
 
-func (cv *oracleConverter) lit(f Formula) Lit {
+func (cv *oracleConverter) lit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
-		return Lit(f.v)
+		return sat.Lit(f.v)
 	case KindNot:
 		return cv.negLit(f.args[0])
 	case KindTrue, KindFalse:
@@ -138,10 +142,10 @@ func (cv *oracleConverter) lit(f Formula) Lit {
 	return d
 }
 
-func (cv *oracleConverter) negLit(f Formula) Lit {
+func (cv *oracleConverter) negLit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
-		return -Lit(f.v)
+		return -sat.Lit(f.v)
 	case KindNot:
 		return cv.lit(f.args[0])
 	}
@@ -275,18 +279,13 @@ func maxArity(f Formula) int {
 func TestConverterMatchesStringKeyedOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		g := &diffGen{r: rand.New(rand.NewSource(seed)), nv: 4 + int(seed%8)}
-		vo := NewVocabulary()
-		for i := 0; i < g.nv; i++ {
-			vo.Fresh("")
-		}
-		ovo := RestoreVocabulary(vo.Names())
-		cv, ocv := NewConverter(vo), newOracleConverter(ovo)
+		cv, ocv := &Converter{CNF: &CNF{NumVars: g.nv}}, newOracleConverter(g.nv)
 		for i := 0; i < 30; i++ {
 			f := g.formula(5)
 			cv.Assert(f)
 			ocv.Assert(f)
 		}
-		if !reflect.DeepEqual(cv.CNF, ocv.cnf) || vo.Len() != ovo.Len() {
+		if !reflect.DeepEqual(cv.CNF, ocv.cnf) {
 			t.Fatalf("seed %d: CNF differs from the String()-keyed converter (%d/%d vars, %d/%d clauses)",
 				seed, cv.CNF.NumVars, ocv.cnf.NumVars, len(cv.CNF.Clauses), len(ocv.cnf.Clauses))
 		}
@@ -317,12 +316,7 @@ func TestHashCollisionKeepsDistinct(t *testing.T) {
 		}
 	}
 
-	vo := NewVocabulary()
-	for i := 0; i < 3; i++ {
-		vo.Fresh("")
-	}
-	ovo := RestoreVocabulary(vo.Names())
-	cv, ocv := NewConverter(vo), newOracleConverter(ovo)
+	cv, ocv := &Converter{CNF: &CNF{NumVars: 3}}, newOracleConverter(3)
 	for _, f := range []Formula{Or(a, b), Or(b, a, V(3))} {
 		cv.Assert(f)
 		ocv.Assert(f)

@@ -3,7 +3,6 @@ package logic
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // enumEquivalent checks logical equivalence of two formulas by enumerating
@@ -269,56 +268,6 @@ func TestNNFShape(t *testing.T) {
 		if !check(f) {
 			t.Fatalf("NNF left a non-atomic negation in %v", f)
 		}
-	}
-}
-
-func TestSubstitute(t *testing.T) {
-	x, y, z := V(1), V(2), V(3)
-	f := And(x, Or(y, Not(x)))
-	g := Substitute(f, map[Var]Formula{1: z})
-	want := And(z, Or(y, Not(z)))
-	if !Equal(g, want) {
-		t.Errorf("Substitute: got %v, want %v", g, want)
-	}
-	h := Substitute(f, map[Var]Formula{1: True})
-	if !enumEquivalent(t, h, y) {
-		t.Errorf("Substitute with constant: got %v", h)
-	}
-}
-
-func TestCofactor(t *testing.T) {
-	x, y := V(1), V(2)
-	f := Or(And(x, y), And(Not(x), Not(y)))
-	if !Equal(Cofactor(f, 1, true), y) {
-		t.Errorf("Cofactor(x=1): got %v, want y", Cofactor(f, 1, true))
-	}
-	if !Equal(Cofactor(f, 1, false), Not(y)) {
-		t.Errorf("Cofactor(x=0): got %v, want !y", Cofactor(f, 1, false))
-	}
-}
-
-func TestEvalQuickShannon(t *testing.T) {
-	// Property: f ≡ (x ∧ f|x=1) ∨ (¬x ∧ f|x=0) — the Shannon expansion.
-	r := rand.New(rand.NewSource(5))
-	prop := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		f := randFormula(rr, 4, 20)
-		x := Var(r.Intn(4) + 1)
-		expanded := Or(And(V(x), Cofactor(f, x, true)), And(Not(V(x)), Cofactor(f, x, false)))
-		vars := And(f, expanded).VarSet()
-		assign := make(map[Var]bool)
-		for mask := 0; mask < 1<<len(vars); mask++ {
-			for i, v := range vars {
-				assign[v] = mask&(1<<i) != 0
-			}
-			if f.Eval(assign) != expanded.Eval(assign) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 

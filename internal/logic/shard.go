@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
+
+	"netarch/internal/sat"
 )
 
 // ShardKey is the structural content hash of one assertion formula. Two
@@ -141,13 +143,9 @@ func ConvertShardsDelta(base int, fs []Formula, prev *ShardSet, workers int) (*C
 			reused.Add(1)
 			return buf
 		}
-		next := Var(base)
-		cv := &Converter{
-			CNF:   &CNF{NumVars: base},
-			fresh: func() Var { next++; return next },
-		}
+		cv := &Converter{CNF: &CNF{NumVars: base}}
 		cv.Assert(fs[i])
-		shards[i] = shard{key: key, base: base, clauses: cv.CNF.Clauses, numAux: int(next) - base}
+		shards[i] = shard{key: key, base: base, clauses: cv.CNF.Clauses, numAux: cv.CNF.NumVars - base}
 		converted.Add(1)
 		return buf
 	}
@@ -187,7 +185,7 @@ func ConvertShardsDelta(base int, fs []Formula, prev *ShardSet, workers int) (*C
 		}
 	}
 	out := &CNF{Clauses: make([]Clause, 0, nClauses)}
-	slab := make([]Lit, 0, nLits)
+	slab := make([]sat.Lit, 0, nLits)
 	off := 0
 	for i := range shards {
 		sh := &shards[i]
@@ -200,8 +198,8 @@ func ConvertShardsDelta(base int, fs []Formula, prev *ShardSet, workers int) (*C
 		for _, cl := range sh.clauses {
 			start := len(slab)
 			for _, l := range cl {
-				if int(l.Var()) > sh.base {
-					s := Lit(int(l.Var()) + delta)
+				if l.Var() > sh.base {
+					s := sat.Lit(l.Var() + delta)
 					if l < 0 {
 						s = -s
 					}

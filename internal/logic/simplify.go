@@ -227,35 +227,3 @@ func nnfNeg(f Formula) Formula {
 	}
 	panic("logic: invalid formula kind " + f.kind.String())
 }
-
-// Substitute replaces variables in f according to subst; variables not in
-// the map are left unchanged. Constants in the map fold immediately.
-func Substitute(f Formula, subst map[Var]Formula) Formula {
-	switch f.kind {
-	case KindTrue, KindFalse:
-		return f
-	case KindVar:
-		if g, ok := subst[f.v]; ok {
-			return g
-		}
-		return f
-	case KindNot:
-		return Not(Substitute(f.args[0], subst))
-	case KindAnd, KindOr:
-		args := make([]Formula, 0, len(f.args))
-		for _, a := range f.args {
-			args = append(args, Substitute(a, subst))
-		}
-		return nary(f.kind, args)
-	}
-	panic("logic: invalid formula kind " + f.kind.String())
-}
-
-// Cofactor returns f with variable v fixed to val, simplified.
-func Cofactor(f Formula, v Var, val bool) Formula {
-	c := False
-	if val {
-		c = True
-	}
-	return Simplify(Substitute(f, map[Var]Formula{v: c}))
-}

@@ -23,29 +23,6 @@ import (
 	"netarch/internal/sat"
 )
 
-// Solver is the subset of *sat.Solver the optimizer drives. Bound
-// circuits are emitted through the objective constructors (which demand
-// clause-adding capability); the search itself only solves under
-// assumptions and reads models and final conflicts back.
-type Solver interface {
-	// SolveAssuming solves under the given assumption literals.
-	SolveAssuming(assumps []sat.Lit) sat.Status
-	// Model returns the satisfying assignment after Sat. The slice is
-	// owned by the solver and overwritten by the next solve.
-	Model() []bool
-	// FinalConflict returns the subset of the assumptions the last
-	// Unsat verdict was derived from (the "unsat core").
-	FinalConflict() []sat.Lit
-}
-
-// ClauseSolver extends Solver with permanent clause addition — what
-// Pareto needs for its dominance-blocking clauses.
-type ClauseSolver interface {
-	Solver
-	// AddClause adds a permanent clause; mirrors sat.Solver.AddClause.
-	AddClause(lits ...sat.Lit) bool
-}
-
 // ErrInfeasible reports that the hard assumptions are unsatisfiable:
 // there is nothing to optimize. Callers that established feasibility
 // beforehand treat it as an internal error.
@@ -96,7 +73,7 @@ type Result struct {
 // resource trip the result carries the best witness and that lower
 // bound (Exact=false); only a trip before any model yields
 // Witnessed=false.
-func Minimize(s Solver, obj Objective, opts Options) (*Result, error) {
+func Minimize(s *sat.Solver, obj Objective, opts Options) (*Result, error) {
 	opts.phase()
 	switch s.SolveAssuming(opts.Hard) {
 	case sat.Sat:
@@ -153,7 +130,7 @@ func coreContains(core []sat.Lit, bound sat.Lit) bool {
 // b_i and raises LowerBound — always the value of the fixed prefix — by
 // 2^i. After bit 0 the prefix is the whole optimum and the best model
 // achieves it. The descent adds no clause, variable or comparator.
-func descendBits(s Solver, obj *IntObjective, opts *Options, r *Result) {
+func descendBits(s *sat.Solver, obj *IntObjective, opts *Options, r *Result) {
 	w := obj.Width()
 	fixed := make([]sat.Lit, len(opts.Hard), len(opts.Hard)+w+1)
 	copy(fixed, opts.Hard)
@@ -184,7 +161,7 @@ func descendBits(s Solver, obj *IntObjective, opts *Options, r *Result) {
 // proven lower bound — to mid+1 normally, or all the way to the
 // witnessed value when the core shows the hard assumptions conflict
 // without the trial bound.
-func bisect(s Solver, obj Objective, opts *Options, r *Result) {
+func bisect(s *sat.Solver, obj Objective, opts *Options, r *Result) {
 	var buf []sat.Lit
 	for r.LowerBound < r.Value {
 		mid := r.LowerBound + (r.Value-r.LowerBound)/2
@@ -238,7 +215,7 @@ type LexResult struct {
 // last level needs no hold, so none is built). A budget trip finishes
 // the run with the levels proven so far and Exact false — stratified
 // degradation, not an error.
-func Lexicographic(s Solver, objs []Objective, opts Options) (*LexResult, error) {
+func Lexicographic(s *sat.Solver, objs []Objective, opts Options) (*LexResult, error) {
 	res := &LexResult{Exact: true}
 	hard := append([]sat.Lit(nil), opts.Hard...)
 	if len(objs) == 0 {
@@ -307,7 +284,7 @@ type ParetoResult struct {
 // clause — "some objective strictly below this point" — and repeats
 // until Unsat proves the frontier complete. The blocking clauses are
 // the only permanent mutations; run Pareto on a dedicated clone.
-func Pareto(s ClauseSolver, objs []Objective, opts Options) (*ParetoResult, error) {
+func Pareto(s *sat.Solver, objs []Objective, opts Options) (*ParetoResult, error) {
 	if len(objs) == 0 {
 		return nil, errors.New("maxsat: pareto requires at least one objective")
 	}

@@ -32,16 +32,12 @@ type Objective interface {
 // outputs — one tree serves every k, which is what makes descending
 // bounds free of re-encoding.
 type CountObjective struct {
-	tot *Totalizer
+	tot *cardinality.Totalizer
 }
-
-// Totalizer re-exports the cardinality totalizer for callers that need
-// the underlying tree (tests, diagnostics).
-type Totalizer = cardinality.Totalizer
 
 // NewCount lowers count(lits) into s and returns the objective. The
 // totalizer clauses are emitted here, once.
-func NewCount(s cardinality.Adder, lits []sat.Lit) *CountObjective {
+func NewCount(s *sat.Solver, lits []sat.Lit) *CountObjective {
 	return &CountObjective{tot: cardinality.NewTotalizer(s, lits)}
 }
 
@@ -74,8 +70,8 @@ type IntObjective struct {
 }
 
 // NewInt wraps an already-built arithmetic term as an objective. b must
-// be the builder attached to the solver being searched (for cloned
-// solvers, the WithAdder fork).
+// be the builder attached to the solver being searched (for a clone,
+// intlin.Attach over the clone).
 func NewInt(b *intlin.Builder, term intlin.Int) *IntObjective {
 	return &IntObjective{b: b, term: term}
 }
