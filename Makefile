@@ -26,10 +26,11 @@ fmt:
 race:
 	$(GO) test -race -skip='^TestDifferential$$/^scale$$' ./...
 
-# bench-smoke compiles and runs one benchmark iteration so the bench
-# suite can't bit-rot between full runs.
+# bench-smoke compiles and runs one iteration of the compile,
+# enumeration and Pareto benchmarks so the bench suite can't bit-rot
+# between full runs (BenchmarkPareto also checks its frontiers).
 bench-smoke:
-	$(GO) test -run=NONE -bench=BenchmarkCompile -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
 
 # bench runs the full root benchmark suite with allocation stats and
 # renders the results to $(BENCH) (name -> ns/op, B/op, allocs/op)
@@ -66,13 +67,14 @@ serve-smoke:
 # differential is the answer-invariance gate (DESIGN.md §8, §9, §11,
 # §14, §15, §16). The differential harness answers the §5.1,
 # brute-force-oracle and enumeration tables on a sequential, unsliced,
-# uncached reference engine and under every configuration: worker
-# counts, cache miss and hit, query history, disk revival, delta update
-# (byte-identical) and relevance slicing (equivalent), plus the 5k-SKU
-# sliced sweep. Its gates are TestDifferential and the six focused
-# tests that each run one catalog under a subset of its configurations;
-# the root TestEnumerateParallel* pair repeats the §5.1 worker-count
-# check at the facade. Beside them run the tests the harness does not
+# uncached reference engine and under every configuration: compile
+# worker counts (SetWorkers sizes only the compile's shard conversion;
+# every query runs on one solver), cache miss and hit, query history,
+# disk revival, delta update (byte-identical) and relevance slicing
+# (equivalent), plus the 5k-SKU sliced sweep. Its gates are
+# TestDifferential and the six focused tests that each run one catalog
+# under a subset of its configurations; the root TestEnumerateParallel*
+# pair repeats the §5.1 compile-worker check at the facade. Beside them run the tests the harness does not
 # replace: compile and delta
 # byte identity, the solver snapshot/clone and disk round trips (with
 # the binary-heavy differential's frozen arm: a frozen solver, its clone,

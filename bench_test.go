@@ -535,7 +535,7 @@ func BenchmarkOptimize(b *testing.B) {
 
 	// Trim the space to the systems and SKUs of three witness classes so
 	// the exhaustive oracle terminates (the same seeding trick as
-	// BenchmarkEnumerateParallel).
+	// BenchmarkEnumerate).
 	eng, err := netarch.NewEngine(k)
 	if err != nil {
 		b.Fatal(err)
@@ -602,15 +602,11 @@ func BenchmarkOptimize(b *testing.B) {
 	})
 }
 
-// BenchmarkEnumerateParallel measures a complete design-class enumeration
-// (uncapped, so the pool's cube partitioning actually runs) across a fixed
-// ladder of worker counts, so the sub-benchmark names report the real pool
-// size regardless of the machine's CPU count. The space is constrained to
-// the systems of a few witness designs so the complete enumeration stays in
-// benchmark range; the cache is primed so compilation stays off the clock.
-// On a multicore machine the wider pools should beat workers=1; the
-// determinism contract guarantees every row returns identical designs.
-func BenchmarkEnumerateParallel(b *testing.B) {
+// BenchmarkEnumerate measures a complete design-class enumeration on a
+// warm engine. The space is constrained to the systems of the first three
+// classes so the complete enumeration stays in benchmark range; the cache
+// is primed so compilation stays off the clock.
+func BenchmarkEnumerate(b *testing.B) {
 	k := catalog.CaseStudy()
 	k.Workloads = append(k.Workloads, catalog.BatchAnalyticsWorkload(), catalog.StorageWorkload())
 	eng, err := netarch.NewEngine(k)
@@ -618,8 +614,6 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}, NumServers: 64}
-	// Constrain the space to the systems of three witness classes.
-	eng.SetWorkers(1)
 	seed, err := eng.EnumerateCtx(context.Background(), sc, 3, netarch.Budget{})
 	if err != nil {
 		b.Fatal(err)
@@ -638,19 +632,64 @@ func BenchmarkEnumerateParallel(b *testing.B) {
 	if _, err := eng.EnumerateCtx(context.Background(), sc, 1, netarch.Budget{}); err != nil { // prime the cache
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng.SetWorkers(workers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.EnumerateCtx(context.Background(), sc, 1<<20, netarch.Budget{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Truncated || len(res.Designs) < 2 {
+			b.Fatalf("want a complete multi-class enumeration, got %d classes truncated=%v",
+				len(res.Designs), res.Truncated)
+		}
+	}
+}
+
+// BenchmarkPareto measures complete Pareto-frontier enumerations on a
+// warm case-study engine (the cache is primed off the clock). Each row
+// checks its frontier's value vectors, so a wrong frontier fails the
+// benchmark rather than timing it.
+func BenchmarkPareto(b *testing.B) {
+	inference := netarch.Scenario{Workloads: []string{"inference_app"}}
+	cases := []struct {
+		name string
+		sc   netarch.Scenario
+		objs []netarch.Objective
+		want string
+	}{
+		{"cost+power/inference_app", inference,
+			[]netarch.Objective{{Kind: netarch.MinimizeCost}, {Kind: netarch.MinimizePower}},
+			"[[600960 31784] [645120 29512]]"},
+		{"latency+systems/congestion_control", netarch.Scenario{Require: []netarch.Property{"congestion_control"}},
+			[]netarch.Objective{{Kind: netarch.PreferOrder, Dimension: "tail_latency"}, {Kind: netarch.MinimizeSystems}},
+			"[[0 4]]"},
+		{"cost+cores/inference_app", inference,
+			[]netarch.Objective{{Kind: netarch.MinimizeCost}, {Kind: netarch.MinimizeCores}},
+			"[[600960 2900] [898560 2800]]"},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			eng, err := netarch.NewEngine(catalog.CaseStudy())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Prewarm(tc.sc); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.EnumerateCtx(context.Background(), sc, 1<<20, netarch.Budget{})
+				res, err := eng.ParetoCtx(context.Background(), tc.sc, tc.objs, netarch.Budget{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Truncated || len(res.Designs) < 2 {
-					b.Fatalf("want a complete multi-class enumeration, got %d classes truncated=%v",
-						len(res.Designs), res.Truncated)
+				var got [][]int64
+				for _, p := range res.Points {
+					got = append(got, p.Values)
+				}
+				if !res.Complete || fmt.Sprint(got) != tc.want {
+					b.Fatalf("frontier %v (complete %v), want %s", got, res.Complete, tc.want)
 				}
 			}
 		})

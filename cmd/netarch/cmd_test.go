@@ -244,7 +244,7 @@ func TestCmdCheckFlow(t *testing.T) {
 			"-nic", "Marvella SoC-100G",
 			"-server", "Suprima HD-128c",
 			"-workloads", "inference_app",
-			"-slice", "off", "-workers", "1", "-cache-dir", t.TempDir(),
+			"-slice", "off", "-cache-dir", t.TempDir(),
 		})
 	})
 	if !strings.Contains(out, "FEASIBLE") && !strings.Contains(out, "INFEASIBLE") {

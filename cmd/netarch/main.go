@@ -74,9 +74,6 @@ Resource-governance flags (synth/check/optimize/explain/suggest/disambiguate):
   -timeout D          wall-clock deadline for the query (e.g. 500ms, 2s)
   -max-conflicts N    solver conflict budget per phase (0 = unlimited)
   -max-decisions N    solver decision budget per phase (0 = unlimited)
-  -workers N          solver clones enumerating design classes in parallel
-                      (disambiguate/multi; 0 = one per CPU; results are
-                      identical whatever the worker count)
   -slice MODE         relevance-sliced compilation: on, off, or auto
                       (default auto: slice only when the catalog is large;
                       answers are identical whatever the mode)
@@ -321,14 +318,12 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 	}
 }
 
-// engineFlags registers the engine flags -workers, -slice and
-// -cache-dir on fs and returns a constructor for an engine over a KB
-// configured by them. -workers sizes the enumeration pool and -slice sets
-// the relevance-slicing policy; both are pure latency knobs, so answers
-// never depend on them (DESIGN.md §8, §16). -cache-dir turns on the
+// engineFlags registers the engine flags -slice and -cache-dir on fs and
+// returns a constructor for an engine over a KB configured by them.
+// -slice sets the relevance-slicing policy, a pure latency knob, so
+// answers never depend on it (DESIGN.md §16). -cache-dir turns on the
 // persistent compiled-base cache (see Engine.SetCacheDir).
 func engineFlags(fs *flag.FlagSet) (newEngine func(k *netarch.KB) (*netarch.Engine, error)) {
-	workers := fs.Int("workers", 0, "parallel enumeration workers (0 = one per CPU)")
 	slice := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	dir := fs.String("cache-dir", "", "directory for persistent compiled-base snapshots (empty = off)")
 	return func(k *netarch.KB) (*netarch.Engine, error) {
@@ -340,7 +335,6 @@ func engineFlags(fs *flag.FlagSet) (newEngine func(k *netarch.KB) (*netarch.Engi
 		if err != nil {
 			return nil, err
 		}
-		eng.SetWorkers(*workers)
 		eng.SetSliceMode(mode)
 		if *dir != "" {
 			if err := eng.SetCacheDir(*dir); err != nil {

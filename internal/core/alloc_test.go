@@ -58,7 +58,7 @@ func TestBaseSizeBudget(t *testing.T) {
 	for _, b := range budgets {
 		sc := scs[b.name]
 		shape := baseShape(&sc)
-		c, err := e.compileBase(&shape)
+		c, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestCompileAllocBudget(t *testing.T) {
 	sc := section51Scenarios()["inference_app"]
 	shape := baseShape(&sc)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := e.compileBase(&shape); err != nil {
+		if _, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

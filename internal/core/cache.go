@@ -309,7 +309,7 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 // base specialized with the query's own selectors. With caching enabled
 // the query gets a private clone of the base solver; with it disabled the
 // freshly compiled base is used directly. Both paths flow through
-// compileBase + specialize, so cached and cold queries are byte-identical.
+// compileBaseWith + specialize, so cached and cold queries are byte-identical.
 // The engine keeps no clones: one that a query panics on, trips a budget
 // in or abandons is left to the GC, so quarantine is structural — a
 // dirtied solver has no path back to a later query.

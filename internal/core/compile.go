@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"netarch/internal/intlin"
@@ -34,9 +35,9 @@ type compiled struct {
 	names *atomInterner
 
 	// pending accumulates the boolean assertions in emission order during
-	// the section methods; compileBase converts them to CNF in one shot
+	// the section methods; compileBaseWith converts them to CNF in one shot
 	// (sharded across workers, deterministically merged — see
-	// logic.ConvertShards) and clears the list. Deferring conversion this
+	// logic.ConvertShardsDelta) and clears the list. Deferring conversion this
 	// way fixes the atom variable space before the first auxiliary
 	// variable is allocated, which is what makes per-assertion conversion
 	// order-free.
@@ -45,10 +46,9 @@ type compiled struct {
 	sysLit map[string]sat.Lit
 	hwLit  map[string]sat.Lit
 	// sysNames is the sorted system vocabulary. Enumeration builds its
-	// blocking clauses, canonical pins, and cube assumptions by walking
-	// this slice so their literal order — and hence the solver's watch
-	// setup and search — is reproducible (map iteration over sysLit is
-	// not).
+	// blocking clauses by walking this slice so their literal order — and
+	// hence the solver's watch setup and search — is reproducible (map
+	// iteration over sysLit is not).
 	sysNames []string
 
 	selectors []selector
@@ -120,14 +120,24 @@ var exclusiveRoles = map[kb.Role]bool{
 	kb.RoleLoadBalancer:      true,
 }
 
-// compileBase lowers the current KB + scenario into a solver instance.
-// With the compiled-base cache this runs on a stripped "shape" scenario
-// (see baseShape) and the result is frozen: the instance holds the
-// clauses the compiler emitted plus what its compile-time probe learnt
-// (see probe), and is thereafter only cloned, never solved or mutated.
-// Query-specific requirements are layered on by specialize().
-func (e *Engine) compileBase(sc *Scenario) (*compiled, error) {
-	return e.compileBaseWith(e.kbSnapshot(), sc, nil)
+// SetWorkers sets how many goroutines convert a compile's assertion
+// shards to CNF (logic.ConvertShardsDelta). n <= 0 restores the default,
+// runtime.GOMAXPROCS(0). The compiled base is byte-identical for every
+// count, so the knob trades CPU for compile latency, nothing else. Safe
+// to call concurrently; compiles in flight keep the count they started
+// with.
+func (e *Engine) SetWorkers(n int) {
+	if n < 0 {
+		n = 0
+	}
+	e.workers.Store(int32(n))
+}
+
+func (e *Engine) compileWorkers() int {
+	if n := int(e.workers.Load()); n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // compileSliced compiles a base against a relevance slice's sub-KB (or
@@ -148,12 +158,17 @@ func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, 
 	return c, nil
 }
 
-// compileBaseWith is compileBase against an explicit KB revision and an
-// optional previous shard set. UpdateKB uses it to rebuild cached bases
-// against the incoming KB: prev carries the outgoing base's per-assertion
-// conversion results, so only assertions the edit changed are reconverted
-// — and the result is still byte-identical to a cold compile of the new
-// KB (the ConvertShardsDelta contract, pinned by TestUpdateKBByteIdentity).
+// compileBaseWith lowers a KB revision + scenario into a solver
+// instance. With the compiled-base cache this runs on a stripped "shape"
+// scenario (see baseShape) and the result is frozen: the instance holds
+// the clauses the compiler emitted plus what its compile-time probe
+// learnt (see probe), and is thereafter only cloned, never solved or
+// mutated. Query-specific requirements are layered on by specialize().
+// prev, when non-nil, is a previous shard set: UpdateKB passes the
+// outgoing base's per-assertion conversion results, so only assertions
+// the edit changed are reconverted — and the result is still
+// byte-identical to a cold compile of the new KB (the ConvertShardsDelta
+// contract, pinned by TestUpdateKBByteIdentity).
 func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (*compiled, error) {
 	c := &compiled{
 		kb:         k,
@@ -198,7 +213,7 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	// the vocabulary to cover them so vocabulary and solver keep agreeing
 	// on the variable space.
 	base := c.vocab.Len()
-	cnf, shards := logic.ConvertShardsDelta(base, c.pending, prev, e.enumWorkers())
+	cnf, shards := logic.ConvertShardsDelta(base, c.pending, prev, e.compileWorkers())
 	c.shards = shards
 	c.pending = nil
 	for v := base; v < cnf.NumVars; v++ {
@@ -984,7 +999,7 @@ func (c *compiled) costModel() {
 // powerModel builds the fleet's total power draw in watts: each SKU's
 // power_w rule of thumb (Listing 1 quantities) times its deployment
 // count, summed over servers, NICs, and switches. Only MinimizePower
-// reads the circuit, so objectiveSpecs builds it on the query instance
+// reads the circuit, so objectives builds it on the query instance
 // when an objective needs it, never on a base.
 func (c *compiled) powerModel() intlin.Int {
 	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) },

@@ -20,10 +20,9 @@ import (
 // an answer must not depend on how it was computed. Every row of a
 // catalog's query table is answered by a reference engine — one worker,
 // no slicing, no base cache — and by each configuration. The identical
-// family (worker counts, cache miss and hit, query history, disk
-// revival, delta update) must render byte for byte what the reference
-// renders, search effort included except for enumerate and pareto,
-// whose Spent may vary with the worker count. The sliced family must be
+// family (compile worker counts, cache miss and hit, query history,
+// disk revival, delta update) must render byte for byte what the
+// reference renders, search effort included. The sliced family must be
 // equivalent under the slicing contracts of DESIGN.md §16 (see
 // compareSliced). Every configuration also asserts it engaged, so
 // agreement is never trivial.
@@ -73,7 +72,8 @@ func TestParetoDifferential(t *testing.T) {
 }
 
 // TestEnumerateWorkerCountInvariance: miniKB's enumeration below, at and
-// above its class count does not depend on the worker count.
+// above its class count does not depend on how many workers compiled
+// the base (SetWorkers sizes only the compile's shard conversion).
 func TestEnumerateWorkerCountInvariance(t *testing.T) {
 	runDifferential(t, miniKBCatalog, seedConfigs("workers-2", "workers-8"))
 }
@@ -166,8 +166,7 @@ func answer(e *Engine, r diffRow) diffAnswer {
 }
 
 // renderAnswer serializes everything semantically meaningful in a
-// result, dropping wall time, and all of Spent where the determinism
-// contract lets it vary with the worker count.
+// result, search effort included, dropping only wall time.
 func renderAnswer(res any) string {
 	switch r := res.(type) {
 	case *Report:
@@ -175,14 +174,14 @@ func renderAnswer(res any) string {
 	case *OptimizeResult:
 		r.Spent.Wall = 0
 	case *EnumerateResult:
-		r.Spent = BudgetSpent{}
+		r.Spent.Wall = 0
 		if r.Exhausted != nil {
-			r.Exhausted.Spent = BudgetSpent{}
+			r.Exhausted.Spent.Wall = 0
 		}
 	case *ParetoResult:
-		r.Spent = BudgetSpent{}
+		r.Spent.Wall = 0
 		if r.Exhausted != nil {
-			r.Exhausted.Spent = BudgetSpent{}
+			r.Exhausted.Spent.Wall = 0
 		}
 	}
 	b, err := json.Marshal(res)

@@ -95,7 +95,7 @@ func snapshotPath(dir, fingerprint string) string {
 // loadDiskBase tries to revive the base for a shape from disk. It returns
 // nil on any miss — no tier configured, no file, a stale file (counted,
 // left in place), or a file that failed structural validation (counted,
-// quarantined, never retried). The caller falls through to compileBase,
+// quarantined, never retried). The caller falls through to a compile,
 // so disk problems are invisible to queries.
 // The fingerprint parameter is the full cache key (shape fingerprint
 // plus slice-identity suffix); sl, when non-nil, is the slice the

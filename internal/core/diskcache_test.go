@@ -154,8 +154,8 @@ func TestDiskCacheCorruptionMatrix(t *testing.T) {
 			shape := baseShape(&sc)
 			mutated := tc.mutate(append([]byte(nil), data...))
 			verify := mustDiskEngine(t, miniKB(), dir)
-			if _, rerr := restoreBase(verify.KB(), &shape, verify.kbHash, mutated); !errors.Is(rerr, tc.wantErr) {
-				t.Fatalf("restoreBase error = %v, want %v", rerr, tc.wantErr)
+			if _, rerr := restoreBaseSlice(verify.KB(), &shape, verify.kbHash, mutated, nil); !errors.Is(rerr, tc.wantErr) {
+				t.Fatalf("restoreBaseSlice error = %v, want %v", rerr, tc.wantErr)
 			}
 
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
@@ -197,7 +197,7 @@ func TestDiskCacheCorruptionMatrix(t *testing.T) {
 				if rerr != nil {
 					t.Fatalf("reading rewritten cache file: %v", rerr)
 				}
-				if _, rerr := restoreBase(fresh.KB(), &shape, fresh.kbHash, live); rerr != nil {
+				if _, rerr := restoreBaseSlice(fresh.KB(), &shape, fresh.kbHash, live, nil); rerr != nil {
 					t.Errorf("rewritten cache file does not restore: %v", rerr)
 				}
 			}
@@ -237,7 +237,7 @@ func TestDiskCacheStaleKBEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restoreBase(fresh.KB(), &shape, fresh.kbHash, live); err != nil {
+	if _, err := restoreBaseSlice(fresh.KB(), &shape, fresh.kbHash, live, nil); err != nil {
 		t.Errorf("rewritten snapshot does not restore under the new KB: %v", err)
 	}
 }
@@ -267,8 +267,8 @@ func TestDiskCacheFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(pathB, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, rerr := restoreBase(prime.KB(), &shapeB, prime.kbHash, data); !errors.Is(rerr, ErrSnapshotMismatch) {
-		t.Fatalf("restoreBase error = %v, want ErrSnapshotMismatch", rerr)
+	if _, rerr := restoreBaseSlice(prime.KB(), &shapeB, prime.kbHash, data, nil); !errors.Is(rerr, ErrSnapshotMismatch) {
+		t.Fatalf("restoreBaseSlice error = %v, want ErrSnapshotMismatch", rerr)
 	}
 
 	fresh := mustDiskEngine(t, miniKB(), dir)
@@ -344,7 +344,7 @@ func FuzzDecodeBase(f *testing.F) {
 	hash := kbContentHash(k)
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	shape := baseShape(&sc)
-	base, err := e.compileBase(&shape)
+	base, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func FuzzDecodeBase(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		c, err := restoreBase(k, &shape, hash, data)
+		c, err := restoreBaseSlice(k, &shape, hash, data, nil)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrSnapshotCorrupt),
@@ -366,7 +366,7 @@ func FuzzDecodeBase(f *testing.F) {
 				errors.Is(err, ErrSnapshotStale),
 				errors.Is(err, ErrSnapshotMismatch):
 			default:
-				t.Fatalf("untyped error from restoreBase: %v", err)
+				t.Fatalf("untyped error from restoreBaseSlice: %v", err)
 			}
 			return
 		}

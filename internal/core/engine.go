@@ -60,8 +60,9 @@ type Engine struct {
 	diskMaxFiles int
 	diskMaxBytes int64
 
-	// workers is the enumeration worker-pool size; 0 means the default,
-	// runtime.GOMAXPROCS(0) at query time. See SetWorkers.
+	// workers is how many goroutines convert a compile's CNF shards; 0
+	// means the default, runtime.GOMAXPROCS(0) at compile time. See
+	// SetWorkers.
 	workers atomic.Int32
 
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
@@ -233,7 +234,7 @@ func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor) *Explan
 	}
 	// Minimization is its own phase: a fresh work allowance, so the main
 	// decision cannot starve it, and it cannot spin unboundedly.
-	g.phase(c.solver)
+	g.phase()
 	ex := &Explanation{}
 	// Deletion loop: try dropping each candidate; keep dropped if still
 	// unsat without it.

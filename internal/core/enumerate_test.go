@@ -50,7 +50,6 @@ func TestEnumerateEmptyProjection(t *testing.T) {
 	// to notice the enumeration is "done". The guard decides the single
 	// (empty) class in exactly one solve and reports completion.
 	e := mustEngine(t, hardwareOnlyKB())
-	e.SetWorkers(1)
 	solves := 0
 	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
 		if ev == sat.EventSolve {
@@ -97,12 +96,10 @@ func TestEnumerateEmptyProjectionInfeasible(t *testing.T) {
 }
 
 func TestEnumerateRepeatedRunsIdentical(t *testing.T) {
-	// Within one worker setting, repeated enumerations must be
-	// byte-identical too: blocking clauses and canonical pins are built
-	// in sorted vocabulary order, so no map-iteration nondeterminism
-	// can leak into the search.
+	// Repeated enumerations must be byte-identical: blocking clauses are
+	// built in sorted vocabulary order, so no map-iteration
+	// nondeterminism can leak into the search.
 	e := mustEngine(t, miniKB())
-	e.SetWorkers(4)
 	res, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +132,10 @@ func TestEnumerateNonPositiveMax(t *testing.T) {
 }
 
 func TestEnumerateConcurrentQueries(t *testing.T) {
-	// Parallel enumerations from many goroutines over one engine must
-	// not interfere: private clones per worker, atomic cache counters,
+	// Enumerations from many goroutines over one engine must not
+	// interfere: a private clone per query, atomic cache counters,
 	// per-query governors. Run with -race.
 	e := mustEngine(t, miniKB())
-	e.SetWorkers(2)
 	res, err := e.EnumerateCtx(context.Background(), Scenario{}, 100, Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +161,55 @@ func TestEnumerateConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestEnumerateExactFitIsComplete: an enumeration whose class space
+// holds exactly max classes is complete, and one class fewer is a limit
+// truncation. The space is the case study restricted to the systems of
+// its first three classes.
+func TestEnumerateExactFitIsComplete(t *testing.T) {
+	k := catalog.CaseStudy()
+	e := mustEngine(t, k)
+	sc := Scenario{Workloads: []string{"inference_app"}, NumServers: 64}
+	seed, err := e.EnumerateCtx(context.Background(), sc, 3, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{}
+	for _, d := range seed.Designs {
+		for _, s := range d.Systems {
+			allowed[s] = true
+		}
+	}
+	for _, s := range k.Systems {
+		if !allowed[s.Name] {
+			sc.ForbiddenSystems = append(sc.ForbiddenSystems, s.Name)
+		}
+	}
+	full, err := e.EnumerateCtx(context.Background(), sc, 1<<20, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(full.Designs)
+	if full.Truncated || n < 2 {
+		t.Fatalf("constrained space: %d classes, truncated %v; want a complete multi-class space", n, full.Truncated)
+	}
+	exact, err := e.EnumerateCtx(context.Background(), sc, n, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exact.Truncated || len(exact.Designs) != n {
+		t.Errorf("max=%d over a %d-class space: %d classes, truncated %v (%q); want complete",
+			n, n, len(exact.Designs), exact.Truncated, exact.Reason)
+	}
+	short, err := e.EnumerateCtx(context.Background(), sc, n-1, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !short.Truncated || short.Reason != "limit" || len(short.Designs) != n-1 {
+		t.Errorf("max=%d over a %d-class space: %d classes, truncated %v (%q); want a limit truncation",
+			n-1, n, len(short.Designs), short.Truncated, short.Reason)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"netarch/internal/sat"
@@ -86,13 +85,10 @@ func IsResourceExhausted(err error) bool {
 }
 
 // governor governs one query: its context and wall-clock deadline, the
-// per-phase work budgets, and every solver the query runs on — one for
-// a single-solver query, one per cube clone for an enumeration or
-// Pareto pool. Adoption registers context.AfterFunc(ctx, s.Interrupt):
-// nothing runs until the context fires, so a query whose context does
-// not fire starts no goroutine. The first solver to stop records the
-// query's cause and interrupts every other adopted solver, which drains
-// a pool. Spent sums every solver's counters.
+// per-phase work budgets, and the one solver the query runs on. Adoption
+// registers context.AfterFunc(ctx, s.Interrupt): nothing runs until the
+// context fires, so a query whose context does not fire starts no
+// goroutine. A governor is used only by its query's goroutine.
 type governor struct {
 	ctx    context.Context
 	cancel context.CancelFunc // the Budget.Timeout deadline's, when armed
@@ -100,115 +96,58 @@ type governor struct {
 	query  string
 	start  time.Time
 
-	mu        sync.Mutex
-	live      []adoption  // adopted solvers not yet released
-	one       [1]adoption // backs live, so a single-solver query allocates no slice
-	conflicts int64       // summed over released solvers
-	decisions int64
-	tripped   bool
-	cause     string
-	ctxErr    error
+	s    *sat.Solver // the adopted solver
+	stop func() bool // its AfterFunc registration; nil when the context can never fire
+
+	tripped bool
+	cause   string
+	ctxErr  error
 }
 
-// adoption is one solver under governance and its AfterFunc
-// registration (nil when the context can never fire).
-type adoption struct {
-	s    *sat.Solver
-	stop func() bool
-}
-
-// govern starts governance for one query. Callers adopt the solvers the
+// govern starts governance for one query. Callers adopt the solver the
 // query runs on and must defer g.done().
 func govern(ctx context.Context, query string, b Budget) *governor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	g := &governor{ctx: ctx, budget: b, query: query, start: time.Now()}
-	g.live = g.one[:0]
 	if b.Timeout > 0 {
 		g.ctx, g.cancel = context.WithTimeout(ctx, b.Timeout)
 	}
 	return g
 }
 
-// adopt places s under governance and arms its first phase. A context
-// that can never fire registers nothing. If the context is already done,
-// or the query has already tripped, s is interrupted before adopt
-// returns, so its next Solve refuses deterministically.
+// adopt places s under governance and arms its first phase. Call it
+// once per query. A context that can never fire registers nothing; an
+// already-done context interrupts s before adopt returns, so its next
+// Solve refuses deterministically.
 func (g *governor) adopt(s *sat.Solver) {
-	a := adoption{s: s}
+	g.s = s
 	if g.ctx.Err() != nil {
 		s.Interrupt()
 	} else if g.ctx.Done() != nil {
-		a.stop = context.AfterFunc(g.ctx, s.Interrupt)
+		g.stop = context.AfterFunc(g.ctx, s.Interrupt)
 	}
-	g.mu.Lock()
-	g.live = append(g.live, a)
-	if g.tripped {
-		s.Interrupt()
-	}
-	g.mu.Unlock()
-	g.phase(s)
+	g.phase()
 }
 
-// release ends s's governance and folds its counters into the query's
-// spent. Call it once, after s's last solve. It does not clear a
-// delivered interrupt: every governed solver is private to its query.
-func (g *governor) release(s *sat.Solver) {
-	st := s.Stats()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, a := range g.live {
-		if a.s == s {
-			if a.stop != nil {
-				a.stop()
-			}
-			last := len(g.live) - 1
-			g.live[i] = g.live[last]
-			g.live = g.live[:last]
-			break
-		}
-	}
-	g.conflicts += st.Conflicts
-	g.decisions += st.Decisions
+// phase re-arms the per-phase budgets on the adopted solver: its next
+// solver calls get a fresh MaxConflicts/MaxDecisions allowance on top of
+// whatever earlier phases spent. The wall-clock deadline is query-global
+// and is NOT re-armed: a delivered interrupt stays sticky across phases.
+func (g *governor) phase() {
+	g.s.SetBudget(g.budget.MaxConflicts, g.budget.MaxDecisions)
 }
 
-// phase re-arms the per-phase budgets on s: its next solver calls get a
-// fresh MaxConflicts/MaxDecisions allowance on top of whatever earlier
-// phases spent. The wall-clock deadline is query-global and is NOT
-// re-armed: a delivered interrupt stays sticky across phases.
-func (g *governor) phase(s *sat.Solver) {
-	s.SetBudget(g.budget.MaxConflicts, g.budget.MaxDecisions)
-}
-
-// trip classifies a solver's stop (its StopCause after an Unknown
-// verdict) and returns the cause. The first trip is the query's: it is
-// recorded and interrupts every adopted solver, which drains a pool.
+// trip classifies the solver's stop (its StopCause after an Unknown
+// verdict) and returns the cause. The first trip is the query's and is
+// recorded for exhausted.
 func (g *governor) trip(c sat.StopCause) string {
 	cause, ctxErr := stopCause(c, g.ctx)
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if !g.tripped {
 		g.tripped, g.cause, g.ctxErr = true, cause, ctxErr
-		for _, a := range g.live {
-			a.s.Interrupt()
-		}
 	}
 	return cause
-}
-
-// stopped reports whether a pool must stop taking work because the
-// query tripped or its context fired. A fired context is recorded as the
-// trip here, so the result is labelled even when no solver was
-// mid-solve at the time.
-func (g *governor) stopped() bool {
-	if g.ctx.Err() != nil {
-		g.trip(sat.StopInterrupt)
-		return true
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.tripped
 }
 
 // stopCause classifies a solver stop under the query's context: work
@@ -230,43 +169,28 @@ func stopCause(c sat.StopCause, ctx context.Context) (string, error) {
 	return "interrupt", nil
 }
 
-// spent reports the query's consumption: the counters of every released
-// solver plus those of the solvers still adopted, and the wall time
-// since the query started.
+// spent reports the query's consumption: the adopted solver's counters
+// and the wall time since the query started.
 func (g *governor) spent() BudgetSpent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	sp := BudgetSpent{Conflicts: g.conflicts, Decisions: g.decisions, Wall: time.Since(g.start)}
-	for _, a := range g.live {
-		st := a.s.Stats()
-		sp.Conflicts += st.Conflicts
-		sp.Decisions += st.Decisions
-	}
-	return sp
+	st := g.s.Stats()
+	return BudgetSpent{Conflicts: st.Conflicts, Decisions: st.Decisions, Wall: time.Since(g.start)}
 }
 
 // exhausted builds the typed error for the query's first trip, or
 // returns nil when nothing tripped.
 func (g *governor) exhausted() *ErrResourceExhausted {
-	sp := g.spent()
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if !g.tripped {
 		return nil
 	}
-	return &ErrResourceExhausted{Query: g.query, Cause: g.cause, Spent: sp, ctxErr: g.ctxErr}
+	return &ErrResourceExhausted{Query: g.query, Cause: g.cause, Spent: g.spent(), ctxErr: g.ctxErr}
 }
 
-// done stops every remaining registration and the query's deadline.
-// Call exactly once, when the query ends.
+// done releases the adopted solver from the context and stops the
+// query's deadline. Call exactly once, when the query ends.
 func (g *governor) done() {
-	g.mu.Lock()
-	for _, a := range g.live {
-		if a.stop != nil {
-			a.stop()
-		}
+	if g.stop != nil {
+		g.stop()
 	}
-	g.mu.Unlock()
 	if g.cancel != nil {
 		g.cancel()
 	}

@@ -275,10 +275,8 @@ func TestEnumerateLimitTruncation(t *testing.T) {
 func TestEnumerateBudgetTruncation(t *testing.T) {
 	// The hook lets the first class be discovered and interrupts the
 	// second solve (the next discovery): the partial result must come
-	// back labeled, never silently. One worker so the shared solve
-	// counter is deterministic.
+	// back labeled, never silently.
 	e := mustEngine(t, miniKB())
-	e.SetWorkers(1)
 	solves := 0
 	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
 		if ev == sat.EventSolve {
@@ -306,7 +304,6 @@ func TestEnumerateLegacyPropagatesExhaustion(t *testing.T) {
 	// Satellite: the legacy Enumerate must not silently return partial
 	// results — the typed error rides along with the designs found.
 	e := mustEngine(t, miniKB())
-	e.SetWorkers(1)
 	solves := 0
 	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
 		if ev == sat.EventSolve {
@@ -457,12 +454,9 @@ func TestSuggestExhaustion(t *testing.T) {
 }
 
 func TestDisambiguateIncomplete(t *testing.T) {
-	// One worker so the shared solve counter is deterministic: each class
-	// costs one solve (the discovery model is already canonical — see
-	// enumerate.go), so tripping on the third solve yields exactly two
-	// classes before the cut.
+	// Each class costs one solve, so tripping on the third solve yields
+	// exactly two classes before the cut.
 	e := mustEngine(t, miniKB())
-	e.SetWorkers(1)
 	solves := 0
 	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
 		if ev == sat.EventSolve {

@@ -74,63 +74,30 @@ func TestGovernorDeadlineStopsHardSolve(t *testing.T) {
 }
 
 func TestGovernorReleaseDisarms(t *testing.T) {
+	// done releases the solver from the context: a cancel that fires
+	// after the query ended must not reach it.
 	ctx, cancel := context.WithCancel(context.Background())
 	s := sat.NewSolver()
 	s.AddClause(1, 2)
 	g := govern(ctx, "test", Budget{})
 	g.adopt(s)
-	g.release(s) // disarm before the cancel fires
-	cancel()
 	g.done()
+	cancel()
 	if st := s.Solve(); st != sat.Sat {
-		t.Fatalf("solve after released adoption returned %v, want Sat", st)
+		t.Fatalf("solve after done returned %v, want Sat", st)
 	}
 	// Background contexts register nothing.
 	g = govern(context.Background(), "test", Budget{})
 	g.adopt(s)
-	g.release(s)
 	g.done()
 	if st := s.Solve(); st != sat.Sat {
 		t.Fatalf("solve under background governor returned %v, want Sat", st)
 	}
 }
 
-func TestGovernorInterruptsAdoptedSolvers(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := govern(ctx, "test", Budget{})
-	defer g.done()
-	var solvers []*sat.Solver
-	for i := 0; i < 3; i++ {
-		s := pigeonholeSolver(12, 11) // minutes of work without the interrupt
-		g.adopt(s)
-		solvers = append(solvers, s)
-	}
-	done := make(chan sat.Status, len(solvers))
-	for _, s := range solvers {
-		s := s
-		go func() { done <- s.Solve() }()
-	}
-	cancel()
-	for range solvers {
-		select {
-		case st := <-done:
-			if st != sat.Unknown {
-				t.Fatalf("interrupted worker returned %v, want Unknown", st)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("an adopted worker hung past the cancel")
-		}
-	}
-	for i, s := range solvers {
-		if s.StopCause() != sat.StopInterrupt {
-			t.Fatalf("worker %d: StopCause = %v, want StopInterrupt", i, s.StopCause())
-		}
-	}
-}
-
 func TestGovernorAdoptAfterFire(t *testing.T) {
 	// The context fires after the query started: adopt must interrupt
-	// synchronously, so a drained pool cannot start new work.
+	// synchronously, so the query's first solve refuses.
 	ctx, cancel := context.WithCancel(context.Background())
 	g := govern(ctx, "test", Budget{})
 	defer g.done()
@@ -144,56 +111,27 @@ func TestGovernorAdoptAfterFire(t *testing.T) {
 	if s.StopCause() != sat.StopInterrupt {
 		t.Fatalf("StopCause = %v, want StopInterrupt", s.StopCause())
 	}
-
-	// A trip drains the pool the same way, under a context that can
-	// never fire.
-	g2 := govern(context.Background(), "test", Budget{})
-	defer g2.done()
-	first := sat.NewSolver()
-	first.AddClause(1)
-	g2.adopt(first)
-	first.Interrupt()
-	if first.Solve() != sat.Unknown {
-		t.Fatal("interrupted solver must stop")
-	}
-	g2.trip(first.StopCause())
-	late := sat.NewSolver()
-	late.AddClause(1)
-	g2.adopt(late)
-	if st := late.Solve(); st != sat.Unknown {
-		t.Fatalf("solve adopted after a trip returned %v, want Unknown", st)
-	}
-	if ex := g2.exhausted(); ex == nil || ex.Cause != "interrupt" {
-		t.Fatalf("exhausted = %v, want the interrupt trip", ex)
+	g.trip(s.StopCause())
+	if ex := g.exhausted(); ex == nil || ex.Cause != "canceled" {
+		t.Fatalf("exhausted = %v, want the cancel trip", ex)
 	}
 }
 
 func TestGovernorReleaseAndDone(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	g := govern(ctx, "test", Budget{})
+	// A governor whose context can never fire is pure bookkeeping: it
+	// never interrupts, and nothing trips.
 	s := sat.NewSolver()
-	s.AddClause(1, 2)
-	g.adopt(s)
-	g.release(s) // worker finished before the context fired
-	g.done()
-	cancel()
-	if st := s.Solve(); st != sat.Sat {
-		t.Fatalf("released solver returned %v, want Sat", st)
-	}
-
-	// A governor whose context can never fire is pure bookkeeping.
-	inert := govern(context.Background(), "test", Budget{})
-	inert.adopt(s)
-	inert.release(s)
-	inert.done()
-	s2 := sat.NewSolver()
-	s2.AddClause(3)
-	inert2 := govern(nil, "test", Budget{})
-	inert2.adopt(s2)
-	inert2.done()
-	if st := s2.Solve(); st != sat.Sat {
-		t.Fatalf("solver under an inert governor returned %v, want Sat", st)
+	s.AddClause(3)
+	for _, ctx := range []context.Context{context.Background(), nil} {
+		g := govern(ctx, "test", Budget{})
+		g.adopt(s)
+		if st := s.Solve(); st != sat.Sat {
+			t.Fatalf("solver under an inert governor returned %v, want Sat", st)
+		}
+		if ex := g.exhausted(); ex != nil {
+			t.Fatalf("inert governor tripped: %v", ex)
+		}
+		g.done()
 	}
 }
 

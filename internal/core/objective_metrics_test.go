@@ -75,7 +75,7 @@ func TestObjectiveCircuitsBuiltOncePerInstance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.objectiveSpecs(objs); err != nil {
+		if _, err := c.objectives(objs); err != nil {
 			t.Fatal(err)
 		}
 		return [2]int{c.solver.NumVars(), c.solver.NumClauses()}

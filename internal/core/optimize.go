@@ -81,13 +81,9 @@ func (e *Engine) optimize(ctx context.Context, c *compiled, objectives []Objecti
 	}
 	witness := c.designFromModel()
 
-	specs, err := c.objectiveSpecs(objectives)
+	objs, err := c.objectives(objectives)
 	if err != nil {
 		return nil, err
-	}
-	objs := make([]maxsat.Objective, len(specs))
-	for i := range specs {
-		objs[i] = specs[i].instantiate(c)
 	}
 	// The query's solver is private on every path (a clone of a cached
 	// base, or a fresh compile with caching off), so its selectors can
@@ -97,7 +93,7 @@ func (e *Engine) optimize(ctx context.Context, c *compiled, objectives []Objecti
 	for _, l := range assumps {
 		c.solver.AddClause(l)
 	}
-	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{Phase: func() { g.phase(c.solver) }})
+	lex, err := maxsat.Lexicographic(c.solver, objs, maxsat.Options{Phase: g.phase})
 	if err != nil {
 		// Feasibility was just established on this solver, so the hard
 		// side cannot be unsatisfiable; surface the inconsistency.
@@ -118,72 +114,49 @@ func (e *Engine) optimize(ctx context.Context, c *compiled, objectives []Objecti
 	return res, nil
 }
 
-// objectiveSpec is one optimization level lowered onto a compiled
-// instance: either an arithmetic term (cost and cores live in the base
-// circuits; power and ports are summed on the instance on first use) or
-// a freshly built counting network (systems, order penalties). Circuits
-// are emitted into the instance the spec was built on; their bound
-// literals are pure lookups afterwards, so a spec is safe to instantiate
-// on any fork of that instance (the Pareto cube workers rely on this).
-type objectiveSpec struct {
-	term  intlin.Int             // int-backed objectives
-	isInt bool                   // term valid
-	count *maxsat.CountObjective // count-backed objectives
-}
-
-// instantiate binds the spec to a fork's solver: int-backed objectives
-// get the fork's arithmetic builder (comparator gates must land in the
-// fork, not the template), count-backed objectives are shared as-is.
-func (sp objectiveSpec) instantiate(f *compiled) maxsat.Objective {
-	if sp.isInt {
-		return maxsat.NewInt(f.arith, sp.term)
-	}
-	return sp.count
-}
-
-// objectiveSpecs lowers the objective list onto c, building whatever
-// circuits the levels need (power/port sums, totalizers, order-penalty
-// literals). Call it on the instance whose clones will be searched —
-// before cloning. The power and port sums are built at most once per
-// call, so a repeated level reuses its circuit.
-func (c *compiled) objectiveSpecs(objectives []Objective) ([]objectiveSpec, error) {
-	specs := make([]objectiveSpec, len(objectives))
+// objectives lowers the objective list onto c, building whatever
+// circuits the levels need: cost and cores read the base circuits, power
+// and ports are summed on the instance on first use (at most once per
+// call, so a repeated level reuses its circuit), and systems and order
+// penalties get a fresh counting network.
+func (c *compiled) objectives(levels []Objective) ([]maxsat.Objective, error) {
+	objs := make([]maxsat.Objective, len(levels))
 	var power, ports *intlin.Int
-	for i, obj := range objectives {
+	for i, obj := range levels {
 		switch obj.Kind {
 		case MinimizeCost:
-			specs[i] = objectiveSpec{term: c.costTotal, isInt: true}
+			objs[i] = maxsat.NewInt(c.arith, c.costTotal)
 		case MinimizeCores:
-			specs[i] = objectiveSpec{term: c.coresUsed, isInt: true}
+			objs[i] = maxsat.NewInt(c.arith, c.coresUsed)
 		case MinimizePower:
 			if power == nil {
 				t := c.powerModel()
 				power = &t
 			}
-			specs[i] = objectiveSpec{term: *power, isInt: true}
+			objs[i] = maxsat.NewInt(c.arith, *power)
 		case MinimizePorts:
 			if ports == nil {
 				t := c.portModel()
 				ports = &t
 			}
-			specs[i] = objectiveSpec{term: *ports, isInt: true}
+			objs[i] = maxsat.NewInt(c.arith, *ports)
 		case MinimizeSystems:
 			lits := make([]sat.Lit, 0, len(c.sysLit))
 			for j := range c.kb.Systems {
 				lits = append(lits, c.sysLit[c.kb.Systems[j].Name])
 			}
-			specs[i] = objectiveSpec{count: maxsat.NewCount(c.solver, lits)}
+			objs[i] = maxsat.NewCount(c.solver, lits)
 		case PreferOrder:
 			lits, err := c.orderPenaltyLits(obj.Dimension)
 			if err != nil {
 				return nil, err
 			}
-			specs[i] = objectiveSpec{count: maxsat.NewCount(c.solver, lits)}
+			objs[i] = maxsat.NewCount(c.solver, lits)
 		default:
 			return nil, fmt.Errorf("core: unknown objective kind %v", obj.Kind)
 		}
 	}
-	return specs, nil
+	return objs, nil
 }
 
 // ParseObjective parses the CLI/serve spelling of one objective level:

@@ -233,3 +233,25 @@ func (c *compiled) oracleEvaluators(objectives []Objective) ([]func(*Design) int
 	}
 	return evals, nil
 }
+
+// dominance compares objective vectors: -1 when a dominates b (a ≤ b
+// componentwise, a ≠ b), 0 when equal, +1 otherwise.
+func dominance(a, b []int64) int {
+	leq, equal := true, true
+	for i := range a {
+		if a[i] > b[i] {
+			leq = false
+		}
+		if a[i] != b[i] {
+			equal = false
+		}
+	}
+	switch {
+	case equal:
+		return 0
+	case leq:
+		return -1
+	default:
+		return 1
+	}
+}

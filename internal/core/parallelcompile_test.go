@@ -22,7 +22,7 @@ func TestParallelCompileByteIdentity(t *testing.T) {
 		for _, w := range []int{1, 2, 8} {
 			e := mustEngine(t, k) // fresh engine: no cached base can leak across counts
 			e.SetWorkers(w)
-			base, err := e.compileBase(&shape)
+			base, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
 			}

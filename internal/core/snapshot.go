@@ -133,7 +133,7 @@ func appendInt(buf []byte, a intlin.Int) []byte {
 }
 
 // snapshotBase serializes a frozen compiled base. The base must come out
-// of compileBase (frozen, level-0 solver); specialized per-query instances
+// of compileBaseWith (frozen, level-0 solver); specialized per-query instances
 // are not snapshot material.
 func snapshotBase(c *compiled, kbHash [32]byte) []byte {
 	solverSnap := c.solver.Snapshot()
@@ -257,7 +257,7 @@ func (r *envReader) intlinInt(what string, nVars int) (intlin.Int, error) {
 	return intlin.RestoreInt(bits, int64(max)), nil
 }
 
-// restoreBase decodes a base snapshot for the given shape scenario,
+// restoreBaseSlice decodes a base snapshot for the given shape scenario,
 // validating it against the given KB revision's content hash and the
 // shape's fingerprint. On success the returned compiled is
 // indistinguishable from a fresh compile of the shape against k — same
@@ -265,16 +265,13 @@ func (r *envReader) intlinInt(what string, nVars int) (intlin.Int, error) {
 // byte-identically. k and kbHash must be captured together (diskConfig
 // does) so the derived state recomputed below comes from the exact KB
 // the hash vouches for.
-func restoreBase(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte) (*compiled, error) {
-	return restoreBaseSlice(k, shape, kbHash, data, nil)
-}
-
-// restoreBaseSlice is restoreBase with an expected relevance slice: nil
-// demands a full-KB snapshot (empty slice identity); non-nil demands a
-// snapshot compiled under exactly that slice, and rebuilds the derived
-// state from the slice's sub-KB — the same KB revision the compile saw.
-// A slice-identity mismatch is ErrSnapshotMismatch: like a fingerprint
-// alias, the file answers a different question than the caller's.
+//
+// sl is the expected relevance slice: nil demands a full-KB snapshot
+// (empty slice identity); non-nil demands a snapshot compiled under
+// exactly that slice, and rebuilds the derived state from the slice's
+// sub-KB — the same KB revision the compile saw. A slice-identity
+// mismatch is ErrSnapshotMismatch: like a fingerprint alias, the file
+// answers a different question than the caller's.
 func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, sl *kbSlice) (*compiled, error) {
 	// Integrity first: CRC over everything before the trailing checksum.
 	// Random corruption dies here, cheaply, before any structural work.
@@ -427,7 +424,7 @@ func restoreBaseSlice(k *kb.KB, shape *Scenario, kbHash [32]byte, data []byte, s
 	}
 	// Reassemble the compiled base: serialized solver + envelope state,
 	// everything else recomputed from the KB and the shape exactly as
-	// compileBase derives it.
+	// compileBaseWith derives it.
 	c := &compiled{
 		kb:         ck,
 		sc:         shape,

@@ -98,7 +98,7 @@ func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget)
 	for i, s := range hard {
 		hardLits[i] = s.lit
 	}
-	g.phase(c.solver)
+	g.phase()
 	switch c.solver.SolveAssuming(hardLits) {
 	case sat.Sat:
 	case sat.Unsat:
@@ -113,7 +113,7 @@ func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget)
 	// Enumerate correction sets by rotating which soft selector the grow
 	// phase tries first; dedupe by the dropped-set key.
 	for start := 0; start < len(soft) && len(out) < max; start++ {
-		g.phase(c.solver) // fresh allowance per grow pass
+		g.phase() // fresh allowance per grow pass
 		mcs, witness, ok := c.growMSS(hardLits, soft, start)
 		if !ok {
 			// Budget tripped mid-grow: hand back what we have, typed.

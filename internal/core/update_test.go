@@ -72,7 +72,7 @@ func TestUpdateKBByteIdentity(t *testing.T) {
 
 				cold := mustEngine(t, next)
 				cold.SetWorkers(workers)
-				want, err := cold.compileBase(&shape)
+				want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	e.mu.RUnlock()
 
 	cold := mustEngine(t, next)
-	want, err := cold.compileBase(&shape)
+	want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,14 +81,6 @@ var False = Formula{kind: KindFalse}
 // Kind reports the top-level connective.
 func (f Formula) Kind() Kind { return f.kind }
 
-// Variable returns the variable of a KindVar node, or 0 otherwise.
-func (f Formula) Variable() Var {
-	if f.kind == KindVar {
-		return f.v
-	}
-	return 0
-}
-
 // Args returns the immediate subformulas. Callers must not mutate the
 // returned slice.
 func (f Formula) Args() []Formula { return f.args }

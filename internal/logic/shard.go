@@ -72,9 +72,10 @@ func appendFormula(buf []byte, f Formula) []byte {
 	return buf
 }
 
-// ConvertShards converts a sequence of assertions to one CNF by converting
-// each assertion independently — possibly on a pool of workers — and
-// merging the per-assertion clause buffers deterministically.
+// ConvertShardsDelta converts a sequence of assertions to one CNF by
+// converting each assertion independently — possibly on a pool of
+// workers — and merging the per-assertion clause buffers
+// deterministically.
 //
 // Every variable occurring in fs must be ≤ base (the caller's vocabulary
 // size when the assertion list was finished). Each assertion is converted
@@ -95,17 +96,13 @@ func appendFormula(buf []byte, f Formula) []byte {
 //
 // The returned CNF has NumVars = base + total aux count, so callers can
 // pad their vocabulary to cover the auxiliary block.
-func ConvertShards(base int, fs []Formula, workers int) *CNF {
-	cnf, _ := ConvertShardsDelta(base, fs, nil, workers)
-	return cnf
-}
-
-// ConvertShardsDelta is ConvertShards with shard-level reuse: assertions
-// whose content hash matches a shard in prev (the ShardSet returned by an
-// earlier call) skip Tseitin conversion entirely and splice the cached
-// clause buffer instead. Pass prev == nil for a cold conversion.
 //
-// The output is byte-identical to ConvertShards(base, fs, …) regardless
+// Assertions whose content hash matches a shard in prev (the ShardSet
+// returned by an earlier call) skip Tseitin conversion entirely and
+// splice the cached clause buffer instead. Pass prev == nil for a cold
+// conversion.
+//
+// The output is byte-identical to a cold conversion regardless
 // of prev, the worker count, or how the assertion list was edited
 // (additions, removals, edits, reorders). The argument: a shard's clause
 // buffer is a pure function of (shardBase, formula) — Tseitin allocates

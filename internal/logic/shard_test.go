@@ -18,9 +18,9 @@ func TestConvertShardsWorkerInvariance(t *testing.T) {
 		for j := 0; j < 9; j++ {
 			fs = append(fs, randFormula(r, base, 20))
 		}
-		want := ConvertShards(base, fs, 1)
+		want, _ := ConvertShardsDelta(base, fs, nil, 1)
 		for _, w := range []int{2, 3, 8, 16} {
-			got := ConvertShards(base, fs, w)
+			got, _ := ConvertShardsDelta(base, fs, nil, w)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("iter %d: workers=%d diverges from sequential:\n%v\nvs\n%v",
 					i, w, got, want)
@@ -38,7 +38,7 @@ func TestConvertShardsEquisatisfiable(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		const base = 4
 		fs := []Formula{randFormula(r, base, 10), randFormula(r, base, 10), randFormula(r, base, 10)}
-		cnf := ConvertShards(base, fs, 2)
+		cnf, _ := ConvertShardsDelta(base, fs, nil, 2)
 		if cnf.NumVars < base {
 			t.Fatalf("iter %d: NumVars %d below base %d", i, cnf.NumVars, base)
 		}
@@ -69,7 +69,7 @@ func TestConvertShardsAuxBlocks(t *testing.T) {
 	// assertions must get distinct (per-shard) aux variables.
 	sub := And(a, b)
 	fs := []Formula{Or(sub, c), Or(sub, d)}
-	cnf := ConvertShards(base, fs, 2)
+	cnf, _ := ConvertShardsDelta(base, fs, nil, 2)
 	maxVar := 0
 	for _, cl := range cnf.Clauses {
 		for _, l := range cl {

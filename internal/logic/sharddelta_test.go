@@ -9,7 +9,7 @@ import (
 // TestConvertShardsDeltaIdentity pins the delta-compilation contract: for
 // any edit of the assertion list — add, remove, edit, reorder, or a mix —
 // and any worker count, converting with the previous ShardSet yields a
-// CNF byte-identical to a cold ConvertShards over the new list.
+// CNF byte-identical to a cold conversion (prev == nil) of the new list.
 func TestConvertShardsDeltaIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	mutate := func(fs []Formula, base int) []Formula {
@@ -43,7 +43,7 @@ func TestConvertShardsDeltaIdentity(t *testing.T) {
 		}
 		for hop := 0; hop < 3; hop++ {
 			fs = mutate(fs, base)
-			want := ConvertShards(base, fs, 1)
+			want, _ := ConvertShardsDelta(base, fs, nil, 1)
 			var next *ShardSet
 			for _, w := range []int{1, 2, 8} {
 				got, set := ConvertShardsDelta(base, fs, prev, w)
@@ -93,7 +93,7 @@ func TestConvertShardsDeltaSingleEdit(t *testing.T) {
 		t.Fatalf("single edit: %d reused / %d converted, want %d/1",
 			set.Reused, set.Converted, len(fs)-1)
 	}
-	if want := ConvertShards(base, edited, 1); !reflect.DeepEqual(want, got) {
+	if want, _ := ConvertShardsDelta(base, edited, nil, 1); !reflect.DeepEqual(want, got) {
 		t.Fatal("single-edit delta CNF diverges from cold convert")
 	}
 }
@@ -115,7 +115,7 @@ func TestConvertShardsDeltaRebase(t *testing.T) {
 		if set.Reused != len(fs) {
 			t.Fatalf("base %d: reused %d of %d shards", newBase, set.Reused, len(fs))
 		}
-		if want := ConvertShards(newBase, fs, 1); !reflect.DeepEqual(want, got) {
+		if want, _ := ConvertShardsDelta(newBase, fs, nil, 1); !reflect.DeepEqual(want, got) {
 			t.Fatalf("base %d: rebased delta CNF diverges from cold convert", newBase)
 		}
 	}

@@ -31,7 +31,7 @@ var ErrInfeasible = errors.New("maxsat: hard assumptions unsatisfiable")
 // Options tunes one minimization (or one lexicographic/Pareto run).
 type Options struct {
 	// Hard are assumption literals every solve runs under (query
-	// selectors, earlier lexicographic bounds, cube assumptions).
+	// selectors, earlier lexicographic bounds).
 	Hard []sat.Lit
 	// Phase, when non-nil, is called before every solver invocation so
 	// the caller can re-arm per-phase resource budgets.

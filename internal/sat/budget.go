@@ -59,8 +59,7 @@ func (s *Solver) StopCause() StopCause { return s.stopCause }
 // already done: at most conflicts more conflicts and decisions more
 // decisions may be spent (across all further calls) before Solve returns
 // Unknown. A zero lifts the corresponding bound. Call again to re-arm a
-// fresh allowance for a new phase. Budgets compose with Options
-// MaxConflicts/MaxDecisions (absolute caps); whichever trips first wins.
+// fresh allowance for a new phase. It is the solver's only work bound.
 func (s *Solver) SetBudget(conflicts, decisions int64) {
 	s.confLimit = 0
 	s.decLimit = 0
@@ -73,12 +72,13 @@ func (s *Solver) SetBudget(conflicts, decisions int64) {
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
-// callback; see Options.FaultHook. The hook runs on the solving goroutine
-// at every Solve entry and every conflict boundary; returning true
-// interrupts the solver at that point. It exists to make degraded paths
-// — interrupts and Unknown verdicts at exactly the Nth conflict —
-// deterministically reproducible in tests.
-func (s *Solver) SetFaultHook(h func(FaultEvent, Stats) bool) { s.opts.FaultHook = h }
+// callback. The hook runs on the solving goroutine at every Solve entry
+// and every conflict boundary; returning true interrupts the solver at
+// that point (the running Solve returns Unknown with StopCause
+// StopInterrupt). It exists to make degraded paths — interrupts and
+// Unknown verdicts at exactly the Nth conflict — deterministically
+// reproducible in tests. Clones inherit the hook.
+func (s *Solver) SetFaultHook(h func(FaultEvent, Stats) bool) { s.fault = h }
 
 // FaultEvent tells a FaultHook where in the solve it is being invoked.
 type FaultEvent int
@@ -101,20 +101,14 @@ func (e FaultEvent) String() string {
 }
 
 func (s *Solver) fireFault(ev FaultEvent) bool {
-	return s.opts.FaultHook != nil && s.opts.FaultHook(ev, s.stats)
+	return s.fault != nil && s.fault(ev, s.stats)
 }
 
 func (s *Solver) conflictsExhausted() bool {
-	if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
-		return true
-	}
 	return s.confLimit > 0 && s.stats.Conflicts >= s.confLimit
 }
 
 func (s *Solver) decisionsExhausted() bool {
-	if s.opts.MaxDecisions > 0 && s.stats.Decisions >= s.opts.MaxDecisions {
-		return true
-	}
 	return s.decLimit > 0 && s.stats.Decisions >= s.decLimit
 }
 

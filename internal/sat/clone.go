@@ -43,14 +43,15 @@ package sat
 //   - An attached DRAT proof is NOT cloned: proofs record one solver's
 //     derivation history and would be unsound spliced onto another.
 //     Call AttachProof on the clone before its first Solve if needed.
-//   - The fault hook (Options.FaultHook) IS carried over, like every
-//     other option; use SetFaultHook on the clone to change it.
+//   - The fault hook (SetFaultHook) IS carried over, like the
+//     Options; use SetFaultHook on the clone to change it.
 func (s *Solver) Clone() *Solver {
 	if s.decisionLevel() != 0 {
 		panic("sat: Clone called above decision level 0")
 	}
 	n := &Solver{
 		opts:         s.opts,
+		fault:        s.fault,
 		nVars:        s.nVars,
 		nBinary:      s.nBinary,
 		nLearntBin:   s.nLearntBin,

@@ -79,21 +79,6 @@ type Options struct {
 	StaticOrder bool
 	// NoRestarts disables Luby restarts.
 	NoRestarts bool
-	// NoPhaseSaving makes every decision assign false first instead of
-	// the saved phase.
-	NoPhaseSaving bool
-	// MaxConflicts, when > 0, bounds the total number of conflicts
-	// before Solve returns Unknown.
-	MaxConflicts int64
-	// MaxDecisions, when > 0, bounds the total number of decisions
-	// before Solve returns Unknown.
-	MaxDecisions int64
-	// FaultHook, when non-nil, is invoked at every Solve entry and at
-	// every conflict boundary; returning true interrupts the solver (the
-	// running Solve returns Unknown with StopCause StopInterrupt). The
-	// deterministic fault-injection seam for testing degraded paths —
-	// see SetFaultHook.
-	FaultHook func(FaultEvent, Stats) bool
 }
 
 // Stats reports cumulative solver counters.
@@ -238,6 +223,8 @@ type Solver struct {
 	confLimit int64
 	decLimit  int64
 	stopCause StopCause
+
+	fault func(FaultEvent, Stats) bool // see SetFaultHook; nil = none
 }
 
 // NewSolver returns a solver with default options.
@@ -783,10 +770,9 @@ func (s *Solver) search(conflictBudget int64) Status {
 }
 
 // decisionLit chooses the phase for a decision on variable v: the saved
-// phase (false before the first assignment), or always false under
-// NoPhaseSaving.
+// phase (false before the first assignment).
 func (s *Solver) decisionLit(v int) lit {
-	if s.opts.NoPhaseSaving || s.polarity[v] {
+	if s.polarity[v] {
 		return lit(2*uint32(v) + 1)
 	}
 	return lit(2 * uint32(v))

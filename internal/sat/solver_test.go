@@ -174,7 +174,6 @@ func TestFuzzOptionVariants(t *testing.T) {
 	variants := []Options{
 		{NoRestarts: true},
 		{StaticOrder: true},
-		{NoPhaseSaving: true},
 		{NoLearning: true},
 		{NoLearning: true, StaticOrder: true},
 	}
@@ -457,7 +456,8 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestMaxConflictsBudget(t *testing.T) {
-	s := NewSolverOpts(Options{MaxConflicts: 1})
+	s := NewSolver()
+	s.SetBudget(1, 0)
 	pigeonhole(s, 8, 7)
 	if got := s.Solve(); got != Unknown {
 		// A tiny budget on a hard instance should exhaust. (If the solver

@@ -244,16 +244,3 @@ func (t *Topology) upNeighbors(sw string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// downNeighbors returns neighbours one tier down.
-func (t *Topology) downNeighbors(sw string) []string {
-	self := t.switches[sw]
-	var out []string
-	for _, n := range t.adj[sw] {
-		if t.switches[n].Tier == self.Tier-1 {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

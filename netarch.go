@@ -81,10 +81,10 @@ type (
 	// so even a fresh process skips the first compile (corrupt or stale
 	// files downgrade to a silent recompile, never a wrong answer), and
 	// mtime-ordered eviction bounds the directory.
-	// Enumeration (EnumerateCtx, Enumerate, DisambiguateCtx) itself runs
-	// on a pool of cloned solvers — Engine.SetWorkers sizes it (default
-	// runtime.GOMAXPROCS(0)) — with results guaranteed independent of the
-	// worker count.
+	// Every query, enumeration and Pareto included, runs on one private
+	// solver. Engine.SetWorkers sizes the compile's parallel CNF shard
+	// conversion (default runtime.GOMAXPROCS(0)); the compiled base, and
+	// so every answer, is identical for every worker count.
 	Engine = core.Engine
 	// CacheStats reports the engine's compiled-base cache: size,
 	// capacity, lifetime hit/miss counters, and — when a cache directory

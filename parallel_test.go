@@ -10,11 +10,13 @@ import (
 	"netarch/internal/catalog"
 )
 
-// This file is the facade-level differential for parallel enumeration:
-// for the §5.1 case-study queries, EnumerateCtx must return byte-identical
-// Designs, Truncated, and Reason whatever the worker count. Spent is the
-// one field the determinism contract lets vary. `make verify` runs these
-// tests explicitly.
+// This file is the facade-level worker-count differential for
+// enumeration: for the §5.1 case-study queries, EnumerateCtx must return
+// identical Designs, Truncated, and Reason whatever the worker count.
+// SetWorkers sizes only the compile's shard conversion, whose base is
+// byte-identical for every count, so these tests gate that the compile
+// parallelism never leaks into an answer. `make verify` runs them
+// explicitly.
 
 // caseStudyAllKB mirrors the §5.1 experiment harness: the case-study
 // catalog plus the batch-analytics and storage workloads of Q1/Q3.
@@ -69,12 +71,12 @@ func sec51Scenarios(t *testing.T, eng *netarch.Engine) map[string]netarch.Scenar
 	}
 }
 
-// assertEnumEqual compares two enumeration results under the determinism
-// contract: everything except Spent.
+// assertEnumEqual compares two enumeration results: designs, truncation
+// and whether a budget tripped.
 func assertEnumEqual(t *testing.T, name string, workers int, want, got *netarch.EnumerateResult) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Designs, want.Designs) {
-		t.Errorf("%s workers=%d: Designs diverge from sequential", name, workers)
+		t.Errorf("%s workers=%d: Designs diverge from workers=1", name, workers)
 	}
 	if got.Truncated != want.Truncated || got.Reason != want.Reason {
 		t.Errorf("%s workers=%d: truncation diverges: got (%v,%q), want (%v,%q)",
@@ -85,12 +87,22 @@ func assertEnumEqual(t *testing.T, name string, workers int, want, got *netarch.
 	}
 }
 
-func TestEnumerateParallelMatchesSequential(t *testing.T) {
+// workerEngine returns an engine whose every query compiles afresh on
+// the given number of shard-conversion workers.
+func workerEngine(t *testing.T, workers int) *netarch.Engine {
+	t.Helper()
 	eng, err := netarch.NewEngine(caseStudyAllKB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenarios := sec51Scenarios(t, eng)
+	eng.SetWorkers(workers)
+	eng.SetCacheCapacity(0)
+	return eng
+}
+
+func TestEnumerateParallelMatchesSequential(t *testing.T) {
+	ref := workerEngine(t, 1)
+	scenarios := sec51Scenarios(t, ref)
 	names := make([]string, 0, len(scenarios))
 	for n := range scenarios {
 		names = append(names, n)
@@ -100,14 +112,12 @@ func TestEnumerateParallelMatchesSequential(t *testing.T) {
 	for _, name := range names {
 		sc := scenarios[name]
 		for _, max := range []int{3, 12} {
-			eng.SetWorkers(1)
-			want, err := eng.EnumerateCtx(ctx, sc, max, netarch.Budget{})
+			want, err := ref.EnumerateCtx(ctx, sc, max, netarch.Budget{})
 			if err != nil {
-				t.Fatalf("%s max=%d sequential: %v", name, max, err)
+				t.Fatalf("%s max=%d workers=1: %v", name, max, err)
 			}
 			for _, w := range []int{2, 8} {
-				eng.SetWorkers(w)
-				got, err := eng.EnumerateCtx(ctx, sc, max, netarch.Budget{})
+				got, err := workerEngine(t, w).EnumerateCtx(ctx, sc, max, netarch.Budget{})
 				if err != nil {
 					t.Fatalf("%s max=%d workers=%d: %v", name, max, w, err)
 				}
@@ -124,7 +134,6 @@ func TestEnumerateParallelMatchesSequential(t *testing.T) {
 // checked end to end.
 func constrainedForbid(t *testing.T, eng *netarch.Engine, sc netarch.Scenario) []string {
 	t.Helper()
-	eng.SetWorkers(1)
 	seed, err := eng.EnumerateCtx(context.Background(), sc, 3, netarch.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -153,16 +162,12 @@ func constrainedForbid(t *testing.T, eng *netarch.Engine, sc netarch.Scenario) [
 }
 
 func TestEnumerateParallelCompleteSpace(t *testing.T) {
-	eng, err := netarch.NewEngine(caseStudyAllKB())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := workerEngine(t, 1)
 	base := netarch.Scenario{Workloads: []string{"inference_app"}, NumServers: 64}
 	sc := base
-	sc.ForbiddenSystems = constrainedForbid(t, eng, base)
+	sc.ForbiddenSystems = constrainedForbid(t, ref, base)
 	ctx := context.Background()
-	eng.SetWorkers(1)
-	want, err := eng.EnumerateCtx(ctx, sc, 1000, netarch.Budget{})
+	want, err := ref.EnumerateCtx(ctx, sc, 1000, netarch.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +176,10 @@ func TestEnumerateParallelCompleteSpace(t *testing.T) {
 			len(want.Designs), want.Reason)
 	}
 	if len(want.Designs) < 2 {
-		t.Fatalf("constrained space too small to exercise the pool: %d classes", len(want.Designs))
+		t.Fatalf("constrained space too small to be a real enumeration: %d classes", len(want.Designs))
 	}
 	for _, w := range []int{2, 8} {
-		eng.SetWorkers(w)
-		got, err := eng.EnumerateCtx(ctx, sc, 1000, netarch.Budget{})
+		got, err := workerEngine(t, w).EnumerateCtx(ctx, sc, 1000, netarch.Budget{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
