@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR28.json
+BENCH ?= BENCH_PR36.json
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,13 @@ bench-diff:
 # propagate, zero-alloc Simplify of a simplified formula, totalizers
 # built without a heap slice per clause, bounded warm cache-hit queries,
 # serve_warm-shaped queries and cost optimizations, bounded cold
-# compiles) and the §5.1 base sizes (variable and clause counts) so
+# compiles, compile-time probes that fit the room Bulk reserves and
+# frozen bases with no spare capacity) and the §5.1 base sizes
+# (variable and clause counts) so
 # allocation and base-growth regressions fail the gate even though
 # `test` also covers them.
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
+	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"netarch/internal/catalog"
 	"netarch/internal/kb"
 )
 
@@ -166,34 +167,122 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 	}
 }
 
-// TestCompileAllocBudget pins the allocations of one cold compile of the
-// §5.1 inference_app base (formula build, simplification, sharded CNF
-// conversion, arithmetic circuits and the compile-time probe). Keying
-// Simplify's dedup and the Tseitin cache by rendered strings cost ~86k
-// allocations per compile; with structural hashes it measured 37,341,
-// with the watch lists in one watcher slab instead of a slice per
-// literal 24,496, with the arithmetic gates folding constant inputs
-// and emitting their clauses through the builder's scratch buffer,
-// 9,313, and with the gates emitting straight into the solver and each
-// shard converter numbering its auxiliary variables from its CNF
-// instead of a closure, 9,012. The budget has ~11% headroom, so string keys, a per-node,
-// per-list or per-gate allocation, or the constant-input gates creeping
-// back into the compile path fails the gate.
+// TestCompileAllocBudget pins the allocations and the bytes of one cold
+// compile of the §5.1 inference_app base (formula build, simplification,
+// sharded CNF conversion, arithmetic circuits and the compile-time
+// probe). Keying Simplify's dedup and the Tseitin cache by rendered
+// strings cost ~86k allocations per compile; with structural hashes it
+// measured 37,341, with the watch lists in one watcher slab instead of a
+// slice per literal 24,496, with the arithmetic gates folding constant
+// inputs and emitting their clauses through the builder's scratch
+// buffer, 9,313, and with the gates emitting straight into the solver
+// and each shard converter numbering its auxiliary variables from its
+// CNF instead of a closure, 9,012. The allocation budget has ~11%
+// headroom, so string keys, a per-node, per-list or per-gate allocation,
+// or the constant-input gates creeping back into the compile path fails
+// the gate. The compile allocated 2,247,522 B while the first
+// arithmetic-circuit NewVar doubled every per-variable slice and the
+// probe's learnt clauses regrew the exactly full watcher slab and
+// arena; with Bulk sizing all three once, the probe's room included, it
+// measured 1,703,696 B (8,994 allocs). The byte budget has ~5%
+// headroom, so storage that is sized twice again fails the gate.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 10050
+	const budget, byteBudget = 10050, 1_790_000
 
 	e := mustEngine(t, caseStudyKB())
 	e.SetWorkers(1)
 	sc := section51Scenarios()["inference_app"]
 	shape := baseShape(&sc)
-	allocs := testing.AllocsPerRun(5, func() {
+	compile := func() {
 		if _, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("inference_app base compile: %.0f allocs/run", allocs)
+	}
+	allocs := testing.AllocsPerRun(5, compile)
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		compile()
+	}
+	runtime.ReadMemStats(&m1)
+	perRun := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	t.Logf("inference_app base compile: %.0f allocs/run, %d B/run", allocs, perRun)
 	if allocs > budget {
-		t.Fatalf("inference_app base compile: %.0f allocs/run; budget is %d", allocs, budget)
+		t.Errorf("inference_app base compile: %.0f allocs/run; budget is %d", allocs, budget)
+	}
+	if perRun > byteBudget {
+		t.Errorf("inference_app base compile: %d B/run; budget is %d", perRun, byteBudget)
+	}
+}
+
+// TestProbeFitsRoom checks the compile's storage lifecycle on every
+// §5.1 base shape and on the sliced inference_app base of a 50k-SKU
+// catalog. Bulk sizes the base's storage once, with a fixed room for the
+// compile-time probe's learnt clauses: the probe must fit in that room,
+// regrowing neither the clause arena nor the watcher slab. ResetRun then
+// clips the room away: the frozen base keeps no spare capacity in the
+// arena, the watcher slab or the per-variable slices, so a cached base
+// retains only what it holds and a Clone copies nothing it does not
+// need. The log lists what each probe added.
+func TestProbeFitsRoom(t *testing.T) {
+	type shape struct {
+		name string
+		e    *Engine
+		k    *kb.KB // the slice's sub-KB for a sliced base
+		sc   Scenario
+	}
+	e := mustEngine(t, caseStudyKB())
+	var shapes []shape
+	seen := map[string]bool{}
+	add := func(name string, sc Scenario) {
+		bs := baseShape(&sc)
+		if fp := bs.fingerprint(); !seen[fp] {
+			seen[fp] = true
+			shapes = append(shapes, shape{name, e, e.kbSnapshot(), bs})
+		}
+	}
+	scs := section51Scenarios()
+	for _, name := range []string{"inference_app", "q1-grown", "q3-no-pooling", "q3-pooling"} {
+		add(name, scs[name])
+	}
+	for _, s := range sec51Scenarios(t, e) {
+		add(s.name, s.sc)
+	}
+	big := catalog.ScaledCatalog(50000)
+	bigSc := Scenario{Workloads: []string{"inference_app"}}
+	shapes = append(shapes, shape{"50k-sliced", mustEngine(t, big), mustSlice(t, big, bigSc).sub, baseShape(&bigSc)})
+
+	for _, sh := range shapes {
+		c, err := sh.e.compileUnprobed(sh.k, &sh.sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := c.solver
+		arenaUsed, arenaCap := s.ArenaWords()
+		slabUsed, slabCap := s.WatchSlab()
+		s.SolveAssuming(c.assumptions())
+		arenaProbed, arenaAfter := s.ArenaWords()
+		slabProbed, slabAfter := s.WatchSlab()
+		t.Logf("%s: the probe added %d arena words and %d watchers (%d learnt clauses)",
+			sh.name, arenaProbed-arenaUsed, slabProbed-slabUsed, s.NumLearnts())
+		if arenaAfter != arenaCap {
+			t.Errorf("%s: the probe regrew the arena from %d to %d words (%d used)", sh.name, arenaCap, arenaAfter, arenaProbed)
+		}
+		if slabAfter != slabCap {
+			t.Errorf("%s: the probe regrew the watcher slab from %d to %d watchers (%d used)", sh.name, slabCap, slabAfter, slabProbed)
+		}
+
+		s.ResetRun()
+		if used, capacity := s.ArenaWords(); used != capacity {
+			t.Errorf("%s: the frozen arena holds %d words in a capacity of %d", sh.name, used, capacity)
+		}
+		if used, capacity := s.WatchSlab(); used != capacity {
+			t.Errorf("%s: the frozen watcher slab holds %d watchers in a capacity of %d", sh.name, used, capacity)
+		}
+		if n, capacity := s.NumVars(), s.VarCapacity(); n != capacity {
+			t.Errorf("%s: the frozen per-variable slices hold %d variables in a capacity of %d", sh.name, n, capacity)
+		}
 	}
 }
 

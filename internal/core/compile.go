@@ -170,6 +170,18 @@ func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, 
 // byte-identical to a cold compile of the new KB (the ConvertShardsDelta
 // contract, pinned by TestUpdateKBByteIdentity).
 func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (*compiled, error) {
+	c, err := e.compileUnprobed(k, sc, prev)
+	if err != nil {
+		return nil, err
+	}
+	c.probe()
+	return c, nil
+}
+
+// compileUnprobed is compileBaseWith without the compile-time probe: the
+// solver holds exactly the clauses the compiler emitted, in storage Bulk
+// sized once with room for the probe's learnt clauses.
+func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (*compiled, error) {
 	c := &compiled{
 		kb:         k,
 		sc:         sc,
@@ -222,12 +234,13 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 
 	// Materialize the CNF into a solver, then bolt the arithmetic
 	// circuits on top of the same variable space. Both go through one
-	// Bulk load, so the clause arena and the watch lists are allocated
-	// once for the whole base instead of being copied each time they
+	// Bulk load, so the per-variable slices, the clause arena and the
+	// watch lists are allocated once for the whole base (with room for
+	// the probe's learnt clauses) instead of being copied each time they
 	// fill; the solver state is the same as adding the clauses one by one.
 	c.solver = sat.NewSolver()
-	c.solver.EnsureVars(c.vocab.Len())
 	c.solver.Bulk(func() {
+		c.solver.EnsureVars(c.vocab.Len())
 		for _, cl := range cnf.Clauses {
 			c.solver.AddClause(cl...)
 		}
@@ -236,7 +249,6 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 		c.resourceConstraints()
 		c.costModel()
 	})
-	c.probe()
 	return c, nil
 }
 

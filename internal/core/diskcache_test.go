@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -239,6 +240,50 @@ func TestDiskCacheStaleKBEndToEnd(t *testing.T) {
 	}
 	if _, err := restoreBaseSlice(fresh.KB(), &shape, fresh.kbHash, live, nil); err != nil {
 		t.Errorf("rewritten snapshot does not restore under the new KB: %v", err)
+	}
+}
+
+// TestDiskCacheRejectsIndentedKBHash plants a snapshot keyed by the
+// SHA-256 of kb.Save's indented encoding, the key snapshots carried
+// before kbContentHash hashed compact JSON: an engine over the same KB
+// must count it stale, recompile, and never serve it.
+func TestDiskCacheRejectsIndentedKBHash(t *testing.T) {
+	dir := t.TempDir()
+	k := miniKB()
+	sc := Scenario{Require: []kb.Property{"congestion_control"}}
+	shape := baseShape(&sc)
+	h := sha256.New()
+	if err := k.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	var indented [32]byte
+	copy(indented[:], h.Sum(nil))
+	if indented == kbContentHash(k) {
+		t.Fatal("the indented and compact encodings hash equally")
+	}
+
+	e := mustEngine(t, k)
+	base, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := snapshotPath(dir, shape.fingerprint())
+	if err := os.WriteFile(path, snapshotBase(base, indented), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustDiskEngine(t, k, dir)
+	if _, err := fresh.Synthesize(sc); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.CacheStats(); st.DiskStale != 1 || st.DiskHits != 0 || st.Misses != 1 {
+		t.Errorf("a snapshot under the indented-JSON hash must count stale and recompile: %+v", st)
+	}
+	live, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreBaseSlice(k, &shape, fresh.kbHash, live, nil); err != nil {
+		t.Errorf("the recompile did not rewrite the snapshot under the new hash: %v", err)
 	}
 }
 

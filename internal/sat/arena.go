@@ -497,14 +497,16 @@ func (t *watchTable) reclaim(room int) bool {
 }
 
 // compact lays every list out back to back in literal order, in a fresh
-// slab of exactly their size. Each list gets room for exactly its
-// watchers plus room[l] more (room may be nil). Lists keep their order.
-func (t *watchTable) compact(room []uint32) {
+// slab. Each list gets room for exactly its watchers plus room[l] more
+// (room may be nil), and the slab's capacity exceeds the lists' total
+// room by spare watchers, free space at the tail for lists that later
+// fill and move there. Lists keep their order.
+func (t *watchTable) compact(room []uint32, spare int) {
 	total := t.live()
 	for _, r := range room {
 		total += int(r)
 	}
-	slab := make([]watcher, total)
+	slab := make([]watcher, total, total+spare)
 	off := uint32(0)
 	for i := range t.spans {
 		sp := &t.spans[i]

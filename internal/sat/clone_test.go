@@ -382,7 +382,7 @@ func TestWatchTableReclaim(t *testing.T) {
 		push(l)
 	}
 	// A frozen layout with a clone's headroom.
-	tab.compact(nil)
+	tab.compact(nil, 0)
 	tab.slab = grown(tab.slab, len(tab.slab)/2+8)
 	capacity := cap(tab.slab)
 	reclaims := 0

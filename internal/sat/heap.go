@@ -24,7 +24,7 @@ func (h *varHeap) clone(activity *[]float64, n int) varHeap {
 }
 
 // grow pre-sizes the heap's backing arrays for n variables (see
-// Solver.EnsureVars).
+// Solver.growVarCaps).
 func (h *varHeap) grow(n int) {
 	if cap(h.heap) < n {
 		h.heap = grown(h.heap, n-len(h.heap))

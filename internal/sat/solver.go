@@ -280,10 +280,10 @@ func (s *Solver) Stats() Stats { return s.stats }
 // which the solver's clones share instead of copying, clips the clause
 // arena to its length and lays the remaining watch lists out back to
 // back in a slab of exactly their size, so a frozen solver keeps no
-// spare room or garbage for a Clone to copy; each clone gets its own
-// headroom. Propagation visits a literal's shared implications before
-// its watch list, so the search after ResetRun differs from the one
-// before it. After ResetRun the solver itself runs the same search its
+// spare room (Bulk's learnt room included) or garbage for a Clone to
+// copy; each clone gets its own headroom. Propagation visits a literal's
+// shared implications before its watch list, so the search after
+// ResetRun differs from the one before it. After ResetRun the solver itself runs the same search its
 // Clone would, and reports only its own later work. Must be called at
 // decision level 0.
 func (s *Solver) ResetRun() {
@@ -303,49 +303,65 @@ func (s *Solver) ResetRun() {
 		s.ca.data = grown(s.ca.data, 0)
 	}
 	s.freezeBinaries()
-	s.watches.compact(nil)
+	s.watches.compact(nil, 0)
 }
 
-// NewVar allocates a fresh variable and returns its index (≥ 1).
+// NewVar allocates a fresh variable and returns its index (≥ 1). Inside
+// a Bulk load it only counts the variable; Bulk stores it (see Bulk).
 func (s *Solver) NewVar() int {
-	if len(s.level) == cap(s.level) {
-		// Grow all per-variable slices together, doubling: one-at-a-time
-		// variable creation (the arithmetic encoder, query selectors)
-		// otherwise reallocates eight slices each on append's less
-		// aggressive large-slice growth policy.
-		n := 2 * len(s.level)
-		if n < 64 {
-			n = 64
-		}
-		s.growVarCaps(n)
-	}
 	s.nVars++
-	s.watches.spans = append(s.watches.spans, span{}, span{})
-	s.vals = append(s.vals, lUndef, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, crefUndef)
-	s.polarity = append(s.polarity, true) // default phase: false
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, 0)
-	s.order.insert(s.nVars - 1)
+	if !s.bulking {
+		if len(s.level) == cap(s.level) {
+			// Grow all per-variable slices together, doubling: one-at-a-time
+			// variable creation (the arithmetic encoder, query selectors)
+			// otherwise reallocates eight slices each on append's less
+			// aggressive large-slice growth policy.
+			s.growVarCaps(max(2*len(s.level), 64))
+		}
+		s.storeVars()
+	}
 	return s.nVars
 }
 
-// EnsureVars allocates variables until NumVars ≥ n. Bulk growth (the
-// compiler materializes the whole vocabulary in one call) pre-sizes every
-// per-variable slice once instead of doubling each through thousands of
-// appends.
+// EnsureVars allocates variables until NumVars ≥ n, sizing every
+// per-variable slice once for all of them (at exactly n when they must
+// grow) instead of doubling each through thousands of appends. Inside a
+// Bulk load it only counts them, like NewVar.
 func (s *Solver) EnsureVars(n int) {
-	if n > s.nVars && n > cap(s.level) {
-		s.growVarCaps(n)
+	if n <= s.nVars {
+		return
 	}
-	for s.nVars < n {
-		s.NewVar()
+	s.nVars = n
+	if !s.bulking {
+		s.storeVars()
 	}
 }
 
-// growVarCaps reallocates every per-variable slice with capacity for n
-// variables, preserving contents.
+// storeVars appends the per-variable entries of the variables counted in
+// nVars but not yet stored, first growing every per-variable slice to
+// exactly nVars when they lack the room, and inserts the variables into
+// the order heap in ascending order, the order NewVar calls create them
+// in.
+func (s *Solver) storeVars() {
+	if s.nVars > cap(s.level) {
+		s.growVarCaps(s.nVars)
+	}
+	for v := len(s.level); v < s.nVars; v++ {
+		s.watches.spans = append(s.watches.spans, span{}, span{})
+		s.vals = append(s.vals, lUndef, lUndef)
+		s.level = append(s.level, 0)
+		s.reason = append(s.reason, crefUndef)
+		s.polarity = append(s.polarity, true) // default phase: false
+		s.activity = append(s.activity, 0)
+		s.seen = append(s.seen, 0)
+		s.order.insert(v)
+	}
+}
+
+// growVarCaps reallocates every per-variable slice, the order heap's
+// included, with capacity for exactly n variables, preserving contents.
+// NewVar calls it to double the capacity; storeVars, for EnsureVars and
+// Bulk, to size it for a known count.
 func (s *Solver) growVarCaps(n int) {
 	s.watches.spans = grown(s.watches.spans, 2*n-len(s.watches.spans))
 	s.vals = grown(s.vals, 2*n-len(s.vals))
@@ -357,30 +373,58 @@ func (s *Solver) growVarCaps(n int) {
 	s.order.grow(n)
 }
 
-// Bulk runs load with clause addition deferred, then adds every clause
-// load passed to AddClause, in order, into storage sized once for all of
-// them: the clause arena, the clause list and every watch list are
-// allocated up front instead of being copied each time they fill. A
-// literal's list gets room for one watcher per recorded clause holding
-// the literal's negation, a bound no list can pass, so no list moves
-// during the load. A compiler that emits a whole base clause by clause
-// (CNF shards, then arithmetic circuits) wraps the emission in one Bulk
-// call.
+// VarCapacity reports how many variables the per-variable slices hold
+// before NewVar must copy them all to grow. The allocation-budget tests
+// check that a compiled base keeps no spare room there.
+func (s *Solver) VarCapacity() int { return cap(s.level) }
+
+// Room Bulk leaves beyond its load for the clauses the solver's first
+// solve learns: the compile-time probe of a base that Bulk loaded (see
+// ResetRun, which clips the room away again). The §5.1 bases' probes add
+// 318–1,278 arena words and 596–1,456 watchers (the most for the grown
+// Q1 fleet), the 50k-SKU sliced base's 551 words and 1,034 watchers, so
+// these fit every one without the arena or the watcher slab being
+// copied to grow. A solve that outgrows the room grows the slabs as it
+// would without it.
+const (
+	learntRoomWords    = 2 << 10
+	learntRoomWatchers = 2 << 10
+)
+
+// Bulk runs load with variable storage and clause addition deferred,
+// then sizes the solver's storage once for all of it and adds every
+// clause load passed to AddClause, in order. Inside load, NewVar and
+// EnsureVars only count variables; Bulk then allocates every
+// per-variable slice once, at the final count (exactly, when they must
+// grow), and inserts the new variables into the order heap in ascending
+// order, as NewVar would have. The clause arena, the clause list and
+// every watch list are likewise allocated up front instead of being
+// copied each time they fill. A literal's list gets room for one watcher
+// per recorded clause holding the literal's negation, a bound no list
+// can pass, so no list moves during the load. The arena and the watcher
+// slab also get a fixed room for the clauses a first solve learns
+// (learntRoomWords, learntRoomWatchers), so a compiled base's probe does
+// not copy them to grow either. A compiler that emits a whole base
+// clause by clause (CNF shards, then arithmetic circuits) wraps the
+// emission in one Bulk call.
 //
-// The solver ends in exactly the state the same AddClause calls made
-// one by one would leave: clauses are added in the same order, units
-// propagate at the same points, so clause references, watch order and
-// snapshot bytes are identical. Inside load, AddClause records its
-// clause and returns true (the top-level verdict is known once Bulk
-// returns; see Okay), and NewVar and EnsureVars work as usual. load must
-// not solve, clone or snapshot the solver.
+// The solver ends in exactly the state the same NewVar and AddClause
+// calls made one by one would leave: variables enter the heap in the
+// same order, clauses are added in the same order, units propagate at
+// the same points, so clause references, watch order and snapshot bytes
+// are identical; only capacities differ. Inside load, AddClause records
+// its clause and returns true (the top-level verdict is known once Bulk
+// returns; see Okay), and NewVar returns the new variable's index. load
+// must not solve, clone or snapshot the solver, nor read a variable's
+// state.
 func (s *Solver) Bulk(load func()) {
 	s.bulking = true
 	defer func() { s.bulking, s.bulk = false, nil }()
 	load()
 	s.bulking = false
+	s.storeVars()
 
-	// Size storage by the clauses as recorded. Normalization only
+	// Size clause storage by the clauses as recorded. Normalization only
 	// shortens or drops a clause, so the counts are upper bounds: an
 	// arena clause has three or more literals, and a clause's watchers
 	// sit in the lists of its literals' negations, at most one each.
@@ -405,11 +449,11 @@ func (s *Solver) Bulk(load func()) {
 			i = j + 1
 		}
 	}
-	s.ca.reserve(nWords)
+	s.ca.reserve(nWords + learntRoomWords)
 	if cap(s.clauses)-len(s.clauses) < nClauses {
 		s.clauses = grown(s.clauses, nClauses)
 	}
-	s.watches.compact(room)
+	s.watches.compact(room, learntRoomWatchers)
 	for _, chunk := range s.bulk {
 		for i := 0; i < len(chunk); {
 			j := i
