@@ -72,26 +72,27 @@ serve-smoke:
 # uncached reference engine and under every configuration: compile
 # worker counts (SetWorkers sizes only the compile's shard conversion;
 # every query runs on one solver), cache miss and hit, query history,
-# disk revival, delta update (byte-identical) and relevance slicing
+# disk revival, live KB update (byte-identical) and relevance slicing
 # (equivalent), plus the 5k-SKU sliced sweep. Its gates are
 # TestDifferential and the six focused tests that each run one catalog
 # under a subset of its configurations; the root TestEnumerateParallel*
 # pair repeats the §5.1 compile-worker check at the facade. Beside them run the tests the harness does not
-# replace: compile and delta
+# replace: compile and update
 # byte identity, the solver snapshot/clone and disk round trips (with
 # the binary-heavy differential's frozen arm: a frozen solver, its clone,
 # its snapshot and its DIMACS round trip agree, and clones of one frozen
 # solver search identically over its shared implication table), the
 # optimizer's metamorphic, objective-circuit and maxsat brute-force
 # tests, the slicer edge cases and refusals, the 50k catalog smoke,
-# and the reload-under-load pair under the race detector.
+# and the concurrent-update and reload-under-load tests under the race
+# detector.
 differential:
 	$(GO) test -run='TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateWorkerCountInvariance|TestEnumerateCacheOffMatchesCacheOn|TestEnumerateParallel|TestParallelCompileByteIdentity|TestUpdateKBByteIdentity|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase' -count=1 . ./internal/core
-	$(GO) test -run='TestConvertShardsDelta' -count=1 ./internal/logic
+	$(GO) test -run='TestConvertShards' -count=1 ./internal/logic
 	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver' -count=1 ./internal/sat
 	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat
 	$(GO) test -run='TestCatalogScale' -count=1 ./internal/extract
-	$(GO) test -race -run='TestUpdateKBConcurrentQueries|TestServeReloadUnderLoad' -count=1 ./internal/core ./internal/serve
+	$(GO) test -race -run='TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad' -count=1 ./internal/core ./internal/serve
 
 # fuzz-smoke runs the snapshot decoders' fuzz targets briefly so the
 # untrusted-bytes contract (typed errors, no panics, no OOM) is

@@ -91,8 +91,8 @@ func cmdServe(args []string) error {
 }
 
 // cmdReload ships a knowledge-base file (JSON or DSL, "-" for stdin) to a
-// running server's /v1/admin/reload endpoint. The server delta-recompiles
-// its warm bases in place — in-flight queries finish on the old catalog,
+// running server's /v1/admin/reload endpoint. The server recompiles its
+// warm bases in place — in-flight queries finish on the old catalog,
 // queries admitted after the swap see the new one, and nothing is shed.
 func cmdReload(args []string) error {
 	fs := flag.NewFlagSet("reload", flag.ContinueOnError)
@@ -153,8 +153,7 @@ func cmdReload(args []string) error {
 	if err := json.Unmarshal(raw, &rr); err != nil {
 		return fmt.Errorf("reload: malformed response: %w", err)
 	}
-	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %d shards reused / %d converted, %d snapshots rewritten, %dms\n",
-		rr.Changes, rr.BasesUpdated, rr.BasesDropped, rr.ShardsReused, rr.ShardsConverted,
-		rr.SnapshotsRewritten, rr.ElapsedMS)
+	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %d snapshots rewritten, %dms\n",
+		rr.Changes, rr.BasesUpdated, rr.BasesDropped, rr.SnapshotsRewritten, rr.ElapsedMS)
 	return nil
 }

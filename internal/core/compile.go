@@ -37,7 +37,7 @@ type compiled struct {
 	// pending accumulates the boolean assertions in emission order during
 	// the section methods; compileBaseWith converts them to CNF in one shot
 	// (sharded across workers, deterministically merged — see
-	// logic.ConvertShardsDelta) and clears the list. Deferring conversion this
+	// logic.ConvertShards) and clears the list. Deferring conversion this
 	// way fixes the atom variable space before the first auxiliary
 	// variable is allocated, which is what makes per-assertion conversion
 	// order-free.
@@ -53,16 +53,6 @@ type compiled struct {
 
 	selectors []selector
 	selByName map[string]int // name -> index in selectors
-
-	// shards retains the per-assertion CNF conversion results this base
-	// was compiled from, so Engine.UpdateKB can delta-recompile it —
-	// reconverting only the assertions the KB edit actually changed (see
-	// logic.ConvertShardsDelta). Bases restored from disk snapshots carry
-	// no shard set (nil) and delta-recompile as a full reconversion;
-	// specialized per-query instances leave it nil too. The retention
-	// roughly doubles a base's clause memory — the price of sub-second
-	// live KB updates.
-	shards *logic.ShardSet
 
 	// sliceID / sliceReq identify the relevance slice this base was
 	// compiled against (slice.go): empty/nil for full-KB bases. The ID
@@ -121,7 +111,8 @@ var exclusiveRoles = map[kb.Role]bool{
 }
 
 // SetWorkers sets how many goroutines convert a compile's assertion
-// shards to CNF (logic.ConvertShardsDelta). n <= 0 restores the default,
+// shards to CNF (logic.ConvertShards), for cold compiles and UpdateKB's
+// recompiles alike. n <= 0 restores the default,
 // runtime.GOMAXPROCS(0). The compiled base is byte-identical for every
 // count, so the knob trades CPU for compile latency, nothing else. Safe
 // to call concurrently; compiles in flight keep the count they started
@@ -147,9 +138,9 @@ func (e *Engine) compileWorkers() int {
 // compile of a smaller knowledge base.
 func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, error) {
 	if sl == nil {
-		return e.compileBaseWith(k, sc, nil)
+		return e.compileBaseWith(k, sc)
 	}
-	c, err := e.compileBaseWith(sl.sub, sc, nil)
+	c, err := e.compileBaseWith(sl.sub, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -164,13 +155,8 @@ func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, 
 // the clauses the compiler emitted plus what its compile-time probe
 // learnt (see probe), and is thereafter only cloned, never solved or
 // mutated. Query-specific requirements are layered on by specialize().
-// prev, when non-nil, is a previous shard set: UpdateKB passes the
-// outgoing base's per-assertion conversion results, so only assertions
-// the edit changed are reconverted — and the result is still
-// byte-identical to a cold compile of the new KB (the ConvertShardsDelta
-// contract, pinned by TestUpdateKBByteIdentity).
-func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (*compiled, error) {
-	c, err := e.compileUnprobed(k, sc, prev)
+func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario) (*compiled, error) {
+	c, err := e.compileUnprobed(k, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +167,7 @@ func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 // compileUnprobed is compileBaseWith without the compile-time probe: the
 // solver holds exactly the clauses the compiler emitted, in storage Bulk
 // sized once with room for the probe's learnt clauses.
-func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (*compiled, error) {
+func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	c := &compiled{
 		kb:         k,
 		sc:         sc,
@@ -225,8 +211,7 @@ func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario, prev *logic.ShardSet) (
 	// the vocabulary to cover them so vocabulary and solver keep agreeing
 	// on the variable space.
 	base := c.vocab.Len()
-	cnf, shards := logic.ConvertShardsDelta(base, c.pending, prev, e.compileWorkers())
-	c.shards = shards
+	cnf := logic.ConvertShards(base, c.pending, e.compileWorkers())
 	c.pending = nil
 	for v := base; v < cnf.NumVars; v++ {
 		c.vocab.Fresh("")

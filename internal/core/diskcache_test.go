@@ -263,7 +263,7 @@ func TestDiskCacheRejectsIndentedKBHash(t *testing.T) {
 	}
 
 	e := mustEngine(t, k)
-	base, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
+	base, err := e.compileBaseWith(e.kbSnapshot(), &shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func FuzzDecodeBase(f *testing.F) {
 	hash := kbContentHash(k)
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	shape := baseShape(&sc)
-	base, err := e.compileBaseWith(e.kbSnapshot(), &shape, nil)
+	base, err := e.compileBaseWith(e.kbSnapshot(), &shape)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -11,30 +11,23 @@ import (
 // one edited rule — and before UpdateKB any mutation meant dropping every
 // compiled base, invalidating every disk snapshot, and paying cold-start
 // compiles on the next queries. UpdateKB instead revalidates the cache in
-// place: each cached base is delta-recompiled against the incoming KB,
-// reusing the per-assertion CNF shards the edit did not touch (see
-// logic.ConvertShardsDelta — the result is byte-identical to a cold
-// compile of the new KB, compile-time probe included), and the base's
-// disk snapshot is rewritten under the new KB hash so the disk
-// tier stays warm too. In-flight queries are never disturbed: they solve
-// on private clones of the old bases, which stay frozen and valid until
-// the last query referencing them finishes.
+// place: each cached base is recompiled against the incoming KB exactly
+// as a cold query would compile it (compile-time probe included), and
+// the base's disk snapshot is rewritten under the new KB hash so the
+// disk tier stays warm too. In-flight queries are never disturbed: they
+// solve on private clones of the old bases, which stay frozen and valid
+// until the last query referencing them finishes.
 
 // KBUpdate reports what one UpdateKB call did.
 type KBUpdate struct {
 	// Diff is the section-level difference between the outgoing and
 	// incoming KBs (see kb.Diff).
 	Diff []kb.DiffEntry
-	// BasesUpdated counts cached bases delta-recompiled against the new
-	// KB; BasesDropped counts bases whose shape no longer compiles under
-	// it (e.g. their workload was removed) and were evicted instead.
+	// BasesUpdated counts cached bases recompiled against the new KB;
+	// BasesDropped counts bases whose shape no longer compiles under it
+	// (e.g. their workload was removed) and were evicted instead.
 	BasesUpdated int
 	BasesDropped int
-	// ShardsReused and ShardsConverted total, across all updated bases,
-	// how many per-assertion CNF shards were spliced from the previous
-	// compile vs reconverted. A one-assertion edit shows almost all reuse.
-	ShardsReused    int
-	ShardsConverted int
 	// SnapshotsRewritten counts disk snapshots rewritten under the new KB
 	// hash (zero without a cache directory).
 	SnapshotsRewritten int
@@ -42,25 +35,25 @@ type KBUpdate struct {
 
 // String renders the update summary.
 func (u *KBUpdate) String() string {
-	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped), %d shards reused / %d converted, %d snapshots rewritten",
-		len(u.Diff), u.BasesUpdated, u.BasesDropped, u.ShardsReused, u.ShardsConverted, u.SnapshotsRewritten)
+	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped), %d snapshots rewritten",
+		len(u.Diff), u.BasesUpdated, u.BasesDropped, u.SnapshotsRewritten)
 }
 
-// UpdateKB swaps the engine's knowledge base for newKB, delta-recompiling
-// every cached base in place of dropping it. Safe to call concurrently
-// with queries: in-flight queries finish on clones of the outgoing bases,
+// UpdateKB swaps the engine's knowledge base for newKB, recompiling every
+// cached base in place of dropping it. Safe to call concurrently with
+// queries: in-flight queries finish on clones of the outgoing bases,
 // queries admitted after the swap see only the new ones, and a compile
 // racing the update is detected by the KB generation counter and never
-// cached (see baseFor). Concurrent UpdateKB calls serialize.
+// cached (see baseFor). Concurrent UpdateKB calls serialize on the
+// engine's update lock, so callers need no lock of their own.
 //
 // The incoming KB is validated first; on error the engine is unchanged.
 // newKB must not be mutated after the call (the engine holds it by
 // reference — to edit further, Save/Load a copy or build a new KB).
 //
-// Every updated base is byte-identical to what a cold compile against
-// newKB would produce, so answers never depend on the update history.
-// Bases revived from disk snapshots carry no shard set and recompile
-// fully; they still count as updated.
+// Every updated base is compiled the way a cold query over newKB compiles
+// it, so it is byte-identical to that compile and answers never depend on
+// the update history.
 func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	if newKB == nil {
 		return nil, errors.New("core: UpdateKB: nil knowledge base")
@@ -92,9 +85,9 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	}
 	e.mu.RUnlock()
 
-	// Delta-recompile each base outside the lock: outgoing bases are
-	// frozen and read-only, so queries keep cloning them while we build
-	// their successors.
+	// Recompile each base outside the lock: outgoing bases are frozen and
+	// read-only, so queries keep cloning them while we build their
+	// successors.
 	type rebuilt struct {
 		key  string
 		base *compiled
@@ -107,19 +100,14 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		// newKB, so a SKU, rule or workload edit that changes slice
 		// membership changes the sub-KB (and the cache key — slice
 		// identity is part of it) exactly as it does for a fresh query
-		// over newKB. When the slice is unchanged, ConvertShardsDelta
-		// reuses every untouched shard; when it changed, exactly the
-		// shards whose assertions differ under the new sub-KB are
-		// reconverted.
-		var newSlice *kbSlice
-		compileKB := newKB
+		// over newKB.
+		var sl *kbSlice
 		newKey := ob.sc.fingerprint()
 		if ob.sliceReq != nil {
-			newSlice = computeSlice(newKB, ob.sliceReq)
-			compileKB = newSlice.sub
-			newKey += sliceKeySuffix(newSlice)
+			sl = computeSlice(newKB, ob.sliceReq)
+			newKey += sliceKeySuffix(sl)
 		}
-		nb, err := e.compileBaseWith(compileKB, ob.sc, ob.shards)
+		nb, err := e.compileSliced(newKB, ob.sc, sl)
 		if err != nil {
 			// The shape no longer compiles under the new KB (its
 			// workload or pinned hardware was removed): evict it rather
@@ -128,14 +116,6 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 			// eviction ages it out.
 			up.BasesDropped++
 			continue
-		}
-		if set := nb.shards; set != nil {
-			up.ShardsReused += set.Reused
-			up.ShardsConverted += set.Converted
-		}
-		if newSlice != nil {
-			nb.sliceID = newSlice.id
-			nb.sliceReq = newSlice.req
 		}
 		fresh = append(fresh, rebuilt{newKey, nb})
 		up.BasesUpdated++

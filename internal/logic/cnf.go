@@ -32,9 +32,12 @@ type CNF struct {
 
 // AddClause appends a clause (copying the literals).
 func (c *CNF) AddClause(lits ...sat.Lit) {
-	cl := make(Clause, len(lits))
-	copy(cl, lits)
-	for _, l := range lits {
+	c.add(append(make(Clause, 0, len(lits)), lits...))
+}
+
+// add appends cl without copying it; the CNF takes ownership.
+func (c *CNF) add(cl Clause) {
+	for _, l := range cl {
 		c.NumVars = max(c.NumVars, l.Var())
 	}
 	c.Clauses = append(c.Clauses, cl)
@@ -114,7 +117,7 @@ func (cv *Converter) assert(f Formula) {
 		for _, a := range f.args {
 			clause = append(clause, cv.lit(a))
 		}
-		cv.CNF.AddClause(clause...)
+		cv.CNF.add(clause)
 		return
 	}
 	cv.CNF.AddClause(cv.lit(f))
@@ -156,7 +159,7 @@ func (cv *Converter) lit(f Formula) sat.Lit {
 		for _, a := range f.args {
 			clause = append(clause, cv.lit(a))
 		}
-		cv.CNF.AddClause(clause...)
+		cv.CNF.add(clause)
 	}
 	if cv.cache == nil {
 		cv.cache = formulaMap{}

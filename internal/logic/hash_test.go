@@ -266,6 +266,28 @@ func TestSimplifyMatchesStringKeyedOracle(t *testing.T) {
 	if wide < 100 {
 		t.Fatalf("only %d results keep a node wider than smallArity", wide)
 	}
+	// Nodes wider than maxStackArity take the heap-allocated table. Odd
+	// seeds negate some leaves, so their nodes collapse on a complement;
+	// even seeds keep every leaf positive, so only duplicates drop.
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		args := make([]Formula, maxStackArity+1+r.Intn(maxStackArity))
+		for i := range args {
+			x := V(Var(r.Intn(40) + 1))
+			switch {
+			case r.Intn(2) == 0:
+				args[i] = And(x, V(Var(r.Intn(40)+1)))
+			case seed%2 == 1 && r.Intn(2) == 0:
+				args[i] = Not(x)
+			default:
+				args[i] = x
+			}
+		}
+		f := Or(args...)
+		if got, want := Simplify(f), oracleSimplify(f); !Equal(got, want) || got.String() != want.String() {
+			t.Fatalf("seed %d: Simplify of an arity-%d node\n got %v\nwant %v", seed, len(f.args), got, want)
+		}
+	}
 }
 
 func maxArity(f Formula) int {
@@ -337,8 +359,9 @@ func TestFormulaSize(t *testing.T) {
 
 // TestSimplifyAllocFree pins that simplifying an already-simplified
 // formula allocates nothing, which is what keeps Converter.Assert's
-// per-conjunct pass cheap. Nodes wider than smallArity build a hash
-// table, so the formula stays below that width.
+// per-conjunct pass cheap: both for a formula whose nodes dedupComplement
+// scans pairwise and for one with a node wider than smallArity, which
+// goes through its stack-allocated hash table.
 func TestSimplifyAllocFree(t *testing.T) {
 	g := &diffGen{r: rand.New(rand.NewSource(7)), nv: 12}
 	args := make([]Formula, 0, 12)
@@ -348,17 +371,32 @@ func TestSimplifyAllocFree(t *testing.T) {
 			args = append(args, f)
 		}
 	}
-	f := Simplify(Or(Not(And(args[:6]...)), And(args[6:]...)))
-	if f.Size() < 50 || maxArity(f) > smallArity {
-		t.Fatalf("test formula is too small or too wide: %v", f)
+	narrow := Simplify(Or(Not(And(args[:6]...)), And(args[6:]...)))
+	if narrow.Size() < 50 || maxArity(narrow) > smallArity {
+		t.Fatalf("narrow test formula is too small or too wide: %v", narrow)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if g := Simplify(f); !Equal(g, f) {
-			t.Fatal("Simplify of a simplified formula must return it")
+	lits := make([]Formula, 0, 3*smallArity)
+	for v := 1; len(lits) < cap(lits); v++ {
+		x := V(Var(v))
+		if v%3 == 0 {
+			x = Not(x)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Simplify of a simplified formula: %.0f allocs/run, want 0", allocs)
+		lits = append(lits, x)
+	}
+	wide := Simplify(And(args[0], Or(lits...)))
+	if maxArity(wide) <= smallArity {
+		t.Fatalf("wide test formula has no node wider than %d: %v", smallArity, wide)
+	}
+	for _, f := range []Formula{narrow, wide} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if g := Simplify(f); !Equal(g, f) {
+				t.Fatal("Simplify of a simplified formula must return it")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Simplify of a simplified formula of arity %d: %.0f allocs/run, want 0",
+				maxArity(f), allocs)
+		}
 	}
 }
 

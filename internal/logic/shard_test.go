@@ -18,9 +18,9 @@ func TestConvertShardsWorkerInvariance(t *testing.T) {
 		for j := 0; j < 9; j++ {
 			fs = append(fs, randFormula(r, base, 20))
 		}
-		want, _ := ConvertShardsDelta(base, fs, nil, 1)
+		want := ConvertShards(base, fs, 1)
 		for _, w := range []int{2, 3, 8, 16} {
-			got, _ := ConvertShardsDelta(base, fs, nil, w)
+			got := ConvertShards(base, fs, w)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("iter %d: workers=%d diverges from sequential:\n%v\nvs\n%v",
 					i, w, got, want)
@@ -38,7 +38,7 @@ func TestConvertShardsEquisatisfiable(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		const base = 4
 		fs := []Formula{randFormula(r, base, 10), randFormula(r, base, 10), randFormula(r, base, 10)}
-		cnf, _ := ConvertShardsDelta(base, fs, nil, 2)
+		cnf := ConvertShards(base, fs, 2)
 		if cnf.NumVars < base {
 			t.Fatalf("iter %d: NumVars %d below base %d", i, cnf.NumVars, base)
 		}
@@ -69,7 +69,7 @@ func TestConvertShardsAuxBlocks(t *testing.T) {
 	// assertions must get distinct (per-shard) aux variables.
 	sub := And(a, b)
 	fs := []Formula{Or(sub, c), Or(sub, d)}
-	cnf, _ := ConvertShardsDelta(base, fs, nil, 2)
+	cnf := ConvertShards(base, fs, 2)
 	maxVar := 0
 	for _, cl := range cnf.Clauses {
 		for _, l := range cl {
@@ -83,5 +83,30 @@ func TestConvertShardsAuxBlocks(t *testing.T) {
 	}
 	if cnf.NumVars <= base+1 {
 		t.Errorf("expected one aux var per shard (NumVars > %d), got %d", base+1, cnf.NumVars)
+	}
+}
+
+// TestConvertShardsMatchesOffsetConverters pins the in-place aux
+// renaming: converting each assertion on its own converter whose aux
+// numbering starts past every earlier assertion's block, and
+// concatenating the clauses, must give exactly the merged CNF.
+func TestConvertShardsMatchesOffsetConverters(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 40; i++ {
+		const base = 6
+		fs := make([]Formula, 0, 7)
+		for j := 0; j < 7; j++ {
+			fs = append(fs, randFormula(r, base, 20))
+		}
+		want := &CNF{NumVars: base, Clauses: []Clause{}}
+		for _, f := range fs {
+			cv := &Converter{CNF: &CNF{NumVars: want.NumVars}}
+			cv.Assert(f)
+			want.Clauses = append(want.Clauses, cv.CNF.Clauses...)
+			want.NumVars = cv.CNF.NumVars
+		}
+		if got := ConvertShards(base, fs, 3); !reflect.DeepEqual(want, got) {
+			t.Fatalf("iter %d: merged CNF diverges from offset converters:\n%v\nvs\n%v", i, got, want)
+		}
 	}
 }

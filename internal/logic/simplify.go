@@ -8,7 +8,7 @@ package logic
 // Simplify is idempotent and runs in expected linear time over the
 // formula size: operands are compared by structural hash, each match
 // confirmed with Equal. An already-simplified formula is returned as is,
-// without allocating.
+// without allocating unless a node has more than maxStackArity operands.
 func Simplify(f Formula) Formula {
 	g, _ := simplify(f)
 	return g
@@ -71,11 +71,15 @@ func simplify(f Formula) (Formula, bool) {
 // nodes go through a hash table so the pass stays linear.
 const smallArity = 16
 
+// maxStackArity is the widest node whose dedupComplement table fits on
+// the stack.
+const maxStackArity = 256
+
 // dedupComplement removes duplicate operands from a flat And/Or node,
 // keeping the first occurrence of each, and collapses the node to its
 // absorbing constant if it contains complementary operands. It reports
-// whether the result differs from f; if not, it returns f without
-// allocating.
+// whether the result differs from f; if not, it returns f, allocating
+// nothing unless f has more than maxStackArity operands.
 func dedupComplement(f Formula) (Formula, bool) {
 	collapse := True
 	if f.kind == KindAnd {
@@ -104,16 +108,41 @@ func dedupComplement(f Formula) (Formula, bool) {
 			out = keep(out, f.args, j, dup)
 		}
 	} else {
-		seen := make(formulaMap, len(f.args)) // atom → index of its first occurrence
+		// An open-addressed table of operand indices (+1; 0 marks a free
+		// slot) probed by the atom's structural hash, at most half full.
+		// Up to maxStackArity operands it lives on the stack, so a node
+		// with nothing to drop allocates nothing.
+		var stack [2 * maxStackArity]int32
+		size := 1
+		for size < 2*len(f.args) {
+			size <<= 1
+		}
+		var slots []int32
+		if size <= len(stack) {
+			slots = stack[:size]
+		} else {
+			slots = make([]int32, size)
+		}
+		mask := uint32(size - 1)
 		for j, a := range f.args {
 			atom, neg := polarize(a)
+			h := atom.hash()
 			dup := false
-			if i, ok := seen.get(atom); !ok {
-				seen.put(atom, int32(j))
-			} else if f.args[i].kind == KindNot != neg {
-				return collapse, true
-			} else {
+			for k := h & mask; ; k = (k + 1) & mask {
+				i := slots[k]
+				if i == 0 {
+					slots[k] = int32(j + 1)
+					break
+				}
+				batom, bneg := polarize(f.args[i-1])
+				if batom.hash() != h || !Equal(atom, batom) {
+					continue
+				}
+				if bneg != neg {
+					return collapse, true
+				}
 				dup = true
+				break
 			}
 			out = keep(out, f.args, j, dup)
 		}

@@ -120,9 +120,6 @@ func TestServeReload(t *testing.T) {
 	if rr.Changes == 0 || rr.BasesUpdated == 0 {
 		t.Fatalf("reload did not revalidate the warm base: %+v", rr)
 	}
-	if rr.ShardsReused == 0 {
-		t.Errorf("one-rule reload reconverted everything: %+v", rr)
-	}
 
 	// The same query is now infeasible: the new KB is live.
 	if status, raw := post(t, base+"/v1/synth", req, &qr); status != http.StatusOK || qr.Verdict != "INFEASIBLE" {

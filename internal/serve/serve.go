@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -89,9 +88,6 @@ type Server struct {
 	readyCh  chan struct{}
 	draining atomic.Bool
 	drainCh  chan struct{}
-
-	// reloadMu serializes /v1/admin/reload.
-	reloadMu sync.Mutex
 
 	start time.Time
 }
@@ -550,14 +546,10 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 type ReloadResponse struct {
 	// Changes is the number of section-level KB differences applied.
 	Changes int `json:"changes"`
-	// BasesUpdated / BasesDropped: cached bases delta-recompiled in place
-	// vs evicted because they no longer compile under the new KB.
+	// BasesUpdated / BasesDropped: cached bases recompiled in place vs
+	// evicted because they no longer compile under the new KB.
 	BasesUpdated int `json:"bases_updated"`
 	BasesDropped int `json:"bases_dropped"`
-	// ShardsReused / ShardsConverted: per-assertion CNF shards spliced
-	// from the previous compiles vs reconverted.
-	ShardsReused    int `json:"shards_reused"`
-	ShardsConverted int `json:"shards_converted"`
 	// SnapshotsRewritten: disk snapshots re-persisted under the new KB.
 	SnapshotsRewritten int `json:"snapshots_rewritten"`
 	// ElapsedMS is the wall time of the whole reload.
@@ -571,10 +563,11 @@ const maxReloadBody = 32 << 20
 
 // handleReload swaps the knowledge base for the one in the request body
 // (KB JSON, as written by kb.Save) without shedding in-flight requests:
-// Engine.UpdateKB delta-recompiles the cached bases while running queries
+// Engine.UpdateKB recompiles the cached bases while running queries
 // finish on clones of the old ones, so there is no drain, no downtime,
 // and no cold-cache window — the very first post-reload query hits a
-// revalidated base. Reloads serialize; a reload during drain is refused.
+// revalidated base. Reloads serialize inside UpdateKB; a reload during
+// drain is refused.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ms := s.stats["reload"]
@@ -594,9 +587,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.reloadMu.Lock()
 	up, err := s.eng.UpdateKB(&k)
-	s.reloadMu.Unlock()
 	if err != nil {
 		s.writeError(w, ms, start, http.StatusUnprocessableEntity, ErrorInfo{
 			Kind: "invalid_kb", Detail: err.Error(),
@@ -607,7 +598,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, ReloadResponse{
 		Changes:      len(up.Diff),
 		BasesUpdated: up.BasesUpdated, BasesDropped: up.BasesDropped,
-		ShardsReused: up.ShardsReused, ShardsConverted: up.ShardsConverted,
 		SnapshotsRewritten: up.SnapshotsRewritten,
 		ElapsedMS:          time.Since(start).Milliseconds(),
 	})
