@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt race verify differential fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
+.PHONY: build test vet fmt race verify gate-names differential fuzz-smoke alloc-budget serve-smoke bench bench-smoke bench-diff clean
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
@@ -56,8 +56,10 @@ bench-diff:
 # (variable and clause counts) so
 # allocation and base-growth regressions fail the gate even though
 # `test` also covers them.
+ALLOC_RUN = TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget
+ALLOC_PKGS = ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
 alloc-budget:
-	$(GO) test -run='TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget' -count=1 ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
+	$(GO) test -run='$(ALLOC_RUN)' -count=1 $(ALLOC_PKGS)
 
 # serve-smoke boots the query service on a random port, runs one query
 # per mode, hits /healthz and /statsz, injects one fault, SIGTERMs the
@@ -66,33 +68,40 @@ alloc-budget:
 serve-smoke:
 	$(GO) test -race -run='TestServeSmoke' -count=1 ./internal/serve
 
-# differential is the answer-invariance gate (DESIGN.md §8, §9, §11,
-# §14, §15, §16). The differential harness answers the §5.1,
-# brute-force-oracle and enumeration tables on a sequential, unsliced,
-# uncached reference engine and under every configuration: compile
-# worker counts (SetWorkers sizes only the compile's shard conversion;
-# every query runs on one solver), cache miss and hit, query history,
-# disk revival, live KB update (byte-identical) and relevance slicing
-# (equivalent), plus the 5k-SKU sliced sweep. Its gates are
-# TestDifferential and the six focused tests that each run one catalog
-# under a subset of its configurations; the root TestEnumerateParallel*
-# pair repeats the §5.1 compile-worker check at the facade. Beside them run the tests the harness does not
-# replace: compile and update
-# byte identity, the solver snapshot/clone and disk round trips (with
-# the binary-heavy differential's frozen arm: a frozen solver, its clone,
-# its snapshot and its DIMACS round trip agree, and clones of one frozen
-# solver search identically over its shared implication table), the
-# optimizer's metamorphic, objective-circuit and maxsat brute-force
-# tests, the slicer edge cases and refusals, the 50k catalog smoke,
-# and the concurrent-update and reload-under-load tests under the race
-# detector.
+# differential is the answer-invariance gate (DESIGN.md §8, §9, §14,
+# §15, §16). The differential harness answers the §5.1,
+# brute-force-oracle and enumeration tables on an unsliced, uncached
+# reference engine and under every configuration: cache miss and hit,
+# query history, disk revival, live KB update (byte-identical) and
+# relevance slicing (equivalent), plus the 5k-SKU sliced sweep. Its
+# gates are TestDifferential and the five focused tests that each run
+# one catalog under a subset of its configurations. Beside them run the
+# tests the harness does not replace: the compiled-base golden hashes
+# (TestCompiledBaseGolden: bases byte-identical across commits), update
+# byte identity and cache accounting, the solver snapshot/clone and disk
+# round trips (with the binary-heavy differential's frozen arm: a frozen
+# solver, its clone, its snapshot and its DIMACS round trip agree, and
+# clones of one frozen solver search identically over its shared
+# implication table), the CNF conversion's layout, the optimizer's
+# metamorphic, objective-circuit and maxsat brute-force tests, the
+# slicer edge cases and refusals, the 50k catalog smoke, and the
+# concurrent-update and reload-under-load tests under the race
+# detector. Each -run list lives in a variable that gate-names checks.
+DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase
+DIFF_CORE_PKGS = . ./internal/core
+DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatchesOffsetConverters
+DIFF_SAT_RUN = TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver
+DIFF_MAXSAT_RUN = TestMinimize|TestLexicographic|TestPareto|TestBitDescent
+DIFF_EXTRACT_RUN = TestCatalogScale
+DIFF_RACE_RUN = TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad
+DIFF_RACE_PKGS = ./internal/core ./internal/serve
 differential:
-	$(GO) test -run='TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateWorkerCountInvariance|TestEnumerateCacheOffMatchesCacheOn|TestEnumerateParallel|TestParallelCompileByteIdentity|TestUpdateKBByteIdentity|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase' -count=1 . ./internal/core
-	$(GO) test -run='TestConvertShards' -count=1 ./internal/logic
-	$(GO) test -run='TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver' -count=1 ./internal/sat
-	$(GO) test -run='TestMinimize|TestLexicographic|TestPareto|TestBitDescent' -count=1 ./internal/maxsat
-	$(GO) test -run='TestCatalogScale' -count=1 ./internal/extract
-	$(GO) test -race -run='TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad' -count=1 ./internal/core ./internal/serve
+	$(GO) test -run='$(DIFF_CORE_RUN)' -count=1 $(DIFF_CORE_PKGS)
+	$(GO) test -run='$(DIFF_LOGIC_RUN)' -count=1 ./internal/logic
+	$(GO) test -run='$(DIFF_SAT_RUN)' -count=1 ./internal/sat
+	$(GO) test -run='$(DIFF_MAXSAT_RUN)' -count=1 ./internal/maxsat
+	$(GO) test -run='$(DIFF_EXTRACT_RUN)' -count=1 ./internal/extract
+	$(GO) test -race -run='$(DIFF_RACE_RUN)' -count=1 $(DIFF_RACE_PKGS)
 
 # fuzz-smoke runs the snapshot decoders' fuzz targets briefly so the
 # untrusted-bytes contract (typed errors, no panics, no OOM) is
@@ -110,25 +119,42 @@ differential:
 # fuzzers (dsl.ParseString and dsl.ParseExpr must reject arbitrary text
 # with an error or accept it and survive a Format/Parse round trip,
 # never panic).
+FUZZ_SMOKE = ./internal/logic:FuzzSimplify ./internal/intlin:FuzzArith ./internal/sat:FuzzRestoreSnapshot ./internal/core:FuzzDecodeBase ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
+FUZZ_FLAGS_FuzzServeReload = -fuzzminimizetime=1s
+fuzz-pkg = $(firstword $(subst :, ,$(1)))
+fuzz-name = $(lastword $(subst :, ,$(1)))
+define fuzz-run
+$(GO) test -run=NONE -fuzz='^$(call fuzz-name,$(1))$$' -fuzztime=10s $(FUZZ_FLAGS_$(call fuzz-name,$(1))) $(call fuzz-pkg,$(1))
+
+endef
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzSimplify -fuzztime=10s ./internal/logic
-	$(GO) test -run=NONE -fuzz=FuzzArith -fuzztime=10s ./internal/intlin
-	$(GO) test -run=NONE -fuzz=FuzzRestoreSnapshot -fuzztime=10s ./internal/sat
-	$(GO) test -run=NONE -fuzz=FuzzDecodeBase -fuzztime=10s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzMaxSATBounds -fuzztime=10s ./internal/core
-	$(GO) test -run=NONE -fuzz=FuzzLoadKB -fuzztime=10s ./internal/kb
-	$(GO) test -run=NONE -fuzz=FuzzParseChaos -fuzztime=10s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzServeQuery -fuzztime=10s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzServeReload -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
-	$(GO) test -run=NONE -fuzz=FuzzParseString -fuzztime=10s ./internal/dsl
-	$(GO) test -run=NONE -fuzz=FuzzParseExpr -fuzztime=10s ./internal/dsl
+	$(foreach t,$(FUZZ_SMOKE),$(call fuzz-run,$(t)))
+
+# gate-names fails when a name the gates select matches nothing: each
+# alternative of the differential and alloc-budget -run lists must
+# match a test in the packages its line runs, and each fuzz-smoke target
+# must exist in its package. A deleted or renamed test then fails here
+# instead of silently dropping out of its gate.
+check-run = names="$$($(GO) test -list . $(2) | grep -E '^(Test|Fuzz|Benchmark|Example)')" || exit 1; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$names" | grep -Eq -- "$$alt" || { echo "gate-names: $$alt matches no test in $(2)"; exit 1; }; \
+	done
+gate-names:
+	@$(call check-run,$(DIFF_CORE_RUN),$(DIFF_CORE_PKGS))
+	@$(call check-run,$(DIFF_LOGIC_RUN),./internal/logic)
+	@$(call check-run,$(DIFF_SAT_RUN),./internal/sat)
+	@$(call check-run,$(DIFF_MAXSAT_RUN),./internal/maxsat)
+	@$(call check-run,$(DIFF_EXTRACT_RUN),./internal/extract)
+	@$(call check-run,$(DIFF_RACE_RUN),$(DIFF_RACE_PKGS))
+	@$(call check-run,$(ALLOC_RUN),$(ALLOC_PKGS))
+	@$(foreach t,$(FUZZ_SMOKE),$(call check-run,^$(call fuzz-name,$(t))$$,$(call fuzz-pkg,$(t)));)
 
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, a gofmt check, the race detector over every package, the differential
 # harness, the hot-path allocation budgets, the serve lifecycle smoke,
 # a fuzz smoke over the untrusted-input decoders and the MaxSAT bounds,
 # and a benchmark smoke run.
-verify: build vet fmt test race differential alloc-budget serve-smoke fuzz-smoke bench-smoke
+verify: build vet fmt gate-names test race differential alloc-budget serve-smoke fuzz-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

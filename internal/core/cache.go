@@ -342,6 +342,12 @@ func (e *Engine) Prewarm(sc Scenario) error {
 // base clones it inline, and CacheStats.PoolHits/PoolMisses read 0.
 func (e *Engine) SetClonePool(n int) {}
 
+// SetWorkers does nothing.
+//
+// Deprecated: a compile converts its assertions to CNF on one goroutine,
+// so there is no worker count to set.
+func (e *Engine) SetWorkers(n int) {}
+
 // specialize layers one query's requirements onto a compiled base:
 // context overrides and additions, Require groups, and pinned/forbidden
 // systems all become assumption-guarded selector clauses on the given

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"netarch/internal/intlin"
@@ -35,12 +34,11 @@ type compiled struct {
 	names *atomInterner
 
 	// pending accumulates the boolean assertions in emission order during
-	// the section methods; compileBaseWith converts them to CNF in one shot
-	// (sharded across workers, deterministically merged — see
-	// logic.ConvertShards) and clears the list. Deferring conversion this
+	// the section methods; compileUnprobed converts them to CNF in one
+	// shot (logic.Convert) and clears the list. Deferring conversion this
 	// way fixes the atom variable space before the first auxiliary
-	// variable is allocated, which is what makes per-assertion conversion
-	// order-free.
+	// variable is allocated, so every Tseitin variable lands in one block
+	// after the atoms.
 	pending []logic.Formula
 
 	sysLit map[string]sat.Lit
@@ -108,27 +106,6 @@ var exclusiveRoles = map[kb.Role]bool{
 	kb.RoleCongestionControl: true,
 	kb.RoleVirtualSwitch:     true,
 	kb.RoleLoadBalancer:      true,
-}
-
-// SetWorkers sets how many goroutines convert a compile's assertion
-// shards to CNF (logic.ConvertShards), for cold compiles and UpdateKB's
-// recompiles alike. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0). The compiled base is byte-identical for every
-// count, so the knob trades CPU for compile latency, nothing else. Safe
-// to call concurrently; compiles in flight keep the count they started
-// with.
-func (e *Engine) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.workers.Store(int32(n))
-}
-
-func (e *Engine) compileWorkers() int {
-	if n := int(e.workers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // compileSliced compiles a base against a relevance slice's sub-KB (or
@@ -205,13 +182,11 @@ func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 
 	// Boolean phase done: every named atom (and pre-freeze selector) is
 	// in the vocabulary, so the assertion list can be converted to CNF in
-	// one shot — sharded across workers and merged deterministically, so
-	// the compiled base is byte-identical for every worker count. The
-	// anonymous Tseitin variables land in one block after the atoms; pad
-	// the vocabulary to cover them so vocabulary and solver keep agreeing
-	// on the variable space.
+	// one shot. The anonymous Tseitin variables land in one block after
+	// the atoms; pad the vocabulary to cover them so vocabulary and
+	// solver keep agreeing on the variable space.
 	base := c.vocab.Len()
-	cnf := logic.ConvertShards(base, c.pending, e.compileWorkers())
+	cnf := logic.Convert(base, c.pending)
 	c.pending = nil
 	for v := base; v < cnf.NumVars; v++ {
 		c.vocab.Fresh("")

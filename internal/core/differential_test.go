@@ -18,10 +18,10 @@ import (
 
 // TestDifferential is the answer-invariance harness (make differential):
 // an answer must not depend on how it was computed. Every row of a
-// catalog's query table is answered by a reference engine — one worker,
-// no slicing, no base cache — and by each configuration. The identical
-// family (compile worker counts, cache miss and hit, query history,
-// disk revival, delta update) must render byte for byte what the
+// catalog's query table is answered by a reference engine — no
+// slicing, no base cache — and by each configuration. The identical
+// family (cache miss and hit, query history, disk revival, delta
+// update) must render byte for byte what the
 // reference renders, search effort included. The sliced family must be
 // equivalent under the slicing contracts of DESIGN.md §16 (see
 // compareSliced). Every configuration also asserts it engaged, so
@@ -29,14 +29,14 @@ import (
 //
 // The seed tier is split into gates, one concern each, so no row is
 // answered twice under one configuration: TestDifferential/seed runs
-// the case study under worker counts, history, delta update and the
-// sliced family; the gates below it run the rest.
+// the case study under history, delta update and the sliced family;
+// the gates below it run the rest.
 func TestDifferential(t *testing.T) {
 	// The tiers run side by side: the scale tier's unsliced reference
 	// Pareto query is one long single-threaded solve.
 	t.Run("seed", func(t *testing.T) {
 		t.Parallel()
-		runDifferential(t, caseStudyCatalog, seedConfigs("workers-2", "workers-8", "history", "delta", "sliced", "sliced-delta"))
+		runDifferential(t, caseStudyCatalog, seedConfigs("history", "delta", "sliced", "sliced-delta"))
 	})
 	// The 5k-SKU sweep: too slow under the race detector, which make
 	// race skips it for.
@@ -71,13 +71,6 @@ func TestParetoDifferential(t *testing.T) {
 	runDifferential(t, diffKBCatalog("pareto"), seedConfigs(identical...))
 }
 
-// TestEnumerateWorkerCountInvariance: miniKB's enumeration below, at and
-// above its class count does not depend on how many workers compiled
-// the base (SetWorkers sizes only the compile's shard conversion).
-func TestEnumerateWorkerCountInvariance(t *testing.T) {
-	runDifferential(t, miniKBCatalog, seedConfigs("workers-2", "workers-8"))
-}
-
 // TestEnumerateCacheOffMatchesCacheOn: miniKB's enumeration answers on
 // every cache path as the uncached reference does.
 func TestEnumerateCacheOffMatchesCacheOn(t *testing.T) {
@@ -85,7 +78,7 @@ func TestEnumerateCacheOffMatchesCacheOn(t *testing.T) {
 }
 
 // identical is the identical family of the seed tier.
-var identical = []string{"workers-2", "workers-8", "cache-miss", "cache-hit", "history", "disk", "delta"}
+var identical = []string{"cache-miss", "cache-hit", "history", "disk", "delta"}
 
 var (
 	caseStudyCatalog = diffCatalog{kb: caseStudyKB, rows: caseStudyRows}
@@ -199,17 +192,16 @@ func answerAll(e *Engine, rows []diffRow) []diffAnswer {
 	return out
 }
 
-func diffEngine(t *testing.T, k *kb.KB, workers int, mode SliceMode) *Engine {
+func diffEngine(t *testing.T, k *kb.KB, mode SliceMode) *Engine {
 	t.Helper()
 	e := mustEngine(t, k)
-	e.SetWorkers(workers)
 	e.SetSliceMode(mode)
 	return e
 }
 
 func runDifferential(t *testing.T, c diffCatalog, configs []diffConfig) {
-	rows := c.rows(t, diffEngine(t, c.kb(), 1, SliceOff))
-	ref := diffEngine(t, c.kb(), 1, SliceOff)
+	rows := c.rows(t, diffEngine(t, c.kb(), SliceOff))
+	ref := diffEngine(t, c.kb(), SliceOff)
 	ref.SetCacheCapacity(0)
 	// The reference answers beside the configurations: they share nothing.
 	refDone := make(chan []diffAnswer, 1)
@@ -259,19 +251,12 @@ func runDifferential(t *testing.T, c diffCatalog, configs []diffConfig) {
 // order: cache-hit reuses cache-miss's engines, and sliced-delta is
 // compared with sliced.
 func seedConfigs(names ...string) []diffConfig {
-	workers := func(n int) func(*testing.T, diffCatalog, []diffRow) []diffAnswer {
-		return func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			return answerAll(diffEngine(t, c.kb(), n, SliceOff), rows)
-		}
-	}
 	var fresh []*Engine // one per row: the cache-miss run compiles, the cache-hit run reuses
 	configs := []diffConfig{
-		{name: "workers-2", run: workers(2)},
-		{name: "workers-8", run: workers(8)},
 		{name: "cache-miss", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
 			fresh = make([]*Engine, len(rows))
 			for i := range rows {
-				fresh[i] = diffEngine(t, c.kb(), 1, SliceOff)
+				fresh[i] = diffEngine(t, c.kb(), SliceOff)
 			}
 			return eachFresh(t, fresh, rows, func(st CacheStats) bool { return st.Misses > 0 && st.Hits == 0 })
 		}},
@@ -279,7 +264,7 @@ func seedConfigs(names ...string) []diffConfig {
 			return eachFresh(t, fresh, rows, func(st CacheStats) bool { return st.Hits > 0 && st.Size > 0 && st.Size <= st.Capacity })
 		}},
 		{name: "history", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			e := diffEngine(t, c.kb(), 1, SliceOff)
+			e := diffEngine(t, c.kb(), SliceOff)
 			answerAll(e, rows)
 			got := answerAll(e, rows)
 			if st := e.CacheStats(); st.Hits == 0 {
@@ -289,13 +274,13 @@ func seedConfigs(names ...string) []diffConfig {
 		}},
 		{name: "disk", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
 			dir := t.TempDir()
-			writer := diffEngine(t, c.kb(), 1, SliceOff)
+			writer := diffEngine(t, c.kb(), SliceOff)
 			if err := writer.SetCacheDir(dir); err != nil {
 				t.Fatal(err)
 			}
 			answerAll(writer, rows)
 			writer.FlushDiskCache()
-			reader := diffEngine(t, c.kb(), 1, SliceOff)
+			reader := diffEngine(t, c.kb(), SliceOff)
 			if err := reader.SetCacheDir(dir); err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +294,7 @@ func seedConfigs(names ...string) []diffConfig {
 			return deltaUpdated(t, c, rows, SliceOff)
 		}},
 		{name: "sliced", equiv: true, run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			e := diffEngine(t, c.kb(), 1, SliceOn)
+			e := diffEngine(t, c.kb(), SliceOn)
 			got := answerAll(e, rows)
 			if st := e.CacheStats(); st.SliceComputed == 0 {
 				t.Errorf("sliced: no slice computed: %+v", st)
@@ -353,7 +338,7 @@ func deltaUpdated(t *testing.T, c diffCatalog, rows []diffRow, mode SliceMode) [
 		Name: "delta_canary",
 		Expr: kb.Implies(kb.CtxAtom("delta_canary"), kb.Not(kb.CtxAtom("pfc_enabled"))),
 	})
-	e := diffEngine(t, edited, 1, mode)
+	e := diffEngine(t, edited, mode)
 	for _, r := range rows {
 		if err := e.Prewarm(r.sc); err != nil {
 			t.Fatal(err)
@@ -792,8 +777,8 @@ func randomScenarios(k *kb.KB) []namedScenario {
 	return out
 }
 
-// scaleConfigs is the 5k-SKU sweep: the sliced engine cold at one
-// worker, warm at two and eight, and cold again at eight.
+// scaleConfigs is the 5k-SKU sweep: the sliced engine cold, warm, and
+// cold again after its cache is dropped.
 func scaleConfigs() []diffConfig {
 	var on *Engine
 	sliced := func(name string, prep func(t *testing.T, c diffCatalog)) diffConfig {
@@ -807,9 +792,8 @@ func scaleConfigs() []diffConfig {
 		}}
 	}
 	return []diffConfig{
-		sliced("sliced-w1-cold", func(t *testing.T, c diffCatalog) { on = diffEngine(t, c.kb(), 1, SliceOn) }),
-		sliced("sliced-w2-warm", func(*testing.T, diffCatalog) { on.SetWorkers(2) }),
-		sliced("sliced-w8-warm", func(*testing.T, diffCatalog) { on.SetWorkers(8) }),
-		sliced("sliced-w8-cold", func(*testing.T, diffCatalog) { on.InvalidateCache() }),
+		sliced("sliced-cold", func(t *testing.T, c diffCatalog) { on = diffEngine(t, c.kb(), SliceOn) }),
+		sliced("sliced-warm", func(*testing.T, diffCatalog) {}),
+		sliced("sliced-cold-again", func(*testing.T, diffCatalog) { on.InvalidateCache() }),
 	}
 }

@@ -60,11 +60,6 @@ type Engine struct {
 	diskMaxFiles int
 	diskMaxBytes int64
 
-	// workers is how many goroutines convert a compile's CNF shards; 0
-	// means the default, runtime.GOMAXPROCS(0) at compile time. See
-	// SetWorkers.
-	workers atomic.Int32
-
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
 	// (generation, request) under its own lock so the warm path never

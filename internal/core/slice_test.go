@@ -307,3 +307,37 @@ func TestUpdateKBReslicesUnderNewWorkloads(t *testing.T) {
 		t.Errorf("updated engine caches %v, a fresh engine over the new KB %v", got, want)
 	}
 }
+
+// TestUpdateKBInstallsCollapsedSlicesOnce: two sliced bases that differ
+// only in a pinned system's slice land on one cache key once UpdateKB
+// removes that system. The update must install that key once, so the
+// map, the FIFO order and BasesUpdated agree; a key queued twice would
+// let a later eviction of its first copy delete the live base.
+func TestUpdateKBInstallsCollapsedSlicesOnce(t *testing.T) {
+	e := mustEngine(t, catalog.CaseStudy())
+	e.SetSliceMode(SliceOn)
+	for _, sc := range []Scenario{
+		{Workloads: []string{"inference_app"}},
+		{Workloads: []string{"inference_app"}, PinnedSystems: []string{"bwe"}},
+	} {
+		if _, err := e.Synthesize(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.CacheStats(); st.Size != 2 {
+		t.Fatalf("want two sliced bases before the update: %+v", st)
+	}
+	next := catalog.CaseStudy()
+	next.Systems = slices.DeleteFunc(next.Systems, func(s kb.System) bool { return s.Name == "bwe" })
+	up, err := e.UpdateKB(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.RLock()
+	bases, order := len(e.bases), len(e.baseOrder)
+	e.mu.RUnlock()
+	if size := e.CacheStats().Size; bases != 1 || order != 1 || size != 1 || up.BasesUpdated != 1 {
+		t.Errorf("bases %d, baseOrder %d, CacheStats.Size %d, BasesUpdated %d; want all 1",
+			bases, order, size, up.BasesUpdated)
+	}
+}

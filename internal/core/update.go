@@ -23,7 +23,9 @@ type KBUpdate struct {
 	// Diff is the section-level difference between the outgoing and
 	// incoming KBs (see kb.Diff).
 	Diff []kb.DiffEntry
-	// BasesUpdated counts cached bases recompiled against the new KB;
+	// BasesUpdated counts the bases recompiled against the new KB and
+	// installed in the cache. Cached bases whose keys coincide under the
+	// new KB (sliced bases whose slices became equal) are installed once.
 	// BasesDropped counts bases whose shape no longer compiles under it
 	// (e.g. their workload was removed) and were evicted instead.
 	BasesUpdated int
@@ -93,6 +95,7 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		base *compiled
 	}
 	fresh := make([]rebuilt, 0, len(keys))
+	seen := make(map[string]bool, len(keys))
 	for _, key := range keys {
 		ob := outgoing[key]
 		// Sliced bases recompute their cone under the incoming KB:
@@ -107,6 +110,12 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 			sl = computeSlice(newKB, ob.sliceReq)
 			newKey += sliceKeySuffix(sl)
 		}
+		if seen[newKey] {
+			// An earlier base already rebuilt to this key: its slice
+			// and this one coincide under newKB.
+			continue
+		}
+		seen[newKey] = true
 		nb, err := e.compileSliced(newKB, ob.sc, sl)
 		if err != nil {
 			// The shape no longer compiles under the new KB (its

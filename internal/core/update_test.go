@@ -36,52 +36,47 @@ var kbMutations = []struct {
 	}},
 }
 
-// TestUpdateKBByteIdentity is the tentpole contract: after UpdateKB, every
-// cached base must be byte-identical (snapshot encoding, which covers the
-// full solver state) to what a cold engine over the new KB compiles — for
-// add, remove, and edit deltas, at 1, 2, and 8 workers. Both sides hold
-// the base after its compile-time probe.
+// TestUpdateKBByteIdentity: after UpdateKB, the cached base must be
+// byte-identical (snapshot encoding, which covers the full solver state)
+// to what a cold engine over the new KB compiles, for add, remove and
+// edit deltas. Both sides hold the base after its compile-time probe.
 func TestUpdateKBByteIdentity(t *testing.T) {
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	shape := baseShape(&sc)
 	key := shape.fingerprint()
 	for _, mut := range kbMutations {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", mut.name, workers), func(t *testing.T) {
-				next := miniKB()
-				mut.mutate(next)
+		t.Run(mut.name, func(t *testing.T) {
+			next := miniKB()
+			mut.mutate(next)
 
-				e := mustEngine(t, miniKB())
-				e.SetWorkers(workers)
-				if _, err := e.Synthesize(sc); err != nil {
-					t.Fatal(err)
-				}
-				up, err := e.UpdateKB(next)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(up.Diff) == 0 || up.BasesUpdated != 1 {
-					t.Fatalf("update did not revalidate the cached base: %+v", up)
-				}
-				e.mu.RLock()
-				updated := e.bases[key]
-				e.mu.RUnlock()
-				if updated == nil {
-					t.Fatal("cached base vanished across UpdateKB")
-				}
+			e := mustEngine(t, miniKB())
+			if _, err := e.Synthesize(sc); err != nil {
+				t.Fatal(err)
+			}
+			up, err := e.UpdateKB(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(up.Diff) == 0 || up.BasesUpdated != 1 {
+				t.Fatalf("update did not revalidate the cached base: %+v", up)
+			}
+			e.mu.RLock()
+			updated := e.bases[key]
+			e.mu.RUnlock()
+			if updated == nil {
+				t.Fatal("cached base vanished across UpdateKB")
+			}
 
-				cold := mustEngine(t, next)
-				cold.SetWorkers(workers)
-				want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var hash [32]byte
-				if !bytes.Equal(snapshotBase(updated, hash), snapshotBase(want, hash)) {
-					t.Errorf("%s edit at %d workers: updated base diverges from cold compile", mut.name, workers)
-				}
-			})
-		}
+			cold := mustEngine(t, next)
+			want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hash [32]byte
+			if !bytes.Equal(snapshotBase(updated, hash), snapshotBase(want, hash)) {
+				t.Error("updated base diverges from cold compile")
+			}
+		})
 	}
 }
 

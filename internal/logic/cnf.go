@@ -181,3 +181,18 @@ func (cv *Converter) negLit(f Formula) sat.Lit {
 	// flattened the tree.
 	return cv.lit(NNF(Not(f)))
 }
+
+// Convert converts a sequence of assertions to one CNF over variables
+// 1..base plus the auxiliary variables it allocates. Every variable
+// occurring in fs must be ≤ base. Each assertion gets its own Converter,
+// and so its own Tseitin cache, appending into the shared CNF: its aux
+// variables are numbered right after the previous assertion's, and a
+// subformula repeated across assertions gets one definition per
+// assertion.
+func Convert(base int, fs []Formula) *CNF {
+	cnf := &CNF{NumVars: base}
+	for _, f := range fs {
+		(&Converter{CNF: cnf}).Assert(f)
+	}
+	return cnf
+}

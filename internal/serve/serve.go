@@ -21,8 +21,7 @@ import (
 type Config struct {
 	// Engine answers the queries. The server takes ownership of its
 	// fault hook (when Chaos is set) and leaves every other engine
-	// setting (compile workers, slicing, cache tiers) as the caller set
-	// it.
+	// setting (slicing, cache tiers) as the caller set it.
 	Engine *core.Engine
 
 	// Addr is the listen address; ":0" or "127.0.0.1:0" picks a random

@@ -82,9 +82,7 @@ type (
 	// files downgrade to a silent recompile, never a wrong answer), and
 	// mtime-ordered eviction bounds the directory.
 	// Every query, enumeration and Pareto included, runs on one private
-	// solver. Engine.SetWorkers sizes the compile's parallel CNF shard
-	// conversion (default runtime.GOMAXPROCS(0)); the compiled base, and
-	// so every answer, is identical for every worker count.
+	// solver, and every compile runs on the goroutine that needs the base.
 	Engine = core.Engine
 	// CacheStats reports the engine's compiled-base cache: size,
 	// capacity, lifetime hit/miss counters, and — when a cache directory

@@ -5,7 +5,16 @@ import (
 	"testing"
 
 	"netarch"
+	"netarch/internal/catalog"
 )
+
+// caseStudyAllKB mirrors the §5.1 experiment harness: the case-study
+// catalog plus the batch-analytics and storage workloads of Q1/Q3.
+func caseStudyAllKB() *netarch.KB {
+	k := netarch.CaseStudy()
+	k.Workloads = append(k.Workloads, catalog.BatchAnalyticsWorkload(), catalog.StorageWorkload())
+	return k
+}
 
 // TestProbedBaseDiskRoundTrip drives the compile-time probe through the
 // disk tier: one engine compiles the §5.1 bases (each probed once before
