@@ -51,13 +51,14 @@ bench-diff:
 # propagate, zero-alloc Simplify of a simplified formula, totalizers
 # built without a heap slice per clause, bounded warm cache-hit queries,
 # serve_warm-shaped queries and cost optimizations, bounded cold
-# compiles, compile-time probes that fit the room Bulk reserves and
-# frozen bases with no spare capacity) and the §5.1 base sizes
+# compiles, compile-time probes that fit the room Bulk reserves,
+# frozen bases with no spare capacity and a bounded case-study KB
+# load) and the §5.1 base sizes
 # (variable and clause counts) so
 # allocation and base-growth regressions fail the gate even though
 # `test` also covers them.
-ALLOC_RUN = TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget
-ALLOC_PKGS = ./internal/sat ./internal/logic ./internal/cardinality ./internal/core
+ALLOC_RUN = TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget|TestKBLoadAllocBudget
+ALLOC_PKGS = ./internal/sat ./internal/logic ./internal/cardinality ./internal/core ./internal/kb
 alloc-budget:
 	$(GO) test -run='$(ALLOC_RUN)' -count=1 $(ALLOC_PKGS)
 
@@ -112,7 +113,8 @@ differential:
 # the arithmetic fuzzer (random sums and products over constant and
 # free operands must evaluate to the integer result), the KB JSON
 # fuzzer (kb.Load must decode and validate arbitrary bytes or return an
-# error, never panic), the chaos-spec fuzzer (serve.ParseChaos must
+# error, never panic, and kb.Decode must agree with encoding/json), the
+# chaos-spec fuzzer (serve.ParseChaos must
 # return an error or a profile whose rate lies in [0,1], never panic),
 # the serve body fuzzers (every query-mode body and reload payload
 # gets a 200 or a typed error body, never a 500 or a panic) and the DSL
@@ -121,6 +123,7 @@ differential:
 # never panic).
 FUZZ_SMOKE = ./internal/logic:FuzzSimplify ./internal/intlin:FuzzArith ./internal/sat:FuzzRestoreSnapshot ./internal/core:FuzzDecodeBase ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
 FUZZ_FLAGS_FuzzServeReload = -fuzzminimizetime=1s
+FUZZ_FLAGS_FuzzLoadKB = -fuzzminimizetime=1s
 fuzz-pkg = $(firstword $(subst :, ,$(1)))
 fuzz-name = $(lastword $(subst :, ,$(1)))
 define fuzz-run

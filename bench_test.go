@@ -4,6 +4,7 @@
 package netarch_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -1018,4 +1019,26 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkKBLoad decodes and validates the §5.1 case-study KB (the
+// catalog plus the batch-analytics and storage workloads, as kb.Save
+// writes it): the KB decode every one-shot CLI answer and every serve
+// reload pays before it compiles.
+func BenchmarkKBLoad(b *testing.B) {
+	k := catalog.CaseStudy()
+	k.Workloads = append(k.Workloads, catalog.BatchAnalyticsWorkload(), catalog.StorageWorkload())
+	var buf bytes.Buffer
+	if err := k.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := kb.Load(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

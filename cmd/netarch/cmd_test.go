@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"netarch"
+	"netarch/internal/dsl"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -213,6 +214,46 @@ func TestCmdSolveModes(t *testing.T) {
 	})
 	if !strings.Contains(out, "design classes") {
 		t.Errorf("disambiguate output wrong:\n%s", out)
+	}
+}
+
+// TestCmdSolveKBFile: -kb names the knowledge base a query runs on. The
+// case study written as JSON or as DSL answers exactly like the built-in
+// one, and a file the decoder refuses fails the command.
+func TestCmdSolveKBFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	synth := func(args ...string) string {
+		out := capture(t, func() error {
+			return cmdSolve(append(args, "-require", "congestion_control"), "synth")
+		})
+		var kept []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "spent:") { // wall time differs run to run
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	var js strings.Builder
+	if err := netarch.CaseStudy().Save(&js); err != nil {
+		t.Fatal(err)
+	}
+	want := synth()
+	for name, data := range map[string]string{"cs.json": js.String(), "cs.na": dsl.Format(netarch.CaseStudy())} {
+		if got := synth("-kb", write(name, data)); got != want {
+			t.Errorf("synth -kb %s:\n%s\nwant the built-in case study's:\n%s", name, got, want)
+		}
+	}
+	bad := write("dup.json", `{"systems":[],"systems":[]}`)
+	if err := cmdSolve([]string{"-kb", bad}, "synth"); err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Errorf("synth -kb with a repeated key: err %v, want a duplicate-key decode error", err)
 	}
 }
 

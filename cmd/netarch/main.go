@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -56,6 +57,8 @@ Usage:
   netarch pfc [flags]               PFC buffer-dependency deadlock analysis
 
 Common synth/optimize/explain flags:
+  -kb FILE            query this knowledge base (JSON or DSL) instead of
+                      the built-in case study
   -require p1,p2      required properties
   -context k=v,...    pinned context atoms (v in {true,false})
   -workloads w1,w2    workloads to support (default: all in the KB)
@@ -318,30 +321,43 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 	}
 }
 
-// engineFlags registers the engine flags -slice and -cache-dir on fs and
-// returns a constructor for an engine over a KB configured by them.
-// -slice sets the relevance-slicing policy, a pure latency knob, so
-// answers never depend on it (DESIGN.md §16). -cache-dir turns on the
+// engineFlags registers the engine flags -kb, -slice and -cache-dir on
+// fs and returns a constructor for the KB and an engine over it
+// configured by them. -kb names a JSON or DSL knowledge-base file, read
+// through loadAnyKB; without it the engine runs on the built-in case
+// study. -slice sets the relevance-slicing policy, a pure latency knob,
+// so answers never depend on it (DESIGN.md §16). -cache-dir turns on the
 // persistent compiled-base cache (see Engine.SetCacheDir).
-func engineFlags(fs *flag.FlagSet) (newEngine func(k *netarch.KB) (*netarch.Engine, error)) {
+func engineFlags(fs *flag.FlagSet) (newEngine func() (*netarch.Engine, *netarch.KB, error)) {
+	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
 	slice := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	dir := fs.String("cache-dir", "", "directory for persistent compiled-base snapshots (empty = off)")
-	return func(k *netarch.KB) (*netarch.Engine, error) {
+	return func() (*netarch.Engine, *netarch.KB, error) {
 		mode, err := netarch.ParseSliceMode(*slice)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
+		}
+		k := netarch.CaseStudy()
+		if *kbFile != "" {
+			data, err := os.ReadFile(*kbFile)
+			if err != nil {
+				return nil, nil, err
+			}
+			if k, err = loadAnyKB(data); err != nil {
+				return nil, nil, err
+			}
 		}
 		eng, err := netarch.NewEngine(k)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		eng.SetSliceMode(mode)
 		if *dir != "" {
 			if err := eng.SetCacheDir(*dir); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
-		return eng, nil
+		return eng, k, nil
 	}
 }
 
@@ -385,8 +401,7 @@ func cmdSolve(args []string, mode string) error {
 	budget := getBudget()
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
-	k := netarch.CaseStudy()
-	eng, err := newEngine(k)
+	eng, k, err := newEngine()
 	if err != nil {
 		return err
 	}
@@ -507,7 +522,7 @@ func cmdMulti(args []string) error {
 	budget := getBudget()
 	ctx, stopSignals := queryContext()
 	defer stopSignals()
-	eng, err := newEngine(netarch.CaseStudy())
+	eng, _, err := newEngine()
 	if err != nil {
 		return err
 	}
@@ -639,7 +654,7 @@ func cmdCheck(args []string) error {
 	if *srvName != "" {
 		d.Hardware[netarch.KindServer] = *srvName
 	}
-	eng, err := newEngine(netarch.CaseStudy())
+	eng, _, err := newEngine()
 	if err != nil {
 		return err
 	}
@@ -764,11 +779,11 @@ func cmdKB(args []string) error {
 
 // loadAnyKB sniffs JSON vs DSL.
 func loadAnyKB(data []byte) (*netarch.KB, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		return kb.Load(strings.NewReader(trimmed))
+	trimmed := bytes.TrimSpace(data)
+	if !bytes.HasPrefix(trimmed, []byte("{")) {
+		return dsl.ParseString(string(trimmed))
 	}
-	return dsl.ParseString(trimmed)
+	return kb.Parse(trimmed)
 }
 
 func cmdExtract(args []string) error {

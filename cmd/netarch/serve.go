@@ -30,7 +30,6 @@ func cmdServe(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on shutdown")
 	maxEnum := fs.Int("max-enumerate", 64, "ceiling on per-request enumeration limits")
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: seed=N,rate=F[,event=solve|conflict|both]")
-	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
 	retryAfter := fs.Duration("retry-after", 0, "backoff hint on 429/503 rejections (0 = 1s)")
 	getScenario, _ := scenarioFlags(fs)
 	getBudget := budgetFlags(fs)
@@ -49,17 +48,7 @@ func cmdServe(args []string) error {
 		}
 	}
 
-	k := netarch.CaseStudy()
-	if *kbFile != "" {
-		data, err := os.ReadFile(*kbFile)
-		if err != nil {
-			return err
-		}
-		if k, err = loadAnyKB(data); err != nil {
-			return err
-		}
-	}
-	eng, err := newEngine(k)
+	eng, _, err := newEngine()
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,12 @@ package kb_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"netarch/internal/catalog"
@@ -95,10 +97,9 @@ func canonicalJSON(v any) string {
 
 var section51JSON []byte
 
-// section51KB returns a fresh copy of the §5.1 case-study knowledge base
-// with its three workloads, decoded from JSON so edits never reach the
-// catalog's shared values.
-func section51KB(t testing.TB) *kb.KB {
+// caseStudyJSON returns the §5.1 case-study knowledge base with its three
+// workloads as kb.Save writes it.
+func caseStudyJSON(t testing.TB) []byte {
 	t.Helper()
 	if section51JSON == nil {
 		k := catalog.CaseStudy()
@@ -109,7 +110,15 @@ func section51KB(t testing.TB) *kb.KB {
 		}
 		section51JSON = buf.Bytes()
 	}
-	out, err := kb.Load(bytes.NewReader(section51JSON))
+	return section51JSON
+}
+
+// section51KB returns a fresh copy of the §5.1 case-study knowledge base
+// with its three workloads, decoded from JSON so edits never reach the
+// catalog's shared values.
+func section51KB(t testing.TB) *kb.KB {
+	t.Helper()
+	out, err := kb.Load(bytes.NewReader(caseStudyJSON(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +393,7 @@ func TestDiffMatchesJSONOracle(t *testing.T) {
 // FuzzLoadKB feeds arbitrary bytes to kb.Load, which decodes and
 // validates: it must return a KB or an error, never panic. An accepted
 // KB must validate again, survive a Save/Load round trip and diff empty
-// against its copy.
+// against its copy. Every input also goes through checkDecodeOracle.
 func FuzzLoadKB(f *testing.F) {
 	var buf bytes.Buffer
 	k := catalog.CaseStudy()
@@ -398,7 +407,38 @@ func FuzzLoadKB(f *testing.F) {
 	f.Add([]byte(`{"orders":[{"dimension":"d","edges":[{"better":"a","worse":"b","guard":{"op":"true"}}]}]}`))
 	f.Add([]byte(`{"hardware":[{"name":"h","kind":"nic","quant":{"ports":-1}}],"unknown":1}`))
 	f.Add([]byte(`[`))
+	// Strings: every escape, surrogate pairs, unpaired surrogates and
+	// bytes that are not UTF-8, in values and in keys.
+	f.Add([]byte(`{"systems":[{"name":"\"\\\/\b\f\n\r\t\u0041\u00e9\u2028","role":"monitoring"}]}`))
+	f.Add([]byte(`{"systems":[{"name":"\ud83d\ude00 \ud800 \udc00\ud800 \ud800\u0041 \ud800","role":"firewall"}]}`))
+	f.Add([]byte("{\"hardware\":[{\"name\":\"a\xffb\xc3\",\"attrs\":{\"\xff\":\"\xed\xa0\x80\",\"k\xc3\":\"x\"}}]}"))
+	f.Add([]byte("{\"hardware\":[{\"attrs\":{\"\xff\":\"\xed\xa0\x80\",\"\xfe\":\"x\"}}]}"))
+	f.Add([]byte(`{"hardware":[{"name":"n\u0061me","n\u0061me":"x"}]}`))
+	// null, [] and {} wherever they can stand.
+	f.Add([]byte(`{"systems":null,"hardware":[],"workloads":[{}],"rules":[{"expr":null}],"orders":[{"edges":[{"guard":null}],"equals":[{"guard":{}}]}]}`))
+	f.Add([]byte(`{"systems":[null,{"solves":[],"requires_caps":{"nic":null,"switch":[]},"resources":{"cores":null},"notes":{"k":null}},{"requires_caps":{},"notes":{}}]}`))
+	f.Add([]byte(`{"systems":[{"name":null,"app_modification":null,"cores_per_kflows":null,"requires_context":[null,{"value":true}]}]}`))
+	// Integer fields.
+	f.Add([]byte(`{"hardware":[{"cost_usd":1.0}]}`))
+	f.Add([]byte(`{"hardware":[{"cost_usd":1e3}]}`))
+	f.Add([]byte(`{"hardware":[{"cost_usd":-0,"quant":{"ports":9223372036854775807,"cores":-9223372036854775808}}]}`))
+	f.Add([]byte(`{"hardware":[{"quant":{"ports":9223372036854775808}}]}`))
+	f.Add([]byte(`{"workloads":[{"kflows":-9223372036854775809}]}`))
+	f.Add([]byte(`{"workloads":[{"kflows":01}]}`))
+	f.Add([]byte(`{"workloads":[{"kflows":"1"}]}`))
+	// The three strict rules.
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{} trailing`))
+	f.Add([]byte(`{"Systems":[]}`))
+	f.Add([]byte(`{"hardware":[{"quant":{"ports":1,"ports":2}}]}`))
+	f.Add([]byte(`{"hardware":[{"name":"a","name":"b"}]}`))
+	// Nesting at the cap (10,000 levels) and one past it.
+	for _, leaf := range []string{`{"op":"true"}`, `{"op":"true","args":[]}`} {
+		f.Add([]byte(`{"rules":[{"expr":` + strings.Repeat(`{"op":"not","args":[`, 4998) +
+			leaf + strings.Repeat(`]}`, 4998) + `}]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeOracle(t, data)
 		k, err := kb.Load(bytes.NewReader(data))
 		if err != nil {
 			if k != nil {
@@ -421,4 +461,47 @@ func FuzzLoadKB(f *testing.F) {
 			t.Fatalf("a Save/Load round trip changed the KB: %v", d)
 		}
 	})
+}
+
+// checkDecodeOracle checks kb.Decode against the decoder it replaced,
+// encoding/json with DisallowUnknownFields. What Decode accepts, the
+// reference must accept as a DeepEqual KB; Decode may refuse what the
+// reference accepts only under one of its strict rules. Every refusal is
+// a *kb.DecodeError inside the input. The input is overwritten after
+// Decode returns, so a string aliasing it shows as a mismatch.
+func checkDecodeOracle(t *testing.T, data []byte) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var want kb.KB
+	refErr := dec.Decode(&want)
+
+	in := bytes.Clone(data)
+	got, err := kb.Decode(in)
+	for i := range in {
+		in[i] = '#'
+	}
+	if err != nil {
+		var de *kb.DecodeError
+		if !errors.As(err, &de) {
+			t.Fatalf("Decode error %v is a %T, not a *kb.DecodeError", err, err)
+		}
+		if got != nil {
+			t.Fatal("Decode returned both a KB and an error")
+		}
+		if de.Offset < 0 || de.Offset > len(data) {
+			t.Fatalf("%v: offset %d outside the %d-byte input", err, de.Offset, len(data))
+		}
+		strict := de.Rule == kb.DecodeOneObject || de.Rule == kb.DecodeKeyCase || de.Rule == kb.DecodeDuplicateKey
+		if refErr == nil && !strict {
+			t.Fatalf("Decode refused under rule %q what encoding/json accepts: %v", de.Rule, err)
+		}
+		return
+	}
+	if refErr != nil {
+		t.Fatalf("Decode accepted what encoding/json refuses: %v", refErr)
+	}
+	if !reflect.DeepEqual(got, &want) {
+		t.Fatalf("Decode and encoding/json disagree:\n got %#v\nwant %#v", got, &want)
+	}
 }

@@ -2,8 +2,10 @@ package kb
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // tinyKB builds a small but representative knowledge base used across the
@@ -250,6 +252,113 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"bogus": 1}`)); err == nil {
 		t.Error("unknown fields must be rejected")
 	}
+}
+
+// TestDecodeErrors gives one row per rule Decode enforces: the three
+// rules stricter than encoding/json, and the encoding/json rules it
+// keeps. Each row pins the rule, the byte offset (that of at, the first
+// occurrence of the marker) and the field path.
+func TestDecodeErrors(t *testing.T) {
+	cases := []struct {
+		name, in string
+		rule     DecodeRule
+		at       string // marks the offset; "" is the end of the input
+		path     string
+	}{
+		// Stricter than encoding/json.
+		{"top-level null", ` null`, DecodeOneObject, "null", ""},
+		{"trailing data", `{} trailing`, DecodeOneObject, "trailing", ""},
+		{"second object", `{"rules":[]}{}`, DecodeOneObject, "{}", ""},
+		{"key case", `{"Systems":[]}`, DecodeKeyCase, `"Systems"`, "Systems"},
+		{"folded key", `{"hardware":[{"NAME":"x"}]}`, DecodeKeyCase, `"NAME"`, "hardware[0].NAME"},
+		{"repeated field", `{"hardware":[{"name":"a","name":"b"}]}`, DecodeDuplicateKey, `"name":"b"`, "hardware[0].name"},
+		{"repeated escaped field", `{"rules":[{"note":"","n\u006fte":""}]}`, DecodeDuplicateKey, `"n\u006fte"`, "rules[0].note"},
+		{"repeated map key", `{"hardware":[{},{},{},{"quant":{"ports":1,"ports":2}}]}`, DecodeDuplicateKey, `"ports":2`, "hardware[3].quant.ports"},
+		// encoding/json's rules.
+		{"unknown field", `{"bogus": 1}`, DecodeUnknownField, `"bogus"`, "bogus"},
+		{"unknown nested field", `{"orders":[{"edges":[{"better":"a","best":"b"}]}]}`, DecodeUnknownField, `"best"`, "orders[0].edges[0].best"},
+		{"fraction in int", `{"hardware":[{"cost_usd":1.0}]}`, DecodeInt, "1.0", "hardware[0].cost_usd"},
+		{"exponent in int", `{"workloads":[{"kflows":1e3}]}`, DecodeInt, "1e3", "workloads[0].kflows"},
+		{"int overflow", `{"systems":[{"resources":{"cores":9223372036854775808}}]}`, DecodeInt, "9223", "systems[0].resources.cores"},
+		{"string in int", `{"workloads":[{"peak_cores":"1"}]}`, DecodeType, `"1"`, "workloads[0].peak_cores"},
+		{"number in string", `{"systems":[{"name":7}]}`, DecodeType, "7", "systems[0].name"},
+		{"object in list", `{"systems":{}}`, DecodeType, "{}", "systems"},
+		{"string in bool", `{"systems":[{"requires_context":[{"value":"true"}]}]}`, DecodeType, `"true"`, "systems[0].requires_context[0].value"},
+		{"top-level array", `[]`, DecodeOneObject, "[]", ""},
+		{"map key with spaces", `{"hardware":[{"attrs":{"Form factor":1}}]}`, DecodeType, "1", `hardware[0].attrs["Form factor"]`},
+		{"missing comma", `{"systems":[] "rules":[]}`, DecodeSyntax, `"rules"`, "systems"},
+		{"bad escape", `{"rules":[{"name":"a\qb"}]}`, DecodeSyntax, `\q`, "rules[0].name"},
+		{"bad unicode escape", `{"rules":[{"name":"\u12x4"}]}`, DecodeSyntax, `\u`, "rules[0].name"},
+		{"control character", "{\"rules\":[{\"note\":\"a\tb\"}]}", DecodeSyntax, "\t", "rules[0].note"},
+		{"bad literal", `{"systems":[{"app_modification":tru}]}`, DecodeSyntax, "}", "systems[0].app_modification"},
+		{"truncated", `{"systems":[{"name":"a"`, DecodeSyntax, "", "systems[0].name"},
+		{"empty", ``, DecodeSyntax, "", ""},
+		{"too deep", `{"rules":[{"expr":` + strings.Repeat(`{"args":[`, 4998) + `{"args":[]}`, DecodeDepth, "[]}", ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k, err := Decode([]byte(tc.in))
+			var de *DecodeError
+			if !errors.As(err, &de) {
+				t.Fatalf("Decode = %v, %v; want a *DecodeError", k, err)
+			}
+			off := len(tc.in)
+			if tc.at != "" {
+				off = strings.Index(tc.in, tc.at)
+			}
+			path := tc.path
+			if tc.rule == DecodeDepth {
+				path = "rules[0].expr" + strings.Repeat(".args[0]", 6) + "…" +
+					strings.Repeat(".args[0]", 7) + ".args"
+			}
+			if k != nil || de.Rule != tc.rule || de.Offset != off || de.Path != path {
+				t.Errorf("got rule %v, offset %d, path %q (%v); want %v, %d, %q",
+					de.Rule, de.Offset, de.Path, err, tc.rule, off, path)
+			}
+		})
+	}
+}
+
+// TestDecodeSharesStrings: equal strings in one document share one
+// allocation, and none aliases the input.
+func TestDecodeSharesStrings(t *testing.T) {
+	in := []byte(`{"systems":[{"name":"a","role":"monitoring","solves":["p"]},` +
+		`{"name":"b","role":"monitoring","resources":{"p":1}}]}`)
+	k, err := Decode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		in[i] = '#'
+	}
+	a, b := k.Systems[0], k.Systems[1]
+	if a.Name != "a" || a.Role != RoleMonitoring || a.Solves[0] != "p" || b.Resources["p"] != 1 {
+		t.Fatalf("decoded strings changed with the input: %+v", k.Systems)
+	}
+	if unsafe.StringData(string(a.Role)) != unsafe.StringData(string(b.Role)) {
+		t.Error("the two roles are separate allocations")
+	}
+	for key := range b.Resources {
+		if unsafe.StringData(string(key)) != unsafe.StringData(string(a.Solves[0])) {
+			t.Error("the map key and the list element are separate allocations")
+		}
+	}
+}
+
+// TestLoadRejectsDeepExpr: a rule whose expression nests not 100,000
+// deep is a DecodeError, not a stack overflow.
+func TestLoadRejectsDeepExpr(t *testing.T) {
+	_, err := Load(strings.NewReader(deepExprKB(100_000)))
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Rule != DecodeDepth {
+		t.Fatalf("Load = %v; want a DecodeError for depth", err)
+	}
+}
+
+// deepExprKB is a KB JSON document whose one rule nests n nots.
+func deepExprKB(n int) string {
+	return `{"rules":[{"name":"deep","expr":` + strings.Repeat(`{"op":"not","args":[`, n) +
+		`{"op":"true"}` + strings.Repeat(`]}`, n) + `}]}`
 }
 
 func TestLoadRejectsInvalid(t *testing.T) {

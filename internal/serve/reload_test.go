@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,6 +149,78 @@ func TestServeReload(t *testing.T) {
 		t.Errorf("reload counters = %d ok / %d errors, want 1 / 2", sz.Reloads, sz.ReloadErrors)
 	}
 	checkStatsReconcile(t, &sz)
+}
+
+// TestServeReloadDecodeErrors: a body that does not decode is a 400
+// bad_request, including a rule whose expression nests not 100,000 deep
+// and a KB refused only by the decoder's strict rules; a well-formed KB
+// that fails validation is a 422 invalid_kb. None of them swaps the KB,
+// and the server keeps answering.
+func TestServeReloadDecodeErrors(t *testing.T) {
+	_, base := testServer(t, nil)
+	reload := func(body []byte) (int, ErrorBody) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/admin/reload", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, eb
+	}
+	deep := `{"rules":[{"name":"deep","expr":` + strings.Repeat(`{"op":"not","args":[`, 100_000) +
+		`{"op":"true"}` + strings.Repeat(`]}`, 100_000) + `}]}`
+	for _, body := range []string{deep, `{"Systems":[]}`, `{"rules":[]} {}`} {
+		if status, eb := reload([]byte(body)); status != http.StatusBadRequest || eb.Error.Kind != "bad_request" {
+			t.Errorf("body %.40q: status %d kind %q, want 400 bad_request", body, status, eb.Error.Kind)
+		}
+	}
+	invalid := catalog.CaseStudy()
+	invalid.Systems = append(invalid.Systems, invalid.Systems[0]) // duplicate
+	var buf bytes.Buffer
+	if err := invalid.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if status, eb := reload(buf.Bytes()); status != http.StatusUnprocessableEntity || eb.Error.Kind != "invalid_kb" {
+		t.Errorf("invalid KB: status %d kind %q, want 422 invalid_kb", status, eb.Error.Kind)
+	}
+	var qr QueryResponse
+	req := QueryRequest{Scenario: ScenarioJSON{Workloads: []string{"inference_app"}}}
+	if status, raw := post(t, base+"/v1/synth", req, &qr); status != http.StatusOK || qr.Verdict != "FEASIBLE" {
+		t.Fatalf("query after refused reloads: status %d\n%s", status, raw)
+	}
+	var sz StatsResponse
+	get(t, base+"/statsz", &sz)
+	if sz.Reloads != 0 || sz.ReloadErrors != 4 {
+		t.Errorf("reload counters = %d ok / %d errors, want 0 / 4", sz.Reloads, sz.ReloadErrors)
+	}
+}
+
+// TestServeReloadShortBody: the reload buffer grows as the body arrives,
+// not to the client's Content-Length, so declaring maxReloadBody and
+// sending a few bytes allocates little. The short body is a 400.
+func TestServeReloadShortBody(t *testing.T) {
+	s, err := New(Config{Engine: mustTestEngine(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/admin/reload", strings.NewReader(`{"systems":[`))
+	req.ContentLength = maxReloadBody
+	rec := httptest.NewRecorder()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s.handleReload(rec, req)
+	runtime.ReadMemStats(&m1)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400\n%s", rec.Code, rec.Body)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 1<<20 {
+		t.Errorf("a %d-byte body declared as %d bytes allocated %d B; want under 1 MiB",
+			len(`{"systems":[`), maxReloadBody, got)
+	}
 }
 
 // TestServeReloadUnderLoad is the acceptance check for zero-downtime

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -574,19 +575,28 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, ms, start, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	// Decode and validate separately (kb.Load fuses them): a syntax
-	// problem is a 400, a well-formed KB that fails semantic validation
-	// (UpdateKB validates before swapping) is a 422.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReloadBody))
-	dec.DisallowUnknownFields()
-	var k kb.KB
-	if err := dec.Decode(&k); err != nil {
+	// Decode and validate separately (kb.Load fuses them): a body that
+	// does not decode is a 400, a well-formed KB that fails semantic
+	// validation (UpdateKB validates before swapping) is a 422. The body
+	// buffer grows only as bytes arrive: sizing it from the client's
+	// Content-Length would let a short body commit maxReloadBody. It
+	// doubles as it grows, where io.ReadAll's quarter steps allocate
+	// twice the bytes for a 100 KB catalog.
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxReloadBody)); err != nil {
+		s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
+			Kind: "bad_request", Detail: "reading knowledge base: " + err.Error(),
+		})
+		return
+	}
+	k, err := kb.Decode(body.Bytes())
+	if err != nil {
 		s.writeError(w, ms, start, http.StatusBadRequest, ErrorInfo{
 			Kind: "bad_request", Detail: "parsing knowledge base: " + err.Error(),
 		})
 		return
 	}
-	up, err := s.eng.UpdateKB(&k)
+	up, err := s.eng.UpdateKB(k)
 	if err != nil {
 		s.writeError(w, ms, start, http.StatusUnprocessableEntity, ErrorInfo{
 			Kind: "invalid_kb", Detail: err.Error(),
