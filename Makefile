@@ -28,9 +28,12 @@ race:
 
 # bench-smoke compiles and runs one iteration of the compile,
 # enumeration and Pareto benchmarks so the bench suite can't bit-rot
-# between full runs (BenchmarkPareto also checks its frontiers).
+# between full runs (BenchmarkPareto also checks its frontiers), plus
+# internal/core's optimizer-versus-oracle benchmark, whose MaxSAT row
+# checks its optimum against the brute-force oracle.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
 
 # bench runs the full root benchmark suite with allocation stats and
 # renders the results to $(BENCH) (name -> ns/op, B/op, allocs/op)

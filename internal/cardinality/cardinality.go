@@ -1,8 +1,8 @@
 // Package cardinality provides CNF encodings of cardinality constraints
 // ("at most k of these literals are true") over a SAT solver: the
-// sequential (Sinz) counter with its at-least dual, and the totalizer,
-// whose unary outputs support incrementally tightening bounds — the
-// mechanism behind the lexicographic optimizer in the reasoning engine.
+// sequential (Sinz) counter and the totalizer, whose unary outputs
+// support incrementally tightening bounds — the mechanism behind the
+// lexicographic optimizer in the reasoning engine.
 // The compiler's per-kind at-most-one is a ladder it emits itself
 // (internal/core/compile.go).
 package cardinality
@@ -59,27 +59,11 @@ func AtMostKSeq(s *sat.Solver, lits []sat.Lit, k int) {
 	}
 }
 
-// AtLeastK encodes sum(lits) ≥ k by encoding "at most n-k of the negations".
-func AtLeastK(s *sat.Solver, lits []sat.Lit, k int) {
-	if k <= 0 {
-		return
-	}
-	if k > len(lits) {
-		s.AddClause()
-		return
-	}
-	neg := make([]sat.Lit, len(lits))
-	for i, l := range lits {
-		neg[i] = l.Flip()
-	}
-	AtMostKSeq(s, neg, len(lits)-k)
-}
-
 // Totalizer is a unary counting network over a set of input literals. Its
 // outputs satisfy: output[j] is true iff at least j+1 inputs are true.
-// Bounds are imposed either permanently (Constrain*) or per-solve via
-// assumption literals (Bound*), which is what the lexicographic optimizer
-// uses to tighten objectives without rebuilding the formula.
+// Bounds are imposed per solve by assuming AtMostLit/AtLeastLit, which is
+// what the lexicographic optimizer uses to tighten objectives without
+// rebuilding the formula; adding one as a unit clause imposes it for good.
 type Totalizer struct {
 	s       *sat.Solver
 	inputs  []sat.Lit
@@ -144,10 +128,6 @@ func (t *Totalizer) build(lits []sat.Lit) []sat.Lit {
 // N returns the number of inputs.
 func (t *Totalizer) N() int { return len(t.inputs) }
 
-// Outputs returns the unary count literals; Outputs()[j] is true iff at
-// least j+1 inputs are true. The slice is owned by the totalizer.
-func (t *Totalizer) Outputs() []sat.Lit { return t.outputs }
-
 // AtMostLit returns a literal that, when assumed, imposes sum ≤ k.
 // For k ≥ n it returns 0 (no assumption needed); the caller must skip it.
 func (t *Totalizer) AtMostLit(k int) sat.Lit {
@@ -170,20 +150,6 @@ func (t *Totalizer) AtLeastLit(k int) sat.Lit {
 		panic(fmt.Sprintf("cardinality: bound %d exceeds %d inputs", k, len(t.outputs)))
 	}
 	return t.outputs[k-1]
-}
-
-// ConstrainAtMost permanently imposes sum ≤ k.
-func (t *Totalizer) ConstrainAtMost(k int) {
-	if l := t.AtMostLit(k); l != 0 {
-		t.s.AddClause(l)
-	}
-}
-
-// ConstrainAtLeast permanently imposes sum ≥ k.
-func (t *Totalizer) ConstrainAtLeast(k int) {
-	if l := t.AtLeastLit(k); l != 0 {
-		t.s.AddClause(l)
-	}
 }
 
 // CountTrue returns the number of input literals true under the model

@@ -84,20 +84,21 @@ func TestAtMostKSeqNegativeBound(t *testing.T) {
 	}
 }
 
+// TestAtLeastK checks the sequential counter's at-least dual: sum(lits) ≥ k
+// is sum(¬lits) ≤ n-k, and k > n leaves a negative bound, so no model.
 func TestAtLeastK(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		for k := 0; k <= n+1; k++ {
 			s := sat.NewSolver()
 			lits := freshLits(s, n)
-			AtLeastK(s, lits, k)
+			neg := make([]sat.Lit, n)
+			for i, l := range lits {
+				neg[i] = l.Flip()
+			}
+			AtMostKSeq(s, neg, n-k)
 			want := 0
 			for i := k; i <= n; i++ {
-				if i >= 0 {
-					want += choose(n, i)
-				}
-			}
-			if k <= 0 {
-				want = 1 << n
+				want += choose(n, i)
 			}
 			if got := countModels(t, s, n); got != want {
 				t.Errorf("n=%d k=%d: got %d models, want %d", n, k, got, want)
@@ -143,7 +144,9 @@ func TestTotalizerConstrain(t *testing.T) {
 			s := sat.NewSolver()
 			lits := freshLits(s, n)
 			tot := NewTotalizer(s, lits)
-			tot.ConstrainAtMost(k)
+			if l := tot.AtMostLit(k); l != 0 {
+				s.AddClause(l)
+			}
 			want := modelsAtMostK(n, k)
 			if got := countModels(t, s, n); got != want {
 				t.Errorf("AtMost n=%d k=%d: got %d, want %d", n, k, got, want)
@@ -158,7 +161,9 @@ func TestTotalizerAtLeast(t *testing.T) {
 			s := sat.NewSolver()
 			lits := freshLits(s, n)
 			tot := NewTotalizer(s, lits)
-			tot.ConstrainAtLeast(k)
+			if l := tot.AtLeastLit(k); l != 0 {
+				s.AddClause(l)
+			}
 			want := 0
 			for i := k; i <= n; i++ {
 				want += choose(n, i)
@@ -176,9 +181,9 @@ func TestTotalizerAssumptionBounds(t *testing.T) {
 	s := sat.NewSolver()
 	n := 6
 	lits := freshLits(s, n)
-	// Require at least 3 true via clauses.
-	AtLeastK(s, lits, 3)
 	tot := NewTotalizer(s, lits)
+	// Require at least 3 true via a unit clause.
+	s.AddClause(tot.AtLeastLit(3))
 	for k := n; k >= 0; k-- {
 		var assumps []sat.Lit
 		if l := tot.AtMostLit(k); l != 0 {
@@ -220,7 +225,8 @@ func TestTotalizerOutputsSemantics(t *testing.T) {
 			t.Fatal("pinned instance must be SAT")
 		}
 		model := s.Model()
-		for j, out := range tot.Outputs() {
+		for j := 0; j < n; j++ {
+			out := tot.AtLeastLit(j + 1)
 			outVal := model[out.Var()-1] != out.Neg()
 			if outVal != (wantCount >= j+1) {
 				t.Fatalf("n=%d count=%d: output[%d]=%v", n, wantCount, j, outVal)
@@ -262,7 +268,7 @@ func BenchmarkEncodings(b *testing.B) {
 		b.Run(fmt.Sprintf("totalizer/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := sat.NewSolver()
-				NewTotalizer(s, freshLits(s, n)).ConstrainAtMost(k)
+				s.AddClause(NewTotalizer(s, freshLits(s, n)).AtMostLit(k))
 			}
 		})
 	}

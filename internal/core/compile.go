@@ -636,11 +636,11 @@ func (c *compiled) structuralConstraints() {
 			continue
 		}
 		systems := c.kb.SystemsByRole(role)
+		name := "structural:exclusive:" + string(role)
+		note := fmt.Sprintf("at most one %s may be deployed fleet-wide", role)
 		for i := 0; i < len(systems); i++ {
 			for j := i + 1; j < len(systems); j++ {
-				c.assertGuarded(
-					fmt.Sprintf("structural:exclusive:%s", role),
-					fmt.Sprintf("at most one %s may be deployed fleet-wide", role),
+				c.assertGuarded(name, note,
 					logic.Or(
 						logic.Not(logic.V(c.sysVar(systems[i].Name))),
 						logic.Not(logic.V(c.sysVar(systems[j].Name)))))

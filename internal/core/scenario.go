@@ -68,12 +68,12 @@ type Scenario struct {
 	// DeployedAt list must fit its share of peak cores into those racks
 	// (each rack holds RackServers[r] servers of the selected SKU).
 	// Workloads without a DeployedAt list are unconstrained. Use
-	// RacksOf to derive the map from a topo.Topology.
+	// RacksOf to build the map when every rack holds the same count.
 	RackServers map[string]int
 }
 
-// RacksOf derives a RackServers map from rack names and server counts
-// produced by a topology (see topo.Topology.Racks / ServersInRack).
+// RacksOf builds a RackServers map in which every named rack holds
+// serversPerRack servers.
 func RacksOf(racks []string, serversPerRack int) map[string]int {
 	out := make(map[string]int, len(racks))
 	for _, r := range racks {

@@ -246,7 +246,14 @@ func exprSemanticsEqual(t *testing.T, a, b kb.Expr) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := logic.And(fa, fb).VarSet()
+	var vars []logic.Var
+	seen := map[logic.Var]bool{}
+	for _, v := range logic.And(fa, fb).Vars(nil) {
+		if !seen[v] {
+			seen[v] = true
+			vars = append(vars, v)
+		}
+	}
 	if len(vars) > 16 {
 		t.Fatal("too many vars for brute force")
 	}

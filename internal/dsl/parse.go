@@ -2,25 +2,11 @@ package dsl
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
 	"netarch/internal/kb"
 )
-
-// Parse reads a knowledge base in the DSL format and validates it.
-func Parse(r io.Reader) (*kb.KB, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dsl: reading: %w", err)
-	}
-	k, err := ParseString(string(src))
-	if err != nil {
-		return nil, err
-	}
-	return k, nil
-}
 
 // ParseString parses DSL source text into a validated knowledge base.
 func ParseString(src string) (*kb.KB, error) {

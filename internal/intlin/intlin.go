@@ -43,10 +43,9 @@ func (a Int) Bit(i int) sat.Lit { return a.bits[i] }
 // a serialized solver can be re-described via RestoreInt.
 func (a Int) Bits() []sat.Lit { return append([]sat.Lit(nil), a.bits...) }
 
-// RestoreInt reassembles an Int from Bits/Max output. Unlike
-// Builder.FromBits it preserves the exact declared maximum rather than
-// assuming 2^len-1, and builds no clauses: the circuit the literals came
-// from must already exist in the target solver (e.g. restored from a
+// RestoreInt reassembles an Int from Bits/Max output. It preserves the
+// exact declared maximum and builds no clauses: the circuit the literals
+// came from must already exist in the target solver (e.g. restored from a
 // snapshot).
 func RestoreInt(bits []sat.Lit, max int64) Int {
 	if max < 0 {
@@ -126,22 +125,6 @@ func (b *Builder) Var(max int64) Int {
 		b.s.AddClause(b.LeqConst(out, max))
 	}
 	return out
-}
-
-// FromBits wraps existing literals as an integer (bit 0 = LSB). The value
-// is the standard binary interpretation; max is 2^len-1.
-func (b *Builder) FromBits(lits []sat.Lit) Int {
-	cp := append([]sat.Lit(nil), lits...)
-	var max int64
-	if len(cp) > 0 {
-		max = (1 << len(cp)) - 1
-	}
-	return Int{bits: cp, max: max}
-}
-
-// BoolAsInt returns the 0/1 integer equal to the truth value of l.
-func (b *Builder) BoolAsInt(l sat.Lit) Int {
-	return Int{bits: []sat.Lit{l}, max: 1}
 }
 
 // ScaledBool returns the integer that is c when l is true and 0 otherwise
@@ -285,30 +268,6 @@ func (b *Builder) Sum(terms ...Int) Int {
 	return b.Add(b.Sum(terms[:mid]...), b.Sum(terms[mid:]...))
 }
 
-// MulConst returns a*c for a constant c ≥ 0 via shift-and-add.
-func (b *Builder) MulConst(a Int, c int64) Int {
-	if c < 0 {
-		panic(fmt.Sprintf("intlin: negative multiplier %d", c))
-	}
-	if c == 0 || a.max == 0 {
-		return b.Const(0)
-	}
-	var parts []Int
-	for i := 0; i < 63 && c>>i != 0; i++ {
-		if c&(1<<i) == 0 {
-			continue
-		}
-		// a << i
-		shifted := Int{bits: make([]sat.Lit, len(a.bits)+i), max: a.max << i}
-		for j := 0; j < i; j++ {
-			shifted.bits[j] = b.False()
-		}
-		copy(shifted.bits[i:], a.bits)
-		parts = append(parts, shifted)
-	}
-	return b.Sum(parts...)
-}
-
 // comparisons ---------------------------------------------------------------
 
 // LeqConst returns a reified literal g with g ↔ (a ≤ k).
@@ -361,11 +320,6 @@ func (b *Builder) Leq(a, c Int) sat.Lit {
 	}
 	// a ≤ c ⟺ a < c ∨ a = c; fold equality into the final or.
 	return b.orGate(lt, b.Eq(a, c))
-}
-
-// Lt returns a reified literal g with g ↔ (a < c).
-func (b *Builder) Lt(a, c Int) sat.Lit {
-	return b.Leq(c, a).Flip()
 }
 
 // Eq returns a reified literal g with g ↔ (a = c).

@@ -22,11 +22,12 @@ func (r *fuzzReader) next() int64 {
 }
 
 // FuzzArith builds a random circuit of Const, Var, ScaledBool, Add, Sum
-// and MulConst terms over a mix of constant and free operands, pins every
-// free operand to a value the input picks (through assumptions, so the
-// circuit itself stays unconstrained), and checks each term's ValueOf and
-// Max against integer arithmetic. Constant operands exercise the gates'
-// folding; free ones the gates they still build.
+// and constant-multiple (scaledInt) terms over a mix of constant and free
+// operands, pins every free operand to a value the input picks (through
+// assumptions, so the circuit itself stays unconstrained), and checks
+// each term's ValueOf and Max against integer arithmetic. Constant
+// operands exercise the gates' folding; free ones the gates they still
+// build.
 func FuzzArith(f *testing.F) {
 	f.Add([]byte{1, 13, 11, 0, 7, 3, 0, 0, 3, 1, 1})
 	f.Add([]byte{2, 2, 1, 5, 2, 0, 3, 2, 3, 1, 5, 4, 3, 0, 1, 2, 5, 2, 9})
@@ -92,7 +93,7 @@ func FuzzArith(f *testing.F) {
 				if on {
 					want = 1
 				}
-				tm = term{b.BoolAsInt(l), want, fmt.Sprintf("bool(%v)", on)}
+				tm = term{b.ScaledBool(l, 1), want, fmt.Sprintf("bool(%v)", on)}
 			case 4:
 				x, y := pick(), pick()
 				if x.a.Max()+y.a.Max() > limit {
@@ -120,7 +121,7 @@ func FuzzArith(f *testing.F) {
 				if c > 0 && x.a.Max() > limit/c {
 					continue
 				}
-				tm = term{b.MulConst(x.a, c), x.want * c, fmt.Sprintf("%d·%s", c, x.desc)}
+				tm = term{scaledInt(b, x.a, c), x.want * c, fmt.Sprintf("%d·%s", c, x.desc)}
 			}
 			terms = append(terms, tm)
 		}

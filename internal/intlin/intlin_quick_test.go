@@ -26,7 +26,7 @@ func TestQuickLinearCombination(t *testing.T) {
 			val := int64(r.Intn(int(max + 1)))
 			coef := int64(r.Intn(7))
 			x := b.Var(max)
-			terms[i] = b.MulConst(x, coef)
+			terms[i] = scaledInt(b, x, coef)
 			assumps = append(assumps, b.EqConst(x, val))
 			want += coef * val
 		}
@@ -84,9 +84,9 @@ func TestQuickComparatorTotality(t *testing.T) {
 		b := New(s)
 		x := b.Var(int64(1 + r.Intn(30)))
 		y := b.Var(int64(1 + r.Intn(30)))
-		lt := b.Lt(x, y)
+		lt := b.Leq(y, x).Flip()
 		eq := b.Eq(x, y)
-		gt := b.Lt(y, x)
+		gt := b.Leq(x, y).Flip()
 		xv := int64(r.Intn(int(x.Max() + 1)))
 		yv := int64(r.Intn(int(y.Max() + 1)))
 		if s.SolveAssuming([]sat.Lit{b.EqConst(x, xv), b.EqConst(y, yv)}) != sat.Sat {

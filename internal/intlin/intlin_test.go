@@ -90,21 +90,14 @@ func TestAddExhaustive(t *testing.T) {
 	}
 }
 
-func TestMulConst(t *testing.T) {
-	s := sat.NewSolver()
-	b := New(s)
-	x := b.Var(9)
-	for _, c := range []int64{0, 1, 2, 3, 5, 10} {
-		y := b.MulConst(x, c)
-		for xv := int64(0); xv <= 9; xv += 3 {
-			if s.SolveAssuming([]sat.Lit{b.EqConst(x, xv)}) != sat.Sat {
-				t.Fatalf("pin x=%d failed", xv)
-			}
-			if got := ValueOf(y, s.Model()); got != c*xv {
-				t.Fatalf("c=%d x=%d: got %d, want %d", c, xv, got, c*xv)
-			}
-		}
+// scaledInt returns c·a by shift-and-add over a's bits: one ScaledBool
+// per bit, summed. Tests draw constant multiples of an integer with it.
+func scaledInt(b *Builder, a Int, c int64) Int {
+	terms := make([]Int, a.Width())
+	for i := range terms {
+		terms[i] = b.ScaledBool(a.Bit(i), c<<i)
 	}
+	return b.Sum(terms...)
 }
 
 func TestSumBalanced(t *testing.T) {
@@ -191,7 +184,7 @@ func TestComparisonTwoVars(t *testing.T) {
 	x := b.Var(6)
 	y := b.Var(9)
 	leq := b.Leq(x, y)
-	lt := b.Lt(x, y)
+	lt := b.Leq(y, x).Flip()
 	eq := b.Eq(x, y)
 	for xv := int64(0); xv <= 6; xv++ {
 		for yv := int64(0); yv <= 9; yv++ {
@@ -252,7 +245,7 @@ func TestRandomLinearExpressions(t *testing.T) {
 			vars[i] = b.Var(max)
 			vals[i] = int64(r.Intn(int(max + 1)))
 			coefs[i] = int64(r.Intn(6))
-			terms[i] = b.MulConst(vars[i], coefs[i])
+			terms[i] = scaledInt(b, vars[i], coefs[i])
 			want += coefs[i] * vals[i]
 			assumps = append(assumps, b.EqConst(vars[i], vals[i]))
 		}
@@ -266,35 +259,12 @@ func TestRandomLinearExpressions(t *testing.T) {
 	}
 }
 
-func TestFromBitsAndBoolAsInt(t *testing.T) {
-	s := sat.NewSolver()
-	b := New(s)
-	l1, l2 := sat.Lit(s.NewVar()), sat.Lit(s.NewVar())
-	x := b.FromBits([]sat.Lit{l1, l2})
-	if x.Max() != 3 || x.Width() != 2 {
-		t.Fatalf("FromBits: max=%d width=%d", x.Max(), x.Width())
-	}
-	s.AddClause(l1)
-	s.AddClause(l2.Flip())
-	if s.Solve() != sat.Sat {
-		t.Fatal("want SAT")
-	}
-	if got := ValueOf(x, s.Model()); got != 1 {
-		t.Fatalf("FromBits value: got %d, want 1", got)
-	}
-	o := b.BoolAsInt(l1)
-	if got := ValueOf(o, s.Model()); got != 1 {
-		t.Fatalf("BoolAsInt: got %d, want 1", got)
-	}
-}
-
 func TestPanics(t *testing.T) {
 	s := sat.NewSolver()
 	b := New(s)
 	for name, fn := range map[string]func(){
 		"negative const": func() { b.Const(-1) },
 		"negative var":   func() { b.Var(-1) },
-		"negative mul":   func() { b.MulConst(b.Const(1), -2) },
 		"negative scale": func() { b.ScaledBool(b.True(), -1) },
 	} {
 		func() {
@@ -415,9 +385,8 @@ func TestAssertImpliesEq(t *testing.T) {
 }
 
 // TestConstantOperandsAllocateNothing checks that gates over constant
-// inputs fold away: adding zero, summing scaled Booleans whose set bits
-// never meet, and multiplying a 0/1 integer by a constant allocate no
-// variable, and a sum of two free bits costs only its half adder's two
+// inputs fold away: adding zero and summing scaled Booleans whose set
+// bits never meet allocate no variable, and a sum of two free bits costs only its half adder's two
 // gates. The values must still come out right.
 func TestConstantOperandsAllocateNothing(t *testing.T) {
 	s := sat.NewSolver()
@@ -429,7 +398,6 @@ func TestConstantOperandsAllocateNothing(t *testing.T) {
 	x0 := b.Add(x, b.Const(0))
 	disjoint := b.Sum(b.ScaledBool(l1, 5), b.ScaledBool(l2, 10), b.Const(16))
 	twice := b.Sum(b.ScaledBool(l1, 3), b.ScaledBool(l1, 3))
-	mul := b.MulConst(b.BoolAsInt(l2), 6)
 	consts := b.Add(b.Const(3), b.Const(5))
 	if n := s.NumVars() - vars; n != 0 {
 		t.Fatalf("circuits over constant operands allocated %d variables", n)
@@ -439,7 +407,7 @@ func TestConstantOperandsAllocateNothing(t *testing.T) {
 			t.Fatalf("x+0 bit %d is a new literal", i)
 		}
 	}
-	half := b.Add(b.BoolAsInt(l1), b.BoolAsInt(l2))
+	half := b.Add(b.ScaledBool(l1, 1), b.ScaledBool(l2, 1))
 	if n := s.NumVars() - vars; n != 2 {
 		t.Fatalf("half adder allocated %d variables, want 2", n)
 	}
@@ -459,7 +427,6 @@ func TestConstantOperandsAllocateNothing(t *testing.T) {
 		{"x+0", x0, 11},
 		{"5·l1+10·l2+16", disjoint, 21},
 		{"3·l1+3·l1", twice, 6},
-		{"6·l2", mul, 0},
 		{"3+5", consts, 8},
 		{"l1+l2", half, 1},
 	} {

@@ -35,12 +35,6 @@ func SystemAtom(name string) Expr { return Atom("system:" + name) }
 // CtxAtom returns the atom "ctx:<name>".
 func CtxAtom(name string) Expr { return Atom("ctx:" + name) }
 
-// PropAtom returns the atom "prop:<name>".
-func PropAtom(p Property) Expr { return Atom("prop:" + string(p)) }
-
-// HwAtom returns the atom "hw:<name>".
-func HwAtom(name string) Expr { return Atom("hw:" + name) }
-
 // CapAtom returns the atom "cap:<kind>:<cap>".
 func CapAtom(kind HardwareKind, c Capability) Expr {
 	return Atom("cap:" + string(kind) + ":" + string(c))

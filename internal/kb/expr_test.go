@@ -18,9 +18,6 @@ func TestExprConstructors(t *testing.T) {
 	if CapAtom(KindNIC, CapECN).Atom != "cap:nic:ECN" {
 		t.Error("CapAtom wrong")
 	}
-	if HwAtom("x").Atom != "hw:x" || PropAtom("p").Atom != "prop:p" {
-		t.Error("atom constructors wrong")
-	}
 }
 
 func TestExprValidateErrors(t *testing.T) {

@@ -17,7 +17,6 @@ package kb
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Role is a deployment slot a system can fill. The paper's prototype spans
@@ -414,25 +413,4 @@ func (k *KB) ComputeStats() Stats {
 	}
 	st.SpecSize = size
 	return st
-}
-
-// AllProperties returns the sorted set of properties mentioned anywhere.
-func (k *KB) AllProperties() []Property {
-	set := map[Property]bool{}
-	for i := range k.Systems {
-		for _, p := range k.Systems[i].Solves {
-			set[p] = true
-		}
-	}
-	for i := range k.Workloads {
-		for _, p := range k.Workloads[i].Needs {
-			set[p] = true
-		}
-	}
-	out := make([]Property, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

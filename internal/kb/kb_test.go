@@ -403,26 +403,3 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("spec growth not linear-ish: %d -> %d", base, grown)
 	}
 }
-
-func TestAllProperties(t *testing.T) {
-	k := tinyKB()
-	props := k.AllProperties()
-	want := map[Property]bool{
-		"capture_delays": true, "detect_queue_length": true,
-		"low_latency_stack": true, "congestion_control": true,
-	}
-	if len(props) != len(want) {
-		t.Fatalf("AllProperties: got %v", props)
-	}
-	for _, p := range props {
-		if !want[p] {
-			t.Errorf("unexpected property %q", p)
-		}
-	}
-	// sorted
-	for i := 1; i < len(props); i++ {
-		if props[i-1] >= props[i] {
-			t.Error("properties not sorted")
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netarch/internal/logic"
+	"netarch/internal/order"
 )
 
 func guardedOrderSpec() OrderSpec {
@@ -28,8 +29,15 @@ func TestOrderSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dimension() != "quality" || len(g.Edges()) != 2 || len(g.Equivalences()) != 1 {
-		t.Errorf("built graph wrong: %d edges %d equals", len(g.Edges()), len(g.Equivalences()))
+	if g.Dimension() != "quality" || len(g.Edges()) != 2 {
+		t.Errorf("built graph wrong: %d edges", len(g.Edges()))
+	}
+	r, err := g.Resolve(order.Context{vo.Lookup("ctx:fast"): true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Equal("c", "d") {
+		t.Error("built graph lacks the guarded equal")
 	}
 }
 

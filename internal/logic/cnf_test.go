@@ -31,7 +31,7 @@ func cnfSatisfiableBrute(c *CNF) (bool, map[Var]bool) {
 
 // formulaSatisfiableBrute brute-forces satisfiability of a formula.
 func formulaSatisfiableBrute(f Formula) bool {
-	vars := f.VarSet()
+	vars := varSet(f)
 	assign := make(map[Var]bool, len(vars))
 	for mask := 0; mask < 1<<len(vars); mask++ {
 		for i, v := range vars {

@@ -13,7 +13,6 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -55,7 +54,7 @@ func (k Kind) String() string {
 // Variables are 1-based; 0 is reserved as "no variable".
 type Var uint32
 
-// Formula is an immutable propositional formula. Implies, Iff and Ite are
+// Formula is an immutable propositional formula. Implies and Iff are
 // provided as derived constructors and are expanded structurally, so the
 // node kinds are limited to the six above.
 //
@@ -197,14 +196,8 @@ func Implies(a, b Formula) Formula { return Or(Not(a), b) }
 // Iff returns a ↔ b, i.e. (a → b) ∧ (b → a).
 func Iff(a, b Formula) Formula { return And(Implies(a, b), Implies(b, a)) }
 
-// Xor returns a ⊕ b.
-func Xor(a, b Formula) Formula { return Or(And(a, Not(b)), And(Not(a), b)) }
-
-// Ite returns "if c then t else e", i.e. (c → t) ∧ (¬c → e).
-func Ite(c, t, e Formula) Formula { return And(Implies(c, t), Implies(Not(c), e)) }
-
 // Vars appends every variable occurring in f to dst (with duplicates) and
-// returns the extended slice. Use VarSet for the deduplicated set.
+// returns the extended slice.
 func (f Formula) Vars(dst []Var) []Var {
 	switch f.kind {
 	case KindVar:
@@ -215,21 +208,6 @@ func (f Formula) Vars(dst []Var) []Var {
 		}
 	}
 	return dst
-}
-
-// VarSet returns the sorted set of variables occurring in f.
-func (f Formula) VarSet() []Var {
-	all := f.Vars(nil)
-	seen := make(map[Var]bool, len(all))
-	out := all[:0]
-	for _, v := range all {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Size returns the number of nodes in the formula tree.

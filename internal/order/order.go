@@ -64,16 +64,8 @@ func (g *Graph) AddNode(name string) {
 	}
 }
 
-// Nodes returns all registered items in insertion order.
-func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
-
 // Edges returns all guarded edges.
 func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
-
-// Equivalences returns all guarded equivalences.
-func (g *Graph) Equivalences() []Equivalence {
-	return append([]Equivalence(nil), g.equals...)
-}
 
 // AddEdge records "better > worse when guard". Self-loops are rejected.
 func (g *Graph) AddEdge(better, worse string, guard logic.Formula, note string) error {
@@ -259,25 +251,6 @@ func (r *Resolved) Maximal() []string {
 			}
 		}
 		if !dominated {
-			out = append(out, members...)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Minimal returns the items that dominate no other item.
-func (r *Resolved) Minimal() []string {
-	var out []string
-	for i, members := range r.classes {
-		dominates := false
-		for j := range r.classes {
-			if j != i && r.closure[i][j] {
-				dominates = true
-				break
-			}
-		}
-		if !dominates {
 			out = append(out, members...)
 		}
 	}

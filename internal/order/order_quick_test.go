@@ -49,7 +49,7 @@ func TestQuickResolvedIsStrictPartialOrder(t *testing.T) {
 		if err != nil {
 			return false // DAG construction guarantees acyclicity
 		}
-		names := g.Nodes()
+		names := g.nodes
 		// Irreflexive, antisymmetric, transitive.
 		for _, a := range names {
 			if res.Better(a, a) {
@@ -109,8 +109,8 @@ func TestQuickHasseRegeneratesClosure(t *testing.T) {
 			}
 			return false
 		}
-		for _, a := range g.Nodes() {
-			for _, b := range g.Nodes() {
+		for _, a := range g.nodes {
+			for _, b := range g.nodes {
 				if a == b {
 					continue
 				}
@@ -142,9 +142,9 @@ func TestQuickMaximalNeverDominated(t *testing.T) {
 		for _, m := range res.Maximal() {
 			maximal[m] = true
 		}
-		for _, a := range g.Nodes() {
+		for _, a := range g.nodes {
 			dominated := false
-			for _, b := range g.Nodes() {
+			for _, b := range g.nodes {
 				if res.Better(b, a) {
 					dominated = true
 				}

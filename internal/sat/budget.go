@@ -9,16 +9,13 @@ package sat
 
 // Interrupt asks the solver to stop: a running Solve returns Unknown at
 // the next conflict boundary, and any Solve started while the interrupt
-// is pending returns Unknown immediately. The flag is sticky — call
-// ClearInterrupt to make the solver runnable again. Interrupt is safe to
-// call from other goroutines and is idempotent.
+// is pending returns Unknown immediately. The flag is sticky: every later
+// Solve on this solver returns Unknown, while a Clone starts runnable.
+// Interrupt is safe to call from other goroutines and is idempotent.
 func (s *Solver) Interrupt() { s.stop.Store(true) }
 
-// ClearInterrupt re-arms a solver that was stopped with Interrupt.
-func (s *Solver) ClearInterrupt() { s.stop.Store(false) }
-
 // interrupted polls the flag without clearing it: an interrupt stays
-// set across Solve calls until ClearInterrupt.
+// set across Solve calls.
 func (s *Solver) interrupted() bool { return s.stop.Load() }
 
 // StopCause explains why the last Solve call returned Unknown.

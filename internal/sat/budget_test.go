@@ -75,7 +75,7 @@ func TestFaultHookSolveEntry(t *testing.T) {
 	// Removing the hook and clearing the (sticky) interrupt restores the
 	// solver.
 	s.SetFaultHook(nil)
-	s.ClearInterrupt()
+	s.clearInterrupt()
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("recovered solve returned %v, want Sat", st)
 	}
@@ -167,8 +167,8 @@ func TestInterruptIsSticky(t *testing.T) {
 	if s.Solve() != Unknown {
 		t.Fatal("a pending interrupt must stop Solve before it starts")
 	}
-	s.ClearInterrupt()
+	s.clearInterrupt()
 	if s.Solve() != Sat {
-		t.Fatal("ClearInterrupt must re-arm the solver")
+		t.Fatal("clearing the interrupt must re-arm the solver")
 	}
 }

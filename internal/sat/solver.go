@@ -413,10 +413,10 @@ const (
 // same order, clauses are added in the same order, units propagate at
 // the same points, so clause references, watch order and snapshot bytes
 // are identical; only capacities differ. Inside load, AddClause records
-// its clause and returns true (the top-level verdict is known once Bulk
-// returns; see Okay), and NewVar returns the new variable's index. load
-// must not solve, clone or snapshot the solver, nor read a variable's
-// state.
+// its clause and returns true (a top-level conflict found by Bulk makes
+// every later solve return Unsat), and NewVar returns the new variable's
+// index. load must not solve, clone or snapshot the solver, nor read a
+// variable's state.
 func (s *Solver) Bulk(load func()) {
 	s.bulking = true
 	defer func() { s.bulking, s.bulk = false, nil }()
@@ -632,18 +632,6 @@ func (s *Solver) uncheckedEnqueue(l lit, from cref) {
 	}
 }
 
-// Value returns the model value of variable v after a Sat result.
-// It panics if the last Solve did not return Sat.
-func (s *Solver) Value(v int) bool {
-	if s.model == nil {
-		panic("sat: Value called without a model")
-	}
-	if v < 1 || v > len(s.model) {
-		panic("sat: Value out of range")
-	}
-	return s.model[v-1]
-}
-
 // Model returns the satisfying assignment found by the last Sat solve;
 // index i holds the value of variable i+1. The returned slice is owned by
 // the solver and valid until the next Solve.
@@ -653,10 +641,6 @@ func (s *Solver) Model() []bool { return s.model }
 // of the assumptions whose conjunction is already unsatisfiable (the
 // "final conflict" or assumption core), as the literals that were assumed.
 func (s *Solver) FinalConflict() []Lit { return s.conflict }
-
-// Okay reports whether the instance is still possibly satisfiable at the
-// top level (false once an empty clause was derived).
-func (s *Solver) Okay() bool { return s.okay }
 
 // Solve decides the instance with no assumptions.
 func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -83,18 +82,6 @@ func (t *Topology) UpDownPaths(src, dst string) ([][]string, error) {
 		return nil, fmt.Errorf("topo: no up-down path from %q to %q", src, dst)
 	}
 	return out, nil
-}
-
-// ECMPPath deterministically picks one of the up-down paths by hashing the
-// flow 5-tuple surrogate (src, dst, flowID), mimicking ECMP.
-func (t *Topology) ECMPPath(src, dst string, flowID uint64) ([]string, error) {
-	paths, err := t.UpDownPaths(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d", src, dst, flowID)
-	return paths[h.Sum64()%uint64(len(paths))], nil
 }
 
 // FloodSegments returns the three-hop switch segments [in, via, out]

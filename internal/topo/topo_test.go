@@ -19,10 +19,14 @@ func TestLeafSpineShape(t *testing.T) {
 	if got := len(tp.Switches()); got != 5 {
 		t.Errorf("switches: got %d, want 5", got)
 	}
-	if got := len(tp.Servers()); got != 12 {
+	if got := len(tp.servers); got != 12 {
 		t.Errorf("servers: got %d, want 12", got)
 	}
-	if got := len(tp.Racks()); got != 3 {
+	racks := map[string]bool{}
+	for _, s := range tp.servers {
+		racks[s.Rack] = true
+	}
+	if got := len(racks); got != 3 {
 		t.Errorf("racks: got %d, want 3", got)
 	}
 	// Every leaf sees every spine.
@@ -32,11 +36,17 @@ func TestLeafSpineShape(t *testing.T) {
 			t.Errorf("leaf %s neighbours: %v", l, n)
 		}
 	}
-	if tp.RackCores("rack0") != 4*64 {
-		t.Errorf("rack cores: got %d", tp.RackCores("rack0"))
+	var inRack1 int
+	for _, s := range tp.servers {
+		if s.Rack == "rack1" {
+			inRack1++
+			if s.Cores != 64 {
+				t.Errorf("server %s cores: got %d", s.Name, s.Cores)
+			}
+		}
 	}
-	if got := tp.ServersInRack("rack1"); len(got) != 4 {
-		t.Errorf("servers in rack: %v", got)
+	if inRack1 != 4 {
+		t.Errorf("servers in rack1: got %d, want 4", inRack1)
 	}
 }
 
@@ -56,7 +66,7 @@ func TestFatTreeShape(t *testing.T) {
 	if got := len(tp.Switches()); got != 20 {
 		t.Errorf("switches: got %d, want 20", got)
 	}
-	if got := len(tp.Servers()); got != 16 {
+	if got := len(tp.servers); got != 16 {
 		t.Errorf("servers: got %d, want 16", got)
 	}
 	if _, err := NewFatTree(3, 1); err == nil {
@@ -137,27 +147,6 @@ func TestUpDownPathErrors(t *testing.T) {
 	}
 	if _, err := tp.UpDownPaths("srv-0-0", "ghost"); err == nil {
 		t.Error("unknown dst must fail")
-	}
-}
-
-func TestECMPDeterministic(t *testing.T) {
-	tp := mustLeafSpine(t, 4, 2, 1)
-	p1, err := tp.ECMPPath("srv-0-0", "srv-1-0", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, _ := tp.ECMPPath("srv-0-0", "srv-1-0", 7)
-	if strings.Join(p1, ",") != strings.Join(p2, ",") {
-		t.Error("same flow must hash to same path")
-	}
-	// Different flow IDs should spread across spines eventually.
-	seen := map[string]bool{}
-	for f := uint64(0); f < 64; f++ {
-		p, _ := tp.ECMPPath("srv-0-0", "srv-1-0", f)
-		seen[p[1]] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("ECMP never spread: %v", seen)
 	}
 }
 
@@ -256,62 +245,6 @@ func TestBufferGraphDirect(t *testing.T) {
 	}
 }
 
-func TestPlaceBasic(t *testing.T) {
-	tp := mustLeafSpine(t, 2, 3, 2) // 3 racks × 128 cores
-	p, err := tp.Place([]Demand{
-		{Name: "app1", Cores: 100},
-		{Name: "app2", Cores: 150, Racks: []string{"rack1", "rack2"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.TotalFreeCores(); got != 3*128-250 {
-		t.Errorf("free cores: got %d", got)
-	}
-	racks := p.RacksUsed("app2")
-	if len(racks) == 0 {
-		t.Fatal("app2 not placed")
-	}
-	for _, r := range racks {
-		if r == "rack0" {
-			t.Error("app2 must respect rack preference")
-		}
-	}
-	if p.RacksUsed("ghost") != nil {
-		t.Error("unknown workload must return nil")
-	}
-}
-
-func TestPlaceInsufficient(t *testing.T) {
-	tp := mustLeafSpine(t, 2, 2, 1) // 2 racks × 64 cores
-	_, err := tp.Place([]Demand{{Name: "big", Cores: 1000}})
-	if err == nil || !strings.Contains(err.Error(), "offer only") {
-		t.Errorf("want capacity error, got %v", err)
-	}
-	if _, err := tp.Place([]Demand{{Name: "neg", Cores: -1}}); err == nil {
-		t.Error("negative demand must fail")
-	}
-	if _, err := tp.Place([]Demand{{Name: "x", Cores: 1, Racks: []string{"nope"}}}); err == nil {
-		t.Error("unknown rack must fail")
-	}
-}
-
-func TestPlaceRollbackOnFailure(t *testing.T) {
-	tp := mustLeafSpine(t, 2, 2, 1) // 128 cores total
-	_, err := tp.Place([]Demand{
-		{Name: "a", Cores: 64},
-		{Name: "b", Cores: 100},
-	})
-	if err == nil {
-		t.Fatal("want failure")
-	}
-	// After failure, a fresh placement of a feasible set must succeed
-	// (Place must not mutate the topology).
-	if _, err := tp.Place([]Demand{{Name: "c", Cores: 128}}); err != nil {
-		t.Errorf("topology capacity must be unchanged: %v", err)
-	}
-}
-
 func TestTierString(t *testing.T) {
 	if TierLeaf.String() != "leaf" || TierSpine.String() != "spine" || TierCore.String() != "core" {
 		t.Error("tier names wrong")
@@ -320,13 +253,7 @@ func TestTierString(t *testing.T) {
 
 func TestServersAtLeaf(t *testing.T) {
 	tp := mustLeafSpine(t, 2, 2, 3)
-	if got := tp.ServersAtLeaf("leaf0"); len(got) != 3 {
-		t.Errorf("ServersAtLeaf: %v", got)
-	}
-	if tp.Switch("leaf0") == nil || tp.Switch("nope") != nil {
-		t.Error("Switch lookup wrong")
-	}
-	if tp.Server("srv-0-0") == nil || tp.Server("nope") != nil {
-		t.Error("Server lookup wrong")
+	if got := tp.serversAt["leaf0"]; len(got) != 3 {
+		t.Errorf("servers at leaf0: %v", got)
 	}
 }

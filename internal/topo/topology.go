@@ -66,7 +66,6 @@ type Topology struct {
 	adj map[string][]string
 	// serversAt[leaf] lists server names attached to a leaf.
 	serversAt map[string][]string
-	racks     []string
 }
 
 // NewLeafSpine builds a two-tier Clos: every leaf connects to every spine,
@@ -87,7 +86,6 @@ func NewLeafSpine(spines, leaves, serversPerLeaf int, coresPerServer int64) (*To
 			t.link(leaf, fmt.Sprintf("spine%d", s))
 		}
 		rack := fmt.Sprintf("rack%d", l)
-		t.racks = append(t.racks, rack)
 		for h := 0; h < serversPerLeaf; h++ {
 			t.addServer(&Server{
 				Name:  fmt.Sprintf("srv-%d-%d", l, h),
@@ -133,7 +131,6 @@ func NewFatTree(k int, coresPerServer int64) (*Topology, error) {
 			}
 			rack := fmt.Sprintf("rack%d", rackID)
 			rackID++
-			t.racks = append(t.racks, rack)
 			for h := 0; h < half; h++ {
 				t.addServer(&Server{
 					Name:  fmt.Sprintf("srv-%d-%d-%d", p, e, h),
@@ -178,58 +175,11 @@ func (t *Topology) Switches() []string {
 	return out
 }
 
-// Servers returns all server names, sorted.
-func (t *Topology) Servers() []string {
-	out := make([]string, 0, len(t.servers))
-	for n := range t.servers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Racks returns rack names in construction order.
-func (t *Topology) Racks() []string { return append([]string(nil), t.racks...) }
-
-// Switch returns the named switch, or nil.
-func (t *Topology) Switch(name string) *Switch { return t.switches[name] }
-
-// Server returns the named server, or nil.
-func (t *Topology) Server(name string) *Server { return t.servers[name] }
-
 // Neighbors returns the switch neighbours of a switch, sorted.
 func (t *Topology) Neighbors(name string) []string {
 	out := append([]string(nil), t.adj[name]...)
 	sort.Strings(out)
 	return out
-}
-
-// ServersAtLeaf returns server names attached to a leaf switch.
-func (t *Topology) ServersAtLeaf(leaf string) []string {
-	return append([]string(nil), t.serversAt[leaf]...)
-}
-
-// ServersInRack returns server names in a rack, sorted.
-func (t *Topology) ServersInRack(rack string) []string {
-	var out []string
-	for n, s := range t.servers {
-		if s.Rack == rack {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RackCores returns the total core count of a rack.
-func (t *Topology) RackCores(rack string) int64 {
-	var total int64
-	for _, s := range t.servers {
-		if s.Rack == rack {
-			total += s.Cores
-		}
-	}
-	return total
 }
 
 // upNeighbors returns neighbours one tier up.
