@@ -76,25 +76,25 @@ serve-smoke:
 # §15, §16). The differential harness answers the §5.1,
 # brute-force-oracle and enumeration tables on an unsliced, uncached
 # reference engine and under every configuration: cache miss and hit,
-# query history, disk revival, live KB update (byte-identical) and
-# relevance slicing (equivalent), plus the 5k-SKU sliced sweep. Its
+# query history, live KB update (byte-identical) and relevance slicing
+# (equivalent), plus the 5k-SKU sliced sweep. Its
 # gates are TestDifferential and the five focused tests that each run
 # one catalog under a subset of its configurations. Beside them run the
 # tests the harness does not replace: the compiled-base golden hashes
 # (TestCompiledBaseGolden: bases byte-identical across commits), update
-# byte identity and cache accounting, the solver snapshot/clone and disk
-# round trips (with the binary-heavy differential's frozen arm: a frozen
-# solver, its clone, its snapshot and its DIMACS round trip agree, and
-# clones of one frozen solver search identically over its shared
-# implication table), the CNF conversion's layout, the optimizer's
+# byte identity and cache accounting, the solver clone tests (with the
+# binary-heavy differential's frozen arm: a frozen solver, its clone and
+# its DIMACS round trip agree, and clones of one frozen solver search
+# identically over its shared implication table), the CNF conversion's
+# layout, the optimizer's
 # metamorphic, objective-circuit and maxsat brute-force tests, the
 # slicer edge cases and refusals, the 50k catalog smoke, and the
 # concurrent-update and reload-under-load tests under the race
 # detector. Each -run list lives in a variable that gate-names checks.
-DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestDiskCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestDiskWarmSkipsCompile|TestProbedBaseDiskRoundTrip|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase
+DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase
 DIFF_CORE_PKGS = . ./internal/core
 DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatchesOffsetConverters
-DIFF_SAT_RUN = TestSnapshotRestoreSolvesIdentically|TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver
+DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver
 DIFF_MAXSAT_RUN = TestMinimize|TestLexicographic|TestPareto|TestBitDescent
 DIFF_EXTRACT_RUN = TestCatalogScale
 DIFF_RACE_RUN = TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad
@@ -107,11 +107,11 @@ differential:
 	$(GO) test -run='$(DIFF_EXTRACT_RUN)' -count=1 ./internal/extract
 	$(GO) test -race -run='$(DIFF_RACE_RUN)' -count=1 $(DIFF_RACE_PKGS)
 
-# fuzz-smoke runs the snapshot decoders' fuzz targets briefly so the
-# untrusted-bytes contract (typed errors, no panics, no OOM) is
-# exercised on every gate, not only in dedicated fuzz sessions, plus the
-# MaxSAT bounds fuzzer (random weighted objectives must yield exact,
-# witnessed, unbeatable optima), the Simplify fuzzer (idempotent,
+# fuzz-smoke runs the fuzz targets briefly so each untrusted-input or
+# property contract is exercised on every gate, not only in dedicated
+# fuzz sessions: the MaxSAT bounds fuzzer (random weighted objectives
+# must yield exact, witnessed, unbeatable optima), the Simplify fuzzer
+# (idempotent,
 # equivalent under every assignment, equal to the String()-keyed oracle),
 # the arithmetic fuzzer (random sums and products over constant and
 # free operands must evaluate to the integer result), the KB JSON
@@ -124,7 +124,7 @@ differential:
 # fuzzers (dsl.ParseString and dsl.ParseExpr must reject arbitrary text
 # with an error or accept it and survive a Format/Parse round trip,
 # never panic).
-FUZZ_SMOKE = ./internal/logic:FuzzSimplify ./internal/intlin:FuzzArith ./internal/sat:FuzzRestoreSnapshot ./internal/core:FuzzDecodeBase ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
+FUZZ_SMOKE = ./internal/logic:FuzzSimplify ./internal/intlin:FuzzArith ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
 FUZZ_FLAGS_FuzzServeReload = -fuzzminimizetime=1s
 FUZZ_FLAGS_FuzzLoadKB = -fuzzminimizetime=1s
 fuzz-pkg = $(firstword $(subst :, ,$(1)))
@@ -158,7 +158,7 @@ gate-names:
 # verify is the full pre-merge gate: tier-1 (build + test) plus static
 # analysis, a gofmt check, the race detector over every package, the differential
 # harness, the hot-path allocation budgets, the serve lifecycle smoke,
-# a fuzz smoke over the untrusted-input decoders and the MaxSAT bounds,
+# a fuzz smoke over the untrusted-input parsers and the MaxSAT bounds,
 # and a benchmark smoke run.
 verify: build vet fmt gate-names test race differential alloc-budget serve-smoke fuzz-smoke bench-smoke
 

@@ -631,13 +631,10 @@ func BenchmarkPareto(b *testing.B) {
 	}
 }
 
-// BenchmarkColdStart measures a fresh process's first query at full
-// catalog scale. "compile" is what every cold process paid before the
-// disk tier existed: build the formula and CNF it. "disk-warm"
-// revives the same base from a persisted snapshot (the cache directory
-// is primed once, off the clock) — each iteration asserts through the
-// cache counters that no compile ran. The compile/disk-warm ratio is
-// the cross-process startup win of DESIGN.md §9.
+// BenchmarkColdStart measures a fresh engine's first query at full
+// catalog scale: "compile" builds the formula, CNFs it and probes the
+// base before the query solves. DESIGN.md §9 records why no tier
+// between the memory cache and the compile remains.
 func BenchmarkColdStart(b *testing.B) {
 	k := catalog.CaseStudy()
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
@@ -659,35 +656,6 @@ func BenchmarkColdStart(b *testing.B) {
 				b.Fatal(err)
 			}
 			firstQuery(b, eng)
-		}
-	})
-	b.Run("disk-warm", func(b *testing.B) {
-		dir := b.TempDir()
-		primer, err := netarch.NewEngine(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := primer.SetCacheDir(dir); err != nil {
-			b.Fatal(err)
-		}
-		firstQuery(b, primer)
-		if st := primer.CacheStats(); st.DiskWrites == 0 {
-			b.Fatalf("priming run persisted nothing: %v", st)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng, err := netarch.NewEngine(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.SetCacheDir(dir); err != nil {
-				b.Fatal(err)
-			}
-			firstQuery(b, eng)
-			if st := eng.CacheStats(); st.Misses != 0 || st.DiskHits != 1 {
-				b.Fatalf("disk-warm first query compiled instead of reviving: %v", st)
-			}
 		}
 	})
 	// Scaled-catalog cold starts: the first query against 5k/20k/50k-SKU

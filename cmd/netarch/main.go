@@ -82,11 +82,7 @@ Resource-governance flags (synth/check/optimize/explain/suggest/disambiguate):
                       answers are identical whatever the mode)
 
 Cache flags:
-  -cache-dir DIR      persist compiled bases to DIR and revive them on
-                      startup, so even a fresh process skips the first
-                      compile (corrupt/stale files recompile silently)
-  -cache-stats        print compiled-base cache stats after the queries,
-                      including disk hit/miss/evict/corrupt counters
+  -cache-stats        print compiled-base cache stats after the queries
   -rounds N           (multi) rounds of synth+explain+optimize (default 3)
 
 Serve flags (netarch serve; scenario flags set the prewarm shape, budget
@@ -321,17 +317,15 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 	}
 }
 
-// engineFlags registers the engine flags -kb, -slice and -cache-dir on
-// fs and returns a constructor for the KB and an engine over it
+// engineFlags registers the engine flags -kb and -slice on fs and
+// returns a constructor for the KB and an engine over it
 // configured by them. -kb names a JSON or DSL knowledge-base file, read
 // through loadAnyKB; without it the engine runs on the built-in case
 // study. -slice sets the relevance-slicing policy, a pure latency knob,
-// so answers never depend on it (DESIGN.md §16). -cache-dir turns on the
-// persistent compiled-base cache (see Engine.SetCacheDir).
+// so answers never depend on it (DESIGN.md §16).
 func engineFlags(fs *flag.FlagSet) (newEngine func() (*netarch.Engine, *netarch.KB, error)) {
 	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
 	slice := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
-	dir := fs.String("cache-dir", "", "directory for persistent compiled-base snapshots (empty = off)")
 	return func() (*netarch.Engine, *netarch.KB, error) {
 		mode, err := netarch.ParseSliceMode(*slice)
 		if err != nil {
@@ -352,11 +346,6 @@ func engineFlags(fs *flag.FlagSet) (newEngine func() (*netarch.Engine, *netarch.
 			return nil, nil, err
 		}
 		eng.SetSliceMode(mode)
-		if *dir != "" {
-			if err := eng.SetCacheDir(*dir); err != nil {
-				return nil, nil, err
-			}
-		}
 		return eng, k, nil
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // cmdServe runs the long-lived HTTP/JSON query service (DESIGN.md §12).
-// The scenario flags define the prewarm shape: the server compiles (or
-// revives from -cache-dir) that base before reporting ready, so the
+// The scenario flags define the prewarm shape: the server compiles that
+// base before reporting ready, so the
 // first real query already hits a warm base. SIGINT/SIGTERM trigger a
 // graceful drain; a clean drain exits 0.
 func cmdServe(args []string) error {
@@ -142,7 +142,7 @@ func cmdReload(args []string) error {
 	if err := json.Unmarshal(raw, &rr); err != nil {
 		return fmt.Errorf("reload: malformed response: %w", err)
 	}
-	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %d snapshots rewritten, %dms\n",
-		rr.Changes, rr.BasesUpdated, rr.BasesDropped, rr.SnapshotsRewritten, rr.ElapsedMS)
+	fmt.Printf("reloaded: %d changes, %d bases updated (%d dropped), %dms\n",
+		rr.Changes, rr.BasesUpdated, rr.BasesDropped, rr.ElapsedMS)
 	return nil
 }

@@ -16,8 +16,8 @@ import (
 // (telemetry firmware enabling INT, offload firmware enabling DPDK).
 // The generator is fully deterministic (a fixed multiplicative hash of
 // the base SKU name seeds every perturbation), so two processes built
-// from the same target size agree byte-for-byte — which the compiled
-// base disk cache and the scale differential both rely on.
+// from the same target size agree byte-for-byte — which the scale
+// differential and the compiled-base golden test rely on.
 //
 // The shape of the output is deliberately dominance-heavy: most
 // firmware revisions only make a SKU strictly worse (more power, more

@@ -35,26 +35,10 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 	// Hits and Misses count queries served from an in-memory base vs
 	// queries that had to compile one, over the engine's lifetime
-	// (InvalidateCache does not reset them). A query revived from disk
-	// counts as a DiskHit, not a Hit or a Miss, so Misses is exactly the
-	// number of base compiles: Hits + DiskHits + Misses = queries.
+	// (InvalidateCache does not reset them). Misses is exactly the
+	// number of base compiles: Hits + Misses = queries.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Disk-tier counters (all zero unless SetCacheDir is active).
-	// DiskHits: bases revived from a snapshot file. DiskMisses: lookups
-	// with no usable file. DiskWrites: snapshot files persisted.
-	// DiskEvictions: files removed by the size/count bound.
-	// DiskCorrupt: files rejected (bad CRC/magic/version, fingerprint
-	// mismatch) and quarantined. DiskStale: snapshots skipped because
-	// they were written from a different KB revision — left on disk
-	// untouched (the revision that wrote them may still be using them,
-	// and a live UpdateKB rewrites them in place), not quarantined.
-	DiskHits      int64 `json:"disk_hits"`
-	DiskMisses    int64 `json:"disk_misses"`
-	DiskWrites    int64 `json:"disk_writes"`
-	DiskEvictions int64 `json:"disk_evictions"`
-	DiskCorrupt   int64 `json:"disk_corrupt"`
-	DiskStale     int64 `json:"disk_stale"`
 	// Deprecated: PoolHits and PoolMisses always read 0. The engine
 	// keeps no clone pool; every query clones its base inline.
 	PoolHits   int64 `json:"-"`
@@ -73,17 +57,13 @@ type CacheStats struct {
 
 // String renders the cache stats.
 func (cs CacheStats) String() string {
-	total := cs.Hits + cs.DiskHits + cs.Misses
+	total := cs.Hits + cs.Misses
 	rate := 0.0
 	if total > 0 {
-		rate = float64(cs.Hits+cs.DiskHits) / float64(total) * 100
+		rate = float64(cs.Hits) / float64(total) * 100
 	}
 	s := fmt.Sprintf("%d bases cached (cap %d), %d hits / %d misses (%.0f%% hit rate)",
 		cs.Size, cs.Capacity, cs.Hits, cs.Misses, rate)
-	if cs.DiskHits+cs.DiskMisses+cs.DiskWrites+cs.DiskEvictions+cs.DiskCorrupt+cs.DiskStale > 0 {
-		s += fmt.Sprintf("; disk: %d hits / %d misses, %d writes, %d evicted, %d corrupt, %d stale",
-			cs.DiskHits, cs.DiskMisses, cs.DiskWrites, cs.DiskEvictions, cs.DiskCorrupt, cs.DiskStale)
-	}
 	if cs.SliceComputed+cs.SliceHits > 0 {
 		s += fmt.Sprintf("; slice: %d computed / %d memo hits, avg %d→%d SKUs",
 			cs.SliceComputed, cs.SliceHits,
@@ -97,9 +77,9 @@ func (cs CacheStats) String() string {
 //
 // The engine keeps every counter in one CacheStats value that is bumped
 // and copied under one mutex, so no snapshot is torn: a cached query
-// bumps exactly one of Hits, DiskHits and Misses before it solves, so
-// Hits+DiskHits+Misses is exactly the number of queries counted at the
-// instant of the copy. Size and Capacity are read under the cache lock.
+// bumps exactly one of Hits and Misses before it solves, so Hits+Misses
+// is exactly the number of queries counted at the instant of the copy.
+// Size and Capacity are read under the cache lock.
 // TestCacheStatsSnapshotHammer pins the invariants under the race
 // detector.
 func (e *Engine) CacheStats() CacheStats {
@@ -123,10 +103,6 @@ func (e *Engine) bump(counter *int64) {
 // mutating the knowledge base in place; queries in flight keep their
 // private clones and are unaffected. Hit/miss counters are lifetime
 // counters and are not reset.
-// InvalidateCache also re-fingerprints the knowledge base for the disk
-// tier, so snapshots written before the mutation are rejected as stale
-// (their KB hash no longer matches) rather than deleted — another process
-// on the old KB can still use them.
 func (e *Engine) InvalidateCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -136,9 +112,6 @@ func (e *Engine) InvalidateCache() {
 	// invalidation must not insert its pre-mutation base into the emptied
 	// cache (baseFor checks the generation at insert time).
 	e.kbGen++
-	if e.cacheDir != "" {
-		e.kbHash = kbContentHash(e.kbCur)
-	}
 	// Memoized slices were computed from the previous KB content; the
 	// generation in their memo key already fences them, but dropping them
 	// keeps the memo from holding dead sub-KBs alive.
@@ -260,27 +233,18 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 		e.bump(&e.stats.Hits)
 		return base, true, nil
 	}
-	// Memory miss: try the disk tier before paying the compile. A revived
-	// base bumps DiskHits only — Misses stays the compile count.
-	var fresh *compiled
-	fromDisk := false
-	if fresh = e.loadDiskBase(&shape, key, sl); fresh != nil {
-		e.bump(&e.stats.DiskHits)
-		fromDisk = true
-	} else {
-		fresh, err = e.compileSliced(k, &shape, sl)
-		if err != nil {
-			return nil, false, err
-		}
-		e.bump(&e.stats.Misses)
+	fresh, err := e.compileSliced(k, &shape, sl)
+	if err != nil {
+		return nil, false, err
 	}
+	e.bump(&e.stats.Misses)
 	e.mu.Lock()
 	if e.kbGen != gen {
 		// The KB moved (UpdateKB or InvalidateCache) while this base was
-		// compiling or loading: it belongs to the previous generation.
-		// Hand it to this query privately — it answers against the KB the
-		// query started under — but never cache or persist it, which
-		// would poison the fresh generation's cache.
+		// compiling: it belongs to the previous generation. Hand it to
+		// this query privately — it answers against the KB the query
+		// started under — but never cache it, which would poison the
+		// fresh generation's cache.
 		e.mu.Unlock()
 		return fresh, false, nil
 	}
@@ -297,11 +261,6 @@ func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) 
 		}
 	}
 	e.mu.Unlock()
-	if base == fresh && !fromDisk {
-		// Persist freshly compiled bases so the next process skips the
-		// compile too. Best-effort: a failed write only costs warmth.
-		e.writeDiskBase(base, key)
-	}
 	return base, true, nil
 }
 
@@ -325,12 +284,11 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	return e.specialize(base, sc, s), nil
 }
 
-// Prewarm compiles (or revives from the disk tier) the base for the
-// scenario's shape, so the first real query over that shape pays only
-// its clone, not the compile. It counts as one query in the cache
-// counters (a miss on a cold engine, a hit on a warm one). Serving
-// processes call this per expected scenario shape before reporting
-// ready.
+// Prewarm compiles the base for the scenario's shape, so the first real
+// query over that shape pays only its clone, not the compile. It counts
+// as one query in the cache counters (a miss on a cold engine, a hit on
+// a warm one). Serving processes call this per expected scenario shape
+// before reporting ready.
 func (e *Engine) Prewarm(sc Scenario) error {
 	_, _, err := e.baseFor(&sc)
 	return err

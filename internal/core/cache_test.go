@@ -224,7 +224,7 @@ func TestCacheHitCountingConcurrent(t *testing.T) {
 
 // TestCacheStatsSnapshotHammer hammers CacheStats from a reader while
 // concurrent queries bump the counters, pinning the documented snapshot
-// semantics (cache.go:CacheStats): the Hits+DiskHits+Misses sum is
+// semantics (cache.go:CacheStats): the Hits+Misses sum is
 // monotone across reads, bounded by started-queries from above and
 // completed-queries from below, and reconciles exactly once the engine
 // quiesces. Run it under -race to also catch torn counter access.
@@ -263,7 +263,7 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 			before := completed.Load()
 			st := eng.CacheStats()
 			after := started.Load()
-			sum := st.Hits + st.DiskHits + st.Misses
+			sum := st.Hits + st.Misses
 			if sum < lastSum {
 				select {
 				case readerErr <- fmt.Errorf("sum went backwards: %d -> %d", lastSum, sum):
@@ -308,16 +308,16 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 
 	st := eng.CacheStats()
 	total := int64(goroutines * rounds)
-	if st.Hits+st.DiskHits+st.Misses != total {
-		t.Fatalf("quiesced counters do not reconcile: hits=%d diskHits=%d misses=%d, want sum %d",
-			st.Hits, st.DiskHits, st.Misses, total)
+	if st.Hits+st.Misses != total {
+		t.Fatalf("quiesced counters do not reconcile: hits=%d misses=%d, want sum %d",
+			st.Hits, st.Misses, total)
 	}
 }
 
 // TestCacheStatsSnapshotHammerSliced is the hammer's sliced arm: with
 // slicing forced on, every query also bumps the slice counters, and
 // every snapshot must keep SliceSKUsKept <= SliceSKUsIn, a monotone
-// SliceComputed+SliceHits, and the Hits+DiskHits+Misses sum between the
+// SliceComputed+SliceHits, and the Hits+Misses sum between the
 // completed and started query counts.
 func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 	if testing.Short() {
@@ -351,7 +351,7 @@ func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 			before := completed.Load()
 			st := eng.CacheStats()
 			after := started.Load()
-			sum := st.Hits + st.DiskHits + st.Misses
+			sum := st.Hits + st.Misses
 			slices := st.SliceComputed + st.SliceHits
 			switch {
 			case sum < lastSum:
@@ -391,9 +391,9 @@ func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 
 	st := eng.CacheStats()
 	total := int64(goroutines * rounds)
-	if st.Hits+st.DiskHits+st.Misses != total {
-		t.Fatalf("quiesced counters do not reconcile: hits=%d diskHits=%d misses=%d, want sum %d",
-			st.Hits, st.DiskHits, st.Misses, total)
+	if st.Hits+st.Misses != total {
+		t.Fatalf("quiesced counters do not reconcile: hits=%d misses=%d, want sum %d",
+			st.Hits, st.Misses, total)
 	}
 	if st.SliceComputed == 0 || st.SliceComputed+st.SliceHits != total {
 		t.Fatalf("slice lookups = %d computed + %d hits, want %d in total with at least one computed",

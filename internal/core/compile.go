@@ -54,7 +54,7 @@ type compiled struct {
 
 	// sliceID / sliceReq identify the relevance slice this base was
 	// compiled against (slice.go): empty/nil for full-KB bases. The ID
-	// extends the cache key and the snapshot envelope, and specialize
+	// extends the cache key, and specialize
 	// copies it onto each query instance so EnumerateCtx can refuse a
 	// sliced one; the request lets UpdateKB recompute the slice under
 	// the incoming KB revision.
@@ -89,11 +89,6 @@ type compiled struct {
 	coresTotal intlin.Int
 	costTotal  intlin.Int
 
-	// witness is the most recent Sat model read back as a design; the
-	// optimizer snapshots it so a budget trip mid-optimization can still
-	// return the best design seen (graceful degradation).
-	witness *Design
-
 	totalKFlows int64
 	maxPeakBW   int64
 }
@@ -110,9 +105,9 @@ var exclusiveRoles = map[kb.Role]bool{
 
 // compileSliced compiles a base against a relevance slice's sub-KB (or
 // the full KB when sl is nil), stamping the slice identity onto the
-// result so the cache, snapshot envelope, and UpdateKB can reproduce
-// it. The compile pipeline itself is unchanged: a sliced base is just a
-// compile of a smaller knowledge base.
+// result so the cache and UpdateKB can reproduce it. The compile
+// pipeline itself is unchanged: a sliced base is just a compile of a
+// smaller knowledge base.
 func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, error) {
 	if sl == nil {
 		return e.compileBaseWith(k, sc)
@@ -215,8 +210,8 @@ func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 // probe solves the freshly compiled base once under its own selectors
 // and keeps what that search learnt on the base solver: saved phases,
 // VSIDS activities and learnt clauses. Learnt clauses are implied by the
-// CNF alone, so they are sound for every query. Every clone, snapshot
-// and cache-off instance starts from this prior, so a query's search
+// CNF alone, so they are sound for every query. Every clone and
+// cache-off instance starts from this prior, so a query's search
 // depends on its base only, never on which queries ran before it. The
 // probe's verdict, model and counters are dropped (sat.Solver.ResetRun),
 // so no query is charged for it. The base solver carries no fault hook
@@ -983,18 +978,6 @@ func (c *compiled) powerModel() intlin.Int {
 // objective, on the query instance like powerModel.
 func (c *compiled) portModel() intlin.Int {
 	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPortCount) }, kb.KindSwitch)
-}
-
-// selectorLit returns the literal of the selector registered under name.
-// Specialized instances carry no name index (selByName stays base-side),
-// so this scans; it is used by tests and diagnostics, not hot paths.
-func (c *compiled) selectorLit(name string) (sat.Lit, bool) {
-	for _, s := range c.selectors {
-		if s.name == name {
-			return s.lit, true
-		}
-	}
-	return 0, false
 }
 
 // assumptions returns all selector literals.

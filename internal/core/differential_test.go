@@ -20,8 +20,8 @@ import (
 // an answer must not depend on how it was computed. Every row of a
 // catalog's query table is answered by a reference engine — no
 // slicing, no base cache — and by each configuration. The identical
-// family (cache miss and hit, query history, disk revival, delta
-// update) must render byte for byte what the
+// family (cache miss and hit, query history, delta update) must
+// render byte for byte what the
 // reference renders, search effort included. The sliced family must be
 // equivalent under the slicing contracts of DESIGN.md §16 (see
 // compareSliced). Every configuration also asserts it engaged, so
@@ -53,12 +53,6 @@ func TestCacheDifferential(t *testing.T) {
 	runDifferential(t, caseStudyCatalog, seedConfigs("cache-miss", "cache-hit"))
 }
 
-// TestDiskCacheDifferential: an engine reviving every §5.1 base from a
-// cache directory answers as the uncached reference does.
-func TestDiskCacheDifferential(t *testing.T) {
-	runDifferential(t, caseStudyCatalog, seedConfigs("disk"))
-}
-
 // TestOptimizeDifferential: diffKB's lexicographic optima equal the
 // brute-force oracle's, certified, under every identical configuration.
 func TestOptimizeDifferential(t *testing.T) {
@@ -74,11 +68,11 @@ func TestParetoDifferential(t *testing.T) {
 // TestEnumerateCacheOffMatchesCacheOn: miniKB's enumeration answers on
 // every cache path as the uncached reference does.
 func TestEnumerateCacheOffMatchesCacheOn(t *testing.T) {
-	runDifferential(t, miniKBCatalog, seedConfigs("cache-miss", "cache-hit", "history", "disk", "delta"))
+	runDifferential(t, miniKBCatalog, seedConfigs("cache-miss", "cache-hit", "history", "delta"))
 }
 
 // identical is the identical family of the seed tier.
-var identical = []string{"cache-miss", "cache-hit", "history", "disk", "delta"}
+var identical = []string{"cache-miss", "cache-hit", "history", "delta"}
 
 var (
 	caseStudyCatalog = diffCatalog{kb: caseStudyKB, rows: caseStudyRows}
@@ -146,7 +140,7 @@ func answer(e *Engine, r diffRow) diffAnswer {
 	case "optimize":
 		res, err = e.Optimize(r.sc, r.objs)
 	case "pareto":
-		res, err = e.Pareto(r.sc, r.objs)
+		res, err = e.ParetoCtx(context.Background(), r.sc, r.objs, Budget{})
 	case "enumerate":
 		res, err = e.EnumerateCtx(context.Background(), r.sc, r.max, Budget{})
 	default:
@@ -269,24 +263,6 @@ func seedConfigs(names ...string) []diffConfig {
 			got := answerAll(e, rows)
 			if st := e.CacheStats(); st.Hits == 0 {
 				t.Errorf("history: no query hit a cached base: %+v", st)
-			}
-			return got
-		}},
-		{name: "disk", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			dir := t.TempDir()
-			writer := diffEngine(t, c.kb(), SliceOff)
-			if err := writer.SetCacheDir(dir); err != nil {
-				t.Fatal(err)
-			}
-			answerAll(writer, rows)
-			writer.FlushDiskCache()
-			reader := diffEngine(t, c.kb(), SliceOff)
-			if err := reader.SetCacheDir(dir); err != nil {
-				t.Fatal(err)
-			}
-			got := answerAll(reader, rows)
-			if st := reader.CacheStats(); st.Misses != 0 || st.DiskHits == 0 || st.DiskCorrupt != 0 {
-				t.Errorf("disk: every base must revive from disk: %+v", st)
 			}
 			return got
 		}},
@@ -496,7 +472,7 @@ func (c *refChecker) sameCore(t *testing.T, label string, r diffRow, got, want *
 			ok := true
 			var assume []sat.Lit
 			for _, name := range gotN {
-				lit, found := inst.selectorLit(name)
+				lit, found := selectorLit(inst, name)
 				ok = ok && found
 				assume = append(assume, lit)
 			}
@@ -609,7 +585,7 @@ func caseStudyRows(t *testing.T, tab *Engine) []diffRow {
 	if err != nil || len(seed.Designs) < 2 {
 		t.Fatalf("complete-space seed: %v %v", err, seed)
 	}
-	for _, s := range tab.KB().Systems {
+	for _, s := range tab.kbSnapshot().Systems {
 		if !slices.ContainsFunc(seed.Designs, func(d *Design) bool { return d.HasSystem(s.Name) }) {
 			sc.ForbiddenSystems = append(sc.ForbiddenSystems, s.Name)
 		}
@@ -703,7 +679,7 @@ func miniKBRows(*testing.T, *Engine) []diffRow {
 // Q3.
 func scaleRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
-	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.KB())...), "synthesize", "check")
+	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.kbSnapshot())...), "synthesize", "check")
 	for _, s := range scs {
 		if s.name != "q1-baseline" && s.name != "q1-grown-frozen" && s.name != "q3-with-cxl" {
 			continue

@@ -17,7 +17,7 @@ import (
 // every query solves against a private clone of the cached base, so
 // goroutines never share mutable solver state. Use CacheStats,
 // SetCacheCapacity and InvalidateCache to observe and control the cache;
-// the cache, disk and slice counters are one CacheStats value under one
+// the cache and slice counters are one CacheStats value under one
 // mutex, so CacheStats never returns a torn snapshot.
 type Engine struct {
 	// kbCur is the engine's current knowledge base, guarded by mu —
@@ -43,22 +43,11 @@ type Engine struct {
 	baseOrder []string
 	cacheCap  int
 
-	// stats holds every cache, disk and slice counter; each bump and each
+	// stats holds every cache and slice counter; each bump and each
 	// CacheStats snapshot holds statsMu, so a snapshot is never torn.
 	// Size and Capacity stay zero here: CacheStats reads them under mu.
 	statsMu sync.Mutex
 	stats   CacheStats
-
-	// Disk tier (see diskcache.go): cacheDir enables persistence of
-	// frozen bases across processes; kbHash keys the snapshots to the
-	// exact knowledge-base content; diskMaxFiles/diskMaxBytes bound it
-	// (diskCacheFiles/diskCacheBytes, smaller only in tests). diskMu
-	// serializes writes+eviction (loads are lock-free).
-	cacheDir     string
-	kbHash       [32]byte
-	diskMu       sync.Mutex
-	diskMaxFiles int
-	diskMaxBytes int64
 
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
 	// SliceOff / SliceOn); sliceMemo caches computed slices per
@@ -81,18 +70,11 @@ func New(k *kb.KB) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		kbCur:        k,
-		bases:        make(map[string]*compiled),
-		cacheCap:     DefaultCacheCapacity,
-		diskMaxFiles: diskCacheFiles,
-		diskMaxBytes: diskCacheBytes,
+		kbCur:    k,
+		bases:    make(map[string]*compiled),
+		cacheCap: DefaultCacheCapacity,
 	}, nil
 }
-
-// KB returns the engine's current knowledge base. UpdateKB swaps the
-// pointer live, so callers spanning multiple KB reads should capture the
-// result once rather than calling KB() repeatedly.
-func (e *Engine) KB() *kb.KB { return e.kbSnapshot() }
 
 // kbSnapshot captures the current KB pointer under the read lock. Every
 // engine operation that reads the KB takes one snapshot up front and uses

@@ -119,7 +119,7 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		}
 		assumps := make([]sat.Lit, 0, len(ex.Conflicts))
 		for _, item := range ex.Conflicts {
-			l, ok := c.selectorLit(item.Name)
+			l, ok := selectorLit(c, item.Name)
 			if !ok {
 				return false
 			}
@@ -145,4 +145,15 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// selectorLit returns the literal of c's selector named name. Query
+// instances carry no name index, so this scans.
+func selectorLit(c *compiled, name string) (sat.Lit, bool) {
+	for _, s := range c.selectors {
+		if s.name == name {
+			return s.lit, true
+		}
+	}
+	return 0, false
 }

@@ -44,11 +44,10 @@ func sampleValue(t reflect.Type) reflect.Value {
 	return v
 }
 
-// TestFingerprintCoversEveryScenarioField is the aliasing guard demanded
-// by the disk tier: fingerprints name snapshot files that outlive the
-// process, so a Scenario field the fingerprint ignores would silently
-// alias different scenarios to one cache entry — across restarts, with no
-// recompile to save you. Every exported field, present and future, must
+// TestFingerprintCoversEveryScenarioField is the aliasing guard of the
+// compiled-base cache: fingerprints key cached bases, so a Scenario
+// field the fingerprint ignores would silently alias different scenarios
+// to one cache entry. Every exported field, present and future, must
 // perturb the fingerprint.
 func TestFingerprintCoversEveryScenarioField(t *testing.T) {
 	scType := reflect.TypeOf(Scenario{})
@@ -64,7 +63,7 @@ func TestFingerprintCoversEveryScenarioField(t *testing.T) {
 		sc := probe.Addr().Interface().(*Scenario)
 		if got := sc.fingerprint(); got == zeroFP {
 			t.Errorf("Scenario.%s does not perturb fingerprint(): a new field must be added to the "+
-				"fingerprint before it ships, or on-disk cache entries alias across scenarios", field.Name)
+				"fingerprint before it ships, or cache entries alias across scenarios", field.Name)
 		}
 	}
 }

@@ -2,11 +2,79 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"testing"
 
 	"netarch/internal/catalog"
+	"netarch/internal/intlin"
+	"netarch/internal/logic"
+	"netarch/internal/sat"
 )
+
+// baseSnapshotMagic and baseSnapshotVersion head every snapshotBase
+// envelope, the byte form of a compiled base the golden hashes pin.
+var baseSnapshotMagic = [8]byte{'N', 'A', 'B', 'A', 'S', 'E', 1, '\n'}
+
+const baseSnapshotVersion = 13
+
+func appendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func appendLit(buf []byte, l sat.Lit) []byte {
+	return binary.AppendVarint(buf, int64(l))
+}
+
+func appendInt(buf []byte, a intlin.Int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(a.Width()))
+	for i := 0; i < a.Width(); i++ {
+		buf = appendLit(buf, a.Bit(i))
+	}
+	return binary.AppendUvarint(buf, uint64(a.Max()))
+}
+
+// snapshotBase serializes a frozen compiled base: magic, version, the
+// given KB hash, the shape fingerprint, the slice identity, the
+// vocabulary names, the arithmetic true literal, the selectors, the
+// coresUsed/coresTotal/costTotal bit vectors and the solver snapshot,
+// sealed by a CRC32-IEEE. Two bases with equal envelopes are the same
+// base, so tests compare bases by these bytes.
+func snapshotBase(c *compiled, kbHash [32]byte) []byte {
+	solverSnap := c.solver.Snapshot()
+	fp := c.sc.fingerprint()
+	nNames := c.vocab.Len()
+
+	buf := make([]byte, 0, len(solverSnap)+len(fp)+16*nNames+1024)
+	buf = append(buf, baseSnapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, baseSnapshotVersion)
+	buf = append(buf, kbHash[:]...)
+	buf = appendString(buf, fp)
+	buf = appendString(buf, c.sliceID)
+
+	buf = binary.AppendUvarint(buf, uint64(nNames))
+	for v := 1; v <= nNames; v++ {
+		buf = appendString(buf, c.vocab.Name(logic.Var(v)))
+	}
+
+	buf = appendLit(buf, c.arith.True())
+	buf = binary.AppendUvarint(buf, uint64(len(c.selectors)))
+	for _, s := range c.selectors {
+		buf = appendString(buf, s.name)
+		buf = appendString(buf, s.note)
+		buf = appendLit(buf, s.lit)
+	}
+	buf = appendInt(buf, c.coresUsed)
+	buf = appendInt(buf, c.coresTotal)
+	buf = appendInt(buf, c.costTotal)
+
+	buf = binary.AppendUvarint(buf, uint64(len(solverSnap)))
+	buf = append(buf, solverSnap...)
+
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
 
 // TestCompiledBaseGolden pins the bytes of compiled bases across commits:
 // the SHA-256 of the solver snapshot straight out of compileUnprobed

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestMetamorphicCostTranslation(t *testing.T) {
 func TestMetamorphicDominatedSKU(t *testing.T) {
 	objs := []Objective{{Kind: MinimizeCost}, {Kind: MinimizePower}}
 	sc := Scenario{}
-	base, err := mustEngine(t, diffKB()).Pareto(sc, objs)
+	base, err := mustEngine(t, diffKB()).ParetoCtx(context.Background(), sc, objs, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMetamorphicDominatedSKU(t *testing.T) {
 		},
 		CostUSD: 50000,
 	})
-	got, err := mustEngine(t, worse).Pareto(sc, objs)
+	got, err := mustEngine(t, worse).ParetoCtx(context.Background(), sc, objs, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

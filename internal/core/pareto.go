@@ -42,16 +42,12 @@ type ParetoResult struct {
 	Spent BudgetSpent
 }
 
-// Pareto enumerates the full Pareto frontier of the objectives over the
-// scenario's design space: every objective vector no design can improve
-// on in one coordinate without worsening another, each with a witness.
-func (e *Engine) Pareto(sc Scenario, objectives []Objective) (*ParetoResult, error) {
-	return e.ParetoCtx(context.Background(), sc, objectives, Budget{})
-}
-
-// ParetoCtx is Pareto under a context and resource budget. Resource
-// exhaustion is not an error: the partial frontier is returned with
-// Complete false and Exhausted set, mirroring EnumerateCtx.
+// ParetoCtx enumerates the full Pareto frontier of the objectives over
+// the scenario's design space, under a context and resource budget:
+// every objective vector no design can improve on in one coordinate
+// without worsening another, each with a witness. Resource exhaustion
+// is not an error: the partial frontier is returned with Complete false
+// and Exhausted set, mirroring EnumerateCtx.
 func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*ParetoResult, error) {
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("core: pareto requires at least one objective")

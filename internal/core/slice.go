@@ -25,9 +25,8 @@ import (
 // required properties, workload needs, pinned systems, bound
 // references, and the *names* (not values) of pinned context atoms.
 // Two queries with the same request share one slice and therefore one
-// compiled base; the request is part of the cache key (sliceKeySuffix)
-// and of the snapshot envelope (version 5), so a cached sliced base can
-// never alias a full one.
+// compiled base; the request is part of the cache key (sliceKeySuffix),
+// so a cached sliced base can never alias a full one.
 //
 // Soundness argument (both directions, per verdict):
 //
@@ -211,7 +210,7 @@ func deriveSliceRequest(k *kb.KB, sc *Scenario, shape *Scenario) *sliceRequest {
 // kbSlice is a computed cone-of-influence slice: the sub-KB to compile
 // plus its identity and size accounting.
 type kbSlice struct {
-	id  string // short content hash; part of the cache key and envelope
+	id  string // short content hash; part of the cache key
 	req *sliceRequest
 	sub *kb.KB
 

@@ -9,14 +9,12 @@ import (
 
 // Live knowledge-base updates. Production catalogs churn — one new SKU,
 // one edited rule — and before UpdateKB any mutation meant dropping every
-// compiled base, invalidating every disk snapshot, and paying cold-start
-// compiles on the next queries. UpdateKB instead revalidates the cache in
-// place: each cached base is recompiled against the incoming KB exactly
-// as a cold query would compile it (compile-time probe included), and
-// the base's disk snapshot is rewritten under the new KB hash so the
-// disk tier stays warm too. In-flight queries are never disturbed: they
-// solve on private clones of the old bases, which stay frozen and valid
-// until the last query referencing them finishes.
+// compiled base and paying cold-start compiles on the next queries.
+// UpdateKB instead revalidates the cache in place: each cached base is
+// recompiled against the incoming KB exactly as a cold query would
+// compile it (compile-time probe included). In-flight queries are never
+// disturbed: they solve on private clones of the old bases, which stay
+// frozen and valid until the last query referencing them finishes.
 
 // KBUpdate reports what one UpdateKB call did.
 type KBUpdate struct {
@@ -30,15 +28,12 @@ type KBUpdate struct {
 	// (e.g. their workload was removed) and were evicted instead.
 	BasesUpdated int
 	BasesDropped int
-	// SnapshotsRewritten counts disk snapshots rewritten under the new KB
-	// hash (zero without a cache directory).
-	SnapshotsRewritten int
 }
 
 // String renders the update summary.
 func (u *KBUpdate) String() string {
-	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped), %d snapshots rewritten",
-		len(u.Diff), u.BasesUpdated, u.BasesDropped, u.SnapshotsRewritten)
+	return fmt.Sprintf("%d KB changes; %d bases updated (%d dropped)",
+		len(u.Diff), u.BasesUpdated, u.BasesDropped)
 }
 
 // UpdateKB swaps the engine's knowledge base for newKB, recompiling every
@@ -70,7 +65,7 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	up := &KBUpdate{Diff: kb.Diff(old, newKB)}
 	if len(up.Diff) == 0 {
 		// Content-identical KB: adopt the new pointer (callers may hold
-		// it) but keep every base, snapshot, and the generation — bases
+		// it) but keep every base and the generation — bases
 		// compiled against the old pointer answer identically.
 		e.mu.Lock()
 		e.kbCur = newKB
@@ -120,9 +115,7 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		if err != nil {
 			// The shape no longer compiles under the new KB (its
 			// workload or pinned hardware was removed): evict it rather
-			// than failing the whole update. Its old disk snapshot is
-			// now stale and will be skipped — not quarantined — until
-			// eviction ages it out.
+			// than failing the whole update.
 			up.BasesDropped++
 			continue
 		}
@@ -130,18 +123,11 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		up.BasesUpdated++
 	}
 
-	dir, _, _, _, _ := e.diskConfig()
-	var hash [32]byte
-	if dir != "" {
-		hash = kbContentHash(newKB)
-	}
-
 	// The swap: new KB, new generation, rebuilt cache. Queries admitted
 	// from here on see only new-KB state.
 	e.mu.Lock()
 	e.kbCur = newKB
 	e.kbGen++
-	e.kbHash = hash
 	e.bases = make(map[string]*compiled, len(fresh))
 	e.baseOrder = e.baseOrder[:0]
 	for _, rb := range fresh {
@@ -150,15 +136,5 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	}
 	e.mu.Unlock()
 	e.invalidateSliceMemo()
-
-	// Rewrite the disk tier off the lock. The rewrite reuses each
-	// shape's snapshot path, so the files that just went stale are
-	// replaced in place — the disk tier is warm for the new KB the
-	// moment this returns.
-	for _, rb := range fresh {
-		if e.writeDiskBase(rb.base, rb.key) {
-			up.SnapshotsRewritten++
-		}
-	}
 	return up, nil
 }

@@ -3,12 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"netarch/internal/kb"
 	"netarch/internal/sat"
@@ -99,7 +96,7 @@ func TestUpdateKBStats(t *testing.T) {
 	if up.BasesUpdated != 1 || up.BasesDropped != 0 {
 		t.Fatalf("bases: %+v", up)
 	}
-	if e.KB() != next {
+	if e.kbSnapshot() != next {
 		t.Error("KB() does not return the updated knowledge base")
 	}
 
@@ -132,7 +129,7 @@ func TestUpdateKBNoChange(t *testing.T) {
 	if st := e.CacheStats(); st.Size != 1 {
 		t.Errorf("no-op update dropped cached bases: %+v", st)
 	}
-	if e.KB() != same {
+	if e.kbSnapshot() != same {
 		t.Error("no-op update must still adopt the caller's pointer")
 	}
 }
@@ -141,7 +138,7 @@ func TestUpdateKBNoChange(t *testing.T) {
 // untouched.
 func TestUpdateKBRejectsInvalid(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	old := e.KB()
+	old := e.kbSnapshot()
 	if _, err := e.UpdateKB(nil); err == nil {
 		t.Error("nil KB accepted")
 	}
@@ -150,7 +147,7 @@ func TestUpdateKBRejectsInvalid(t *testing.T) {
 	if _, err := e.UpdateKB(bad); err == nil {
 		t.Error("invalid KB accepted")
 	}
-	if e.KB() != old {
+	if e.kbSnapshot() != old {
 		t.Error("failed update swapped the KB anyway")
 	}
 }
@@ -223,36 +220,6 @@ func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	got := answer(e, row).text
 	if fresh := answer(mustEngine(t, next), row).text; got != fresh {
 		t.Errorf("query on the updated base diverges from a fresh engine:\n got %s\nwant %s", got, fresh)
-	}
-}
-
-// TestUpdateKBRewritesSnapshots: with a disk tier configured, UpdateKB
-// must rewrite each updated base's snapshot in place under the new KB
-// hash, so a cold process over the new KB gets disk hits, not stale skips.
-func TestUpdateKBRewritesSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	e := mustDiskEngine(t, miniKB(), dir)
-	sc := Scenario{Require: []kb.Property{"congestion_control"}}
-	if _, err := e.Synthesize(sc); err != nil {
-		t.Fatal(err)
-	}
-	next := miniKB()
-	next.Rules[0].Note = "rev2"
-	up, err := e.UpdateKB(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.SnapshotsRewritten != 1 {
-		t.Fatalf("SnapshotsRewritten = %d, want 1", up.SnapshotsRewritten)
-	}
-	// Save/Load round-trips next's content; a cold engine over it must
-	// revive the rewritten snapshot from disk without compiling.
-	cold := mustDiskEngine(t, next, dir)
-	if _, err := cold.Synthesize(sc); err != nil {
-		t.Fatal(err)
-	}
-	if st := cold.CacheStats(); st.DiskHits != 1 || st.Misses != 0 || st.DiskStale != 0 {
-		t.Errorf("rewritten snapshot not served to the new-KB process: %+v", st)
 	}
 }
 
@@ -377,7 +344,7 @@ func TestUpdateKBConcurrentUpdates(t *testing.T) {
 	default:
 	}
 
-	last := e.KB()
+	last := e.kbSnapshot()
 	if last != finals[0] && last != finals[1] {
 		t.Fatal("KB() is not the last revision applied")
 	}
@@ -467,82 +434,17 @@ func TestCacheEvictionReleasesEvictedKeys(t *testing.T) {
 	t.Error("evicted base never became collectable; eviction still pins it")
 }
 
-// TestDiskCacheQuarantineBudget is the regression test for the quarantine
-// eviction leak: ".bad" files must count against the disk byte budget and
-// age out through the same mtime-ordered eviction as live snapshots.
-func TestDiskCacheQuarantineBudget(t *testing.T) {
-	dir := t.TempDir()
-	e := mustDiskEngine(t, miniKB(), dir)
-	if _, err := e.Synthesize(Scenario{}); err != nil {
-		t.Fatal(err)
-	}
-	files := cacheFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("expected one cache file, got %v", files)
-	}
-	liveSize, err := os.Stat(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Plant quarantined files that alone exceed the byte budget; they are
-	// older than any live file, so eviction must take them first.
-	junk := bytes.Repeat([]byte{0xde}, int(liveSize.Size()))
-	stale := liveSize.ModTime().Add(-time.Hour)
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("%s/%04d%s%s", dir, i, baseSnapshotExt, quarantineExt)
-		if err := os.WriteFile(name, junk, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(name, stale, stale); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.diskMaxFiles, e.diskMaxBytes = 100, 2*liveSize.Size()
-
-	// The next write triggers eviction; the quarantined bulk must go.
-	if _, err := e.Synthesize(Scenario{NumServers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var quarantined, live int
-	for _, ent := range entries {
-		switch {
-		case strings.HasSuffix(ent.Name(), baseSnapshotExt+quarantineExt):
-			quarantined++
-		case strings.HasSuffix(ent.Name(), baseSnapshotExt):
-			live++
-		}
-	}
-	if live != 2 {
-		t.Errorf("live snapshots = %d, want 2 (both shapes)", live)
-	}
-	if quarantined > 0 {
-		t.Errorf("%d quarantined files survived a byte budget they exceed alone", quarantined)
-	}
-	if st := e.CacheStats(); st.DiskEvictions == 0 {
-		t.Errorf("evictions not counted: %+v", st)
-	}
-}
-
 // TestKBMutationStalenessOrdering pins the documented in-place-mutation
-// protocol: disable the disk tier, mutate the KB in place, InvalidateCache,
-// re-enable the disk tier. Snapshots written before the mutation must be
-// rejected as stale (not quarantined, not silently reused), and a query
+// protocol: mutate the KB in place, then InvalidateCache. The next query
+// must recompile against the mutated content (its base equals a cold
+// compile of the mutated KB, not the pre-mutation base), and a query
 // mid-flight on a clone of the old base must still complete.
 func TestKBMutationStalenessOrdering(t *testing.T) {
-	dir := t.TempDir()
 	k := miniKB()
-	e := mustDiskEngine(t, k, dir)
+	e := mustEngine(t, k)
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	if _, err := e.Synthesize(sc); err != nil {
 		t.Fatal(err)
-	}
-	if len(cacheFiles(t, dir)) != 1 {
-		t.Fatal("expected one snapshot on disk")
 	}
 
 	// A query mid-flight: clone the old base before the mutation, solve it
@@ -553,34 +455,34 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 		t.Fatalf("baseFor: %v (shared=%v)", err, shared)
 	}
 	oldClone := base.solver.Clone()
+	oldBytes := snapshotBase(base, [32]byte{})
 
 	// The documented protocol for in-place mutation.
-	if err := e.SetCacheDir(""); err != nil {
-		t.Fatal(err)
-	}
 	k.Hardware[0].CostUSD += 500 // in-place content change
 	e.InvalidateCache()
-	if err := e.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
 
-	// The pre-mutation snapshot must be skipped as stale and replaced by
-	// the recompile's write — never quarantined, never silently reused.
+	// The pre-mutation base must not be reused: the next query compiles
+	// the mutated KB exactly as a cold engine does.
 	if _, err := e.Synthesize(sc); err != nil {
 		t.Fatal(err)
 	}
-	st := e.CacheStats()
-	if st.DiskStale != 1 || st.DiskCorrupt != 0 {
-		t.Errorf("pre-mutation snapshot: %+v (want 1 stale, 0 corrupt)", st)
+	if st := e.CacheStats(); st.Misses != 2 {
+		t.Errorf("query after InvalidateCache did not recompile: %+v", st)
 	}
-	entries, err := os.ReadDir(dir)
+	fresh, _, err := e.baseFor(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ent := range entries {
-		if strings.HasSuffix(ent.Name(), quarantineExt) {
-			t.Errorf("stale snapshot was quarantined: %s", ent.Name())
-		}
+	cold, _, err := mustEngine(t, k).baseFor(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshBytes := snapshotBase(fresh, [32]byte{})
+	if bytes.Equal(freshBytes, oldBytes) {
+		t.Error("the post-mutation base equals the pre-mutation base")
+	}
+	if !bytes.Equal(freshBytes, snapshotBase(cold, [32]byte{})) {
+		t.Error("the post-mutation base differs from a cold compile of the mutated KB")
 	}
 
 	// The mid-flight clone still solves.

@@ -38,22 +38,6 @@ func (a Int) Width() int { return len(a.bits) }
 // Bit returns the literal of bit i (bit 0 is least significant).
 func (a Int) Bit(i int) sat.Lit { return a.bits[i] }
 
-// Bits returns a copy of the integer's literals, LSB first. Together with
-// Max it captures an Int exactly, so an integer circuit already present in
-// a serialized solver can be re-described via RestoreInt.
-func (a Int) Bits() []sat.Lit { return append([]sat.Lit(nil), a.bits...) }
-
-// RestoreInt reassembles an Int from Bits/Max output. It preserves the
-// exact declared maximum and builds no clauses: the circuit the literals
-// came from must already exist in the target solver (e.g. restored from a
-// snapshot).
-func RestoreInt(bits []sat.Lit, max int64) Int {
-	if max < 0 {
-		panic(fmt.Sprintf("intlin: negative maximum %d", max))
-	}
-	return Int{bits: append([]sat.Lit(nil), bits...), max: max}
-}
-
 // Builder allocates integer circuits in a solver. It reuses a scratch
 // buffer across gates, so one Builder must not be used from two
 // goroutines at once.
@@ -334,9 +318,6 @@ func (b *Builder) Eq(a, c Int) sat.Lit {
 	}
 	return b.andGate(ls...)
 }
-
-// Assert adds the literal as a unit clause (convenience).
-func (b *Builder) Assert(l sat.Lit) { b.s.AddClause(l) }
 
 // AssertImplies adds guard → l.
 func (b *Builder) AssertImplies(guard, l sat.Lit) { b.s.AddClause(guard.Flip(), l) }

@@ -60,7 +60,7 @@ func TestQuickAddCommutes(t *testing.T) {
 		y := b.Var(int64(1 + r.Intn(40)))
 		ab := b.Add(x, y)
 		ba := b.Add(y, x)
-		b.Assert(b.Eq(ab, ba))
+		b.s.AddClause(b.Eq(ab, ba))
 		// Must be satisfiable for every pinning of x and y.
 		xv := int64(r.Intn(int(x.Max() + 1)))
 		yv := int64(r.Intn(int(y.Max() + 1)))

@@ -27,7 +27,7 @@ func (b *Builder) EqConst(a Int, k int64) sat.Lit {
 
 // pin asserts a = v and returns whether the solver stayed consistent.
 func pin(b *Builder, a Int, v int64) {
-	b.Assert(b.EqConst(a, v))
+	b.s.AddClause(b.EqConst(a, v))
 }
 
 func TestConstRoundTrip(t *testing.T) {
@@ -214,7 +214,7 @@ func TestBudgetScenario(t *testing.T) {
 	b := New(s)
 	g1, g2, g3 := sat.Lit(s.NewVar()), sat.Lit(s.NewVar()), sat.Lit(s.NewVar())
 	total := b.Sum(b.ScaledBool(g1, 4), b.ScaledBool(g2, 7), b.ScaledBool(g3, 10))
-	b.Assert(b.LeqConst(total, 12))
+	b.s.AddClause(b.LeqConst(total, 12))
 
 	// g1+g2 (11) fits; g2+g3 (17) must not.
 	if s.SolveAssuming([]sat.Lit{g1, g2}) != sat.Sat {
@@ -292,59 +292,35 @@ func TestAssertImplies(t *testing.T) {
 	}
 }
 
-// TestRestoreIntAcrossSnapshot exercises the serialization accessors: an
-// integer circuit built in one solver is carried across a sat.Snapshot via
-// Bits/Max, reattached with Attach+RestoreInt, and must evaluate and
-// constrain identically in the restored solver.
-func TestRestoreIntAcrossSnapshot(t *testing.T) {
+// TestAttachAcrossClone exercises the path a cached base takes to each
+// query: an integer circuit built in one solver is carried across a
+// sat.Clone, reattached with Attach, and the same Int must evaluate and
+// constrain identically in the clone.
+func TestAttachAcrossClone(t *testing.T) {
 	s := sat.NewSolver()
 	b := New(s)
 	x := b.Var(20)
 	y := b.Var(9)
 	sum := b.Add(x, y)
-	b.Assert(b.EqConst(x, 13))
-	b.Assert(b.EqConst(y, 6))
+	s.AddClause(b.EqConst(x, 13))
+	s.AddClause(b.EqConst(y, 6))
 
-	restored, err := sat.RestoreSnapshot(s.Snapshot())
-	if err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	clone := s.Clone()
+	cb := Attach(clone, b.True())
+	// New clauses against the cloned circuit must behave as in-process.
+	clone.AddClause(cb.GeqConst(sum, 19))
+	if clone.Solve() != sat.Sat {
+		t.Fatal("clone: want SAT (13+6 = 19)")
 	}
-	rb := Attach(restored, b.True())
-	rsum := RestoreInt(sum.Bits(), sum.Max())
-	if rsum.Max() != sum.Max() || rsum.Width() != sum.Width() {
-		t.Fatalf("RestoreInt shape: got max %d width %d, want %d/%d",
-			rsum.Max(), rsum.Width(), sum.Max(), sum.Width())
+	if got := ValueOf(sum, clone.Model()); got != 19 {
+		t.Fatalf("clone sum: got %d, want 19", got)
 	}
-	// New clauses against the restored circuit must behave as in-process.
-	rb.Assert(rb.GeqConst(rsum, 19))
-	if restored.Solve() != sat.Sat {
-		t.Fatal("restored: want SAT (13+6 = 19)")
+	clone.AddClause(cb.GeqConst(sum, 20))
+	if clone.Solve() != sat.Unsat {
+		t.Fatal("clone: want UNSAT (sum pinned to 19)")
 	}
-	if got := ValueOf(rsum, restored.Model()); got != 19 {
-		t.Fatalf("restored sum: got %d, want 19", got)
-	}
-	rb.Assert(rb.GeqConst(rsum, 20))
-	if restored.Solve() != sat.Unsat {
-		t.Fatal("restored: want UNSAT (sum pinned to 19)")
-	}
-}
-
-// TestBitsIsACopy guards against aliasing: mutating the returned slice
-// must not corrupt the Int.
-func TestBitsIsACopy(t *testing.T) {
-	s := sat.NewSolver()
-	b := New(s)
-	x := b.Var(7)
-	bits := x.Bits()
-	for i := range bits {
-		bits[i] = bits[i].Flip()
-	}
-	pin(b, x, 5)
 	if s.Solve() != sat.Sat {
-		t.Fatal("want SAT")
-	}
-	if got := ValueOf(x, s.Model()); got != 5 {
-		t.Fatalf("after mutating Bits copy: got %d, want 5", got)
+		t.Fatal("source: clauses added to the clone leaked into it")
 	}
 }
 
@@ -412,9 +388,9 @@ func TestConstantOperandsAllocateNothing(t *testing.T) {
 		t.Fatalf("half adder allocated %d variables, want 2", n)
 	}
 
-	b.Assert(b.EqConst(x, 11))
-	b.Assert(l1)
-	b.Assert(l2.Flip())
+	b.s.AddClause(b.EqConst(x, 11))
+	b.s.AddClause(l1)
+	b.s.AddClause(l2.Flip())
 	if s.Solve() != sat.Sat {
 		t.Fatal("want SAT")
 	}

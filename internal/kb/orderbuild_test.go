@@ -29,12 +29,19 @@ func TestOrderSpecBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Dimension() != "quality" || len(g.Edges()) != 2 {
-		t.Errorf("built graph wrong: %d edges", len(g.Edges()))
+	off, err := g.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !off.Better("a", "b") || off.Better("b", "c") || off.Equal("c", "d") {
+		t.Error("built graph wrong without its guard: want only a > b")
 	}
 	r, err := g.Resolve(order.Context{vo.Lookup("ctx:fast"): true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !r.Better("a", "c") {
+		t.Error("built graph lacks the guarded edge")
 	}
 	if !r.Equal("c", "d") {
 		t.Error("built graph lacks the guarded equal")

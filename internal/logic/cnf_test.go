@@ -93,7 +93,7 @@ func TestAssertTrueFalse(t *testing.T) {
 
 func TestAssertConjunctionSplits(t *testing.T) {
 	vo := NewVocabulary()
-	a, b := vo.Atom("a"), vo.Atom("b")
+	a, b := V(vo.Get("a")), V(vo.Get("b"))
 	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(And(a, b))
 	// Both conjuncts become unit clauses, no aux variables needed.
@@ -107,7 +107,7 @@ func TestAssertConjunctionSplits(t *testing.T) {
 
 func TestAssertDisjunctionSingleClause(t *testing.T) {
 	vo := NewVocabulary()
-	a, b, c := vo.Atom("a"), vo.Atom("b"), vo.Atom("c")
+	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
 	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(Or(a, Not(b), c))
 	if len(cv.CNF.Clauses) != 1 {
@@ -117,7 +117,7 @@ func TestAssertDisjunctionSingleClause(t *testing.T) {
 
 func TestConverterCacheReuse(t *testing.T) {
 	vo := NewVocabulary()
-	a, b, c := vo.Atom("a"), vo.Atom("b"), vo.Atom("c")
+	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
 	sub := And(a, b)
 	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
 	cv.Assert(Or(sub, c))

@@ -40,7 +40,7 @@ func TestConvertEquisatisfiable(t *testing.T) {
 // base plus the total aux count.
 func TestConvertAuxBlocks(t *testing.T) {
 	vo := NewVocabulary()
-	a, b, c, d := vo.Atom("a"), vo.Atom("b"), vo.Atom("c"), vo.Atom("d")
+	a, b, c, d := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c")), V(vo.Get("d"))
 	base := vo.Len()
 	sub := And(a, b)
 	fs := []Formula{Or(sub, c), Or(sub, d)}

@@ -290,6 +290,15 @@ func TestSimplifyMatchesStringKeyedOracle(t *testing.T) {
 	}
 }
 
+// nodes returns the number of nodes in f's tree.
+func nodes(f Formula) int {
+	n := 1
+	for _, a := range f.args {
+		n += nodes(a)
+	}
+	return n
+}
+
 func maxArity(f Formula) int {
 	n := len(f.args)
 	for _, a := range f.args {
@@ -372,7 +381,7 @@ func TestSimplifyAllocFree(t *testing.T) {
 		}
 	}
 	narrow := Simplify(Or(Not(And(args[:6]...)), And(args[6:]...)))
-	if narrow.Size() < 50 || maxArity(narrow) > smallArity {
+	if nodes(narrow) < 50 || maxArity(narrow) > smallArity {
 		t.Fatalf("narrow test formula is too small or too wide: %v", narrow)
 	}
 	lits := make([]Formula, 0, 3*smallArity)

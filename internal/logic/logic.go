@@ -80,10 +80,6 @@ var False = Formula{kind: KindFalse}
 // Kind reports the top-level connective.
 func (f Formula) Kind() Kind { return f.kind }
 
-// Args returns the immediate subformulas. Callers must not mutate the
-// returned slice.
-func (f Formula) Args() []Formula { return f.args }
-
 // IsConst reports whether f is ⊤ or ⊥.
 func (f Formula) IsConst() bool { return f.kind == KindTrue || f.kind == KindFalse }
 
@@ -195,41 +191,6 @@ func Implies(a, b Formula) Formula { return Or(Not(a), b) }
 
 // Iff returns a ↔ b, i.e. (a → b) ∧ (b → a).
 func Iff(a, b Formula) Formula { return And(Implies(a, b), Implies(b, a)) }
-
-// Vars appends every variable occurring in f to dst (with duplicates) and
-// returns the extended slice.
-func (f Formula) Vars(dst []Var) []Var {
-	switch f.kind {
-	case KindVar:
-		return append(dst, f.v)
-	case KindNot, KindAnd, KindOr:
-		for _, a := range f.args {
-			dst = a.Vars(dst)
-		}
-	}
-	return dst
-}
-
-// Size returns the number of nodes in the formula tree.
-func (f Formula) Size() int {
-	n := 1
-	for _, a := range f.args {
-		n += a.Size()
-	}
-	return n
-}
-
-// Depth returns the height of the formula tree; constants and variables
-// have depth 1.
-func (f Formula) Depth() int {
-	d := 0
-	for _, a := range f.args {
-		if ad := a.Depth(); ad > d {
-			d = ad
-		}
-	}
-	return d + 1
-}
 
 // Eval evaluates f under the given assignment. Variables absent from the
 // map are treated as false.
@@ -375,27 +336,6 @@ func (vo *Vocabulary) Get(name string) Var {
 func (vo *Vocabulary) Lookup(name string) Var {
 	return vo.byName[name]
 }
-
-// Names returns a copy of all variable names in allocation order
-// (names[i] belongs to Var(i+1); anonymous variables contribute "").
-// Together with RestoreVocabulary it round-trips a vocabulary exactly,
-// which base-snapshot serialization relies on.
-func (vo *Vocabulary) Names() []string {
-	return append([]string(nil), vo.names...)
-}
-
-// RestoreVocabulary rebuilds a vocabulary from Names output: variable
-// indices, lookup results, and Len match the original vocabulary.
-func RestoreVocabulary(names []string) *Vocabulary {
-	vo := NewVocabulary()
-	for _, n := range names {
-		vo.Fresh(n)
-	}
-	return vo
-}
-
-// Atom is shorthand for V(vo.Get(name)).
-func (vo *Vocabulary) Atom(name string) Formula { return V(vo.Get(name)) }
 
 // Name returns the name of v, or "" if v is anonymous or out of range.
 func (vo *Vocabulary) Name(v Var) string {

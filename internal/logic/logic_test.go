@@ -8,15 +8,19 @@ import (
 // varSet returns the distinct variables occurring in f, in first-occurrence
 // order.
 func varSet(f Formula) []Var {
-	all := f.Vars(nil)
-	seen := make(map[Var]bool, len(all))
-	out := all[:0]
-	for _, v := range all {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+	var out []Var
+	seen := make(map[Var]bool)
+	var walk func(Formula)
+	walk = func(f Formula) {
+		if f.kind == KindVar && !seen[f.v] {
+			seen[f.v] = true
+			out = append(out, f.v)
+		}
+		for _, a := range f.args {
+			walk(a)
 		}
 	}
+	walk(f)
 	return out
 }
 
@@ -103,33 +107,6 @@ func TestDerivedConnectives(t *testing.T) {
 	}
 }
 
-func TestVars(t *testing.T) {
-	f := And(V(3), Or(V(1), Not(V(3))), V(2))
-	got := f.Vars([]Var{7})
-	want := []Var{7, 3, 1, 3, 2}
-	if len(got) != len(want) {
-		t.Fatalf("Vars: got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Vars: got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSizeDepth(t *testing.T) {
-	f := And(V(1), Or(V(2), Not(V(3))))
-	if f.Size() != 6 {
-		t.Errorf("Size: got %d, want 6", f.Size())
-	}
-	if f.Depth() != 4 {
-		t.Errorf("Depth: got %d, want 4", f.Depth())
-	}
-	if V(1).Depth() != 1 {
-		t.Errorf("var depth: got %d, want 1", V(1).Depth())
-	}
-}
-
 func TestVZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -162,7 +139,7 @@ func TestVocabulary(t *testing.T) {
 	if vo.Name(anon) != "" {
 		t.Error("anonymous var must have empty name")
 	}
-	f := Implies(vo.Atom("pfc"), Not(vo.Atom("flooding")))
+	f := Implies(V(vo.Get("pfc")), Not(V(vo.Get("flooding"))))
 	if got := vo.Render(f); got != "!pfc | !flooding" {
 		t.Errorf("Render: got %q", got)
 	}
@@ -255,10 +232,10 @@ func TestNNFShape(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var check func(f Formula) bool
 	check = func(f Formula) bool {
-		if f.Kind() == KindNot && f.Args()[0].Kind() != KindVar {
+		if f.Kind() == KindNot && f.args[0].Kind() != KindVar {
 			return false
 		}
-		for _, a := range f.Args() {
+		for _, a := range f.args {
 			if !check(a) {
 				return false
 			}

@@ -51,9 +51,6 @@ func New(dimension string) *Graph {
 	return &Graph{dimension: dimension, nodeSet: make(map[string]bool)}
 }
 
-// Dimension returns the dimension name this order ranks.
-func (g *Graph) Dimension() string { return g.dimension }
-
 // AddNode registers an item. Adding edges registers endpoints implicitly;
 // explicit registration is useful for items with no known comparisons
 // (the paper stresses incompleteness is expected).
@@ -63,9 +60,6 @@ func (g *Graph) AddNode(name string) {
 		g.nodes = append(g.nodes, name)
 	}
 }
-
-// Edges returns all guarded edges.
-func (g *Graph) Edges() []Edge { return append([]Edge(nil), g.edges...) }
 
 // AddEdge records "better > worse when guard". Self-loops are rejected.
 func (g *Graph) AddEdge(better, worse string, guard logic.Formula, note string) error {
@@ -119,10 +113,7 @@ func (g *Graph) Resolve(ctx Context) (*Resolved, error) {
 		}
 	}
 
-	r := &Resolved{
-		dimension: g.dimension,
-		classes:   nil,
-	}
+	r := &Resolved{}
 	classOf := make(map[string]int)
 	memberOf := make(map[string][]string)
 	for _, n := range g.nodes {
@@ -149,7 +140,6 @@ func (g *Graph) Resolve(ctx Context) (*Resolved, error) {
 	for i := range r.adj {
 		r.adj[i] = make([]bool, n)
 	}
-	r.edgeNotes = make(map[[2]int][]string)
 	for _, e := range g.edges {
 		if !e.Guard.Eval(ctx) {
 			continue
@@ -161,8 +151,6 @@ func (g *Graph) Resolve(ctx Context) (*Resolved, error) {
 				g.dimension, e.Better, e.Worse, e.Note)
 		}
 		r.adj[a][b] = true
-		key := [2]int{a, b}
-		r.edgeNotes[key] = append(r.edgeNotes[key], e.Note)
 	}
 
 	// Transitive closure (Floyd–Warshall over booleans).
@@ -195,24 +183,10 @@ func (g *Graph) Resolve(ctx Context) (*Resolved, error) {
 // Resolved is a concrete (guard-free) partial order over equivalence
 // classes of items.
 type Resolved struct {
-	dimension string
-	classes   [][]string // equivalence classes, each sorted
-	classOf   map[string]int
-	adj       [][]bool // direct better-than edges between classes
-	closure   [][]bool // transitive closure
-	edgeNotes map[[2]int][]string
-}
-
-// Dimension returns the dimension name.
-func (r *Resolved) Dimension() string { return r.dimension }
-
-// Classes returns the equivalence classes.
-func (r *Resolved) Classes() [][]string {
-	out := make([][]string, len(r.classes))
-	for i, c := range r.classes {
-		out[i] = append([]string(nil), c...)
-	}
-	return out
+	classes [][]string // equivalence classes, each sorted
+	classOf map[string]int
+	adj     [][]bool // direct better-than edges between classes
+	closure [][]bool // transitive closure
 }
 
 // Better reports whether a is strictly preferred to b (transitively).
@@ -308,15 +282,4 @@ func (r *Resolved) HasseEdges() [][2]string {
 		return out[a][1] < out[b][1]
 	})
 	return out
-}
-
-// Notes returns the provenance notes attached to the direct edge between
-// the classes of a and b, if any.
-func (r *Resolved) Notes(a, b string) []string {
-	ia, oka := r.classOf[a]
-	ib, okb := r.classOf[b]
-	if !oka || !okb {
-		return nil
-	}
-	return append([]string(nil), r.edgeNotes[[2]int{ia, ib}]...)
 }

@@ -76,13 +76,13 @@ func TestEquivalenceMerging(t *testing.T) {
 		t.Error("preference must apply through the merged class")
 	}
 	found := false
-	for _, c := range r.Classes() {
+	for _, c := range r.classes {
 		if len(c) == 2 && c[0] == "x" && c[1] == "y" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("classes wrong: %v", r.Classes())
+		t.Errorf("classes wrong: %v", r.classes)
 	}
 }
 
@@ -172,24 +172,6 @@ func TestHasseReduction(t *testing.T) {
 	}
 }
 
-func TestNotes(t *testing.T) {
-	g := New("d")
-	if err := g.AddEdge("a", "b", logic.True, "SIGCOMM'19 measurement"); err != nil {
-		t.Fatal(err)
-	}
-	r, err := g.Resolve(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	notes := r.Notes("a", "b")
-	if len(notes) != 1 || notes[0] != "SIGCOMM'19 measurement" {
-		t.Errorf("Notes: got %v", notes)
-	}
-	if r.Notes("b", "a") != nil {
-		t.Error("reverse direction must carry no notes")
-	}
-}
-
 func TestSelfEdgeRejected(t *testing.T) {
 	g := New("d")
 	if err := g.AddEdge("a", "a", logic.True, ""); err == nil {
@@ -203,16 +185,7 @@ func TestSelfEdgeRejected(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	g := New("throughput")
 	mustEdge(t, g, "a", "b", logic.True)
-	if g.Dimension() != "throughput" {
-		t.Error("Dimension wrong")
-	}
-	if len(g.Edges()) != 1 {
-		t.Error("accessors wrong")
-	}
 	r, _ := g.Resolve(nil)
-	if r.Dimension() != "throughput" {
-		t.Error("Resolved.Dimension wrong")
-	}
 	if !r.Comparable("a", "b") || r.Comparable("a", "ghost") {
 		t.Error("Comparable wrong")
 	}

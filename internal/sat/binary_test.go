@@ -53,7 +53,7 @@ func binaryHeavyInstance(r *rand.Rand, core, copies int, ratio float64) (nVars i
 // freezeKeepsSearchState); the Clone must share the table by pointer.
 // Over a sequence of assumption queries that learns
 // binary clauses and adds a problem binary after the freeze, the frozen
-// solver, its Clone and its RestoreSnapshot must run the same searches
+// solver and its Clone must run the same searches
 // — equal statuses, Stats, models and final conflicts — and a
 // WriteDIMACS/ParseDIMACS round trip of the frozen solver must agree
 // with them on the clause count and every verdict. A second ResetRun
@@ -104,8 +104,8 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 		}
 
 		// The frozen arm. A short first search leaves learnt clauses,
-		// binary ones among them, on the source before it is frozen,
-		// cloned and snapshotted.
+		// binary ones among them, on the source before it is frozen and
+		// cloned.
 		src.SetBudget(30, 0)
 		src.Solve()
 		src.SetBudget(0, 0)
@@ -120,10 +120,6 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 		clone := src.Clone()
 		if clone.bins != src.bins {
 			t.Fatalf("seed %d: the clone copied the implication table instead of sharing it", seed)
-		}
-		restored, err := RestoreSnapshot(src.Snapshot())
-		if err != nil {
-			t.Fatal(err)
 		}
 		var frozenCNF bytes.Buffer
 		if err := WriteDIMACS(&frozenCNF, src); err != nil {
@@ -141,7 +137,7 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs := []*Solver{src, clone, restored}
+		runs := []*Solver{src, clone}
 		var added []Lit
 		for q := 0; q < 8; q++ {
 			switch q {

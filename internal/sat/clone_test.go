@@ -216,12 +216,12 @@ func TestCloneUnsatisfiableInstance(t *testing.T) {
 	}
 }
 
-// TestCloneSearchesIdenticallyUnderRelocation runs one search three ways
-// — on a Clone, on its source, and on a RestoreSnapshot of the source —
-// over random instances hard enough that the learnt clauses outgrow the
-// arena headroom Clone leaves, watch lists move past the watcher slab's
-// headroom so the slab grows, and reduceDB deletes clauses. Where a
-// slab or a list sits in memory must not steer the search: the three
+// TestCloneSearchesIdenticallyUnderRelocation runs one search two ways
+// — on a Clone and on its source — over random instances hard enough
+// that the learnt clauses outgrow the arena headroom Clone leaves, watch
+// lists move past the watcher slab's headroom so the slab grows, and
+// reduceDB deletes clauses. Where a
+// slab or a list sits in memory must not steer the search: the two
 // runs must report equal Stats and models and end in byte-equal level-0
 // snapshots.
 func TestCloneSearchesIdenticallyUnderRelocation(t *testing.T) {
@@ -240,16 +240,12 @@ func TestCloneSearchesIdenticallyUnderRelocation(t *testing.T) {
 		src.ResetRun()
 
 		clone := src.Clone()
-		restored, err := RestoreSnapshot(src.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
 		_, arenaRoom := clone.ArenaWords()
 		slabRoom := cap(clone.watches.slab)
 		runs := []struct {
 			name string
 			s    *Solver
-		}{{"clone", clone}, {"source", src}, {"restored", restored}}
+		}{{"clone", clone}, {"source", src}}
 		var stats []Stats
 		var models [][]bool
 		var snaps [][]byte

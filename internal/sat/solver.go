@@ -14,7 +14,6 @@
 package sat
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -480,10 +479,6 @@ func (s *Solver) deferClause(lits []Lit) {
 	}
 	s.bulk[n-1] = append(append(s.bulk[n-1], lits...), 0)
 }
-
-// ErrVarRange is returned by AddClause when a literal references variable 0
-// or a variable that was never allocated.
-var ErrVarRange = errors.New("sat: literal references unallocated variable")
 
 // AddClause adds a clause over DIMACS-style literals. Variables referenced
 // beyond NumVars are allocated implicitly. The empty clause makes the

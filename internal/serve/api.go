@@ -1,6 +1,6 @@
 // Package serve is the long-lived query service over the reasoning
-// engine: an HTTP/JSON front end that holds warm compiled bases (memory
-// plus the persistent disk tier) and answers concurrent check / synth /
+// engine: an HTTP/JSON front end that holds warm compiled bases in
+// memory and answers concurrent check / synth /
 // whatif / enumerate / explain requests, each on its own clone of a
 // warm base.
 //
@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"math"
 	"time"
 
 	"netarch/internal/core"
@@ -157,14 +158,18 @@ type BudgetJSON struct {
 // tighten composes the server policy budget with a client request: each
 // client bound applies only where it is stricter than (or the policy has
 // no bound on) the corresponding policy field. A policy of all zeros
-// means the server imposes no ceiling, so any client bound applies.
+// means the server imposes no ceiling, so any client bound applies. A
+// timeout_ms too large for a time.Duration is no client bound: it cannot
+// tighten any policy, and converting it would wrap around.
 func tighten(policy core.Budget, req *BudgetJSON) core.Budget {
 	b := policy
 	if req == nil {
 		return b
 	}
-	if t := time.Duration(req.TimeoutMS) * time.Millisecond; t > 0 && (b.Timeout == 0 || t < b.Timeout) {
-		b.Timeout = t
+	if ms := req.TimeoutMS; ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+		if t := time.Duration(ms) * time.Millisecond; b.Timeout == 0 || t < b.Timeout {
+			b.Timeout = t
+		}
 	}
 	if req.MaxConflicts > 0 && (b.MaxConflicts == 0 || req.MaxConflicts < b.MaxConflicts) {
 		b.MaxConflicts = req.MaxConflicts

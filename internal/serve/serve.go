@@ -57,9 +57,9 @@ type Config struct {
 	// rounds up, never down to 0. Default 1s.
 	RetryAfter time.Duration
 
-	// Prewarm lists scenario shapes to compile (or revive from the disk
-	// tier) before the server reports ready. Default: the zero scenario
-	// (every workload in the KB, default fleet).
+	// Prewarm lists scenario shapes to compile before the server reports
+	// ready. Default: the zero scenario (every workload in the KB,
+	// default fleet).
 	Prewarm []core.Scenario
 
 	// Chaos, when non-nil, is wired into the engine's fault hook at
@@ -169,8 +169,7 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// warmup compiles (or disk-revives) every prewarm shape, then flips
-// readiness.
+// warmup compiles every prewarm shape, then flips readiness.
 func (s *Server) warmup() {
 	for _, sc := range s.cfg.Prewarm {
 		if err := s.eng.Prewarm(sc); err != nil {
@@ -203,10 +202,9 @@ func (s *Server) WaitReady(ctx context.Context) error {
 
 // Shutdown drains the server: new requests are rejected with 503,
 // queued-but-unstarted requests are shed, and in-flight requests get
-// until ctx's deadline to finish. After the drain the disk cache is
-// flushed (any in-memory base without a snapshot file is persisted).
-// Returns nil on a clean drain; the context error if the deadline
-// passed with requests still in flight (connections are then closed).
+// until ctx's deadline to finish. Returns nil on a clean drain; the
+// context error if the deadline passed with requests still in flight
+// (connections are then closed).
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
@@ -215,9 +213,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.hs.Shutdown(ctx)
 	if err != nil {
 		_ = s.hs.Close()
-	}
-	if n := s.eng.FlushDiskCache(); n > 0 {
-		s.cfg.Logf("serve: flushed %d base snapshots to disk", n)
 	}
 	s.cfg.Logf("serve: drained")
 	return err
@@ -550,8 +545,6 @@ type ReloadResponse struct {
 	// evicted because they no longer compile under the new KB.
 	BasesUpdated int `json:"bases_updated"`
 	BasesDropped int `json:"bases_dropped"`
-	// SnapshotsRewritten: disk snapshots re-persisted under the new KB.
-	SnapshotsRewritten int `json:"snapshots_rewritten"`
 	// ElapsedMS is the wall time of the whole reload.
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
@@ -607,8 +600,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, ReloadResponse{
 		Changes:      len(up.Diff),
 		BasesUpdated: up.BasesUpdated, BasesDropped: up.BasesDropped,
-		SnapshotsRewritten: up.SnapshotsRewritten,
-		ElapsedMS:          time.Since(start).Milliseconds(),
+		ElapsedMS: time.Since(start).Milliseconds(),
 	})
 	ms.record(outcomeOK, time.Since(start))
 }

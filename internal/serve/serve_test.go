@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -286,8 +287,7 @@ func TestServeModes(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{
-		"capacity", "disk_corrupt", "disk_evictions", "disk_hits", "disk_misses",
-		"disk_stale", "disk_writes", "hits", "misses", "size",
+		"capacity", "hits", "misses", "size",
 		"slice_computed", "slice_hits", "slice_skus_in", "slice_skus_kept",
 	}
 	if !slices.Equal(keys, want) {
@@ -435,6 +435,39 @@ func TestServeKeepsEngineSliceMode(t *testing.T) {
 	status, raw := post(t, base+"/v1/enumerate", QueryRequest{Scenario: scInference, Max: 3}, &eb)
 	if status != http.StatusUnprocessableEntity || eb.Error.Kind != "sliced_enumeration" {
 		t.Fatalf("sliced enumerate: status %d, want 422 sliced_enumeration\n%s", status, raw)
+	}
+}
+
+// TestTighten: a client bound applies only where it is stricter than the
+// policy's, and a timeout_ms too large for a time.Duration is no bound —
+// it must neither wrap to a tiny budget nor go negative and vanish.
+func TestTighten(t *testing.T) {
+	maxMS := int64(math.MaxInt64 / int64(time.Millisecond))
+	policy := core.Budget{Timeout: time.Second, MaxConflicts: 100}
+	cases := []struct {
+		name   string
+		policy core.Budget
+		req    *BudgetJSON
+		want   core.Budget
+	}{
+		{"no request", policy, nil, policy},
+		{"stricter", policy, &BudgetJSON{TimeoutMS: 10, MaxConflicts: 5, MaxDecisions: 7},
+			core.Budget{Timeout: 10 * time.Millisecond, MaxConflicts: 5, MaxDecisions: 7}},
+		{"looser", policy, &BudgetJSON{TimeoutMS: 5000, MaxConflicts: 500}, policy},
+		{"negative", policy, &BudgetJSON{TimeoutMS: -1, MaxConflicts: -1}, policy},
+		{"largest representable", core.Budget{}, &BudgetJSON{TimeoutMS: maxMS},
+			core.Budget{Timeout: time.Duration(maxMS) * time.Millisecond}},
+		// 18446744073710 ms wraps past 2^64 ns to a 448 µs budget.
+		{"wraps small", policy, &BudgetJSON{TimeoutMS: 18446744073710}, policy},
+		{"wraps small, no policy", core.Budget{}, &BudgetJSON{TimeoutMS: 18446744073710}, core.Budget{}},
+		// 9223372036855 ms wraps negative.
+		{"wraps negative", policy, &BudgetJSON{TimeoutMS: 9223372036855}, policy},
+		{"wraps negative, no policy", core.Budget{}, &BudgetJSON{TimeoutMS: 9223372036855}, core.Budget{}},
+	}
+	for _, tc := range cases {
+		if got := tighten(tc.policy, tc.req); got != tc.want {
+			t.Errorf("%s: tighten = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -76,17 +76,11 @@ type (
 	// or parallel queries over the same scenario shape never recompile.
 	// Engine.CacheStats, Engine.SetCacheCapacity and
 	// Engine.InvalidateCache observe and control the cache.
-	// Engine.SetCacheDir adds a persistent disk tier: frozen bases are
-	// snapshotted to versioned, checksummed files and revived on startup,
-	// so even a fresh process skips the first compile (corrupt or stale
-	// files downgrade to a silent recompile, never a wrong answer), and
-	// mtime-ordered eviction bounds the directory.
 	// Every query, enumeration and Pareto included, runs on one private
 	// solver, and every compile runs on the goroutine that needs the base.
 	Engine = core.Engine
 	// CacheStats reports the engine's compiled-base cache: size,
-	// capacity, lifetime hit/miss counters, and — when a cache directory
-	// is set — the disk tier's hit/miss/write/evict/corrupt counters.
+	// capacity, lifetime hit/miss counters and the slicing counters.
 	CacheStats = core.CacheStats
 	// GreedyReasoner is the weak baseline of the §5.2 comparison.
 	GreedyReasoner = core.GreedyReasoner
