@@ -97,7 +97,7 @@ DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatc
 DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver
 DIFF_MAXSAT_RUN = TestMinimize|TestLexicographic|TestPareto|TestBitDescent
 DIFF_EXTRACT_RUN = TestCatalogScale
-DIFF_RACE_RUN = TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad
+DIFF_RACE_RUN = TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad|TestQueryAnswersAtOneRevision|TestCacheStatsSnapshotHammer|TestCacheStatsSnapshotHammerSliced
 DIFF_RACE_PKGS = ./internal/core ./internal/serve
 differential:
 	$(GO) test -run='$(DIFF_CORE_RUN)' -count=1 $(DIFF_CORE_PKGS)

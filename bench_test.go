@@ -885,14 +885,14 @@ func BenchmarkDeltaRecompile(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// Cache nothing, so every Prewarm compiles the base cold.
+			eng.SetCacheCapacity(0)
 			engs[i] = eng
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Drop the cached base so Prewarm compiles it cold.
 			eng := engs[i%2]
-			eng.InvalidateCache()
 			if err := eng.Prewarm(sc); err != nil {
 				b.Fatal(err)
 			}

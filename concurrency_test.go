@@ -10,8 +10,8 @@ import (
 )
 
 // TestConcurrentQueries hammers one engine from many goroutines running
-// mixed SynthesizeCtx / CheckCtx / ExplainCtx queries, with cache
-// invalidations racing them. Under -race this is the facade-level
+// mixed SynthesizeCtx / CheckCtx / ExplainCtx queries, with
+// answer-preserving KB updates racing them. Under -race this is the facade-level
 // regression test for the amortization layer's isolation contract:
 // every query solves on a private clone of a shared compiled base, so
 // concurrent queries must neither interfere nor observe each other.
@@ -36,7 +36,8 @@ func TestConcurrentQueries(t *testing.T) {
 
 	const goroutines = 12
 	const rounds = 4
-	errs := make(chan string, goroutines*rounds)
+	const updates = 6
+	errs := make(chan string, goroutines*rounds+updates)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -69,13 +70,17 @@ func TestConcurrentQueries(t *testing.T) {
 			}
 		}(g)
 	}
-	// Cache invalidation racing the queries: in-flight clones keep
-	// working; subsequent queries recompile.
+	// KB updates racing the queries: in-flight clones keep working;
+	// subsequent queries use the rebuilt bases.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 6; i++ {
-			eng.InvalidateCache()
+		for i := 0; i < updates; i++ {
+			next := netarch.DefaultCatalog()
+			next.Rules[0].Note = fmt.Sprintf("rev%d", i)
+			if _, err := eng.UpdateKB(next); err != nil {
+				errs <- fmt.Sprintf("update %d: %v", i, err)
+			}
 		}
 	}()
 	wg.Wait()

@@ -59,7 +59,7 @@ func TestBaseSizeBudget(t *testing.T) {
 	for _, b := range budgets {
 		sc := scs[b.name]
 		shape := baseShape(&sc)
-		c, err := e.compileBaseWith(e.kbSnapshot(), &shape)
+		c, err := e.compileBaseWith(e.revision().kb, &shape)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestCompileAllocBudget(t *testing.T) {
 	sc := section51Scenarios()["inference_app"]
 	shape := baseShape(&sc)
 	compile := func() {
-		if _, err := e.compileBaseWith(e.kbSnapshot(), &shape); err != nil {
+		if _, err := e.compileBaseWith(e.revision().kb, &shape); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +246,7 @@ func TestProbeFitsRoom(t *testing.T) {
 		bs := baseShape(&sc)
 		if fp := bs.fingerprint(); !seen[fp] {
 			seen[fp] = true
-			shapes = append(shapes, shape{name, e, e.kbSnapshot(), bs})
+			shapes = append(shapes, shape{name, e, e.revision().kb, bs})
 		}
 	}
 	scs := section51Scenarios()
@@ -380,14 +380,14 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Synthesize(sc); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, shared, err := e.baseFor(&sc)
+		base, shared, err := e.baseFor(e.revision(), &sc)
 		if err != nil || !shared {
 			t.Fatalf("%s: base not cached (shared %v, err %v)", b.name, shared, err)
 		}
 		s := base.solver.Clone()
 		_, before := s.ArenaWords()
 		_, slabBefore := s.WatchSlab()
-		e.specialize(base, &sc, s)
+		base.specialize(&sc, s)
 		if used, after := s.ArenaWords(); after != before {
 			t.Errorf("%s: specialize regrew the clone's arena from %d to %d words (%d used)",
 				b.name, before, after, used)
@@ -449,14 +449,19 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Optimize(sc, objs); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, _, err := e.baseFor(&sc)
+		base, _, err := e.baseFor(e.revision(), &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := base.solver.Clone()
 		_, arenaRoom := s.ArenaWords()
 		_, slabRoom := s.WatchSlab()
-		if _, err := e.optimize(context.Background(), e.specialize(base, &sc, s), objs, Budget{}); err != nil {
+		c := base.specialize(&sc, s)
+		g := govern(context.Background(), "optimize", Budget{})
+		g.adopt(c.solver)
+		_, err = e.optimize(c, g, objs)
+		g.done()
+		if err != nil {
 			t.Fatal(err)
 		}
 		arenaUsed, arenaCap := s.ArenaWords()

@@ -26,7 +26,7 @@ import (
 const DefaultCacheCapacity = 32
 
 // CacheStats reports the state of an engine's compiled-base cache. The
-// engine also stores its counters in this struct, under one mutex, and
+// engine also stores its counters in this struct, under its mutex, and
 // Engine.CacheStats copies it, so every snapshot is consistent.
 type CacheStats struct {
 	// Size is the number of compiled bases currently cached; Capacity is
@@ -35,7 +35,7 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 	// Hits and Misses count queries served from an in-memory base vs
 	// queries that had to compile one, over the engine's lifetime
-	// (InvalidateCache does not reset them). Misses is exactly the
+	// (UpdateKB does not reset them). Misses is exactly the
 	// number of base compiles: Hits + Misses = queries.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -75,47 +75,18 @@ func (cs CacheStats) String() string {
 
 // CacheStats returns a snapshot of the compiled-base cache counters.
 //
-// The engine keeps every counter in one CacheStats value that is bumped
-// and copied under one mutex, so no snapshot is torn: a cached query
-// bumps exactly one of Hits and Misses before it solves, so Hits+Misses
-// is exactly the number of queries counted at the instant of the copy.
-// Size and Capacity are read under the cache lock.
-// TestCacheStatsSnapshotHammer pins the invariants under the race
-// detector.
+// Every counter, Size and Capacity are written and copied under the
+// engine mutex, so no snapshot is torn: a cached query counts exactly
+// one of Hits and Misses before it solves, so Hits+Misses is exactly the
+// number of queries counted at the instant of the copy, and on an engine
+// that is never updated Size ≤ Misses, since every cached base was a
+// miss. TestCacheStatsSnapshotHammer pins the invariants under -race.
 func (e *Engine) CacheStats() CacheStats {
-	e.statsMu.Lock()
-	cs := e.stats
-	e.statsMu.Unlock()
-	e.mu.RLock()
-	cs.Size, cs.Capacity = len(e.bases), e.cacheCap
-	e.mu.RUnlock()
-	return cs
-}
-
-// bump increments one counter of e.stats.
-func (e *Engine) bump(counter *int64) {
-	e.statsMu.Lock()
-	*counter++
-	e.statsMu.Unlock()
-}
-
-// InvalidateCache drops every cached compiled base. Call it after
-// mutating the knowledge base in place; queries in flight keep their
-// private clones and are unaffected. Hit/miss counters are lifetime
-// counters and are not reset.
-func (e *Engine) InvalidateCache() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.bases = make(map[string]*compiled)
-	e.baseOrder = nil
-	// Bump the KB generation: a compile that started before the
-	// invalidation must not insert its pre-mutation base into the emptied
-	// cache (baseFor checks the generation at insert time).
-	e.kbGen++
-	// Memoized slices were computed from the previous KB content; the
-	// generation in their memo key already fences them, but dropping them
-	// keeps the memo from holding dead sub-KBs alive.
-	e.invalidateSliceMemo()
+	cs := e.stats
+	cs.Size, cs.Capacity = len(e.bases), e.cacheCap
+	return cs
 }
 
 // SetCacheCapacity bounds how many compiled bases the engine retains
@@ -134,16 +105,11 @@ func (e *Engine) SetCacheCapacity(n int) {
 	}
 }
 
-// evictOldestLocked removes the oldest cached base (FIFO). Caller holds
-// the write lock. The order slice is slid down in place and its vacated
-// tail slot cleared — the previous `baseOrder = baseOrder[1:]` reslice
-// kept every evicted key alive in the backing array, pinning the strings
-// (and, for code holding the slice, the illusion the entries were gone)
-// until a much later append finally reallocated it.
+// evictOldestLocked removes the oldest cached base (FIFO); the cache
+// must not be empty. The order slice is slid down in place and its
+// vacated tail slot cleared, so no evicted key stays reachable from the
+// backing array. Caller holds e.mu.
 func (e *Engine) evictOldestLocked() {
-	if len(e.baseOrder) == 0 {
-		return
-	}
 	delete(e.bases, e.baseOrder[0])
 	copy(e.baseOrder, e.baseOrder[1:])
 	last := len(e.baseOrder) - 1
@@ -197,83 +163,110 @@ func baseShape(sc *Scenario) Scenario {
 	return shape
 }
 
-// baseFor resolves the compiled base for a scenario's shape: a cached
-// (or freshly cached) frozen base when caching is enabled, a private
-// compile when it is disabled. shared reports whether other queries may
+// baseFor resolves the compiled base for a scenario's shape at revision
+// rev: a cached (or freshly cached) frozen base when caching is enabled,
+// a private compile when it is disabled or rev's generation is no longer
+// current — cache keys do not carry the generation, so a cached base
+// may belong to another KB. shared reports whether other queries may
 // reference the base concurrently — callers must then solve against a
-// clone of base.solver, never the base solver itself.
-func (e *Engine) baseFor(sc *Scenario) (base *compiled, shared bool, err error) {
+// clone of base.solver, never the base solver itself. A warm query
+// takes e.mu once here; computing a slice or compiling a base happens
+// off the lock and takes it again to record the result.
+func (e *Engine) baseFor(rev revision, sc *Scenario) (*compiled, bool, error) {
 	shape := baseShape(sc)
-	e.mu.RLock()
-	enabled := e.cacheCap > 0
-	gen := e.kbGen
-	k := e.kbCur
-	e.mu.RUnlock()
-
-	// Relevance slicing (slice.go): resolve the scenario's cone-of-
-	// influence slice up front so the cache key names the slice identity
-	// — a sliced base can never alias a full one or another slice's.
-	sl := e.sliceFor(k, gen, sc, &shape)
-	var key string
-	if enabled {
-		key = shape.fingerprint() + sliceKeySuffix(sl)
-		e.mu.RLock()
-		base = e.bases[key]
-		e.mu.RUnlock()
+	fp := shape.fingerprint()
+	// Relevance slicing (slice.go): the slice's identity is part of the
+	// cache key, so a sliced base can never alias a full one or another
+	// slice's.
+	req := rev.sliceRequest(sc, &shape)
+	var reqKey string
+	if req != nil {
+		reqKey = req.key()
 	}
 
-	if !enabled {
-		base, err = e.compileSliced(k, &shape, sl)
-		if err != nil {
-			return nil, false, err
-		}
-		return base, false, nil
-	}
-	if base != nil {
-		e.bump(&e.stats.Hits)
-		return base, true, nil
-	}
-	fresh, err := e.compileSliced(k, &shape, sl)
-	if err != nil {
-		return nil, false, err
-	}
-	e.bump(&e.stats.Misses)
 	e.mu.Lock()
-	if e.kbGen != gen {
-		// The KB moved (UpdateKB or InvalidateCache) while this base was
-		// compiling: it belongs to the previous generation. Hand it to
-		// this query privately — it answers against the KB the query
-		// started under — but never cache it, which would poison the
-		// fresh generation's cache.
-		e.mu.Unlock()
-		return fresh, false, nil
+	var sl *kbSlice
+	if req != nil && rev.gen == e.kbGen {
+		if sl = e.sliceMemo[reqKey]; sl != nil {
+			e.stats.SliceHits++
+		}
 	}
-	if existing := e.bases[key]; existing != nil {
-		// Lost a compile race: adopt the stored base so every query over
-		// this shape clones the same instance.
-		base = existing
-	} else {
-		base = fresh
-		e.bases[key] = base
-		e.baseOrder = append(e.baseOrder, key)
-		if len(e.baseOrder) > e.cacheCap {
-			e.evictOldestLocked()
+	if req == nil || sl != nil {
+		if base := e.cachedLocked(rev.gen, fp+sliceKeySuffix(sl)); base != nil {
+			e.mu.Unlock()
+			return base, true, nil
 		}
 	}
 	e.mu.Unlock()
-	return base, true, nil
+
+	if req != nil && sl == nil {
+		// Compute off-lock: deterministic, so a racing duplicate is
+		// merely redundant work, never an inconsistency.
+		sl = computeSlice(rev.kb, req)
+		e.mu.Lock()
+		e.recordSliceLocked(reqKey, sl, rev.gen == e.kbGen)
+		base := e.cachedLocked(rev.gen, fp+sliceKeySuffix(sl))
+		e.mu.Unlock()
+		if base != nil {
+			return base, true, nil
+		}
+	}
+
+	fresh, err := e.compileSliced(rev.kb, &shape, sl)
+	if err != nil {
+		return nil, false, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.cacheCap == 0 {
+		return fresh, false, nil
+	}
+	e.stats.Misses++
+	if rev.gen != e.kbGen {
+		// The KB moved (UpdateKB) after the query read its revision: the
+		// base belongs to that revision. Hand it to this query privately
+		// — it answers against the KB it read — but never cache it,
+		// which would poison the current generation's cache.
+		return fresh, false, nil
+	}
+	key := fp + sliceKeySuffix(sl)
+	if existing := e.bases[key]; existing != nil {
+		// Lost a compile race: adopt the stored base so every query over
+		// this shape clones the same instance.
+		return existing, true, nil
+	}
+	e.bases[key] = fresh
+	e.baseOrder = append(e.baseOrder, key)
+	if len(e.baseOrder) > e.cacheCap {
+		e.evictOldestLocked()
+	}
+	return fresh, true, nil
 }
 
-// instance produces the per-query compiled instance: a cached (or fresh)
-// base specialized with the query's own selectors. With caching enabled
-// the query gets a private clone of the base solver; with it disabled the
-// freshly compiled base is used directly. Both paths flow through
-// compileBaseWith + specialize, so cached and cold queries are byte-identical.
-// The engine keeps no clones: one that a query panics on, trips a budget
-// in or abandons is left to the GC, so quarantine is structural — a
-// dirtied solver has no path back to a later query.
-func (e *Engine) instance(sc *Scenario) (*compiled, error) {
-	base, shared, err := e.baseFor(sc)
+// cachedLocked returns the cached base for key and counts the hit, or
+// nil when caching is off, gen is stale or key is absent. Caller holds e.mu.
+func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
+	if gen != e.kbGen || e.cacheCap == 0 {
+		return nil
+	}
+	base := e.bases[key]
+	if base != nil {
+		e.stats.Hits++
+	}
+	return base
+}
+
+// instance produces the per-query compiled instance at revision rev: a
+// cached (or fresh) base specialized with the query's own selectors.
+// With caching enabled the query gets a private clone of the base
+// solver; with it disabled the freshly compiled base is used directly.
+// Both paths flow through compileBaseWith + specialize, so cached and
+// cold queries are byte-identical. The engine keeps no clones: one that
+// a query panics on, trips a budget in or abandons is left to the GC, so
+// quarantine is structural — a dirtied solver has no path back to a
+// later query.
+func (e *Engine) instance(rev revision, sc *Scenario) (*compiled, error) {
+	base, shared, err := e.baseFor(rev, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +274,8 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 	if shared {
 		s = base.solver.Clone()
 	}
-	return e.specialize(base, sc, s), nil
+	s.SetFaultHook(rev.fault)
+	return base.specialize(sc, s), nil
 }
 
 // Prewarm compiles the base for the scenario's shape, so the first real
@@ -290,7 +284,7 @@ func (e *Engine) instance(sc *Scenario) (*compiled, error) {
 // a warm one). Serving processes call this per expected scenario shape
 // before reporting ready.
 func (e *Engine) Prewarm(sc Scenario) error {
-	_, _, err := e.baseFor(&sc)
+	_, _, err := e.baseFor(e.revision(), &sc)
 	return err
 }
 
@@ -306,15 +300,14 @@ func (e *Engine) SetClonePool(n int) {}
 // so there is no worker count to set.
 func (e *Engine) SetWorkers(n int) {}
 
-// specialize layers one query's requirements onto a compiled base:
+// specialize layers one query's requirements onto the compiled base:
 // context overrides and additions, Require groups, and pinned/forbidden
 // systems all become assumption-guarded selector clauses on the given
 // solver (a private clone, or the base solver itself on the cache-off
 // path). The base is only read, never written — the returned compiled
 // owns the solver and a fresh selector list, so concurrent queries over
 // one base cannot interfere.
-func (e *Engine) specialize(base *compiled, sc *Scenario, solver *sat.Solver) *compiled {
-	solver.SetFaultHook(e.fault)
+func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 	c := &compiled{
 		kb:          base.kb,
 		sc:          sc,

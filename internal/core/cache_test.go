@@ -38,27 +38,36 @@ func TestCacheSharedBaseAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidate verifies InvalidateCache empties the cache (forcing
-// recompiles that observe KB mutations) while keeping lifetime counters.
-func TestCacheInvalidate(t *testing.T) {
+// TestCacheUpdateKeepsCounters verifies UpdateKB replaces the cached
+// bases by bases of the new KB, so the next query observes the change
+// without compiling, while the lifetime counters carry over untouched.
+func TestCacheUpdateKeepsCounters(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	sc := Scenario{Require: []kb.Property{"congestion_control"}}
-	if _, err := e.Synthesize(sc); err != nil {
-		t.Fatal(err)
+	sc := Scenario{Context: map[string]bool{"pfc_enabled": true}}
+	if rep, err := e.Synthesize(sc); err != nil || rep.Verdict != Feasible {
+		t.Fatalf("pre-update query: %v %v", rep, err)
 	}
 	before := e.CacheStats()
 	if before.Size != 1 || before.Misses != 1 {
-		t.Fatalf("unexpected pre-invalidate stats: %+v", before)
+		t.Fatalf("unexpected pre-update stats: %+v", before)
 	}
-	e.InvalidateCache()
-	if st := e.CacheStats(); st.Size != 0 || st.Misses != 1 {
-		t.Fatalf("invalidate should clear bases, keep counters: %+v", st)
-	}
-	if _, err := e.Synthesize(sc); err != nil {
+	next := miniKB()
+	next.Rules[0].Expr = kb.Implies(kb.CtxAtom("pfc_enabled"), kb.FalseExpr())
+	if _, err := e.UpdateKB(next); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.CacheStats(); st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("post-invalidate query should recompile: %+v", st)
+	if st := e.CacheStats(); st != before {
+		t.Fatalf("update should rebuild the base and keep the counters: %+v, was %+v", st, before)
+	}
+	rep, err := e.Synthesize(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != Infeasible {
+		t.Errorf("post-update query answered against the old KB: verdict %v", rep.Verdict)
+	}
+	if st := e.CacheStats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("post-update query should hit the rebuilt base: %+v", st)
 	}
 }
 
@@ -148,9 +157,9 @@ func TestFingerprintDistinguishesShapes(t *testing.T) {
 }
 
 // TestCacheConcurrentQueries hammers one engine from many goroutines —
-// mixed feasible/infeasible queries over a handful of shapes, with a
-// cache invalidation racing the queries. Run under -race this is the
-// regression test for the clone-per-query isolation contract.
+// mixed feasible/infeasible queries over a handful of shapes, with
+// answer-preserving KB updates racing the queries. Run under -race this
+// is the regression test for the clone-per-query isolation contract.
 func TestCacheConcurrentQueries(t *testing.T) {
 	e := mustEngine(t, caseStudyKB())
 	cases := queryRows(t, e, sec51Scenarios(t, e), "synthesize", "optimize")
@@ -177,7 +186,11 @@ func TestCacheConcurrentQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			e.InvalidateCache()
+			next := caseStudyKB()
+			next.Rules[0].Note = fmt.Sprintf("rev%d", i)
+			if _, err := e.UpdateKB(next); err != nil {
+				errs <- fmt.Sprintf("update %d: %v", i, err)
+			}
 		}
 	}()
 	wg.Wait()
@@ -188,11 +201,9 @@ func TestCacheConcurrentQueries(t *testing.T) {
 }
 
 func TestCacheHitCountingConcurrent(t *testing.T) {
-	// Regression for the hit-counter hot path: warm cache hits used to
-	// take the cache write lock just to bump an int, serializing every
-	// concurrent warm query (and, worse, contending with InvalidateCache).
-	// The counters are atomics now; this hammer asserts the exact lifetime
-	// totals under concurrency and gives the race detector a workload.
+	// The hit counter is written under the engine mutex on every warm
+	// query; this hammer asserts the exact lifetime totals under
+	// concurrency and gives the race detector a workload.
 	e := mustEngine(t, miniKB())
 	sc := Scenario{Context: map[string]bool{"pfc_enabled": true}}
 	if _, err := e.Synthesize(sc); err != nil { // prime: one miss
@@ -227,7 +238,9 @@ func TestCacheHitCountingConcurrent(t *testing.T) {
 // semantics (cache.go:CacheStats): the Hits+Misses sum is
 // monotone across reads, bounded by started-queries from above and
 // completed-queries from below, and reconciles exactly once the engine
-// quiesces. Run it under -race to also catch torn counter access.
+// quiesces. The engine is never updated, so every cached base was a miss
+// and each snapshot must have Size <= Misses. Run it under -race to also
+// catch torn counter access.
 func TestCacheStatsSnapshotHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hammer test")
@@ -272,6 +285,13 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 				return
 			}
 			lastSum = sum
+			if int64(st.Size) > st.Misses {
+				select {
+				case readerErr <- fmt.Errorf("torn snapshot: %d bases cached after %d misses", st.Size, st.Misses):
+				default:
+				}
+				return
+			}
 			if sum < before || sum > after {
 				select {
 				case readerErr <- fmt.Errorf("sum %d outside [completed=%d, started=%d]", sum, before, after):
@@ -317,8 +337,8 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 // TestCacheStatsSnapshotHammerSliced is the hammer's sliced arm: with
 // slicing forced on, every query also bumps the slice counters, and
 // every snapshot must keep SliceSKUsKept <= SliceSKUsIn, a monotone
-// SliceComputed+SliceHits, and the Hits+Misses sum between the
-// completed and started query counts.
+// SliceComputed+SliceHits, Size <= Misses, and the Hits+Misses sum
+// between the completed and started query counts.
 func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hammer test")
@@ -358,6 +378,8 @@ func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 				readerErr <- fmt.Errorf("sum went backwards: %d -> %d", lastSum, sum)
 			case sum < before || sum > after:
 				readerErr <- fmt.Errorf("sum %d outside [completed=%d, started=%d]", sum, before, after)
+			case int64(st.Size) > st.Misses:
+				readerErr <- fmt.Errorf("torn snapshot: %d bases cached after %d misses", st.Size, st.Misses)
 			case slices < lastSlices:
 				readerErr <- fmt.Errorf("slice lookups went backwards: %d -> %d", lastSlices, slices)
 			case st.SliceSKUsKept > st.SliceSKUsIn:

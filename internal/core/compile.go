@@ -28,9 +28,8 @@ type compiled struct {
 	solver *sat.Solver
 	arith  *intlin.Builder
 
-	// names is the engine's shared atom-string interner (nil degrades to
-	// plain concatenation — restored and specialized instances build few
-	// or no new atoms).
+	// names is the engine's shared atom-string interner. Only compiles
+	// set and use it; specialized instances build no vocabulary atoms.
 	names *atomInterner
 
 	// pending accumulates the boolean assertions in emission order during

@@ -31,7 +31,7 @@ func (v DatalogViolation) String() string { return v.Kind + ": " + v.Detail }
 // workload properties; unspecified atoms are treated as false, matching
 // negation-as-failure semantics.
 func (e *Engine) DatalogCheck(design Design, sc Scenario) ([]DatalogViolation, error) {
-	k := e.kbSnapshot()
+	k := e.revision().kb
 	db := datalog.NewDB()
 	add := func(pred string, args ...string) {
 		if err := db.AddFact(pred, args...); err != nil {

@@ -468,7 +468,7 @@ func (c *refChecker) sameCore(t *testing.T, label string, r diffRow, got, want *
 	key := fmt.Sprint(r.name, gotN)
 	if _, seen := c.memo[key]; !seen {
 		c.memo[key] = false
-		if inst, err := c.ref.instance(&r.sc); err == nil {
+		if inst, err := c.ref.instance(c.ref.revision(), &r.sc); err == nil {
 			ok := true
 			var assume []sat.Lit
 			for _, name := range gotN {
@@ -585,7 +585,7 @@ func caseStudyRows(t *testing.T, tab *Engine) []diffRow {
 	if err != nil || len(seed.Designs) < 2 {
 		t.Fatalf("complete-space seed: %v %v", err, seed)
 	}
-	for _, s := range tab.kbSnapshot().Systems {
+	for _, s := range tab.revision().kb.Systems {
 		if !slices.ContainsFunc(seed.Designs, func(d *Design) bool { return d.HasSystem(s.Name) }) {
 			sc.ForbiddenSystems = append(sc.ForbiddenSystems, s.Name)
 		}
@@ -679,7 +679,7 @@ func miniKBRows(*testing.T, *Engine) []diffRow {
 // Q3.
 func scaleRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
-	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.kbSnapshot())...), "synthesize", "check")
+	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.revision().kb)...), "synthesize", "check")
 	for _, s := range scs {
 		if s.name != "q1-baseline" && s.name != "q1-grown-frozen" && s.name != "q3-with-cxl" {
 			continue
@@ -754,7 +754,7 @@ func randomScenarios(k *kb.KB) []namedScenario {
 }
 
 // scaleConfigs is the 5k-SKU sweep: the sliced engine cold, warm, and
-// cold again after its cache is dropped.
+// warm again after UpdateKB has rebuilt its cache.
 func scaleConfigs() []diffConfig {
 	var on *Engine
 	sliced := func(name string, prep func(t *testing.T, c diffCatalog)) diffConfig {
@@ -770,6 +770,16 @@ func scaleConfigs() []diffConfig {
 	return []diffConfig{
 		sliced("sliced-cold", func(t *testing.T, c diffCatalog) { on = diffEngine(t, c.kb(), SliceOn) }),
 		sliced("sliced-warm", func(*testing.T, diffCatalog) {}),
-		sliced("sliced-cold-again", func(*testing.T, diffCatalog) { on.InvalidateCache() }),
+		sliced("sliced-updated", func(t *testing.T, c diffCatalog) {
+			// A round trip through another revision recompiles every
+			// cached base and slice through UpdateKB.
+			other := c.kb()
+			other.Rules[0].Note += " (edited)"
+			for _, k := range []*kb.KB{other, c.kb()} {
+				if _, err := on.UpdateKB(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}),
 	}
 }

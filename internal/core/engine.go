@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"netarch/internal/kb"
 	"netarch/internal/sat"
@@ -13,48 +13,46 @@ import (
 
 // Engine is the reasoning engine over one knowledge base. It is cheap to
 // construct and safe for concurrent queries: compilation is amortized
-// through a compiled-base cache (see cache.go) guarded by a RWMutex, and
-// every query solves against a private clone of the cached base, so
-// goroutines never share mutable solver state. Use CacheStats,
-// SetCacheCapacity and InvalidateCache to observe and control the cache;
-// the cache and slice counters are one CacheStats value under one
-// mutex, so CacheStats never returns a torn snapshot.
+// through a compiled-base cache (see cache.go), and every query solves
+// against a private clone of the cached base, so goroutines never share
+// mutable solver state. One mutex guards everything a query reads or
+// counts; a warm query takes it twice, once to read the revision and
+// once to look up its base and count the hit. Use CacheStats and
+// SetCacheCapacity to observe and control the cache, and UpdateKB to
+// change the knowledge base.
 type Engine struct {
-	// kbCur is the engine's current knowledge base, guarded by mu —
-	// UpdateKB swaps it live. Read it once per operation through
-	// kbSnapshot() and use the captured pointer throughout; the KBs
-	// themselves are immutable from the engine's point of view.
-	kbCur *kb.KB
-	// kbGen counts KB swaps (UpdateKB) and in-place invalidations
-	// (InvalidateCache), guarded by mu. baseFor records the generation it
-	// compiled against and discards the result instead of caching it when
-	// the generation moved — a compile raced an update and would poison
-	// the fresh cache with a previous-KB base.
-	kbGen uint64
-	// updateMu serializes UpdateKB calls (queries never take it).
+	// updateMu serializes UpdateKB calls (queries never take it). The
+	// recompiles run under it but outside mu.
 	updateMu sync.Mutex
+
+	// mu guards every field below except names.
+	mu sync.Mutex
+	// kbCur is the engine's current knowledge base; UpdateKB swaps it
+	// live. A query reads it once, with kbGen, as its revision and uses
+	// that KB throughout; the KBs themselves are immutable from the
+	// engine's point of view.
+	kbCur *kb.KB
+	// kbGen counts UpdateKB's swaps. A query whose revision's generation
+	// is no longer current neither takes nor inserts a cached base or
+	// slice: it answers privately against the KB it read.
+	kbGen uint64
 
 	fault func(sat.FaultEvent, sat.Stats) bool
 
 	// Compiled-base cache: scenario-shape fingerprint → frozen instance.
 	// baseOrder tracks insertion for FIFO eviction at cacheCap entries.
-	mu        sync.RWMutex
 	bases     map[string]*compiled
 	baseOrder []string
 	cacheCap  int
 
-	// stats holds every cache and slice counter; each bump and each
-	// CacheStats snapshot holds statsMu, so a snapshot is never torn.
-	// Size and Capacity stay zero here: CacheStats reads them under mu.
-	statsMu sync.Mutex
-	stats   CacheStats
+	// stats holds every cache and slice counter. Size and Capacity stay
+	// zero here: CacheStats fills them in from bases and cacheCap.
+	stats CacheStats
 
 	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
-	// SliceOff / SliceOn); sliceMemo caches computed slices per
-	// (generation, request) under its own lock so the warm path never
-	// recomputes a cone.
-	sliceMode atomic.Int32
-	sliceMu   sync.Mutex
+	// SliceOff / SliceOn); sliceMemo caches the current generation's
+	// slices per request so the warm path never recomputes a cone.
+	sliceMode SliceMode
 	sliceMemo map[string]*kbSlice
 
 	// names interns namespaced atom strings across compiles (intern.go):
@@ -76,23 +74,58 @@ func New(k *kb.KB) (*Engine, error) {
 	}, nil
 }
 
-// kbSnapshot captures the current KB pointer under the read lock. Every
-// engine operation that reads the KB takes one snapshot up front and uses
-// it throughout, so a concurrent UpdateKB can never hand one operation
-// two different KB revisions.
-func (e *Engine) kbSnapshot() *kb.KB {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.kbCur
+// revision is what a query reads of the engine's settings, in one
+// critical section: the KB and its generation, the slice mode and the
+// fault hook.
+type revision struct {
+	kb    *kb.KB
+	gen   uint64
+	slice SliceMode
+	fault func(sat.FaultEvent, sat.Stats) bool
 }
 
-// SetFaultHook installs a fault-injection callback on every solver the
-// engine compiles from now on (see sat.Options.FaultHook): it fires at
-// each solve entry and conflict boundary, and returning true interrupts
-// the solve there. It makes every degraded path — interrupts, budget
-// trips at the Nth conflict — deterministically testable. Not meant for
-// production use; not safe to change while queries are in flight.
-func (e *Engine) SetFaultHook(h func(sat.FaultEvent, sat.Stats) bool) { e.fault = h }
+// revision reads the engine's current revision.
+func (e *Engine) revision() revision {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return revision{kb: e.kbCur, gen: e.kbGen, slice: e.sliceMode, fault: e.fault}
+}
+
+// begin is every query's entry: it reads the revision once and starts
+// the query at it (see start).
+func (e *Engine) begin(ctx context.Context, query string, sc Scenario, b Budget, bind func(*kb.KB, *Scenario) error) (*compiled, *governor, error) {
+	return e.start(ctx, query, e.revision(), sc, b, bind)
+}
+
+// start builds the query's instance against rev, then starts its
+// governor and adopts the instance's solver. bind, when non-nil, first
+// rewrites the scenario against rev's KB. On success the caller must
+// defer g.done().
+func (e *Engine) start(ctx context.Context, query string, rev revision, sc Scenario, b Budget, bind func(*kb.KB, *Scenario) error) (*compiled, *governor, error) {
+	if bind != nil {
+		if err := bind(rev.kb, &sc); err != nil {
+			return nil, nil, err
+		}
+	}
+	c, err := e.instance(rev, &sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	g := govern(ctx, query, b)
+	g.adopt(c.solver)
+	return c, g, nil
+}
+
+// SetFaultHook installs a fault-injection callback on the solver of
+// every query that begins after it (see sat.Options.FaultHook): it fires
+// at each solve entry and conflict boundary, and returning true
+// interrupts the solve there. It makes every degraded path
+// deterministically testable. Not meant for production use.
+func (e *Engine) SetFaultHook(h func(sat.FaultEvent, sat.Stats) bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.fault = h
+}
 
 // Synthesize answers the existential query: does a compliant design exist
 // for the scenario? On success the report carries a witness design; on
@@ -107,15 +140,7 @@ func (e *Engine) Synthesize(sc Scenario) (*Report, error) {
 // when only the explanation-minimization phase is cut short, it returns
 // the report with Explanation.Approximate set instead of failing.
 func (e *Engine) SynthesizeCtx(ctx context.Context, sc Scenario, b Budget) (*Report, error) {
-	return e.run(ctx, "synthesize", sc, b)
-}
-
-func (e *Engine) run(ctx context.Context, query string, sc Scenario, b Budget) (*Report, error) {
-	c, err := e.instance(&sc)
-	if err != nil {
-		return nil, err
-	}
-	return e.decide(ctx, query, b, c, nil)
+	return e.decide(ctx, "synthesize", sc, b, nil)
 }
 
 // Check verifies a concrete design against the scenario: exactly the
@@ -128,57 +153,60 @@ func (e *Engine) Check(design Design, sc Scenario) (*Report, error) {
 // CheckCtx is Check under a context and resource budget; see
 // SynthesizeCtx for the degradation contract.
 func (e *Engine) CheckCtx(ctx context.Context, design Design, sc Scenario, b Budget) (*Report, error) {
-	// Pin the design by construction: every system var gets a
-	// pin/forbid selector so explanations reference the design choices.
-	k := e.kbSnapshot()
-	sc2 := sc
-	sc2.PinnedSystems = append([]string(nil), sc.PinnedSystems...)
-	sc2.ForbiddenSystems = append([]string(nil), sc.ForbiddenSystems...)
+	return e.decide(ctx, "check", sc, b, design.pin)
+}
+
+// pin rewrites sc to pin the design by construction against k: every
+// system gets a pin or forbid selector, so explanations reference the
+// design choices, and the design's hardware is pinned.
+func (d *Design) pin(k *kb.KB, sc *Scenario) error {
+	sc.PinnedSystems = append([]string(nil), sc.PinnedSystems...)
+	sc.ForbiddenSystems = append([]string(nil), sc.ForbiddenSystems...)
 	deployed := map[string]bool{}
-	for _, s := range design.Systems {
+	for _, s := range d.Systems {
 		if k.SystemByName(s) == nil {
-			return nil, fmt.Errorf("core: design deploys unknown system %q", s)
+			return fmt.Errorf("core: design deploys unknown system %q", s)
 		}
 		deployed[s] = true
-		sc2.PinnedSystems = append(sc2.PinnedSystems, s)
+		sc.PinnedSystems = append(sc.PinnedSystems, s)
 	}
 	for i := range k.Systems {
 		if !deployed[k.Systems[i].Name] {
-			sc2.ForbiddenSystems = append(sc2.ForbiddenSystems, k.Systems[i].Name)
+			sc.ForbiddenSystems = append(sc.ForbiddenSystems, k.Systems[i].Name)
 		}
 	}
-	if len(design.Hardware) > 0 {
-		sc2.PinnedHardware = map[kb.HardwareKind]string{}
-		for kind, name := range sc.PinnedHardware {
-			sc2.PinnedHardware[kind] = name
-		}
-		for kind, name := range design.Hardware {
-			if h := k.HardwareByName(name); h == nil || h.Kind != kind {
-				return nil, fmt.Errorf("core: design selects unknown %s %q", kind, name)
-			}
-			sc2.PinnedHardware[kind] = name
+	for kind, name := range d.Hardware {
+		if h := k.HardwareByName(name); h == nil || h.Kind != kind {
+			return fmt.Errorf("core: design selects unknown %s %q", kind, name)
 		}
 	}
-	return e.run(ctx, "check", sc2, b)
+	if len(d.Hardware) > 0 {
+		pinned := make(map[kb.HardwareKind]string, len(sc.PinnedHardware)+len(d.Hardware))
+		maps.Copy(pinned, sc.PinnedHardware)
+		maps.Copy(pinned, d.Hardware)
+		sc.PinnedHardware = pinned
+	}
+	return nil
 }
 
-// decide solves under all selectors plus extra assumptions, producing a
-// report with either a witness or a minimized explanation. An Unknown
-// verdict on the main decision maps to *ErrResourceExhausted; Unknown
-// during minimization degrades to an approximate explanation.
-func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled, extra []sat.Lit) (*Report, error) {
-	g := govern(ctx, query, b)
+// decide answers a decision query: it solves under all selectors,
+// producing a report with either a witness or a minimized explanation.
+// An Unknown verdict on the main decision maps to *ErrResourceExhausted;
+// Unknown during minimization degrades to an approximate explanation.
+func (e *Engine) decide(ctx context.Context, query string, sc Scenario, b Budget, bind func(*kb.KB, *Scenario) error) (*Report, error) {
+	c, g, err := e.begin(ctx, query, sc, b, bind)
+	if err != nil {
+		return nil, err
+	}
 	defer g.done()
-	g.adopt(c.solver)
-	assumps := append(c.assumptions(), extra...)
 	rep := &Report{}
-	switch status := c.solver.SolveAssuming(assumps); status {
+	switch status := c.solver.SolveAssuming(c.assumptions()); status {
 	case sat.Sat:
 		rep.Verdict = Feasible
 		rep.Design = c.designFromModel()
 	case sat.Unsat:
 		rep.Verdict = Infeasible
-		rep.Explanation = e.minimizeCore(c, extra, g)
+		rep.Explanation = e.minimizeCore(c, g)
 	default:
 		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
@@ -197,12 +225,12 @@ func (e *Engine) decide(ctx context.Context, query string, b Budget, c *compiled
 // The candidate set is seeded from the solver's FinalConflict and keeps
 // intersecting with each trial's new core, so every Unsat trial can
 // shrink the set by more than the one selector it dropped.
-func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor) *Explanation {
+func (e *Engine) minimizeCore(c *compiled, g *governor) *Explanation {
 	inCore := map[sat.Lit]bool{}
 	for _, l := range c.solver.FinalConflict() {
 		inCore[l] = true
 	}
-	// Candidate selectors (extras are always kept: they are the query).
+	// Candidate selectors.
 	var kept []selector
 	for _, s := range c.selectors {
 		if inCore[s.lit] {
@@ -217,13 +245,12 @@ func (e *Engine) minimizeCore(c *compiled, extra []sat.Lit, g *governor) *Explan
 	// unsat without it.
 loop:
 	for i := 0; i < len(kept); i++ {
-		trial := make([]sat.Lit, 0, len(kept)-1+len(extra))
+		trial := make([]sat.Lit, 0, len(kept)-1)
 		for j, s := range kept {
 			if j != i {
 				trial = append(trial, s.lit)
 			}
 		}
-		trial = append(trial, extra...)
 		switch c.solver.SolveAssuming(trial) {
 		case sat.Unsat:
 			// Still unsat without kept[i]: remove it. Additionally
@@ -266,7 +293,7 @@ func (e *Engine) Explain(sc Scenario) (*Explanation, error) {
 // ExplainCtx is Explain under a context and resource budget; see
 // SynthesizeCtx for the degradation contract.
 func (e *Engine) ExplainCtx(ctx context.Context, sc Scenario, b Budget) (*Explanation, error) {
-	rep, err := e.run(ctx, "explain", sc, b)
+	rep, err := e.decide(ctx, "explain", sc, b, nil)
 	if err != nil {
 		return nil, err
 	}

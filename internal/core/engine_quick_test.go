@@ -103,7 +103,7 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		// Bias toward infeasibility.
 		sc.Context["deadline_tight"] = true
 		sc.Context["app_modifiable"] = false
-		c, err := e.instance(&sc)
+		c, err := e.instance(e.revision(), &sc)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		g := govern(context.Background(), "test", Budget{})
 		defer g.done()
 		g.adopt(c.solver)
-		ex := e.minimizeCore(c, nil, g)
+		ex := e.minimizeCore(c, g)
 		if len(ex.Conflicts) == 0 {
 			return false
 		}

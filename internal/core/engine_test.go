@@ -473,7 +473,7 @@ func TestPerformanceBound(t *testing.T) {
 		t.Errorf("bound must force packet-spraying: %v", rep.Design.Systems)
 	}
 	// NIC must then have large reorder buffers.
-	nic := e.kbSnapshot().HardwareByName(rep.Design.Hardware[kb.KindNIC])
+	nic := e.revision().kb.HardwareByName(rep.Design.Hardware[kb.KindNIC])
 	if !nic.HasCap("LARGE_REORDER_BUFFER") {
 		t.Errorf("packet spraying requires reorder buffers; NIC %s lacks them", nic.Name)
 	}
@@ -492,7 +492,7 @@ func TestFullCatalogCaseStudyFeasible(t *testing.T) {
 	// All three needs covered: CC, LB, queue monitoring.
 	hasCC, hasLB, hasMon := false, false, false
 	for _, s := range d.Systems {
-		sys := e.kbSnapshot().SystemByName(s)
+		sys := e.revision().kb.SystemByName(s)
 		for _, p := range sys.Solves {
 			switch p {
 			case "congestion_control":

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 
+	"netarch/internal/kb"
 	"netarch/internal/sat"
 )
 
@@ -81,28 +82,33 @@ func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
 // A scenario that resolves to a relevance-sliced base is refused with
 // ErrSlicedEnumeration.
 func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
-	c, err := e.instance(&sc)
+	res, _, err := e.enumerate(ctx, sc, max, b)
+	return res, err
+}
+
+// enumerate is EnumerateCtx that also returns the KB the enumeration
+// compiled against.
+func (e *Engine) enumerate(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, *kb.KB, error) {
+	c, g, err := e.begin(ctx, "enumerate", sc, b, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if c.sliceID != "" {
-		return nil, ErrSlicedEnumeration
-	}
-	g := govern(ctx, "enumerate", b)
 	defer g.done()
-	g.adopt(c.solver)
+	if c.sliceID != "" {
+		return nil, nil, ErrSlicedEnumeration
+	}
 	res := &EnumerateResult{}
 	res.Designs, res.Truncated = c.enumerate(g, max)
 	sort.Slice(res.Designs, func(i, j int) bool { return lessSystems(res.Designs[i].Systems, res.Designs[j].Systems) })
 	if ex := g.exhausted(); ex != nil {
 		res.Reason, res.Exhausted, res.Spent = ex.Cause, ex, ex.Spent
-		return res, nil
+		return res, c.kb, nil
 	}
 	if res.Truncated {
 		res.Reason = "limit"
 	}
 	res.Spent = g.spent()
-	return res, nil
+	return res, c.kb, nil
 }
 
 // enumerate runs the blocking-clause loop on c's solver, returning the

@@ -32,17 +32,13 @@ const (
 var tierPrefix = [nTiers]string{"system:", "hw:", "ctx:", "prop:", "cap:", "sel:"}
 
 // atomInterner canonicalizes namespaced atom names. The zero value is
-// ready to use; a nil interner degrades to plain concatenation (restored
-// bases construct atoms before any engine wiring).
+// ready to use.
 type atomInterner struct {
 	tiers [nTiers]sync.Map // undecorated name -> canonical "prefix:name"
 }
 
 // full returns the canonical "prefix+name" string for a tier.
 func (in *atomInterner) full(tier int, name string) string {
-	if in == nil {
-		return tierPrefix[tier] + name
-	}
 	if s, ok := in.tiers[tier].Load(name); ok {
 		return s.(string)
 	}

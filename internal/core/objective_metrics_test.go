@@ -71,7 +71,7 @@ func TestObjectiveCircuitsBuiltOncePerInstance(t *testing.T) {
 	sc := section51Scenarios()["inference_app"]
 	size := func(objs ...Objective) [2]int {
 		t.Helper()
-		c, err := e.instance(&sc)
+		c, err := e.instance(e.revision(), &sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,26 +52,24 @@ func (e *Engine) Optimize(sc Scenario, objectives []Objective) (*OptimizeResult,
 // not discard work. Only an exhaustion before any verdict yields
 // *ErrResourceExhausted.
 func (e *Engine) OptimizeCtx(ctx context.Context, sc Scenario, objectives []Objective, b Budget) (*OptimizeResult, error) {
-	c, err := e.instance(&sc)
+	c, g, err := e.begin(ctx, "optimize", sc, b, nil)
 	if err != nil {
 		return nil, err
 	}
-	return e.optimize(ctx, c, objectives, b)
+	defer g.done()
+	return e.optimize(c, g, objectives)
 }
 
-// optimize answers an optimization on the query instance c, whose
-// solver it owns.
-func (e *Engine) optimize(ctx context.Context, c *compiled, objectives []Objective, b Budget) (*OptimizeResult, error) {
-	g := govern(ctx, "optimize", b)
-	defer g.done()
-	g.adopt(c.solver)
+// optimize answers an optimization on the begun query's instance c,
+// whose solver it owns, under its governor g.
+func (e *Engine) optimize(c *compiled, g *governor, objectives []Objective) (*OptimizeResult, error) {
 	assumps := c.assumptions()
 	switch status := c.solver.SolveAssuming(assumps); status {
 	case sat.Sat:
 	case sat.Unsat:
 		res := &OptimizeResult{Report: Report{
 			Verdict:     Infeasible,
-			Explanation: e.minimizeCore(c, nil, g),
+			Explanation: e.minimizeCore(c, g),
 		}}
 		res.Spent = g.spent()
 		return res, nil

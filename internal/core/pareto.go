@@ -52,17 +52,15 @@ func (e *Engine) ParetoCtx(ctx context.Context, sc Scenario, objectives []Object
 	if len(objectives) == 0 {
 		return nil, fmt.Errorf("core: pareto requires at least one objective")
 	}
-	c, err := e.instance(&sc)
+	c, g, err := e.begin(ctx, "pareto", sc, b, nil)
 	if err != nil {
 		return nil, err
 	}
+	defer g.done()
 	objs, err := c.objectives(objectives)
 	if err != nil {
 		return nil, err
 	}
-	g := govern(ctx, "pareto", b)
-	defer g.done()
-	g.adopt(c.solver)
 	front, err := maxsat.Pareto(c.solver, objs, maxsat.Options{Hard: c.assumptions(), Phase: g.phase})
 	if errors.Is(err, maxsat.ErrInfeasible) {
 		return &ParetoResult{Complete: true, Spent: g.spent()}, nil

@@ -114,7 +114,9 @@ func (e *Engine) SetSliceMode(m SliceMode) {
 	if m != SliceOff && m != SliceOn {
 		m = SliceAuto
 	}
-	e.sliceMode.Store(int32(m))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sliceMode = m
 }
 
 // sliceRequest is the canonical, order-independent summary of every
@@ -229,62 +231,35 @@ func sliceKeySuffix(sl *kbSlice) string {
 	return "|slice:" + sl.id
 }
 
-// sliceFor resolves the slice for a scenario under the current mode,
-// memoized per (KB generation, request). Returns nil when slicing is
-// off, below the auto threshold, or the request cannot be derived.
-func (e *Engine) sliceFor(k *kb.KB, gen uint64, sc *Scenario, shape *Scenario) *kbSlice {
-	switch SliceMode(e.sliceMode.Load()) {
+// sliceRequest derives the scenario's slice request under the
+// revision's slice mode: nil when slicing is off, the catalog is below
+// the auto threshold, or the request cannot be derived.
+func (r revision) sliceRequest(sc *Scenario, shape *Scenario) *sliceRequest {
+	switch r.slice {
 	case SliceOff:
 		return nil
 	case SliceAuto:
-		if len(k.Hardware) <= sliceAutoThreshold {
+		if len(r.kb.Hardware) <= sliceAutoThreshold {
 			return nil
 		}
 	}
-	req := deriveSliceRequest(k, sc, shape)
-	if req == nil {
-		return nil
-	}
-	key := fmt.Sprintf("%d|%s", gen, req.key())
-	e.sliceMu.Lock()
-	if sl, ok := e.sliceMemo[key]; ok {
-		e.sliceMu.Unlock()
-		e.bump(&e.stats.SliceHits)
-		return sl
-	}
-	e.sliceMu.Unlock()
-	// Compute off-lock: deterministic, so a racing duplicate is merely
-	// redundant work, never an inconsistency.
-	sl := computeSlice(k, req)
-	e.sliceMu.Lock()
-	if e.sliceMemo == nil || len(e.sliceMemo) >= sliceMemoCap {
-		e.sliceMemo = make(map[string]*kbSlice, sliceMemoCap)
-	}
-	if prior, ok := e.sliceMemo[key]; ok {
-		// A racing lookup stored it first: this one is served from the
-		// memo, so it counts as a hit and every lookup is counted once.
-		sl = prior
-		e.sliceMu.Unlock()
-		e.bump(&e.stats.SliceHits)
-	} else {
-		e.sliceMemo[key] = sl
-		e.sliceMu.Unlock()
-		e.statsMu.Lock()
-		e.stats.SliceComputed++
-		e.stats.SliceSKUsIn += int64(sl.skusIn)
-		e.stats.SliceSKUsKept += int64(sl.skusKept)
-		e.statsMu.Unlock()
-	}
-	return sl
+	return deriveSliceRequest(r.kb, sc, shape)
 }
 
-// invalidateSliceMemoLocked drops memoized slices; callers hold e.mu
-// (the memo has its own lock, but invalidation points already serialize
-// on the engine lock).
-func (e *Engine) invalidateSliceMemo() {
-	e.sliceMu.Lock()
-	e.sliceMemo = nil
-	e.sliceMu.Unlock()
+// recordSliceLocked counts a slice a query computed for the request key
+// and, when the query's generation is current, memoizes it. A racing
+// query may have memoized an equal slice first; this one replaces it.
+// Caller holds e.mu.
+func (e *Engine) recordSliceLocked(key string, sl *kbSlice, current bool) {
+	if current {
+		if e.sliceMemo == nil || len(e.sliceMemo) >= sliceMemoCap {
+			e.sliceMemo = make(map[string]*kbSlice, sliceMemoCap)
+		}
+		e.sliceMemo[key] = sl
+	}
+	e.stats.SliceComputed++
+	e.stats.SliceSKUsIn += int64(sl.skusIn)
+	e.stats.SliceSKUsKept += int64(sl.skusKept)
 }
 
 // atom namespace tests for slice membership.

@@ -190,13 +190,13 @@ func TestSliceIdentityInCacheKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng.mu.RLock()
+	eng.mu.Lock()
 	keys := append([]string(nil), eng.baseOrder...)
 	var base *compiled
 	if len(keys) == 1 {
 		base = eng.bases[keys[0]]
 	}
-	eng.mu.RUnlock()
+	eng.mu.Unlock()
 	if base == nil {
 		t.Fatalf("want exactly one cached base, got keys %q", keys)
 	}
@@ -316,9 +316,9 @@ func TestUpdateKBInstallsCollapsedSlicesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.mu.RLock()
+	e.mu.Lock()
 	bases, order := len(e.bases), len(e.baseOrder)
-	e.mu.RUnlock()
+	e.mu.Unlock()
 	if size := e.CacheStats().Size; bases != 1 || order != 1 || size != 1 || up.BasesUpdated != 1 {
 		t.Errorf("bases %d, baseOrder %d, CacheStats.Size %d, BasesUpdated %d; want all 1",
 			bases, order, size, up.BasesUpdated)

@@ -70,13 +70,11 @@ func (e *Engine) Suggest(sc Scenario, max int) ([]*Suggestion, error) {
 // correction sets found so far are returned alongside the typed error —
 // partial suggestions are still useful.
 func (e *Engine) SuggestCtx(ctx context.Context, sc Scenario, max int, b Budget) ([]*Suggestion, error) {
-	c, err := e.instance(&sc)
+	c, g, err := e.begin(ctx, "suggest", sc, b, nil)
 	if err != nil {
 		return nil, err
 	}
-	g := govern(ctx, "suggest", b)
 	defer g.done()
-	g.adopt(c.solver)
 	switch c.solver.SolveAssuming(c.assumptions()) {
 	case sat.Sat:
 		return nil, nil
@@ -269,15 +267,21 @@ func (e *Engine) Disambiguate(sc Scenario, limit int) (*Disambiguation, error) {
 // it must be Incomplete too: only an exhaustive enumeration yields a
 // report that covers every fork.
 func (e *Engine) DisambiguateCtx(ctx context.Context, sc Scenario, limit int, b Budget) (*Disambiguation, error) {
-	k := e.kbSnapshot()
-	res, err := e.EnumerateCtx(ctx, sc, limit, b)
+	res, k, err := e.enumerate(ctx, sc, limit, b)
 	if err != nil {
 		return nil, err
 	}
+	return disambiguate(k, sc, res), nil
+}
+
+// disambiguate builds the report from an enumeration over k, the KB the
+// enumeration compiled against, so every class's systems resolve in it.
+// Enumeration refuses sliced bases, so k is a full KB.
+func disambiguate(k *kb.KB, sc Scenario, res *EnumerateResult) *Disambiguation {
 	designs := res.Designs
 	d := &Disambiguation{Classes: len(designs), Incomplete: res.Truncated}
 	if len(designs) < 2 {
-		return d, nil
+		return d
 	}
 
 	// Systems appearing in some but not all designs, grouped by role.
@@ -361,5 +365,5 @@ func (e *Engine) DisambiguateCtx(ctx context.Context, sc Scenario, limit int, b 
 		}
 	}
 	sort.Strings(d.FreeAtoms)
-	return d, nil
+	return d
 }

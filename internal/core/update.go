@@ -42,7 +42,8 @@ func (u *KBUpdate) String() string {
 // queries admitted after the swap see only the new ones, and a compile
 // racing the update is detected by the KB generation counter and never
 // cached (see baseFor). Concurrent UpdateKB calls serialize on the
-// engine's update lock, so callers need no lock of their own.
+// engine's update lock, so callers need no lock of their own. UpdateKB
+// is the only way the engine's KB changes.
 //
 // The incoming KB is validated first; on error the engine is unchanged.
 // newKB must not be mutated after the call (the engine holds it by
@@ -61,7 +62,16 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
 
-	old := e.kbSnapshot()
+	// Snapshot the KB and the cached bases in insertion order. Only
+	// UpdateKB writes kbCur, so old stays current until the swap below.
+	e.mu.Lock()
+	old := e.kbCur
+	outgoing := make([]*compiled, len(e.baseOrder))
+	for i, key := range e.baseOrder {
+		outgoing[i] = e.bases[key]
+	}
+	e.mu.Unlock()
+
 	up := &KBUpdate{Diff: kb.Diff(old, newKB)}
 	if len(up.Diff) == 0 {
 		// Content-identical KB: adopt the new pointer (callers may hold
@@ -73,15 +83,6 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		return up, nil
 	}
 
-	// Snapshot the cached bases in insertion order under the read lock.
-	e.mu.RLock()
-	keys := append([]string(nil), e.baseOrder...)
-	outgoing := make(map[string]*compiled, len(keys))
-	for _, key := range keys {
-		outgoing[key] = e.bases[key]
-	}
-	e.mu.RUnlock()
-
 	// Recompile each base outside the lock: outgoing bases are frozen and
 	// read-only, so queries keep cloning them while we build their
 	// successors.
@@ -89,10 +90,9 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		key  string
 		base *compiled
 	}
-	fresh := make([]rebuilt, 0, len(keys))
-	seen := make(map[string]bool, len(keys))
-	for _, key := range keys {
-		ob := outgoing[key]
+	fresh := make([]rebuilt, 0, len(outgoing))
+	seen := make(map[string]bool, len(outgoing))
+	for _, ob := range outgoing {
 		// Sliced bases recompute their cone under the incoming KB:
 		// computeSlice expands the stored request's workloads against
 		// newKB, so a SKU, rule or workload edit that changes slice
@@ -123,9 +123,10 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		up.BasesUpdated++
 	}
 
-	// The swap: new KB, new generation, rebuilt cache. Queries admitted
-	// from here on see only new-KB state.
+	// The swap: new KB, new generation, rebuilt cache, empty slice
+	// memo. Queries admitted from here on see only new-KB state.
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.kbCur = newKB
 	e.kbGen++
 	e.bases = make(map[string]*compiled, len(fresh))
@@ -134,7 +135,6 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 		e.bases[rb.key] = rb.base
 		e.baseOrder = append(e.baseOrder, rb.key)
 	}
-	e.mu.Unlock()
-	e.invalidateSliceMemo()
+	e.sliceMemo = nil
 	return up, nil
 }

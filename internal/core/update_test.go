@@ -57,15 +57,15 @@ func TestUpdateKBByteIdentity(t *testing.T) {
 			if len(up.Diff) == 0 || up.BasesUpdated != 1 {
 				t.Fatalf("update did not revalidate the cached base: %+v", up)
 			}
-			e.mu.RLock()
+			e.mu.Lock()
 			updated := e.bases[key]
-			e.mu.RUnlock()
+			e.mu.Unlock()
 			if updated == nil {
 				t.Fatal("cached base vanished across UpdateKB")
 			}
 
 			cold := mustEngine(t, next)
-			want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape)
+			want, err := cold.compileBaseWith(cold.revision().kb, &shape)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestUpdateKBStats(t *testing.T) {
 	if up.BasesUpdated != 1 || up.BasesDropped != 0 {
 		t.Fatalf("bases: %+v", up)
 	}
-	if e.kbSnapshot() != next {
+	if e.revision().kb != next {
 		t.Error("KB() does not return the updated knowledge base")
 	}
 
@@ -129,7 +129,7 @@ func TestUpdateKBNoChange(t *testing.T) {
 	if st := e.CacheStats(); st.Size != 1 {
 		t.Errorf("no-op update dropped cached bases: %+v", st)
 	}
-	if e.kbSnapshot() != same {
+	if e.revision().kb != same {
 		t.Error("no-op update must still adopt the caller's pointer")
 	}
 }
@@ -138,7 +138,7 @@ func TestUpdateKBNoChange(t *testing.T) {
 // untouched.
 func TestUpdateKBRejectsInvalid(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	old := e.kbSnapshot()
+	old := e.revision().kb
 	if _, err := e.UpdateKB(nil); err == nil {
 		t.Error("nil KB accepted")
 	}
@@ -147,7 +147,7 @@ func TestUpdateKBRejectsInvalid(t *testing.T) {
 	if _, err := e.UpdateKB(bad); err == nil {
 		t.Error("invalid KB accepted")
 	}
-	if e.kbSnapshot() != old {
+	if e.revision().kb != old {
 		t.Error("failed update swapped the KB anyway")
 	}
 }
@@ -201,12 +201,12 @@ func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	if _, err := e.UpdateKB(next); err != nil {
 		t.Fatal(err)
 	}
-	e.mu.RLock()
+	e.mu.Lock()
 	nb := e.bases[key]
-	e.mu.RUnlock()
+	e.mu.Unlock()
 
 	cold := mustEngine(t, next)
-	want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape)
+	want, err := cold.compileBaseWith(cold.revision().kb, &shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,18 +344,18 @@ func TestUpdateKBConcurrentUpdates(t *testing.T) {
 	default:
 	}
 
-	last := e.kbSnapshot()
+	last := e.revision().kb
 	if last != finals[0] && last != finals[1] {
 		t.Fatal("KB() is not the last revision applied")
 	}
-	e.mu.RLock()
+	e.mu.Lock()
 	base := e.bases[shape.fingerprint()]
-	e.mu.RUnlock()
+	e.mu.Unlock()
 	if base == nil {
 		t.Fatal("cached base vanished across the updates")
 	}
 	cold := mustEngine(t, last)
-	want, err := cold.compileBaseWith(cold.kbSnapshot(), &shape)
+	want, err := cold.compileBaseWith(cold.revision().kb, &shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,10 +390,10 @@ func TestCacheEvictionReleasesEvictedKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.mu.RLock()
+	e.mu.Lock()
 	order := e.baseOrder
 	if len(order) != 2 {
-		e.mu.RUnlock()
+		e.mu.Unlock()
 		t.Fatalf("len(baseOrder) = %d, want 2", len(order))
 	}
 	// The vacated tail of the backing array must hold no evicted keys.
@@ -403,15 +403,15 @@ func TestCacheEvictionReleasesEvictedKeys(t *testing.T) {
 			t.Errorf("backing array slot %d still pins evicted key %q", i, s)
 		}
 	}
-	e.mu.RUnlock()
+	e.mu.Unlock()
 
 	// And an evicted base must be collectable: compile one more shape,
 	// plant a finalizer on the base eviction will push out, evict it,
 	// and GC until the finalizer runs.
 	shape := baseShape(&Scenario{NumServers: 16})
-	e.mu.RLock()
+	e.mu.Lock()
 	victim := e.bases[shape.fingerprint()]
-	e.mu.RUnlock()
+	e.mu.Unlock()
 	if victim == nil {
 		t.Fatal("expected NumServers=16 base to still be cached")
 	}
@@ -434,55 +434,69 @@ func TestCacheEvictionReleasesEvictedKeys(t *testing.T) {
 	t.Error("evicted base never became collectable; eviction still pins it")
 }
 
-// TestKBMutationStalenessOrdering pins the documented in-place-mutation
-// protocol: mutate the KB in place, then InvalidateCache. The next query
-// must recompile against the mutated content (its base equals a cold
-// compile of the mutated KB, not the pre-mutation base), and a query
-// mid-flight on a clone of the old base must still complete.
+// TestKBMutationStalenessOrdering pins how a KB change orders against
+// queries. A query that read its revision before UpdateKB's swap
+// compiles privately against that revision and leaves the new cache
+// alone; the next query answers from a base equal to a cold compile of
+// the new KB, not the old base; and a query mid-flight on a clone of the
+// old base still completes.
 func TestKBMutationStalenessOrdering(t *testing.T) {
-	k := miniKB()
-	e := mustEngine(t, k)
+	e := mustEngine(t, miniKB())
 	sc := Scenario{Require: []kb.Property{"congestion_control"}}
 	if _, err := e.Synthesize(sc); err != nil {
 		t.Fatal(err)
 	}
 
-	// A query mid-flight: clone the old base before the mutation, solve it
+	// A query mid-flight: clone the old base before the update, solve it
 	// after. Old bases are frozen, so the clone answers the old KB's
 	// question regardless of what the engine does meanwhile.
-	base, shared, err := e.baseFor(&sc)
+	stale := e.revision()
+	base, shared, err := e.baseFor(stale, &sc)
 	if err != nil || !shared {
 		t.Fatalf("baseFor: %v (shared=%v)", err, shared)
 	}
 	oldClone := base.solver.Clone()
 	oldBytes := snapshotBase(base, [32]byte{})
 
-	// The documented protocol for in-place mutation.
-	k.Hardware[0].CostUSD += 500 // in-place content change
-	e.InvalidateCache()
-
-	// The pre-mutation base must not be reused: the next query compiles
-	// the mutated KB exactly as a cold engine does.
-	if _, err := e.Synthesize(sc); err != nil {
+	next := miniKB()
+	next.Hardware[0].CostUSD += 500
+	if _, err := e.UpdateKB(next); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.CacheStats(); st.Misses != 2 {
-		t.Errorf("query after InvalidateCache did not recompile: %+v", st)
-	}
-	fresh, _, err := e.baseFor(&sc)
+
+	// A query whose revision predates the swap must not take the cached
+	// base, which now belongs to next: it compiles the KB it read.
+	private, shared, err := e.baseFor(stale, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := mustEngine(t, k).baseFor(&sc)
+	if shared {
+		t.Error("a query at the pre-update revision took a cached base")
+	}
+	if !bytes.Equal(snapshotBase(private, [32]byte{}), oldBytes) {
+		t.Error("the pre-update revision's private base differs from its cached base")
+	}
+
+	// The pre-update base is not reused: the next query answers from a
+	// base equal to a cold compile of next.
+	fresh, shared, err := e.baseFor(e.revision(), &sc)
+	if err != nil || !shared {
+		t.Fatalf("baseFor after the update: %v (shared=%v)", err, shared)
+	}
+	if st := e.CacheStats(); st.Size != 1 || st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("want the rebuilt base alone cached, the private compile a miss: %+v", st)
+	}
+	coldEngine := mustEngine(t, next)
+	cold, _, err := coldEngine.baseFor(coldEngine.revision(), &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	freshBytes := snapshotBase(fresh, [32]byte{})
 	if bytes.Equal(freshBytes, oldBytes) {
-		t.Error("the post-mutation base equals the pre-mutation base")
+		t.Error("the post-update base equals the pre-update base")
 	}
 	if !bytes.Equal(freshBytes, snapshotBase(cold, [32]byte{})) {
-		t.Error("the post-mutation base differs from a cold compile of the mutated KB")
+		t.Error("the post-update base differs from a cold compile of the new KB")
 	}
 
 	// The mid-flight clone still solves.

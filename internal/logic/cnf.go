@@ -43,23 +43,6 @@ func (c *CNF) add(cl Clause) {
 	c.Clauses = append(c.Clauses, cl)
 }
 
-// Eval evaluates the CNF under the assignment (vars absent are false).
-func (c *CNF) Eval(assign map[Var]bool) bool {
-	for _, cl := range c.Clauses {
-		ok := false
-		for _, l := range cl {
-			if assign[Var(l.Var())] != l.Neg() {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the CNF as a conjunction of clauses.
 func (c *CNF) String() string {
 	parts := make([]string, len(c.Clauses))

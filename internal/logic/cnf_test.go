@@ -5,6 +5,23 @@ import (
 	"testing"
 )
 
+// Eval evaluates the CNF under the assignment (vars absent are false).
+func (c *CNF) Eval(assign map[Var]bool) bool {
+	for _, cl := range c.Clauses {
+		ok := false
+		for _, l := range cl {
+			if assign[Var(l.Var())] != l.Neg() {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // cnfSatisfiableBrute brute-forces satisfiability of a CNF over its first
 // nOrig variables being projected: it checks whether any assignment over
 // all NumVars satisfies the CNF.

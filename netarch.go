@@ -74,8 +74,8 @@ type (
 	// concurrent queries: compilation is amortized through a compiled-
 	// base cache and every query solves on a private clone, so repeated
 	// or parallel queries over the same scenario shape never recompile.
-	// Engine.CacheStats, Engine.SetCacheCapacity and
-	// Engine.InvalidateCache observe and control the cache.
+	// Engine.CacheStats and Engine.SetCacheCapacity observe and control
+	// the cache; Engine.UpdateKB is the one way to change the KB.
 	// Every query, enumeration and Pareto included, runs on one private
 	// solver, and every compile runs on the goroutine that needs the base.
 	Engine = core.Engine
