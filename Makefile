@@ -77,7 +77,8 @@ serve-smoke:
 # brute-force-oracle and enumeration tables on an unsliced, uncached
 # reference engine and under every configuration: cache miss and hit,
 # query history, live KB update (byte-identical) and relevance slicing
-# (equivalent), plus the 5k-SKU sliced sweep. Its
+# (equivalent; enumeration and disambiguation, which never slice,
+# byte-identical), plus the 5k-SKU sliced sweep. Its
 # gates are TestDifferential and the five focused tests that each run
 # one catalog under a subset of its configurations. Beside them run the
 # tests the harness does not replace: the compiled-base golden hashes
@@ -88,10 +89,11 @@ serve-smoke:
 # identically over its shared implication table), the CNF conversion's
 # layout, the optimizer's
 # metamorphic, objective-circuit and maxsat brute-force tests, the
-# slicer edge cases and refusals, the 50k catalog smoke, and the
+# slicer edge cases, the slice-memo key regression, enumeration above
+# the slicing threshold, the 50k catalog smoke, and the
 # concurrent-update and reload-under-load tests under the race
 # detector. Each -run list lives in a variable that gate-names checks.
-DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateRefusesSlicedBase
+DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestSliceMemoKeyCollision|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateAboveSliceThreshold
 DIFF_CORE_PKGS = . ./internal/core
 DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatchesOffsetConverters
 DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver

@@ -75,10 +75,9 @@ func BenchmarkGreedyVsSAT(b *testing.B) { benchExperiment(b, experiments.RunB1) 
 
 // BenchmarkSynthScaling measures synthesis latency against catalog size
 // (S1): the series the paper's tractability bet rides on. The fraction
-// tiers shrink the seed catalog; the SKU tiers grow it with the
-// parameterized generators and measure relevance slicing on vs off —
-// the slice=on series is the PR 10 scale-out claim (50k-SKU synthesis
-// within ~2× of the 200-SKU baseline).
+// tiers shrink the seed catalog. internal/core's BenchmarkSynthScaling
+// grows it to 5k–50k SKUs and measures relevance slicing on vs off (the
+// engine's slicing threshold is a parameter only core's tests can set).
 func BenchmarkSynthScaling(b *testing.B) {
 	full := catalog.CaseStudy()
 	for _, frac := range []int{25, 50, 100} {
@@ -99,36 +98,6 @@ func BenchmarkSynthScaling(b *testing.B) {
 				}
 			}
 		})
-	}
-	for _, skus := range []int{5000, 20000, 50000} {
-		k := catalog.ScaledCatalog(skus)
-		for _, mode := range []netarch.SliceMode{netarch.SliceOn, netarch.SliceOff} {
-			b.Run(fmt.Sprintf("skus=%d/slice=%s", skus, mode), func(b *testing.B) {
-				eng, err := netarch.NewEngine(k)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng.SetSliceMode(mode)
-				// Warm the base cache outside the timer: this benchmark
-				// measures the amortized query (BenchmarkColdStart owns
-				// the first-query cost), and the unsliced 20k/50k tiers
-				// only reach one timed iteration, which would otherwise
-				// be pure compile time.
-				if _, err := eng.Synthesize(netarch.Scenario{Workloads: []string{"inference_app"}}); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep, err := eng.Synthesize(netarch.Scenario{Workloads: []string{"inference_app"}})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Verdict != netarch.Feasible {
-						b.Fatal("expected feasible")
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -634,7 +603,8 @@ func BenchmarkPareto(b *testing.B) {
 // BenchmarkColdStart measures a fresh engine's first query at full
 // catalog scale: "compile" builds the formula, CNFs it and probes the
 // base before the query solves. DESIGN.md §9 records why no tier
-// between the memory cache and the compile remains.
+// between the memory cache and the compile remains. internal/core's
+// BenchmarkColdStart has the scaled-catalog rows, sliced and unsliced.
 func BenchmarkColdStart(b *testing.B) {
 	k := catalog.CaseStudy()
 	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
@@ -658,26 +628,6 @@ func BenchmarkColdStart(b *testing.B) {
 			firstQuery(b, eng)
 		}
 	})
-	// Scaled-catalog cold starts: the first query against 5k/20k/50k-SKU
-	// catalogs, relevance slicing on vs off. The off series is the cost
-	// every cold process would pay without the slicer (the 50k tier runs
-	// tens of seconds per compile — expected, that is the point).
-	for _, skus := range []int{5000, 20000, 50000} {
-		sk := catalog.ScaledCatalog(skus)
-		for _, mode := range []netarch.SliceMode{netarch.SliceOn, netarch.SliceOff} {
-			b.Run(fmt.Sprintf("skus=%d/slice=%s", skus, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					eng, err := netarch.NewEngine(sk)
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng.SetSliceMode(mode)
-					firstQuery(b, eng)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkCompile measures scenario compilation alone (formula build +

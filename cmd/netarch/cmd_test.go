@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -257,12 +256,41 @@ func TestCmdSolveKBFile(t *testing.T) {
 	}
 }
 
-// TestCmdDisambiguateRefusesSlicing: a forced slice makes disambiguate
-// refuse, and the error names the flag that lifts the refusal.
-func TestCmdDisambiguateRefusesSlicing(t *testing.T) {
-	err := cmdSolve([]string{"-slice", "on", "-require", "congestion_control"}, "disambiguate")
-	if !errors.Is(err, netarch.ErrSlicedEnumeration) || !strings.Contains(err.Error(), "-slice off") {
-		t.Fatalf("sliced disambiguate: err %v, want the refusal naming -slice off", err)
+// TestCmdDisambiguateAboveSliceThreshold: on a catalog large enough
+// that queries slice, disambiguate still answers, over the full KB.
+func TestCmdDisambiguateAboveSliceThreshold(t *testing.T) {
+	var js strings.Builder
+	if err := netarch.ScaledCatalog(600).Save(&js); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "scaled.json")
+	if err := os.WriteFile(path, []byte(js.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, func() error {
+		return cmdSolve([]string{"-kb", path, "-workloads", "inference_app", "-require", "congestion_control"}, "disambiguate")
+	})
+	if !strings.Contains(out, "16 compliant design classes") {
+		t.Errorf("disambiguate over 600 SKUs:\n%s", out)
+	}
+}
+
+// TestCmdRejectsSlice: the engine decides slicing itself, so -slice is
+// not a flag of any command and fails at parsing, before any query runs.
+func TestCmdRejectsSlice(t *testing.T) {
+	slice := []string{"-slice", "off"}
+	cmds := map[string]func() error{
+		"check": func() error { return cmdCheck(append([]string{"-systems", "linux"}, slice...)) },
+		"multi": func() error { return cmdMulti(slice) },
+		"serve": func() error { return cmdServe(slice) },
+	}
+	for _, mode := range []string{"synth", "optimize", "explain", "suggest", "disambiguate"} {
+		cmds[mode] = func() error { return cmdSolve(slice, mode) }
+	}
+	for name, run := range cmds {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -slice") {
+			t.Errorf("%s -slice: err = %v, want a flag-parsing error", name, err)
+		}
 	}
 }
 
@@ -285,7 +313,6 @@ func TestCmdCheckFlow(t *testing.T) {
 			"-nic", "Marvella SoC-100G",
 			"-server", "Suprima HD-128c",
 			"-workloads", "inference_app",
-			"-slice", "off",
 		})
 	})
 	if !strings.Contains(out, "FEASIBLE") && !strings.Contains(out, "INFEASIBLE") {

@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,9 +76,6 @@ Resource-governance flags (synth/check/optimize/explain/suggest/disambiguate):
   -timeout D          wall-clock deadline for the query (e.g. 500ms, 2s)
   -max-conflicts N    solver conflict budget per phase (0 = unlimited)
   -max-decisions N    solver decision budget per phase (0 = unlimited)
-  -slice MODE         relevance-sliced compilation: on, off, or auto
-                      (default auto: slice only when the catalog is large;
-                      answers are identical whatever the mode)
 
 Cache flags:
   -cache-stats        print compiled-base cache stats after the queries
@@ -92,7 +88,6 @@ flags set the server-side policy ceiling clients may only tighten):
   -queue-depth N      admission queue length (0 = 2x max-inflight); beyond
                       it requests shed with 429 + Retry-After
   -drain-timeout D    graceful-drain deadline on SIGINT/SIGTERM
-  -slice MODE         relevance-sliced compilation: on, off, or auto
   -chaos SPEC         fault injection: seed=N,rate=F[,event=solve|conflict|both]
   -kb FILE            serve this knowledge base instead of the case study
   -retry-after D      backoff hint on 429/503 (header rounds up to >= 1s)
@@ -317,20 +312,13 @@ func budgetFlags(fs *flag.FlagSet) (get func() netarch.Budget) {
 	}
 }
 
-// engineFlags registers the engine flags -kb and -slice on fs and
-// returns a constructor for the KB and an engine over it
-// configured by them. -kb names a JSON or DSL knowledge-base file, read
-// through loadAnyKB; without it the engine runs on the built-in case
-// study. -slice sets the relevance-slicing policy, a pure latency knob,
-// so answers never depend on it (DESIGN.md §16).
+// engineFlags registers the engine flag -kb on fs and returns a
+// constructor for the KB and an engine over it. -kb names a JSON or DSL
+// knowledge-base file, read through loadAnyKB; without it the engine
+// runs on the built-in case study.
 func engineFlags(fs *flag.FlagSet) (newEngine func() (*netarch.Engine, *netarch.KB, error)) {
 	kbFile := fs.String("kb", "", "knowledge-base file (JSON or DSL; default: built-in case study)")
-	slice := fs.String("slice", "auto", "relevance-sliced compilation: on, off, or auto")
 	return func() (*netarch.Engine, *netarch.KB, error) {
-		mode, err := netarch.ParseSliceMode(*slice)
-		if err != nil {
-			return nil, nil, err
-		}
 		k := netarch.CaseStudy()
 		if *kbFile != "" {
 			data, err := os.ReadFile(*kbFile)
@@ -342,11 +330,7 @@ func engineFlags(fs *flag.FlagSet) (newEngine func() (*netarch.Engine, *netarch.
 			}
 		}
 		eng, err := netarch.NewEngine(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng.SetSliceMode(mode)
-		return eng, k, nil
+		return eng, k, err
 	}
 }
 
@@ -441,9 +425,6 @@ func cmdSolve(args []string, mode string) error {
 		}
 	case "disambiguate":
 		d, err := eng.DisambiguateCtx(ctx, sc, 16, budget)
-		if errors.Is(err, netarch.ErrSlicedEnumeration) {
-			return fmt.Errorf("%w; rerun with -slice off", err)
-		}
 		if err != nil {
 			return err
 		}

@@ -56,9 +56,6 @@ func TestCmdServeBadFlags(t *testing.T) {
 	if err := cmdServe([]string{"-chaos", "flavor=spicy"}); err == nil {
 		t.Error("unknown chaos key must be rejected")
 	}
-	if err := cmdServe([]string{"-slice", "sideways"}); err == nil {
-		t.Error("unknown slice mode must be rejected")
-	}
 	if err := cmdServe([]string{"-addr", "not:a:valid:addr:at:all"}); err == nil {
 		t.Error("unlistenable address must be rejected")
 	}

@@ -36,6 +36,7 @@ var exportAllowlist = map[string]string{
 	"Fired":            "serve chaos counter the chaos tests read",
 	"SetCacheCapacity": "engine knob the bench/ harness sets",
 	"SetClonePool":     "no-op the bench/ harness still calls",
+	"SetSliceMode":     "no-op the bench/ harness still calls",
 	"SetWorkers":       "no-op the bench/ harness still calls",
 	"WaitReady":        "serve readiness wait the bench/ harness calls",
 }

@@ -380,7 +380,7 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Synthesize(sc); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, shared, err := e.baseFor(e.revision(), &sc)
+		base, shared, err := e.baseFor(e.revision(), &sc, false)
 		if err != nil || !shared {
 			t.Fatalf("%s: base not cached (shared %v, err %v)", b.name, shared, err)
 		}
@@ -449,7 +449,7 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Optimize(sc, objs); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, _, err := e.baseFor(e.revision(), &sc)
+		base, _, err := e.baseFor(e.revision(), &sc, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,10 @@ type CacheStats struct {
 	// keeps no clone pool; every query clones its base inline.
 	PoolHits   int64 `json:"-"`
 	PoolMisses int64 `json:"-"`
-	// Relevance-slicing counters (all zero unless slicing engaged — see
-	// Engine.SetSliceMode). SliceComputed: cone-of-influence slices
-	// computed; SliceHits: slices served from the request memo.
+	// Relevance-slicing counters (all zero unless a query sliced: only
+	// non-enumeration queries over a catalog of more than 512 SKUs do).
+	// SliceComputed: cone-of-influence slices computed; SliceHits:
+	// slices served from the request memo.
 	// SliceSKUsIn/SliceSKUsKept: cumulative catalog sizes entering and
 	// surviving slicing, so SliceSKUsKept/SliceSKUsIn is the average
 	// retention ratio.
@@ -164,22 +165,26 @@ func baseShape(sc *Scenario) Scenario {
 }
 
 // baseFor resolves the compiled base for a scenario's shape at revision
-// rev: a cached (or freshly cached) frozen base when caching is enabled,
-// a private compile when it is disabled or rev's generation is no longer
-// current — cache keys do not carry the generation, so a cached base
-// may belong to another KB. shared reports whether other queries may
-// reference the base concurrently — callers must then solve against a
-// clone of base.solver, never the base solver itself. A warm query
+// rev, sliced when slice is set (see Engine.slices): a cached (or
+// freshly cached) frozen base when caching is enabled, a private compile
+// when it is disabled or rev's generation is no longer current — cache
+// keys do not carry the generation, so a cached base may belong to
+// another KB. shared reports whether other queries may reference the
+// base concurrently — callers must then solve against a clone of
+// base.solver, never the base solver itself. A warm query
 // takes e.mu once here; computing a slice or compiling a base happens
 // off the lock and takes it again to record the result.
-func (e *Engine) baseFor(rev revision, sc *Scenario) (*compiled, bool, error) {
+func (e *Engine) baseFor(rev revision, sc *Scenario, slice bool) (*compiled, bool, error) {
 	shape := baseShape(sc)
 	fp := shape.fingerprint()
-	// Relevance slicing (slice.go): the slice's identity is part of the
-	// cache key, so a sliced base can never alias a full one or another
-	// slice's.
-	req := rev.sliceRequest(sc, &shape)
+	// Relevance slicing (slice.go), when slice is set and the request
+	// derives: the slice's identity is part of the cache key, so a
+	// sliced base can never alias a full one or another slice's.
+	var req *sliceRequest
 	var reqKey string
+	if slice {
+		req = deriveSliceRequest(rev.kb, sc, &shape)
+	}
 	if req != nil {
 		reqKey = req.key()
 	}
@@ -256,8 +261,9 @@ func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
 	return base
 }
 
-// instance produces the per-query compiled instance at revision rev: a
-// cached (or fresh) base specialized with the query's own selectors.
+// instance produces the per-query compiled instance at revision rev for
+// a query of the given kind: a cached (or fresh) base, sliced as
+// Engine.slices decides, specialized with the query's own selectors.
 // With caching enabled the query gets a private clone of the base
 // solver; with it disabled the freshly compiled base is used directly.
 // Both paths flow through compileBaseWith + specialize, so cached and
@@ -265,8 +271,8 @@ func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
 // a query panics on, trips a budget in or abandons is left to the GC, so
 // quarantine is structural — a dirtied solver has no path back to a
 // later query.
-func (e *Engine) instance(rev revision, sc *Scenario) (*compiled, error) {
-	base, shared, err := e.baseFor(rev, sc)
+func (e *Engine) instance(rev revision, query string, sc *Scenario) (*compiled, error) {
+	base, shared, err := e.baseFor(rev, sc, e.slices(query, rev.kb))
 	if err != nil {
 		return nil, err
 	}
@@ -278,13 +284,14 @@ func (e *Engine) instance(rev revision, sc *Scenario) (*compiled, error) {
 	return base.specialize(sc, s), nil
 }
 
-// Prewarm compiles the base for the scenario's shape, so the first real
-// query over that shape pays only its clone, not the compile. It counts
-// as one query in the cache counters (a miss on a cold engine, a hit on
-// a warm one). Serving processes call this per expected scenario shape
-// before reporting ready.
+// Prewarm compiles the base a synthesis of the scenario uses (sliced
+// like one), so the first real query over that shape pays only its
+// clone, not the compile. It counts as one query in the cache counters
+// (a miss on a cold engine, a hit on a warm one). Serving processes
+// call this per expected scenario shape before reporting ready.
 func (e *Engine) Prewarm(sc Scenario) error {
-	_, _, err := e.baseFor(e.revision(), &sc)
+	rev := e.revision()
+	_, _, err := e.baseFor(rev, &sc, e.slices("synthesize", rev.kb))
 	return err
 }
 
@@ -321,7 +328,6 @@ func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 		derivedCtx:  base.derivedCtx,
 		provides:    base.provides,
 		frozen:      true,
-		sliceID:     base.sliceID,
 		coresUsed:   base.coresUsed,
 		coresTotal:  base.coresTotal,
 		costTotal:   base.costTotal,

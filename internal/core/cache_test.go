@@ -334,20 +334,16 @@ func TestCacheStatsSnapshotHammer(t *testing.T) {
 	}
 }
 
-// TestCacheStatsSnapshotHammerSliced is the hammer's sliced arm: with
-// slicing forced on, every query also bumps the slice counters, and
-// every snapshot must keep SliceSKUsKept <= SliceSKUsIn, a monotone
+// TestCacheStatsSnapshotHammerSliced is the hammer's sliced arm: on an
+// engine that slices every catalog, every query also bumps the slice
+// counters, and every snapshot must keep SliceSKUsKept <= SliceSKUsIn, a monotone
 // SliceComputed+SliceHits, Size <= Misses, and the Hits+Misses sum
 // between the completed and started query counts.
 func TestCacheStatsSnapshotHammerSliced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hammer test")
 	}
-	eng, err := New(catalog.CaseStudy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetSliceMode(SliceOn)
+	eng := slicingEngine(t, catalog.CaseStudy(), sliceAlways)
 	scs := []Scenario{
 		{Workloads: []string{"inference_app"}},
 		{Workloads: []string{"inference_app"}, NumServers: 24},

@@ -52,11 +52,9 @@ type compiled struct {
 	selByName map[string]int // name -> index in selectors
 
 	// sliceID / sliceReq identify the relevance slice this base was
-	// compiled against (slice.go): empty/nil for full-KB bases. The ID
-	// extends the cache key, and specialize
-	// copies it onto each query instance so EnumerateCtx can refuse a
-	// sliced one; the request lets UpdateKB recompute the slice under
-	// the incoming KB revision.
+	// compiled against (slice.go): empty/nil for full-KB bases and for
+	// query instances. The ID extends the cache key; the request lets
+	// UpdateKB recompute the slice under the incoming KB revision.
 	sliceID  string
 	sliceReq *sliceRequest
 

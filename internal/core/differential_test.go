@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -24,7 +23,8 @@ import (
 // render byte for byte what the
 // reference renders, search effort included. The sliced family must be
 // equivalent under the slicing contracts of DESIGN.md §16 (see
-// compareSliced). Every configuration also asserts it engaged, so
+// compareSliced); its enumerations, which never slice, must render what
+// the reference renders. Every configuration also asserts it engaged, so
 // agreement is never trivial.
 //
 // The seed tier is split into gates, one concern each, so no row is
@@ -89,10 +89,10 @@ func diffKBCatalog(kind string) diffCatalog {
 // diffRow is one query of a differential table.
 type diffRow struct {
 	name   string
-	kind   string // synthesize, explain, check, optimize, pareto or enumerate
+	kind   string // synthesize, explain, check, optimize, pareto, enumerate or disambiguate
 	sc     Scenario
 	objs   []Objective // optimize and pareto
-	max    int         // enumerate
+	max    int         // enumerate and disambiguate
 	design Design      // check: the reference engine's witness
 }
 
@@ -143,6 +143,8 @@ func answer(e *Engine, r diffRow) diffAnswer {
 		res, err = e.ParetoCtx(context.Background(), r.sc, r.objs, Budget{})
 	case "enumerate":
 		res, err = e.EnumerateCtx(context.Background(), r.sc, r.max, Budget{})
+	case "disambiguate":
+		res, err = e.DisambiguateCtx(context.Background(), r.sc, r.max, Budget{})
 	default:
 		err = fmt.Errorf("unknown row kind %q", r.kind)
 	}
@@ -186,16 +188,12 @@ func answerAll(e *Engine, rows []diffRow) []diffAnswer {
 	return out
 }
 
-func diffEngine(t *testing.T, k *kb.KB, mode SliceMode) *Engine {
-	t.Helper()
-	e := mustEngine(t, k)
-	e.SetSliceMode(mode)
-	return e
-}
-
+// runDifferential answers c's rows on every configuration. The
+// reference and the identical family never slice (sliceNever); the
+// sliced family slices every catalog (sliceAlways).
 func runDifferential(t *testing.T, c diffCatalog, configs []diffConfig) {
-	rows := c.rows(t, diffEngine(t, c.kb(), SliceOff))
-	ref := diffEngine(t, c.kb(), SliceOff)
+	rows := c.rows(t, slicingEngine(t, c.kb(), sliceNever))
+	ref := slicingEngine(t, c.kb(), sliceNever)
 	ref.SetCacheCapacity(0)
 	// The reference answers beside the configurations: they share nothing.
 	refDone := make(chan []diffAnswer, 1)
@@ -250,7 +248,7 @@ func seedConfigs(names ...string) []diffConfig {
 		{name: "cache-miss", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
 			fresh = make([]*Engine, len(rows))
 			for i := range rows {
-				fresh[i] = diffEngine(t, c.kb(), SliceOff)
+				fresh[i] = slicingEngine(t, c.kb(), sliceNever)
 			}
 			return eachFresh(t, fresh, rows, func(st CacheStats) bool { return st.Misses > 0 && st.Hits == 0 })
 		}},
@@ -258,7 +256,7 @@ func seedConfigs(names ...string) []diffConfig {
 			return eachFresh(t, fresh, rows, func(st CacheStats) bool { return st.Hits > 0 && st.Size > 0 && st.Size <= st.Capacity })
 		}},
 		{name: "history", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			e := diffEngine(t, c.kb(), SliceOff)
+			e := slicingEngine(t, c.kb(), sliceNever)
 			answerAll(e, rows)
 			got := answerAll(e, rows)
 			if st := e.CacheStats(); st.Hits == 0 {
@@ -267,10 +265,10 @@ func seedConfigs(names ...string) []diffConfig {
 			return got
 		}},
 		{name: "delta", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			return deltaUpdated(t, c, rows, SliceOff)
+			return deltaUpdated(t, c, rows, sliceNever)
 		}},
 		{name: "sliced", equiv: true, run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			e := diffEngine(t, c.kb(), SliceOn)
+			e := slicingEngine(t, c.kb(), sliceAlways)
 			got := answerAll(e, rows)
 			if st := e.CacheStats(); st.SliceComputed == 0 {
 				t.Errorf("sliced: no slice computed: %+v", st)
@@ -278,7 +276,7 @@ func seedConfigs(names ...string) []diffConfig {
 			return got
 		}},
 		{name: "sliced-delta", against: "sliced", run: func(t *testing.T, c diffCatalog, rows []diffRow) []diffAnswer {
-			return deltaUpdated(t, c, rows, SliceOn)
+			return deltaUpdated(t, c, rows, sliceAlways)
 		}},
 	}
 	configs = slices.DeleteFunc(configs, func(c diffConfig) bool { return !slices.Contains(names, c.name) })
@@ -305,7 +303,7 @@ func eachFresh(t *testing.T, engines []*Engine, rows []diffRow, engaged func(Cac
 // also needs flow_telemetry, and one extra rule — prewarms every row's
 // base, then updates it to the catalog's KB. The first query after the
 // update must hit a revalidated base.
-func deltaUpdated(t *testing.T, c diffCatalog, rows []diffRow, mode SliceMode) []diffAnswer {
+func deltaUpdated(t *testing.T, c diffCatalog, rows []diffRow, sliceAbove int) []diffAnswer {
 	edited := c.kb()
 	for i := range edited.Workloads {
 		edited.Workloads[i].Needs = append(edited.Workloads[i].Needs, "flow_telemetry")
@@ -314,7 +312,7 @@ func deltaUpdated(t *testing.T, c diffCatalog, rows []diffRow, mode SliceMode) [
 		Name: "delta_canary",
 		Expr: kb.Implies(kb.CtxAtom("delta_canary"), kb.Not(kb.CtxAtom("pfc_enabled"))),
 	})
-	e := diffEngine(t, edited, mode)
+	e := slicingEngine(t, edited, sliceAbove)
 	for _, r := range rows {
 		if err := e.Prewarm(r.sc); err != nil {
 			t.Fatal(err)
@@ -327,8 +325,8 @@ func deltaUpdated(t *testing.T, c diffCatalog, rows []diffRow, mode SliceMode) [
 	before := e.CacheStats()
 	got := []diffAnswer{answer(e, rows[0])}
 	if after := e.CacheStats(); up.BasesUpdated == 0 || after.Hits != before.Hits+1 || after.Misses != before.Misses {
-		t.Errorf("delta (slice %v): the first query after UpdateKB (%s) did not hit a revalidated base: %v; %v → %v",
-			mode, rows[0].name, up, before, after)
+		t.Errorf("delta (slice above %d SKUs): the first query after UpdateKB (%s) did not hit a revalidated base: %v; %v → %v",
+			sliceAbove, rows[0].name, up, before, after)
 	}
 	return append(got, answerAll(e, rows[1:])...)
 }
@@ -384,14 +382,15 @@ type refChecker struct {
 	memo map[string]bool
 }
 
-// compareSliced applies the slicing contracts: enumeration is refused;
+// compareSliced applies the slicing contracts: enumeration and
+// disambiguation, which never slice, render what the reference renders;
 // verdicts and optima are equal; frontiers are equal as value-vector
 // sets; witnesses pass Check on the reference engine; explanations are
 // equal or are re-proven as cores of the full encoding.
 func (c *refChecker) compareSliced(t *testing.T, label string, r diffRow, want, got diffAnswer) {
-	if r.kind == "enumerate" {
-		if !errors.Is(got.err, ErrSlicedEnumeration) {
-			t.Errorf("%s: sliced enumeration answered instead of refusing: %s", label, got.text)
+	if r.kind == "enumerate" || r.kind == "disambiguate" {
+		if got.text != want.text {
+			t.Errorf("%s diverges from the reference:\n got %s\nwant %s", label, got.text, want.text)
 		}
 		return
 	}
@@ -468,7 +467,7 @@ func (c *refChecker) sameCore(t *testing.T, label string, r diffRow, got, want *
 	key := fmt.Sprint(r.name, gotN)
 	if _, seen := c.memo[key]; !seen {
 		c.memo[key] = false
-		if inst, err := c.ref.instance(c.ref.revision(), &r.sc); err == nil {
+		if inst, err := c.ref.instance(c.ref.revision(), "explain", &r.sc); err == nil {
 			ok := true
 			var assume []sat.Lit
 			for _, name := range gotN {
@@ -565,6 +564,8 @@ func queryRows(t *testing.T, tab *Engine, scs []namedScenario, kinds ...string) 
 				r.objs = []Objective{{Kind: MinimizeCost}}
 			case "enumerate-3", "enumerate-12":
 				r.kind, r.max = "enumerate", map[string]int{"enumerate-3": 3, "enumerate-12": 12}[kind]
+			case "disambiguate-16":
+				r.kind, r.max = "disambiguate", 16
 			}
 			rows = append(rows, r)
 		}
@@ -574,7 +575,7 @@ func queryRows(t *testing.T, tab *Engine, scs []namedScenario, kinds ...string) 
 
 func caseStudyRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
-	rows := queryRows(t, tab, scs, "synthesize", "explain", "check", "optimize", "enumerate-3", "enumerate-12")
+	rows := queryRows(t, tab, scs, "synthesize", "explain", "check", "optimize", "enumerate-3", "enumerate-12", "disambiguate-16")
 	rows = append(rows, paretoRows(scs, "q3-with-cxl")...)
 
 	// The complete-space row: inference_app on 64 servers with every
@@ -675,11 +676,12 @@ func miniKBRows(*testing.T, *Engine) []diffRow {
 }
 
 // scaleRows is the §5.1 table on the 5k-SKU catalog plus seeded random
-// scenarios, synthesized and checked; optima and frontiers ride Q1 and
-// Q3.
+// scenarios, synthesized and checked; the §5.1 scenarios are also
+// enumerated and disambiguated, and optima and frontiers ride Q1 and Q3.
 func scaleRows(t *testing.T, tab *Engine) []diffRow {
 	scs := sec51Scenarios(t, tab)
 	rows := queryRows(t, tab, append(slices.Clone(scs), randomScenarios(tab.revision().kb)...), "synthesize", "check")
+	rows = append(rows, queryRows(t, tab, scs, "enumerate-3", "disambiguate-16")...)
 	for _, s := range scs {
 		if s.name != "q1-baseline" && s.name != "q1-grown-frozen" && s.name != "q3-with-cxl" {
 			continue
@@ -768,7 +770,7 @@ func scaleConfigs() []diffConfig {
 		}}
 	}
 	return []diffConfig{
-		sliced("sliced-cold", func(t *testing.T, c diffCatalog) { on = diffEngine(t, c.kb(), SliceOn) }),
+		sliced("sliced-cold", func(t *testing.T, c diffCatalog) { on = slicingEngine(t, c.kb(), sliceAlways) }),
 		sliced("sliced-warm", func(*testing.T, diffCatalog) {}),
 		sliced("sliced-updated", func(t *testing.T, c diffCatalog) {
 			// A round trip through another revision recompiles every

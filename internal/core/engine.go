@@ -25,7 +25,7 @@ type Engine struct {
 	// recompiles run under it but outside mu.
 	updateMu sync.Mutex
 
-	// mu guards every field below except names.
+	// mu guards every field below except sliceAbove and names.
 	mu sync.Mutex
 	// kbCur is the engine's current knowledge base; UpdateKB swaps it
 	// live. A query reads it once, with kbGen, as its revision and uses
@@ -49,11 +49,14 @@ type Engine struct {
 	// zero here: CacheStats fills them in from bases and cacheCap.
 	stats CacheStats
 
-	// Relevance slicing (slice.go). sliceMode is the policy (SliceAuto /
-	// SliceOff / SliceOn); sliceMemo caches the current generation's
-	// slices per request so the warm path never recomputes a cone.
-	sliceMode SliceMode
+	// sliceMemo caches the current generation's relevance slices
+	// (slice.go) per request, so the warm path never recomputes a cone.
 	sliceMemo map[string]*kbSlice
+
+	// sliceAbove is the catalog size (SKUs) above which queries slice
+	// (see slices). Set at construction and never written after, so it
+	// is read without mu.
+	sliceAbove int
 
 	// names interns namespaced atom strings across compiles (intern.go):
 	// with slicing, one engine runs many small compiles over the same
@@ -64,23 +67,29 @@ type Engine struct {
 
 // New validates the knowledge base and returns an engine over it.
 func New(k *kb.KB) (*Engine, error) {
+	return newEngine(k, sliceThreshold)
+}
+
+// newEngine is New with the slicing threshold as a parameter: queries
+// over a catalog of more than sliceAbove SKUs slice. Tests pass 0 to
+// slice every catalog, or math.MaxInt to slice none.
+func newEngine(k *kb.KB, sliceAbove int) (*Engine, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
 	return &Engine{
-		kbCur:    k,
-		bases:    make(map[string]*compiled),
-		cacheCap: DefaultCacheCapacity,
+		kbCur:      k,
+		bases:      make(map[string]*compiled),
+		cacheCap:   DefaultCacheCapacity,
+		sliceAbove: sliceAbove,
 	}, nil
 }
 
 // revision is what a query reads of the engine's settings, in one
-// critical section: the KB and its generation, the slice mode and the
-// fault hook.
+// critical section: the KB and its generation and the fault hook.
 type revision struct {
 	kb    *kb.KB
 	gen   uint64
-	slice SliceMode
 	fault func(sat.FaultEvent, sat.Stats) bool
 }
 
@@ -88,7 +97,17 @@ type revision struct {
 func (e *Engine) revision() revision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return revision{kb: e.kbCur, gen: e.kbGen, slice: e.sliceMode, fault: e.fault}
+	return revision{kb: e.kbCur, gen: e.kbGen, fault: e.fault}
+}
+
+// slices is the engine's one slicing rule: a query of the given kind
+// over k compiles a relevance slice (DESIGN.md §16) when k has more
+// than e.sliceAbove SKUs, unless it enumerates. A slice keeps every
+// verdict, optimum and Pareto frontier of the full encoding but not its
+// design classes, so enumeration, and Disambiguate through it, always
+// compiles the full KB.
+func (e *Engine) slices(query string, k *kb.KB) bool {
+	return query != "enumerate" && len(k.Hardware) > e.sliceAbove
 }
 
 // begin is every query's entry: it reads the revision once and starts
@@ -107,7 +126,7 @@ func (e *Engine) start(ctx context.Context, query string, rev revision, sc Scena
 			return nil, nil, err
 		}
 	}
-	c, err := e.instance(rev, &sc)
+	c, err := e.instance(rev, query, &sc)
 	if err != nil {
 		return nil, nil, err
 	}

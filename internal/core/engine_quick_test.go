@@ -103,7 +103,7 @@ func TestQuickExplanationsAreUnsatCores(t *testing.T) {
 		// Bias toward infeasibility.
 		sc.Context["deadline_tight"] = true
 		sc.Context["app_modifiable"] = false
-		c, err := e.instance(e.revision(), &sc)
+		c, err := e.instance(e.revision(), "synthesize", &sc)
 		if err != nil {
 			return false
 		}

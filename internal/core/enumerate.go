@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"netarch/internal/kb"
@@ -40,15 +39,6 @@ type EnumerateResult struct {
 	Spent BudgetSpent
 }
 
-// ErrSlicedEnumeration is returned by EnumerateCtx, and so by
-// DisambiguateCtx, when the scenario resolves to a relevance-sliced
-// base. A slice keeps every verdict, optimum and Pareto frontier of the
-// full encoding, but not its design classes: out-of-cone systems that
-// nothing observes form extra classes the slice omits (DESIGN.md §16).
-// Enumeration is therefore refused rather than answered over a
-// different class set; set SliceOff to enumerate.
-var ErrSlicedEnumeration = errors.New("core: enumeration over a relevance-sliced base is refused: the slice omits the design classes of out-of-cone systems")
-
 // Enumerate returns up to max distinct compliant designs, where designs
 // are distinguished by their deployed system set (hardware variations of
 // the same system set collapse into one equivalence class, per §6
@@ -79,8 +69,9 @@ func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
 // the whole space. A non-positive max admits nothing and is a vacuous
 // "limit" truncation.
 //
-// A scenario that resolves to a relevance-sliced base is refused with
-// ErrSlicedEnumeration.
+// Enumeration never slices (see Engine.slices): it compiles the full
+// KB, so its classes are those of the unsliced encoding at any catalog
+// size.
 func (e *Engine) EnumerateCtx(ctx context.Context, sc Scenario, max int, b Budget) (*EnumerateResult, error) {
 	res, _, err := e.enumerate(ctx, sc, max, b)
 	return res, err
@@ -94,9 +85,6 @@ func (e *Engine) enumerate(ctx context.Context, sc Scenario, max int, b Budget) 
 		return nil, nil, err
 	}
 	defer g.done()
-	if c.sliceID != "" {
-		return nil, nil, ErrSlicedEnumeration
-	}
 	res := &EnumerateResult{}
 	res.Designs, res.Truncated = c.enumerate(g, max)
 	sort.Slice(res.Designs, func(i, j int) bool { return lessSystems(res.Designs[i].Systems, res.Designs[j].Systems) })

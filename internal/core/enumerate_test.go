@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 
@@ -239,24 +238,42 @@ func TestDisambiguateLimitTruncationIncomplete(t *testing.T) {
 	}
 }
 
-// TestEnumerateRefusesSlicedBase: above the auto threshold a scenario
-// resolves to a relevance-sliced base, whose class set lacks the
-// classes of out-of-cone systems (answered, the first of 16 classes had
-// 7 systems where the full space's has 13, tcp and udp among them).
-// Enumerate and Disambiguate must refuse it with the typed error rather
-// than answer over that smaller space; with slicing off they answer.
-func TestEnumerateRefusesSlicedBase(t *testing.T) {
-	e := mustEngine(t, catalog.ScaledCatalog(1000))
+// TestEnumerateAboveSliceThreshold: above the slicing threshold a
+// synthesis slices, but Enumerate and Disambiguate compile the full KB,
+// so they answer exactly as an engine that never slices does. (Over a
+// slice, the first of 16 classes had 7 systems where the full space's
+// has 13, tcp and udp among them.)
+func TestEnumerateAboveSliceThreshold(t *testing.T) {
+	k := catalog.ScaledCatalog(1000)
 	sc := Scenario{Workloads: []string{"inference_app"}, NumServers: 64}
-	if _, err := e.EnumerateCtx(context.Background(), sc, 3, Budget{}); !errors.Is(err, ErrSlicedEnumeration) {
-		t.Errorf("sliced Enumerate: err %v, want ErrSlicedEnumeration", err)
+	e, ref := mustEngine(t, k), slicingEngine(t, k, sliceNever)
+	if _, err := e.Synthesize(sc); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := e.DisambiguateCtx(context.Background(), sc, 3, Budget{}); !errors.Is(err, ErrSlicedEnumeration) {
-		t.Errorf("sliced Disambiguate: err %v, want ErrSlicedEnumeration", err)
+	if st := e.CacheStats(); st.SliceComputed == 0 {
+		t.Fatalf("the synthesis did not slice: %+v", st)
 	}
-	e.SetSliceMode(SliceOff)
-	res, err := e.EnumerateCtx(context.Background(), sc, 3, Budget{})
-	if err != nil || len(res.Designs) == 0 {
-		t.Fatalf("unsliced Enumerate: %v %v", err, res)
+	ctx := context.Background()
+	got, err := e.EnumerateCtx(ctx, sc, 8, Budget{})
+	if err != nil || len(got.Designs) == 0 {
+		t.Fatalf("Enumerate: %v %v", err, got)
+	}
+	want, err := ref.EnumerateCtx(ctx, sc, 8, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderAnswer(got), renderAnswer(want); g != w {
+		t.Errorf("Enumerate above the threshold:\n got %s\nwant %s", g, w)
+	}
+	gotD, err := e.DisambiguateCtx(ctx, sc, 16, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantD, err := ref.DisambiguateCtx(ctx, sc, 16, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderAnswer(gotD), renderAnswer(wantD); g != w {
+		t.Errorf("Disambiguate above the threshold:\n got %s\nwant %s", g, w)
 	}
 }

@@ -106,11 +106,11 @@ func TestOptimizeSolverIsPrivate(t *testing.T) {
 
 	cold := mustEngine(t, k)
 	cold.SetCacheCapacity(0)
-	a, err := cold.instance(cold.revision(), &sc)
+	a, err := cold.instance(cold.revision(), "synthesize", &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cold.instance(cold.revision(), &sc)
+	b, err := cold.instance(cold.revision(), "synthesize", &sc)
 	if err != nil {
 		t.Fatal(err)
 	}

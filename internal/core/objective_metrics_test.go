@@ -52,11 +52,10 @@ func TestObjectiveMetricsMatchCircuits(t *testing.T) {
 		"q3-no-pooling": {63800, 96},
 		"q3-pooling":    {51512, 96},
 	}
-	for _, mode := range []SliceMode{SliceOff, SliceOn} {
-		e := mustEngine(t, k)
-		e.SetSliceMode(mode)
+	for _, mode := range slicings {
+		e := slicingEngine(t, k, mode.above)
 		for _, n := range []string{"inference_app", "q3-no-pooling", "q3-pooling"} {
-			checkObjectiveMetrics(t, e, mode.String()+"/"+n, scs[n], optima[n])
+			checkObjectiveMetrics(t, e, mode.name+"/"+n, scs[n], optima[n])
 		}
 	}
 }
@@ -71,7 +70,7 @@ func TestObjectiveCircuitsBuiltOncePerInstance(t *testing.T) {
 	sc := section51Scenarios()["inference_app"]
 	size := func(objs ...Objective) [2]int {
 		t.Helper()
-		c, err := e.instance(e.revision(), &sc)
+		c, err := e.instance(e.revision(), "optimize", &sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func FuzzMaxSATBounds(f *testing.F) {
 			t.Fatal(err)
 		}
 		sc := Scenario{}
-		c, err := e.instance(e.revision(), &sc)
+		c, err := e.instance(e.revision(), "optimize", &sc)
 		if err != nil {
 			t.Fatal(err)
 		}

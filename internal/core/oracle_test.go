@@ -39,7 +39,7 @@ type BruteResult struct {
 // is meant for small catalogs and benchmarks; exceeding the cap is an
 // error, never a silent truncation).
 func (e *Engine) BruteOptimize(sc Scenario, objectives []Objective, limit int) (*BruteResult, error) {
-	c, err := e.instance(e.revision(), &sc)
+	c, err := e.instance(e.revision(), "optimize", &sc)
 	if err != nil {
 		return nil, err
 	}

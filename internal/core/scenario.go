@@ -102,14 +102,6 @@ type PerformanceBound struct {
 // cannot collide.
 func (s *Scenario) fingerprint() string {
 	var b strings.Builder
-	writeList := func(tag string, items []string) {
-		b.WriteString(tag)
-		b.WriteByte('=')
-		for _, it := range items {
-			fmt.Fprintf(&b, "%q,", it)
-		}
-		b.WriteByte(';')
-	}
 	writeBoolMap := func(tag string, m map[string]bool) {
 		keys := make([]string, 0, len(m))
 		for k := range m {
@@ -124,16 +116,16 @@ func (s *Scenario) fingerprint() string {
 		b.WriteByte(';')
 	}
 
-	writeList("w", s.Workloads)
+	writeList(&b, "w", s.Workloads)
 	fmt.Fprintf(&b, "ns=%d;nsw=%d;", s.numServers(), s.numSwitches())
 	writeBoolMap("ctx", s.Context)
 	reqs := make([]string, len(s.Require))
 	for i, p := range s.Require {
 		reqs[i] = string(p)
 	}
-	writeList("req", reqs)
-	writeList("pin", s.PinnedSystems)
-	writeList("forbid", s.ForbiddenSystems)
+	writeList(&b, "req", reqs)
+	writeList(&b, "pin", s.PinnedSystems)
+	writeList(&b, "forbid", s.ForbiddenSystems)
 
 	kinds := make([]string, 0, len(s.PinnedHardware))
 	for k := range s.PinnedHardware {
@@ -179,6 +171,18 @@ func (s *Scenario) fingerprint() string {
 		b.WriteByte(';')
 	}
 	return b.String()
+}
+
+// writeList appends tag=items; to b with every item quoted, so items
+// holding separator characters cannot collide. Scenario.fingerprint and
+// sliceRequest.key both write their name lists with it.
+func writeList(b *strings.Builder, tag string, items []string) {
+	b.WriteString(tag)
+	b.WriteByte('=')
+	for _, it := range items {
+		fmt.Fprintf(b, "%q,", it)
+	}
+	b.WriteByte(';')
 }
 
 func (s *Scenario) numServers() int {

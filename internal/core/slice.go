@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -56,68 +55,33 @@ import (
 // non-design system, and including those would degenerate every check
 // slice to the full KB.
 
-// SliceMode selects the engine's relevance-slicing policy.
-type SliceMode int32
-
-const (
-	// SliceAuto slices only when the catalog is large enough for slicing
-	// to pay for itself (> sliceAutoThreshold SKUs). The default.
-	SliceAuto SliceMode = iota
-	// SliceOff never slices.
-	SliceOff
-	// SliceOn always slices.
-	SliceOn
-)
-
-// sliceAutoThreshold is the catalog size (total SKUs) above which
-// SliceAuto starts slicing. Chosen above the ~200-SKU seed catalog
-// because sliced enumeration has no projection contract: a slice omits
-// the design classes that unobserved out-of-cone systems add, so
-// EnumerateCtx refuses a sliced base (ErrSlicedEnumeration), and
-// slicing seed-scale catalogs would turn their Enumerate and
-// Disambiguate answers into refusals.
-const sliceAutoThreshold = 512
+// sliceThreshold is the catalog size (total SKUs) above which New's
+// engines slice (see Engine.slices). Below it, answers stay
+// byte-identical to the unsliced reference that the §5.1 goldens pin (a
+// slice may pick another, equally valid witness), and no measurement
+// shows that slicing pays on a catalog that small: that is unmeasured.
+const sliceThreshold = 512
 
 // sliceMemoCap bounds the per-engine request→slice memo; the map is
 // reset wholesale when it fills (requests are tiny to recompute).
 const sliceMemoCap = 256
 
-// String renders the mode as its flag spelling.
-func (m SliceMode) String() string {
-	switch m {
-	case SliceOff:
-		return "off"
-	case SliceOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
+// SliceMode is what SetSliceMode takes.
+//
+// Deprecated: the engine decides slicing itself (Engine.slices).
+type SliceMode int32
 
-// ParseSliceMode parses -slice=on/off/auto.
-func ParseSliceMode(s string) (SliceMode, error) {
-	switch s {
-	case "on":
-		return SliceOn, nil
-	case "off":
-		return SliceOff, nil
-	case "auto", "":
-		return SliceAuto, nil
-	}
-	return SliceAuto, fmt.Errorf("core: unknown slice mode %q (want on, off or auto)", s)
-}
+// SliceOff is the one SliceMode left.
+//
+// Deprecated: see SliceMode.
+const SliceOff SliceMode = 0
 
-// SetSliceMode sets the slicing policy. Safe to call concurrently with
-// queries; takes effect for subsequent base compiles (cached bases keep
-// the slice they were compiled with — their cache key names it).
-func (e *Engine) SetSliceMode(m SliceMode) {
-	if m != SliceOff && m != SliceOn {
-		m = SliceAuto
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sliceMode = m
-}
+// SetSliceMode does nothing.
+//
+// Deprecated: the engine slices every query but enumeration once the
+// catalog has more than 512 SKUs (DESIGN.md §16), so there is no policy
+// to set.
+func (e *Engine) SetSliceMode(SliceMode) {}
 
 // sliceRequest is the canonical, order-independent summary of every
 // scenario field that can affect slice membership. It holds only what
@@ -139,20 +103,17 @@ type sliceRequest struct {
 	restrictedKinds map[kb.HardwareKind]bool
 }
 
-// key is the memo key for the request (unique per canonical content).
+// key is the memo key for the request (unique per canonical content):
+// every name is quoted, as in Scenario.fingerprint, so names holding
+// separator characters cannot collide.
 func (r *sliceRequest) key() string {
 	var b strings.Builder
 	b.WriteString(r.shapeFP)
-	b.WriteString("|w=")
-	b.WriteString(strings.Join(r.workloads, ","))
-	b.WriteString("|p=")
-	b.WriteString(strings.Join(r.props, ","))
-	b.WriteString("|s=")
-	b.WriteString(strings.Join(r.pins, ","))
-	b.WriteString("|c=")
-	b.WriteString(strings.Join(r.ctxKeys, ","))
-	b.WriteString("|b=")
-	b.WriteString(strings.Join(r.boundRefs, ","))
+	writeList(&b, "w", r.workloads)
+	writeList(&b, "p", r.props)
+	writeList(&b, "s", r.pins)
+	writeList(&b, "c", r.ctxKeys)
+	writeList(&b, "b", r.boundRefs)
 	return b.String()
 }
 
@@ -210,15 +171,13 @@ func deriveSliceRequest(k *kb.KB, sc *Scenario, shape *Scenario) *sliceRequest {
 }
 
 // kbSlice is a computed cone-of-influence slice: the sub-KB to compile
-// plus its identity and size accounting.
+// plus its identity and the SKU counts the slice counters add up.
 type kbSlice struct {
 	id  string // short content hash; part of the cache key
 	req *sliceRequest
 	sub *kb.KB
 
-	systemsIn, systemsKept int
-	rulesIn, rulesKept     int
-	skusIn, skusKept       int
+	skusIn, skusKept int
 }
 
 // sliceKeySuffix extends a shape fingerprint into the sliced cache key.
@@ -229,21 +188,6 @@ func sliceKeySuffix(sl *kbSlice) string {
 		return ""
 	}
 	return "|slice:" + sl.id
-}
-
-// sliceRequest derives the scenario's slice request under the
-// revision's slice mode: nil when slicing is off, the catalog is below
-// the auto threshold, or the request cannot be derived.
-func (r revision) sliceRequest(sc *Scenario, shape *Scenario) *sliceRequest {
-	switch r.slice {
-	case SliceOff:
-		return nil
-	case SliceAuto:
-		if len(r.kb.Hardware) <= sliceAutoThreshold {
-			return nil
-		}
-	}
-	return deriveSliceRequest(r.kb, sc, shape)
 }
 
 // recordSliceLocked counts a slice a query computed for the request key
@@ -485,13 +429,7 @@ func computeSlice(k *kb.KB, req *sliceRequest) *kbSlice {
 		}
 	}
 
-	sl := &kbSlice{
-		req:       req,
-		sub:       sub,
-		systemsIn: len(k.Systems), systemsKept: len(sub.Systems),
-		rulesIn: len(k.Rules), rulesKept: len(sub.Rules),
-		skusIn: len(k.Hardware), skusKept: len(sub.Hardware),
-	}
+	sl := &kbSlice{req: req, sub: sub, skusIn: len(k.Hardware), skusKept: len(sub.Hardware)}
 	h := sha256.New()
 	for _, s := range sub.Systems {
 		h.Write([]byte(s.Name))

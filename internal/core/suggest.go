@@ -276,7 +276,7 @@ func (e *Engine) DisambiguateCtx(ctx context.Context, sc Scenario, limit int, b 
 
 // disambiguate builds the report from an enumeration over k, the KB the
 // enumeration compiled against, so every class's systems resolve in it.
-// Enumeration refuses sliced bases, so k is a full KB.
+// Enumeration never slices, so k is the full KB.
 func disambiguate(k *kb.KB, sc Scenario, res *EnumerateResult) *Disambiguation {
 	designs := res.Designs
 	d := &Disambiguation{Classes: len(designs), Incomplete: res.Truncated}

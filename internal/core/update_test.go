@@ -451,7 +451,7 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 	// after. Old bases are frozen, so the clone answers the old KB's
 	// question regardless of what the engine does meanwhile.
 	stale := e.revision()
-	base, shared, err := e.baseFor(stale, &sc)
+	base, shared, err := e.baseFor(stale, &sc, false)
 	if err != nil || !shared {
 		t.Fatalf("baseFor: %v (shared=%v)", err, shared)
 	}
@@ -466,7 +466,7 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 
 	// A query whose revision predates the swap must not take the cached
 	// base, which now belongs to next: it compiles the KB it read.
-	private, shared, err := e.baseFor(stale, &sc)
+	private, shared, err := e.baseFor(stale, &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 
 	// The pre-update base is not reused: the next query answers from a
 	// base equal to a cold compile of next.
-	fresh, shared, err := e.baseFor(e.revision(), &sc)
+	fresh, shared, err := e.baseFor(e.revision(), &sc, false)
 	if err != nil || !shared {
 		t.Fatalf("baseFor after the update: %v (shared=%v)", err, shared)
 	}
@@ -487,7 +487,7 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 		t.Errorf("want the rebuilt base alone cached, the private compile a miss: %+v", st)
 	}
 	coldEngine := mustEngine(t, next)
-	cold, _, err := coldEngine.baseFor(coldEngine.revision(), &sc)
+	cold, _, err := coldEngine.baseFor(coldEngine.revision(), &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

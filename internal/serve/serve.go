@@ -370,9 +370,6 @@ func (s *Server) execute(ctx context.Context, mode string, req *QueryRequest, bu
 			}
 			return nil, info, status
 		}
-		if errors.Is(err, core.ErrSlicedEnumeration) {
-			return nil, &ErrorInfo{Kind: "sliced_enumeration", Detail: err.Error()}, http.StatusUnprocessableEntity
-		}
 		return nil, &ErrorInfo{Kind: "bad_request", Detail: err.Error()}, http.StatusBadRequest
 	}
 

@@ -418,23 +418,30 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeKeepsEngineSliceMode: the server answers with the slicing
-// policy set on the engine it was handed. The case-study catalog is
-// below the auto threshold, so only a forced SliceOn computes a slice,
-// and enumeration over the sliced base is refused with a typed 422.
-func TestServeKeepsEngineSliceMode(t *testing.T) {
-	s, base := testServer(t, func(c *Config) { c.Engine.SetSliceMode(core.SliceOn) })
+// TestServeSlicesAboveThreshold: a server over a catalog of more than
+// 512 SKUs slices its synthesis, as /statsz shows, and still answers
+// /v1/enumerate, which compiles the full KB.
+func TestServeSlicesAboveThreshold(t *testing.T) {
+	_, base := testServer(t, func(c *Config) {
+		eng, err := core.New(catalog.ScaledCatalog(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Engine = eng
+	})
 	var qr QueryResponse
 	if status, raw := post(t, base+"/v1/synth", QueryRequest{Scenario: scInference}, &qr); status != http.StatusOK {
 		t.Fatalf("synth: status %d\n%s", status, raw)
 	}
-	if st := s.eng.CacheStats(); st.SliceComputed == 0 {
-		t.Fatalf("server dropped the engine's SliceOn: %+v", st)
+	var sz StatsResponse
+	get(t, base+"/statsz", &sz)
+	if sz.Cache.SliceComputed == 0 {
+		t.Fatalf("synth over 1000 SKUs did not slice: %+v", sz.Cache)
 	}
-	var eb ErrorBody
-	status, raw := post(t, base+"/v1/enumerate", QueryRequest{Scenario: scInference, Max: 3}, &eb)
-	if status != http.StatusUnprocessableEntity || eb.Error.Kind != "sliced_enumeration" {
-		t.Fatalf("sliced enumerate: status %d, want 422 sliced_enumeration\n%s", status, raw)
+	var er QueryResponse
+	status, raw := post(t, base+"/v1/enumerate", QueryRequest{Scenario: scInference, Max: 3}, &er)
+	if status != http.StatusOK || len(er.Designs) == 0 {
+		t.Fatalf("enumerate: status %d, want 200 with designs\n%s", status, raw)
 	}
 }
 

@@ -78,6 +78,10 @@ type (
 	// the cache; Engine.UpdateKB is the one way to change the KB.
 	// Every query, enumeration and Pareto included, runs on one private
 	// solver, and every compile runs on the goroutine that needs the base.
+	// Over a catalog of more than 512 SKUs every query but enumeration
+	// (and so Disambiguate) compiles only its relevance slice, with the
+	// same verdicts, optima and frontiers as the full KB; there is no
+	// option to set.
 	Engine = core.Engine
 	// CacheStats reports the engine's compiled-base cache: size,
 	// capacity, lifetime hit/miss counters and the slicing counters.
@@ -132,12 +136,6 @@ type (
 	EnumerateResult = core.EnumerateResult
 )
 
-// ErrSlicedEnumeration is returned by EnumerateCtx and DisambiguateCtx
-// when the scenario resolves to a relevance-sliced base: a slice omits
-// the design classes of out-of-cone systems, so enumeration over it is
-// refused. Set SliceOff to enumerate.
-var ErrSlicedEnumeration = core.ErrSlicedEnumeration
-
 // IsResourceExhausted reports whether err is (or wraps) a resource-
 // exhaustion error from a governed query.
 func IsResourceExhausted(err error) bool { return core.IsResourceExhausted(err) }
@@ -157,28 +155,6 @@ const (
 	MinimizePorts   = core.MinimizePorts
 	PreferOrder     = core.PreferOrder
 )
-
-// SliceMode selects the relevance-slicing policy for Engine.SetSliceMode:
-// whether compiles run against the scenario's cone of influence (the
-// systems, rules, and hardware SKUs that can affect its verdict) instead
-// of the full knowledge base. Answers are mode-independent; only compile
-// time and base size change.
-type SliceMode = core.SliceMode
-
-// Relevance-slicing policies.
-const (
-	// SliceAuto (the default) slices only when the catalog is large
-	// enough for slicing to pay for itself.
-	SliceAuto = core.SliceAuto
-	// SliceOff always compiles the full knowledge base.
-	SliceOff = core.SliceOff
-	// SliceOn always compiles the relevance slice.
-	SliceOn = core.SliceOn
-)
-
-// ParseSliceMode parses the CLI/serve slice-mode spelling: "auto" (or
-// empty, the default), "on", and "off".
-func ParseSliceMode(s string) (SliceMode, error) { return core.ParseSliceMode(s) }
 
 // ParseObjective parses the CLI/serve spelling of one objective level:
 // "cost", "cores", "systems", "power", "ports", "latency", or
