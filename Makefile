@@ -30,10 +30,14 @@ race:
 # enumeration and Pareto benchmarks so the bench suite can't bit-rot
 # between full runs (BenchmarkPareto also checks its frontiers), plus
 # internal/core's optimizer-versus-oracle benchmark, whose MaxSAT row
-# checks its optimum against the brute-force oracle.
+# checks its optimum against the brute-force oracle. It also vets and
+# tests the bench/ module (its own go.mod), so a core API change that
+# breaks the end-to-end harness fails here, not only in the benchmark
+# pipeline.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the full root benchmark suite with allocation stats and
 # renders the results to $(BENCH) (name -> ns/op, B/op, allocs/op)

@@ -638,15 +638,16 @@ func BenchmarkCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Caching off: this benchmark measures compilation itself, so every
-	// iteration must actually compile (see BenchmarkRepeatedQueries for
-	// the amortized path).
+	// Capacity 0: this benchmark measures compilation itself, so every
+	// iteration must actually compile, then clone the fresh base as
+	// every query does (see BenchmarkRepeatedQueries for the amortized
+	// path).
 	eng.SetCacheCapacity(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Enumerate(…, 0) compiles and immediately returns no designs.
-		if _, err := eng.Enumerate(core.Scenario{Workloads: []string{"inference_app"}}, 0); err != nil {
+		// EnumerateCtx(…, 0) compiles and immediately returns no designs.
+		if _, err := eng.EnumerateCtx(context.Background(), core.Scenario{Workloads: []string{"inference_app"}}, 0, core.Budget{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ var exportAllowlist = map[string]string{
 	"WatchSlab":        "solver-storage accessor that core's alloc tests read",
 	"VarCapacity":      "solver-storage accessor that core's alloc tests read",
 	"Snapshot":         "solver-state bytes that sat, core and intlin tests compare and the compiled-base golden test pins",
-	"Enumerate":        "Engine.Enumerate, the context-free enumeration only tests drive",
 	"SetRate":          "serve chaos setter the chaos tests arm and disarm faults with",
 	"SetEvents":        "serve chaos setter the chaos tests pick fault kinds with",
 	"Fired":            "serve chaos counter the chaos tests read",

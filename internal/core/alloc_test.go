@@ -59,7 +59,7 @@ func TestBaseSizeBudget(t *testing.T) {
 	for _, b := range budgets {
 		sc := scs[b.name]
 		shape := baseShape(&sc)
-		c, err := e.compileBaseWith(e.revision().kb, &shape)
+		c, err := compile(e.revision().kb, &shape, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,17 +200,17 @@ func TestCompileAllocBudget(t *testing.T) {
 	e := mustEngine(t, caseStudyKB())
 	sc := section51Scenarios()["inference_app"]
 	shape := baseShape(&sc)
-	compile := func() {
-		if _, err := e.compileBaseWith(e.revision().kb, &shape); err != nil {
+	run := func() {
+		if _, err := compile(e.revision().kb, &shape, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(5, compile)
+	allocs := testing.AllocsPerRun(5, run)
 	const runs = 5
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
-		compile()
+		run()
 	}
 	runtime.ReadMemStats(&m1)
 	perRun := (m1.TotalAlloc - m0.TotalAlloc) / runs
@@ -235,7 +235,6 @@ func TestCompileAllocBudget(t *testing.T) {
 func TestProbeFitsRoom(t *testing.T) {
 	type shape struct {
 		name string
-		e    *Engine
 		k    *kb.KB // the slice's sub-KB for a sliced base
 		sc   Scenario
 	}
@@ -246,7 +245,7 @@ func TestProbeFitsRoom(t *testing.T) {
 		bs := baseShape(&sc)
 		if fp := bs.fingerprint(); !seen[fp] {
 			seen[fp] = true
-			shapes = append(shapes, shape{name, e, e.revision().kb, bs})
+			shapes = append(shapes, shape{name, e.revision().kb, bs})
 		}
 	}
 	scs := section51Scenarios()
@@ -258,10 +257,10 @@ func TestProbeFitsRoom(t *testing.T) {
 	}
 	big := catalog.ScaledCatalog(50000)
 	bigSc := Scenario{Workloads: []string{"inference_app"}}
-	shapes = append(shapes, shape{"50k-sliced", mustEngine(t, big), mustSlice(t, big, bigSc).sub, baseShape(&bigSc)})
+	shapes = append(shapes, shape{"50k-sliced", mustSlice(t, big, bigSc).sub, baseShape(&bigSc)})
 
 	for _, sh := range shapes {
-		c, err := sh.e.compileUnprobed(sh.k, &sh.sc)
+		c, err := compileUnprobed(sh.k, &sh.sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,9 +379,10 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Synthesize(sc); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, shared, err := e.baseFor(e.revision(), &sc, false)
-		if err != nil || !shared {
-			t.Fatalf("%s: base not cached (shared %v, err %v)", b.name, shared, err)
+		st := e.CacheStats()
+		base, err := e.baseFor(e.revision(), &sc, false)
+		if now := e.CacheStats(); err != nil || now.Hits != st.Hits+1 || now.Misses != st.Misses {
+			t.Fatalf("%s: base not cached (err %v, stats %+v then %+v)", b.name, err, st, now)
 		}
 		s := base.solver.Clone()
 		_, before := s.ArenaWords()
@@ -449,7 +449,7 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Optimize(sc, objs); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, _, err := e.baseFor(e.revision(), &sc, false)
+		base, err := e.baseFor(e.revision(), &sc, false)
 		if err != nil {
 			t.Fatal(err)
 		}

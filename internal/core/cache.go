@@ -30,7 +30,7 @@ const DefaultCacheCapacity = 32
 // Engine.CacheStats copies it, so every snapshot is consistent.
 type CacheStats struct {
 	// Size is the number of compiled bases currently cached; Capacity is
-	// the retention limit (0 means caching is disabled).
+	// the retention limit (0 retains none, so every query compiles).
 	Size     int `json:"size"`
 	Capacity int `json:"capacity"`
 	// Hits and Misses count queries served from an in-memory base vs
@@ -77,8 +77,8 @@ func (cs CacheStats) String() string {
 // CacheStats returns a snapshot of the compiled-base cache counters.
 //
 // Every counter, Size and Capacity are written and copied under the
-// engine mutex, so no snapshot is torn: a cached query counts exactly
-// one of Hits and Misses before it solves, so Hits+Misses is exactly the
+// engine mutex, so no snapshot is torn: every query counts exactly one
+// of Hits and Misses before it solves, so Hits+Misses is exactly the
 // number of queries counted at the instant of the copy, and on an engine
 // that is never updated Size ≤ Misses, since every cached base was a
 // miss. TestCacheStatsSnapshotHammer pins the invariants under -race.
@@ -91,9 +91,9 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // SetCacheCapacity bounds how many compiled bases the engine retains
-// (FIFO eviction). n <= 0 disables caching entirely: every query
-// compiles from scratch, restoring the pre-cache behavior. Safe to call
-// concurrently with queries.
+// (FIFO eviction). n <= 0 retains none: every query compiles its base,
+// counts a miss and solves on a clone of it, exactly as a query that
+// misses a retaining cache does. Safe to call concurrently with queries.
 func (e *Engine) SetCacheCapacity(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -164,17 +164,17 @@ func baseShape(sc *Scenario) Scenario {
 	return shape
 }
 
-// baseFor resolves the compiled base for a scenario's shape at revision
-// rev, sliced when slice is set (see Engine.slices): a cached (or
-// freshly cached) frozen base when caching is enabled, a private compile
-// when it is disabled or rev's generation is no longer current — cache
-// keys do not carry the generation, so a cached base may belong to
-// another KB. shared reports whether other queries may reference the
-// base concurrently — callers must then solve against a clone of
-// base.solver, never the base solver itself. A warm query
-// takes e.mu once here; computing a slice or compiling a base happens
-// off the lock and takes it again to record the result.
-func (e *Engine) baseFor(rev revision, sc *Scenario, slice bool) (*compiled, bool, error) {
+// baseFor resolves the frozen base for a scenario's shape at revision
+// rev, sliced when slice is set (see Engine.slices): the cached base when
+// rev is current and one is cached, otherwise a fresh compile, counted as
+// a miss. A fresh base is cached unless the capacity is 0 or rev's
+// generation is no longer current — cache keys do not carry the
+// generation, so a stale revision's base belongs to another KB. Any base
+// may be shared with other queries, so callers solve on a clone of
+// base.solver, never the base solver itself. A warm query takes e.mu
+// once here; computing a slice or compiling a base happens off the lock
+// and takes it again to record the result.
+func (e *Engine) baseFor(rev revision, sc *Scenario, slice bool) (*compiled, error) {
 	shape := baseShape(sc)
 	fp := shape.fingerprint()
 	// Relevance slicing (slice.go), when slice is set and the request
@@ -199,7 +199,7 @@ func (e *Engine) baseFor(rev revision, sc *Scenario, slice bool) (*compiled, boo
 	if req == nil || sl != nil {
 		if base := e.cachedLocked(rev.gen, fp+sliceKeySuffix(sl)); base != nil {
 			e.mu.Unlock()
-			return base, true, nil
+			return base, nil
 		}
 	}
 	e.mu.Unlock()
@@ -213,45 +213,42 @@ func (e *Engine) baseFor(rev revision, sc *Scenario, slice bool) (*compiled, boo
 		base := e.cachedLocked(rev.gen, fp+sliceKeySuffix(sl))
 		e.mu.Unlock()
 		if base != nil {
-			return base, true, nil
+			return base, nil
 		}
 	}
 
-	fresh, err := e.compileSliced(rev.kb, &shape, sl)
+	fresh, err := compile(rev.kb, &shape, sl)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cacheCap == 0 {
-		return fresh, false, nil
-	}
 	e.stats.Misses++
-	if rev.gen != e.kbGen {
-		// The KB moved (UpdateKB) after the query read its revision: the
-		// base belongs to that revision. Hand it to this query privately
-		// — it answers against the KB it read — but never cache it,
-		// which would poison the current generation's cache.
-		return fresh, false, nil
+	if e.cacheCap == 0 || rev.gen != e.kbGen {
+		// Retain nothing, or the KB moved (UpdateKB) after the query
+		// read its revision: the query answers on this base privately,
+		// against the KB it read, and caching it would poison the
+		// current generation's cache.
+		return fresh, nil
 	}
 	key := fp + sliceKeySuffix(sl)
 	if existing := e.bases[key]; existing != nil {
 		// Lost a compile race: adopt the stored base so every query over
 		// this shape clones the same instance.
-		return existing, true, nil
+		return existing, nil
 	}
 	e.bases[key] = fresh
 	e.baseOrder = append(e.baseOrder, key)
 	if len(e.baseOrder) > e.cacheCap {
 		e.evictOldestLocked()
 	}
-	return fresh, true, nil
+	return fresh, nil
 }
 
 // cachedLocked returns the cached base for key and counts the hit, or
-// nil when caching is off, gen is stale or key is absent. Caller holds e.mu.
+// nil when gen is stale or key is absent. Caller holds e.mu.
 func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
-	if gen != e.kbGen || e.cacheCap == 0 {
+	if gen != e.kbGen {
 		return nil
 	}
 	base := e.bases[key]
@@ -262,24 +259,19 @@ func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
 }
 
 // instance produces the per-query compiled instance at revision rev for
-// a query of the given kind: a cached (or fresh) base, sliced as
-// Engine.slices decides, specialized with the query's own selectors.
-// With caching enabled the query gets a private clone of the base
-// solver; with it disabled the freshly compiled base is used directly.
-// Both paths flow through compileBaseWith + specialize, so cached and
-// cold queries are byte-identical. The engine keeps no clones: one that
-// a query panics on, trips a budget in or abandons is left to the GC, so
-// quarantine is structural — a dirtied solver has no path back to a
-// later query.
+// a query of the given kind: the base baseFor resolves, sliced as
+// Engine.slices decides, cloned, and the clone specialized with the
+// query's own selectors. A clone searches exactly as its base does, so
+// cached and uncached queries answer byte-identically. The engine keeps
+// no clones: one that a query panics on, trips a budget in or abandons
+// is left to the GC, so quarantine is structural — a dirtied solver has
+// no path back to a later query.
 func (e *Engine) instance(rev revision, query string, sc *Scenario) (*compiled, error) {
-	base, shared, err := e.baseFor(rev, sc, e.slices(query, rev.kb))
+	base, err := e.baseFor(rev, sc, e.slices(query, rev.kb))
 	if err != nil {
 		return nil, err
 	}
-	s := base.solver
-	if shared {
-		s = base.solver.Clone()
-	}
+	s := base.solver.Clone()
 	s.SetFaultHook(rev.fault)
 	return base.specialize(sc, s), nil
 }
@@ -291,7 +283,7 @@ func (e *Engine) instance(rev revision, query string, sc *Scenario) (*compiled, 
 // call this per expected scenario shape before reporting ready.
 func (e *Engine) Prewarm(sc Scenario) error {
 	rev := e.revision()
-	_, _, err := e.baseFor(rev, &sc, e.slices("synthesize", rev.kb))
+	_, err := e.baseFor(rev, &sc, e.slices("synthesize", rev.kb))
 	return err
 }
 
@@ -310,10 +302,10 @@ func (e *Engine) SetWorkers(n int) {}
 // specialize layers one query's requirements onto the compiled base:
 // context overrides and additions, Require groups, and pinned/forbidden
 // systems all become assumption-guarded selector clauses on the given
-// solver (a private clone, or the base solver itself on the cache-off
-// path). The base is only read, never written — the returned compiled
-// owns the solver and a fresh selector list, so concurrent queries over
-// one base cannot interfere.
+// solver, the query's private clone of the base solver. The base is only
+// read, never written — the returned compiled owns the solver and a
+// fresh selector list, so concurrent queries over one base cannot
+// interfere.
 func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 	c := &compiled{
 		kb:          base.kb,
@@ -349,6 +341,7 @@ func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 	// re-pinned below under fresh selectors.
 	c.selectors = make([]selector, 0,
 		len(base.selectors)+len(sc.Context)+len(sc.Require)+len(sc.PinnedSystems)+len(sc.ForbiddenSystems))
+	c.selByName = make(map[string]int, cap(c.selectors))
 	covered := make(map[string]bool)
 	for _, s := range base.selectors {
 		if atom, isCtx := strings.CutPrefix(s.name, "context:"); isCtx {
@@ -357,23 +350,15 @@ func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 			}
 			covered[atom] = true
 		}
+		c.selByName[s.name] = len(c.selectors)
 		c.selectors = append(c.selectors, s)
 	}
-	names := make(map[string]bool, len(c.selectors))
-	for _, s := range c.selectors {
-		names[s.name] = true
-	}
-	// add registers one query-scope selector: a fresh solver variable sel
-	// with the clause sel → implied (or the unit ¬sel when nothing can
-	// satisfy the group). Duplicate names collapse, matching the base
-	// compiler's addSelector behavior.
+	// add asserts one query-scope group, sel → implied (the unit ¬sel when
+	// nothing can satisfy the group), under the selector addSelector
+	// registers: a fresh solver variable, since c is frozen. A repeated
+	// name re-asserts under the same selector, as in the base compiler.
 	add := func(name, note string, implied ...sat.Lit) {
-		if names[name] {
-			return
-		}
-		names[name] = true
-		sel := sat.Lit(c.solver.NewVar())
-		c.selectors = append(c.selectors, selector{name: name, note: note, lit: sel})
+		sel := c.addSelector(name, note)
 		c.solver.AddClause(append([]sat.Lit{sel.Flip()}, implied...)...)
 	}
 

@@ -102,8 +102,8 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledBypasses verifies SetCacheCapacity(0) restores the
-// compile-every-query behavior.
+// TestCacheDisabledBypasses verifies SetCacheCapacity(0) retains no base:
+// every query compiles, and each compile counts as a miss.
 func TestCacheDisabledBypasses(t *testing.T) {
 	e := mustEngine(t, miniKB())
 	e.SetCacheCapacity(0)
@@ -113,8 +113,8 @@ func TestCacheDisabledBypasses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.CacheStats(); st.Size != 0 || st.Hits != 0 {
-		t.Fatalf("disabled cache must not retain or hit: %+v", st)
+	if st := e.CacheStats(); st.Size != 0 || st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("a capacity-0 cache must not retain or hit, and must count each compile as a miss: %+v", st)
 	}
 }
 

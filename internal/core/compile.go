@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"netarch/internal/intlin"
@@ -27,10 +28,6 @@ type compiled struct {
 	vocab  *logic.Vocabulary
 	solver *sat.Solver
 	arith  *intlin.Builder
-
-	// names is the engine's shared atom-string interner. Only compiles
-	// set and use it; specialized instances build no vocabulary atoms.
-	names *atomInterner
 
 	// pending accumulates the boolean assertions in emission order during
 	// the section methods; compileUnprobed converts them to CNF in one
@@ -88,6 +85,11 @@ type compiled struct {
 
 	totalKFlows int64
 	maxPeakBW   int64
+
+	// overflow is set when a fleet-scaled product or sum, or an
+	// arithmetic circuit's maximum, would exceed int64 (see mul);
+	// compileUnprobed then fails rather than encode a wrapped quantity.
+	overflow bool
 }
 
 // exclusiveRoles lists roles where co-deploying two systems is incoherent
@@ -100,47 +102,37 @@ var exclusiveRoles = map[kb.Role]bool{
 	kb.RoleLoadBalancer:      true,
 }
 
-// compileSliced compiles a base against a relevance slice's sub-KB (or
-// the full KB when sl is nil), stamping the slice identity onto the
-// result so the cache and UpdateKB can reproduce it. The compile
-// pipeline itself is unchanged: a sliced base is just a compile of a
-// smaller knowledge base.
-func (e *Engine) compileSliced(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, error) {
-	if sl == nil {
-		return e.compileBaseWith(k, sc)
+// compile lowers a KB revision and a scenario shape into a frozen base.
+// When sl is non-nil it compiles the relevance slice's sub-KB instead of
+// k and stamps the slice identity onto the result, so the cache and
+// UpdateKB can reproduce it; a sliced base is just a compile of a
+// smaller knowledge base. compile reads nothing but its arguments. The
+// base holds the clauses the compiler emitted plus what its compile-time
+// probe learnt (see probe), and is thereafter only cloned, never solved
+// or mutated: each query layers its own requirements on a clone
+// (specialize).
+func compile(k *kb.KB, sc *Scenario, sl *kbSlice) (*compiled, error) {
+	if sl != nil {
+		k = sl.sub
 	}
-	c, err := e.compileBaseWith(sl.sub, sc)
+	c, err := compileUnprobed(k, sc)
 	if err != nil {
 		return nil, err
 	}
-	c.sliceID = sl.id
-	c.sliceReq = sl.req
-	return c, nil
-}
-
-// compileBaseWith lowers a KB revision + scenario into a solver
-// instance. With the compiled-base cache this runs on a stripped "shape"
-// scenario (see baseShape) and the result is frozen: the instance holds
-// the clauses the compiler emitted plus what its compile-time probe
-// learnt (see probe), and is thereafter only cloned, never solved or
-// mutated. Query-specific requirements are layered on by specialize().
-func (e *Engine) compileBaseWith(k *kb.KB, sc *Scenario) (*compiled, error) {
-	c, err := e.compileUnprobed(k, sc)
-	if err != nil {
-		return nil, err
+	if sl != nil {
+		c.sliceID, c.sliceReq = sl.id, sl.req
 	}
 	c.probe()
 	return c, nil
 }
 
-// compileUnprobed is compileBaseWith without the compile-time probe: the
-// solver holds exactly the clauses the compiler emitted, in storage Bulk
-// sized once with room for the probe's learnt clauses.
-func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
+// compileUnprobed is compile of the full k without the compile-time
+// probe: the solver holds exactly the clauses the compiler emitted, in
+// storage Bulk sized once with room for the probe's learnt clauses.
+func compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	c := &compiled{
 		kb:         k,
 		sc:         sc,
-		names:      &e.names,
 		vocab:      logic.NewVocabulary(),
 		sysLit:     make(map[string]sat.Lit),
 		hwLit:      make(map[string]sat.Lit),
@@ -201,19 +193,22 @@ func (e *Engine) compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 		c.resourceConstraints()
 		c.costModel()
 	})
+	if c.overflow {
+		return nil, fmt.Errorf("core: %d servers and %d switches overflow the fleet's int64 quantities",
+			c.sc.numServers(), c.sc.numSwitches())
+	}
 	return c, nil
 }
 
 // probe solves the freshly compiled base once under its own selectors
 // and keeps what that search learnt on the base solver: saved phases,
 // VSIDS activities and learnt clauses. Learnt clauses are implied by the
-// CNF alone, so they are sound for every query. Every clone and
-// cache-off instance starts from this prior, so a query's search
-// depends on its base only, never on which queries ran before it. The
-// probe's verdict, model and counters are dropped (sat.Solver.ResetRun),
-// so no query is charged for it. The base solver carries no fault hook
-// (specialize installs it on each query's solver), so injected faults
-// never fire in the probe.
+// CNF alone, so they are sound for every query. Every query's clone
+// starts from this prior, so a query's search depends on its base only,
+// never on which queries ran before it. The probe's verdict, model and
+// counters are dropped (sat.Solver.ResetRun), so no query is charged for
+// it. The base solver carries no fault hook (instance installs it on
+// each query's clone), so injected faults never fire in the probe.
 func (c *compiled) probe() {
 	c.solver.SolveAssuming(c.assumptions())
 	c.solver.ResetRun()
@@ -245,7 +240,7 @@ func (c *compiled) deriveContext() {
 		for _, p := range w.Properties {
 			c.derivedCtx[p] = true
 		}
-		c.totalKFlows += w.KFlows
+		c.totalKFlows = c.add(c.totalKFlows, w.KFlows)
 		if w.PeakBandwidthGbps > c.maxPeakBW {
 			c.maxPeakBW = w.PeakBandwidthGbps
 		}
@@ -267,19 +262,19 @@ func (c *compiled) deriveContext() {
 // atom helpers ---------------------------------------------------------------
 
 func (c *compiled) sysVar(name string) logic.Var {
-	return c.vocab.Get(c.names.full(tierSystem, name))
+	return c.vocab.Get("system:" + name)
 }
 func (c *compiled) hwVar(name string) logic.Var {
-	return c.vocab.Get(c.names.full(tierHw, name))
+	return c.vocab.Get("hw:" + name)
 }
 func (c *compiled) ctxVar(name string) logic.Var {
-	return c.vocab.Get(c.names.full(tierCtx, name))
+	return c.vocab.Get("ctx:" + name)
 }
 func (c *compiled) propVar(p kb.Property) logic.Var {
-	return c.vocab.Get(c.names.full(tierProp, string(p)))
+	return c.vocab.Get("prop:" + string(p))
 }
 func (c *compiled) capVar(kind kb.HardwareKind, cap kb.Capability) logic.Var {
-	return c.vocab.Get(c.names.full(tierCap, string(kind)+":"+string(cap)))
+	return c.vocab.Get("cap:" + string(kind) + ":" + string(cap))
 }
 
 // addSelector registers a named assumable group and returns its literal.
@@ -295,7 +290,7 @@ func (c *compiled) addSelector(name, note string) sat.Lit {
 	if c.frozen {
 		l = sat.Lit(c.solver.NewVar())
 	} else {
-		l = sat.Lit(c.vocab.Get(c.names.full(tierSel, name)))
+		l = sat.Lit(c.vocab.Get("sel:" + name))
 	}
 	c.selByName[name] = len(c.selectors)
 	c.selectors = append(c.selectors, selector{name: name, note: note, lit: l})
@@ -768,22 +763,22 @@ func (c *compiled) resourceConstraints() {
 	ns := int64(c.sc.numServers())
 
 	// Total cores provided by the selected server SKU.
-	c.coresTotal = c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return h.Q(kb.ResCores) * ns })
+	c.coresTotal = c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 { return c.mul(h.Q(kb.ResCores), ns) })
 
 	// Cores consumed: workload peaks + per-system overheads.
 	var wlCores int64
 	for _, w := range c.workloads {
-		wlCores += w.PeakCores
+		wlCores = c.add(wlCores, w.PeakCores)
 	}
 	terms := []intlin.Int{c.arith.Const(wlCores)}
 	for i := range c.kb.Systems {
 		s := &c.kb.Systems[i]
-		cost := s.Resources[kb.ResCores]*ns + s.CoresPerKFlows*c.totalKFlows
+		cost := c.add(c.mul(s.Resources[kb.ResCores], ns), c.mul(s.CoresPerKFlows, c.totalKFlows))
 		if cost > 0 {
 			terms = append(terms, c.arith.ScaledBool(c.sysLit[s.Name], cost))
 		}
 	}
-	c.coresUsed = c.arith.Sum(terms...)
+	c.coresUsed = c.sum(terms...)
 	selCores := c.addSelector("resources:cores",
 		fmt.Sprintf("deployed systems and workloads must fit %d servers' cores", ns))
 	c.arith.AssertImplies(selCores, c.arith.Leq(c.coresUsed, c.coresTotal))
@@ -795,14 +790,14 @@ func (c *compiled) resourceConstraints() {
 	// worthwhile?" query.
 	var wlMem int64
 	for _, w := range c.workloads {
-		wlMem += w.PeakMemoryGB
+		wlMem = c.add(wlMem, w.PeakMemoryGB)
 	}
 	if wlMem > 0 {
 		cxlOn := c.pinnedCtx["cxl_pooling"]
 		memTotal := c.kindTotal(kb.KindServer, func(h *kb.Hardware) int64 {
-			m := h.Q(kb.ResMemoryGB) * ns
+			m := c.mul(h.Q(kb.ResMemoryGB), ns)
 			if cxlOn && h.HasCap(kb.CapCXL) {
-				m += m / 2
+				m = c.add(m, m/2)
 			}
 			return m
 		})
@@ -820,9 +815,10 @@ func (c *compiled) resourceConstraints() {
 			if len(w.DeployedAt) == 0 || w.PeakCores == 0 {
 				continue
 			}
-			share := (w.PeakCores + int64(len(w.DeployedAt)) - 1) / int64(len(w.DeployedAt))
+			n := int64(len(w.DeployedAt))
+			share := c.add(w.PeakCores, n-1) / n
 			for _, r := range w.DeployedAt {
-				rackDemand[r] += share
+				rackDemand[r] = c.add(rackDemand[r], share)
 			}
 		}
 		racks := make([]string, 0, len(rackDemand))
@@ -840,7 +836,7 @@ func (c *compiled) resourceConstraints() {
 				continue
 			}
 			for _, h := range c.allowedHardware(kb.KindServer) {
-				if h.Q(kb.ResCores)*int64(nRack) < rackDemand[r] {
+				if c.mul(h.Q(kb.ResCores), int64(max(nRack, 0))) < rackDemand[r] {
 					// This SKU cannot provision the rack: selecting it
 					// violates the rack constraint.
 					c.solver.AddClause(sel.Flip(), c.hwLit[h.Name].Flip())
@@ -864,7 +860,7 @@ func (c *compiled) resourceConstraints() {
 		}
 	}
 	if len(qosTerms) > 0 {
-		used := c.arith.Sum(qosTerms...)
+		used := c.sum(qosTerms...)
 		sel := c.addSelector("resources:qos_classes",
 			"systems contend for the fabric's 8 QoS classes (§2.2 resource contention)")
 		c.arith.AssertImplies(sel, c.arith.LeqConst(used, 8))
@@ -895,7 +891,7 @@ func (c *compiled) switchBudget(res kb.Resource, selName, note string) {
 	if len(terms) == 0 {
 		return
 	}
-	used := c.arith.Sum(terms...)
+	used := c.sum(terms...)
 	budget := c.kindTotal(kb.KindSwitch, func(h *kb.Hardware) int64 { return h.Q(res) })
 	sel := c.addSelector(selName, note)
 	c.arith.AssertImplies(sel, c.arith.Leq(used, budget))
@@ -942,7 +938,54 @@ func (c *compiled) hardwareTotal(per func(*kb.Hardware) int64, kinds ...kb.Hardw
 	terms := make([]intlin.Int, len(kinds))
 	for i, kind := range kinds {
 		n := c.fleetCount(kind)
-		terms[i] = c.kindTotal(kind, func(h *kb.Hardware) int64 { return per(h) * n })
+		terms[i] = c.kindTotal(kind, func(h *kb.Hardware) int64 { return c.mul(per(h), n) })
+	}
+	return c.sum(terms...)
+}
+
+// fleetBound checks, without building it, that hardwareTotal(per,
+// kinds...) stays within int64: the largest fleet-scaled value of each
+// kind, summed.
+func (c *compiled) fleetBound(per func(*kb.Hardware) int64, kinds ...kb.HardwareKind) {
+	var total int64
+	for _, kind := range kinds {
+		n := c.fleetCount(kind)
+		var most int64
+		for _, h := range c.allowedHardware(kind) {
+			most = max(most, c.mul(per(h), n))
+		}
+		total = c.add(total, most)
+	}
+}
+
+// mul and add are the compile's checked arithmetic over the
+// non-negative quantities that a validated KB and the scenario supply: a
+// result beyond int64 sets c.overflow and reads 0, so compileUnprobed
+// fails instead of encoding a wrapped quantity.
+func (c *compiled) mul(a, b int64) int64 {
+	if a == 0 || b <= math.MaxInt64/a {
+		return a * b
+	}
+	c.overflow = true
+	return 0
+}
+
+func (c *compiled) add(a, b int64) int64 {
+	if s := a + b; s >= 0 {
+		return s
+	}
+	c.overflow = true
+	return 0
+}
+
+// sum is arith.Sum with the circuit's maximum checked (see mul).
+func (c *compiled) sum(terms ...intlin.Int) intlin.Int {
+	var most int64
+	for _, t := range terms {
+		most = c.add(most, t.Max())
+	}
+	if c.overflow {
+		return c.arith.Const(0)
 	}
 	return c.arith.Sum(terms...)
 }
@@ -953,6 +996,11 @@ func (c *compiled) hardwareTotal(per func(*kb.Hardware) int64, kinds ...kb.Hardw
 func (c *compiled) costModel() {
 	c.costTotal = c.hardwareTotal(func(h *kb.Hardware) int64 { return h.CostUSD },
 		kb.KindServer, kb.KindNIC, kb.KindSwitch)
+	// Power and ports are summed on every design (designFrom) and built
+	// as circuits only on instances that optimize them (powerModel,
+	// portModel): bound them here, so no query over this base can wrap.
+	c.fleetBound(unitPower, kb.KindServer, kb.KindNIC, kb.KindSwitch)
+	c.fleetBound(unitPorts, kb.KindSwitch)
 	if c.sc.MaxCostUSD > 0 {
 		sel := c.addSelector("budget:cost",
 			fmt.Sprintf("total hardware cost must not exceed $%d", c.sc.MaxCostUSD))
@@ -966,15 +1014,17 @@ func (c *compiled) costModel() {
 // reads the circuit, so objectives builds it on the query instance
 // when an objective needs it, never on a base.
 func (c *compiled) powerModel() intlin.Int {
-	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) },
-		kb.KindServer, kb.KindNIC, kb.KindSwitch)
+	return c.hardwareTotal(unitPower, kb.KindServer, kb.KindNIC, kb.KindSwitch)
 }
+
+func unitPower(h *kb.Hardware) int64 { return h.Q(kb.ResPowerW) }
+func unitPorts(h *kb.Hardware) int64 { return h.Q(kb.ResPortCount) }
 
 // portModel builds the fabric's total switch port count (selected
 // switch's ports times the switch count) for the MinimizePorts
 // objective, on the query instance like powerModel.
 func (c *compiled) portModel() intlin.Int {
-	return c.hardwareTotal(func(h *kb.Hardware) int64 { return h.Q(kb.ResPortCount) }, kb.KindSwitch)
+	return c.hardwareTotal(unitPorts, kb.KindSwitch)
 }
 
 // assumptions returns all selector literals.

@@ -25,7 +25,7 @@ type Engine struct {
 	// recompiles run under it but outside mu.
 	updateMu sync.Mutex
 
-	// mu guards every field below except sliceAbove and names.
+	// mu guards every field below except sliceAbove.
 	mu sync.Mutex
 	// kbCur is the engine's current knowledge base; UpdateKB swaps it
 	// live. A query reads it once, with kbGen, as its revision and uses
@@ -57,12 +57,6 @@ type Engine struct {
 	// (see slices). Set at construction and never written after, so it
 	// is read without mu.
 	sliceAbove int
-
-	// names interns namespaced atom strings across compiles (intern.go):
-	// with slicing, one engine runs many small compiles over the same
-	// catalog vocabulary, and the canonical strings are shared by all of
-	// them.
-	names atomInterner
 }
 
 // New validates the knowledge base and returns an engine over it.
@@ -116,21 +110,26 @@ func (e *Engine) begin(ctx context.Context, query string, sc Scenario, b Budget,
 	return e.start(ctx, query, e.revision(), sc, b, bind)
 }
 
-// start builds the query's instance against rev, then starts its
-// governor and adopts the instance's solver. bind, when non-nil, first
-// rewrites the scenario against rev's KB. On success the caller must
-// defer g.done().
+// start governs the query from its entry, then builds its instance
+// against rev and adopts the instance's solver, so Spent.Wall and
+// Budget.Timeout cover the slice, the compile and the clone as well as
+// the solves. A query whose context is already done is refused before
+// it compiles anything. bind, when non-nil, first rewrites the scenario
+// against rev's KB. On success the caller must defer g.done().
 func (e *Engine) start(ctx context.Context, query string, rev revision, sc Scenario, b Budget, bind func(*kb.KB, *Scenario) error) (*compiled, *governor, error) {
-	if bind != nil {
-		if err := bind(rev.kb, &sc); err != nil {
-			return nil, nil, err
-		}
+	g := govern(ctx, query, b)
+	var c *compiled
+	err := g.refuse()
+	if err == nil && bind != nil {
+		err = bind(rev.kb, &sc)
 	}
-	c, err := e.instance(rev, query, &sc)
+	if err == nil {
+		c, err = e.instance(rev, query, &sc)
+	}
 	if err != nil {
+		g.done()
 		return nil, nil, err
 	}
-	g := govern(ctx, query, b)
 	g.adopt(c.solver)
 	return c, g, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -360,12 +362,56 @@ func TestCheckUnknownNames(t *testing.T) {
 	}
 }
 
+// TestFleetOverflowIsAnError pins that a fleet-scaled quantity or an
+// arithmetic circuit's maximum beyond int64 fails the query with an
+// error instead of encoding a wrapped value: 2^60 case-study switches at
+// $571,200 each must not wrap the fleet cost into a FEASIBLE answer
+// under a $2M cap.
+func TestFleetOverflowIsAnError(t *testing.T) {
+	hugeCores := miniKB()
+	hugeCores.Workloads = []kb.Workload{
+		{Name: "a", PeakCores: math.MaxInt64/2 + 1},
+		{Name: "b", PeakCores: math.MaxInt64/2 + 1},
+	}
+	// One workload's cores fit, but not beside shenango's per-server core.
+	coreCircuit := miniKB()
+	coreCircuit.Workloads = []kb.Workload{{Name: "a", PeakCores: math.MaxInt64 - 1}}
+	hugePower := miniKB()
+	hugePower.Hardware[0].Quant[kb.ResPowerW] = 1 << 62
+	free := miniKB()
+	for i := range free.Hardware {
+		free.Hardware[i].CostUSD = 0
+	}
+	for _, tc := range []struct {
+		name string
+		k    *kb.KB
+		sc   Scenario
+	}{
+		{"case-study fleet cost", caseStudyKB(), Scenario{NumSwitches: 1 << 60, MaxCostUSD: 2_000_000, Workloads: []string{"inference_app"}}},
+		{"switch cost", miniKB(), Scenario{NumSwitches: 1 << 60}},
+		{"server cores", free, Scenario{NumServers: math.MaxInt / 8}},
+		{"workload cores", hugeCores, Scenario{}},
+		{"cores circuit", coreCircuit, Scenario{}},
+		{"fleet power", hugePower, Scenario{}},
+	} {
+		rep, err := mustEngine(t, tc.k).Synthesize(tc.sc)
+		if err == nil || !strings.Contains(err.Error(), "overflow") {
+			t.Errorf("%s: got %v (report %+v), want an overflow error", tc.name, err, rep)
+		}
+	}
+	// A fleet whose quantities fit still answers.
+	if _, err := mustEngine(t, miniKB()).Synthesize(Scenario{NumSwitches: 1 << 40}); err != nil {
+		t.Errorf("a fleet of 2^40 switches fits int64: %v", err)
+	}
+}
+
 func TestEnumerateDistinctSystemSets(t *testing.T) {
 	e := mustEngine(t, miniKB())
-	designs, err := e.Enumerate(Scenario{Require: []kb.Property{"congestion_control"}}, 10)
+	res, err := e.EnumerateCtx(context.Background(), Scenario{Require: []kb.Property{"congestion_control"}}, 10, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	designs := res.Designs
 	if len(designs) < 2 {
 		t.Fatalf("expected multiple equivalence classes, got %d", len(designs))
 	}

@@ -39,30 +39,14 @@ type EnumerateResult struct {
 	Spent BudgetSpent
 }
 
-// Enumerate returns up to max distinct compliant designs, where designs
-// are distinguished by their deployed system set (hardware variations of
-// the same system set collapse into one equivalence class, per §6
-// "identify equivalence classes of system deployments"). If the solver
-// gives up mid-enumeration (only possible when a fault hook or budget is
-// armed), the partial designs are returned together with the typed
-// *ErrResourceExhausted — never silently.
-func (e *Engine) Enumerate(sc Scenario, max int) ([]*Design, error) {
-	res, err := e.EnumerateCtx(context.Background(), sc, max, Budget{})
-	if err != nil {
-		return nil, err
-	}
-	if res.Exhausted != nil {
-		// Propagate the giving-up status: callers must be able to tell
-		// "only these designs exist" from "the solver gave up".
-		return res.Designs, res.Exhausted
-	}
-	return res.Designs, nil
-}
-
-// EnumerateCtx is Enumerate under a context and resource budget. Each
-// class discovery gets a fresh phase allowance. Resource exhaustion is
-// not an error here: the partial result is returned with Truncated,
-// Reason, and Exhausted set, so callers can use what was found.
+// EnumerateCtx returns up to max distinct compliant designs under a
+// context and resource budget, where designs are distinguished by their
+// deployed system set (hardware variations of the same system set
+// collapse into one equivalence class, per §6 "identify equivalence
+// classes of system deployments"). Each class discovery gets a fresh
+// phase allowance. Resource exhaustion is not an error here: the partial
+// result is returned with Truncated, Reason, and Exhausted set, so
+// callers can use what was found.
 //
 // After max classes, one more solve decides the result: a further model
 // means Truncated with Reason "limit", Unsat means the max classes are

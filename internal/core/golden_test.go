@@ -128,12 +128,11 @@ func TestCompiledBaseGolden(t *testing.T) {
 				}
 				sub = sl.sub
 			}
-			e := mustEngine(t, k)
-			raw, err := e.compileUnprobed(sub, &shape)
+			raw, err := compileUnprobed(sub, &shape)
 			if err != nil {
 				t.Fatal(err)
 			}
-			probed, err := e.compileSliced(k, &shape, sl)
+			probed, err := compile(k, &shape, sl)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,9 +22,11 @@ import (
 // Budget bounds the resources one query may spend. The zero value means
 // unbounded (beyond any deadline already carried by the context).
 type Budget struct {
-	// Timeout caps wall-clock time for the whole query. It composes
-	// with any deadline on the context — the earlier one wins. Zero
-	// means no extra deadline.
+	// Timeout caps wall-clock time for the whole query, from its entry.
+	// It composes with any deadline on the context — the earlier one
+	// wins. Zero means no extra deadline. A compile is not interrupted:
+	// a deadline that passes during one stops the query at its first
+	// solve.
 	Timeout time.Duration
 	// MaxConflicts bounds solver conflicts per phase: the main decision
 	// and each degradable follow-up phase (explanation minimization, one
@@ -41,7 +43,9 @@ type Budget struct {
 type BudgetSpent struct {
 	Conflicts int64
 	Decisions int64
-	Wall      time.Duration
+	// Wall runs from the query's entry: it covers the slice, the compile
+	// and the clone as well as the solves.
+	Wall time.Duration
 }
 
 // String renders the spent budget.
@@ -104,8 +108,9 @@ type governor struct {
 	ctxErr  error
 }
 
-// govern starts governance for one query. Callers adopt the solver the
-// query runs on and must defer g.done().
+// govern starts governance for one query at its entry. Callers adopt the
+// solver the query runs on once it is built and must call g.done() when
+// the query ends.
 func govern(ctx context.Context, query string, b Budget) *governor {
 	if ctx == nil {
 		ctx = context.Background()
@@ -115,6 +120,17 @@ func govern(ctx context.Context, query string, b Budget) *governor {
 		g.ctx, g.cancel = context.WithTimeout(ctx, b.Timeout)
 	}
 	return g
+}
+
+// refuse trips the governor and returns the query's
+// *ErrResourceExhausted when its context is already done, so such a
+// query stops before it compiles anything; otherwise it returns nil.
+func (g *governor) refuse() error {
+	if g.ctx.Err() == nil {
+		return nil
+	}
+	g.trip(sat.StopInterrupt)
+	return g.exhausted()
 }
 
 // adopt places s under governance and arms its first phase. Call it
@@ -169,11 +185,15 @@ func stopCause(c sat.StopCause, ctx context.Context) (string, error) {
 	return "interrupt", nil
 }
 
-// spent reports the query's consumption: the adopted solver's counters
-// and the wall time since the query started.
+// spent reports the query's consumption: the adopted solver's counters,
+// zero before adoption, and the wall time since the query started.
 func (g *governor) spent() BudgetSpent {
-	st := g.s.Stats()
-	return BudgetSpent{Conflicts: st.Conflicts, Decisions: st.Decisions, Wall: time.Since(g.start)}
+	sp := BudgetSpent{Wall: time.Since(g.start)}
+	if g.s != nil {
+		st := g.s.Stats()
+		sp.Conflicts, sp.Decisions = st.Conflicts, st.Decisions
+	}
+	return sp
 }
 
 // exhausted builds the typed error for the query's first trip, or

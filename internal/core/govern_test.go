@@ -96,9 +96,13 @@ func TestCanceledContextRefusesToStart(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Error("errors.Is(err, context.Canceled) must hold")
 	}
-	// The refusal is synchronous, so no solver work may be spent.
+	// The refusal is synchronous, so no solver work may be spent, and it
+	// comes before the compile, so no base is compiled either.
 	if re.Spent.Conflicts != 0 {
 		t.Errorf("refused query spent %d conflicts, want 0", re.Spent.Conflicts)
+	}
+	if st := e.CacheStats(); st.Misses != 0 || st.Hits != 0 {
+		t.Errorf("refused query reached the cache: %+v", st)
 	}
 }
 
@@ -297,30 +301,6 @@ func TestEnumerateBudgetTruncation(t *testing.T) {
 	}
 	if len(res.Designs) != 1 {
 		t.Fatalf("got %d partial designs, want the 1 found before the trip", len(res.Designs))
-	}
-}
-
-func TestEnumerateLegacyPropagatesExhaustion(t *testing.T) {
-	// Satellite: the legacy Enumerate must not silently return partial
-	// results — the typed error rides along with the designs found.
-	e := mustEngine(t, miniKB())
-	solves := 0
-	e.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
-		if ev == sat.EventSolve {
-			solves++
-			return solves >= 2
-		}
-		return false
-	})
-	designs, err := e.Enumerate(Scenario{}, 100)
-	if err == nil {
-		t.Fatal("mid-enumeration give-up must surface an error")
-	}
-	if !IsResourceExhausted(err) {
-		t.Fatalf("error %v is not a resource exhaustion", err)
-	}
-	if len(designs) != 1 {
-		t.Fatalf("partial designs must still be returned: got %d", len(designs))
 	}
 }
 

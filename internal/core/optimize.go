@@ -83,11 +83,10 @@ func (e *Engine) optimize(c *compiled, g *governor, objectives []Objective) (*Op
 	if err != nil {
 		return nil, err
 	}
-	// The query's solver is private on every path (a clone of a cached
-	// base, or a fresh compile with caching off), so its selectors can
-	// become level-0 units: every descent probe then starts from their
-	// propagated consequences instead of replaying them as assumptions.
-	// Only the objective bounds stay assumptions.
+	// The query's solver is its private clone of the base, so its
+	// selectors can become level-0 units: every descent probe then starts
+	// from their propagated consequences instead of replaying them as
+	// assumptions. Only the objective bounds stay assumptions.
 	for _, l := range assumps {
 		c.solver.AddClause(l)
 	}

@@ -111,7 +111,7 @@ func (e *Engine) UpdateKB(newKB *kb.KB) (*KBUpdate, error) {
 			continue
 		}
 		seen[newKey] = true
-		nb, err := e.compileSliced(newKB, ob.sc, sl)
+		nb, err := compile(newKB, ob.sc, sl)
 		if err != nil {
 			// The shape no longer compiles under the new KB (its
 			// workload or pinned hardware was removed): evict it rather

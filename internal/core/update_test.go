@@ -65,7 +65,7 @@ func TestUpdateKBByteIdentity(t *testing.T) {
 			}
 
 			cold := mustEngine(t, next)
-			want, err := cold.compileBaseWith(cold.revision().kb, &shape)
+			want, err := compile(cold.revision().kb, &shape, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestUpdateKBProbedBaseMatchesColdCompile(t *testing.T) {
 	e.mu.Unlock()
 
 	cold := mustEngine(t, next)
-	want, err := cold.compileBaseWith(cold.revision().kb, &shape)
+	want, err := compile(cold.revision().kb, &shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestUpdateKBConcurrentUpdates(t *testing.T) {
 		t.Fatal("cached base vanished across the updates")
 	}
 	cold := mustEngine(t, last)
-	want, err := cold.compileBaseWith(cold.revision().kb, &shape)
+	want, err := compile(cold.revision().kb, &shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,9 +451,9 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 	// after. Old bases are frozen, so the clone answers the old KB's
 	// question regardless of what the engine does meanwhile.
 	stale := e.revision()
-	base, shared, err := e.baseFor(stale, &sc, false)
-	if err != nil || !shared {
-		t.Fatalf("baseFor: %v (shared=%v)", err, shared)
+	base, err := e.baseFor(stale, &sc, false)
+	if st := e.CacheStats(); err != nil || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("baseFor should hit the cached base: %v (stats %+v)", err, st)
 	}
 	oldClone := base.solver.Clone()
 	oldBytes := snapshotBase(base, [32]byte{})
@@ -466,12 +466,12 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 
 	// A query whose revision predates the swap must not take the cached
 	// base, which now belongs to next: it compiles the KB it read.
-	private, shared, err := e.baseFor(stale, &sc, false)
+	private, err := e.baseFor(stale, &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared {
-		t.Error("a query at the pre-update revision took a cached base")
+	if st := e.CacheStats(); st.Size != 1 || st.Misses != 2 || st.Hits != 1 {
+		t.Errorf("the pre-update revision's compile must count a miss and cache nothing: %+v", st)
 	}
 	if !bytes.Equal(snapshotBase(private, [32]byte{}), oldBytes) {
 		t.Error("the pre-update revision's private base differs from its cached base")
@@ -479,15 +479,18 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 
 	// The pre-update base is not reused: the next query answers from a
 	// base equal to a cold compile of next.
-	fresh, shared, err := e.baseFor(e.revision(), &sc, false)
-	if err != nil || !shared {
-		t.Fatalf("baseFor after the update: %v (shared=%v)", err, shared)
+	fresh, err := e.baseFor(e.revision(), &sc, false)
+	if err != nil {
+		t.Fatalf("baseFor after the update: %v", err)
+	}
+	if private == fresh {
+		t.Error("a query at the pre-update revision took a cached base")
 	}
 	if st := e.CacheStats(); st.Size != 1 || st.Misses != 2 || st.Hits != 2 {
 		t.Errorf("want the rebuilt base alone cached, the private compile a miss: %+v", st)
 	}
 	coldEngine := mustEngine(t, next)
-	cold, _, err := coldEngine.baseFor(coldEngine.revision(), &sc, false)
+	cold, err := coldEngine.baseFor(coldEngine.revision(), &sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

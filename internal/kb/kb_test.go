@@ -168,6 +168,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"dup hardware", func(k *KB) { k.Hardware = append(k.Hardware, k.Hardware[0]) }, "duplicate hardware"},
 		{"bad kind", func(k *KB) { k.Hardware[0].Kind = "gpu" }, "unknown kind"},
 		{"neg quant", func(k *KB) { k.Hardware[0].Quant = map[Resource]int64{ResCores: -2} }, "negative quantity"},
+		{"neg cost", func(k *KB) { k.Hardware[0].CostUSD = -100 }, "negative cost_usd"},
 		{"dup workload", func(k *KB) { k.Workloads = append(k.Workloads, k.Workloads[0]) }, "duplicate workload"},
 		{"neg workload", func(k *KB) { k.Workloads[0].PeakCores = -5 }, "negative quantities"},
 		{"bad rule expr", func(k *KB) { k.Rules[0].Expr = Expr{Op: "xor"} }, "unknown expression op"},

@@ -100,6 +100,9 @@ func (k *KB) Validate() error {
 				report("hardware %q: negative quantity %s=%d", h.Name, r, v)
 			}
 		}
+		if h.CostUSD < 0 {
+			report("hardware %q: negative cost_usd=%d", h.Name, h.CostUSD)
+		}
 	}
 
 	wlNames := map[string]bool{}

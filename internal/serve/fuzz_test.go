@@ -68,6 +68,9 @@ func FuzzServeQuery(f *testing.F) {
 		{"whatif", QueryRequest{Scenario: scInference, Delta: &DeltaJSON{Context: map[string]bool{"lossless_fabric": false}}}},
 		{"enumerate", QueryRequest{Scenario: scInference, Max: 4}},
 		{"optimize", QueryRequest{Scenario: scInference, Objectives: []string{"cost", "power"}, Pareto: true}},
+		{"synth", QueryRequest{Scenario: ScenarioJSON{
+			Workloads: []string{"inference_app"}, NumSwitches: 1 << 60, MaxCostUSD: 2_000_000,
+		}}},
 		{"synth", `{"scenario": nope}`},
 		{"synth", `{"scenarioooo": {}}`},
 		{"check", `{"scenario": {}}`},

@@ -154,7 +154,8 @@ func TestServeReload(t *testing.T) {
 // TestServeReloadDecodeErrors: a body that does not decode is a 400
 // bad_request, including a rule whose expression nests not 100,000 deep
 // and a KB refused only by the decoder's strict rules; a well-formed KB
-// that fails validation is a 422 invalid_kb. None of them swaps the KB,
+// that fails validation (a duplicate system, a negative cost_usd) is a
+// 422 invalid_kb. None of them swaps the KB,
 // and the server keeps answering.
 func TestServeReloadDecodeErrors(t *testing.T) {
 	_, base := testServer(t, nil)
@@ -178,14 +179,18 @@ func TestServeReloadDecodeErrors(t *testing.T) {
 			t.Errorf("body %.40q: status %d kind %q, want 400 bad_request", body, status, eb.Error.Kind)
 		}
 	}
-	invalid := catalog.CaseStudy()
-	invalid.Systems = append(invalid.Systems, invalid.Systems[0]) // duplicate
-	var buf bytes.Buffer
-	if err := invalid.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if status, eb := reload(buf.Bytes()); status != http.StatusUnprocessableEntity || eb.Error.Kind != "invalid_kb" {
-		t.Errorf("invalid KB: status %d kind %q, want 422 invalid_kb", status, eb.Error.Kind)
+	duplicate := catalog.CaseStudy()
+	duplicate.Systems = append(duplicate.Systems, duplicate.Systems[0])
+	negativeCost := catalog.CaseStudy()
+	negativeCost.Hardware[0].CostUSD = -100
+	for _, invalid := range []*kb.KB{duplicate, negativeCost} {
+		var buf bytes.Buffer
+		if err := invalid.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if status, eb := reload(buf.Bytes()); status != http.StatusUnprocessableEntity || eb.Error.Kind != "invalid_kb" {
+			t.Errorf("invalid KB: status %d kind %q, want 422 invalid_kb", status, eb.Error.Kind)
+		}
 	}
 	var qr QueryResponse
 	req := QueryRequest{Scenario: ScenarioJSON{Workloads: []string{"inference_app"}}}
@@ -194,8 +199,8 @@ func TestServeReloadDecodeErrors(t *testing.T) {
 	}
 	var sz StatsResponse
 	get(t, base+"/statsz", &sz)
-	if sz.Reloads != 0 || sz.ReloadErrors != 4 {
-		t.Errorf("reload counters = %d ok / %d errors, want 0 / 4", sz.Reloads, sz.ReloadErrors)
+	if sz.Reloads != 0 || sz.ReloadErrors != 5 {
+		t.Errorf("reload counters = %d ok / %d errors, want 0 / 5", sz.Reloads, sz.ReloadErrors)
 	}
 }
 

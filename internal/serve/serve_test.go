@@ -388,7 +388,8 @@ func TestStatszWireForm(t *testing.T) {
 }
 
 // TestServeBadRequests pins the 400 taxonomy: malformed JSON, missing
-// mode-specific fields, unknown fields. Every body is a typed ErrorBody.
+// mode-specific fields, unknown fields, a fleet whose quantities
+// overflow int64. Every body is a typed ErrorBody.
 func TestServeBadRequests(t *testing.T) {
 	_, base := testServer(t, nil)
 
@@ -401,6 +402,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown field", `{"scenarioooo": {}}`, "/v1/synth"},
 		{"check without design", `{"scenario": {}}`, "/v1/check"},
 		{"whatif without delta", `{"scenario": {}}`, "/v1/whatif"},
+		// 2^60 switches overflow the fleet cost.
+		{"fleet overflow", `{"scenario": {"num_switches": 1152921504606846976, "max_cost_usd": 2000000, "workloads": ["inference_app"]}}`, "/v1/synth"},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
