@@ -9,6 +9,7 @@ import (
 
 	"netarch/internal/catalog"
 	"netarch/internal/intlin"
+	"netarch/internal/kb"
 	"netarch/internal/logic"
 	"netarch/internal/sat"
 )
@@ -81,8 +82,14 @@ func snapshotBase(c *compiled, kbHash [32]byte) []byte {
 // (exactly the clauses the compiler emits) and of the snapshotBase
 // envelope after the compile-time probe (learnt clauses, phases and
 // activities included), for each distinct §5.1 base shape and one
-// sliced shape of the 5k-SKU catalog. The envelope is written with a
-// zero KB hash, so only the base itself is pinned.
+// sliced shape of the 5k-SKU catalog, plus edge scenarios compiled as
+// given rather than as their base shape, which reach encodings the §5.1
+// shapes never do: a performance bound no system meets (an empty
+// disjunction), a Require listed twice, a system both pinned and
+// forbidden, a kind narrowed to one candidate (a one-SKU at-most-one
+// ladder) and a pinned SKU of the wrong kind (no candidates). The
+// envelope is written with a zero KB hash, so only the base itself is
+// pinned.
 //
 // A compile refactor that claims "byte-identical bases" must pass this
 // test unedited. Re-pin the hashes only for an intended encoding or
@@ -109,8 +116,42 @@ func TestCompiledBaseGolden(t *testing.T) {
 			"d06ed5ba28a359e4f6781bdd12367ac54558764964d5fa2945d0fb66a7b22474",
 			"a8e269c6ab1b1d76460743a24b459b8ccdb1434160a055045b41eb58f09f189f"},
 	}
+	edges := []struct {
+		name             string
+		sc               Scenario
+		unprobed, probed string
+	}{
+		{"bound-unmet", Scenario{Workloads: []string{"inference_app"},
+			Bounds: []PerformanceBound{{Dimension: "throughput", Reference: "linux", Strict: true}}},
+			"feaa5611080d902277bc8add1fc7ac20ba8f3908a844976f2f4966e7fc672861", "a70d258fcc024ee93c23b1a1288d9bc2a1aff353ae4ca3e5125d7fa0635db6c2"},
+		{"require-twice", Scenario{Workloads: []string{"inference_app"},
+			Require: []kb.Property{"congestion_control", "congestion_control"}},
+			"8414957476eed23cb669d90352861f1293b689685329e61f482560b099d54cf8", "a33feaaef1f6c5719d53cf7c05d111cae89d749ecd81f96817ce1f91f9ce82fc"},
+		{"pinned-and-forbidden", Scenario{Workloads: []string{"inference_app"},
+			PinnedSystems: []string{"dctcp"}, ForbiddenSystems: []string{"dctcp"}},
+			"d64a4e4d868aab91e34a9720af95f60d91cf4690bf1b8e6c2054d414682ac033", "b4eb9b59c1e7f62426a240751042957138d8eefa673fad0929c92091a4cfbb15"},
+		{"one-sku-ladder", Scenario{Workloads: []string{"inference_app"},
+			AllowedHardware: map[kb.HardwareKind][]string{kb.KindSwitch: {"Cisco Catalyst 9500-40X"}}},
+			"4f4354723c6815ab88c74c16865d507e596a7f8500271b461f85d51cbc73bbc6", "ba5c32349947339e274ecb9e8821c01b4750c079085c18612d8a1e24eed33669"},
+		{"wrong-kind-pin", Scenario{Workloads: []string{"inference_app"},
+			PinnedHardware: map[kb.HardwareKind]string{kb.KindSwitch: "Intella Basic-10G"}},
+			"950299bed4dcbe1ce26a1bcc4b8ee9d6d769b91aa2bf377a739f4bc3e901c493", "a1c5dad88133f6592e2b47bbc04f3173098927d702d5f6e243a6491d8c20e0c2"},
+	}
 	scs := section51Scenarios()
 	caseStudy := caseStudyKB()
+	for _, g := range edges {
+		t.Run(g.name, func(t *testing.T) {
+			raw, err := compileUnprobed(caseStudy, &g.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probed, err := compile(caseStudy, &g.sc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, raw, probed, g.unprobed, g.probed)
+		})
+	}
 	scaled := catalog.ScaledCatalog(5000)
 	for _, g := range golden {
 		name, k, sub := g.scenario, caseStudy, caseStudy
@@ -136,14 +177,21 @@ func TestCompiledBaseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unprobedSum := sha256.Sum256(raw.solver.Snapshot())
-			probedSum := sha256.Sum256(snapshotBase(probed, [32]byte{}))
-			if got := hex.EncodeToString(unprobedSum[:]); got != g.unprobed {
-				t.Errorf("unprobed solver snapshot sha256 %s, pinned %s", got, g.unprobed)
-			}
-			if got := hex.EncodeToString(probedSum[:]); got != g.probed {
-				t.Errorf("probed base envelope sha256 %s, pinned %s", got, g.probed)
-			}
+			checkGolden(t, raw, probed, g.unprobed, g.probed)
 		})
+	}
+}
+
+// checkGolden compares the SHA-256 of raw's solver snapshot and of
+// probed's base envelope with their pinned values.
+func checkGolden(t *testing.T, raw, probed *compiled, unprobed, probedWant string) {
+	t.Helper()
+	unprobedSum := sha256.Sum256(raw.solver.Snapshot())
+	probedSum := sha256.Sum256(snapshotBase(probed, [32]byte{}))
+	if got := hex.EncodeToString(unprobedSum[:]); got != unprobed {
+		t.Errorf("unprobed solver snapshot sha256 %s, pinned %s", got, unprobed)
+	}
+	if got := hex.EncodeToString(probedSum[:]); got != probedWant {
+		t.Errorf("probed base envelope sha256 %s, pinned %s", got, probedWant)
 	}
 }
