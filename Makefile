@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR36.json
+BENCH ?= BENCH_PR47.json
 
 build:
 	$(GO) build ./...
@@ -26,17 +26,18 @@ fmt:
 race:
 	$(GO) test -race -skip='^TestDifferential$$/^scale$$' ./...
 
-# bench-smoke compiles and runs one iteration of the compile,
+# bench-smoke compiles and runs one iteration of the compile, cold-start,
 # enumeration and Pareto benchmarks so the bench suite can't bit-rot
 # between full runs (BenchmarkPareto also checks its frontiers), plus
-# internal/core's optimizer-versus-oracle benchmark, whose MaxSAT row
-# checks its optimum against the brute-force oracle. It also vets and
+# internal/core's scaled-catalog cold starts, sliced and unsliced, and
+# its optimizer-versus-oracle benchmark, whose MaxSAT row checks its
+# optimum against the brute-force oracle. It also vets and
 # tests the bench/ module (its own go.mod), so a core API change that
 # breaks the end-to-end harness fails here, not only in the benchmark
 # pipeline.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
-	$(GO) test -run=NONE -bench='BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
+	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkColdStart|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkColdStart|BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the full root benchmark suite with allocation stats and
@@ -91,13 +92,14 @@ serve-smoke:
 # binary-heavy differential's frozen arm: a frozen solver, its clone and
 # its DIMACS round trip agree, and clones of one frozen solver search
 # identically over its shared implication table), the CNF conversion's
-# layout, the optimizer's
+# layout, the hw: atoms of rules over SKUs outside the candidates
+# (pinned false, sliced and unsliced), the optimizer's
 # metamorphic, objective-circuit and maxsat brute-force tests, the
 # slicer edge cases, the slice-memo key regression, enumeration above
 # the slicing threshold, the 50k catalog smoke, and the
 # concurrent-update and reload-under-load tests under the race
 # detector. Each -run list lives in a variable that gate-names checks.
-DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestSliceMemoKeyCollision|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateAboveSliceThreshold
+DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestSliceMemoKeyCollision|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateAboveSliceThreshold|TestRuleHardwareOutsideCandidates
 DIFF_CORE_PKGS = . ./internal/core
 DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatchesOffsetConverters
 DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver

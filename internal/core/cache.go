@@ -315,6 +315,7 @@ func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 		arith:       intlin.Attach(solver, base.arith.True()),
 		sysLit:      base.sysLit,
 		hwLit:       base.hwLit,
+		cands:       base.cands,
 		sysNames:    base.sysNames,
 		workloads:   base.workloads,
 		derivedCtx:  base.derivedCtx,

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"netarch/internal/intlin"
 	"netarch/internal/kb"
@@ -29,16 +32,24 @@ type compiled struct {
 	solver *sat.Solver
 	arith  *intlin.Builder
 
-	// pending accumulates the boolean assertions in emission order during
-	// the section methods; compileUnprobed converts them to CNF in one
-	// shot (logic.Convert) and clears the list. Deferring conversion this
-	// way fixes the atom variable space before the first auxiliary
-	// variable is allocated, so every Tseitin variable lands in one block
-	// after the atoms.
-	pending []logic.Formula
+	// clauses is the base's one clause stream, in emission order: the
+	// boolean phase writes a constraint that already is a clause straight
+	// to it and converts the rest there at once (assert), and Bulk lays
+	// it out in the solver, with the arithmetic circuits' clauses after
+	// it. aux counts the Tseitin auxiliaries the conversions number from
+	// auxBase; compileUnprobed moves them into one block after the atoms
+	// once the boolean phase has fixed the atom count. buf is guardClause's
+	// scratch. All three die with the compile.
+	clauses sat.Clauses
+	aux     int
+	buf     []sat.Lit
 
 	sysLit map[string]sat.Lit
 	hwLit  map[string]sat.Lit
+	// cands holds each kind's candidate SKUs (see pickCandidates), in
+	// hardwareKinds order, resolved once per compile and shared by the
+	// base's query instances.
+	cands [len(hardwareKinds)][]*kb.Hardware
 	// sysNames is the sorted system vocabulary. Enumeration builds its
 	// blocking clauses by walking this slice so their literal order — and
 	// hence the solver's watch setup and search — is reproducible (map
@@ -73,7 +84,7 @@ type compiled struct {
 	extraCtx map[string]sat.Lit
 	extraSys map[string]sat.Lit
 
-	// frozen is set once the boolean CNF has been handed to the solver;
+	// frozen is set once the boolean phase has ended (see clauses);
 	// from then on the solver is the only variable allocator (the
 	// vocabulary's index space is fixed), so later selectors must come
 	// from solver.NewVar.
@@ -101,6 +112,15 @@ var exclusiveRoles = map[kb.Role]bool{
 	kb.RoleVirtualSwitch:     true,
 	kb.RoleLoadBalancer:      true,
 }
+
+// hardwareKinds lists the hardware kinds in the order a compile selects
+// and declares them.
+var hardwareKinds = [...]kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer}
+
+// auxBase is the placeholder the boolean phase numbers Tseitin
+// auxiliaries from, above any atom a vocabulary can hold; see
+// compiled.clauses.
+const auxBase = 1 << 30
 
 // compile lowers a KB revision and a scenario shape into a frozen base.
 // When sl is non-nil it compiles the relevance slice's sub-KB instead of
@@ -133,10 +153,7 @@ func compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	c := &compiled{
 		kb:         k,
 		sc:         sc,
-		vocab:      logic.NewVocabulary(),
-		sysLit:     make(map[string]sat.Lit),
-		hwLit:      make(map[string]sat.Lit),
-		selByName:  make(map[string]int),
+		aux:        auxBase,
 		pinnedCtx:  make(map[string]bool),
 		derivedCtx: make(map[string]bool),
 	}
@@ -145,6 +162,11 @@ func compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	}
 	c.deriveContext()
 
+	c.pickCandidates()
+	atoms, sels := c.namedAtomsAtLeast()
+	c.vocab = logic.NewVocabularySize(atoms)
+	c.selectors = make([]selector, 0, sels)
+	c.selByName = make(map[string]int, sels)
 	c.declareVars()
 	c.sysNames = make([]string, 0, len(c.sysLit))
 	for name := range c.sysLit {
@@ -165,34 +187,30 @@ func compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	}
 
 	// Boolean phase done: every named atom (and pre-freeze selector) is
-	// in the vocabulary, so the assertion list can be converted to CNF in
-	// one shot. The anonymous Tseitin variables land in one block after
-	// the atoms; pad the vocabulary to cover them so vocabulary and
-	// solver keep agreeing on the variable space.
+	// in the vocabulary, so the Tseitin auxiliaries, numbered from
+	// auxBase in assertion order, move to one block right after the
+	// atoms. Pad the vocabulary to cover them so vocabulary and solver
+	// keep agreeing on the variable space; the base's vocabulary is then
+	// complete.
 	base := c.vocab.Len()
-	cnf := logic.Convert(base, c.pending)
-	c.pending = nil
-	for v := base; v < cnf.NumVars; v++ {
-		c.vocab.Fresh("")
-	}
+	c.clauses.Renumber(auxBase, base)
+	c.vocab.FreshAnonymous(c.aux - auxBase)
 
-	// Materialize the CNF into a solver, then bolt the arithmetic
+	// Lay the clause stream out in a solver, then bolt the arithmetic
 	// circuits on top of the same variable space. Both go through one
 	// Bulk load, so the per-variable slices, the clause arena and the
 	// watch lists are allocated once for the whole base (with room for
 	// the probe's learnt clauses) instead of being copied each time they
 	// fill; the solver state is the same as adding the clauses one by one.
 	c.solver = sat.NewSolver()
-	c.solver.Bulk(func() {
+	c.solver.Bulk(&c.clauses, func() {
 		c.solver.EnsureVars(c.vocab.Len())
-		for _, cl := range cnf.Clauses {
-			c.solver.AddClause(cl...)
-		}
 		c.frozen = true
 		c.arith = intlin.New(c.solver)
 		c.resourceConstraints()
 		c.costModel()
 	})
+	c.buf = nil
 	if c.overflow {
 		return nil, fmt.Errorf("core: %d servers and %d switches overflow the fleet's int64 quantities",
 			c.sc.numServers(), c.sc.numSwitches())
@@ -261,11 +279,13 @@ func (c *compiled) deriveContext() {
 
 // atom helpers ---------------------------------------------------------------
 
+// sysVar returns a system's variable: the declared one, or for a name
+// the KB does not declare, the vocabulary's.
 func (c *compiled) sysVar(name string) logic.Var {
+	if l, ok := c.sysLit[name]; ok {
+		return logic.Var(l)
+	}
 	return c.vocab.Get("system:" + name)
-}
-func (c *compiled) hwVar(name string) logic.Var {
-	return c.vocab.Get("hw:" + name)
 }
 func (c *compiled) ctxVar(name string) logic.Var {
 	return c.vocab.Get("ctx:" + name)
@@ -278,8 +298,8 @@ func (c *compiled) capVar(kind kb.HardwareKind, cap kb.Capability) logic.Var {
 }
 
 // addSelector registers a named assumable group and returns its literal.
-// Before the CNF is materialized, selector variables live in the shared
-// vocabulary (they appear inside formulas); afterwards they are allocated
+// Before the boolean phase ends, selector variables live in the shared
+// vocabulary (they appear in its clauses); afterwards they are allocated
 // directly from the solver so they never collide with arithmetic-circuit
 // variables.
 func (c *compiled) addSelector(name, note string) sat.Lit {
@@ -297,14 +317,15 @@ func (c *compiled) addSelector(name, note string) sat.Lit {
 	return l
 }
 
-// assert queues a boolean assertion for the one-shot CNF conversion at
-// the end of the boolean phase. Only valid before the CNF is
-// materialized (atoms inside f must live in the shared vocabulary).
+// assert converts the boolean assertion f into the clause stream at
+// once (logic.Convert), numbering its auxiliaries after the previous
+// assertion's from auxBase. Only valid before the stream is laid out
+// (atoms inside f must live in the shared vocabulary).
 func (c *compiled) assert(f logic.Formula) {
 	if c.frozen {
-		panic("core: assert after CNF materialization")
+		panic("core: assert after the boolean phase")
 	}
-	c.pending = append(c.pending, f)
+	c.aux = logic.Convert(&c.clauses, c.aux, f)
 }
 
 // assertGuarded asserts f under a named selector.
@@ -313,146 +334,221 @@ func (c *compiled) assertGuarded(name, note string, f logic.Formula) {
 	c.assert(logic.Implies(logic.V(logic.Var(l)), f))
 }
 
+// guardClause writes, under the named selector sel, the clause (¬sel ∨
+// lits…): the clause assertGuarded(name, note, Or(lits…)) converts to,
+// without building the formula. A literal repeated in lits, or beside
+// its negation, reaches the solver as it is; AddClause drops repeats
+// and tautologies as Simplify would have, so the base is the same. The
+// caller computes lits first, so their atoms are allocated before the
+// selector, as assertGuarded's argument would have them; lits must not
+// alias c.buf.
+func (c *compiled) guardClause(name, note string, lits ...sat.Lit) {
+	sel := c.addSelector(name, note)
+	c.buf = append(append(c.buf[:0], sel.Flip()), lits...)
+	c.clauses.Add(c.buf...)
+}
+
 // declareVars allocates the well-known variables in a stable order so the
 // model read-back is deterministic.
 func (c *compiled) declareVars() {
+	c.sysLit = make(map[string]sat.Lit, len(c.kb.Systems))
 	for i := range c.kb.Systems {
-		c.sysLit[c.kb.Systems[i].Name] = sat.Lit(c.sysVar(c.kb.Systems[i].Name))
+		name := c.kb.Systems[i].Name
+		c.sysLit[name] = sat.Lit(c.vocab.Get("system:" + name))
 	}
-	for _, h := range c.allowedHardwareAll() {
-		c.hwLit[h.Name] = sat.Lit(c.hwVar(h.Name))
+	n := 0
+	for _, hws := range c.cands {
+		n += len(hws)
+	}
+	c.hwLit = make(map[string]sat.Lit, n)
+	for _, hws := range c.cands {
+		for _, h := range hws {
+			c.hwLit[h.Name] = sat.Lit(c.vocab.Get("hw:" + h.Name))
+		}
 	}
 }
 
-// allowedHardware returns the candidate SKUs for one kind, honouring
-// scenario restrictions and pins.
-func (c *compiled) allowedHardware(kind kb.HardwareKind) []*kb.Hardware {
-	if pinned, ok := c.sc.PinnedHardware[kind]; ok {
-		if h := c.kb.HardwareByName(pinned); h != nil && h.Kind == kind {
-			return []*kb.Hardware{h}
+// pickCandidates resolves each kind's candidate SKUs, honouring scenario
+// restrictions and pins: the pinned SKU alone (none when the pin names
+// no SKU of the kind), else the allowed SKUs of the kind in the order
+// listed, else every SKU of the kind in catalog order.
+func (c *compiled) pickCandidates() {
+	for i, kind := range hardwareKinds {
+		if pinned, ok := c.sc.PinnedHardware[kind]; ok {
+			if h := c.kb.HardwareByName(pinned); h != nil && h.Kind == kind {
+				c.cands[i] = []*kb.Hardware{h}
+			}
+			continue
 		}
-		return nil
+		if allowed, ok := c.sc.AllowedHardware[kind]; ok {
+			for _, name := range allowed {
+				if h := c.kb.HardwareByName(name); h != nil && h.Kind == kind {
+					c.cands[i] = append(c.cands[i], h)
+				}
+			}
+			continue
+		}
+		c.cands[i] = c.kb.HardwareByKind(kind)
 	}
-	if allowed, ok := c.sc.AllowedHardware[kind]; ok {
-		var out []*kb.Hardware
-		for _, name := range allowed {
-			if h := c.kb.HardwareByName(name); h != nil && h.Kind == kind {
-				out = append(out, h)
+}
+
+// namedAtomsAtLeast counts, from below, the named variables and the
+// selectors the boolean phase allocates: every system and candidate SKU,
+// each candidate's at-most-one ladder commander, and a selector for each
+// kind's selection, each system requirement class, each rule and each
+// pinned context atom, beside that atom. The compile sizes its
+// vocabulary and selector list by the counts, so they rarely regrow and
+// end no larger than growing would leave them. (A SKU the scenario
+// allows twice counts twice.)
+func (c *compiled) namedAtomsAtLeast() (atoms, selectors int) {
+	selectors = len(hardwareKinds) + len(c.kb.Rules) + len(c.pinnedCtx)
+	for i := range c.kb.Systems {
+		s := &c.kb.Systems[i]
+		for _, class := range []bool{len(s.RequiresCaps) > 0, len(s.RequiresSystems) > 0,
+			len(s.ConflictsWith) > 0, len(s.RequiresContext) > 0, s.AppModification} {
+			if class {
+				selectors++
 			}
 		}
-		return out
+		selectors += len(s.RequiresAnyOf)
 	}
-	return c.kb.HardwareByKind(kind)
+	atoms = len(c.kb.Systems) + len(c.pinnedCtx) + selectors
+	for _, hws := range c.cands {
+		atoms += 2 * len(hws)
+	}
+	return atoms, selectors
 }
 
-func (c *compiled) allowedHardwareAll() []*kb.Hardware {
-	var out []*kb.Hardware
-	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
-		out = append(out, c.allowedHardware(kind)...)
+// allowedHardware returns the candidate SKUs for one kind.
+func (c *compiled) allowedHardware(kind kb.HardwareKind) []*kb.Hardware {
+	for i, k := range hardwareKinds {
+		if k == kind {
+			return c.cands[i]
+		}
 	}
-	return out
+	return nil
 }
 
 // hardwareSelection asserts exactly-one SKU per hardware kind.
 func (c *compiled) hardwareSelection() {
-	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
-		hws := c.allowedHardware(kind)
-		name := fmt.Sprintf("hardware:%s:selection", kind)
-		note := fmt.Sprintf("exactly one %s model must be selected", kind)
+	for i, kind := range hardwareKinds {
+		hws := c.cands[i]
+		name := "hardware:" + string(kind) + ":selection"
+		note := "exactly one " + string(kind) + " model must be selected"
 		if len(hws) == 0 {
-			c.assertGuarded(name, note+" (no candidates available)", logic.False)
+			c.guardClause(name, note+" (no candidates available)")
 			continue
 		}
-		atoms := make([]logic.Formula, len(hws))
-		for i, h := range hws {
-			atoms[i] = logic.V(c.hwVar(h.Name))
+		atoms := make([]sat.Lit, len(hws))
+		for j, h := range hws {
+			atoms[j] = c.hwLit[h.Name]
 		}
-		c.assertGuarded(name, note, logic.Or(atoms...))
+		c.guardClause(name, note, atoms...)
 		// At-most-one (unguarded: definitional structure) as a sequential
 		// ladder: 3n clauses and n-1 aux commander atoms named
-		// amo:<kind>:<i>, where pairwise clauses would grow as n².
-		ladder := make([]logic.Formula, len(atoms))
-		for i := range atoms {
-			ladder[i] = logic.V(c.vocab.Get(fmt.Sprintf("amo:%s:%d", kind, i)))
-		}
-		conj := make([]logic.Formula, 0, 3*len(atoms))
-		for i, a := range atoms {
-			conj = append(conj, logic.Implies(a, ladder[i]))
-			if i > 0 {
-				conj = append(conj, logic.Implies(ladder[i-1], ladder[i]))
-				conj = append(conj, logic.Implies(a, logic.Not(ladder[i-1])))
+		// amo:<kind>:<j>, where pairwise clauses would grow as n². Writing
+		// a clause allocates no variable, so allocating each commander
+		// just before its clauses numbers them as allocating all of them
+		// first would.
+		var prev sat.Lit
+		for j, a := range atoms {
+			l := sat.Lit(c.vocab.Get("amo:" + string(kind) + ":" + strconv.Itoa(j)))
+			c.clauses.Add(-a, l)
+			if j > 0 {
+				c.clauses.Add(-prev, l)
+				c.clauses.Add(-a, -prev)
 			}
-		}
-		c.assert(logic.And(conj...))
-		// SKUs outside the allowed set are off.
-		allowedSet := map[string]bool{}
-		for _, h := range hws {
-			allowedSet[h.Name] = true
-		}
-		for _, h := range c.kb.HardwareByKind(kind) {
-			if !allowedSet[h.Name] {
-				if _, declared := c.hwLit[h.Name]; declared {
-					c.assert(logic.Not(logic.V(c.hwVar(h.Name))))
-				}
-			}
+			prev = l
 		}
 	}
 }
 
 // capabilityDefinitions ties cap atoms to the selected hardware:
-// cap(kind, X) ↔ OR of selected SKUs of that kind having X.
+// cap(kind, X) ↔ OR of selected SKUs of that kind having X. A SKU listed
+// twice among the candidates counts once, as Simplify would count it.
 func (c *compiled) capabilityDefinitions() {
-	caps := map[kb.HardwareKind]map[kb.Capability][]logic.Formula{}
 	referenced := c.referencedCaps()
-	for _, kind := range []kb.HardwareKind{kb.KindSwitch, kb.KindNIC, kb.KindServer} {
-		caps[kind] = map[kb.Capability][]logic.Formula{}
-		for cap := range referenced[kind] {
-			caps[kind][cap] = nil
-		}
-		for _, h := range c.allowedHardware(kind) {
-			for _, cap := range h.Caps {
-				if _, ok := referenced[kind][cap]; ok {
-					caps[kind][cap] = append(caps[kind][cap], logic.V(c.hwVar(h.Name)))
+	listed := make([]bool, c.vocab.Len()+1) // by variable
+	var hws []sat.Lit
+	for i, kind := range hardwareKinds {
+		for _, cap := range referenced[i] {
+			hws = hws[:0]
+			for _, h := range c.cands[i] {
+				if !h.HasCap(cap) {
+					continue
+				}
+				if l := c.hwLit[h.Name]; !listed[l] {
+					listed[l] = true
+					hws = append(hws, l)
 				}
 			}
-		}
-		// Sorted: assertion order allocates cap variables, and compilation
-		// must be deterministic for the base cache's differential guarantee.
-		names := make([]string, 0, len(caps[kind]))
-		for cap := range caps[kind] {
-			names = append(names, string(cap))
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			cap := kb.Capability(name)
-			c.assert(logic.Iff(logic.V(c.capVar(kind, cap)), logic.Or(caps[kind][cap]...)))
+			for _, l := range hws {
+				listed[l] = false
+			}
+			c.defineOr(sat.Lit(c.capVar(kind, cap)), hws)
 		}
 	}
 }
 
-// referencedCaps collects every capability atom mentioned by systems or
-// rules, so only those get defined.
-func (c *compiled) referencedCaps() map[kb.HardwareKind]map[kb.Capability]bool {
-	out := map[kb.HardwareKind]map[kb.Capability]bool{
-		kb.KindSwitch: {}, kb.KindNIC: {}, kb.KindServer: {},
+// defineOr writes the clauses assert(Iff(def, Or(lits…))) converts to,
+// without building the formula: def → some lit, and every lit → def
+// through one auxiliary, the Tseitin definition of ¬Or(lits…). lits must
+// be distinct literals, none over def's variable, as Simplify leaves
+// them.
+func (c *compiled) defineOr(def sat.Lit, lits []sat.Lit) {
+	switch len(lits) {
+	case 0:
+		c.clauses.Add(-def)
+		return
+	case 1:
+		c.clauses.Add(-def, lits[0])
+		c.clauses.Add(-lits[0], def)
+		return
+	}
+	c.buf = append(append(c.buf[:0], -def), lits...)
+	c.clauses.Add(c.buf...)
+	c.aux++
+	d := sat.Lit(c.aux)
+	for _, l := range lits {
+		c.clauses.Add(-d, -l)
+	}
+	c.clauses.Add(d, def)
+}
+
+// referencedCaps collects, per kind in hardwareKinds order, every
+// capability atom mentioned by systems or rules, so only those get
+// defined. Each list is sorted: definition order allocates cap
+// variables, and compilation must be deterministic for the base cache's
+// differential guarantee.
+func (c *compiled) referencedCaps() [len(hardwareKinds)][]kb.Capability {
+	var out [len(hardwareKinds)][]kb.Capability
+	add := func(kind kb.HardwareKind, cap kb.Capability) {
+		for i, k := range hardwareKinds {
+			if k == kind {
+				out[i] = append(out[i], cap)
+			}
+		}
 	}
 	for i := range c.kb.Systems {
 		for kind, caps := range c.kb.Systems[i].RequiresCaps {
 			for _, cap := range caps {
-				out[kind][cap] = true
+				add(kind, cap)
 			}
 		}
 	}
+	var atoms []string
 	for _, r := range c.kb.Rules {
-		for _, atom := range r.Expr.Atoms(nil) {
+		atoms = r.Expr.Atoms(atoms[:0])
+		for _, atom := range atoms {
 			var kindStr, capStr string
 			if parseCapAtom(atom, &kindStr, &capStr) {
-				k := kb.HardwareKind(kindStr)
-				if _, ok := out[k]; ok {
-					out[k][kb.Capability(capStr)] = true
-				}
+				add(kb.HardwareKind(kindStr), kb.Capability(capStr))
 			}
 		}
+	}
+	for i := range out {
+		slices.Sort(out[i])
+		out[i] = slices.Compact(out[i])
 	}
 	return out
 }
@@ -479,7 +575,8 @@ func parseCapAtom(atom string, kind, cap *string) bool {
 func (c *compiled) systemConstraints() {
 	for i := range c.kb.Systems {
 		s := &c.kb.Systems[i]
-		sys := logic.V(c.sysVar(s.Name))
+		sysV := c.sysVar(s.Name)
+		sys := logic.V(sysV)
 
 		if len(s.RequiresCaps) > 0 {
 			var reqs []logic.Formula
@@ -510,14 +607,15 @@ func (c *compiled) systemConstraints() {
 				logic.Implies(sys, logic.And(deps...)))
 		}
 		for gi, group := range s.RequiresAnyOf {
-			var opts []logic.Formula
+			opts := make([]sat.Lit, 0, 1+len(group))
+			opts = append(opts, -sat.Lit(sysV))
 			for _, d := range group {
-				opts = append(opts, logic.V(c.sysVar(d)))
+				opts = append(opts, sat.Lit(c.sysVar(d)))
 			}
-			c.assertGuarded(
+			c.guardClause(
 				fmt.Sprintf("system:%s:anyof:%d", s.Name, gi),
 				fmt.Sprintf("%s requires one of %v", s.Name, group),
-				logic.Implies(sys, logic.Or(opts...)))
+				opts...)
 		}
 		if len(s.ConflictsWith) > 0 {
 			var nots []logic.Formula
@@ -545,10 +643,10 @@ func (c *compiled) systemConstraints() {
 				logic.Implies(sys, logic.And(conds...)))
 		}
 		if s.AppModification {
-			c.assertGuarded(
+			c.guardClause(
 				"system:"+s.Name+":app_modification",
 				fmt.Sprintf("%s requires modifying applications", s.Name),
-				logic.Implies(sys, logic.V(c.ctxVar("app_modifiable"))))
+				-sat.Lit(sysV), sat.Lit(c.ctxVar("app_modifiable")))
 		}
 	}
 }
@@ -611,7 +709,7 @@ func (c *compiled) propertyDefinitions() {
 	}
 	sort.Strings(missing)
 	for _, p := range missing {
-		c.assert(logic.Not(logic.V(c.propVar(kb.Property(p)))))
+		c.clauses.Add(-sat.Lit(c.propVar(kb.Property(p))))
 	}
 }
 
@@ -627,34 +725,49 @@ func (c *compiled) structuralConstraints() {
 		note := fmt.Sprintf("at most one %s may be deployed fleet-wide", role)
 		for i := 0; i < len(systems); i++ {
 			for j := i + 1; j < len(systems); j++ {
-				c.assertGuarded(name, note,
-					logic.Or(
-						logic.Not(logic.V(c.sysVar(systems[i].Name))),
-						logic.Not(logic.V(c.sysVar(systems[j].Name)))))
+				c.guardClause(name, note,
+					-sat.Lit(c.sysVar(systems[i].Name)), -sat.Lit(c.sysVar(systems[j].Name)))
 			}
 		}
 	}
 	stacks := c.kb.SystemsByRole(kb.RoleNetworkStack)
 	if len(stacks) > 0 {
-		var opts []logic.Formula
-		for _, s := range stacks {
-			opts = append(opts, logic.V(c.sysVar(s.Name)))
+		opts := make([]sat.Lit, len(stacks))
+		for i, s := range stacks {
+			opts[i] = sat.Lit(c.sysVar(s.Name))
 		}
-		c.assertGuarded(
+		c.guardClause(
 			"structural:need_network_stack",
 			"common-sense: every server fleet runs some network stack (§3.4)",
-			logic.Or(opts...))
+			opts...)
 	}
 }
 
 // ruleConstraints asserts every free-form KB rule under its own selector.
+// A rule's hw: atom for a SKU outside the scenario's candidates names
+// hardware the design cannot select, so after the rules each such atom
+// is pinned false (unguarded, like the at-most-one ladder), once, in
+// order of first mention.
 func (c *compiled) ruleConstraints() {
+	var off []sat.Lit
+	atom := func(name string) logic.Var {
+		v := c.vocab.Get(name)
+		if sku, ok := strings.CutPrefix(name, "hw:"); ok {
+			if _, cand := c.hwLit[sku]; !cand && !slices.Contains(off, -sat.Lit(v)) {
+				off = append(off, -sat.Lit(v))
+			}
+		}
+		return v
+	}
 	for _, r := range c.kb.Rules {
-		f, err := r.Expr.Compile(c.vocab.Get)
+		f, err := r.Expr.Compile(atom)
 		if err != nil {
 			panic(fmt.Sprintf("core: rule %q failed to compile after validation: %v", r.Name, err))
 		}
 		c.assertGuarded("rule:"+r.Name, r.Note, f)
+	}
+	for _, l := range off {
+		c.clauses.Add(l)
 	}
 }
 
@@ -666,15 +779,14 @@ func (c *compiled) contextPins() {
 	}
 	sort.Strings(atoms)
 	for _, a := range atoms {
-		v := logic.V(c.ctxVar(a))
-		f := v
+		l := sat.Lit(c.ctxVar(a))
 		if !c.pinnedCtx[a] {
-			f = logic.Not(v)
+			l = -l
 		}
-		c.assertGuarded(
+		c.guardClause(
 			"context:"+a,
 			fmt.Sprintf("environment fact: %s=%v", a, c.pinnedCtx[a]),
-			f)
+			l)
 	}
 }
 
@@ -682,33 +794,33 @@ func (c *compiled) contextPins() {
 func (c *compiled) workloadConstraints() {
 	for _, w := range c.workloads {
 		for _, p := range w.Needs {
-			c.assertGuarded(
+			c.guardClause(
 				fmt.Sprintf("workload:%s:needs:%s", w.Name, p),
 				fmt.Sprintf("workload %s needs %s", w.Name, p),
-				logic.V(c.propVar(p)))
+				sat.Lit(c.propVar(p)))
 		}
 	}
 	for _, p := range c.sc.Require {
-		c.assertGuarded(
+		c.guardClause(
 			fmt.Sprintf("require:%s", p),
 			fmt.Sprintf("architect requires %s", p),
-			logic.V(c.propVar(p)))
+			sat.Lit(c.propVar(p)))
 	}
 }
 
 // scenarioPins asserts pinned and forbidden systems.
 func (c *compiled) scenarioPins() {
 	for _, s := range c.sc.PinnedSystems {
-		c.assertGuarded(
+		c.guardClause(
 			"pin:system:"+s,
 			fmt.Sprintf("architect pinned %s as deployed", s),
-			logic.V(c.sysVar(s)))
+			sat.Lit(c.sysVar(s)))
 	}
 	for _, s := range c.sc.ForbiddenSystems {
-		c.assertGuarded(
+		c.guardClause(
 			"forbid:system:"+s,
 			fmt.Sprintf("architect forbade %s", s),
-			logic.Not(logic.V(c.sysVar(s))))
+			-sat.Lit(c.sysVar(s)))
 	}
 }
 
@@ -723,7 +835,7 @@ func (c *compiled) performanceBounds() error {
 		if resolved == nil {
 			return fmt.Errorf("core: unknown order dimension %q", b.Dimension)
 		}
-		var qualifying []logic.Formula
+		var qualifying []sat.Lit
 		for i := range c.kb.Systems {
 			name := c.kb.Systems[i].Name
 			ok := resolved.Better(name, b.Reference)
@@ -731,13 +843,13 @@ func (c *compiled) performanceBounds() error {
 				ok = ok || name == b.Reference || resolved.Equal(name, b.Reference)
 			}
 			if ok {
-				qualifying = append(qualifying, logic.V(c.sysVar(name)))
+				qualifying = append(qualifying, c.sysLit[name])
 			}
 		}
-		c.assertGuarded(
+		c.guardClause(
 			fmt.Sprintf("bound:%s:better_than:%s", b.Dimension, b.Reference),
 			fmt.Sprintf("performance bound: deployed %s choice must beat %s", b.Dimension, b.Reference),
-			logic.Or(qualifying...))
+			qualifying...)
 	}
 	return nil
 }
@@ -1061,13 +1173,15 @@ func (c *compiled) designFrom(model []bool) *Design {
 	// SKUs, not circuit read-outs: their circuits exist only on instances
 	// that optimize them.
 	var powerW, ports int64
-	for _, h := range c.allowedHardwareAll() {
-		if lit(c.hwLit[h.Name]) {
-			d.Hardware[h.Kind] = h.Name
-			n := c.fleetCount(h.Kind)
-			powerW += h.Q(kb.ResPowerW) * n
-			if h.Kind == kb.KindSwitch {
-				ports += h.Q(kb.ResPortCount) * n
+	for _, hws := range c.cands {
+		for _, h := range hws {
+			if lit(c.hwLit[h.Name]) {
+				d.Hardware[h.Kind] = h.Name
+				n := c.fleetCount(h.Kind)
+				powerW += h.Q(kb.ResPowerW) * n
+				if h.Kind == kb.KindSwitch {
+					ports += h.Q(kb.ResPortCount) * n
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -629,5 +630,38 @@ func TestNewRejectsInvalidKB(t *testing.T) {
 	k.Systems[0].Role = "bogus"
 	if _, err := New(k); err == nil {
 		t.Error("invalid KB must be rejected")
+	}
+}
+
+// TestRuleHardwareOutsideCandidates: a rule's hw: atom for a SKU the
+// scenario rules out is false, not a free variable. The rule demands the
+// Cisco switch whenever linux is deployed; with linux pinned and the
+// switch pinned to another SKU no design exists, sliced or not, and the
+// explanation names the rule.
+func TestRuleHardwareOutsideCandidates(t *testing.T) {
+	const cisco = "Cisco Catalyst 9500-40X"
+	k := caseStudyKB()
+	k.Rules = append(k.Rules, kb.Rule{
+		Name: "linux_needs_cisco",
+		Expr: kb.Implies(kb.SystemAtom("linux"), kb.Atom("hw:"+cisco)),
+	})
+	sc := Scenario{
+		Workloads:      []string{"inference_app"},
+		PinnedSystems:  []string{"linux"},
+		PinnedHardware: map[kb.HardwareKind]string{kb.KindSwitch: "Aristo FX-32x10G"},
+	}
+	for _, mode := range slicings {
+		t.Run(mode.name, func(t *testing.T) {
+			rep, err := slicingEngine(t, k, mode.above).Synthesize(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Verdict != Infeasible {
+				t.Fatalf("verdict %v with switch %q; want INFEASIBLE", rep.Verdict, rep.Design.Hardware[kb.KindSwitch])
+			}
+			if !slices.ContainsFunc(rep.Explanation.Conflicts, func(c ConflictItem) bool { return c.Name == "rule:linux_needs_cisco" }) {
+				t.Errorf("explanation %+v does not name the rule", rep.Explanation.Conflicts)
+			}
+		})
 	}
 }

@@ -53,8 +53,10 @@ func (e *Engine) BruteOptimize(sc Scenario, objectives []Objective, limit int) (
 	for _, name := range c.sysNames {
 		proj = append(proj, c.sysLit[name])
 	}
-	for _, h := range c.allowedHardwareAll() {
-		proj = append(proj, c.hwLit[h.Name])
+	for _, hws := range c.cands {
+		for _, h := range hws {
+			proj = append(proj, c.hwLit[h.Name])
+		}
 	}
 	assumps := c.assumptions()
 	res := &BruteResult{}

@@ -301,9 +301,16 @@ func (k *KB) SystemsByRole(r Role) []*System {
 	return out
 }
 
-// HardwareByKind returns all hardware of the kind, in catalog order.
+// HardwareByKind returns all hardware of the kind, in catalog order, in
+// a slice of exactly that length.
 func (k *KB) HardwareByKind(kind HardwareKind) []*Hardware {
-	var out []*Hardware
+	n := 0
+	for i := range k.Hardware {
+		if k.Hardware[i].Kind == kind {
+			n++
+		}
+	}
+	out := make([]*Hardware, 0, n)
 	for i := range k.Hardware {
 		if k.Hardware[i].Kind == kind {
 			out = append(out, &k.Hardware[i])

@@ -1,127 +1,103 @@
 package logic
 
-import (
-	"fmt"
-	"strings"
+import "netarch/internal/sat"
 
-	"netarch/internal/sat"
-)
+// converter appends the clauses of formulas to a clause stream via the
+// Tseitin transformation with Plaisted–Greenbaum polarity optimization:
+// definitional clauses are only emitted for the polarities in which a
+// subformula actually occurs. Auxiliary variables are numbered upward
+// from vars, so every variable of an asserted formula must be at most
+// the vars the converter starts with; they then never collide with
+// knowledge-base atoms.
+type converter struct {
+	out  *sat.Clauses
+	vars int // variables in use: the atoms, then the auxiliaries so far
 
-// Clause is a disjunction of solver literals; literal +v or -v stands
-// for variable v or its negation.
-type Clause []sat.Lit
-
-// String renders the clause as "(l1 | l2 | ...)".
-func (c Clause) String() string {
-	parts := make([]string, len(c))
-	for i, l := range c {
-		if l < 0 {
-			parts[i] = fmt.Sprintf("!x%d", -l)
-		} else {
-			parts[i] = fmt.Sprintf("x%d", l)
-		}
-	}
-	return "(" + strings.Join(parts, " | ") + ")"
-}
-
-// CNF is a conjunction of clauses over variables 1..NumVars.
-type CNF struct {
-	NumVars int
-	Clauses []Clause
-}
-
-// AddClause appends a clause (copying the literals).
-func (c *CNF) AddClause(lits ...sat.Lit) {
-	c.add(append(make(Clause, 0, len(lits)), lits...))
-}
-
-// add appends cl without copying it; the CNF takes ownership.
-func (c *CNF) add(cl Clause) {
-	for _, l := range cl {
-		c.NumVars = max(c.NumVars, l.Var())
-	}
-	c.Clauses = append(c.Clauses, cl)
-}
-
-// String renders the CNF as a conjunction of clauses.
-func (c *CNF) String() string {
-	parts := make([]string, len(c.Clauses))
-	for i, cl := range c.Clauses {
-		parts[i] = cl.String()
-	}
-	return strings.Join(parts, " & ")
-}
-
-// Converter turns formulas into CNF via the Tseitin transformation with
-// Plaisted–Greenbaum polarity optimization: definitional clauses are only
-// emitted for the polarities in which a subformula actually occurs.
-// Auxiliary variables are numbered upward from CNF.NumVars, so every
-// variable of an asserted formula must be at most the NumVars the CNF
-// starts with; they then never collide with knowledge-base atoms.
-type Converter struct {
-	CNF *CNF
+	// buf holds the literals of the disjunctions being built, as a
+	// stack: a disjunction's operands may define subformulas, whose
+	// clauses go to out first, above its own partial clause.
+	buf []sat.Lit
 
 	// cache maps And/Or subformulas to their definition literal by
 	// structural equality (hash, then Equal); nil until the first
-	// definition. It avoids duplicate aux variables when the same rule
-	// body is asserted repeatedly (common for generated knowledge bases).
+	// definition. It avoids duplicate aux variables when the same
+	// subformula occurs twice in one assertion.
 	cache formulaMap
 }
 
-// freshAux allocates one auxiliary variable.
-func (cv *Converter) freshAux() sat.Lit {
-	cv.CNF.NumVars++
-	return sat.Lit(cv.CNF.NumVars)
+// Convert appends to out clauses equisatisfiable with f, numbering the
+// auxiliary variables it allocates from vars+1, and returns vars plus
+// their count. Every variable occurring in f must be ≤ vars. Asserting
+// True appends nothing and asserting False the empty clause. Each call
+// has a Tseitin cache of its own: successive calls number their
+// auxiliaries in successive blocks, and a subformula repeated across
+// calls gets one definition per call.
+func Convert(out *sat.Clauses, vars int, f Formula) int {
+	cv := converter{out: out, vars: vars}
+	cv.assert(Simplify(f))
+	return cv.vars
 }
 
-// Assert adds clauses equivalent (equisatisfiable) to f to the CNF.
-// Asserting False adds the empty clause.
-func (cv *Converter) Assert(f Formula) { cv.assert(Simplify(f)) }
+// freshAux allocates one auxiliary variable.
+func (cv *converter) freshAux() sat.Lit {
+	cv.vars++
+	return sat.Lit(cv.vars)
+}
 
 // assert adds the clauses of a simplified formula. The conjuncts of a
 // simplified And are themselves simplified, so they recurse as they are.
-func (cv *Converter) assert(f Formula) {
+func (cv *converter) assert(f Formula) {
 	switch f.kind {
 	case KindTrue:
 		return
 	case KindFalse:
-		cv.CNF.AddClause() // empty clause: unsatisfiable
+		cv.out.Add() // empty clause: unsatisfiable
 		return
 	case KindAnd:
 		for _, a := range f.args {
 			cv.assert(a)
 		}
 		return
-	}
-	// Top-level disjunctions become a single clause over definition
-	// literals, avoiding one aux var per assertion.
-	if f.kind == KindOr {
-		clause := make(Clause, 0, len(f.args))
-		for _, a := range f.args {
-			clause = append(clause, cv.lit(a))
-		}
-		cv.CNF.add(clause)
+	case KindOr:
+		// Top-level disjunctions become a single clause over definition
+		// literals, avoiding one aux var per assertion.
+		cv.clause(0, f.args)
 		return
 	}
-	cv.CNF.AddClause(cv.lit(f))
+	cv.out.Add(cv.lit(f))
 }
 
-// lit returns a literal l such that l → f holds in every model of the CNF
-// (Plaisted–Greenbaum, positive polarity context, which is sound for
-// assertions).
-func (cv *Converter) lit(f Formula) sat.Lit {
+// clause appends the clause (head ∨ lit(a1) ∨ … ∨ lit(an)), leaving out
+// head when it is 0, after the definitions its operands need.
+func (cv *converter) clause(head sat.Lit, args []Formula) {
+	start := len(cv.buf)
+	if head != 0 {
+		cv.buf = append(cv.buf, head)
+	}
+	for _, a := range args {
+		l := cv.lit(a)
+		cv.buf = append(cv.buf, l)
+	}
+	cv.out.Add(cv.buf[start:]...)
+	cv.buf = cv.buf[:start]
+}
+
+// lit returns a literal l such that l → f holds in every model of the
+// clauses (Plaisted–Greenbaum, positive polarity context, which is sound
+// for assertions).
+func (cv *converter) lit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
 		return sat.Lit(f.v)
 	case KindNot:
 		return cv.negLit(f.args[0])
 	case KindTrue, KindFalse:
-		// Handled by Simplify in Assert; still be defensive.
+		// Handled by Simplify in Convert; still be defensive.
 		d := cv.freshAux()
 		if f.kind == KindTrue {
-			cv.CNF.AddClause(d)
+			cv.out.Add(d)
 		} else {
-			cv.CNF.AddClause(-d)
+			cv.out.Add(-d)
 		}
 		return d
 	}
@@ -133,16 +109,11 @@ func (cv *Converter) lit(f Formula) sat.Lit {
 	case KindAnd:
 		// d → (a1 ∧ … ∧ an): clauses (¬d ∨ ai)
 		for _, a := range f.args {
-			cv.CNF.AddClause(-d, cv.lit(a))
+			cv.out.Add(-d, cv.lit(a))
 		}
 	case KindOr:
 		// d → (a1 ∨ … ∨ an): clause (¬d ∨ a1 ∨ … ∨ an)
-		clause := make(Clause, 0, len(f.args)+1)
-		clause = append(clause, -d)
-		for _, a := range f.args {
-			clause = append(clause, cv.lit(a))
-		}
-		cv.CNF.add(clause)
+		cv.clause(-d, f.args)
 	}
 	if cv.cache == nil {
 		cv.cache = formulaMap{}
@@ -152,7 +123,7 @@ func (cv *Converter) lit(f Formula) sat.Lit {
 }
 
 // negLit returns a literal l such that l → ¬f.
-func (cv *Converter) negLit(f Formula) sat.Lit {
+func (cv *converter) negLit(f Formula) sat.Lit {
 	switch f.kind {
 	case KindVar:
 		return -sat.Lit(f.v)
@@ -163,19 +134,4 @@ func (cv *Converter) negLit(f Formula) sat.Lit {
 	// pushed-in form. NNF push is linear here because Simplify already
 	// flattened the tree.
 	return cv.lit(NNF(Not(f)))
-}
-
-// Convert converts a sequence of assertions to one CNF over variables
-// 1..base plus the auxiliary variables it allocates. Every variable
-// occurring in fs must be ≤ base. Each assertion gets its own Converter,
-// and so its own Tseitin cache, appending into the shared CNF: its aux
-// variables are numbered right after the previous assertion's, and a
-// subformula repeated across assertions gets one definition per
-// assertion.
-func Convert(base int, fs []Formula) *CNF {
-	cnf := &CNF{NumVars: base}
-	for _, f := range fs {
-		(&Converter{CNF: cnf}).Assert(f)
-	}
-	return cnf
 }

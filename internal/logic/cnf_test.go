@@ -3,10 +3,24 @@ package logic
 import (
 	"math/rand"
 	"testing"
+
+	"netarch/internal/sat"
 )
 
-// Eval evaluates the CNF under the assignment (vars absent are false).
-func (c *CNF) Eval(assign map[Var]bool) bool {
+// clauseList is a clause stream read back into slices, over variables
+// 1..NumVars, for the tests to inspect and compare.
+type clauseList struct {
+	NumVars int
+	Clauses [][]sat.Lit
+}
+
+// AddClause appends a copy of lits.
+func (c *clauseList) AddClause(lits ...sat.Lit) {
+	c.Clauses = append(c.Clauses, append(make([]sat.Lit, 0, len(lits)), lits...))
+}
+
+// Eval evaluates the clauses under the assignment (vars absent are false).
+func (c *clauseList) Eval(assign map[Var]bool) bool {
 	for _, cl := range c.Clauses {
 		ok := false
 		for _, l := range cl {
@@ -22,10 +36,40 @@ func (c *CNF) Eval(assign map[Var]bool) bool {
 	return true
 }
 
+// readClauses reads the clauses of cs back, over vars variables.
+func readClauses(cs *sat.Clauses, vars int) *clauseList {
+	c := &clauseList{NumVars: vars}
+	cs.Each(func(lits []sat.Lit) { c.AddClause(lits...) })
+	return c
+}
+
+// newConverter returns a converter over a fresh stream and vars atoms.
+// Unlike Convert, which gives each assertion a cache of its own, its
+// Assert calls share one Tseitin cache.
+func newConverter(vars int) *converter {
+	return &converter{out: new(sat.Clauses), vars: vars}
+}
+
+// Assert converts f with the converter's cache.
+func (cv *converter) Assert(f Formula) { cv.assert(Simplify(f)) }
+
+// clauses reads back what cv has emitted.
+func (cv *converter) clauses() *clauseList { return readClauses(cv.out, cv.vars) }
+
+// convertAll converts fs in order into one stream, each with Convert,
+// as a compiler does, and reads the clauses back.
+func convertAll(vars int, fs []Formula) *clauseList {
+	var cs sat.Clauses
+	for _, f := range fs {
+		vars = Convert(&cs, vars, f)
+	}
+	return readClauses(&cs, vars)
+}
+
 // cnfSatisfiableBrute brute-forces satisfiability of a CNF over its first
 // nOrig variables being projected: it checks whether any assignment over
 // all NumVars satisfies the CNF.
-func cnfSatisfiableBrute(c *CNF) (bool, map[Var]bool) {
+func cnfSatisfiableBrute(c *clauseList) (bool, map[Var]bool) {
 	n := c.NumVars
 	if n > 22 {
 		panic("cnfSatisfiableBrute: too many variables")
@@ -61,13 +105,6 @@ func formulaSatisfiableBrute(f Formula) bool {
 	return false
 }
 
-func TestClauseString(t *testing.T) {
-	c := Clause{1, -2}
-	if got := c.String(); got != "(x1 | !x2)" {
-		t.Errorf("Clause.String: got %q", got)
-	}
-}
-
 func TestTseitinEquisatisfiable(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 250; i++ {
@@ -76,10 +113,9 @@ func TestTseitinEquisatisfiable(t *testing.T) {
 			vo.Fresh("") // allocate the 5 base variables
 		}
 		f := randFormula(r, 5, 25)
-		cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
-		cv.Assert(f)
+		cnf := convertAll(vo.Len(), []Formula{f})
 		wantSat := formulaSatisfiableBrute(f)
-		gotSat, model := cnfSatisfiableBrute(cv.CNF)
+		gotSat, model := cnfSatisfiableBrute(cnf)
 		if wantSat != gotSat {
 			t.Fatalf("equisatisfiability broken for %v: formula sat=%v cnf sat=%v",
 				f, wantSat, gotSat)
@@ -97,13 +133,10 @@ func TestTseitinEquisatisfiable(t *testing.T) {
 
 func TestAssertTrueFalse(t *testing.T) {
 	vo := NewVocabulary()
-	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
-	cv.Assert(True)
-	if len(cv.CNF.Clauses) != 0 {
+	if cnf := convertAll(vo.Len(), []Formula{True}); len(cnf.Clauses) != 0 {
 		t.Error("asserting true must add no clauses")
 	}
-	cv.Assert(False)
-	if sat, _ := cnfSatisfiableBrute(cv.CNF); sat {
+	if sat, _ := cnfSatisfiableBrute(convertAll(vo.Len(), []Formula{True, False})); sat {
 		t.Error("asserting false must make the CNF unsatisfiable")
 	}
 }
@@ -111,24 +144,21 @@ func TestAssertTrueFalse(t *testing.T) {
 func TestAssertConjunctionSplits(t *testing.T) {
 	vo := NewVocabulary()
 	a, b := V(vo.Get("a")), V(vo.Get("b"))
-	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
-	cv.Assert(And(a, b))
+	cnf := convertAll(vo.Len(), []Formula{And(a, b)})
 	// Both conjuncts become unit clauses, no aux variables needed.
-	if len(cv.CNF.Clauses) != 2 {
-		t.Fatalf("got %d clauses, want 2", len(cv.CNF.Clauses))
+	if len(cnf.Clauses) != 2 {
+		t.Fatalf("got %d clauses, want 2", len(cnf.Clauses))
 	}
-	if cv.CNF.NumVars != 2 {
-		t.Errorf("got %d vars, want 2 (no aux vars)", cv.CNF.NumVars)
+	if cnf.NumVars != 2 {
+		t.Errorf("got %d vars, want 2 (no aux vars)", cnf.NumVars)
 	}
 }
 
 func TestAssertDisjunctionSingleClause(t *testing.T) {
 	vo := NewVocabulary()
 	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
-	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
-	cv.Assert(Or(a, Not(b), c))
-	if len(cv.CNF.Clauses) != 1 {
-		t.Fatalf("flat disjunction should be one clause, got %d", len(cv.CNF.Clauses))
+	if cnf := convertAll(vo.Len(), []Formula{Or(a, Not(b), c)}); len(cnf.Clauses) != 1 {
+		t.Fatalf("flat disjunction should be one clause, got %d", len(cnf.Clauses))
 	}
 }
 
@@ -136,30 +166,12 @@ func TestConverterCacheReuse(t *testing.T) {
 	vo := NewVocabulary()
 	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
 	sub := And(a, b)
-	cv := &Converter{CNF: &CNF{NumVars: vo.Len()}}
+	cv := newConverter(vo.Len())
 	cv.Assert(Or(sub, c))
-	n1 := cv.CNF.NumVars
+	n1 := cv.vars
 	cv.Assert(Or(sub, Not(c)))
-	n2 := cv.CNF.NumVars
+	n2 := cv.vars
 	if n2 != n1 {
 		t.Errorf("repeated subformula must reuse its aux var: %d -> %d", n1, n2)
-	}
-}
-
-func TestCNFEvalAndString(t *testing.T) {
-	var c CNF
-	c.AddClause(1, -2)
-	c.AddClause(2)
-	if c.NumVars != 2 {
-		t.Errorf("NumVars: got %d, want 2", c.NumVars)
-	}
-	if !c.Eval(map[Var]bool{1: true, 2: true}) {
-		t.Error("satisfying assignment rejected")
-	}
-	if c.Eval(map[Var]bool{1: false, 2: true}) {
-		t.Error("falsifying assignment accepted")
-	}
-	if got := c.String(); got != "(x1 | !x2) & (x2)" {
-		t.Errorf("String: got %q", got)
 	}
 }

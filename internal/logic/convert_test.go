@@ -4,18 +4,21 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"netarch/internal/sat"
 )
 
 // TestConvertEquisatisfiable checks the semantic side of Convert: the
-// CNF of [f1, ..., fn] is equisatisfiable with f1 ∧ ... ∧ fn, and any
-// CNF model restricted to the original variables satisfies every
-// assertion (one assertion's aux variables must not cross-wire another's).
+// clauses of [f1, ..., fn], converted in order into one stream, are
+// equisatisfiable with f1 ∧ ... ∧ fn, and any model of them restricted
+// to the original variables satisfies every assertion (one assertion's
+// aux variables must not cross-wire another's).
 func TestConvertEquisatisfiable(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 120; i++ {
 		const base = 4
 		fs := []Formula{randFormula(r, base, 10), randFormula(r, base, 10), randFormula(r, base, 10)}
-		cnf := Convert(base, fs)
+		cnf := convertAll(base, fs)
 		if cnf.NumVars < base {
 			t.Fatalf("iter %d: NumVars %d below base %d", i, cnf.NumVars, base)
 		}
@@ -36,15 +39,14 @@ func TestConvertEquisatisfiable(t *testing.T) {
 
 // TestConvertAuxBlocks checks the variable layout: aux variables start at
 // base+1, a subformula shared by two assertions gets one aux variable in
-// each (the Tseitin cache is per assertion), and NumVars covers exactly
-// base plus the total aux count.
+// each (the Tseitin cache is per Convert call), and the returned count
+// covers exactly base plus the total aux count.
 func TestConvertAuxBlocks(t *testing.T) {
 	vo := NewVocabulary()
 	a, b, c, d := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c")), V(vo.Get("d"))
 	base := vo.Len()
 	sub := And(a, b)
-	fs := []Formula{Or(sub, c), Or(sub, d)}
-	cnf := Convert(base, fs)
+	cnf := convertAll(base, []Formula{Or(sub, c), Or(sub, d)})
 	maxVar := 0
 	for _, cl := range cnf.Clauses {
 		for _, l := range cl {
@@ -61,12 +63,15 @@ func TestConvertAuxBlocks(t *testing.T) {
 	}
 }
 
-// TestConvertMatchesOffsetConverters pins the compiled bases' encoding:
-// converting each assertion into its own CNF whose aux numbering starts
-// past every earlier assertion's block, and concatenating the clauses,
-// must give exactly Convert's CNF. A Tseitin cache shared across
-// assertions would fail it.
+// TestConvertMatchesOffsetConverters pins what lets a compiler convert
+// each assertion as soon as it is made, before it knows how many atoms
+// its later assertions add: converting the assertions with their
+// auxiliaries numbered from a placeholder far above the atoms, then
+// renumbering those to follow the atoms (sat.Clauses.Renumber), gives
+// exactly the clauses of converting them from the atom count, each
+// assertion's block starting past every earlier one's.
 func TestConvertMatchesOffsetConverters(t *testing.T) {
+	const placeholder = 1 << 20
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 40; i++ {
 		const base = 6
@@ -74,15 +79,15 @@ func TestConvertMatchesOffsetConverters(t *testing.T) {
 		for j := 0; j < 7; j++ {
 			fs = append(fs, randFormula(r, base, 20))
 		}
-		want := &CNF{NumVars: base}
+		want := convertAll(base, fs)
+		var cs sat.Clauses
+		vars := placeholder
 		for _, f := range fs {
-			cv := &Converter{CNF: &CNF{NumVars: want.NumVars}}
-			cv.Assert(f)
-			want.Clauses = append(want.Clauses, cv.CNF.Clauses...)
-			want.NumVars = cv.CNF.NumVars
+			vars = Convert(&cs, vars, f)
 		}
-		if got := Convert(base, fs); !reflect.DeepEqual(want, got) {
-			t.Fatalf("iter %d: CNF diverges from offset converters:\n%v\nvs\n%v", i, got, want)
+		cs.Renumber(placeholder, base)
+		if got := readClauses(&cs, vars-placeholder+base); !reflect.DeepEqual(want, got) {
+			t.Fatalf("iter %d: renumbered clauses diverge:\n%v\nvs\n%v", i, got, want)
 		}
 	}
 }

@@ -63,14 +63,14 @@ func oracleDedupComplement(f Formula) Formula {
 
 type oracleConverter struct {
 	next  int // the last auxiliary variable allocated
-	cnf   *CNF
+	cnf   *clauseList
 	cache map[string]sat.Lit
 }
 
 // newOracleConverter numbers auxiliary variables from base+1, as a
-// Converter over a CNF of base variables does.
+// converter over base variables does.
 func newOracleConverter(base int) *oracleConverter {
-	return &oracleConverter{next: base, cnf: &CNF{NumVars: base}, cache: make(map[string]sat.Lit)}
+	return &oracleConverter{next: base, cnf: &clauseList{NumVars: base}, cache: make(map[string]sat.Lit)}
 }
 
 func (cv *oracleConverter) Assert(f Formula) {
@@ -88,7 +88,7 @@ func (cv *oracleConverter) Assert(f Formula) {
 		return
 	}
 	if f.kind == KindOr {
-		clause := make(Clause, 0, len(f.args))
+		clause := make([]sat.Lit, 0, len(f.args))
 		for _, a := range f.args {
 			clause = append(clause, cv.lit(a))
 		}
@@ -132,7 +132,7 @@ func (cv *oracleConverter) lit(f Formula) sat.Lit {
 			cv.cnf.AddClause(-d, cv.lit(a))
 		}
 	case KindOr:
-		clause := Clause{-d}
+		clause := []sat.Lit{-d}
 		for _, a := range f.args {
 			clause = append(clause, cv.lit(a))
 		}
@@ -310,15 +310,15 @@ func maxArity(f Formula) int {
 func TestConverterMatchesStringKeyedOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		g := &diffGen{r: rand.New(rand.NewSource(seed)), nv: 4 + int(seed%8)}
-		cv, ocv := &Converter{CNF: &CNF{NumVars: g.nv}}, newOracleConverter(g.nv)
+		cv, ocv := newConverter(g.nv), newOracleConverter(g.nv)
 		for i := 0; i < 30; i++ {
 			f := g.formula(5)
 			cv.Assert(f)
 			ocv.Assert(f)
 		}
-		if !reflect.DeepEqual(cv.CNF, ocv.cnf) {
+		if got := cv.clauses(); !reflect.DeepEqual(got, ocv.cnf) {
 			t.Fatalf("seed %d: CNF differs from the String()-keyed converter (%d/%d vars, %d/%d clauses)",
-				seed, cv.CNF.NumVars, ocv.cnf.NumVars, len(cv.CNF.Clauses), len(ocv.cnf.Clauses))
+				seed, got.NumVars, ocv.cnf.NumVars, len(got.Clauses), len(ocv.cnf.Clauses))
 		}
 	}
 }
@@ -347,14 +347,14 @@ func TestHashCollisionKeepsDistinct(t *testing.T) {
 		}
 	}
 
-	cv, ocv := &Converter{CNF: &CNF{NumVars: 3}}, newOracleConverter(3)
+	cv, ocv := newConverter(3), newOracleConverter(3)
 	for _, f := range []Formula{Or(a, b), Or(b, a, V(3))} {
 		cv.Assert(f)
 		ocv.Assert(f)
 	}
-	if cv.CNF.NumVars != 5 || !reflect.DeepEqual(cv.CNF, ocv.cnf) {
+	if got := cv.clauses(); got.NumVars != 5 || !reflect.DeepEqual(got, ocv.cnf) {
 		t.Errorf("colliding nodes need one definition each: got %v over %d vars, want %v",
-			cv.CNF, cv.CNF.NumVars, ocv.cnf)
+			got.Clauses, got.NumVars, ocv.cnf.Clauses)
 	}
 }
 
@@ -367,7 +367,7 @@ func TestFormulaSize(t *testing.T) {
 }
 
 // TestSimplifyAllocFree pins that simplifying an already-simplified
-// formula allocates nothing, which is what keeps Converter.Assert's
+// formula allocates nothing, which is what keeps Convert's
 // per-conjunct pass cheap: both for a formula whose nodes dedupComplement
 // scans pairwise and for one with a node wider than smallArity, which
 // goes through its stack-allocated hash table.

@@ -307,6 +307,13 @@ func NewVocabulary() *Vocabulary {
 	return &Vocabulary{byName: make(map[string]Var)}
 }
 
+// NewVocabularySize returns an empty vocabulary with room for n named
+// variables, so allocating the first n neither copies the names nor
+// regrows the name index.
+func NewVocabularySize(n int) *Vocabulary {
+	return &Vocabulary{names: make([]string, 0, n), byName: make(map[string]Var, n)}
+}
+
 // Fresh allocates a new variable with the given name (which may be empty
 // for anonymous variables). Names need not be unique, but Lookup returns
 // the first variable registered under a name.
@@ -322,6 +329,20 @@ func (vo *Vocabulary) Fresh(name string) Var {
 		}
 	}
 	return v
+}
+
+// FreshAnonymous allocates n anonymous variables and fits the name
+// storage to the new count, so a vocabulary that allocates no more
+// variables keeps no spare room.
+func (vo *Vocabulary) FreshAnonymous(n int) {
+	n += len(vo.names)
+	if cap(vo.names) == n {
+		vo.names = vo.names[:n]
+		return
+	}
+	names := make([]string, n)
+	copy(names, vo.names)
+	vo.names = names
 }
 
 // Get returns the variable registered under name, allocating it if needed.

@@ -14,7 +14,9 @@ import (
 // the load nothing is stored; afterwards every per-variable slice holds
 // exactly NumVars variables, the clause arena holds the load's words
 // plus the room for a first solve's learnt clauses, and the watcher slab
-// the load's slots plus that solve's room, with no list moved.
+// the load's slots plus that solve's room, with no list moved. Clauses
+// written to the stream before Bulk load the same as clauses added
+// inside it.
 func TestBulkByteIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const nVars = 40
@@ -36,9 +38,34 @@ func TestBulkByteIdentity(t *testing.T) {
 
 	bulk := NewSolver()
 	bulk.EnsureVars(nVars)
-	bulk.Bulk(func() { load(bulk) })
+	bulk.Bulk(new(Clauses), func() { load(bulk) })
 	if !bytes.Equal(eager.Snapshot(), bulk.Snapshot()) {
 		t.Fatal("Bulk changed the solver state")
+	}
+	// A stream written before Bulk loads ahead of the clauses load adds,
+	// and Bulk empties it.
+	streamed := NewSolver()
+	streamed.EnsureVars(nVars)
+	var cs Clauses
+	half := len(clauses) / 2
+	for _, cl := range clauses[:half] {
+		cs.Add(cl...)
+	}
+	streamed.Bulk(&cs, func() {
+		for i, cl := range clauses {
+			if i%40 == 0 {
+				streamed.NewVar()
+			}
+			if i >= half {
+				streamed.AddClause(cl...)
+			}
+		}
+	})
+	if !bytes.Equal(eager.Snapshot(), streamed.Snapshot()) {
+		t.Fatal("Bulk of a prewritten stream changed the solver state")
+	}
+	if cs.chunks != nil {
+		t.Fatal("Bulk left its stream holding clauses")
 	}
 	if !slices.Equal(eager.order.heap, bulk.order.heap) || !slices.Equal(eager.order.indices, bulk.order.indices) {
 		t.Fatal("Bulk changed the order heap")
@@ -50,7 +77,7 @@ func TestBulkByteIdentity(t *testing.T) {
 	reserved := NewSolver()
 	reserved.EnsureVars(nVars)
 	var arenaCap, slabCap, varCap int
-	reserved.Bulk(func() {
+	reserved.Bulk(new(Clauses), func() {
 		load(reserved)
 		arenaCap, slabCap, varCap = cap(reserved.ca.data), cap(reserved.watches.slab), cap(reserved.level)
 	})
@@ -104,7 +131,7 @@ func TestBulkByteIdentity(t *testing.T) {
 // verdict and returns true; the contradiction shows once Bulk returns.
 func TestBulkUnsatisfiableLoad(t *testing.T) {
 	s := NewSolver()
-	s.Bulk(func() {
+	s.Bulk(new(Clauses), func() {
 		if !s.AddClause(1) || !s.AddClause(-1) {
 			t.Fatal("AddClause inside Bulk returned false")
 		}
@@ -114,5 +141,28 @@ func TestBulkUnsatisfiableLoad(t *testing.T) {
 	}
 	if st := s.Solve(); st != Unsat {
 		t.Fatalf("contradictory load: got %v, want Unsat", st)
+	}
+}
+
+// TestClausesRenumber: Renumber moves the variables above its first
+// argument, in both polarities, and leaves the rest and the clause
+// boundaries as they are.
+func TestClausesRenumber(t *testing.T) {
+	var cs Clauses
+	cs.Add(1, -2)
+	cs.Add(101, -3, -102)
+	cs.Add()
+	cs.Add(-101)
+	cs.Renumber(100, 3)
+	var got [][]Lit
+	cs.Each(func(cl []Lit) { got = append(got, slices.Clone(cl)) })
+	want := [][]Lit{{1, -2}, {4, -3, -5}, {}, {-4}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
 	}
 }

@@ -187,10 +187,9 @@ type Solver struct {
 	lbdStamp  []uint64
 	lbdGen    uint64
 	addBuf    []lit
-	// Inside Bulk, AddClause records each clause in the bulk chunks,
-	// terminated by a 0, instead of adding it.
-	bulking bool
-	bulk    [][]Lit
+	// Inside Bulk, AddClause appends each clause to the stream Bulk
+	// loads instead of adding it; nil outside Bulk.
+	bulk *Clauses
 	// Arena-compaction scratch: the old→new offset tables (see
 	// compactArena), recycled across compactions.
 	gcOld []cref
@@ -309,7 +308,7 @@ func (s *Solver) ResetRun() {
 // a Bulk load it only counts the variable; Bulk stores it (see Bulk).
 func (s *Solver) NewVar() int {
 	s.nVars++
-	if !s.bulking {
+	if s.bulk == nil {
 		if len(s.level) == cap(s.level) {
 			// Grow all per-variable slices together, doubling: one-at-a-time
 			// variable creation (the arithmetic encoder, query selectors)
@@ -331,7 +330,7 @@ func (s *Solver) EnsureVars(n int) {
 		return
 	}
 	s.nVars = n
-	if !s.bulking {
+	if s.bulk == nil {
 		s.storeVars()
 	}
 }
@@ -390,37 +389,40 @@ const (
 	learntRoomWatchers = 2 << 10
 )
 
-// Bulk runs load with variable storage and clause addition deferred,
-// then sizes the solver's storage once for all of it and adds every
-// clause load passed to AddClause, in order. Inside load, NewVar and
-// EnsureVars only count variables; Bulk then allocates every
-// per-variable slice once, at the final count (exactly, when they must
-// grow), and inserts the new variables into the order heap in ascending
-// order, as NewVar would have. The clause arena, the clause list and
-// every watch list are likewise allocated up front instead of being
-// copied each time they fill. A literal's list gets room for one watcher
-// per recorded clause holding the literal's negation, a bound no list
-// can pass, so no list moves during the load. The arena and the watcher
-// slab also get a fixed room for the clauses a first solve learns
-// (learntRoomWords, learntRoomWatchers), so a compiled base's probe does
-// not copy them to grow either. A compiler that emits a whole base
-// clause by clause (CNF shards, then arithmetic circuits) wraps the
-// emission in one Bulk call.
+// Bulk lays out the clause stream cs in the solver, after running load
+// with variable storage and clause addition deferred: inside load,
+// AddClause appends its clause to cs, after the clauses cs already
+// holds, and NewVar and EnsureVars only count variables. Bulk then
+// allocates every per-variable slice once, at the final count (exactly,
+// when they must grow), inserts the new variables into the order heap
+// in ascending order, as NewVar would have, and adds every clause of cs
+// in order. Every variable a clause written to cs before Bulk names
+// must be counted by the time load returns. The clause arena, the
+// clause list and every watch list are likewise allocated up front
+// instead of being copied each time they fill. A literal's list gets
+// room for one watcher per clause of cs holding the literal's negation,
+// a bound no list can pass, so no list moves during the load. The arena
+// and the watcher slab also get a fixed room for the clauses a first
+// solve learns (learntRoomWords, learntRoomWatchers), so a compiled
+// base's probe does not copy them to grow either. A compiler that emits
+// a whole base writes its clauses to one stream and wraps the rest of
+// its emission in one Bulk call. Bulk consumes cs: it is empty when Bulk
+// returns.
 //
 // The solver ends in exactly the state the same NewVar and AddClause
-// calls made one by one would leave: variables enter the heap in the
-// same order, clauses are added in the same order, units propagate at
-// the same points, so clause references, watch order and snapshot bytes
-// are identical; only capacities differ. Inside load, AddClause records
-// its clause and returns true (a top-level conflict found by Bulk makes
-// every later solve return Unsat), and NewVar returns the new variable's
-// index. load must not solve, clone or snapshot the solver, nor read a
-// variable's state.
-func (s *Solver) Bulk(load func()) {
-	s.bulking = true
-	defer func() { s.bulking, s.bulk = false, nil }()
+// calls made one by one would leave, cs's clauses first: variables
+// enter the heap in the same order, clauses are added in the same
+// order, units propagate at the same points, so clause references,
+// watch order and snapshot bytes are identical; only capacities differ.
+// Inside load, AddClause returns true (a top-level conflict found by
+// Bulk makes every later solve return Unsat), and NewVar returns the new
+// variable's index. load must not solve, clone or snapshot the solver,
+// nor read a variable's state.
+func (s *Solver) Bulk(cs *Clauses, load func()) {
+	s.bulk = cs
+	defer func() { s.bulk, *cs = nil, Clauses{} }()
 	load()
-	s.bulking = false
+	s.bulk = nil
 	s.storeVars()
 
 	// Size clause storage by the clauses as recorded. Normalization only
@@ -429,55 +431,27 @@ func (s *Solver) Bulk(load func()) {
 	// sit in the lists of its literals' negations, at most one each.
 	nClauses, nWords := 0, 0
 	room := make([]uint32, len(s.watches.spans))
-	for _, chunk := range s.bulk {
-		for i := 0; i < len(chunk); {
-			j := i
-			for chunk[j] != 0 {
-				j++
-			}
-			n := j - i
-			if n >= 3 {
-				nClauses++
-				nWords += origHeaderWords + n
+	cs.Each(func(cl []Lit) {
+		n := len(cl)
+		if n >= 3 {
+			nClauses++
+			nWords += origHeaderWords + n
+		}
+		for _, l := range cl {
+			if l.Var() > s.nVars {
+				panic("sat: Bulk: a clause names a variable load did not count")
 			}
 			if n >= 2 {
-				for _, l := range chunk[i:j] {
-					room[toInternal(l).flip()]++
-				}
+				room[toInternal(l).flip()]++
 			}
-			i = j + 1
 		}
-	}
+	})
 	s.ca.reserve(nWords + learntRoomWords)
 	if cap(s.clauses)-len(s.clauses) < nClauses {
 		s.clauses = grown(s.clauses, nClauses)
 	}
 	s.watches.compact(room, learntRoomWatchers)
-	for _, chunk := range s.bulk {
-		for i := 0; i < len(chunk); {
-			j := i
-			for chunk[j] != 0 {
-				j++
-			}
-			s.AddClause(chunk[i:j]...)
-			i = j + 1
-		}
-	}
-}
-
-// bulkChunk is the size, in literals, of the buffers Bulk records
-// deferred clauses in. Fixed-size chunks hold the whole load without
-// ever being copied to grow.
-const bulkChunk = 4096
-
-// deferClause records a clause for Bulk to add, followed by a 0.
-func (s *Solver) deferClause(lits []Lit) {
-	n := len(s.bulk)
-	if n == 0 || len(s.bulk[n-1])+len(lits)+1 > cap(s.bulk[n-1]) {
-		s.bulk = append(s.bulk, make([]Lit, 0, max(bulkChunk, len(lits)+1)))
-		n++
-	}
-	s.bulk[n-1] = append(append(s.bulk[n-1], lits...), 0)
+	cs.Each(func(cl []Lit) { s.AddClause(cl...) })
 }
 
 // AddClause adds a clause over DIMACS-style literals. Variables referenced
@@ -505,8 +479,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 	}
 	s.EnsureVars(maxVar)
-	if s.bulking {
-		s.deferClause(lits)
+	if s.bulk != nil {
+		s.bulk.add(lits)
 		return true
 	}
 
