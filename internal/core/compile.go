@@ -573,82 +573,99 @@ func parseCapAtom(atom string, kind, cap *string) bool {
 // systemConstraints encodes each system's deployment requirements, one
 // selector per requirement class for fine-grained explanations.
 func (c *compiled) systemConstraints() {
+	var lits []sat.Lit
 	for i := range c.kb.Systems {
 		s := &c.kb.Systems[i]
-		sysV := c.sysVar(s.Name)
-		sys := logic.V(sysV)
+		sys := sat.Lit(c.sysVar(s.Name))
 
 		if len(s.RequiresCaps) > 0 {
-			var reqs []logic.Formula
 			kinds := make([]string, 0, len(s.RequiresCaps))
 			for kind := range s.RequiresCaps {
 				kinds = append(kinds, string(kind))
 			}
 			sort.Strings(kinds)
+			lits = lits[:0]
 			for _, kindStr := range kinds {
 				kind := kb.HardwareKind(kindStr)
 				for _, cap := range s.RequiresCaps[kind] {
-					reqs = append(reqs, logic.V(c.capVar(kind, cap)))
+					lits = append(lits, sat.Lit(c.capVar(kind, cap)))
 				}
 			}
-			c.assertGuarded(
+			c.requireAll(
 				"system:"+s.Name+":caps",
 				fmt.Sprintf("%s requires hardware capabilities %v", s.Name, s.RequiresCaps),
-				logic.Implies(sys, logic.And(reqs...)))
+				sys, lits)
 		}
 		if len(s.RequiresSystems) > 0 {
-			var deps []logic.Formula
+			lits = lits[:0]
 			for _, d := range s.RequiresSystems {
-				deps = append(deps, logic.V(c.sysVar(d)))
+				lits = append(lits, sat.Lit(c.sysVar(d)))
 			}
-			c.assertGuarded(
+			c.requireAll(
 				"system:"+s.Name+":deps",
 				fmt.Sprintf("%s requires %v", s.Name, s.RequiresSystems),
-				logic.Implies(sys, logic.And(deps...)))
+				sys, lits)
 		}
 		for gi, group := range s.RequiresAnyOf {
-			opts := make([]sat.Lit, 0, 1+len(group))
-			opts = append(opts, -sat.Lit(sysV))
+			lits = append(lits[:0], -sys)
 			for _, d := range group {
-				opts = append(opts, sat.Lit(c.sysVar(d)))
+				lits = append(lits, sat.Lit(c.sysVar(d)))
 			}
 			c.guardClause(
 				fmt.Sprintf("system:%s:anyof:%d", s.Name, gi),
 				fmt.Sprintf("%s requires one of %v", s.Name, group),
-				opts...)
+				lits...)
 		}
 		if len(s.ConflictsWith) > 0 {
-			var nots []logic.Formula
+			lits = lits[:0]
 			for _, d := range s.ConflictsWith {
-				nots = append(nots, logic.Not(logic.V(c.sysVar(d))))
+				lits = append(lits, -sat.Lit(c.sysVar(d)))
 			}
-			c.assertGuarded(
+			c.requireAll(
 				"system:"+s.Name+":conflicts",
 				fmt.Sprintf("%s conflicts with %v", s.Name, s.ConflictsWith),
-				logic.Implies(sys, logic.And(nots...)))
+				sys, lits)
 		}
 		if len(s.RequiresContext) > 0 {
-			var conds []logic.Formula
+			lits = lits[:0]
 			for _, cond := range s.RequiresContext {
-				f, err := kb.ConditionExpr(cond).Compile(c.vocab.Get)
-				if err != nil {
-					// Conditions are atoms; Compile cannot fail.
-					panic(err)
+				l := sat.Lit(c.ctxVar(cond.Atom))
+				if !cond.Value {
+					l = -l
 				}
-				conds = append(conds, f)
+				lits = append(lits, l)
 			}
-			c.assertGuarded(
+			c.requireAll(
 				"system:"+s.Name+":context",
 				fmt.Sprintf("%s requires context %v", s.Name, s.RequiresContext),
-				logic.Implies(sys, logic.And(conds...)))
+				sys, lits)
 		}
 		if s.AppModification {
 			c.guardClause(
 				"system:"+s.Name+":app_modification",
 				fmt.Sprintf("%s requires modifying applications", s.Name),
-				-sat.Lit(sysV), sat.Lit(c.ctxVar("app_modifiable")))
+				-sys, sat.Lit(c.ctxVar("app_modifiable")))
 		}
 	}
+}
+
+// requireAll asserts, under the named selector, that the deployed
+// system sys implies every literal of lits. One literal makes one
+// clause, the one the formula converts to; more take the formula, whose
+// conjunction needs a Tseitin auxiliary.
+func (c *compiled) requireAll(name, note string, sys sat.Lit, lits []sat.Lit) {
+	if len(lits) == 1 {
+		c.guardClause(name, note, -sys, lits[0])
+		return
+	}
+	conj := make([]logic.Formula, len(lits))
+	for i, l := range lits {
+		conj[i] = logic.V(logic.Var(l.Var()))
+		if l.Neg() {
+			conj[i] = logic.Not(conj[i])
+		}
+	}
+	c.assertGuarded(name, note, logic.Implies(logic.V(logic.Var(sys)), logic.And(conj...)))
 }
 
 // usefulFormula returns the formula under which a deployed system
