@@ -38,8 +38,9 @@ type compiled struct {
 	// it out in the solver, with the arithmetic circuits' clauses after
 	// it. aux counts the Tseitin auxiliaries the conversions number from
 	// auxBase; compileUnprobed moves them into one block after the atoms
-	// once the boolean phase has fixed the atom count. buf is guardClause's
-	// scratch. All three die with the compile.
+	// once the boolean phase has fixed the atom count. buf is the
+	// scratch of guardClause and defineOr. Bulk empties the stream and
+	// compileUnprobed drops buf, so a cached base keeps neither.
 	clauses sat.Clauses
 	aux     int
 	buf     []sat.Lit
@@ -192,8 +193,7 @@ func compileUnprobed(k *kb.KB, sc *Scenario) (*compiled, error) {
 	// atoms. Pad the vocabulary to cover them so vocabulary and solver
 	// keep agreeing on the variable space; the base's vocabulary is then
 	// complete.
-	base := c.vocab.Len()
-	c.clauses.Renumber(auxBase, base)
+	c.clauses.Renumber(auxBase, c.vocab.Len())
 	c.vocab.FreshAnonymous(c.aux - auxBase)
 
 	// Lay the clause stream out in a solver, then bolt the arithmetic

@@ -335,12 +335,7 @@ func (vo *Vocabulary) Fresh(name string) Var {
 // storage to the new count, so a vocabulary that allocates no more
 // variables keeps no spare room.
 func (vo *Vocabulary) FreshAnonymous(n int) {
-	n += len(vo.names)
-	if cap(vo.names) == n {
-		vo.names = vo.names[:n]
-		return
-	}
-	names := make([]string, n)
+	names := make([]string, len(vo.names)+n)
 	copy(names, vo.names)
 	vo.names = names
 }

@@ -143,6 +143,10 @@ func TestVocabulary(t *testing.T) {
 	if got := vo.Render(f); got != "!pfc | !flooding" {
 		t.Errorf("Render: got %q", got)
 	}
+	vo.FreshAnonymous(2)
+	if vo.Len() != 5 || vo.Name(5) != "" || cap(vo.names) != 5 || vo.Lookup("pfc") != a {
+		t.Errorf("FreshAnonymous(2): Len %d, names cap %d; want 5 and 5, names kept", vo.Len(), cap(vo.names))
+	}
 }
 
 func TestVocabularyDuplicateNames(t *testing.T) {
