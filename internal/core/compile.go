@@ -310,7 +310,9 @@ func (c *compiled) addSelector(name, note string) sat.Lit {
 	if c.frozen {
 		l = sat.Lit(c.solver.NewVar())
 	} else {
-		l = sat.Lit(c.vocab.Get("sel:" + name))
+		// selByName resolves selector names; nothing looks one up in
+		// the vocabulary.
+		l = sat.Lit(c.vocab.FreshUnindexed("sel:" + name))
 	}
 	c.selByName[name] = len(c.selectors)
 	c.selectors = append(c.selectors, selector{name: name, note: note, lit: l})
@@ -349,12 +351,14 @@ func (c *compiled) guardClause(name, note string, lits ...sat.Lit) {
 }
 
 // declareVars allocates the well-known variables in a stable order so the
-// model read-back is deterministic.
+// model read-back is deterministic. sysLit and hwLit resolve them by
+// name (sysVar, ruleConstraints), so the vocabulary does not index them.
 func (c *compiled) declareVars() {
 	c.sysLit = make(map[string]sat.Lit, len(c.kb.Systems))
 	for i := range c.kb.Systems {
-		name := c.kb.Systems[i].Name
-		c.sysLit[name] = sat.Lit(c.vocab.Get("system:" + name))
+		if name := c.kb.Systems[i].Name; c.sysLit[name] == 0 {
+			c.sysLit[name] = sat.Lit(c.vocab.FreshUnindexed("system:" + name))
+		}
 	}
 	n := 0
 	for _, hws := range c.cands {
@@ -363,7 +367,9 @@ func (c *compiled) declareVars() {
 	c.hwLit = make(map[string]sat.Lit, n)
 	for _, hws := range c.cands {
 		for _, h := range hws {
-			c.hwLit[h.Name] = sat.Lit(c.vocab.Get("hw:" + h.Name))
+			if c.hwLit[h.Name] == 0 {
+				c.hwLit[h.Name] = sat.Lit(c.vocab.FreshUnindexed("hw:" + h.Name))
+			}
 		}
 	}
 }
@@ -452,7 +458,7 @@ func (c *compiled) hardwareSelection() {
 		// first would.
 		var prev sat.Lit
 		for j, a := range atoms {
-			l := sat.Lit(c.vocab.Get("amo:" + string(kind) + ":" + strconv.Itoa(j)))
+			l := sat.Lit(c.vocab.FreshUnindexed("amo:" + string(kind) + ":" + strconv.Itoa(j)))
 			c.clauses.Add(-a, l)
 			if j > 0 {
 				c.clauses.Add(-prev, l)
@@ -761,18 +767,28 @@ func (c *compiled) structuralConstraints() {
 }
 
 // ruleConstraints asserts every free-form KB rule under its own selector.
-// A rule's hw: atom for a SKU outside the scenario's candidates names
+// A rule's system: and hw: atoms resolve through sysLit and hwLit, which
+// the vocabulary does not index. A hw: atom for a SKU outside the
+// scenario's candidates names
 // hardware the design cannot select, so after the rules each such atom
 // is pinned false (unguarded, like the at-most-one ladder), once, in
 // order of first mention.
 func (c *compiled) ruleConstraints() {
 	var off []sat.Lit
 	atom := func(name string) logic.Var {
+		if sys, ok := strings.CutPrefix(name, "system:"); ok {
+			return c.sysVar(sys)
+		}
+		sku, ok := strings.CutPrefix(name, "hw:")
+		if !ok {
+			return c.vocab.Get(name)
+		}
+		if l := c.hwLit[sku]; l != 0 {
+			return logic.Var(l)
+		}
 		v := c.vocab.Get(name)
-		if sku, ok := strings.CutPrefix(name, "hw:"); ok {
-			if _, cand := c.hwLit[sku]; !cand && !slices.Contains(off, -sat.Lit(v)) {
-				off = append(off, -sat.Lit(v))
-			}
+		if !slices.Contains(off, -sat.Lit(v)) {
+			off = append(off, -sat.Lit(v))
 		}
 		return v
 	}

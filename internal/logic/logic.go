@@ -307,11 +307,10 @@ func NewVocabulary() *Vocabulary {
 	return &Vocabulary{byName: make(map[string]Var)}
 }
 
-// NewVocabularySize returns an empty vocabulary with room for n named
-// variables, so allocating the first n neither copies the names nor
-// regrows the name index.
+// NewVocabularySize returns an empty vocabulary with room for n
+// variables, so allocating the first n does not copy the names.
 func NewVocabularySize(n int) *Vocabulary {
-	return &Vocabulary{names: make([]string, 0, n), byName: make(map[string]Var, n)}
+	return &Vocabulary{names: make([]string, 0, n), byName: make(map[string]Var)}
 }
 
 // Fresh allocates a new variable with the given name (which may be empty
@@ -329,6 +328,15 @@ func (vo *Vocabulary) Fresh(name string) Var {
 		}
 	}
 	return v
+}
+
+// FreshUnindexed allocates a new variable with the given name but
+// leaves the name out of the index, so Get and Lookup never return it;
+// Name still does. It suits a caller that resolves the name itself, or
+// never by name, and so keeps the index small.
+func (vo *Vocabulary) FreshUnindexed(name string) Var {
+	vo.names = append(vo.names, name)
+	return Var(len(vo.names))
 }
 
 // FreshAnonymous allocates n anonymous variables and fits the name

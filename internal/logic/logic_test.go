@@ -143,9 +143,12 @@ func TestVocabulary(t *testing.T) {
 	if got := vo.Render(f); got != "!pfc | !flooding" {
 		t.Errorf("Render: got %q", got)
 	}
+	if u := vo.FreshUnindexed("pfc"); vo.Name(u) != "pfc" || vo.Lookup("pfc") != a || vo.Get("pfc") != a {
+		t.Error("FreshUnindexed must name its variable without indexing it")
+	}
 	vo.FreshAnonymous(2)
-	if vo.Len() != 5 || vo.Name(5) != "" || cap(vo.names) != 5 || vo.Lookup("pfc") != a {
-		t.Errorf("FreshAnonymous(2): Len %d, names cap %d; want 5 and 5, names kept", vo.Len(), cap(vo.names))
+	if vo.Len() != 6 || vo.Name(6) != "" || cap(vo.names) != 6 || vo.Lookup("pfc") != a {
+		t.Errorf("FreshAnonymous(2): Len %d, names cap %d; want 6 and 6, names kept", vo.Len(), cap(vo.names))
 	}
 }
 
