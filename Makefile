@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR47.json
+BENCH ?= BENCH_PR48.json
 
 build:
 	$(GO) build ./...
@@ -27,16 +27,16 @@ race:
 	$(GO) test -race -skip='^TestDifferential$$/^scale$$' ./...
 
 # bench-smoke compiles and runs one iteration of the compile, cold-start,
-# enumeration and Pareto benchmarks so the bench suite can't bit-rot
-# between full runs (BenchmarkPareto also checks its frontiers), plus
-# internal/core's scaled-catalog cold starts, sliced and unsliced, and
-# its optimizer-versus-oracle benchmark, whose MaxSAT row checks its
-# optimum against the brute-force oracle. It also vets and
+# enumeration, Pareto and serve read-mix benchmarks so the bench suite
+# can't bit-rot between full runs (BenchmarkPareto also checks its
+# frontiers), plus internal/core's scaled-catalog cold starts, sliced
+# and unsliced, and its optimizer-versus-oracle benchmark, whose MaxSAT
+# row checks its optimum against the brute-force oracle. It also vets and
 # tests the bench/ module (its own go.mod), so a core API change that
 # breaks the end-to-end harness fails here, not only in the benchmark
 # pipeline.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkColdStart|BenchmarkEnumerate|BenchmarkPareto' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkColdStart|BenchmarkEnumerate|BenchmarkPareto|BenchmarkServeReadMix' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkColdStart|BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
@@ -90,19 +90,22 @@ serve-smoke:
 # (TestCompiledBaseGolden: bases byte-identical across commits), update
 # byte identity and cache accounting, the solver clone tests (with the
 # binary-heavy differential's frozen arm: a frozen solver, its clone and
-# its DIMACS round trip agree, and clones of one frozen solver search
-# identically over its shared implication table), the CNF conversion's
-# layout, the hw: atoms of rules over SKUs outside the candidates
-# (pinned false, sliced and unsliced), the optimizer's
+# its DIMACS round trip agree, clones of one frozen solver search
+# identically over its shared implication table, a clone that takes its
+# additions as a load equals one that adds them one by one, and a
+# solve's deferred final backtrack leaves every entry point's result
+# as an eager one would), the CNF conversion's layout, the hw: atoms of
+# rules over SKUs outside the candidates (pinned false, sliced and
+# unsliced), a SKU allowed twice (a candidate once), the optimizer's
 # metamorphic, objective-circuit and maxsat brute-force tests, the
 # slicer edge cases, the slice-memo key regression, enumeration above
 # the slicing threshold, the 50k catalog smoke, and the
 # concurrent-update and reload-under-load tests under the race
 # detector. Each -run list lives in a variable that gate-names checks.
-DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestSliceMemoKeyCollision|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateAboveSliceThreshold|TestRuleHardwareOutsideCandidates
+DIFF_CORE_RUN = TestDifferential|TestCacheDifferential|TestOptimizeDifferential|TestParetoDifferential|TestEnumerateCacheOffMatchesCacheOn|TestCompiledBaseGolden|TestUpdateKBByteIdentity|TestUpdateKBInstallsCollapsedSlicesOnce|TestKBMutationStalenessOrdering|TestMetamorphic|TestObjective|TestSlice|TestSliceMemoKeyCollision|TestUpdateKBReslicesUnderNewWorkloads|TestEnumerateAboveSliceThreshold|TestRuleHardwareOutsideCandidates|TestSKUAllowedTwice
 DIFF_CORE_PKGS = . ./internal/core
 DIFF_LOGIC_RUN = TestConvertEquisatisfiable|TestConvertAuxBlocks|TestConvertMatchesOffsetConverters
-DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver
+DIFF_SAT_RUN = TestCloneSearchesIdenticallyUnderRelocation|TestBinaryHeavyDifferential|TestConcurrentClonesOfFrozenSolver|TestCloneLoadMatchesOneByOne|TestDeferredBacktrackTwins
 DIFF_MAXSAT_RUN = TestMinimize|TestLexicographic|TestPareto|TestBitDescent
 DIFF_EXTRACT_RUN = TestCatalogScale
 DIFF_RACE_RUN = TestUpdateKBConcurrentQueries|TestUpdateKBConcurrentUpdates|TestServeReloadUnderLoad|TestQueryAnswersAtOneRevision|TestCacheStatsSnapshotHammer|TestCacheStatsSnapshotHammerSliced

@@ -475,6 +475,92 @@ func BenchmarkRepeatedQueries(b *testing.B) {
 	})
 }
 
+// BenchmarkServeReadMix answers the read classes of the end-to-end
+// benchmark's serve_warm workload in process, on one warm engine and
+// without HTTP: per ten ops, four inference_app syntheses, one §5.1 Q1
+// grown-fleet synthesis, two Q3 what-ifs (a synthesis without CXL
+// pooling and one with), two PFC + flooding explanations and one check
+// of the inference_app witness. Every query clones a cached base, so
+// B/op is mostly what the clones copy; the bases are compiled off the
+// clock.
+func BenchmarkServeReadMix(b *testing.B) {
+	all := []string{"inference_app", "batch_analytics", "storage_backend"}
+	inference := netarch.Scenario{Workloads: []string{"inference_app"}}
+	q1Grown := netarch.Scenario{
+		Workloads:      all,
+		NumServers:     112,
+		PinnedHardware: map[netarch.HardwareKind]string{netarch.KindServer: "Suprima CXL-64c"},
+		Context:        map[string]bool{"pfc_enabled": true},
+	}
+	q3 := func(pooling bool) netarch.Scenario {
+		return netarch.Scenario{
+			Workloads:  all,
+			NumServers: 64,
+			Context:    map[string]bool{"pfc_enabled": true, "cxl_pooling": pooling},
+		}
+	}
+	pfc := netarch.Scenario{
+		Workloads: []string{"inference_app"},
+		Context:   map[string]bool{"pfc_enabled": true, "flooding_enabled": true, "deadline_tight": true},
+	}
+	k := catalog.CaseStudy()
+	k.Workloads = append(k.Workloads, catalog.BatchAnalyticsWorkload(), catalog.StorageWorkload())
+	eng, err := netarch.NewEngine(k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	witness, err := eng.Synthesize(inference)
+	if err != nil || witness.Design == nil {
+		b.Fatalf("inference_app witness: %v", err)
+	}
+	feasible := func(sc netarch.Scenario) func() error {
+		return func() error {
+			rep, err := eng.Synthesize(sc)
+			if err == nil && rep.Verdict != netarch.Feasible {
+				err = fmt.Errorf("verdict %v, want FEASIBLE", rep.Verdict)
+			}
+			return err
+		}
+	}
+	whatif := func() error {
+		if _, err := eng.Synthesize(q3(false)); err != nil {
+			return err
+		}
+		_, err := eng.Synthesize(q3(true))
+		return err
+	}
+	explain := func() error {
+		ex, err := eng.Explain(pfc)
+		if err == nil && ex == nil {
+			err = fmt.Errorf("no explanation")
+		}
+		return err
+	}
+	check := func() error {
+		rep, err := eng.Check(*witness.Design, inference)
+		if err == nil && rep.Verdict != netarch.Feasible {
+			err = fmt.Errorf("the witness checks %v", rep.Verdict)
+		}
+		return err
+	}
+	mix := []func() error{
+		feasible(inference), feasible(inference), feasible(inference), feasible(inference),
+		feasible(q1Grown), whatif, whatif, explain, explain, check,
+	}
+	for _, op := range mix { // compile every base off the clock
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mix[i%len(mix)](); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOptimize measures the assumption-based MaxSAT optimizer: a
 // certified lexicographic cost-then-power minimization over the whole
 // case-study catalog (the cache is primed off the clock, so it measures

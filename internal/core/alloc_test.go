@@ -135,15 +135,16 @@ func TestSearchEffortBudget(t *testing.T) {
 // cache-hit query. A warm Synthesize clones the compiled base (a
 // handful of flat slab copies, not one allocation per clause or per
 // watch list) and re-solves under assumptions, so its allocation count
-// is small and stable: 65 allocs/run on the mini KB, down from 132 when
+// is small and stable: 62 allocs/run on the mini KB, down from 132 when
 // every watch list was its own slice and the first watch move onto each
-// list reallocated it. The budget has ~1.2x headroom; blowing past it
+// list reallocated it, and from 65 before the clone was laid out once
+// with its selectors. The budget has ~1.2x headroom; blowing past it
 // means a structural regression (per-clause or per-list heap objects
 // creeping back, clone losing its slab packing, per-query encode work
 // on the warm path) that BenchmarkQuery1 would only surface at the next
 // manual bench run.
 func TestWarmQueryAllocBudget(t *testing.T) {
-	const budget = 78
+	const budget = 72
 
 	e := mustEngine(t, miniKB())
 	sc := Scenario{}
@@ -352,10 +353,11 @@ func TestOptimizeAllocBudget(t *testing.T) {
 }
 
 // TestCloneAllocBudget pins the bytes a warm query allocates on each
-// query shape the serve_warm benchmark sends: the inference_app and
-// q1-grown syntheses, the Q3 synthesis without pooling and the PFC +
-// flooding explanation. The inline Clone of the cached base is most of
-// those bytes. Before Clone gave the arena and the watcher slab headroom,
+// query class the serve_warm benchmark sends: the inference_app and
+// q1-grown syntheses, the Q3 what-if (a synthesis without pooling and
+// one with), the PFC + flooding explanation and the check of the
+// inference_app witness. The Clone of the cached base is most of those
+// bytes. Before Clone gave the arena and the watcher slab headroom,
 // specialize's first AddClause copied the whole arena again and the
 // explanation's searches regrew the watch lists, so these queries
 // allocated 1.24–1.34 MB (910 KB for inference_app); with the headroom
@@ -366,56 +368,106 @@ func TestOptimizeAllocBudget(t *testing.T) {
 // 393, 364 and 395 KB, and with the frozen base's problem binaries in an
 // implication table the clones share instead of copying (an
 // inference_app clone slab of 50 KB instead of 184 KB) 260, 279, 225
-// and 256 KB. The budgets have ~15% headroom. The test also checks that
-// specialize adds its selector clauses inside the arena and watcher-slab
-// headroom Clone leaves, and that the optimize_warm classes' searches
-// stay inside the watcher-slab headroom (it logs whether they regrow the
-// arena).
+// and 256 KB (254, 272, 218 and 256 KB later, with the what-if at 437
+// KB and the check at 361 KB, its 57 selectors doubling the clone's
+// per-variable slices). With each clone laid out once at its final
+// size, with no learnt room for these query kinds, they measure 205,
+// 224 and 164 KB, the what-if 329 KB, the explanation 209 KB and the
+// check 189 KB. The budgets have ~15% headroom.
+//
+// The test also checks that each class's clone is laid out once for its
+// query: specialize's variables and clauses land in storage sized for
+// them, so the per-variable slices and the arena hold no spare capacity
+// a regrowth would have left (these kinds get no learnt room), and the
+// watcher slab holds only the room sat.MoveRoom gives. And it checks that the optimize_warm classes' searches
+// stay inside the watcher-slab room their clones get (it logs whether
+// they regrow the arena).
 func TestCloneAllocBudget(t *testing.T) {
 	scs := section51Scenarios()
 	pfc := Scenario{
 		Workloads: []string{"inference_app"},
 		Context:   map[string]bool{"pfc_enabled": true, "flooding_enabled": true, "deadline_tight": true},
 	}
-	budgets := []struct {
-		name   string
-		sc     Scenario
-		budget uint64 // bytes per query
-	}{
-		{"inference_app", scs["inference_app"], 300_000},
-		{"q1-grown", scs["q1-grown"], 321_000},
-		{"q3-no-pooling", scs["q3-no-pooling"], 260_000},
-		{"pfc-explain", pfc, 295_000},
-	}
 	e := mustEngine(t, caseStudyKB())
+	witness, err := e.Synthesize(scs["inference_app"])
+	if err != nil || witness.Design == nil {
+		t.Fatalf("inference_app witness: %v", err)
+	}
+	synth := func(sc Scenario) func() error {
+		return func() error { _, err := e.Synthesize(sc); return err }
+	}
+	type instance struct {
+		query string
+		sc    Scenario
+		bind  func(*kb.KB, *Scenario) error
+	}
+	budgets := []struct {
+		name      string
+		instances []instance // the clones one query makes
+		run       func() error
+		budget    uint64 // bytes per query
+	}{
+		{"inference_app", []instance{{"synthesize", scs["inference_app"], nil}},
+			synth(scs["inference_app"]), 235_000},
+		{"q1-grown", []instance{{"synthesize", scs["q1-grown"], nil}},
+			synth(scs["q1-grown"]), 258_000},
+		{"q3-no-pooling", []instance{{"synthesize", scs["q3-no-pooling"], nil}},
+			synth(scs["q3-no-pooling"]), 189_000},
+		{"whatif-q3-pooling", []instance{{"synthesize", scs["q3-no-pooling"], nil}, {"synthesize", scs["q3-pooling"], nil}},
+			func() error {
+				if _, err := e.Synthesize(scs["q3-no-pooling"]); err != nil {
+					return err
+				}
+				_, err := e.Synthesize(scs["q3-pooling"])
+				return err
+			}, 379_000},
+		{"pfc-explain", []instance{{"explain", pfc, nil}},
+			func() error { _, err := e.Explain(pfc); return err }, 240_000},
+		{"check-witness", []instance{{"check", scs["inference_app"], witness.Design.pin}},
+			func() error { _, err := e.Check(*witness.Design, scs["inference_app"]); return err }, 217_000},
+	}
 	for _, b := range budgets {
-		sc := b.sc
-		if _, err := e.Synthesize(sc); err != nil { // warm the base
+		if err := b.run(); err != nil { // warm the bases
 			t.Fatal(err)
 		}
-		st := e.CacheStats()
-		base, err := e.baseFor(e.revision(), &sc, false)
-		if now := e.CacheStats(); err != nil || now.Hits != st.Hits+1 || now.Misses != st.Misses {
-			t.Fatalf("%s: base not cached (err %v, stats %+v then %+v)", b.name, err, st, now)
-		}
-		s := base.solver.Clone()
-		_, before := s.ArenaWords()
-		_, slabBefore := s.WatchSlab()
-		base.specialize(&sc, s)
-		if used, after := s.ArenaWords(); after != before {
-			t.Errorf("%s: specialize regrew the clone's arena from %d to %d words (%d used)",
-				b.name, before, after, used)
-		}
-		if used, after := s.WatchSlab(); after != slabBefore {
-			t.Errorf("%s: specialize regrew the clone's watcher slab from %d to %d watchers (%d used)",
-				b.name, slabBefore, after, used)
+		for _, in := range b.instances {
+			sc := in.sc
+			rev := e.revision()
+			if in.bind != nil {
+				if err := in.bind(rev.kb, &sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := e.CacheStats()
+			base, err := e.baseFor(rev, &sc, false)
+			if now := e.CacheStats(); err != nil || now.Hits != st.Hits+1 || now.Misses != st.Misses {
+				t.Fatalf("%s: base not cached (err %v, stats %+v then %+v)", b.name, err, st, now)
+			}
+			c, err := e.instance(rev, in.query, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c.solver
+			if n, capacity := s.NumVars(), s.VarCapacity(); capacity != n {
+				t.Errorf("%s: the clone's per-variable slices hold %d variables in a capacity of %d", b.name, n, capacity)
+			}
+			if used, capacity := s.ArenaWords(); capacity != used {
+				t.Errorf("%s: the clone's arena holds %d words in a capacity of %d", b.name, used, capacity)
+			}
+			// sat.MoveRoom: a quarter of the base's slab plus 256 watchers
+			// for the lists the search moves.
+			baseSlab, _ := base.solver.WatchSlab()
+			if used, capacity := s.WatchSlab(); capacity-used != baseSlab/4+256 {
+				t.Errorf("%s: the clone's watcher slab holds %d watchers in a capacity of %d, want %d spare",
+					b.name, used, capacity, baseSlab/4+256)
+			}
 		}
 
 		const runs = 20
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < runs; i++ {
-			if _, err := e.Synthesize(sc); err != nil {
+			if err := b.run(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -463,14 +515,13 @@ func TestCloneAllocBudget(t *testing.T) {
 		if _, err := e.Optimize(sc, objs); err != nil { // warm the base
 			t.Fatal(err)
 		}
-		base, err := e.baseFor(e.revision(), &sc, false)
+		c, err := e.instance(e.revision(), "optimize", &sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := base.solver.Clone()
+		s := c.solver
 		_, arenaRoom := s.ArenaWords()
 		_, slabRoom := s.WatchSlab()
-		c := base.specialize(&sc, s)
 		g := govern(context.Background(), "optimize", Budget{})
 		g.adopt(c.solver)
 		_, err = e.optimize(c, g, objs)

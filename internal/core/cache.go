@@ -260,20 +260,37 @@ func (e *Engine) cachedLocked(gen uint64, key string) *compiled {
 
 // instance produces the per-query compiled instance at revision rev for
 // a query of the given kind: the base baseFor resolves, sliced as
-// Engine.slices decides, cloned, and the clone specialized with the
-// query's own selectors. A clone searches exactly as its base does, so
-// cached and uncached queries answer byte-identically. The engine keeps
-// no clones: one that a query panics on, trips a budget in or abandons
-// is left to the GC, so quarantine is structural — a dirtied solver has
-// no path back to a later query.
+// Engine.slices decides, cloned with the query's own selectors
+// specialized onto the clone as its load, so the clone is laid out once
+// at its final size with the room the kind needs (see cloneRoom). A
+// clone searches exactly as its base does, so cached and uncached
+// queries answer byte-identically. The engine keeps no clones: one that
+// a query panics on, trips a budget in or abandons is left to the GC, so
+// quarantine is structural — a dirtied solver has no path back to a
+// later query.
 func (e *Engine) instance(rev revision, query string, sc *Scenario) (*compiled, error) {
 	base, err := e.baseFor(rev, sc, e.slices(query, rev.kb))
 	if err != nil {
 		return nil, err
 	}
-	s := base.solver.Clone()
+	var c *compiled
+	s := base.solver.Clone(cloneRoom(query), func(s *sat.Solver) { c = base.specialize(sc, s) })
 	s.SetFaultHook(rev.fault)
-	return base.specialize(sc, s), nil
+	return c, nil
+}
+
+// cloneRoom is the spare storage a query of the given kind gets on its
+// clone for the clauses its searches learn. Synthesis, check and
+// explanation decide under the selectors and at most minimize a
+// conflict, learning little, so they get none and grow on demand;
+// optimization, Pareto, enumeration and suggestion run searches that
+// learn thousands of words and keep sat.LearntRoom.
+func cloneRoom(query string) sat.Room {
+	switch query {
+	case "synthesize", "check", "explain":
+		return sat.MoveRoom
+	}
+	return sat.LearntRoom
 }
 
 // Prewarm compiles the base a synthesis of the scenario uses (sliced
@@ -302,10 +319,12 @@ func (e *Engine) SetWorkers(n int) {}
 // specialize layers one query's requirements onto the compiled base:
 // context overrides and additions, Require groups, and pinned/forbidden
 // systems all become assumption-guarded selector clauses on the given
-// solver, the query's private clone of the base solver. The base is only
-// read, never written — the returned compiled owns the solver and a
-// fresh selector list, so concurrent queries over one base cannot
-// interfere.
+// solver, the query's private clone of the base solver. instance runs it
+// as the clone's load (see sat.Solver.Clone), so it only allocates
+// variables and adds clauses, and never reads the solver's state. The
+// base is only read, never written — the returned compiled owns the
+// solver and a fresh selector list, so concurrent queries over one base
+// cannot interfere.
 func (base *compiled) specialize(sc *Scenario, solver *sat.Solver) *compiled {
 	c := &compiled{
 		kb:          base.kb,

@@ -377,7 +377,9 @@ func (c *compiled) declareVars() {
 // pickCandidates resolves each kind's candidate SKUs, honouring scenario
 // restrictions and pins: the pinned SKU alone (none when the pin names
 // no SKU of the kind), else the allowed SKUs of the kind in the order
-// listed, else every SKU of the kind in catalog order.
+// first listed, each once, else every SKU of the kind in catalog order.
+// A SKU listed twice would otherwise be two candidates over one atom,
+// which the exactly-one selection could never choose.
 func (c *compiled) pickCandidates() {
 	for i, kind := range hardwareKinds {
 		if pinned, ok := c.sc.PinnedHardware[kind]; ok {
@@ -388,7 +390,7 @@ func (c *compiled) pickCandidates() {
 		}
 		if allowed, ok := c.sc.AllowedHardware[kind]; ok {
 			for _, name := range allowed {
-				if h := c.kb.HardwareByName(name); h != nil && h.Kind == kind {
+				if h := c.kb.HardwareByName(name); h != nil && h.Kind == kind && !slices.Contains(c.cands[i], h) {
 					c.cands[i] = append(c.cands[i], h)
 				}
 			}
@@ -404,8 +406,7 @@ func (c *compiled) pickCandidates() {
 // kind's selection, each system requirement class, each rule and each
 // pinned context atom, beside that atom. The compile sizes its
 // vocabulary and selector list by the counts, so they rarely regrow and
-// end no larger than growing would leave them. (A SKU the scenario
-// allows twice counts twice.)
+// end no larger than growing would leave them.
 func (c *compiled) namedAtomsAtLeast() (atoms, selectors int) {
 	selectors = len(hardwareKinds) + len(c.kb.Rules) + len(c.pinnedCtx)
 	for i := range c.kb.Systems {

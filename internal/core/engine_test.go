@@ -665,3 +665,29 @@ func TestRuleHardwareOutsideCandidates(t *testing.T) {
 		})
 	}
 }
+
+// TestSKUAllowedTwice: a scenario that allows one SKU twice allows it
+// once. The repeat used to make the SKU two candidates over one atom,
+// which the exactly-one selection could never choose, so the switch
+// list [Cisco, Cisco] was INFEASIBLE where [Cisco] is FEASIBLE. Both
+// must select the Cisco switch, sliced and unsliced.
+func TestSKUAllowedTwice(t *testing.T) {
+	const cisco = "Cisco Catalyst 9500-40X"
+	for _, mode := range slicings {
+		t.Run(mode.name, func(t *testing.T) {
+			e := slicingEngine(t, caseStudyKB(), mode.above)
+			for _, allowed := range [][]string{{cisco}, {cisco, cisco}} {
+				rep, err := e.Synthesize(Scenario{
+					Workloads:       []string{"inference_app"},
+					AllowedHardware: map[kb.HardwareKind][]string{kb.KindSwitch: allowed},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Verdict != Feasible || rep.Design.Hardware[kb.KindSwitch] != cisco {
+					t.Errorf("switches %q: verdict %v, design %+v; want FEASIBLE on %s", allowed, rep.Verdict, rep.Design, cisco)
+				}
+			}
+		})
+	}
+}

@@ -455,7 +455,7 @@ func TestKBMutationStalenessOrdering(t *testing.T) {
 	if st := e.CacheStats(); err != nil || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("baseFor should hit the cached base: %v (stats %+v)", err, st)
 	}
-	oldClone := base.solver.Clone()
+	oldClone := base.solver.Clone(sat.MoveRoom, nil)
 	oldBytes := snapshotBase(base, [32]byte{})
 
 	next := miniKB()

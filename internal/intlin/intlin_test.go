@@ -305,7 +305,7 @@ func TestAttachAcrossClone(t *testing.T) {
 	s.AddClause(b.EqConst(x, 13))
 	s.AddClause(b.EqConst(y, 6))
 
-	clone := s.Clone()
+	clone := s.Clone(sat.MoveRoom, nil)
 	cb := Attach(clone, b.True())
 	// New clauses against the cloned circuit must behave as in-process.
 	clone.AddClause(cb.GeqConst(sum, 19))

@@ -52,9 +52,9 @@ import (
 //     clause identity survives for free — a cref means the same clause in
 //     every copy, so watch lists and reason references copy verbatim with
 //     no forwarding marks, translation maps, or clone locks. The copy
-//     carries headroom, so the clauses a query adds append in place. A
-//     frozen solver's problem binaries are not copied at all: the
-//     implication table is shared.
+//     is sized for the clauses the query adds (see Clone), so they
+//     append in place. A frozen solver's problem binaries are not copied
+//     at all: the implication table is shared.
 //   - Snapshot: the slab serializes (and validates) directly.
 //
 // Deleted clauses leave garbage words behind; compactArena reclaims them
@@ -381,63 +381,133 @@ func (s *Solver) freezeBinaries() {
 // in place when it ends at the slab's tail and otherwise moves it to the
 // tail with twice the room; the run it leaves behind is garbage (counted
 // in wasted) until the slab fills and reclaim slides the lists down over
-// it, or compact lays every list out afresh. Moving a list never
+// it, or relayout lays every list out afresh. Moving a list never
 // reorders it, so propagation order, and hence the search, does not
 // depend on where a list sits.
+//
+// The table keeps the lists' slab order as it goes, so reclaim can walk
+// them in that order without sorting: the lists below fixed sit in
+// literal order, as relayout or reclaim laid them out, and every list
+// placed at the slab's tail since is logged in moved, in the order the
+// placements happened, which is slab order.
 type watchTable struct {
 	spans  []span
 	slab   []watcher
 	wasted int
-	// reclaims counts the reclaims since the slab last grew; byOff is
-	// reclaim's scratch, the nonempty lists keyed by offset.
+	// reclaims counts the reclaims since the slab last grew.
 	reclaims int
-	byOff    []uint64
+	// fixed is the end of the lists laid out in literal order; moved
+	// logs the literal of each list placed at or beyond it. A list's
+	// last entry is its current place; earlier ones are stale.
+	fixed uint32
+	moved []lit
 }
+
+// staleMove overwrites a stale entry of the log while pruneMoves runs,
+// and spanMarked marks a span's cap meanwhile: no literal or room comes
+// near either.
+const (
+	staleMove  = ^lit(0)
+	spanMarked = 1 << 31
+)
 
 // minWatchRoom is the room a list gets on its first push.
 const minWatchRoom = 2
 
-// push appends w to literal l's list. It may move the slab, so callers
-// holding a slice of the slab re-slice after the call; the other lists'
-// spans are unchanged.
+// minSlabGrowth is the fewest watchers a slab grows by, so a solver
+// built clause by clause from an empty table does not copy its slab
+// through a dozen tiny sizes first.
+const minSlabGrowth = 256
+
+// push appends w to literal l's list. It may move the slab and the lists
+// within it (see grow), so callers holding a slice of the slab or a span
+// re-read them after the call.
 func (t *watchTable) push(l lit, w watcher) {
 	sp := &t.spans[l]
 	if sp.n == sp.cap {
-		t.grow(sp)
+		t.grow(l)
 	}
 	t.slab[sp.off+sp.n] = w
 	sp.n++
 }
 
-// grow doubles the room of sp's full list: in place when the list ends
-// at the slab's tail, otherwise by moving it to the tail. When the slab
-// itself is full, reclaim first tries to make the room inside it;
-// failing that the slab doubles, so a search that moves many lists
+// grow doubles the room of l's full list (see resize). When the slab
+// itself lacks the space, reclaim first tries to make it inside the
+// slab; failing that the slab doubles, so a search that moves many lists
 // copies the slab once or twice rather than at every quarter of growth.
-// A list's room is never read before it is written, so extending into
-// the slab's spare capacity needs no zero-fill.
-func (t *watchTable) grow(sp *span) {
+// Either relocates other lists, never reordering one.
+func (t *watchTable) grow(l lit) {
+	sp := &t.spans[l]
 	room := sp.cap + max(sp.cap, minWatchRoom)
+	if int(t.growOffset(sp)+room) > cap(t.slab) {
+		t.reclaim(int(room))
+	}
+	t.resize(l, room)
+}
+
+// resize gives l's list room for room watchers, at least its length: in
+// place when the list ends at the slab's tail, otherwise by moving it to
+// the tail. When the slab lacks the space, relayout first copies the
+// lists into a new slab about twice as large (by minSlabGrowth at
+// least). A list's room is never read before it is written, so
+// extending into the slab's spare capacity needs no zero-fill.
+func (t *watchTable) resize(l lit, room uint32) {
+	sp := &t.spans[l]
 	off := t.growOffset(sp)
-	if int(off+room) > cap(t.slab) && t.reclaim(int(room)) {
+	if int(off+room) > cap(t.slab) {
+		t.relayout(max(len(t.slab), int(room), minSlabGrowth))
 		off = t.growOffset(sp)
 	}
-	end := int(off + room)
-	if end > cap(t.slab) {
-		t.slab = grown(t.slab, max(len(t.slab), end-len(t.slab)))
-		t.reclaims = 0
-	}
-	t.slab = t.slab[:end]
-	if off != sp.off {
+	t.slab = t.slab[:off+room]
+	if off != sp.off || sp.cap == 0 {
+		// A new placement at the tail: a list with no room yet may
+		// already sit there, but is not ordered until it is logged.
 		t.wasted += int(sp.cap)
 		copy(t.slab[off:], t.slab[sp.off:sp.off+sp.n])
+		t.logMove(l)
 	}
 	sp.off, sp.cap = off, room
 }
 
+// logMove records that l's list is being placed at the slab's tail. A
+// full log first drops its stale entries, so it holds at most about
+// twice as many entries as there are lists placed at the tail.
+func (t *watchTable) logMove(l lit) {
+	if len(t.moved) == cap(t.moved) {
+		t.pruneMoves()
+		if 2*len(t.moved) > cap(t.moved) {
+			t.moved = slices.Grow(t.moved, max(len(t.moved), 64))
+		}
+	}
+	t.moved = append(t.moved, l)
+}
+
+// pruneMoves drops the log's stale entries and those of lists left with
+// no room (see reclaim), keeping the rest in order. Walking back from
+// the end, the first entry met for a list is its last; the list's span
+// is marked meanwhile.
+func (t *watchTable) pruneMoves() {
+	for i := len(t.moved) - 1; i >= 0; i-- {
+		sp := &t.spans[t.moved[i]]
+		if sp.cap == 0 || sp.cap&spanMarked != 0 {
+			t.moved[i] = staleMove
+			continue
+		}
+		sp.cap |= spanMarked
+	}
+	kept := t.moved[:0]
+	for _, l := range t.moved {
+		if l != staleMove {
+			t.spans[l].cap &^= spanMarked
+			kept = append(kept, l)
+		}
+	}
+	t.moved = kept
+}
+
 // maxReclaims bounds the reclaims per slab capacity: a search whose
 // live watchers keep outgrowing the slab doubles it after that many,
-// so the reclaims' sorts stay a constant number per doubling.
+// so the reclaims' walks stay a constant number per doubling.
 const maxReclaims = 2
 
 // growOffset is where sp's list sits once grown: where it is when it
@@ -456,43 +526,39 @@ func (t *watchTable) growOffset(sp *span) uint32 {
 // growing list needs, at least a quarter of the capacity would be free,
 // and the slab has not been reclaimed maxReclaims times since it last
 // grew (otherwise the slab had better grow); it reports whether it ran.
-// Lists keep their order and all of their sp.n watchers, including any
-// beyond a walk's write index, so propagate re-reads its own list's
-// span after a push and carries on.
+// It walks the lists below fixed in literal order and then the logged
+// ones in log order, which together are slab order, so each slides down
+// over free space only. Lists keep their order and all of their sp.n
+// watchers, including any beyond a walk's write index, so propagate
+// re-reads its own list's span after a push and carries on.
 func (t *watchTable) reclaim(room int) bool {
 	if t.reclaims == maxReclaims {
 		return false
 	}
-	live, lists := 0, 0
-	for _, sp := range t.spans {
-		live += int(sp.n)
-		lists += min(int(sp.n), 1)
-	}
-	if free := cap(t.slab) - live; free < room || 4*free < cap(t.slab) {
+	if free := cap(t.slab) - t.live(); free < room || 4*free < cap(t.slab) {
 		return false
 	}
 	t.reclaims++
-	keys := t.byOff[:0]
-	if cap(keys) < lists {
-		keys = make([]uint64, 0, lists)
-	}
-	for li := range t.spans {
-		sp := &t.spans[li]
-		if sp.n == 0 {
-			*sp = span{}
-			continue
-		}
-		keys = append(keys, uint64(sp.off)<<32|uint64(li))
-	}
-	slices.Sort(keys)
 	w := uint32(0)
-	for _, k := range keys {
-		sp := &t.spans[uint32(k)]
+	slide := func(sp *span) {
 		copy(t.slab[w:], t.slab[sp.off:sp.off+sp.n])
 		sp.off, sp.cap = w, sp.n
 		w += sp.n
 	}
-	t.slab, t.wasted, t.byOff = t.slab[:w], 0, keys
+	for li := range t.spans {
+		switch sp := &t.spans[li]; {
+		case sp.n == 0:
+			*sp = span{} // no room: placed anew on its next push
+		case sp.off < t.fixed:
+			slide(sp)
+		}
+	}
+	t.fixed = w
+	t.pruneMoves()
+	for _, l := range t.moved {
+		slide(&t.spans[l])
+	}
+	t.slab, t.wasted = t.slab[:w], 0
 	return true
 }
 
@@ -502,22 +568,36 @@ func (t *watchTable) reclaim(room int) bool {
 // room by spare watchers, free space at the tail for lists that later
 // fill and move there. Lists keep their order.
 func (t *watchTable) compact(room []uint32, spare int) {
-	total := t.live()
-	for _, r := range room {
-		total += int(r)
+	for i := range t.spans {
+		sp := &t.spans[i]
+		sp.cap = sp.n
+		if room != nil {
+			sp.cap += room[i]
+		}
+	}
+	t.relayout(spare)
+	t.moved = nil
+}
+
+// relayout lays every list out back to back in literal order, each with
+// its room, in a fresh slab with spare watchers of free space at the
+// tail. It leaves the garbage runs behind, and the log restarts empty,
+// since every list is below fixed again. Lists keep their order.
+func (t *watchTable) relayout(spare int) {
+	total := 0
+	for _, sp := range t.spans {
+		total += int(sp.cap)
 	}
 	slab := make([]watcher, total, total+spare)
 	off := uint32(0)
 	for i := range t.spans {
 		sp := &t.spans[i]
 		copy(slab[off:], t.slab[sp.off:sp.off+sp.n])
-		sp.off, sp.cap = off, sp.n
-		if room != nil {
-			sp.cap += room[i]
-		}
+		sp.off = off
 		off += sp.cap
 	}
 	t.slab, t.wasted, t.reclaims = slab, 0, 0
+	t.fixed, t.moved = off, t.moved[:0]
 }
 
 // live counts the watchers in all lists.
@@ -529,19 +609,50 @@ func (t *watchTable) live() int {
 	return n
 }
 
-// clone copies spans and slab verbatim, with room for extraSpans more
-// literals. The slab gets headroom for what one query adds: half its
-// length plus 1024 watchers. A list the query's search pushes onto moves
-// to the tail with twice its room, and once the headroom is used up
-// reclaim recycles the runs the moves left behind, so the §5.1 cost and
-// lexicographic optimizations run without copying the slab again.
-// Headroom alone would have to be far larger: without reclaim, the
-// busiest of them leaves a 3,522-watcher slab 9,192 watchers long. It is
-// read-only on t.
-func (t *watchTable) clone(extraSpans int) watchTable {
+// clone copies spans and slab verbatim, with capacity for the spans of
+// lits literals. watched lists, sorted, the lists the clone's first
+// clauses will be pushed onto, one entry per watcher at most: the slab
+// gets the space to give each of those lists room for its entries (see
+// makeRoom), plus spare watchers. It is read-only on t.
+func (t *watchTable) clone(lits int, watched []lit, spare int) watchTable {
+	extra := spare
+	eachRun(watched, func(l lit, r uint32) {
+		if int(l) >= len(t.spans) {
+			extra += int(r)
+		} else if sp := t.spans[l]; sp.cap-sp.n < r {
+			extra += int(sp.n + r)
+		}
+	})
 	return watchTable{
-		spans:  grown(t.spans, extraSpans),
-		slab:   grown(t.slab, len(t.slab)/2+1024),
+		spans:  grown(t.spans, lits-len(t.spans)),
+		slab:   grown(t.slab, extra),
 		wasted: t.wasted,
+		fixed:  t.fixed,
+		moved:  slices.Clone(t.moved),
+	}
+}
+
+// makeRoom gives every list in watched, sorted, room for as many more
+// watchers as it has entries there, moving a list to the slab's tail
+// only when it lacks that room. Within the space clone reserved for the
+// same watched, it does not grow the slab.
+func (t *watchTable) makeRoom(watched []lit) {
+	eachRun(watched, func(l lit, r uint32) {
+		if sp := t.spans[l]; sp.cap-sp.n < r {
+			t.resize(l, sp.n+r)
+		}
+	})
+}
+
+// eachRun calls fn once per distinct literal of the sorted ls, with the
+// number of times it occurs.
+func eachRun(ls []lit, fn func(l lit, r uint32)) {
+	for i := 0; i < len(ls); {
+		j := i + 1
+		for j < len(ls) && ls[j] == ls[i] {
+			j++
+		}
+		fn(ls[i], uint32(j-i))
+		i = j
 	}
 }

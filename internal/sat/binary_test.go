@@ -117,7 +117,7 @@ func TestBinaryHeavyDifferential(t *testing.T) {
 		if src.bins == nil {
 			t.Fatalf("seed %d: ResetRun left no implication table", seed)
 		}
-		clone := src.Clone()
+		clone := src.Clone(LearntRoom, nil)
 		if clone.bins != src.bins {
 			t.Fatalf("seed %d: the clone copied the implication table instead of sharing it", seed)
 		}

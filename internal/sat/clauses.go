@@ -1,16 +1,21 @@
 package sat
 
 // Clauses is an ordered stream of clauses, each stored once: a clause's
-// literals followed by a 0, in chunks of clauseChunk literals that are
-// never copied to grow. A compiler writes an instance into one stream,
-// and Bulk lays the stream out in a solver without copying it again.
-// The zero value is an empty stream.
+// literals followed by a 0, in chunks that are never copied to grow. A
+// compiler writes an instance into one stream, and Bulk lays the stream
+// out in a solver without copying it again. The zero value is an empty
+// stream.
 type Clauses struct {
 	chunks [][]Lit
 }
 
-// clauseChunk is the size, in literals, of a stream's chunks.
-const clauseChunk = 4096
+// A stream's first chunk holds firstChunk literals and every later one
+// clauseChunk: a query's few clauses fit the first, a compile's
+// thousands fill the later ones.
+const (
+	firstChunk  = 256
+	clauseChunk = 4096
+)
 
 // Add appends the clause lits to the stream. The empty clause makes an
 // instance loaded from the stream unsatisfiable.
@@ -27,7 +32,11 @@ func (cs *Clauses) Add(lits ...Lit) {
 func (cs *Clauses) add(lits []Lit) {
 	n := len(cs.chunks)
 	if n == 0 || len(cs.chunks[n-1])+len(lits)+1 > cap(cs.chunks[n-1]) {
-		cs.chunks = append(cs.chunks, make([]Lit, 0, max(clauseChunk, len(lits)+1)))
+		size := firstChunk
+		if n > 0 {
+			size = clauseChunk
+		}
+		cs.chunks = append(cs.chunks, make([]Lit, 0, max(size, len(lits)+1)))
 		n++
 	}
 	cs.chunks[n-1] = append(append(cs.chunks[n-1], lits...), 0)

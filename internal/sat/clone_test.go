@@ -66,7 +66,7 @@ func deletedLearnts(s *Solver) bool {
 func TestCloneSolvesIdentically(t *testing.T) {
 	a := NewSolver()
 	satInstance(a)
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 
 	stA := a.Solve()
 	stB := b.Solve()
@@ -84,7 +84,7 @@ func TestCloneSolvesIdentically(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := NewSolver()
 	satInstance(a)
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 
 	// Constrain only the clone; the original must keep its solutions.
 	b.AddClause(-1)
@@ -98,7 +98,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 
 	// And the reverse: solving the original must not disturb a new clone.
-	c := a.Clone()
+	c := a.Clone(LearntRoom, nil)
 	a.AddClause(-1)
 	if st := c.Solve(); st != Sat {
 		t.Fatalf("clone after original mutated: got %v, want Sat", st)
@@ -119,7 +119,7 @@ func TestCloneAfterSolveContinuesIdentically(t *testing.T) {
 	if st := b.Solve(); st != Sat {
 		t.Fatalf("setup: got %v, want Sat", st)
 	}
-	c := b.Clone()
+	c := b.Clone(LearntRoom, nil)
 	assumps := []Lit{-1, 7}
 	stB := b.SolveAssuming(assumps)
 	stC := c.SolveAssuming(assumps)
@@ -136,7 +136,7 @@ func TestCloneFinalConflictMatches(t *testing.T) {
 	a.EnsureVars(4)
 	a.AddClause(-1, -2) // assuming 1 and 2 together is contradictory
 	a.AddClause(3, 4)
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 
 	assumps := []Lit{1, 2, 3}
 	if st := a.SolveAssuming(assumps); st != Unsat {
@@ -161,7 +161,7 @@ func TestCloneResetsRunState(t *testing.T) {
 	}
 
 	// The clone must not inherit the interrupt, the budgets, or the stats.
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 	if st := b.Solve(); st != Sat {
 		t.Fatalf("clone of interrupted solver: got %v, want Sat (interrupt must not be inherited)", st)
 	}
@@ -169,7 +169,7 @@ func TestCloneResetsRunState(t *testing.T) {
 		t.Fatalf("clone StopCause: got %v, want StopNone", b.StopCause())
 	}
 
-	c := a.Clone()
+	c := a.Clone(LearntRoom, nil)
 	if got := c.Stats(); got != (Stats{}) {
 		t.Fatalf("clone stats not zeroed: %+v", got)
 	}
@@ -180,7 +180,7 @@ func TestCloneWithDeletedClauses(t *testing.T) {
 	if !deletedLearnts(a) {
 		t.Fatalf("setup left no deleted clauses in the arena (deleted %d)", a.Stats().Deleted)
 	}
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 	stA, stB := a.Solve(), b.Solve()
 	if stA != Sat || stB != Sat {
 		t.Fatalf("with deleted clauses: original %v, clone %v; want Sat, Sat", stA, stB)
@@ -203,14 +203,14 @@ func TestClonePanicsAboveLevelZero(t *testing.T) {
 			t.Fatalf("Clone above level 0 did not panic")
 		}
 	}()
-	s.Clone()
+	s.Clone(LearntRoom, nil)
 }
 
 func TestCloneUnsatisfiableInstance(t *testing.T) {
 	a := NewSolver()
 	a.AddClause(1)
 	a.AddClause(-1) // top-level contradiction: okay=false
-	b := a.Clone()
+	b := a.Clone(LearntRoom, nil)
 	if st := b.Solve(); st != Unsat {
 		t.Fatalf("clone of contradictory instance: got %v, want Unsat", st)
 	}
@@ -239,7 +239,7 @@ func TestCloneSearchesIdenticallyUnderRelocation(t *testing.T) {
 		src.SetBudget(0, 0)
 		src.ResetRun()
 
-		clone := src.Clone()
+		clone := src.Clone(LearntRoom, nil)
 		_, arenaRoom := clone.ArenaWords()
 		slabRoom := cap(clone.watches.slab)
 		runs := []struct {
@@ -299,7 +299,7 @@ func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 	frozen := base.Snapshot()
 
 	assumps := []Lit{-1, 2}
-	ref := base.Clone()
+	ref := base.Clone(LearntRoom, nil)
 	if base.bins == nil || ref.bins != base.bins {
 		t.Fatal("the clone does not share the frozen solver's implication table")
 	}
@@ -317,7 +317,7 @@ func TestConcurrentClonesOfFrozenSolver(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				c := base.Clone()
+				c := base.Clone(LearntRoom, nil)
 				if c.bins != base.bins {
 					errs <- fmt.Errorf("a concurrent clone does not share the implication table")
 				}
@@ -354,7 +354,7 @@ func BenchmarkClone(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base.Clone()
+		base.Clone(LearntRoom, nil)
 	}
 }
 

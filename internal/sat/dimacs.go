@@ -83,6 +83,7 @@ func LoadDIMACS(r io.Reader, s *Solver) error {
 // in list order. ResetRun keeps that order, so freezing a solver does
 // not change its output.
 func WriteDIMACS(w io.Writer, s *Solver) error {
+	s.settle()
 	bw := bufio.NewWriter(w)
 	live := 0
 	for _, c := range s.clauses {

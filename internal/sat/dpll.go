@@ -4,7 +4,6 @@ package sat
 // unit propagation, chronological backtracking, and (optionally) the same
 // branching heuristics. Used by the "no learning" ablation benchmark.
 func (s *Solver) solveDPLL() Status {
-	defer s.cancelUntil(0)
 	// flippedAt[d] reports whether the decision opening level d+1 has
 	// already been tried in both phases.
 	s.flipped = s.flipped[:0]

@@ -23,6 +23,7 @@ type searchState struct {
 
 func searchStateOf(t *testing.T, s *Solver) searchState {
 	t.Helper()
+	s.settle() // the fields below hold a finished solve's assignment until then
 	var cnf bytes.Buffer
 	if err := WriteDIMACS(&cnf, s); err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestResetRunKeepsSearchPrior(t *testing.T) {
 			t.Fatalf("instance %d: a second ResetRun changed the solver", i)
 		}
 
-		c := s.Clone()
+		c := s.Clone(LearntRoom, nil)
 		got, gotClone := s.Solve(), c.Solve()
 		if got != gotClone || s.Stats() != c.Stats() {
 			t.Fatalf("instance %d: reset solver %v %+v, its clone %v %+v",

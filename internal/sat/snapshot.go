@@ -33,6 +33,7 @@ const snapshotVersion = 5
 // attached DRAT proof, and all Options (including any fault hook) are
 // absent from the snapshot.
 func (s *Solver) Snapshot() []byte {
+	s.settle()
 	if s.decisionLevel() != 0 {
 		panic("sat: Snapshot called above decision level 0")
 	}

@@ -56,7 +56,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 			if again := s.Snapshot(); !bytes.Equal(snap, again) {
 				t.Fatalf("two snapshots of one state differ (%d vs %d bytes)", len(snap), len(again))
 			}
-			if cloned := s.Clone().Snapshot(); !bytes.Equal(snap, cloned) {
+			if cloned := s.Clone(LearntRoom, nil).Snapshot(); !bytes.Equal(snap, cloned) {
 				t.Fatalf("a clone serializes differently (%d vs %d bytes)", len(snap), len(cloned))
 			}
 		})
@@ -69,7 +69,7 @@ func TestSnapshotIndependence(t *testing.T) {
 	a := NewSolver()
 	satInstance(a)
 	before := a.Snapshot()
-	clone := a.Clone()
+	clone := a.Clone(LearntRoom, nil)
 	clone.AddClause(-1)
 	clone.AddClause(-2)
 	clone.AddClause(-3)

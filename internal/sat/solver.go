@@ -190,6 +190,9 @@ type Solver struct {
 	// Inside Bulk, AddClause appends each clause to the stream Bulk
 	// loads instead of adding it; nil outside Bulk.
 	bulk *Clauses
+	// unsettled is set when a solve returned above decision level 0: its
+	// final backtrack waits for the solver's next call (see settle).
+	unsettled bool
 	// Arena-compaction scratch: the old→new offset tables (see
 	// compactArena), recycled across compactions.
 	gcOld []cref
@@ -276,15 +279,17 @@ func (s *Solver) Stats() Stats { return s.stats }
 // point of a compiled base: it moves every problem binary out of the
 // watch lists into a new read-only implication table (see implTable),
 // which the solver's clones share instead of copying, clips the clause
-// arena to its length and lays the remaining watch lists out back to
-// back in a slab of exactly their size, so a frozen solver keeps no
-// spare room (Bulk's learnt room included) or garbage for a Clone to
-// copy; each clone gets its own headroom. Propagation visits a literal's
-// shared implications before its watch list, so the search after
-// ResetRun differs from the one before it. After ResetRun the solver itself runs the same search its
-// Clone would, and reports only its own later work. Must be called at
-// decision level 0.
+// arena and the trail to their lengths and lays the remaining watch
+// lists out back to back in a slab of exactly their size, so a frozen
+// solver keeps no spare room (Bulk's learnt room included) or garbage
+// for a Clone to copy or a cache to retain; each clone is laid out with
+// its own room. Propagation visits a literal's shared implications
+// before its watch list, so the search after ResetRun differs from the
+// one before it. After ResetRun the solver itself runs the same search
+// its Clone would, and reports only its own later work. Must be called
+// at decision level 0.
 func (s *Solver) ResetRun() {
+	s.settle()
 	if s.decisionLevel() != 0 {
 		panic("sat: ResetRun called above decision level 0")
 	}
@@ -300,6 +305,9 @@ func (s *Solver) ResetRun() {
 	if cap(s.ca.data) > len(s.ca.data) {
 		s.ca.data = grown(s.ca.data, 0)
 	}
+	if cap(s.trail) > len(s.trail) {
+		s.trail = grown(s.trail, 0)
+	}
 	s.freezeBinaries()
 	s.watches.compact(nil, 0)
 }
@@ -307,6 +315,7 @@ func (s *Solver) ResetRun() {
 // NewVar allocates a fresh variable and returns its index (≥ 1). Inside
 // a Bulk load it only counts the variable; Bulk stores it (see Bulk).
 func (s *Solver) NewVar() int {
+	s.settle()
 	s.nVars++
 	if s.bulk == nil {
 		if len(s.level) == cap(s.level) {
@@ -326,6 +335,7 @@ func (s *Solver) NewVar() int {
 // grow) instead of doubling each through thousands of appends. Inside a
 // Bulk load it only counts them, like NewVar.
 func (s *Solver) EnsureVars(n int) {
+	s.settle()
 	if n <= s.nVars {
 		return
 	}
@@ -419,6 +429,7 @@ const (
 // variable's index. load must not solve, clone or snapshot the solver,
 // nor read a variable's state.
 func (s *Solver) Bulk(cs *Clauses, load func()) {
+	s.settle()
 	s.bulk = cs
 	defer func() { s.bulk, *cs = nil, Clauses{} }()
 	load()
@@ -462,6 +473,7 @@ func (s *Solver) Bulk(cs *Clauses, load func()) {
 // Returns false if the clause makes the instance unsatisfiable at the top
 // level (the solver remains usable; Solve will report Unsat).
 func (s *Solver) AddClause(lits ...Lit) bool {
+	s.settle()
 	if !s.okay {
 		return false
 	}
@@ -618,13 +630,32 @@ func (s *Solver) Solve() Status { return s.SolveAssuming(nil) }
 // On Unsat, FinalConflict reports the subset of assumptions used. On
 // Unknown, StopCause reports which limit stopped the solve.
 func (s *Solver) SolveAssuming(assumps []Lit) Status {
+	s.settle()
 	st := s.solveAssuming(assumps)
 	if st == Unknown {
 		s.stopCause = s.unknownCause()
 	} else {
 		s.stopCause = StopNone
 	}
+	s.unsettled = s.decisionLevel() > 0
 	return st
+}
+
+// settle completes the backtrack to decision level 0 that the last solve
+// left due. A solve returns with its final assignment still on the
+// trail, and the entry points that read or change the assignment, the
+// trail or the order heap (AddClause, NewVar, EnsureVars, Bulk,
+// SolveAssuming, Clone, Snapshot, ResetRun and WriteDIMACS) settle it
+// first, so every later step is the one an eager backtrack would have
+// led to. A query solver dropped after its last solve never pays for
+// putting each assigned variable back into the heap. A frozen base is
+// settled by ResetRun and never solved again, so concurrent clones only
+// read it.
+func (s *Solver) settle() {
+	if s.unsettled {
+		s.unsettled = false
+		s.cancelUntil(0)
+	}
 }
 
 func (s *Solver) solveAssuming(assumps []Lit) Status {
@@ -665,8 +696,6 @@ func (s *Solver) solveAssuming(assumps []Lit) Status {
 			s.maxLearnts = 1000
 		}
 	}
-	defer s.cancelUntil(0)
-
 	var curRestarts int64
 	for {
 		budget := restartBase * luby(2, curRestarts)
