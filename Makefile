@@ -56,8 +56,7 @@ bench-diff:
 	$(GO) run ./cmd/benchjson -diff "$$(ls BENCH_PR*.json | sort -V | tail -1)" < /tmp/netarch-bench.txt
 
 # alloc-budget pins the hot-path allocation budgets (zero-alloc
-# propagate, zero-alloc Simplify of a simplified formula, totalizers
-# built without a heap slice per clause, bounded warm cache-hit queries,
+# propagate, totalizers built without a heap slice per clause, bounded warm cache-hit queries,
 # serve_warm-shaped queries and cost optimizations, bounded cold
 # compiles, compile-time probes that fit the room Bulk reserves,
 # frozen bases with no spare capacity and a bounded case-study KB
@@ -65,8 +64,8 @@ bench-diff:
 # (variable and clause counts) so
 # allocation and base-growth regressions fail the gate even though
 # `test` also covers them.
-ALLOC_RUN = TestPropagateAllocFree|TestSimplifyAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget|TestKBLoadAllocBudget
-ALLOC_PKGS = ./internal/sat ./internal/logic ./internal/cardinality ./internal/core ./internal/kb
+ALLOC_RUN = TestPropagateAllocFree|TestTotalizerAllocs|TestWarmQueryAllocBudget|TestCloneAllocBudget|TestOptimizeAllocBudget|TestCompileAllocBudget|TestProbeFitsRoom|TestBaseSizeBudget|TestSearchEffortBudget|TestKBLoadAllocBudget
+ALLOC_PKGS = ./internal/sat ./internal/cardinality ./internal/core ./internal/kb
 alloc-budget:
 	$(GO) test -run='$(ALLOC_RUN)' -count=1 $(ALLOC_PKGS)
 
@@ -121,10 +120,9 @@ differential:
 # fuzz-smoke runs the fuzz targets briefly so each untrusted-input or
 # property contract is exercised on every gate, not only in dedicated
 # fuzz sessions: the MaxSAT bounds fuzzer (random weighted objectives
-# must yield exact, witnessed, unbeatable optima), the Simplify fuzzer
-# (idempotent,
-# equivalent under every assignment, equal to the String()-keyed oracle),
-# the arithmetic fuzzer (random sums and products over constant and
+# must yield exact, witnessed, unbeatable optima), the CNF conversion
+# fuzzer (under every assignment of a formula's atoms, Convert's clauses
+# are satisfiable exactly when the formula is true), the arithmetic fuzzer (random sums and products over constant and
 # free operands must evaluate to the integer result), the KB JSON
 # fuzzer (kb.Load must decode and validate arbitrary bytes or return an
 # error, never panic, and kb.Decode must agree with encoding/json), the
@@ -135,7 +133,7 @@ differential:
 # fuzzers (dsl.ParseString and dsl.ParseExpr must reject arbitrary text
 # with an error or accept it and survive a Format/Parse round trip,
 # never panic).
-FUZZ_SMOKE = ./internal/logic:FuzzSimplify ./internal/intlin:FuzzArith ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
+FUZZ_SMOKE = ./internal/logic:FuzzConvert ./internal/intlin:FuzzArith ./internal/core:FuzzMaxSATBounds ./internal/kb:FuzzLoadKB ./internal/serve:FuzzParseChaos ./internal/serve:FuzzServeQuery ./internal/serve:FuzzServeReload ./internal/dsl:FuzzParseString ./internal/dsl:FuzzParseExpr
 FUZZ_FLAGS_FuzzServeReload = -fuzzminimizetime=1s
 FUZZ_FLAGS_FuzzLoadKB = -fuzzminimizetime=1s
 fuzz-pkg = $(firstword $(subst :, ,$(1)))

@@ -171,8 +171,8 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 // TestCompileAllocBudget pins the allocations and the bytes of one cold
 // compile of the §5.1 inference_app base and of the q1-grown base, which
 // has the longest at-most-one ladder and the largest probe (formula
-// build, simplification, Tseitin conversion, arithmetic circuits and the
-// compile-time probe). Keying Simplify's dedup and the Tseitin cache by
+// build, Tseitin conversion, arithmetic circuits and the compile-time
+// probe). Keying the formula simplifier's dedup and the Tseitin cache by
 // rendered strings cost ~86k allocations per inference_app compile; with
 // structural hashes it measured 37,341, with the watch lists in one
 // watcher slab instead of a slice per literal 24,496, with the
@@ -185,19 +185,22 @@ func TestWarmQueryAllocBudget(t *testing.T) {
 // regrew the exactly full watcher slab and arena; with Bulk sizing all
 // three once, the probe's room included, it measured 1,703,696 B (8,994
 // allocs). With no shard hashing, the merge renaming shard clauses in
-// place instead of copying them into a fresh slab, Simplify's wide-node
-// tables on the stack and the Tseitin converter keeping its n-ary
-// clauses without a second copy, it measured 1,490,680 B (8,271 allocs),
-// and converting every assertion into one shared CNF, 1,474,302 B (8,480
-// allocs; q1-grown 1,437,396 B, 8,124 allocs). Writing the constraints
-// that already are clauses (the ladder, the capability definitions, the
-// guarded units, binaries and disjunctions, the one-literal system
-// requirements) straight into one clause stream that Bulk lays out
-// without a copy, converting only the rest, sizing the vocabulary, the
-// selectors and each kind's candidate list once, and indexing in the
-// vocabulary only the names something looks up, it measures 842,016 B
-// and 2,087 allocs (q1-grown 843,276 B, 2,081 allocs; 851,286 B and
-// 2,184 allocs under the race detector). The allocation
+// place instead of copying them into a fresh slab, the simplifier's
+// wide-node tables on the stack and the Tseitin converter keeping its
+// n-ary clauses without a second copy, it measured 1,490,680 B (8,271
+// allocs), and converting every assertion into one shared CNF,
+// 1,474,302 B (8,480 allocs; q1-grown 1,437,396 B, 8,124 allocs).
+// Writing the constraints that already are clauses (the ladder, the
+// capability definitions, the guarded units, binaries and disjunctions,
+// the one-literal system requirements) straight into one clause stream
+// that Bulk lays out without a copy, converting only the rest, sizing
+// the vocabulary, the selectors and each kind's candidate list once, and
+// indexing in the vocabulary only the names something looks up, it
+// measured 842,016 B and 2,087 allocs (q1-grown 843,276 B, 2,081
+// allocs). Converting without the simplifier, the structural hash and
+// the Tseitin cache, which rewrote nothing the compile converts, it
+// measures 829,190 B and 2,013 allocs (q1-grown 831,214 B, 2,007 allocs;
+// 843,235 B and 2,094 allocs under the race detector). The allocation
 // budgets have ~21% headroom and the byte budgets ~10%, so a formula
 // built for a constraint that is a clause, or storage that is sized or
 // copied twice, fails the gate.
@@ -206,8 +209,8 @@ func TestCompileAllocBudget(t *testing.T) {
 		name          string
 		allocs, bytes uint64
 	}{
-		{"inference_app", 2520, 930_000},
-		{"q1-grown", 2520, 930_000},
+		{"inference_app", 2440, 915_000},
+		{"q1-grown", 2440, 915_000},
 	}
 	e := mustEngine(t, caseStudyKB())
 	scs := section51Scenarios()

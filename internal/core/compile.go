@@ -34,9 +34,9 @@ type compiled struct {
 
 	// clauses is the base's one clause stream, in emission order: the
 	// boolean phase writes a constraint that already is a clause straight
-	// to it and converts the rest there at once (assert), and Bulk lays
-	// it out in the solver, with the arithmetic circuits' clauses after
-	// it. aux counts the Tseitin auxiliaries the conversions number from
+	// to it and converts the rest there at once (assert, plain Tseitin:
+	// nothing rewrites a formula first), and Bulk lays it out in the
+	// solver, with the arithmetic circuits' clauses after it. aux counts the Tseitin auxiliaries the conversions number from
 	// auxBase; compileUnprobed moves them into one block after the atoms
 	// once the boolean phase has fixed the atom count. buf is the
 	// scratch of guardClause and defineOr. Bulk empties the stream and
@@ -339,8 +339,8 @@ func (c *compiled) assertGuarded(name, note string, f logic.Formula) {
 // guardClause writes, under the named selector sel, the clause (¬sel ∨
 // lits…): the clause assertGuarded(name, note, Or(lits…)) converts to,
 // without building the formula. A literal repeated in lits, or beside
-// its negation, reaches the solver as it is; AddClause drops repeats
-// and tautologies as Simplify would have, so the base is the same. The
+// its negation, reaches the solver as it is, as it would in the
+// converted clause; AddClause drops the repeat or the tautology. The
 // caller computes lits first, so their atoms are allocated before the
 // selector, as assertGuarded's argument would have them; lits must not
 // alias c.buf.
@@ -472,7 +472,7 @@ func (c *compiled) hardwareSelection() {
 
 // capabilityDefinitions ties cap atoms to the selected hardware:
 // cap(kind, X) ↔ OR of selected SKUs of that kind having X. A SKU listed
-// twice among the candidates counts once, as Simplify would count it.
+// twice among the candidates counts once, as defineOr needs.
 func (c *compiled) capabilityDefinitions() {
 	referenced := c.referencedCaps()
 	listed := make([]bool, c.vocab.Len()+1) // by variable
@@ -500,8 +500,7 @@ func (c *compiled) capabilityDefinitions() {
 // defineOr writes the clauses assert(Iff(def, Or(lits…))) converts to,
 // without building the formula: def → some lit, and every lit → def
 // through one auxiliary, the Tseitin definition of ¬Or(lits…). lits must
-// be distinct literals, none over def's variable, as Simplify leaves
-// them.
+// be distinct literals, none over def's variable.
 func (c *compiled) defineOr(def sat.Lit, lits []sat.Lit) {
 	switch len(lits) {
 	case 0:

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"netarch/internal/kb"
@@ -11,7 +12,8 @@ import (
 // Metamorphic properties of the optimizer over diffKB (the oracle
 // catalog of differential_test.go): objective scaling and translation
 // invariance, dominated-SKU frontier no-ops, and bound-tightening
-// monotonicity.
+// monotonicity; and of the whole engine over the §5.1 catalog: rules
+// written redundantly answer as the plain rules do.
 
 // TestMetamorphicCostScaling: multiplying every SKU price by a constant
 // scales the cost optimum by the same constant and leaves the power
@@ -132,5 +134,71 @@ func TestMetamorphicBoundTightening(t *testing.T) {
 	}
 	if prev < 0 {
 		t.Fatal("no cap in the chain was feasible")
+	}
+}
+
+// TestMetamorphicRedundantRule: every rule of the §5.1 catalog written
+// redundantly, each rule E as (E ∨ E) ∧ (x ∨ ¬x) ∧ E with x an atom of
+// E, so a disjunction repeats its operands, a conjunction holds a
+// tautology and a subformula occurs three times. The CNF converter
+// rewrites none of it, so the bases grow, but no verdict, explanation or
+// optimum on the §5.1 queries may change, and every witness must pass
+// Check on the plain catalog.
+func TestMetamorphicRedundantRule(t *testing.T) {
+	plain := mustEngine(t, caseStudyKB())
+	k := caseStudyKB()
+	for i := range k.Rules {
+		e := k.Rules[i].Expr
+		x := kb.Atom(e.Atoms(nil)[0])
+		k.Rules[i].Expr = kb.And(kb.Or(e, e), kb.Or(x, kb.Not(x)), e)
+	}
+	redundant := mustEngine(t, k)
+
+	sc := section51Scenarios()["inference_app"]
+	shape := baseShape(&sc)
+	pb, err := compile(plain.revision().kb, &shape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := compile(redundant.revision().kb, &shape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv, rv := pb.solver.NumVars(), rb.solver.NumVars(); rv <= pv {
+		t.Fatalf("redundant rules compile to %d variables, plain ones to %d; want more", rv, pv)
+	}
+
+	for _, r := range queryRows(t, plain, sec51Scenarios(t, plain), "synthesize", "explain", "optimize") {
+		want, got := answer(plain, r), answer(redundant, r)
+		if want.err != nil || got.err != nil {
+			t.Fatalf("%s: plain %v, redundant %v", r.name, want.err, got.err)
+		}
+		var design *Design
+		switch w := want.res.(type) {
+		case *Report:
+			g := got.res.(*Report)
+			if g.Verdict != w.Verdict || !slices.Equal(conflictNames(g.Explanation), conflictNames(w.Explanation)) {
+				t.Errorf("%s: %v %v, plain rules give %v %v", r.name,
+					g.Verdict, conflictNames(g.Explanation), w.Verdict, conflictNames(w.Explanation))
+			}
+			design = g.Design
+		case *Explanation:
+			if g := conflictNames(got.res.(*Explanation)); !slices.Equal(g, conflictNames(w)) {
+				t.Errorf("%s: explanation %v, plain rules give %v", r.name, g, conflictNames(w))
+			}
+		case *OptimizeResult:
+			g := got.res.(*OptimizeResult)
+			if g.Verdict != w.Verdict || !slices.Equal(g.ObjectiveValues, w.ObjectiveValues) {
+				t.Errorf("%s: optimum %v %v, plain rules give %v %v", r.name,
+					g.Verdict, g.ObjectiveValues, w.Verdict, w.ObjectiveValues)
+			}
+			design = g.Design
+		}
+		if design == nil {
+			continue
+		}
+		if rep, err := plain.Check(*design, r.sc); err != nil || rep.Verdict != Feasible {
+			t.Errorf("%s: witness %v rejected under the plain rules: %v", r.name, design, err)
+		}
 	}
 }

@@ -17,24 +17,18 @@ type converter struct {
 	// stack: a disjunction's operands may define subformulas, whose
 	// clauses go to out first, above its own partial clause.
 	buf []sat.Lit
-
-	// cache maps And/Or subformulas to their definition literal by
-	// structural equality (hash, then Equal); nil until the first
-	// definition. It avoids duplicate aux variables when the same
-	// subformula occurs twice in one assertion.
-	cache formulaMap
 }
 
 // Convert appends to out clauses equisatisfiable with f, numbering the
 // auxiliary variables it allocates from vars+1, and returns vars plus
 // their count. Every variable occurring in f must be ≤ vars. Asserting
-// True appends nothing and asserting False the empty clause. Each call
-// has a Tseitin cache of its own: successive calls number their
-// auxiliaries in successive blocks, and a subformula repeated across
-// calls gets one definition per call.
+// True appends nothing and asserting False the empty clause. Successive
+// calls number their auxiliaries in successive blocks. Every occurrence
+// of a connective gets a definition of its own, so a subformula repeated
+// in f or across calls is defined once per occurrence.
 func Convert(out *sat.Clauses, vars int, f Formula) int {
 	cv := converter{out: out, vars: vars}
-	cv.assert(Simplify(f))
+	cv.assert(f)
 	return cv.vars
 }
 
@@ -44,8 +38,7 @@ func (cv *converter) freshAux() sat.Lit {
 	return sat.Lit(cv.vars)
 }
 
-// assert adds the clauses of a simplified formula. The conjuncts of a
-// simplified And are themselves simplified, so they recurse as they are.
+// assert adds the clauses of f.
 func (cv *converter) assert(f Formula) {
 	switch f.kind {
 	case KindTrue:
@@ -92,7 +85,8 @@ func (cv *converter) lit(f Formula) sat.Lit {
 	case KindNot:
 		return cv.negLit(f.args[0])
 	case KindTrue, KindFalse:
-		// Handled by Simplify in Convert; still be defensive.
+		// The constructors fold constants out of every connective, so
+		// only assert sees one; still be defensive.
 		d := cv.freshAux()
 		if f.kind == KindTrue {
 			cv.out.Add(d)
@@ -100,9 +94,6 @@ func (cv *converter) lit(f Formula) sat.Lit {
 			cv.out.Add(-d)
 		}
 		return d
-	}
-	if l, ok := cv.cache.get(f); ok {
-		return sat.Lit(l)
 	}
 	d := cv.freshAux()
 	switch f.kind {
@@ -115,10 +106,6 @@ func (cv *converter) lit(f Formula) sat.Lit {
 		// d → (a1 ∨ … ∨ an): clause (¬d ∨ a1 ∨ … ∨ an)
 		cv.clause(-d, f.args)
 	}
-	if cv.cache == nil {
-		cv.cache = formulaMap{}
-	}
-	cv.cache.put(f, int32(d))
 	return d
 }
 
@@ -131,7 +118,6 @@ func (cv *converter) negLit(f Formula) sat.Lit {
 		return cv.lit(f.args[0])
 	}
 	// l → ¬f  ≡  l → (¬a1 ∨ …) for And, via De Morgan; reuse lit on the
-	// pushed-in form. NNF push is linear here because Simplify already
-	// flattened the tree.
-	return cv.lit(NNF(Not(f)))
+	// pushed-in form.
+	return cv.lit(nnfNeg(f))
 }

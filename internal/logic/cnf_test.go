@@ -43,19 +43,6 @@ func readClauses(cs *sat.Clauses, vars int) *clauseList {
 	return c
 }
 
-// newConverter returns a converter over a fresh stream and vars atoms.
-// Unlike Convert, which gives each assertion a cache of its own, its
-// Assert calls share one Tseitin cache.
-func newConverter(vars int) *converter {
-	return &converter{out: new(sat.Clauses), vars: vars}
-}
-
-// Assert converts f with the converter's cache.
-func (cv *converter) Assert(f Formula) { cv.assert(Simplify(f)) }
-
-// clauses reads back what cv has emitted.
-func (cv *converter) clauses() *clauseList { return readClauses(cv.out, cv.vars) }
-
 // convertAll converts fs in order into one stream, each with Convert,
 // as a compiler does, and reads the clauses back.
 func convertAll(vars int, fs []Formula) *clauseList {
@@ -105,30 +92,72 @@ func formulaSatisfiableBrute(f Formula) bool {
 	return false
 }
 
+// TestTseitinEquisatisfiable converts random formulas, then random
+// formulas with repeated operands, complementary pairs and repeated
+// subformulas, which Convert defines as they occur. The second family
+// is sized so its largest CNF (22 variables) fits the brute force.
 func TestTseitinEquisatisfiable(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 250; i++ {
-		vo := NewVocabulary()
-		for j := 0; j < 5; j++ {
-			vo.Fresh("") // allocate the 5 base variables
+		checkEquisatisfiable(t, randFormula(r, 5, 25))
+	}
+	r = rand.New(rand.NewSource(8))
+	for i := 0; i < 250; i++ {
+		checkEquisatisfiable(t, redundantFormula(r, 5, 12))
+	}
+}
+
+// checkEquisatisfiable converts f over its five atoms and checks, by
+// brute force, that under every assignment of the atoms the clauses are
+// satisfiable exactly when f is true: the CNF is equisatisfiable with f,
+// and every model of it satisfies f.
+func checkEquisatisfiable(t *testing.T, f Formula) {
+	t.Helper()
+	const atoms = 5
+	ext := cnfExtendable(convertAll(atoms, []Formula{f}), atoms)
+	assign := make(map[Var]bool, atoms)
+	for a, got := range ext {
+		for v := Var(1); v <= atoms; v++ {
+			assign[v] = a&(1<<(v-1)) != 0
 		}
-		f := randFormula(r, 5, 25)
-		cnf := convertAll(vo.Len(), []Formula{f})
-		wantSat := formulaSatisfiableBrute(f)
-		gotSat, model := cnfSatisfiableBrute(cnf)
-		if wantSat != gotSat {
-			t.Fatalf("equisatisfiability broken for %v: formula sat=%v cnf sat=%v",
-				f, wantSat, gotSat)
-		}
-		if gotSat {
-			// Soundness: a CNF model restricted to original vars must
-			// satisfy the original formula (Plaisted–Greenbaum keeps
-			// this direction).
-			if !f.Eval(model) {
-				t.Fatalf("CNF model does not satisfy original formula %v", f)
-			}
+		if want := f.Eval(assign); got != want {
+			t.Fatalf("%v under %v: clauses satisfiable %v, formula %v", f, assign, got, want)
 		}
 	}
+}
+
+// cnfExtendable reports, for each assignment of variables 1..atoms (bit
+// v-1 of the index holds variable v), whether some assignment of the
+// other variables satisfies c, by brute force over all c.NumVars.
+func cnfExtendable(c *clauseList, atoms int) []bool {
+	if c.NumVars > 22 {
+		panic("cnfExtendable: too many variables")
+	}
+	ext := make([]bool, 1<<atoms)
+	for mask := 0; mask < 1<<c.NumVars; mask++ {
+		if a := mask & (len(ext) - 1); !ext[a] {
+			ext[a] = satisfiedBy(c, mask)
+		}
+	}
+	return ext
+}
+
+// satisfiedBy reports whether the assignment mask (bit v-1 holds
+// variable v) satisfies every clause of c.
+func satisfiedBy(c *clauseList, mask int) bool {
+	for _, cl := range c.Clauses {
+		ok := false
+		for _, l := range cl {
+			if (mask>>(l.Var()-1)&1 == 1) != l.Neg() {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func TestAssertTrueFalse(t *testing.T) {
@@ -159,19 +188,5 @@ func TestAssertDisjunctionSingleClause(t *testing.T) {
 	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
 	if cnf := convertAll(vo.Len(), []Formula{Or(a, Not(b), c)}); len(cnf.Clauses) != 1 {
 		t.Fatalf("flat disjunction should be one clause, got %d", len(cnf.Clauses))
-	}
-}
-
-func TestConverterCacheReuse(t *testing.T) {
-	vo := NewVocabulary()
-	a, b, c := V(vo.Get("a")), V(vo.Get("b")), V(vo.Get("c"))
-	sub := And(a, b)
-	cv := newConverter(vo.Len())
-	cv.Assert(Or(sub, c))
-	n1 := cv.vars
-	cv.Assert(Or(sub, Not(c)))
-	n2 := cv.vars
-	if n2 != n1 {
-		t.Errorf("repeated subformula must reuse its aux var: %d -> %d", n1, n2)
 	}
 }

@@ -1,6 +1,5 @@
 // Package logic provides a propositional-logic formula representation with
-// named variables, structural simplification, negation normal form, and
-// Tseitin conversion to CNF.
+// named variables, negation normal form, and Tseitin conversion to CNF.
 //
 // The package is the front end of the reasoning shim described in the paper
 // "Lightweight Automated Reasoning for Network Architectures" (HotNets '24):
@@ -57,17 +56,9 @@ type Var uint32
 // Formula is an immutable propositional formula. Implies and Iff are
 // provided as derived constructors and are expanded structurally, so the
 // node kinds are limited to the six above.
-//
-// Every node carries a 32-bit structural hash, computed once by the
-// constructor from its children's hashes. Simplify's dedup and the
-// Tseitin cache compare hashes and confirm each match with Equal, so a
-// collision costs one Equal call and never merges different formulas.
 type Formula struct {
 	kind Kind
-	// v is the variable when kind == KindVar; for KindNot, KindAnd and
-	// KindOr it holds the node's structural hash (see hash). Packing the
-	// hash into this word keeps a Formula at 32 bytes.
-	v    Var
+	v    Var       // valid when kind == KindVar
 	args []Formula // valid when kind is KindNot (len 1), KindAnd, KindOr
 }
 
@@ -79,9 +70,6 @@ var False = Formula{kind: KindFalse}
 
 // Kind reports the top-level connective.
 func (f Formula) Kind() Kind { return f.kind }
-
-// IsConst reports whether f is ⊤ or ⊥.
-func (f Formula) IsConst() bool { return f.kind == KindTrue || f.kind == KindFalse }
 
 // V returns the formula consisting of the single variable v.
 // It panics if v is 0, which is reserved.
@@ -102,7 +90,7 @@ func Not(f Formula) Formula {
 	case KindNot:
 		return f.args[0]
 	}
-	return Formula{kind: KindNot, v: Var(hashNot(f.hash())), args: []Formula{f}}
+	return Formula{kind: KindNot, args: []Formula{f}}
 }
 
 // And returns the conjunction of fs. Nested conjunctions are flattened,
@@ -133,57 +121,13 @@ func nary(k Kind, fs []Formula) Formula {
 			args = append(args, f)
 		}
 	}
-	return flat(k, args)
-}
-
-// flat returns the k-node over args, which must already be flat (no
-// constants, no k-nodes); it takes ownership of args. No operands is the
-// identity element and one operand is that operand.
-func flat(k Kind, args []Formula) Formula {
 	switch len(args) {
 	case 0:
-		if k == KindAnd {
-			return True
-		}
-		return False
+		return unit
 	case 1:
 		return args[0]
 	}
-	h := uint32(k) * 0x9e3779b9
-	for _, a := range args {
-		h = combineHash(h, a.hash())
-	}
-	return Formula{kind: k, v: Var(fmix32(h ^ uint32(len(args)))), args: args}
-}
-
-// hash returns f's structural hash: derived from the index for a
-// variable, fixed for a constant, and stored in v for a connective.
-// Structurally equal formulas have equal hashes.
-func (f Formula) hash() uint32 {
-	switch f.kind {
-	case KindVar:
-		return fmix32(uint32(f.v) ^ 0x5bd1e995)
-	case KindTrue:
-		return 0x3c6ef372
-	case KindFalse:
-		return 0xa54ff53a
-	}
-	return uint32(f.v)
-}
-
-// hashNot returns the hash of the node ¬g given g's hash h.
-func hashNot(h uint32) uint32 { return fmix32(combineHash(0x1b873593, h)) }
-
-func combineHash(h, x uint32) uint32 { return h ^ (x + 0x9e3779b9 + h<<6 + h>>2) }
-
-// fmix32 is the MurmurHash3 finalizer.
-func fmix32(h uint32) uint32 {
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
+	return Formula{kind: k, args: args}
 }
 
 // Implies returns a → b, i.e. ¬a ∨ b.
@@ -274,24 +218,6 @@ func (f Formula) write(b *strings.Builder, names func(Var) string) {
 			}
 		}
 	}
-}
-
-// Equal reports structural equality of two formulas. Connectives with
-// different hashes differ, and nodes sharing one operand slice are equal
-// without a walk.
-func Equal(a, b Formula) bool {
-	if a.kind != b.kind || a.v != b.v || len(a.args) != len(b.args) {
-		return false
-	}
-	if len(a.args) == 0 || &a.args[0] == &b.args[0] {
-		return true
-	}
-	for i := range a.args {
-		if !Equal(a.args[i], b.args[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Vocabulary allocates variables and remembers their names. It is the

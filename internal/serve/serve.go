@@ -39,7 +39,8 @@ type Config struct {
 
 	// Policy is the server-side per-request budget ceiling. Clients may
 	// tighten it per request (QueryRequest.Budget), never widen it. The
-	// zero value imposes no ceiling.
+	// zero value imposes no ceiling. The timeout covers the whole
+	// request: a whatif's two syntheses share one deadline.
 	Policy core.Budget
 
 	// MaxEnumerate caps the per-request enumeration class limit.
@@ -353,8 +354,16 @@ func (s *Server) queryHandler(mode string) http.HandlerFunc {
 }
 
 // execute runs one admitted, parsed query and renders the outcome. It
-// returns either a response or a typed error with its HTTP status.
+// returns either a response or a typed error with its HTTP status. The
+// budget's timeout is armed once, on ctx, so it covers every engine call
+// the request makes; the engine gets the budget without it.
 func (s *Server) execute(ctx context.Context, mode string, req *QueryRequest, budget core.Budget) (*QueryResponse, *ErrorInfo, int) {
+	if budget.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget.Timeout)
+		defer cancel()
+		budget.Timeout = 0
+	}
 	sc := req.Scenario.toScenario()
 	resp := &QueryResponse{Mode: mode}
 
@@ -607,8 +616,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// handleReadyz: readiness — the prewarm set is compiled (or revived)
-// and the server is not draining.
+// handleReadyz: readiness — the prewarm set is compiled and the server
+// is not draining.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready := s.ready.Load() && !s.draining.Load()
 	status := http.StatusOK

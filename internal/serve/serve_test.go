@@ -523,6 +523,37 @@ func TestServeBudgetDegraded(t *testing.T) {
 	}
 }
 
+// TestServeWhatifSharesDeadline: the per-request timeout covers the
+// whole request, so a whatif's two syntheses share one deadline. Every
+// solve is held for 200 ms against a 300 ms policy timeout: a synth
+// fits, while the whatif's second synthesis starts past 200 ms and must
+// stop on the deadline instead of answering after twice the timeout.
+func TestServeWhatifSharesDeadline(t *testing.T) {
+	const hold = 200 * time.Millisecond
+	s, base := testServer(t, func(c *Config) { c.Policy.Timeout = 300 * time.Millisecond })
+	s.eng.SetFaultHook(func(ev sat.FaultEvent, _ sat.Stats) bool {
+		if ev == sat.EventSolve {
+			time.Sleep(hold)
+		}
+		return false
+	})
+	t.Cleanup(func() { s.eng.SetFaultHook(nil) })
+
+	var qr QueryResponse
+	if status, raw := post(t, base+"/v1/synth", QueryRequest{Scenario: scInference}, &qr); status != http.StatusOK || qr.Verdict != "FEASIBLE" {
+		t.Fatalf("synth within the timeout: status %d verdict %q\n%s", status, qr.Verdict, raw)
+	}
+	var eb ErrorBody
+	status, raw := post(t, base+"/v1/whatif", QueryRequest{
+		Scenario: scInference,
+		Delta:    &DeltaJSON{Context: map[string]bool{"lossless_fabric": false}},
+	}, &eb)
+	if status != http.StatusGatewayTimeout || eb.Error.Kind != "resource_exhausted" || eb.Error.Cause != "deadline" {
+		t.Fatalf("whatif past the timeout: status %d kind %q cause %q, want 504 resource_exhausted/deadline\n%s",
+			status, eb.Error.Kind, eb.Error.Cause, raw)
+	}
+}
+
 // TestServeFaultMatrix exercises the fault-injection matrix through the
 // HTTP layer: for each sat.FaultEvent kind, inject mid-request at 100%
 // rate and assert the response is a well-formed typed error or a
