@@ -4,7 +4,7 @@ GO ?= go
 
 # BENCH is the JSON file the bench target writes and bench-diff compares
 # against; point it at the next PR's file when cutting a new baseline.
-BENCH ?= BENCH_PR48.json
+BENCH ?= BENCH_PR50.json
 
 build:
 	$(GO) build ./...
@@ -27,16 +27,16 @@ race:
 	$(GO) test -race -skip='^TestDifferential$$/^scale$$' ./...
 
 # bench-smoke compiles and runs one iteration of the compile, cold-start,
-# enumeration, Pareto and serve read-mix benchmarks so the bench suite
-# can't bit-rot between full runs (BenchmarkPareto also checks its
-# frontiers), plus internal/core's scaled-catalog cold starts, sliced
-# and unsliced, and its optimizer-versus-oracle benchmark, whose MaxSAT
-# row checks its optimum against the brute-force oracle. It also vets and
-# tests the bench/ module (its own go.mod), so a core API change that
-# breaks the end-to-end harness fails here, not only in the benchmark
-# pipeline.
+# optimization, enumeration, Pareto and serve read-mix benchmarks so the
+# bench suite can't bit-rot between full runs (BenchmarkOptimize checks
+# that its optima are certified, BenchmarkPareto its frontiers), plus
+# internal/core's scaled-catalog cold starts, sliced and unsliced, and
+# its optimizer-versus-oracle benchmark, whose MaxSAT row checks its
+# optimum against the brute-force oracle. It also vets and tests the
+# bench/ module (its own go.mod), so a core API change that breaks the
+# end-to-end harness fails here, not only in the benchmark pipeline.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkColdStart|BenchmarkEnumerate|BenchmarkPareto|BenchmarkServeReadMix' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkCompile|BenchmarkColdStart|BenchmarkOptimize|BenchmarkEnumerate|BenchmarkPareto|BenchmarkServeReadMix' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkColdStart|BenchmarkOptimizeOracle' -benchtime=1x ./internal/core
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

@@ -561,35 +561,61 @@ func BenchmarkServeReadMix(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimize measures the assumption-based MaxSAT optimizer: a
-// certified lexicographic cost-then-power minimization over the whole
-// case-study catalog (the cache is primed off the clock, so it measures
-// the descent, not compilation). internal/core's BenchmarkOptimizeOracle
-// compares the descent with the exhaustive oracle on a trimmed space.
+// BenchmarkOptimize measures the assumption-based MaxSAT optimizer on a
+// warm engine (the cache is primed off the clock, so it measures the
+// clone and the descents, not compilation): "full" is a certified
+// lexicographic cost-then-power minimization over the whole case-study
+// catalog, and "listing3" is Listing 3's Optimize(latency > Hardware
+// cost > monitoring) over inference_app with packet spraying as the
+// load-balancing bound, the optimize_warm class whose objective circuits
+// add variables to the query's clone. internal/core's
+// BenchmarkOptimizeOracle compares the descent with the exhaustive
+// oracle on a trimmed space.
 func BenchmarkOptimize(b *testing.B) {
-	k := catalog.CaseStudy()
-	sc := netarch.Scenario{Workloads: []string{"inference_app"}}
-	objs := []netarch.Objective{{Kind: netarch.MinimizeCost}, {Kind: netarch.MinimizePower}}
-	b.Run("full", func(b *testing.B) {
-		eng, err := netarch.NewEngine(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Optimize(sc, objs); err != nil { // prime the cache
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.OptimizeCtx(context.Background(), sc, objs, netarch.Budget{})
+	inference := netarch.Scenario{Workloads: []string{"inference_app"}}
+	listing3 := netarch.Scenario{
+		Workloads: []string{"inference_app"},
+		Context:   map[string]bool{"app_modifiable": true},
+		Bounds:    []netarch.PerformanceBound{{Dimension: "load_balancing", Reference: "packet-spraying"}},
+	}
+	cases := []struct {
+		name       string
+		sc         netarch.Scenario
+		objectives []string
+	}{
+		{"full", inference, []string{"cost", "power"}},
+		{"listing3", listing3, []string{"latency", "cost", "order:monitoring"}},
+	}
+	for _, tc := range cases {
+		var objs []netarch.Objective
+		for _, name := range tc.objectives {
+			obj, err := netarch.ParseObjective(name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Verdict != netarch.Feasible || res.Approximate {
-				b.Fatal("want a certified optimum")
-			}
+			objs = append(objs, obj)
 		}
-	})
+		b.Run(tc.name, func(b *testing.B) {
+			eng, err := netarch.NewEngine(catalog.CaseStudy())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.Optimize(tc.sc, objs); err != nil { // prime the cache
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.OptimizeCtx(context.Background(), tc.sc, objs, netarch.Budget{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Verdict != netarch.Feasible || res.Approximate {
+					b.Fatal("want a certified optimum")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkEnumerate measures a complete design-class enumeration on a

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"netarch/internal/intlin"
 	"netarch/internal/maxsat"
@@ -77,7 +78,10 @@ func (e *Engine) optimize(c *compiled, g *governor, objectives []Objective) (*Op
 		g.trip(c.solver.StopCause())
 		return nil, g.exhausted()
 	}
-	witness := c.designFromModel()
+	// The solver reuses its model buffer, so keep the feasibility
+	// witness's model: it is the design returned when the budget trips
+	// before the descent finds one of its own.
+	witness := slices.Clone(c.solver.Model())
 
 	objs, err := c.objectives(objectives)
 	if err != nil {
@@ -104,9 +108,9 @@ func (e *Engine) optimize(c *compiled, g *governor, objectives []Objective) (*Op
 		res.ApproxCause = g.trip(c.solver.StopCause())
 	}
 	if lex.Model != nil {
-		witness = c.designFrom(lex.Model)
+		witness = lex.Model
 	}
-	res.Design = witness
+	res.Design = c.designFrom(witness)
 	res.Spent = g.spent()
 	return res, nil
 }

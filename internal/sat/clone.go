@@ -17,10 +17,12 @@ const (
 	// the arena and the clause lists on demand.
 	MoveRoom Room = iota
 	// LearntRoom gives queryArenaWords arena words, clause-list headroom
-	// of a sixteenth of each list's length plus 1024 entries, and
-	// watcher-slab room of half its length plus 1024 watchers: room for
-	// the learnt clauses of an optimization's descents or an enumeration
-	// without copying a slab again.
+	// of a sixteenth of each list's length plus 1024 entries,
+	// watcher-slab room of half its length plus 1024 watchers, and
+	// per-variable room for queryVarRoom more variables: room for the
+	// learnt clauses of an optimization's descents or an enumeration, and
+	// for the objective circuits an optimization builds after its first
+	// solve, without copying a slab or a per-variable slice again.
 	LearntRoom
 )
 
@@ -38,10 +40,11 @@ const (
 // count variables and its AddClause only appends the clause to a stream.
 // Clone then copies every slice once, at the original's size plus what
 // load counted, plus the room room selects, and adds the streamed
-// clauses in order. The clone ends in the state Clone with a nil load
-// followed by the same calls made one by one would leave; only
-// capacities differ. load must not solve, clone or snapshot the clone,
-// nor read a variable's state.
+// clauses in order. The per-variable slices hold exactly the clone's
+// variables under MoveRoom and queryVarRoom more under LearntRoom. The
+// clone ends in the state Clone with a nil load followed by the same
+// calls made one by one would leave; only capacities differ. load must
+// not solve, clone or snapshot the clone, nor read a variable's state.
 //
 // The copy is a near-memcpy: the clause arena and the watcher slab are
 // each one flat, pointer-free copy, and clause references (crefs) mean
@@ -72,6 +75,8 @@ const (
 //   - A pending Interrupt is NOT inherited — the clone is runnable even
 //     if the original was stopped, and an interrupt delivered to the
 //     original later (say, by its governing context) does not reach it.
+//   - The last model is NOT inherited, nor the buffer it lives in: a
+//     clone's first Sat solve writes a model buffer of its own.
 //   - An attached DRAT proof is NOT cloned: proofs record one solver's
 //     derivation history and would be unsound spliced onto another.
 //     Call AttachProof on the clone before its first Solve if needed.
@@ -128,17 +133,18 @@ func (s *Solver) Clone(room Room, load func(*Solver)) *Solver {
 		})
 		slices.Sort(watched)
 	}
-	arenaRoom, clauseRoom, learntRoom := 0, 0, 0
+	arenaRoom, clauseRoom, learntRoom, varRoom := 0, 0, 0, 0
 	slabRoom := len(s.watches.slab)/4 + 256
 	if room == LearntRoom {
 		arenaRoom = queryArenaWords
 		clauseRoom, learntRoom = headroom(len(s.clauses)), headroom(len(s.learnts))
 		slabRoom = len(s.watches.slab)/2 + 1024
+		varRoom = queryVarRoom
 	}
 
 	// Watch lists are copied verbatim rather than re-attached: their order
 	// determines propagation order, and a clone must search identically.
-	nv := n.nVars
+	nv := n.nVars + varRoom // per-variable capacity
 	n.ca = arena{data: grown(s.ca.data, nWords+arenaRoom), wasted: s.ca.wasted}
 	n.clauses = grown(s.clauses, nClauses+clauseRoom)
 	n.learnts = grown(s.learnts, learntRoom)
@@ -163,6 +169,20 @@ func (s *Solver) Clone(room Room, load func(*Solver)) *Solver {
 // base. The learnt clauses of the §5.1 cost and lexicographic
 // optimizations take up to ~5.6k words.
 const queryArenaWords = 6 << 10
+
+// queryVarRoom is the per-variable room LearntRoom gives: room for the
+// variables of the objective circuits an optimization builds on its
+// clone after the feasibility solve, so its first NewVar does not double
+// every per-variable slice. It is sized from what the case study's
+// LearntRoom queries add: of the optimize_warm classes only Listing 3's
+// latency > cost > monitoring adds any (20 penalty and totalizer
+// variables, then 21 for the held cost bound; 56 on the §5.1 scenarios
+// over all three workloads), a ports objective adds 9, and the §5.1 cost
+// and cores optimizations, enumerations and suggestions add none. Power
+// and systems objectives add 193–335 and the §5.1 Pareto frontiers
+// 44–362, past any room worth giving every clone; those regrow once, by
+// doubling.
+const queryVarRoom = 64
 
 // headroom is the spare capacity LearntRoom gives a clause list of n
 // elements: a sixteenth of it plus 1024.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -172,6 +173,55 @@ func TestCloneResetsRunState(t *testing.T) {
 	c := a.Clone(LearntRoom, nil)
 	if got := c.Stats(); got != (Stats{}) {
 		t.Fatalf("clone stats not zeroed: %+v", got)
+	}
+}
+
+// TestCloneOwnsItsModelBuffer: every Sat solve writes its model into
+// the solver's one buffer, so a clone must never share its source's
+// buffer. A clone of a solver that has solved Sat starts with no model
+// and no buffer, and its searches leave the source's model untouched
+// while the source reads it from another goroutine (make race checks
+// that the two never touch the same bytes). ResetRun drops the buffer,
+// so a frozen base retains no model.
+func TestCloneOwnsItsModelBuffer(t *testing.T) {
+	for _, room := range []Room{MoveRoom, LearntRoom} {
+		src := NewSolver()
+		satInstance(src)
+		if st := src.SolveAssuming([]Lit{1}); st != Sat {
+			t.Fatalf("room %d: source: got %v, want Sat", room, st)
+		}
+		want := slices.Clone(src.Model())
+		buf := &src.Model()[0]
+		if st := src.SolveAssuming([]Lit{1}); st != Sat || &src.Model()[0] != buf {
+			t.Fatalf("room %d: a second Sat solve did not reuse the model buffer", room)
+		}
+
+		c := src.Clone(room, nil)
+		if c.Model() != nil || c.modelBuf != nil {
+			t.Fatalf("room %d: the clone inherited a model", room)
+		}
+		done := make(chan Status)
+		go func() {
+			// Variable 1 false: a model that differs from the source's.
+			done <- c.SolveAssuming([]Lit{-1})
+		}()
+		for i := 0; i < 100; i++ {
+			if !slices.Equal(src.Model(), want) {
+				t.Errorf("room %d: the source's model changed while its clone searched", room)
+				break
+			}
+		}
+		if st := <-done; st != Sat {
+			t.Fatalf("room %d: clone: got %v, want Sat", room, st)
+		}
+		if &c.Model()[0] == buf || c.Model()[0] || !slices.Equal(src.Model(), want) {
+			t.Fatalf("room %d: the clone's model shares the source's buffer", room)
+		}
+
+		src.ResetRun()
+		if src.Model() != nil || src.modelBuf != nil {
+			t.Fatalf("room %d: ResetRun left a model buffer behind", room)
+		}
 	}
 }
 

@@ -50,8 +50,9 @@ func queryLoad(r *rand.Rand, nVars int) func(*Solver) {
 // byte-identically to a clone that adds them one by one afterwards, and
 // then searches identically, for both rooms and for frozen and unfrozen
 // sources. The load is laid out once: the per-variable slices hold
-// exactly the clone's variables and the arena exactly the source's
-// words, the load's long clauses and the room.
+// exactly the clone's variables plus the room's variables (none for
+// MoveRoom, queryVarRoom for LearntRoom) and the arena exactly the
+// source's words, the load's long clauses and the room's words.
 func TestCloneLoadMatchesOneByOne(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -75,8 +76,12 @@ func TestCloneLoadMatchesOneByOne(t *testing.T) {
 			if !bytes.Equal(laid.Snapshot(), eager.Snapshot()) {
 				t.Fatalf("%s: the laid-out clone's snapshot differs from the one-by-one clone's", name)
 			}
-			if laid.VarCapacity() != laid.NumVars() {
-				t.Errorf("%s: %d variables in a capacity of %d", name, laid.NumVars(), laid.VarCapacity())
+			varRoom := 0
+			if room == LearntRoom {
+				varRoom = queryVarRoom
+			}
+			if laid.VarCapacity() != laid.NumVars()+varRoom {
+				t.Errorf("%s: %d variables in a capacity of %d, want %d", name, laid.NumVars(), laid.VarCapacity(), laid.NumVars()+varRoom)
 			}
 			words := 0
 			var cs Clauses

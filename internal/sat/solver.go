@@ -198,7 +198,11 @@ type Solver struct {
 	gcOld []cref
 	gcNew []cref
 	okay  bool // false once a top-level contradiction is recorded
-	model []bool
+	// model is the last Sat solve's model, nil after any other result; it
+	// is a view of modelBuf, which every Sat solve overwrites. Clone
+	// shares neither and ResetRun drops both.
+	model    []bool
+	modelBuf []bool
 	// binConfl holds the literals of the binary clause propagate last
 	// returned as a conflict (crefBinary): [other, ¬p], the order an
 	// arena clause would give them.
@@ -273,28 +277,28 @@ func (s *Solver) WatchSlab() (used, capacity int) {
 func (s *Solver) Stats() Stats { return s.stats }
 
 // ResetRun drops what earlier solves left on the solver besides its
-// search state: the cumulative Stats, the last model, final conflict and
-// stop cause, and the conflict-analysis scratch buffers. Saved phases,
-// VSIDS activities and learnt clauses stay. ResetRun is the freeze
-// point of a compiled base: it moves every problem binary out of the
-// watch lists into a new read-only implication table (see implTable),
-// which the solver's clones share instead of copying, clips the clause
-// arena and the trail to their lengths and lays the remaining watch
-// lists out back to back in a slab of exactly their size, so a frozen
-// solver keeps no spare room (Bulk's learnt room included) or garbage
-// for a Clone to copy or a cache to retain; each clone is laid out with
-// its own room. Propagation visits a literal's shared implications
-// before its watch list, so the search after ResetRun differs from the
-// one before it. After ResetRun the solver itself runs the same search
-// its Clone would, and reports only its own later work. Must be called
-// at decision level 0.
+// search state: the cumulative Stats, the last model and its buffer,
+// final conflict and stop cause, and the conflict-analysis scratch
+// buffers. Saved phases, VSIDS activities and learnt clauses stay.
+// ResetRun is the freeze point of a compiled base: it moves every
+// problem binary out of the watch lists into a new read-only implication
+// table (see implTable), which the solver's clones share instead of
+// copying, clips the clause arena and the trail to their lengths and
+// lays the remaining watch lists out back to back in a slab of exactly
+// their size, so a frozen solver keeps no spare room (Bulk's learnt room
+// included), model or garbage for a Clone to copy or a cache to retain;
+// each clone is laid out with its own room. Propagation visits a
+// literal's shared implications before its watch list, so the search
+// after ResetRun differs from the one before it. After ResetRun the
+// solver itself runs the same search its Clone would, and reports only
+// its own later work. Must be called at decision level 0.
 func (s *Solver) ResetRun() {
 	s.settle()
 	if s.decisionLevel() != 0 {
 		panic("sat: ResetRun called above decision level 0")
 	}
 	s.stats = Stats{}
-	s.model = nil
+	s.model, s.modelBuf = nil, nil
 	s.conflict = nil
 	s.stopCause = StopNone
 	s.assumptions = nil
@@ -319,10 +323,13 @@ func (s *Solver) NewVar() int {
 	s.nVars++
 	if s.bulk == nil {
 		if len(s.level) == cap(s.level) {
-			// Grow all per-variable slices together, doubling: one-at-a-time
-			// variable creation (the arithmetic encoder, query selectors)
-			// otherwise reallocates eight slices each on append's less
-			// aggressive large-slice growth policy.
+			// Grow all per-variable slices together, doubling. A compile
+			// and a query's selectors count their variables inside Bulk or
+			// a Clone load, and a LearntRoom clone has room for an
+			// optimization's objective circuits, so this serves only
+			// growth past that room (say, a power total) or a solver
+			// built one NewVar at a time, which append's less aggressive
+			// large-slice policy would reallocate slice by slice.
 			s.growVarCaps(max(2*len(s.level), 64))
 		}
 		s.storeVars()
@@ -615,7 +622,8 @@ func (s *Solver) uncheckedEnqueue(l lit, from cref) {
 
 // Model returns the satisfying assignment found by the last Sat solve;
 // index i holds the value of variable i+1. The returned slice is owned by
-// the solver and valid until the next Solve.
+// the solver and valid until the next Solve: every Sat solve writes its
+// model into the same buffer, so copy the slice to keep it.
 func (s *Solver) Model() []bool { return s.model }
 
 // FinalConflict returns, after an Unsat result from SolveAssuming, a subset
@@ -824,10 +832,16 @@ func (s *Solver) pickBranchVar() int {
 	return -1
 }
 
-// extractModel snapshots the current full assignment as the model.
+// extractModel snapshots the current full assignment as the model, in
+// the solver's model buffer. A buffer that is too small is replaced by
+// one as large as the per-variable slices' capacity, so variables added
+// within that capacity reuse it.
 func (s *Solver) extractModel() {
-	s.model = make([]bool, s.nVars)
-	for v := 0; v < s.nVars; v++ {
+	if cap(s.modelBuf) < s.nVars {
+		s.modelBuf = make([]bool, cap(s.level))
+	}
+	s.model = s.modelBuf[:s.nVars]
+	for v := range s.model {
 		s.model[v] = s.vals[2*v] == lTrue
 	}
 }
